@@ -8,18 +8,18 @@
 //! the pool but not the set of instances, so each seed does the same
 //! work and the canonical report has one pinned digest.
 
-use crate::layers::LayerSums;
+use crate::layers::{diagnosis_metrics, overhead_frac, repeated, TracedInstance};
 use crate::pins;
 use crate::util::{
     item_medians, mean, median, peak_rss_mb, quantile, ratio, repeat_setup, run_passes, timed, Fnv,
-    Outcome, Rng, RunConfig,
+    HostClock, Outcome, Rng, RunConfig,
 };
 use gatediag_campaign::{
     run_campaign, CampaignReport, CampaignSpec, InstanceRecord, InstanceStatus,
 };
 use gatediag_core::{EngineKind, Parallelism};
 use gatediag_netlist::{s1423_like, s6669_like, FaultModel};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 const WORKERS: usize = 2;
@@ -118,6 +118,7 @@ fn canonical_json(canonical: &CampaignSpec, report: &CampaignReport) -> String {
 
 struct Pass {
     traced: bool,
+    start: Instant,
     wall_s: f64,
     report_ms: f64,
     report: CampaignReport,
@@ -139,26 +140,28 @@ fn status_counters(report: &CampaignReport) -> BTreeMap<String, u64> {
 
 pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     let mut out = Outcome::default();
-    let (canonical, setup_s) = repeat_setup(|| setup(cfg));
+    let mut clock = HostClock::new();
+    let (canonical, setup_s) = repeat_setup(&mut clock, || setup(cfg));
     let pinned = if cfg.smoke {
         pins::CAMPAIGN_SMOKE
     } else {
         pins::CAMPAIGN_FULL
     };
 
-    let passes = run_passes(cfg, 2, |i, traced| {
+    let passes = run_passes(cfg, 2, &mut clock, |i, traced, clock| {
         let mut spec = permuted(&canonical, Rng::for_pass(cfg.seed, i));
         spec.collect_obs = traced;
         if i == 0 {
             out.info("order_first_pass", order(&spec));
         }
-        let t = Instant::now();
-        let report = run_campaign(&spec);
-        let (json, report_s) = timed(|| report.to_json(false));
+        let start = Instant::now();
+        let report = clock.during(|| run_campaign(&spec));
+        let (json, _, report_s) = timed(|| report.to_json(false));
         std::hint::black_box(json);
         Ok(Pass {
             traced,
-            wall_s: t.elapsed().as_secs_f64(),
+            start,
+            wall_s: start.elapsed().as_secs_f64(),
             report_ms: report_s * 1e3,
             report,
         })
@@ -168,8 +171,6 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     // Output checks: every pass must reproduce the pinned canonical
     // report; failed records count as failed operations.
     let mut digests = Vec::new();
-    let mut counters_repeat = true;
-    let first_counters = status_counters(&passes[0].report);
     for (i, pass) in passes.iter().enumerate() {
         let mut json = canonical_json(&canonical, &pass.report);
         if cfg.corrupt && i == 0 {
@@ -191,22 +192,32 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
                 .filter(|r| r.status == InstanceStatus::Failed)
                 .count() as u64;
         }
-        counters_repeat &= status_counters(&pass.report) == first_counters;
     }
     out.check_digests(&digests, pinned);
+    let (first_counters, mut counters_repeat) =
+        repeated(passes.iter().map(|p| status_counters(&p.report)));
 
-    // End-to-end figures from the untraced passes.
+    // End-to-end figures from the untraced passes, in reference-host
+    // time: the workers run inside `run_campaign`, so each pass is
+    // scaled by the host speed around it as a whole.
     let plain: Vec<&Pass> = passes.iter().filter(|p| !p.traced).collect();
+    let speed = |p: &Pass| clock.speed(p.start, p.wall_s);
     let throughput: Vec<f64> = plain
         .iter()
-        .map(|p| p.report.records.len() as f64 / p.wall_s)
+        .map(|p| p.report.records.len() as f64 / (p.wall_s * speed(p)))
         .collect();
-    let lat = item_medians(
-        plain
+    let lat = item_medians(plain.iter().flat_map(|p| {
+        let s = speed(p);
+        p.report
+            .records
             .iter()
-            .flat_map(|p| p.report.records.iter().map(|r| (key(r), r.wall_ms))),
-    );
-    out.metric("setup_s", median(&setup_s), "s");
+            .map(move |r| (key(r), r.wall_ms * s))
+    }));
+    let setup_ref: Vec<f64> = setup_s
+        .iter()
+        .map(|&(from, secs)| clock.reference_secs(from, secs))
+        .collect();
+    out.metric("setup_s", median(&setup_ref), "s");
     out.metric("instances_per_s", median(&throughput), "1/s");
     out.metric("latency_p50_ms", median(&lat), "ms");
     out.metric("latency_p99_ms", quantile(&lat, 0.99), "ms");
@@ -218,8 +229,9 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     out.info("latency_samples", lat.len());
     out.info(
         "latency_unit",
-        "campaign instance wall_ms as the runner records it, median over the untraced passes per instance",
+        "campaign instance wall_ms as the runner records it, in reference-host ms, median over the untraced passes per instance",
     );
+    clock.report(&mut out);
 
     let utilisation: Vec<f64> = passes
         .iter()
@@ -234,30 +246,20 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
         mean(&passes.iter().map(|p| p.report_ms).collect::<Vec<_>>()),
         "ms",
     );
-
-    for (name, value) in first_counters {
-        out.counters.insert(name, value);
-    }
+    out.counters.extend(first_counters);
 
     let traced: Vec<&Pass> = passes.iter().filter(|p| p.traced).collect();
     if !traced.is_empty() {
-        layer_metrics(&mut out, &traced, &plain);
-        let mut first_obs: Option<BTreeMap<String, u64>> = None;
-        for pass in &traced {
-            let mut sums = LayerSums::default();
-            for r in &pass.report.records {
-                if let Some(trace) = &r.obs {
-                    sums.add(trace, false);
-                }
-            }
-            match &first_obs {
-                None => first_obs = Some(sums.counters.clone()),
-                Some(first) => counters_repeat &= *first == sums.counters,
-            }
-        }
-        for (name, value) in first_obs.unwrap_or_default() {
+        let instances: Vec<Vec<TracedInstance>> = traced
+            .iter()
+            .map(|p| p.report.records.iter().map(traced_instance).collect())
+            .collect();
+        let (obs, obs_repeat) = diagnosis_metrics(&mut out, &instances);
+        counters_repeat &= obs_repeat;
+        for (name, value) in obs {
             out.counters.insert(format!("obs.{name}"), value);
         }
+        overhead_frac(&mut out, passes.iter().map(|p| (p.traced, p.wall_s)));
     }
 
     out.info("seed", cfg.seed);
@@ -270,120 +272,16 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     Ok(out)
 }
 
-/// Per-layer figures, per traced pass.
-fn layer_metrics(out: &mut Outcome, traced: &[&Pass], plain: &[&Pass]) {
-    let mut sums = LayerSums::default();
-    let mut prepares = BTreeSet::new();
-    let (mut ran_tests, mut no_failing) = (0u64, 0u64);
-    let (mut wall_all, mut wall_no_failing) = (0.0, 0.0);
-    let (mut solutions, mut engine_runs, mut complete) = (0u64, 0u64, 0u64);
-    for pass in traced {
-        for r in &pass.report.records {
-            if let Some(trace) = &r.obs {
-                sums.add(trace, false);
-            }
-            wall_all += r.wall_ms;
-            if r.status != InstanceStatus::NotInjectable && r.status != InstanceStatus::Failed {
-                ran_tests += 1;
-                prepares.insert(key_prepare(r));
-            }
-            if r.status == InstanceStatus::NoFailingTests {
-                no_failing += 1;
-                wall_no_failing += r.wall_ms;
-            }
-            if r.status == InstanceStatus::Ok || r.status == InstanceStatus::Preempted {
-                engine_runs += 1;
-                solutions += r.solutions as u64;
-                complete += u64::from(r.complete);
-            }
-        }
+fn traced_instance(r: &InstanceRecord) -> TracedInstance<'_> {
+    let tested = r.status != InstanceStatus::NotInjectable && r.status != InstanceStatus::Failed;
+    let engine_ran = r.status == InstanceStatus::Ok || r.status == InstanceStatus::Preempted;
+    TracedInstance {
+        trace: r.obs.as_ref(),
+        sequential: false,
+        wall_ms: r.wall_ms,
+        prepare: tested
+            .then(|| format!("{}/{}/{}/{}", r.circuit, r.fault_model.name(), r.p, r.seed)),
+        no_failing: r.status == InstanceStatus::NoFailingTests,
+        engine: engine_ran.then_some((r.solutions, r.complete)),
     }
-    let n = traced.len() as f64;
-    let per = |v: f64| v / n;
-    let traced_wall: f64 = traced.iter().map(|p| p.wall_s).sum();
-    let busy_s = wall_all / 1e3;
-    for layer in [
-        "netlist.inject_ms",
-        "tests.ms",
-        "bsim.trace_ms",
-        "cov.cover_ms",
-        "validity.screen_ms",
-        "cnf.encode_ms",
-        "sat.solve_ms",
-        "campaign.instance_self_ms",
-    ] {
-        out.metric(layer, per(sums.ms(layer)), "ms");
-    }
-    out.metric(
-        "tests.calls_per_prepare",
-        ratio(sums.tests_calls as f64, prepares.len() as f64 * n),
-        "ratio",
-    );
-    out.metric(
-        "tests.no_failing_share",
-        ratio(no_failing as f64, ran_tests as f64),
-        "ratio",
-    );
-    out.metric(
-        "tests.no_failing_time_share",
-        ratio(wall_no_failing, wall_all),
-        "ratio",
-    );
-    for name in [
-        "sim.sweeps",
-        "sim.gate_evals",
-        "validity.dispatch.sim",
-        "validity.dispatch.sat",
-        "cnf.clauses",
-        "sat.conflicts",
-        "sat.propagations",
-    ] {
-        out.metric(name, per(sums.counter(name) as f64), "count");
-    }
-    out.metric(
-        "sim.gate_evals_per_s",
-        ratio(sums.counter("sim.gate_evals") as f64, busy_s),
-        "1/s",
-    );
-    out.metric(
-        "cnf.clauses_per_s",
-        ratio(sums.encode_clauses as f64, sums.ms("cnf.encode_ms") / 1e3),
-        "1/s",
-    );
-    out.metric(
-        "sat.props_per_s",
-        ratio(
-            sums.solve_propagations as f64,
-            sums.ms("sat.solve_ms") / 1e3,
-        ),
-        "1/s",
-    );
-    out.metric("engine.solutions", per(solutions as f64), "count");
-    out.metric(
-        "engine.complete_share",
-        ratio(complete as f64, engine_runs as f64),
-        "ratio",
-    );
-    let report_ms: f64 = traced.iter().map(|p| p.report_ms).sum();
-    out.metric(
-        "layers.attributed_share",
-        ratio(
-            (sums.total_ms() + report_ms) / 1e3,
-            traced_wall * WORKERS as f64,
-        ),
-        "ratio",
-    );
-    out.metric(
-        "obs.overhead_frac",
-        ratio(median(&walls(traced)), median(&walls(plain))) - 1.0,
-        "ratio",
-    );
-}
-
-fn key_prepare(r: &InstanceRecord) -> (String, &'static str, usize, u64) {
-    (r.circuit.clone(), r.fault_model.name(), r.p, r.seed)
-}
-
-fn walls(passes: &[&Pass]) -> Vec<f64> {
-    passes.iter().map(|p| p.wall_s).collect()
 }

@@ -4,23 +4,23 @@
 //! unrolling and sequential SAT.
 //!
 //! The instance list is fixed; the workload seed shuffles the order in
-//! which instances run.
+//! which instances run. The host clock ticks after every instance, so
+//! each instance's time is scaled by the host speed right around it.
 
-use crate::layers::LayerSums;
+use crate::layers::{diagnosis_metrics, overhead_frac, repeated, TracedInstance};
 use crate::pins;
 use crate::util::{
     item_medians, median, peak_rss_mb, quantile, ratio, repeat_setup, run_passes, timed, Fnv,
-    Outcome, Rng, RunConfig,
+    HostClock, Outcome, Rng, RunConfig,
 };
 use gatediag_core::{
     run_diagnose, solution_quality, ChaosPolicy, DiagnoseOutcome, DiagnoseRequest, EngineKind,
     Parallelism,
 };
 use gatediag_netlist::{s1423_like, Circuit, GateId, RandomCircuitSpec};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
 struct Item {
     label: String,
@@ -44,28 +44,28 @@ fn setup(cfg: &RunConfig) -> Setup {
             .name("rnd160")
             .generate(),
     ];
-    let (ps, seeds): (&[usize], &[u64]) = if cfg.smoke {
-        (&[2], &[1])
+    // (p, seed) cells. One p = 4 cell keeps a pass short enough that
+    // many passes fit in a run.
+    let (cells, seeds): (&[(usize, u64)], &[u64]) = if cfg.smoke {
+        (&[(2, 1)], &[1])
     } else {
-        (&[2, 4], &[1, 2, 3])
+        (&[(2, 1), (2, 2), (2, 3), (4, 3)], &[1, 2, 3])
     };
     let mut items = Vec::new();
     for engine in [EngineKind::Cov, EngineKind::Bsat, EngineKind::Auto] {
-        for &p in ps {
-            for &seed in seeds {
-                let request = DiagnoseRequest {
-                    engine,
-                    p,
-                    seed,
-                    max_solutions: 1000,
-                    ..DiagnoseRequest::default()
-                };
-                items.push(Item {
-                    label: format!("s1423_like/{}/p{p}/s{seed}", engine.name()),
-                    circuit: 0,
-                    request,
-                });
-            }
+        for &(p, seed) in cells {
+            let request = DiagnoseRequest {
+                engine,
+                p,
+                seed,
+                max_solutions: 1000,
+                ..DiagnoseRequest::default()
+            };
+            items.push(Item {
+                label: format!("s1423_like/{}/p{p}/s{seed}", engine.name()),
+                circuit: 0,
+                request,
+            });
         }
     }
     for engine in EngineKind::SEQUENTIAL {
@@ -94,28 +94,55 @@ fn setup(cfg: &RunConfig) -> Setup {
 }
 
 struct Run {
+    /// The outcome itself, kept for the first pass only (for the quality
+    /// figures), so that memory does not grow with the pass count.
     outcome: Option<DiagnoseOutcome>,
+    /// Raw wall time of the `run_diagnose` call.
     wall_ms: f64,
+    /// `wall_ms` in reference-host time.
+    ref_ms: f64,
     trace: Option<gatediag_obs::ObsTrace>,
+    /// Test generation ran (the instance got past injection).
+    tested: bool,
+    /// Solution count and completeness, when an engine ran.
+    engine: Option<(usize, bool)>,
 }
 
 struct Pass {
     traced: bool,
+    /// Sum of the instances' raw wall times (the ticks between them
+    /// excluded).
     wall_s: f64,
     /// Per item, canonical order.
     runs: Vec<Run>,
+    /// Digest of the canonical output lines, in canonical order.
+    digest: u64,
+    panicked: u64,
+    counters: BTreeMap<String, u64>,
 }
 
-/// Runs every item once, in `order` (indices into `setup.items`).
-fn run_pass(setup: &Setup, order: &[usize], traced: bool) -> Pass {
-    let mut runs: Vec<Option<Run>> = (0..setup.items.len()).map(|_| None).collect();
-    let start = Instant::now();
+/// Runs every item once, in `order` (indices into `setup.items`),
+/// ticking `clock` after each. `keep` keeps the outcomes; `corrupt`
+/// alters the first item's output line.
+fn run_pass(
+    setup: &Setup,
+    order: &[usize],
+    traced: bool,
+    clock: &mut HostClock,
+    keep: bool,
+    corrupt: bool,
+) -> Pass {
+    let n = setup.items.len();
+    let mut runs: Vec<Option<Run>> = (0..n).map(|_| None).collect();
+    let mut lines = vec![String::new(); n];
+    let mut counters = BTreeMap::new();
+    let (mut wall_s, mut panicked) = (0.0, 0);
     for &i in order {
         let item = &setup.items[i];
         let golden = &setup.circuits[item.circuit];
         let sink = traced.then(|| Arc::new(gatediag_obs::Sink::new()));
         let guard = sink.as_ref().map(|s| gatediag_obs::install(Arc::clone(s)));
-        let (outcome, secs) = timed(|| {
+        let (outcome, from, secs) = timed(|| {
             catch_unwind(AssertUnwindSafe(|| {
                 run_diagnose(
                     golden,
@@ -127,19 +154,38 @@ fn run_pass(setup: &Setup, order: &[usize], traced: bool) -> Pass {
             .ok()
         });
         drop(guard);
+        clock.tick();
+        wall_s += secs;
+        panicked += u64::from(outcome.is_none());
+        lines[i] = canonical_line(item, outcome.as_ref());
+        count(&mut counters, item, outcome.as_ref());
+        let engine_run = outcome.as_ref().and_then(|o| o.run.as_ref());
         runs[i] = Some(Run {
-            outcome,
             wall_ms: secs * 1e3,
+            ref_ms: clock.reference_secs(from, secs) * 1e3,
             trace: sink.map(|s| s.take_trace()),
+            tested: outcome.as_ref().is_some_and(|o| o.faulty.is_some()),
+            engine: engine_run.map(|r| (r.solutions.len(), r.complete)),
+            outcome: if keep { outcome } else { None },
         });
+    }
+    if corrupt {
+        lines[0].push(' ');
+    }
+    let mut h = Fnv::new();
+    for line in &lines {
+        h.field(line.as_bytes());
     }
     Pass {
         traced,
-        wall_s: start.elapsed().as_secs_f64(),
+        wall_s,
+        panicked,
         runs: runs
             .into_iter()
             .map(|r| r.expect("every item ran"))
             .collect(),
+        digest: h.finish(),
+        counters,
     }
 }
 
@@ -149,8 +195,8 @@ fn gates(list: &[GateId]) -> Vec<usize> {
 
 /// The deterministic output of one instance: status, test count and
 /// the full solution list.
-fn canonical_line(item: &Item, run: &Run) -> String {
-    match &run.outcome {
+fn canonical_line(item: &Item, outcome: Option<&DiagnoseOutcome>) -> String {
+    match outcome {
         None => format!("{} panicked", item.label),
         Some(o) => {
             let mut line = format!(
@@ -212,24 +258,23 @@ fn quality(setup: &Setup, pass: &Pass, out: &mut Outcome) {
     );
 }
 
-fn counters(setup: &Setup, pass: &Pass) -> BTreeMap<String, u64> {
-    let mut c = BTreeMap::new();
-    for (item, run) in setup.items.iter().zip(&pass.runs) {
-        let status = run.outcome.as_ref().map_or("panicked", |o| o.status.name());
-        *c.entry(format!("status.{status}")).or_insert(0) += 1;
-        if let Some(r) = run.outcome.as_ref().and_then(|o| o.run.as_ref()) {
-            let e = item.request.engine.name();
-            *c.entry(format!("solutions.{e}")).or_insert(0) += r.solutions.len() as u64;
-            *c.entry(format!("conflicts.{e}")).or_insert(0) += r.stats.conflicts;
-            *c.entry(format!("propagations.{e}")).or_insert(0) += r.stats.propagations;
-        }
+/// Adds one instance's deterministic counts: status, and per engine its
+/// solutions, conflicts and propagations.
+fn count(c: &mut BTreeMap<String, u64>, item: &Item, outcome: Option<&DiagnoseOutcome>) {
+    let status = outcome.map_or("panicked", |o| o.status.name());
+    *c.entry(format!("status.{status}")).or_insert(0) += 1;
+    if let Some(r) = outcome.and_then(|o| o.run.as_ref()) {
+        let e = item.request.engine.name();
+        *c.entry(format!("solutions.{e}")).or_insert(0) += r.solutions.len() as u64;
+        *c.entry(format!("conflicts.{e}")).or_insert(0) += r.stats.conflicts;
+        *c.entry(format!("propagations.{e}")).or_insert(0) += r.stats.propagations;
     }
-    c
 }
 
 pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     let mut out = Outcome::default();
-    let (setup, setup_s) = repeat_setup(|| setup(cfg));
+    let mut clock = HostClock::new();
+    let (setup, setup_s) = repeat_setup(&mut clock, || setup(cfg));
     let pinned = if cfg.smoke {
         pins::ENGINE_SMOKE
     } else {
@@ -238,7 +283,7 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
 
     // Three passes at least, so each instance's median discards one
     // disturbed run.
-    let passes = run_passes(cfg, 3, |i, traced| {
+    let passes = run_passes(cfg, 3, &mut clock, |i, traced, clock| {
         let mut order: Vec<usize> = (0..setup.items.len()).collect();
         Rng::for_pass(cfg.seed, i).shuffle(&mut order);
         if i == 0 {
@@ -248,54 +293,50 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
                 .collect();
             out.info("order_first_pass", labels.join(" "));
         }
-        Ok(run_pass(&setup, &order, traced))
+        Ok(run_pass(
+            &setup,
+            &order,
+            traced,
+            clock,
+            i == 0,
+            cfg.corrupt && i == 0,
+        ))
     })?;
     out.metric("peak_rss_mb", peak_rss_mb(), "MB");
 
-    let mut digests = Vec::new();
-    let first_counters = counters(&setup, &passes[0]);
-    let mut counters_repeat = true;
-    for (p, pass) in passes.iter().enumerate() {
-        let mut lines: Vec<String> = setup
-            .items
-            .iter()
-            .zip(&pass.runs)
-            .map(|(item, run)| canonical_line(item, run))
-            .collect();
-        if cfg.corrupt && p == 0 {
-            lines[0].push(' ');
-        }
-        let mut h = Fnv::new();
-        for line in &lines {
-            h.field(line.as_bytes());
-        }
-        let digest = h.finish();
-        digests.push(digest);
+    for pass in &passes {
         let n = pass.runs.len() as u64;
         out.attempted += n;
-        out.failed += if digest == pinned {
-            pass.runs.iter().filter(|r| r.outcome.is_none()).count() as u64
+        out.failed += if pass.digest == pinned {
+            pass.panicked
         } else {
             n
         };
-        counters_repeat &= counters(&setup, pass) == first_counters;
     }
+    let digests: Vec<u64> = passes.iter().map(|p| p.digest).collect();
     out.check_digests(&digests, pinned);
+    let (first_counters, mut counters_repeat) =
+        repeated(passes.iter().map(|pass| pass.counters.clone()));
 
+    // End-to-end figures from the untraced passes, in reference-host
+    // time. Latencies are per-instance medians over the passes, so one
+    // instance's time in a disturbed pass does not move them.
     let plain: Vec<&Pass> = passes.iter().filter(|p| !p.traced).collect();
-    // Per-instance medians over the passes: one instance's time in a
-    // disturbed pass does not move the figures.
+    let throughput: Vec<f64> = plain
+        .iter()
+        .map(|p| p.runs.len() as f64 / (p.runs.iter().map(|r| r.ref_ms).sum::<f64>() / 1e3))
+        .collect();
     let lat = item_medians(
         plain
             .iter()
-            .flat_map(|p| p.runs.iter().enumerate().map(|(i, r)| (i, r.wall_ms))),
+            .flat_map(|p| p.runs.iter().enumerate().map(|(i, r)| (i, r.ref_ms))),
     );
-    out.metric("setup_s", median(&setup_s), "s");
-    out.metric(
-        "instances_per_s",
-        lat.len() as f64 / (lat.iter().sum::<f64>() / 1e3),
-        "1/s",
-    );
+    let setup_ref: Vec<f64> = setup_s
+        .iter()
+        .map(|&(from, secs)| clock.reference_secs(from, secs))
+        .collect();
+    out.metric("setup_s", median(&setup_ref), "s");
+    out.metric("instances_per_s", median(&throughput), "1/s");
     out.metric("latency_p50_ms", median(&lat), "ms");
     out.metric("latency_p99_ms", quantile(&lat, 0.99), "ms");
     out.metric(
@@ -306,31 +347,32 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     out.info("latency_samples", lat.len());
     out.info(
         "latency_unit",
-        "one run_diagnose call, median over the untraced passes per instance",
+        "one run_diagnose call in reference-host ms, median over the untraced passes per instance",
     );
+    clock.report(&mut out);
 
     quality(&setup, &passes[0], &mut out);
     out.counters.extend(first_counters);
 
     let traced: Vec<&Pass> = passes.iter().filter(|p| p.traced).collect();
     if !traced.is_empty() {
-        let mut first_obs: Option<BTreeMap<String, u64>> = None;
-        for pass in &traced {
-            let mut sums = LayerSums::default();
-            for (item, run) in setup.items.iter().zip(&pass.runs) {
-                if let Some(trace) = &run.trace {
-                    sums.add(trace, item.request.engine.is_sequential());
-                }
-            }
-            match &first_obs {
-                None => first_obs = Some(sums.counters.clone()),
-                Some(first) => counters_repeat &= *first == sums.counters,
-            }
-        }
-        for (name, value) in first_obs.unwrap_or_default() {
+        let instances: Vec<Vec<TracedInstance>> = traced
+            .iter()
+            .map(|pass| {
+                setup
+                    .items
+                    .iter()
+                    .zip(&pass.runs)
+                    .map(|(item, run)| traced_instance(item, run))
+                    .collect()
+            })
+            .collect();
+        let (obs, obs_repeat) = diagnosis_metrics(&mut out, &instances);
+        counters_repeat &= obs_repeat;
+        for (name, value) in obs {
             out.counters.insert(format!("obs.{name}"), value);
         }
-        layer_metrics(&mut out, &setup, &traced, &plain);
+        overhead_frac(&mut out, passes.iter().map(|p| (p.traced, p.wall_s)));
     }
 
     out.info("seed", cfg.seed);
@@ -342,115 +384,23 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     Ok(out)
 }
 
-fn layer_metrics(out: &mut Outcome, setup: &Setup, traced: &[&Pass], plain: &[&Pass]) {
-    let mut sums = LayerSums::default();
-    let mut prepares = BTreeSet::new();
-    let (mut ran_tests, mut no_failing) = (0u64, 0u64);
-    let (mut wall_all, mut wall_no_failing) = (0.0, 0.0);
-    let (mut solutions, mut engine_runs, mut complete) = (0u64, 0u64, 0u64);
-    for pass in traced {
-        for (item, run) in setup.items.iter().zip(&pass.runs) {
-            let sequential = item.request.engine.is_sequential();
-            if let Some(trace) = &run.trace {
-                sums.add(trace, sequential);
-            }
-            wall_all += run.wall_ms;
-            let Some(o) = &run.outcome else { continue };
-            if o.faulty.is_some() {
-                ran_tests += 1;
-                let r = &item.request;
-                prepares.insert((item.circuit, r.fault_model.name(), r.p, r.seed, sequential));
-            }
-            if o.faulty.is_some() && o.run.is_none() {
-                no_failing += 1;
-                wall_no_failing += run.wall_ms;
-            }
-            if let Some(r) = &o.run {
-                engine_runs += 1;
-                solutions += r.solutions.len() as u64;
-                complete += u64::from(r.complete);
-            }
-        }
+fn traced_instance<'a>(item: &Item, run: &'a Run) -> TracedInstance<'a> {
+    let r = &item.request;
+    let sequential = r.engine.is_sequential();
+    TracedInstance {
+        trace: run.trace.as_ref(),
+        sequential,
+        wall_ms: run.wall_ms,
+        prepare: run.tested.then(|| {
+            format!(
+                "{}/{}/{}/{}/{sequential}",
+                item.circuit,
+                r.fault_model.name(),
+                r.p,
+                r.seed
+            )
+        }),
+        no_failing: run.tested && run.engine.is_none(),
+        engine: run.engine,
     }
-    let n = traced.len() as f64;
-    let per = |v: f64| v / n;
-    for layer in [
-        "netlist.inject_ms",
-        "tests.ms",
-        "bsim.trace_ms",
-        "cov.cover_ms",
-        "validity.screen_ms",
-        "cnf.encode_ms",
-        "sat.solve_ms",
-        "seq.tests_ms",
-        "seq.engine_ms",
-    ] {
-        out.metric(layer, per(sums.ms(layer)), "ms");
-    }
-    out.metric(
-        "tests.calls_per_prepare",
-        ratio(sums.tests_calls as f64, prepares.len() as f64 * n),
-        "ratio",
-    );
-    out.metric(
-        "tests.no_failing_share",
-        ratio(no_failing as f64, ran_tests as f64),
-        "ratio",
-    );
-    out.metric(
-        "tests.no_failing_time_share",
-        ratio(wall_no_failing, wall_all),
-        "ratio",
-    );
-    for name in [
-        "sim.sweeps",
-        "sim.gate_evals",
-        "sim.seq_frames",
-        "validity.dispatch.sim",
-        "validity.dispatch.sat",
-        "cnf.clauses",
-        "sat.conflicts",
-        "sat.propagations",
-    ] {
-        out.metric(name, per(sums.counter(name) as f64), "count");
-    }
-    out.metric(
-        "sim.gate_evals_per_s",
-        ratio(sums.counter("sim.gate_evals") as f64, wall_all / 1e3),
-        "1/s",
-    );
-    out.metric(
-        "cnf.clauses_per_s",
-        ratio(sums.encode_clauses as f64, sums.ms("cnf.encode_ms") / 1e3),
-        "1/s",
-    );
-    out.metric(
-        "sat.props_per_s",
-        ratio(
-            sums.solve_propagations as f64,
-            sums.ms("sat.solve_ms") / 1e3,
-        ),
-        "1/s",
-    );
-    out.metric("engine.solutions", per(solutions as f64), "count");
-    out.metric(
-        "engine.complete_share",
-        ratio(complete as f64, engine_runs as f64),
-        "ratio",
-    );
-    let traced_wall: f64 = traced.iter().map(|p| p.wall_s).sum();
-    out.metric(
-        "layers.attributed_share",
-        ratio(sums.total_ms() / 1e3, traced_wall),
-        "ratio",
-    );
-    out.metric(
-        "obs.overhead_frac",
-        ratio(median(&walls(traced)), median(&walls(plain))) - 1.0,
-        "ratio",
-    );
-}
-
-fn walls(passes: &[&Pass]) -> Vec<f64> {
-    passes.iter().map(|p| p.wall_s).collect()
 }

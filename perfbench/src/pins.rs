@@ -7,7 +7,7 @@
 pub const CAMPAIGN_FULL: u64 = 0x612d_f799_bedf_fcfe;
 pub const CAMPAIGN_SMOKE: u64 = 0x3219_a506_3062_a3dd;
 /// Per-instance status, tests, candidates and solution lists.
-pub const ENGINE_FULL: u64 = 0x9462_783e_a4dc_f8ed;
+pub const ENGINE_FULL: u64 = 0xe973_42aa_23d9_ea2a;
 pub const ENGINE_SMOKE: u64 = 0x11e9_1802_e7dc_a258;
 /// Distinct daemon responses in pool order.
 pub const SERVE_FULL: u64 = 0x33e6_667d_8456_ce60;

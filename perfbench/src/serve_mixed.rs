@@ -14,9 +14,10 @@
 //! per pass, the group order, the engine order within a group and which
 //! requests repeat where.
 
+use crate::layers::{overhead_frac, repeated, COUNTS};
 use crate::pins;
 use crate::util::{median, peak_rss_mb, quantile, ratio, timed, Fnv, Outcome, Rng};
-use crate::util::{run_passes, setup_done, RunConfig};
+use crate::util::{run_passes, setup_done, HostClock, RunConfig};
 use gatediag_core::json::{parse_json, Json};
 use gatediag_core::{DiagnoseRequest, EngineKind};
 use gatediag_netlist::{s1423_like, s6669_like, write_bench, FaultModel};
@@ -246,10 +247,11 @@ impl Daemon {
 struct Pass {
     traced: bool,
     slots: Vec<Slot>,
+    start: Instant,
     wall_s: f64,
-    /// Per slot: client latency and response (`None` on a transport
-    /// error).
-    replies: Vec<(f64, Option<String>)>,
+    /// Per slot: when it was sent, client latency and response (`None`
+    /// on a transport error).
+    replies: Vec<(Instant, f64, Option<String>)>,
     memo_hits: u64,
     memo_misses: u64,
     registry_hits: u64,
@@ -264,8 +266,8 @@ fn run_pass(
     traced: bool,
 ) -> Pass {
     let next = AtomicUsize::new(0);
-    let replies: Mutex<Vec<(f64, Option<String>)>> = Mutex::new(vec![(0.0, None); slots.len()]);
     let start = Instant::now();
+    let replies = Mutex::new(vec![(start, 0.0, None); slots.len()]);
     std::thread::scope(|scope| {
         for _ in 0..CLIENTS {
             scope.spawn(|| {
@@ -280,11 +282,11 @@ fn run_pass(
                     let response = client
                         .as_mut()
                         .and_then(|c| c.request(&lines[slots[i].distinct]).ok());
-                    local.push((i, t.elapsed().as_secs_f64() * 1e3, response));
+                    local.push((i, (t, t.elapsed().as_secs_f64() * 1e3, response)));
                 }
                 let mut all = replies.lock().expect("no client panics holding the lock");
-                for (i, ms, response) in local {
-                    all[i] = (ms, response);
+                for (i, reply) in local {
+                    all[i] = reply;
                 }
             });
         }
@@ -301,6 +303,7 @@ fn run_pass(
     Pass {
         traced,
         slots,
+        start,
         wall_s,
         replies: replies.into_inner().expect("clients joined"),
         memo_hits,
@@ -351,46 +354,34 @@ struct Reference {
 }
 
 /// Answers each distinct request through `Service::handle_line` on a
-/// fresh service, in first-occurrence order of `slots`. A timed
-/// reference answers one at a time, then replays the exact repeats of
-/// `slots` against the now warm memo; otherwise `WORKERS` answer at once.
-fn reference(circuits: &Circuits, lines: &[String], slots: &[Slot], timed_run: bool) -> Reference {
+/// fresh service, one at a time in first-occurrence order of `slots`.
+/// With `replay_hits`, then replays the exact repeats of `slots`
+/// against the now warm memo and times them.
+fn reference(
+    circuits: &Circuits,
+    lines: &[String],
+    slots: &[Slot],
+    replay_hits: bool,
+) -> Reference {
     let service = new_service(circuits);
+    let mut answers = vec![(String::new(), 0.0); lines.len()];
     let mut seen = BTreeSet::new();
-    let order: Vec<usize> = slots
-        .iter()
-        .map(|s| s.distinct)
-        .filter(|&d| seen.insert(d))
-        .collect();
-    let answers: Mutex<Vec<(String, f64)>> = Mutex::new(vec![(String::new(), 0.0); lines.len()]);
-    let next = AtomicUsize::new(0);
-    let threads = if timed_run { 1 } else { WORKERS };
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&d) = order.get(k) else { break };
-                let (response, secs) = timed(|| service.handle_line(&lines[d]));
-                answers
-                    .lock()
-                    .expect("no reference thread panics holding the lock")[d] =
-                    (strip_meta(&response), secs * 1e3);
-            });
+    for d in slots.iter().map(|s| s.distinct) {
+        if seen.insert(d) {
+            let (response, _, secs) = timed(|| service.handle_line(&lines[d]));
+            answers[d] = (strip_meta(&response), secs * 1e3);
         }
-    });
-    let hit_ms = if timed_run {
+    }
+    let hit_ms = if replay_hits {
         slots
             .iter()
             .filter(|s| s.class == Class::Repeat)
-            .map(|s| timed(|| service.handle_line(&lines[s.distinct])).1 * 1e3)
+            .map(|s| timed(|| service.handle_line(&lines[s.distinct])).2 * 1e3)
             .collect()
     } else {
         Vec::new()
     };
-    Reference {
-        answers: answers.into_inner().expect("reference threads joined"),
-        hit_ms,
-    }
+    Reference { answers, hit_ms }
 }
 
 pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
@@ -410,28 +401,28 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
         pins::SERVE_FULL
     };
 
+    // Each pass starts its own daemon; more set-up repetitions follow
+    // the passes until there are enough for a steady median.
+    let mut clock = HostClock::new();
     let mut setup_s = Vec::new();
-    let mut passes = run_passes(cfg, 2, |i, traced| {
+    let mut passes = run_passes(cfg, 2, &mut clock, |i, traced, clock| {
         let slots = stream(&pool, Rng::for_pass(cfg.seed, i), distance);
-        let ((circuits, daemon), t) = {
-            let (r, t) = timed(start_daemon);
-            (r?, t)
-        };
-        setup_s.push(t);
+        let (started, from, secs) = timed(start_daemon);
+        let (circuits, daemon) = started?;
+        setup_s.push((from, secs));
         let lines = if traced { &traced_lines } else { &plain_lines };
-        let pass = run_pass(&daemon, &circuits, lines, slots, traced);
+        let pass = clock.during(|| run_pass(&daemon, &circuits, lines, slots, traced));
         daemon.stop()?;
         Ok(pass)
     })?;
     out.metric("peak_rss_mb", peak_rss_mb(), "MB");
     while !setup_done(&setup_s) {
-        let ((_, daemon), t) = {
-            let (r, t) = timed(start_daemon);
-            (r?, t)
-        };
-        setup_s.push(t);
-        daemon.stop()?;
+        clock.tick_if_due();
+        let (started, from, secs) = timed(start_daemon);
+        setup_s.push((from, secs));
+        started?.1.stop()?;
     }
+    clock.tick();
 
     // Reference responses, computed in-process after the timed passes
     // and compared without `meta` (a traced pass's `meta` carries the
@@ -447,12 +438,12 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     let mut statuses: BTreeMap<String, u64> = BTreeMap::new();
     for (p, pass) in passes.iter_mut().enumerate() {
         if cfg.corrupt && p == 0 {
-            if let Some(r) = pass.replies[0].1.as_mut() {
+            if let Some(r) = pass.replies[0].2.as_mut() {
                 r.push(' ');
             }
         }
         let mut first_seen: BTreeMap<usize, String> = BTreeMap::new();
-        for (slot, (_, response)) in pass.slots.iter().zip(&pass.replies) {
+        for (slot, (_, _, response)) in pass.slots.iter().zip(&pass.replies) {
             out.attempted += 1;
             let Some(response) = response else {
                 out.failed += 1;
@@ -481,16 +472,24 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     }
     out.check_digests(&digests, pinned);
 
+    // End-to-end figures from the untraced passes, in reference-host
+    // time: each pass, and each request, is scaled by the host speed
+    // around it.
     let plain: Vec<&Pass> = passes.iter().filter(|p| !p.traced).collect();
     let throughput: Vec<f64> = plain
         .iter()
-        .map(|p| p.replies.len() as f64 / p.wall_s)
+        .map(|p| p.replies.len() as f64 / clock.reference_secs(p.start, p.wall_s))
         .collect();
     let lat: Vec<f64> = plain
         .iter()
-        .flat_map(|p| p.replies.iter().map(|(ms, _)| *ms))
+        .flat_map(|p| p.replies.iter())
+        .map(|(from, ms, _)| clock.reference_secs(*from, ms / 1e3) * 1e3)
         .collect();
-    out.metric("setup_s", median(&setup_s), "s");
+    let setup_ref: Vec<f64> = setup_s
+        .iter()
+        .map(|&(from, secs)| clock.reference_secs(from, secs))
+        .collect();
+    out.metric("setup_s", median(&setup_ref), "s");
     out.metric("instances_per_s", median(&throughput), "1/s");
     out.metric("requests_per_s", median(&throughput), "1/s");
     out.metric("latency_p50_ms", median(&lat), "ms");
@@ -501,7 +500,11 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
         "ratio",
     );
     out.info("latency_samples", lat.len());
-    out.info("latency_unit", "client-side request round trip over TCP");
+    out.info(
+        "latency_unit",
+        "client-side request round trip over TCP, in reference-host ms",
+    );
+    clock.report(&mut out);
 
     let p0 = &passes[0];
     let n = p0.slots.len() as f64;
@@ -537,24 +540,18 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     for (status, count) in statuses {
         out.counters.insert(format!("status.{status}"), count);
     }
-    let mut counters_repeat = passes
-        .iter()
-        .all(|p| (p.memo_hits, p.memo_misses) == (p0.memo_hits, p0.memo_misses));
+    let (_, mut counters_repeat) = repeated(passes.iter().map(|p| (p.memo_hits, p.memo_misses)));
 
     if cfg.trace {
         let traced: Vec<&Pass> = passes.iter().filter(|p| p.traced).collect();
-        let mut first_meta: Option<BTreeMap<String, u64>> = None;
-        for pass in &traced {
+        let (meta, meta_repeat) = repeated(traced.iter().map(|pass| {
             let mut sums = BTreeMap::new();
-            for r in pass.replies.iter().filter_map(|(_, r)| r.as_ref()) {
+            for r in pass.replies.iter().filter_map(|(_, _, r)| r.as_ref()) {
                 meta_counters(r, &mut sums);
             }
-            match &first_meta {
-                None => first_meta = Some(sums),
-                Some(first) => counters_repeat &= *first == sums,
-            }
-        }
-        let meta = first_meta.unwrap_or_default();
+            sums
+        }));
+        counters_repeat &= meta_repeat;
         layer_metrics(
             &mut out,
             &pool,
@@ -562,9 +559,9 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
             &traced_lines,
             &reference,
             &traced,
-            &plain,
             &meta,
         );
+        overhead_frac(&mut out, passes.iter().map(|p| (p.traced, p.wall_s)));
         for (name, value) in meta {
             out.counters.insert(format!("obs.{name}"), value);
         }
@@ -580,7 +577,6 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn layer_metrics(
     out: &mut Outcome,
     pool: &[Distinct],
@@ -588,13 +584,12 @@ fn layer_metrics(
     lines: &[String],
     reference: &Reference,
     traced: &[&Pass],
-    plain: &[&Pass],
     meta: &BTreeMap<String, u64>,
 ) {
     let slots = &traced[0].slots;
     // Protocol layer: parse every request line of one pass.
     let bytes: usize = slots.iter().map(|s| lines[s.distinct].len()).sum();
-    let (parsed_ok, parse_s) = timed(|| {
+    let (parsed_ok, _, parse_s) = timed(|| {
         slots
             .iter()
             .filter(|s| parse_request(&lines[s.distinct]).is_ok())
@@ -609,7 +604,7 @@ fn layer_metrics(
 
     // Registry layer: one lookup per request on a fresh registry.
     let registry = CircuitRegistry::new(8);
-    let (_, registry_s) = timed(|| {
+    let (_, _, registry_s) = timed(|| {
         for s in slots {
             let bench = &circuits.benches[pool[s.distinct].circuit];
             std::hint::black_box(registry.get_or_parse(bench, None).is_ok());
@@ -643,36 +638,24 @@ fn layer_metrics(
     let transport: Vec<f64> = traced
         .iter()
         .flat_map(|p| {
-            p.slots.iter().zip(&p.replies).map(|(s, (client_ms, _))| {
-                let handle_ms = if s.class == Class::Repeat {
-                    hit_ms
-                } else {
-                    reference.answers[s.distinct].1
-                };
-                client_ms - handle_ms
-            })
+            p.slots
+                .iter()
+                .zip(&p.replies)
+                .map(|(s, (_, client_ms, _))| {
+                    let handle_ms = if s.class == Class::Repeat {
+                        hit_ms
+                    } else {
+                        reference.answers[s.distinct].1
+                    };
+                    client_ms - handle_ms
+                })
         })
         .collect();
     out.metric("serve.transport_ms", median(&transport), "ms");
 
-    for name in [
-        "sim.sweeps",
-        "sim.gate_evals",
-        "validity.dispatch.sim",
-        "validity.dispatch.sat",
-        "cnf.clauses",
-        "sat.conflicts",
-        "sat.propagations",
-    ] {
-        out.metric(name, meta.get(name).copied().unwrap_or(0) as f64, "count");
+    for name in COUNTS {
+        if let Some(&value) = meta.get(name) {
+            out.metric(name, value as f64, "count");
+        }
     }
-    out.metric(
-        "obs.overhead_frac",
-        ratio(median(&walls(traced)), median(&walls(plain))) - 1.0,
-        "ratio",
-    );
-}
-
-fn walls(passes: &[&Pass]) -> Vec<f64> {
-    passes.iter().map(|p| p.wall_s).collect()
 }

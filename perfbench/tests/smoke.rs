@@ -45,6 +45,78 @@ fn summary(stdout: &str) -> Json {
     parse_json(stdout.lines().last().expect("a summary line")).expect("summary is JSON")
 }
 
+fn report(stdout: &str) -> Json {
+    let lines: Vec<&str> = stdout.lines().collect();
+    parse_json(lines[lines.len() - 2]).expect("report is JSON")
+}
+
+/// Per-layer metrics each workload must actually measure (not print as
+/// a placeholder 0).
+fn expected_layers(workload: &str) -> &'static [&'static str] {
+    match workload {
+        "campaign-triage" => &[
+            "netlist.inject_ms",
+            "tests.ms",
+            "tests.calls_per_prepare",
+            "sim.sweeps",
+            "sim.gate_evals",
+            "sim.gate_evals_per_s",
+            "bsim.trace_ms",
+            "cov.cover_ms",
+            "cnf.encode_ms",
+            "sat.solve_ms",
+            "sat.propagations",
+            "engine.solutions",
+            "campaign.pool_utilisation",
+            "campaign.report_ms",
+            "campaign.instance_self_ms",
+            "layers.attributed_share",
+            "obs.overhead_frac",
+        ],
+        "engine-enum" => &[
+            "tests.ms",
+            "cov.cover_ms",
+            "validity.screen_ms",
+            "cnf.encode_ms",
+            "cnf.clauses",
+            "cnf.clauses_per_s",
+            "sat.solve_ms",
+            "sat.conflicts",
+            "sat.props_per_s",
+            "seq.tests_ms",
+            "seq.engine_ms",
+            "sim.seq_frames",
+            "engine.solutions",
+            "engine.complete_share",
+            "layers.attributed_share",
+            "obs.overhead_frac",
+        ],
+        _ => &[
+            "serve.parse_mb_per_s",
+            "serve.registry_us",
+            "serve.registry_hit_ratio",
+            "serve.memo_hit_ratio",
+            "serve.handle_hit_ms",
+            "serve.handle_cold_ms",
+            "serve.handle_same_prepare_ms",
+            "serve.transport_ms",
+            "sim.gate_evals",
+            "obs.overhead_frac",
+        ],
+    }
+}
+
+/// Per-layer metrics that are a difference of two timings.
+const DIFFERENCES: [&str; 2] = ["obs.overhead_frac", "serve.transport_ms"];
+
+fn value(metrics: &Json, name: &str) -> f64 {
+    metrics
+        .get(name)
+        .and_then(|m| m.get("value"))
+        .and_then(|v| v.as_f64("value").ok())
+        .unwrap_or_else(|| panic!("{name} has no value"))
+}
+
 fn declared(section: &str) -> Vec<(String, String)> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json");
     let text = std::fs::read_to_string(path).expect("BENCHMARK.json");
@@ -71,21 +143,48 @@ fn every_declared_metric_is_printed_with_its_unit() {
     for (trace, section) in [("0", "end_to_end"), ("1", "per_layer")] {
         let names = declared(section);
         for workload in WORKLOADS {
-            let s = summary(&smoke(workload, trace, &[]));
+            let stdout = smoke(workload, trace, &[]);
+            let s = summary(&stdout);
             assert_eq!(s.get("correct"), Some(&Json::Bool(true)), "{workload}");
             assert_eq!(s.get("failed").map(Json::render).as_deref(), Some("0"));
-            let Some(Json::Obj(metrics)) = s.get("metrics") else {
+            let Some(metrics @ Json::Obj(items)) = s.get("metrics") else {
                 panic!("{workload}: no metrics object");
             };
-            let printed: Vec<(String, String)> = metrics
+            let printed: Vec<(String, String)> = items
                 .iter()
                 .map(|(name, m)| {
-                    assert!(m.get("value").unwrap().as_f64("value").is_ok());
                     let unit = m.get("unit").unwrap().as_str("unit").unwrap();
                     (name.clone(), unit.to_string())
                 })
                 .collect();
             assert_eq!(printed, names, "{workload} --trace {trace}");
+            if trace == "0" {
+                // Every end-to-end metric is measured on every workload.
+                for (name, _) in &names {
+                    assert!(
+                        value(metrics, name) > 0.0,
+                        "{workload}: {name} is not measured"
+                    );
+                }
+                continue;
+            }
+            let measured = report(&stdout)
+                .get("per_layer_measured")
+                .and_then(|m| m.as_arr("per_layer_measured").ok())
+                .expect("a per_layer_measured list")
+                .iter()
+                .map(Json::render)
+                .collect::<Vec<_>>();
+            for name in expected_layers(workload) {
+                assert!(
+                    measured.contains(&format!("\"{name}\"")),
+                    "{workload}: {name} is not measured"
+                );
+                // Differences of two timings may read 0 or below.
+                if !DIFFERENCES.contains(name) {
+                    assert!(value(metrics, name) > 0.0, "{workload}: {name} reads 0");
+                }
+            }
         }
     }
 }

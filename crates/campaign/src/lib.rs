@@ -13,9 +13,10 @@
 //! (sequential engines additionally cross the `frames` × `seq_lens`
 //! axes — see [`CampaignSpec::frames`])
 //!
-//! into a flat instance matrix; [`run_campaign`] fans the instances out
-//! over the shared worker pool (one instance per work item, index-ordered
-//! merge) and collects resolution quality, candidate/solution counts and
+//! into a flat instance matrix; [`run_campaign`] fans the matrix out over
+//! the shared worker pool (one cell — the instances sharing circuit,
+//! fault model, p and seed, which prepare once — per work item,
+//! index-ordered merge) and collects resolution quality, candidate/solution counts and
 //! engine statistics into a [`CampaignReport`] with JSON and CSV emitters
 //! plus a paper-style summary table.
 //!

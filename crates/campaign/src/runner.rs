@@ -1,23 +1,37 @@
 //! The parallel campaign runner.
 //!
-//! Each [`InstanceSpec`] is one work item: inject the faults, collect
-//! failing tests, run the instance's engine, score the result. Items are
-//! fanned out over [`gatediag_sim::parallel_map_init`] (work-stealing over
-//! a shared index) and merged back **in instance order**, so the report is
-//! bit-identical for every worker count — the same determinism contract as
-//! every other parallel flow in this workspace.
+//! The work item is one *cell*: the instances sharing (circuit, fault
+//! model, p, seed), which are contiguous in matrix order because engines
+//! are the innermost axis. A cell injects its faults once and collects
+//! its failing tests once per prepare key (the combinational key, plus
+//! one per sequential `(frames, seq_len)` pair), then runs every engine
+//! on them — the paper's setting, where BSIM, COV and BSAT diagnose the
+//! same test-set. Cells are fanned out over
+//! [`gatediag_sim::parallel_map_init_isolated`] (work-stealing over a
+//! shared index, matrix order) and merged back **in instance order**, so
+//! the report is bit-identical for every worker count — the same
+//! determinism contract as every other parallel flow in this workspace.
 //!
-//! Two design points keep that contract airtight:
+//! Three design points keep that contract airtight:
 //!
-//! * every record is a pure function of `(spec, instance index)` — the
-//!   faulty circuit, the test set and the engine run are all rebuilt from
-//!   the instance's own seed, never shared across items;
+//! * every record is a pure function of `(spec, instance)`: a
+//!   [`Prepared`] depends only on its prepare key, so sharing it inside
+//!   a cell changes no record, and nothing is shared across cells;
+//! * inside a cell, instances run in matrix order, and each builds its
+//!   key's [`Prepared`] lazily inside its own observability sink and
+//!   root `instance` span. Exactly one instance per key — the first —
+//!   is charged the `inject`/`tests` spans and their counters, whatever
+//!   the worker count, so traces stay byte-identical too;
 //! * engines run with [`Parallelism::Sequential`] *inside* a work item:
 //!   the campaign level owns the worker pool, which avoids nested pools
 //!   oversubscribing the machine, and makes each item's cost independent
 //!   of the schedule. (The per-instance engines still reuse their
 //!   internal incremental state across the instance's tests and candidate
 //!   sets — the engine-reuse machinery of PRs 2-3.)
+//!
+//! Chaos fires and wall deadlines anchor at engine entry, never during a
+//! prepare; a panic during a prepare caches nothing for its key, so the
+//! next attempt rebuilds it.
 //!
 //! Wall-clock time is the one nondeterministic measurement; it is
 //! recorded per instance but excluded from reports unless explicitly
@@ -27,20 +41,23 @@ use crate::report::{CampaignReport, InstanceRecord, InstanceStatus, TestGenRecor
 use crate::spec::{CampaignSpec, InstanceSpec, RetryOn};
 use gatediag_core::budget::Truncation;
 use gatediag_core::{
-    run_diagnose, solution_quality, ChaosPolicy, DiagnoseRequest, DiagnoseStatus, EngineKind,
+    inject, prepare_injected, run_prepared, solution_quality, ChaosPolicy, DiagnoseRequest,
+    DiagnoseStatus, EngineKind, Injection, PrepareKey, Prepared,
 };
-use gatediag_netlist::{FaultModel, GateId};
+use gatediag_netlist::{Circuit, FaultModel, GateId};
 use gatediag_sim::{parallel_map_init_isolated, Parallelism};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::Arc;
 
-/// Autosave policy for long campaigns: after every `every` resolved
-/// instances the runner atomically rewrites `path` with a valid partial
-/// `gatediag-campaign-v1` report (the records resolved so far, in matrix
-/// order). A SIGKILL mid-campaign then loses at most one checkpoint
-/// interval: `gatediag campaign --resume <path>` ingests the checkpoint
+/// Autosave policy for long campaigns: at the first cell boundary after
+/// at least `every` newly resolved instances, the runner atomically
+/// rewrites `path` with a valid partial `gatediag-campaign-v1` report
+/// (the records resolved so far, in matrix order). A SIGKILL
+/// mid-campaign then loses at most one checkpoint interval:
+/// `gatediag campaign --resume <path>` ingests the checkpoint
 /// through the ordinary resume machinery and re-runs only the missing
 /// instances.
 ///
@@ -53,7 +70,8 @@ use std::path::PathBuf;
 pub struct CheckpointPolicy {
     /// Where the checkpoint report lives.
     pub path: PathBuf,
-    /// Checkpoint after this many resolved instances (minimum 1).
+    /// Checkpoint at the first cell boundary after this many resolved
+    /// instances (minimum 1).
     pub every: usize,
 }
 
@@ -296,42 +314,48 @@ pub fn resume_campaign_checkpointed(
 }
 
 /// The shared execution core of [`run_campaign_checkpointed`] and
-/// [`resume_campaign_checkpointed`]: runs every unresolved slot through
-/// the isolated pool, in matrix order, checkpointing as configured.
+/// [`resume_campaign_checkpointed`]: groups the unresolved slots into
+/// cells and runs them through the isolated pool, in matrix order,
+/// checkpointing as configured.
 fn fill_missing(
     spec: &CampaignSpec,
     instances: &[InstanceSpec],
     mut slots: Vec<Option<InstanceRecord>>,
     checkpoint: Option<&CheckpointPolicy>,
 ) -> Vec<InstanceRecord> {
-    let missing: Vec<usize> = slots
-        .iter()
-        .enumerate()
-        .filter(|(_, slot)| slot.is_none())
-        .map(|(i, _)| i)
-        .collect();
+    let cells = missing_cells(instances, &slots);
     // Without a checkpoint everything is one pool fan-out; with one, the
-    // pool drains `every`-sized chunks and the checkpoint is rewritten
-    // between chunks. Chunking only changes scheduling, never results.
-    let chunk = checkpoint.map_or(missing.len(), |c| c.every).max(1);
-    for group in missing.chunks(chunk) {
+    // pool drains runs of whole cells holding at least `every` instances
+    // and the checkpoint is rewritten between runs. Chunking only
+    // changes scheduling, never results.
+    let every = checkpoint.map_or(usize::MAX, |c| c.every);
+    for group in checkpoint_runs(&cells, every) {
         let workers = spec.parallelism.workers(group.len());
         let results = parallel_map_init_isolated(
             workers,
             group.len(),
             || (),
-            |(), j| run_instance_resilient(spec, &instances[group[j]]),
+            |(), j| run_cell(spec, instances, &group[j]),
         );
-        for (&slot, result) in group.iter().zip(results) {
-            slots[slot] = Some(match result {
-                Ok(record) => record,
+        for (cell, result) in group.iter().zip(results) {
+            match result {
+                Ok(records) => {
+                    for (&slot, record) in cell.iter().zip(records) {
+                        slots[slot] = Some(record);
+                    }
+                }
                 // `run_instance_resilient` catches everything its
                 // attempts raise; an escape here means the resilience
                 // layer itself panicked. The isolated pool still
-                // contains it — synthesise the failed record from the
-                // instance identity.
-                Err(failure) => failed_record(spec, &instances[slot], &failure.reason, 1),
-            });
+                // contains it — synthesise failed records from the
+                // instance identities.
+                Err(failure) => {
+                    for &slot in cell {
+                        slots[slot] =
+                            Some(failed_record(spec, &instances[slot], &failure.reason, 1));
+                    }
+                }
+            }
         }
         if let Some(policy) = checkpoint {
             write_checkpoint(spec, &slots, policy);
@@ -341,6 +365,77 @@ fn fill_missing(
         .into_iter()
         .map(|slot| slot.expect("every instance resolved"))
         .collect()
+}
+
+/// The unresolved instance indices, grouped into cells: maximal runs of
+/// consecutive indices sharing (circuit, fault model, p, seed).
+fn missing_cells(instances: &[InstanceSpec], slots: &[Option<InstanceRecord>]) -> Vec<Vec<usize>> {
+    let cell_of = |i: usize| {
+        let inst = &instances[i];
+        (inst.circuit, inst.fault_model, inst.p, inst.seed)
+    };
+    let mut cells: Vec<Vec<usize>> = Vec::new();
+    for i in (0..slots.len()).filter(|&i| slots[i].is_none()) {
+        match cells.last_mut() {
+            Some(cell) if cell_of(cell[0]) == cell_of(i) => cell.push(i),
+            _ => cells.push(vec![i]),
+        }
+    }
+    cells
+}
+
+/// Splits `cells` into consecutive runs, each ending at the first cell
+/// boundary after at least `every` (minimum 1) instances.
+fn checkpoint_runs(cells: &[Vec<usize>], every: usize) -> Vec<&[Vec<usize>]> {
+    let mut runs = Vec::new();
+    let (mut start, mut resolved) = (0, 0);
+    for (i, cell) in cells.iter().enumerate() {
+        resolved += cell.len();
+        if resolved >= every.max(1) || i + 1 == cells.len() {
+            runs.push(&cells[start..=i]);
+            (start, resolved) = (i + 1, 0);
+        }
+    }
+    runs
+}
+
+/// Runs one cell's instances in matrix order, sharing their prepares.
+fn run_cell(
+    spec: &CampaignSpec,
+    instances: &[InstanceSpec],
+    cell: &[usize],
+) -> Vec<InstanceRecord> {
+    let mut cache = PrepareCache::default();
+    cell.iter()
+        .map(|&i| run_instance_resilient(spec, &instances[i], &mut cache))
+        .collect()
+}
+
+/// One cell's shared front halves: the injection (`None` until first
+/// needed; `Some(None)` when the faults cannot be injected) and one
+/// [`Prepared`] per prepare key. Entries are stored only once complete,
+/// so a panic mid-prepare leaves nothing behind for that key.
+#[derive(Default)]
+struct PrepareCache {
+    injection: Option<Option<Injection>>,
+    prepared: Vec<(PrepareKey, Arc<Prepared>)>,
+}
+
+impl PrepareCache {
+    /// The request's [`Prepared`], built on first use (charging the
+    /// `inject`/`tests` spans to the caller's sink).
+    fn get(&mut self, golden: &Circuit, request: &DiagnoseRequest) -> Arc<Prepared> {
+        let key = request.prepare_key();
+        if let Some((_, prepared)) = self.prepared.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(prepared);
+        }
+        let injection = self
+            .injection
+            .get_or_insert_with(|| inject(golden, request));
+        let prepared = Arc::new(prepare_injected(golden, injection.as_ref(), request));
+        self.prepared.push((key, Arc::clone(&prepared)));
+        prepared
+    }
 }
 
 /// Atomically rewrites the checkpoint file with the records resolved so
@@ -447,7 +542,11 @@ fn failed_record(
 /// `(spec, inst, attempt)` — injected chaos hashes the attempt number
 /// into its key, so retries reroll the chaos dice the same way on every
 /// run — and the exponential backoff only spends wall time.
-fn run_instance_resilient(spec: &CampaignSpec, inst: &InstanceSpec) -> InstanceRecord {
+fn run_instance_resilient(
+    spec: &CampaignSpec,
+    inst: &InstanceSpec,
+    cache: &mut PrepareCache,
+) -> InstanceRecord {
     let max_attempts = spec.retry.max_attempts.max(1);
     let mut last_reason = String::new();
     for attempt in 1..=max_attempts {
@@ -459,7 +558,7 @@ fn run_instance_resilient(spec: &CampaignSpec, inst: &InstanceSpec) -> InstanceR
                 spec.retry.backoff_ms << shift,
             ));
         }
-        match catch_unwind(AssertUnwindSafe(|| run_attempt(spec, inst, attempt))) {
+        match catch_unwind(AssertUnwindSafe(|| run_attempt(spec, inst, attempt, cache))) {
             Ok((mut record, truncation)) => {
                 record.attempts = attempt;
                 // A wall-deadline preemption is transient (machine load);
@@ -486,26 +585,31 @@ fn run_instance_resilient(spec: &CampaignSpec, inst: &InstanceSpec) -> InstanceR
     failed_record(spec, inst, &last_reason, max_attempts)
 }
 
-/// Runs one cell of the matrix. Pure in `(spec, inst, attempt)` — the
-/// attempt number only feeds the chaos key, so attempt 1 of a clean
-/// campaign is the plain deterministic instance run.
+/// Runs one instance of the matrix. The record is pure in
+/// `(spec, inst, attempt)` — the attempt number only feeds the chaos
+/// key, so attempt 1 of a clean campaign is the plain deterministic
+/// instance run — and `cache` only decides which attempt pays for the
+/// shared prepare.
 ///
 /// Every attempt runs under its own observability sink (installed on
 /// this campaign worker thread — engines are pinned sequential inside an
 /// instance, so every charged counter is deterministic and worker-count
 /// invariant) with a root `instance` span. That span is the single
 /// wall-clock source: `wall_ms` derives from it, so the campaign has
-/// exactly one timing-quarantine mechanism. The full trace is attached
-/// to the record only under [`CampaignSpec::collect_obs`].
+/// exactly one timing-quarantine mechanism; a prepare built by this
+/// attempt is inside it, one reused from the cache costs nothing. The
+/// full trace is attached to the record only under
+/// [`CampaignSpec::collect_obs`].
 fn run_attempt(
     spec: &CampaignSpec,
     inst: &InstanceSpec,
     attempt: u32,
+    cache: &mut PrepareCache,
 ) -> (InstanceRecord, Option<Truncation>) {
-    let sink = std::sync::Arc::new(gatediag_obs::Sink::new());
-    let guard = gatediag_obs::install(std::sync::Arc::clone(&sink));
+    let sink = Arc::new(gatediag_obs::Sink::new());
+    let guard = gatediag_obs::install(Arc::clone(&sink));
     let root = gatediag_obs::span("instance");
-    let (mut record, truncation) = run_attempt_inner(spec, inst, attempt);
+    let (mut record, truncation) = run_attempt_inner(spec, inst, attempt, cache);
     drop(root);
     drop(guard);
     let trace = sink.take_trace();
@@ -521,6 +625,7 @@ fn run_attempt_inner(
     spec: &CampaignSpec,
     inst: &InstanceSpec,
     attempt: u32,
+    cache: &mut PrepareCache,
 ) -> (InstanceRecord, Option<Truncation>) {
     let (name, golden) = &spec.circuits[inst.circuit];
     let k = spec.k.unwrap_or(inst.p);
@@ -596,7 +701,8 @@ fn run_attempt_inner(
     };
     // The campaign level owns the worker pool, so engines inside one
     // instance are pinned sequential; see the module docs.
-    let outcome = run_diagnose(golden, &request, Parallelism::Sequential, chaos);
+    let prepared = cache.get(golden, &request);
+    let outcome = run_prepared(golden, &prepared, &request, Parallelism::Sequential, chaos);
     record.tests = outcome.tests;
     match outcome.status {
         DiagnoseStatus::NotInjectable => {
@@ -689,6 +795,30 @@ mod tests {
                 assert_eq!(record.quality_min, 0.0);
             }
         }
+    }
+
+    #[test]
+    fn missing_instances_group_into_cells_and_checkpoint_runs() {
+        let spec = tiny_spec();
+        let instances = spec.instances();
+        // 2 models × 2 seeds × 2 engines; instances 1 and 4 are resolved.
+        let mut slots = vec![None; instances.len()];
+        let record = failed_record(&spec, &instances[1], "", 1);
+        slots[1] = Some(record.clone());
+        slots[4] = Some(record);
+        let cells = missing_cells(&instances, &slots);
+        assert_eq!(cells, vec![vec![0], vec![2, 3], vec![5], vec![6, 7]]);
+        let sizes = |every| -> Vec<usize> {
+            checkpoint_runs(&cells, every)
+                .iter()
+                .map(|run| run.iter().map(Vec::len).sum())
+                .collect()
+        };
+        assert_eq!(sizes(0), vec![1, 2, 1, 2]);
+        assert_eq!(sizes(2), vec![3, 3]);
+        assert_eq!(sizes(3), vec![3, 3]);
+        assert_eq!(sizes(4), vec![4, 2]);
+        assert_eq!(sizes(usize::MAX), vec![6]);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! the worker pool looks like — explicit `Fixed(1/2/8)` policies and the
 //! `GATEDIAG_WORKERS=1/2/8` environment override alike.
 
-use gatediag_campaign::{run_campaign, CampaignSpec, TestGenSpec};
-use gatediag_core::EngineKind;
+use gatediag_campaign::{run_campaign, CampaignSpec, InstanceStatus, TestGenSpec};
+use gatediag_core::{run_diagnose, ChaosPolicy, DiagnoseRequest, EngineKind};
 use gatediag_netlist::{FaultModel, RandomCircuitSpec};
 use gatediag_sim::Parallelism;
 
@@ -198,12 +198,10 @@ fn test_gen_reports_are_byte_identical_for_all_worker_counts() {
     }
 }
 
-#[test]
-fn sequential_reports_are_byte_identical_for_all_worker_counts() {
-    // The sequential extension of the drift contract: a matrix mixing
-    // combinational and sequential engines (with the frames × seq_lens
-    // axes crossed in) must emit byte-identical reports for every worker
-    // count.
+/// A matrix mixing combinational and sequential engines, with the
+/// frames × seq_lens axes crossed in: every cell has one combinational
+/// prepare key and one per sequential axis pair, sharing one injection.
+fn mixed_spec() -> CampaignSpec {
     let mut spec = CampaignSpec::new(vec![
         ("c17".to_string(), gatediag_netlist::c17()),
         (
@@ -218,11 +216,27 @@ fn sequential_reports_are_byte_identical_for_all_worker_counts() {
     spec.fault_models = vec![FaultModel::GateChange, FaultModel::StuckAt];
     spec.error_counts = vec![1];
     spec.seeds = vec![1, 2];
-    spec.engines = vec![EngineKind::Bsim, EngineKind::SeqBsim, EngineKind::SeqBsat];
+    spec.engines = vec![
+        EngineKind::Bsim,
+        EngineKind::SeqBsim,
+        EngineKind::Bsat,
+        EngineKind::SeqBsat,
+    ];
     spec.frames = vec![2, 3];
     spec.seq_lens = vec![4];
     spec.tests = 6;
     spec.max_test_vectors = 1 << 12;
+    spec
+}
+
+#[test]
+fn sequential_reports_are_byte_identical_for_all_worker_counts() {
+    // The sequential extension of the drift contract: a matrix mixing
+    // combinational and sequential engines (with the frames × seq_lens
+    // axes crossed in) must emit byte-identical reports — and traces,
+    // although cells now share their prepares — for every worker count.
+    let mut spec = mixed_spec();
+    spec.collect_obs = true;
     spec.parallelism = Parallelism::Sequential;
     let reference = run_campaign(&spec);
     // The matrix exercises real sequential instances, not just skips.
@@ -230,12 +244,13 @@ fn sequential_reports_are_byte_identical_for_all_worker_counts() {
         reference
             .records
             .iter()
-            .any(|r| r.frames.is_some() && r.status == gatediag_campaign::InstanceStatus::Ok),
+            .any(|r| r.frames.is_some() && r.status == InstanceStatus::Ok),
         "no sequential instance ran an engine"
     );
     let ref_json = reference.to_json(false);
     let ref_csv = reference.to_csv(false);
     let ref_summary = reference.summary_table();
+    let ref_trace = reference.to_trace_jsonl(false);
     assert!(ref_json.contains("\"frames\": [2, 3]"));
     assert!(ref_json.contains("\"seq_len\": 4"));
     for workers in [1usize, 2, 8] {
@@ -256,6 +271,94 @@ fn sequential_reports_are_byte_identical_for_all_worker_counts() {
             ref_summary,
             "sequential summary drifted at {workers} workers"
         );
+        assert_eq!(
+            report.to_trace_jsonl(false),
+            ref_trace,
+            "sequential trace drifted at {workers} workers"
+        );
+    }
+}
+
+#[test]
+fn cells_charge_inject_once_and_tests_once_per_prepare_key() {
+    let mut spec = mixed_spec();
+    spec.collect_obs = true;
+    let report = run_campaign(&spec);
+    let spans = |r: &gatediag_campaign::InstanceRecord, name: &str| {
+        let trace = r.obs.as_ref().expect("trace collected");
+        trace.spans.iter().filter(|s| s.name == name).count()
+    };
+    let mut cells = std::collections::BTreeMap::new();
+    for r in &report.records {
+        let cell = (r.circuit.clone(), r.fault_model.name(), r.p, r.seed);
+        cells.entry(cell).or_insert_with(Vec::new).push(r);
+    }
+    for (cell, records) in cells {
+        // The first instance of a cell injects; nobody else does.
+        assert_eq!(spans(records[0], "inject"), 1, "{cell:?}");
+        assert!(records[1..].iter().all(|r| spans(r, "inject") == 0));
+        if records[0].status == InstanceStatus::NotInjectable {
+            continue;
+        }
+        // One `tests` span per prepare key: the combinational key plus
+        // each (frames, seq_len) pair — charged to the first instance of
+        // the key in matrix order.
+        let mut keys = std::collections::BTreeSet::new();
+        for r in &records {
+            let first = keys.insert((r.frames, r.seq_len));
+            assert_eq!(spans(r, "tests"), usize::from(first), "{cell:?} {r:?}");
+        }
+        assert_eq!(keys.len(), 3);
+    }
+}
+
+#[test]
+fn every_record_equals_a_per_instance_run_diagnose() {
+    let spec = mixed_spec();
+    let report = run_campaign(&spec);
+    for (record, inst) in report.records.iter().zip(spec.instances()) {
+        let golden = &spec.circuits[inst.circuit].1;
+        let request = DiagnoseRequest {
+            engine: inst.engine,
+            fault_model: inst.fault_model,
+            p: inst.p,
+            seed: inst.seed,
+            tests: spec.tests,
+            max_test_vectors: spec.max_test_vectors,
+            k: spec.k,
+            frames: inst.frames,
+            seq_len: inst.seq_len,
+            max_solutions: spec.max_solutions,
+            conflict_budget: spec.conflict_budget,
+            work_budget: spec.work_budget,
+            deadline_ms: spec.deadline_ms,
+            test_gen_rounds: None,
+        };
+        let outcome = run_diagnose(
+            golden,
+            &request,
+            Parallelism::Sequential,
+            ChaosPolicy::off(),
+        );
+        let context = format!("{inst:?}");
+        assert_eq!(record.status.name(), outcome.status.name(), "{context}");
+        assert_eq!(record.tests, outcome.tests, "{context}");
+        let Some(run) = &outcome.run else {
+            assert_eq!(record.solutions, 0, "{context}");
+            continue;
+        };
+        let errors: Vec<_> = outcome.faults.iter().map(|f| f.gate).collect();
+        assert_eq!(record.candidates, run.candidates.len(), "{context}");
+        assert_eq!(record.solutions, run.solutions.len(), "{context}");
+        assert_eq!(record.complete, run.complete, "{context}");
+        assert_eq!(
+            record.hit,
+            run.candidates.iter().any(|g| errors.contains(g)),
+            "{context}"
+        );
+        assert_eq!(record.conflicts, run.stats.conflicts, "{context}");
+        assert_eq!(record.decisions, run.stats.decisions, "{context}");
+        assert_eq!(record.propagations, run.stats.propagations, "{context}");
     }
 }
 

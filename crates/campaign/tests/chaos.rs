@@ -175,6 +175,38 @@ fn retries_recover_injected_panics() {
     }
 }
 
+/// A retried attempt reuses the prepare its failed predecessor built (or
+/// builds it, if the panic came first): with retries and traces on, a
+/// chaos campaign's reports and traces stay byte-identical across
+/// worker counts.
+#[test]
+fn retried_attempts_share_prepares_identically_for_all_worker_counts() {
+    let mut spec = chaos_spec();
+    spec.retry.max_attempts = 3;
+    spec.collect_obs = true;
+    spec.parallelism = Parallelism::Sequential;
+    let reference = run_campaign(&spec);
+    assert!(
+        reference
+            .records
+            .iter()
+            .any(|r| r.attempts > 1 && r.status != InstanceStatus::Failed),
+        "no instance recovered on a retry"
+    );
+    let ref_json = reference.to_json(false);
+    let ref_trace = reference.to_trace_jsonl(false);
+    for workers in [1usize, 2, 8] {
+        spec.parallelism = Parallelism::Fixed(workers);
+        let report = run_campaign(&spec);
+        assert_eq!(report.to_json(false), ref_json, "JSON drifted at {workers}");
+        assert_eq!(
+            report.to_trace_jsonl(false),
+            ref_trace,
+            "trace drifted at {workers}"
+        );
+    }
+}
+
 /// The autosaved checkpoint is a valid `gatediag-campaign-v1` report:
 /// parseable, and — because the final autosave covers the whole matrix —
 /// equal to the finished report. No `.tmp` staging file survives.

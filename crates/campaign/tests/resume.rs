@@ -80,6 +80,33 @@ fn resume_of_half_the_matrix_matches_a_fresh_full_run() {
 }
 
 #[test]
+fn resume_of_half_cells_matches_a_fresh_full_run() {
+    // A cell is the run of instances sharing (circuit, fault model, p,
+    // seed). Keep only the first engine of every cell, and the last of
+    // every other one, so resumed cells start both at and after their
+    // first instance: the resumed instances prepare for themselves.
+    let spec = base_spec();
+    let fresh = run_campaign(&spec);
+    let engines = spec.engines.len();
+    let kept: Vec<_> = fresh
+        .records
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| {
+            let (cell, slot) = (i / engines, i % engines);
+            slot == 0 || (cell % 2 == 1 && slot == engines - 1)
+        })
+        .map(|(_, r)| r.clone())
+        .collect();
+    assert!(kept.len() < fresh.records.len());
+    let partial = gatediag_campaign::CampaignReport::new(&spec, kept);
+    let parsed = parse_report(&partial.to_json(false)).expect("partial report parses");
+    let resumed = resume_campaign(&spec, &parsed).expect("limits match");
+    assert_eq!(resumed.to_json(false), fresh.to_json(false));
+    assert_eq!(resumed.to_csv(false), fresh.to_csv(false));
+}
+
+#[test]
 fn resume_skips_recorded_instances_including_preempted_ones() {
     let mut spec = base_spec();
     spec.work_budget = Some(3); // preempts the 6-test sim-side instances

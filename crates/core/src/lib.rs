@@ -138,8 +138,10 @@ pub use sequential::{
     SequenceTestSet,
 };
 pub use session::{
-    circuit_content_hash, run_diagnose, validate_frames, validate_seq_len, CircuitSession,
-    DiagnoseOutcome, DiagnoseRequest, DiagnoseStatus, MAX_FRAMES, MAX_SEQ_LEN,
+    circuit_content_hash, inject, prepare, prepare_injected, run_diagnose, run_prepared,
+    validate_frames, validate_seq_len, CircuitSession, DiagnoseOutcome, DiagnoseRequest,
+    DiagnoseStatus, Injection, PrepareKey, Prepared, PreparedTests, MAX_CACHED_OUTCOMES,
+    MAX_CACHED_PREPARES, MAX_FRAMES, MAX_SEQ_LEN,
 };
 pub use sim_backtrack::{sim_backtrack_diagnose, SimBacktrackOptions};
 pub use test_set::{generate_failing_tests, Test, TestSet};

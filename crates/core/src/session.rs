@@ -13,23 +13,32 @@
 //!   normalisation, test-gen policy checks) and
 //!   [`DiagnoseRequest::engine_config`] as the single `EngineConfig`
 //!   builder;
-//! * [`run_diagnose`] — the inject → tests → engine pipeline itself,
-//!   instrumented with exactly the `inject`/`tests`/`engine` obs spans
-//!   the campaign runner always charged;
-//! * [`CircuitSession`] — a circuit plus a memo of completed runs,
-//!   keyed by the request. Engine runs are pure functions of
+//! * [`prepare`] and [`run_prepared`] — the two halves of the pipeline.
+//!   [`prepare`] is the pure front half (inject, then collect failing
+//!   tests, under the `inject`/`tests` obs spans) and returns a
+//!   [`Prepared`] keyed by the request's [`PrepareKey`];
+//!   [`run_prepared`] runs the engine on it under the `engine` span.
+//!   [`run_diagnose`] is their composition. Callers that diagnose one
+//!   injection with several engines (a campaign cell, a daemon session)
+//!   prepare once and run many;
+//! * [`CircuitSession`] — a circuit plus bounded memos of completed
+//!   runs (keyed by the request) and of prepares (keyed by
+//!   [`PrepareKey`]). Engine runs are pure functions of
 //!   `(circuit, request)` (pinned by the campaign drift tests), so a
 //!   repeated request is answered from the memo without touching the
 //!   netlist, the simulator or the CNF encoder — the "warm hit" the
 //!   serve layer's registry is built on. Warm hits are observable:
 //!   they charge `session.warm_hits` and *nothing else* (zero
-//!   `cnf.gates_encoded`, zero `netlist.builds`).
+//!   `cnf.gates_encoded`, zero `netlist.builds`). A request sharing
+//!   only the prepare key runs its engine on the memoised [`Prepared`]
+//!   and charges `session.prepare_hits` instead of `inject`/`tests`.
 //!
-//! Requests with a wall-clock deadline or an active chaos policy are
-//! never cached: their outcomes depend on timing or deliberate
-//! perturbation, not just the request.
+//! Requests with a wall-clock deadline or an active chaos policy never
+//! enter the outcome memo: their outcomes depend on timing or
+//! deliberate perturbation, not just the request. Both act only at
+//! engine entry, so such requests still share prepares.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use gatediag_netlist::{try_inject_faults, write_bench, Circuit, Fault, FaultModel};
@@ -38,8 +47,8 @@ use gatediag_sim::Parallelism;
 use crate::budget::Budget;
 use crate::chaos::ChaosPolicy;
 use crate::engine::{run_engine, run_sequential_engine, EngineConfig, EngineKind, EngineRun};
-use crate::sequential::generate_failing_sequences;
-use crate::test_set::generate_failing_tests;
+use crate::sequential::{generate_failing_sequences, SequenceTestSet};
+use crate::test_set::{generate_failing_tests, TestSet};
 use crate::testgen::TestGenPolicy;
 
 /// Hard cap on a campaign/CLI time-frame count: unrolling is linear in
@@ -264,6 +273,167 @@ impl DiagnoseStatus {
     }
 }
 
+/// The prepare identity of a request: the fields that decide what
+/// [`prepare`] injects and which failing tests it collects. Requests
+/// that differ only in engine, `k`, budgets or `max_solutions` share
+/// one key and therefore one [`Prepared`].
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+pub struct PrepareKey {
+    /// The fault model to inject.
+    pub fault_model: FaultModel,
+    /// Number of injected errors.
+    pub p: usize,
+    /// Seed for injection and test generation.
+    pub seed: u64,
+    /// Failing tests to collect (combinational).
+    pub tests: usize,
+    /// Cap on the random vectors tried.
+    pub max_test_vectors: usize,
+    /// Unrolling depth (sequential).
+    pub frames: Option<usize>,
+    /// Failing sequences to collect (sequential).
+    pub seq_len: Option<usize>,
+}
+
+impl DiagnoseRequest {
+    /// The key of the [`Prepared`] this request needs.
+    pub fn prepare_key(&self) -> PrepareKey {
+        PrepareKey {
+            fault_model: self.fault_model,
+            p: self.p,
+            seed: self.seed,
+            tests: self.tests,
+            max_test_vectors: self.max_test_vectors,
+            frames: self.frames,
+            seq_len: self.seq_len,
+        }
+    }
+
+    /// `Some((frames, seq_len))` exactly for the sequential pipeline.
+    fn sequential_axes(&self) -> Option<(usize, usize)> {
+        self.frames.zip(self.seq_len)
+    }
+}
+
+/// An injected faulty circuit and its fault sites: the part of a
+/// [`Prepared`] that depends only on (circuit, fault model, p, seed),
+/// so combinational and sequential prepares of one injection can share
+/// it.
+#[derive(Clone, Debug)]
+pub struct Injection {
+    /// The faulty circuit.
+    pub faulty: Arc<Circuit>,
+    /// The injected faults.
+    pub faults: Vec<Fault>,
+}
+
+/// Injects the request's faults into `golden` under an `inject` obs
+/// span; `None` when the fault model cannot place `p` errors.
+pub fn inject(golden: &Circuit, request: &DiagnoseRequest) -> Option<Injection> {
+    let _inject = gatediag_obs::span("inject");
+    try_inject_faults(golden, request.fault_model, request.p, request.seed).map(
+        |(faulty, faults)| Injection {
+            faulty: Arc::new(faulty),
+            faults,
+        },
+    )
+}
+
+/// The failing tests a [`Prepared`] collected, in the form its engine
+/// family consumes.
+#[derive(Clone, Debug)]
+pub enum PreparedTests {
+    /// Failing tests for the combinational engines.
+    Combinational(TestSet),
+    /// Failing sequences for the sequential engines.
+    Sequential(SequenceTestSet),
+}
+
+impl PreparedTests {
+    /// Number of tests (or sequences).
+    pub fn len(&self) -> usize {
+        match self {
+            PreparedTests::Combinational(tests) => tests.len(),
+            PreparedTests::Sequential(tests) => tests.len(),
+        }
+    }
+
+    /// `true` when no failing test was found.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// The pure front half of a diagnosis: the injected faults, the faulty
+/// circuit and the failing tests. A function of (golden, request
+/// [`PrepareKey`]) only, so every engine run on the same key can share
+/// one — the paper's setting, where BSIM, COV and BSAT diagnose one
+/// test-set per injected error.
+#[derive(Clone, Debug)]
+pub struct Prepared {
+    /// The faulty circuit; `None` when injection failed.
+    pub faulty: Option<Arc<Circuit>>,
+    /// The injected faults; empty when injection failed.
+    pub faults: Vec<Fault>,
+    /// The failing tests; empty when injection failed or no vector
+    /// within `max_test_vectors` exposed the faults.
+    pub tests: PreparedTests,
+}
+
+/// Builds the [`Prepared`] for `request`: [`inject`], then
+/// [`prepare_injected`].
+pub fn prepare(golden: &Circuit, request: &DiagnoseRequest) -> Prepared {
+    prepare_injected(golden, inject(golden, request).as_ref(), request)
+}
+
+/// Collects the request's failing tests for an existing injection under
+/// a `tests` obs span. `injection` must come from [`inject`] with the
+/// same fault model, p and seed; `None` (not injectable) collects
+/// nothing.
+pub fn prepare_injected(
+    golden: &Circuit,
+    injection: Option<&Injection>,
+    request: &DiagnoseRequest,
+) -> Prepared {
+    let empty = match request.sequential_axes() {
+        Some(_) => PreparedTests::Sequential(SequenceTestSet::default()),
+        None => PreparedTests::Combinational(TestSet::default()),
+    };
+    let Some(injection) = injection else {
+        return Prepared {
+            faulty: None,
+            faults: Vec::new(),
+            tests: empty,
+        };
+    };
+    let faulty = &injection.faulty;
+    let tests = {
+        let _tests = gatediag_obs::span("tests");
+        match request.sequential_axes() {
+            Some((frames, seq_len)) => PreparedTests::Sequential(generate_failing_sequences(
+                golden,
+                faulty,
+                frames,
+                seq_len,
+                request.seed,
+                request.max_test_vectors,
+            )),
+            None => PreparedTests::Combinational(generate_failing_tests(
+                golden,
+                faulty,
+                request.tests,
+                request.seed,
+                request.max_test_vectors,
+            )),
+        }
+    };
+    Prepared {
+        faulty: Some(Arc::clone(faulty)),
+        faults: injection.faults.clone(),
+        tests,
+    }
+}
+
 /// Everything [`run_diagnose`] produced: the injected faults, the
 /// faulty circuit (for scoring and rendering), the collected test count
 /// and — when the pipeline reached the engine — the [`EngineRun`].
@@ -271,8 +441,9 @@ impl DiagnoseStatus {
 pub struct DiagnoseOutcome {
     /// The injected faults; empty when injection failed.
     pub faults: Vec<Fault>,
-    /// The faulty circuit; `None` when injection failed.
-    pub faulty: Option<Circuit>,
+    /// The faulty circuit, shared with the [`Prepared`] it came from;
+    /// `None` when injection failed.
+    pub faulty: Option<Arc<Circuit>>,
     /// Failing tests (or sequences) collected.
     pub tests: usize,
     /// How the run ended.
@@ -281,12 +452,58 @@ pub struct DiagnoseOutcome {
     pub run: Option<EngineRun>,
 }
 
+/// Runs the back half of a diagnosis — the engine under an `engine` obs
+/// span — on a [`Prepared`] built for `request`'s [`PrepareKey`].
+/// `golden` is the reference the discriminating-test phase compares
+/// against. Chaos fires and wall deadlines anchor at engine entry, so
+/// sharing one `Prepared` across runs never changes an outcome.
+pub fn run_prepared(
+    golden: &Circuit,
+    prepared: &Prepared,
+    request: &DiagnoseRequest,
+    parallelism: Parallelism,
+    chaos: ChaosPolicy,
+) -> DiagnoseOutcome {
+    let mut outcome = DiagnoseOutcome {
+        faults: prepared.faults.clone(),
+        faulty: prepared.faulty.clone(),
+        tests: prepared.tests.len(),
+        status: DiagnoseStatus::NotInjectable,
+        run: None,
+    };
+    let Some(faulty) = &prepared.faulty else {
+        return outcome;
+    };
+    if prepared.tests.is_empty() {
+        outcome.status = DiagnoseStatus::NoFailingTests;
+        return outcome;
+    }
+    let config = request.engine_config(parallelism, chaos, golden);
+    let run = {
+        let _engine = gatediag_obs::span("engine");
+        match &prepared.tests {
+            PreparedTests::Combinational(tests) => {
+                run_engine(request.engine, faulty, tests, &config)
+            }
+            PreparedTests::Sequential(tests) => {
+                run_sequential_engine(request.engine, faulty, tests, &config)
+            }
+        }
+    };
+    outcome.status = if run.truncation.is_some_and(|t| t.is_preemption()) {
+        DiagnoseStatus::Preempted
+    } else {
+        DiagnoseStatus::Ok
+    };
+    outcome.run = Some(run);
+    outcome
+}
+
 /// Runs the full diagnosis pipeline — inject, collect failing tests,
-/// run the engine — for one request against one golden circuit. Pure in
+/// run the engine — for one request against one golden circuit: the
+/// composition of [`prepare`] and [`run_prepared`]. Pure in
 /// `(golden, request)` for an inactive chaos policy and an unlimited
-/// deadline; the obs spans (`inject`, `tests`, `engine`) are exactly
-/// the ones the campaign runner has always charged, so campaign traces
-/// are unchanged by the refactor.
+/// deadline; charges the `inject`, `tests` and `engine` obs spans.
 ///
 /// The request is used as given: call [`DiagnoseRequest::validated`]
 /// first (the session does this for you).
@@ -296,83 +513,8 @@ pub fn run_diagnose(
     parallelism: Parallelism,
     chaos: ChaosPolicy,
 ) -> DiagnoseOutcome {
-    let injected = {
-        let _inject = gatediag_obs::span("inject");
-        try_inject_faults(golden, request.fault_model, request.p, request.seed)
-    };
-    let Some((faulty, faults)) = injected else {
-        return DiagnoseOutcome {
-            faults: Vec::new(),
-            faulty: None,
-            tests: 0,
-            status: DiagnoseStatus::NotInjectable,
-            run: None,
-        };
-    };
-    let config = request.engine_config(parallelism, chaos, golden);
-    let (tests_len, run) = match (request.frames, request.seq_len) {
-        (Some(frames), Some(seq_len)) => {
-            let tests = {
-                let _tests = gatediag_obs::span("tests");
-                generate_failing_sequences(
-                    golden,
-                    &faulty,
-                    frames,
-                    seq_len,
-                    request.seed,
-                    request.max_test_vectors,
-                )
-            };
-            if tests.is_empty() {
-                return DiagnoseOutcome {
-                    faults,
-                    faulty: Some(faulty),
-                    tests: 0,
-                    status: DiagnoseStatus::NoFailingTests,
-                    run: None,
-                };
-            }
-            let _engine = gatediag_obs::span("engine");
-            let run = run_sequential_engine(request.engine, &faulty, &tests, &config);
-            (tests.len(), run)
-        }
-        _ => {
-            let tests = {
-                let _tests = gatediag_obs::span("tests");
-                generate_failing_tests(
-                    golden,
-                    &faulty,
-                    request.tests,
-                    request.seed,
-                    request.max_test_vectors,
-                )
-            };
-            if tests.is_empty() {
-                return DiagnoseOutcome {
-                    faults,
-                    faulty: Some(faulty),
-                    tests: 0,
-                    status: DiagnoseStatus::NoFailingTests,
-                    run: None,
-                };
-            }
-            let _engine = gatediag_obs::span("engine");
-            let run = run_engine(request.engine, &faulty, &tests, &config);
-            (tests.len(), run)
-        }
-    };
-    let status = if run.truncation.is_some_and(|t| t.is_preemption()) {
-        DiagnoseStatus::Preempted
-    } else {
-        DiagnoseStatus::Ok
-    };
-    DiagnoseOutcome {
-        faults,
-        faulty: Some(faulty),
-        tests: tests_len,
-        status,
-        run: Some(run),
-    }
+    let prepared = prepare(golden, request);
+    run_prepared(golden, &prepared, request, parallelism, chaos)
 }
 
 /// Content hash of a circuit: FNV-1a 64 over its canonical `.bench`
@@ -398,24 +540,80 @@ pub fn circuit_content_hash(circuit: &Circuit) -> u64 {
     h
 }
 
+/// Cap on the outcomes one [`CircuitSession`] memoises; past it the
+/// oldest insert is evicted first.
+pub const MAX_CACHED_OUTCOMES: usize = 4096;
+
+/// Cap on the [`Prepared`]s one [`CircuitSession`] memoises; past it the
+/// oldest insert is evicted first.
+pub const MAX_CACHED_PREPARES: usize = 1024;
+
+/// A map holding at most `cap` entries that evicts in insertion order.
+struct BoundedMemo<K, V> {
+    map: HashMap<K, V>,
+    order: VecDeque<K>,
+    cap: usize,
+}
+
+impl<K: Clone + Eq + std::hash::Hash, V: Clone> BoundedMemo<K, V> {
+    fn new(cap: usize) -> Self {
+        BoundedMemo {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            cap,
+        }
+    }
+
+    fn get(&self, key: &K) -> Option<V> {
+        self.map.get(key).cloned()
+    }
+
+    /// Inserts unless the key is present (first insert wins — concurrent
+    /// cold runs of one key are pure and equal), evicting the oldest
+    /// entry when full. Returns the value now stored.
+    fn insert(&mut self, key: K, value: V) -> V {
+        if let Some(existing) = self.map.get(&key) {
+            return existing.clone();
+        }
+        if self.map.len() >= self.cap {
+            if let Some(oldest) = self.order.pop_front() {
+                self.map.remove(&oldest);
+            }
+        }
+        self.order.push_back(key.clone());
+        self.map.insert(key, value.clone());
+        value
+    }
+
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+}
+
 /// Per-session memo state, behind one mutex.
 struct SessionState {
-    outcomes: HashMap<DiagnoseRequest, Arc<DiagnoseOutcome>>,
+    outcomes: BoundedMemo<DiagnoseRequest, Arc<DiagnoseOutcome>>,
+    prepares: BoundedMemo<PrepareKey, Arc<Prepared>>,
     warm_hits: u64,
     cold_runs: u64,
+    prepare_hits: u64,
 }
 
 /// A golden circuit kept warm across requests: the circuit itself plus
-/// a memo of completed [`DiagnoseOutcome`]s keyed by the validated
-/// request. This is the unit the serve registry caches — constructing a
+/// two bounded memos keyed by the validated request — completed
+/// [`DiagnoseOutcome`]s, and the [`Prepared`] front halves they were run
+/// on. This is the unit the serve registry caches — constructing a
 /// session costs one content hash; answering a repeated request costs a
-/// map lookup and charges only the `session.warm_hits` obs counter.
+/// map lookup and charges only the `session.warm_hits` obs counter; a
+/// request that shares only its [`PrepareKey`] with an earlier one (a
+/// different engine, `k`, budget or `max_solutions`) skips inject and
+/// failing-test generation and charges `session.prepare_hits`.
 ///
 /// The session is `Sync`: the memo lock is held only for lookups and
-/// inserts, never across an engine run, so concurrent requests against
-/// one circuit proceed in parallel (two concurrent *identical* cold
-/// requests may both run the engine; the runs are pure, so first-insert
-/// wins and both callers see equal outcomes).
+/// inserts, never across a prepare or an engine run, so concurrent
+/// requests against one circuit proceed in parallel (two concurrent
+/// *identical* cold requests may both run; the runs are pure, so
+/// first-insert wins and both callers see equal outcomes).
 #[derive(Debug)]
 pub struct CircuitSession {
     name: String,
@@ -428,8 +626,10 @@ impl std::fmt::Debug for SessionState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionState")
             .field("outcomes", &self.outcomes.len())
+            .field("prepares", &self.prepares.len())
             .field("warm_hits", &self.warm_hits)
             .field("cold_runs", &self.cold_runs)
+            .field("prepare_hits", &self.prepare_hits)
             .finish()
     }
 }
@@ -444,9 +644,11 @@ impl CircuitSession {
             golden,
             hash,
             state: Mutex::new(SessionState {
-                outcomes: HashMap::new(),
+                outcomes: BoundedMemo::new(MAX_CACHED_OUTCOMES),
+                prepares: BoundedMemo::new(MAX_CACHED_PREPARES),
                 warm_hits: 0,
                 cold_runs: 0,
+                prepare_hits: 0,
             }),
         }
     }
@@ -466,14 +668,19 @@ impl CircuitSession {
         self.hash
     }
 
-    /// Requests answered from the memo so far.
+    /// Requests answered from the outcome memo so far.
     pub fn warm_hits(&self) -> u64 {
         self.lock().warm_hits
     }
 
-    /// Requests that ran the full pipeline so far.
+    /// Requests that ran an engine so far.
     pub fn cold_runs(&self) -> u64 {
         self.lock().cold_runs
+    }
+
+    /// Cold runs that reused a memoised [`Prepared`] so far.
+    pub fn prepare_hits(&self) -> u64 {
+        self.lock().prepare_hits
     }
 
     /// Distinct outcomes currently memoised.
@@ -481,20 +688,28 @@ impl CircuitSession {
         self.lock().outcomes.len()
     }
 
+    /// Distinct prepares currently memoised.
+    pub fn cached_prepares(&self) -> usize {
+        self.lock().prepares.len()
+    }
+
     fn lock(&self) -> std::sync::MutexGuard<'_, SessionState> {
-        // A panicking engine run never holds this lock (runs happen
-        // outside it), but a poisoned memo would still only contain
-        // completed outcomes — recover rather than wedge the session.
+        // A panicking run never holds this lock (runs happen outside
+        // it), but a poisoned memo would still only contain completed
+        // values — recover rather than wedge the session.
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Answers a request, from the memo when possible. Returns the
-    /// outcome and whether it was a warm hit.
+    /// outcome and whether it was a warm hit (an outcome-memo hit; a
+    /// prepare-memo hit still runs the engine and is not warm).
     ///
     /// Runs with a wall-clock deadline or an active chaos policy bypass
-    /// the memo in both directions: their outcomes are functions of
-    /// timing/perturbation, not just the request, and caching them
+    /// the outcome memo in both directions: their outcomes are functions
+    /// of timing/perturbation, not just the request, and caching them
     /// would leak one caller's scheduling luck into another's answer.
+    /// They still share the prepare memo, because [`prepare`] is pure
+    /// for every request.
     ///
     /// # Errors
     ///
@@ -511,22 +726,41 @@ impl CircuitSession {
         if cacheable {
             let mut state = self.lock();
             if let Some(hit) = state.outcomes.get(&request) {
-                let hit = Arc::clone(hit);
                 state.warm_hits += 1;
                 drop(state);
                 gatediag_obs::count("session.warm_hits", 1);
                 return Ok((hit, true));
             }
         }
-        let outcome = Arc::new(run_diagnose(&self.golden, &request, parallelism, chaos));
+        let key = request.prepare_key();
+        let memoised = {
+            let mut state = self.lock();
+            let hit = state.prepares.get(&key);
+            state.prepare_hits += u64::from(hit.is_some());
+            hit
+        };
+        let prepared = match memoised {
+            Some(prepared) => {
+                gatediag_obs::count("session.prepare_hits", 1);
+                prepared
+            }
+            None => {
+                let prepared = Arc::new(prepare(&self.golden, &request));
+                self.lock().prepares.insert(key, prepared)
+            }
+        };
+        let outcome = Arc::new(run_prepared(
+            &self.golden,
+            &prepared,
+            &request,
+            parallelism,
+            chaos,
+        ));
         let mut state = self.lock();
         state.cold_runs += 1;
         gatediag_obs::count("session.cold_runs", 1);
         if cacheable {
-            state
-                .outcomes
-                .entry(request)
-                .or_insert_with(|| Arc::clone(&outcome));
+            state.outcomes.insert(request, Arc::clone(&outcome));
         }
         Ok((outcome, false))
     }
@@ -667,6 +901,129 @@ mod tests {
         assert_eq!(trace.counter("session.warm_hits"), 1);
         assert_eq!(trace.counter("cnf.gates_encoded"), 0);
         assert_eq!(trace.counter("netlist.builds"), 0);
+    }
+
+    #[test]
+    fn same_prepare_requests_skip_inject_and_tests() {
+        let session = CircuitSession::new("c17", c17());
+        let first = DiagnoseRequest {
+            engine: EngineKind::Bsim,
+            seed: 42,
+            ..DiagnoseRequest::default()
+        };
+        session
+            .diagnose(&first, Parallelism::Sequential, ChaosPolicy::off())
+            .unwrap();
+        // Another engine and solution cap, same prepare key: the engine
+        // runs, but on the memoised faulty circuit and tests.
+        let second = DiagnoseRequest {
+            engine: EngineKind::Bsat,
+            max_solutions: 7,
+            ..first.clone()
+        };
+        assert_eq!(first.prepare_key(), second.prepare_key());
+        let sink = Arc::new(gatediag_obs::Sink::new());
+        let guard = gatediag_obs::install(Arc::clone(&sink));
+        let (outcome, warm) = session
+            .diagnose(&second, Parallelism::Sequential, ChaosPolicy::off())
+            .unwrap();
+        drop(guard);
+        assert!(!warm, "a prepare hit is not an outcome-memo hit");
+        assert_eq!(session.prepare_hits(), 1);
+        assert_eq!(session.cold_runs(), 2);
+        assert_eq!(session.cached_prepares(), 1);
+        let trace = sink.take_trace();
+        assert_eq!(trace.counter("session.prepare_hits"), 1);
+        assert_eq!(trace.counter("session.cold_runs"), 1);
+        assert_eq!(trace.counter("sim.sweeps"), 0);
+        assert_eq!(trace.counter("netlist.builds"), 0);
+        assert!(trace
+            .spans
+            .iter()
+            .all(|span| span.name != "inject" && span.name != "tests"));
+        assert!(trace.spans.iter().any(|span| span.name == "engine"));
+        // The shared prepare changes nothing about the answer.
+        let fresh = run_diagnose(
+            &c17(),
+            &second.validated().unwrap(),
+            Parallelism::Sequential,
+            ChaosPolicy::off(),
+        );
+        assert_eq!(outcome.faulty, fresh.faulty);
+        assert_eq!(outcome.faults, fresh.faults);
+        assert_eq!(outcome.tests, fresh.tests);
+        assert_eq!(outcome.status, fresh.status);
+        assert_eq!(format!("{:?}", outcome.run), format!("{:?}", fresh.run));
+    }
+
+    #[test]
+    fn outcome_memo_is_bounded_and_evicts_oldest_first() {
+        let session = CircuitSession::new("c17", c17());
+        let request = |max_solutions: usize| DiagnoseRequest {
+            engine: EngineKind::Bsim,
+            max_solutions,
+            ..DiagnoseRequest::default()
+        };
+        let ask = |n: usize| {
+            session
+                .diagnose(&request(n), Parallelism::Sequential, ChaosPolicy::off())
+                .unwrap()
+                .1
+        };
+        for n in 1..=MAX_CACHED_OUTCOMES + 1 {
+            assert!(!ask(n));
+        }
+        assert_eq!(session.cached_outcomes(), MAX_CACHED_OUTCOMES);
+        assert_eq!(session.cached_prepares(), 1);
+        // The newest entry and the oldest survivor stay warm; the one
+        // evicted entry re-runs cold.
+        assert!(ask(MAX_CACHED_OUTCOMES + 1));
+        assert!(ask(2));
+        assert!(!ask(1));
+        assert_eq!(session.cached_outcomes(), MAX_CACHED_OUTCOMES);
+    }
+
+    #[test]
+    fn prepare_memo_is_bounded_and_evicts_oldest_first() {
+        let session = CircuitSession::new("c17", c17());
+        let request = |seed: u64, max_solutions: usize| DiagnoseRequest {
+            engine: EngineKind::Bsim,
+            seed,
+            tests: 1,
+            max_test_vectors: 64,
+            max_solutions,
+            ..DiagnoseRequest::default()
+        };
+        let cap = MAX_CACHED_PREPARES as u64;
+        for seed in 1..=cap + 1 {
+            session
+                .diagnose(
+                    &request(seed, 1),
+                    Parallelism::Sequential,
+                    ChaosPolicy::off(),
+                )
+                .unwrap();
+        }
+        assert_eq!(session.cached_prepares(), MAX_CACHED_PREPARES);
+        assert_eq!(session.prepare_hits(), 0);
+        // New engine-side requests on the newest and oldest surviving
+        // keys reuse their prepares; the evicted key prepares again.
+        for seed in [cap + 1, 2] {
+            let (_, warm) = session
+                .diagnose(
+                    &request(seed, 2),
+                    Parallelism::Sequential,
+                    ChaosPolicy::off(),
+                )
+                .unwrap();
+            assert!(!warm);
+        }
+        assert_eq!(session.prepare_hits(), 2);
+        session
+            .diagnose(&request(1, 2), Parallelism::Sequential, ChaosPolicy::off())
+            .unwrap();
+        assert_eq!(session.prepare_hits(), 2);
+        assert_eq!(session.cached_prepares(), MAX_CACHED_PREPARES);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Tests and test-sets (Definition 1 of the paper) and their generation.
 
 use gatediag_netlist::{Circuit, GateId, VectorGen};
-use gatediag_sim::{pack_vectors_into, PackedSim};
+use gatediag_sim::PackedSim;
 
 /// A diagnosis test: the triple `(t, o, v)` of Definition 1.
 ///
@@ -99,9 +99,13 @@ impl<'a> IntoIterator for &'a TestSet {
 /// Generates `want` failing tests by random simulation of the golden and
 /// faulty circuit pair.
 ///
-/// Random vectors are simulated 64-at-a-time on both circuits; every
-/// (vector, output) pair on which they disagree yields a [`Test`] whose
-/// `expected` value comes from the golden circuit. The returned set is
+/// Random vectors are drawn straight into packed input words, 512 per
+/// batch, and each batch is one sweep of both circuits. The golden and
+/// faulty output words are XORed and ORed into one "some output differs"
+/// mask per word; only the set lanes of that mask are unpacked. Every
+/// (vector, output) pair on which the circuits disagree yields a [`Test`]
+/// whose `expected` value comes from the golden circuit, in vector order
+/// and then `circuit.outputs()` order. The returned set is
 /// duplicate-free: the random generator may repeat a vector, but each
 /// distinct `(vector, output)` failure is reported once, at its first
 /// occurrence. Returns fewer than `want` tests if `max_vectors` random
@@ -155,32 +159,49 @@ pub fn generate_failing_tests(
     let mut golden_sim = PackedSim::new(golden);
     let mut faulty_sim = PackedSim::new(faulty);
     let mut packed = Vec::new();
+    let mut differs = Vec::new();
     while tests.len() < want && tried < max_vectors {
-        let batch: Vec<Vec<bool>> = (0..BATCH.min(max_vectors - tried))
-            .map(|_| gen.next_vector())
-            .collect();
-        tried += batch.len();
-        let words = pack_vectors_into(golden, &batch, &mut packed);
+        let n = BATCH.min(max_vectors - tried);
+        tried += n;
+        let words = gen.next_packed(n, &mut packed);
         golden_sim.reset(words);
         golden_sim.set_input_words(&packed);
         golden_sim.sweep();
         faulty_sim.reset(words);
         faulty_sim.set_input_words(&packed);
         faulty_sim.sweep();
-        for (lane, vector) in batch.iter().enumerate() {
-            if tests.len() >= want {
-                break;
+        differs.clear();
+        differs.resize(words, 0u64);
+        for &o in golden.outputs() {
+            let g = golden_sim.value_words(o);
+            let f = faulty_sim.value_words(o);
+            for (d, (g, f)) in differs.iter_mut().zip(g.iter().zip(f)) {
+                *d |= g ^ f;
             }
-            for &o in golden.outputs() {
-                let g = golden_sim.lane(o, lane);
-                if g != faulty_sim.lane(o, lane) && seen.insert((vector.clone(), o)) {
-                    tests.push(Test {
-                        vector: vector.clone(),
-                        output: o,
-                        expected: g,
-                    });
-                    if tests.len() >= want {
-                        break;
+        }
+        // Lanes past `n` carry all-zero inputs that were never drawn.
+        if !n.is_multiple_of(64) {
+            differs[words - 1] &= (1u64 << (n % 64)) - 1;
+        }
+        'batch: for (w, &mask) in differs.iter().enumerate() {
+            let mut bits = mask;
+            while bits != 0 {
+                let lane = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let vector: Vec<bool> = (0..golden.inputs().len())
+                    .map(|i| packed[i * words + w] >> (lane % 64) & 1 == 1)
+                    .collect();
+                for &o in golden.outputs() {
+                    let g = golden_sim.lane(o, lane);
+                    if g != faulty_sim.lane(o, lane) && seen.insert((vector.clone(), o)) {
+                        tests.push(Test {
+                            vector: vector.clone(),
+                            output: o,
+                            expected: g,
+                        });
+                        if tests.len() >= want {
+                            break 'batch;
+                        }
                     }
                 }
             }

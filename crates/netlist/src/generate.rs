@@ -11,8 +11,7 @@
 use crate::circuit::{Circuit, CircuitBuilder};
 use crate::gate::{GateId, GateKind};
 use rand::distributions::{Distribution, WeightedIndex};
-use rand::Rng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Parameters for the seeded random circuit generator.
@@ -433,6 +432,30 @@ impl VectorGen {
     pub fn next_vector(&mut self) -> Vec<bool> {
         (0..self.width).map(|_| self.rng.gen_bool(0.5)).collect()
     }
+
+    /// Draws the next `n` vectors straight into packed input words,
+    /// reusing `out`; returns `W = ceil(n / 64)` (at least 1).
+    ///
+    /// The layout is input-major, the one `PackedSim::set_input_words`
+    /// consumes: input `i`'s words are `out[i * W .. (i + 1) * W]`, vector
+    /// `p` at bit `p % 64` of word `p / 64`. Lanes past `n` are zero. The
+    /// draw order is that of `n` calls to [`VectorGen::next_vector`]
+    /// (vector-major, input-minor), so the random stream and every vector
+    /// are identical; only the `Vec<bool>` per vector is skipped.
+    pub fn next_packed(&mut self, n: usize, out: &mut Vec<u64>) -> usize {
+        let words = n.div_ceil(64).max(1);
+        out.clear();
+        out.resize(self.width * words, 0);
+        for p in 0..n {
+            let (word, shift) = (p / 64, p % 64);
+            for i in 0..self.width {
+                // `gen_bool(0.5)` is true exactly when the top bit of its
+                // one 64-bit draw is clear.
+                out[i * words + word] |= (!self.rng.next_u64() >> 63) << shift;
+            }
+        }
+        words
+    }
 }
 
 #[cfg(test)]
@@ -546,5 +569,31 @@ mod tests {
         let mut g2 = VectorGen::new(&c, 5);
         assert_eq!(g1.next_vector(), g2.next_vector());
         assert_eq!(g1.next_vector().len(), 5);
+    }
+
+    #[test]
+    fn next_packed_matches_next_vector_stream() {
+        let c = c17();
+        for n in [1usize, 63, 64, 65, 130] {
+            let mut scalar = VectorGen::new(&c, 9);
+            let mut packed = VectorGen::new(&c, 9);
+            let vectors: Vec<Vec<bool>> = (0..n).map(|_| scalar.next_vector()).collect();
+            let mut out = Vec::new();
+            let words = packed.next_packed(n, &mut out);
+            assert_eq!(words, n.div_ceil(64));
+            for (p, v) in vectors.iter().enumerate() {
+                for (i, &bit) in v.iter().enumerate() {
+                    assert_eq!(out[i * words + p / 64] >> (p % 64) & 1 == 1, bit);
+                }
+            }
+            // Unused lanes of the last word stay zero.
+            if !n.is_multiple_of(64) {
+                for i in 0..c.inputs().len() {
+                    assert_eq!(out[i * words + words - 1] >> (n % 64), 0);
+                }
+            }
+            // Both generators continue on the same stream.
+            assert_eq!(scalar.next_vector(), packed.next_vector());
+        }
     }
 }

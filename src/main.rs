@@ -119,7 +119,8 @@ CAMPAIGN OPTIONS:
                     running (atomic tmp+rename; feed it back through
                     --resume after a crash)
   --checkpoint-every N
-                    instances between autosaves (default 16)
+                    autosave at the first cell boundary after N more
+                    resolved instances (default 16)
   --retry-attempts N  max attempts per instance before recording it as
                     `failed` (default 2)
   --retry-backoff-ms N  base backoff between attempts, doubling per

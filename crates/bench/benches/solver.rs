@@ -1,16 +1,9 @@
 //! SAT solver microbenchmarks: the BCP/learning engine that replaces
-//! Zchaff in this reproduction.
-//!
-//! Each workload runs twice — on the production [`Solver`] (CSR flat
-//! watch lists + binary fast path) and on the [`LegacySolver`] baseline
-//! (the seed's `Vec<Vec<Watcher>>` scheme) — so the flattening shows up
-//! as a direct A/B on identical instances. `bench_pr3` publishes the
-//! same comparison as JSON.
+//! Zchaff in this reproduction. `bench_pr3` publishes the same workloads
+//! as JSON.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use gatediag_bench::solver_workloads::{
-    load_flat as load, load_legacy, pigeonhole, random_3sat, PROBE_SEED,
-};
+use gatediag_bench::solver_workloads::{load, pigeonhole, random_3sat, PROBE_SEED};
 use gatediag_sat::{SolveResult, Var};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -29,13 +22,6 @@ fn bench_solver(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    group.bench_function("pigeonhole_8_7_unsat_legacy", |b| {
-        b.iter_batched(
-            || load_legacy(nv, &php),
-            |mut s| assert_eq!(s.solve(&[]), SolveResult::Unsat),
-            BatchSize::SmallInput,
-        )
-    });
 
     // Near the 3-SAT phase transition (ratio ~4.26).
     let (nv, sat_i) = random_3sat(150, 600, 7);
@@ -49,36 +35,12 @@ fn bench_solver(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    group.bench_function("random3sat_150v_600c_legacy", |b| {
-        b.iter_batched(
-            || load_legacy(nv, &sat_i),
-            |mut s| {
-                let r = s.solve(&[]);
-                assert_ne!(r, SolveResult::Unknown);
-            },
-            BatchSize::SmallInput,
-        )
-    });
 
     // Incremental pattern: one instance, many assumption probes.
     group.bench_function("incremental_100_assumption_probes", |b| {
         let (nv, inst) = random_3sat(120, 430, 9);
         b.iter_batched(
             || load(nv, &inst),
-            |mut s| {
-                let mut rng = ChaCha8Rng::seed_from_u64(PROBE_SEED);
-                for _ in 0..100 {
-                    let a = Var::from_index(rng.gen_range(0..120)).lit(rng.gen_bool(0.5));
-                    let _ = s.solve(&[a]);
-                }
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("incremental_100_assumption_probes_legacy", |b| {
-        let (nv, inst) = random_3sat(120, 430, 9);
-        b.iter_batched(
-            || load_legacy(nv, &inst),
             |mut s| {
                 let mut rng = ChaCha8Rng::seed_from_u64(PROBE_SEED);
                 for _ in 0..100 {

@@ -16,10 +16,10 @@
 //!   BSIM, parallel candidate screening, the reusable validity engine),
 //!   with bit-identity asserted between every worker count before any
 //!   number is published;
-//! * `bench_pr3` — emits `BENCH_PR3.json`, the SAT-side numbers: the
-//!   flat-watcher solver vs the `LegacySolver` baseline on the
-//!   [`solver_workloads`], and per-worker BSAT / validity-`_sat`
-//!   scaling, again bit-identity-asserted first.
+//! * `bench_pr3` — emits `BENCH_PR3.json`, the SAT-side numbers: solver
+//!   throughput on the [`solver_workloads`] (each search asserted
+//!   against pinned conflict and propagation counts), and per-worker
+//!   BSAT / validity-`_sat` scaling, again bit-identity-asserted first.
 //!
 //! Criterion benchmarks (`cargo bench -p gatediag-bench`): `solver`,
 //! `sim` (including the `PackedSim` multi-word and incremental groups),

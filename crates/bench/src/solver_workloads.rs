@@ -1,12 +1,11 @@
 //! The shared SAT solver workloads measured by both the `solver`
 //! criterion bench and the `bench_pr3` JSON emitter.
 //!
-//! Keeping the generators (and the instance loaders) in one place is what
-//! makes `BENCH_PR3.json`'s flat-vs-legacy comparison an exact mirror of
-//! `benches/solver.rs`: a parameter tweak in either consumer is a tweak
-//! in both.
+//! Keeping the generators (and the instance loader) in one place keeps
+//! `bench_pr3`'s numbers an exact mirror of `benches/solver.rs`: a
+//! parameter tweak in either consumer is a tweak in both.
 
-use gatediag_sat::{LegacySolver, Lit, Solver, Var};
+use gatediag_sat::{Lit, Solver, Var};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -45,21 +44,9 @@ pub fn random_3sat(num_vars: usize, num_clauses: usize, seed: u64) -> (usize, Ve
     (num_vars, clauses)
 }
 
-/// Loads an instance into the production (flat-watcher) solver.
-pub fn load_flat(num_vars: usize, clauses: &[Vec<Lit>]) -> Solver {
+/// Loads an instance into a fresh [`Solver`].
+pub fn load(num_vars: usize, clauses: &[Vec<Lit>]) -> Solver {
     let mut solver = Solver::new();
-    for _ in 0..num_vars {
-        solver.new_var();
-    }
-    for clause in clauses {
-        solver.add_clause(clause);
-    }
-    solver
-}
-
-/// Loads an instance into the `Vec<Vec<Watcher>>` baseline solver.
-pub fn load_legacy(num_vars: usize, clauses: &[Vec<Lit>]) -> LegacySolver {
-    let mut solver = LegacySolver::new();
     for _ in 0..num_vars {
         solver.new_var();
     }

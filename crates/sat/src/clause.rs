@@ -89,31 +89,35 @@ impl ClauseDb {
         }
     }
 
-    fn payload_start(&self, c: CRef) -> usize {
-        c.0 as usize + 1 + self.is_learnt(c) as usize
-    }
-
     fn total_words(&self, c: CRef) -> usize {
         1 + self.is_learnt(c) as usize + self.size(c)
+    }
+
+    /// The payload's word range, from one header read.
+    #[inline]
+    fn payload(&self, c: CRef) -> std::ops::Range<usize> {
+        let at = c.0 as usize;
+        let header = self.buf[at];
+        let start = at + 1 + (header & LEARNT_BIT) as usize;
+        start..start + (header >> SIZE_SHIFT) as usize
     }
 
     /// The clause's literals.
     #[inline]
     pub fn lits(&self, c: CRef) -> &[Lit] {
-        let start = self.payload_start(c);
-        let size = self.size(c);
+        let words = &self.buf[self.payload(c)];
         // SAFETY: `Lit` is `#[repr(transparent)]` over `u32` and every code
         // stored in the payload came from `Lit::code`.
-        unsafe { std::mem::transmute::<&[u32], &[Lit]>(&self.buf[start..start + size]) }
+        unsafe { std::mem::transmute::<&[u32], &[Lit]>(words) }
     }
 
     /// Mutable access to the clause's literals (for watch reordering).
     #[inline]
     pub fn lits_mut(&mut self, c: CRef) -> &mut [Lit] {
-        let start = self.payload_start(c);
-        let size = self.size(c);
+        let range = self.payload(c);
+        let words = &mut self.buf[range];
         // SAFETY: as in `lits`; mutation writes only valid literal codes.
-        unsafe { std::mem::transmute::<&mut [u32], &mut [Lit]>(&mut self.buf[start..start + size]) }
+        unsafe { std::mem::transmute::<&mut [u32], &mut [Lit]>(words) }
     }
 
     /// Learnt-clause activity.

@@ -2,14 +2,30 @@
 
 use crate::lit::Var;
 
-/// A binary max-heap of variables keyed by an external activity array.
+/// A binary max-heap of variables keyed by VSIDS activity.
+///
+/// Each slot caches its variable's key next to the variable (`heap[i]`
+/// holds a variable and its activity), so the sift loops compare
+/// neighbouring memory instead of chasing `activity[heap[j]]`. The
+/// solver keeps the cache exact: every activity change goes through
+/// [`VarHeap::update`] or [`VarHeap::scale`], which apply the same
+/// floating-point operation the activity array sees, so every comparison
+/// — and hence the tie-breaking and the pop order — is the one an
+/// uncached heap over the activity array would make.
 ///
 /// The heap stores positions per variable so that activity increases can
-/// re-sift a contained variable in `O(log n)` ([`VarHeap::update`]).
+/// re-sift a contained variable in `O(log n)`.
 #[derive(Clone, Debug, Default)]
 pub struct VarHeap {
-    heap: Vec<Var>,
+    heap: Vec<Slot>,
     position: Vec<i32>, // -1 when absent
+}
+
+/// A heap slot: a variable and its cached activity.
+#[derive(Copy, Clone, Debug)]
+struct Slot {
+    key: f64,
+    var: Var,
 }
 
 impl VarHeap {
@@ -39,82 +55,111 @@ impl VarHeap {
     }
 
     /// `true` if `var` is in the heap.
+    #[inline]
     pub fn contains(&self, var: Var) -> bool {
         self.position[var.index()] >= 0
     }
 
-    fn sift_up(&mut self, mut pos: usize, activity: &[f64]) {
-        let var = self.heap[pos];
+    /// Moves the hole at `pos` towards the root until `slot`'s key fits,
+    /// then places `slot` there.
+    fn sift_up(&mut self, mut pos: usize, slot: Slot) {
         while pos > 0 {
             let parent = (pos - 1) / 2;
-            if activity[self.heap[parent].index()] >= activity[var.index()] {
+            let moved = self.heap[parent];
+            if moved.key >= slot.key {
                 break;
             }
-            self.heap[pos] = self.heap[parent];
-            self.position[self.heap[pos].index()] = pos as i32;
+            self.heap[pos] = moved;
+            self.position[moved.var.index()] = pos as i32;
             pos = parent;
         }
-        self.heap[pos] = var;
-        self.position[var.index()] = pos as i32;
+        self.heap[pos] = slot;
+        self.position[slot.var.index()] = pos as i32;
     }
 
-    fn sift_down(&mut self, mut pos: usize, activity: &[f64]) {
-        let var = self.heap[pos];
+    /// Moves the hole at `pos` towards the leaves until `slot`'s key
+    /// fits, then places `slot` there.
+    ///
+    /// The larger child is chosen arithmetically rather than by a branch
+    /// (a coin flip the predictor cannot learn); a right child wins only
+    /// when strictly larger, so ties go left as in any textbook heap.
+    fn sift_down(&mut self, mut pos: usize, slot: Slot) {
         let len = self.heap.len();
         loop {
             let left = 2 * pos + 1;
-            if left >= len {
-                break;
-            }
-            let right = left + 1;
-            let child = if right < len
-                && activity[self.heap[right].index()] > activity[self.heap[left].index()]
-            {
-                right
-            } else {
+            let child = if left + 1 < len {
+                left + usize::from(self.heap[left + 1].key > self.heap[left].key)
+            } else if left < len {
                 left
+            } else {
+                break;
             };
-            if activity[self.heap[child].index()] <= activity[var.index()] {
+            let moved = self.heap[child];
+            if moved.key <= slot.key {
                 break;
             }
-            self.heap[pos] = self.heap[child];
-            self.position[self.heap[pos].index()] = pos as i32;
+            self.heap[pos] = moved;
+            self.position[moved.var.index()] = pos as i32;
             pos = child;
         }
-        self.heap[pos] = var;
-        self.position[var.index()] = pos as i32;
+        self.heap[pos] = slot;
+        self.position[slot.var.index()] = pos as i32;
     }
 
-    /// Inserts `var` if absent.
-    pub fn insert(&mut self, var: Var, activity: &[f64]) {
-        self.grow(var.index() + 1);
-        if !self.contains(var) {
-            self.position[var.index()] = self.heap.len() as i32;
-            self.heap.push(var);
-            self.sift_up(self.heap.len() - 1, activity);
+    /// Inserts `var` with activity `key` if absent. `var` must be covered
+    /// by [`VarHeap::grow`].
+    #[inline]
+    pub fn insert(&mut self, var: Var, key: f64) {
+        if self.contains(var) {
+            return;
+        }
+        let pos = self.heap.len();
+        let slot = Slot { key, var };
+        self.heap.push(slot);
+        // Fast path: most inserts (backtracking re-inserts, fresh
+        // variables) carry a key no larger than their parent's — e.g. the
+        // zero activity of a never-bumped variable — and stay at the end.
+        if pos == 0 || self.heap[(pos - 1) / 2].key >= key {
+            self.position[var.index()] = pos as i32;
+        } else {
+            self.sift_up(pos, slot);
         }
     }
 
-    /// Restores heap order after `var`'s activity increased.
-    pub fn update(&mut self, var: Var, activity: &[f64]) {
+    /// Records that `var`'s activity increased to `key` and restores heap
+    /// order; a no-op when `var` is absent.
+    pub fn update(&mut self, var: Var, key: f64) {
         if self.contains(var) {
             let pos = self.position[var.index()] as usize;
-            self.sift_up(pos, activity);
+            self.sift_up(pos, Slot { key, var });
         }
+    }
+
+    /// Multiplies every cached key by `factor` — the activity rescale,
+    /// applied with the same operation so keys stay bit-identical to the
+    /// activities.
+    pub fn scale(&mut self, factor: f64) {
+        for slot in &mut self.heap {
+            slot.key *= factor;
+        }
+    }
+
+    /// Removes every variable.
+    pub fn clear(&mut self) {
+        for slot in &self.heap {
+            self.position[slot.var.index()] = -1;
+        }
+        self.heap.clear();
     }
 
     /// Pops the variable with maximal activity.
-    pub fn pop(&mut self, activity: &[f64]) -> Option<Var> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let top = self.heap[0];
+    #[inline]
+    pub fn pop(&mut self) -> Option<Var> {
+        let top = self.heap.first()?.var;
         self.position[top.index()] = -1;
         let last = self.heap.pop().expect("non-empty");
         if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.position[last.index()] = 0;
-            self.sift_down(0, activity);
+            self.sift_down(0, last);
         }
         Some(top)
     }
@@ -128,15 +173,20 @@ mod tests {
         Var::from_index(i)
     }
 
+    fn filled(activity: &[f64]) -> VarHeap {
+        let mut heap = VarHeap::new();
+        heap.grow(activity.len());
+        for (i, &a) in activity.iter().enumerate() {
+            heap.insert(v(i), a);
+        }
+        heap
+    }
+
     #[test]
     fn pops_in_activity_order() {
-        let activity = vec![0.5, 3.0, 1.0, 2.0];
-        let mut heap = VarHeap::new();
-        for i in 0..4 {
-            heap.insert(v(i), &activity);
-        }
+        let mut heap = filled(&[0.5, 3.0, 1.0, 2.0]);
         assert_eq!(heap.len(), 4);
-        let order: Vec<usize> = std::iter::from_fn(|| heap.pop(&activity))
+        let order: Vec<usize> = std::iter::from_fn(|| heap.pop())
             .map(|x| x.index())
             .collect();
         assert_eq!(order, vec![1, 3, 2, 0]);
@@ -145,34 +195,32 @@ mod tests {
 
     #[test]
     fn insert_is_idempotent() {
-        let activity = vec![1.0, 2.0];
-        let mut heap = VarHeap::new();
-        heap.insert(v(0), &activity);
-        heap.insert(v(0), &activity);
+        let mut heap = filled(&[1.0, 2.0]);
+        heap.insert(v(0), 1.0);
+        assert_eq!(heap.len(), 2);
+        assert_eq!(heap.pop(), Some(v(1)));
+        heap.insert(v(0), 1.0);
         assert_eq!(heap.len(), 1);
     }
 
     #[test]
     fn update_resifts() {
-        let mut activity = vec![1.0, 2.0, 3.0];
-        let mut heap = VarHeap::new();
-        for i in 0..3 {
-            heap.insert(v(i), &activity);
-        }
-        activity[0] = 10.0;
-        heap.update(v(0), &activity);
-        assert_eq!(heap.pop(&activity), Some(v(0)));
+        let mut heap = filled(&[1.0, 2.0, 3.0]);
+        heap.update(v(0), 10.0);
+        assert_eq!(heap.pop(), Some(v(0)));
+        // Scaling keeps the order.
+        heap.scale(1e-100);
+        assert_eq!(heap.pop(), Some(v(2)));
     }
 
     #[test]
     fn contains_tracks_membership() {
-        let activity = vec![1.0];
         let mut heap = VarHeap::new();
         heap.grow(1);
         assert!(!heap.contains(v(0)));
-        heap.insert(v(0), &activity);
+        heap.insert(v(0), 1.0);
         assert!(heap.contains(v(0)));
-        heap.pop(&activity);
+        heap.pop();
         assert!(!heap.contains(v(0)));
     }
 
@@ -183,21 +231,13 @@ mod tests {
         for _ in 0..20 {
             let n = rng.gen_range(1..50);
             let activity: Vec<f64> = (0..n).map(|_| rng.gen::<f64>()).collect();
-            let mut heap = VarHeap::new();
-            for i in 0..n {
-                heap.insert(v(i), &activity);
-            }
-            let mut popped: Vec<f64> = std::iter::from_fn(|| heap.pop(&activity))
+            let mut heap = filled(&activity);
+            let popped: Vec<f64> = std::iter::from_fn(|| heap.pop())
                 .map(|x| activity[x.index()])
                 .collect();
             let mut sorted = popped.clone();
             sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
-            assert_eq!(popped.len(), n);
-            assert!(popped
-                .iter()
-                .zip(&sorted)
-                .all(|(a, b)| (a - b).abs() < 1e-12));
-            popped.clear();
+            assert_eq!(popped, sorted);
         }
     }
 }

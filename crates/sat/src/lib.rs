@@ -70,18 +70,17 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod clause;
 mod dimacs;
 mod enumerate;
 mod heap;
-pub mod legacy;
 mod lit;
 pub mod reference;
 mod solver;
 
 pub use dimacs::{parse_dimacs, write_dimacs};
 pub use enumerate::{enumerate_positive_subsets, EnumOutcome};
-pub use legacy::LegacySolver;
 pub use lit::{LBool, Lit, Var};
 pub use solver::{SolveResult, Solver, SolverStats};

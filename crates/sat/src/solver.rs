@@ -1,6 +1,22 @@
 //! The CDCL solver: watched-literal propagation, 1UIP learning, VSIDS,
 //! phase saving, Luby restarts, learnt-clause reduction and incremental
 //! solving under assumptions.
+//!
+//! # Exactness contract
+//!
+//! The search this solver performs is part of the crate's observable
+//! behaviour, not an implementation detail: campaign records carry every
+//! [`SolverStats`] field per instance, served responses carry the
+//! conflict count, and truncated model enumerations report whichever
+//! models the search meets first. Optimisations of this file must
+//! therefore keep every `solve()` bit-identical — result, model,
+//! [`Solver::failed_assumptions`] and all statistics. That pins, among
+//! other things, the literal order inside stored clauses (watch swaps,
+//! the binary `lits[0]` normalisation), the VSIDS heap's tie-breaking,
+//! the order of backtracking re-inserts and the learnt-clause ranking. A
+//! heuristic change (phases, restarts, clause-database policy) is a
+//! behaviour change and needs a deliberate re-pin of everything that
+//! depends on it.
 
 use crate::clause::{CRef, ClauseDb};
 use crate::heap::VarHeap;
@@ -28,7 +44,10 @@ pub struct SolverStats {
     pub propagations: u64,
     /// Restarts performed.
     pub restarts: u64,
-    /// Learnt clauses currently in the database.
+    /// Learnt clauses currently in the database — a gauge, not a
+    /// counter: [`Solver::stats`] reads it off the database, so it falls
+    /// when a reduction removes clauses (see `removed_clauses`). Learnt
+    /// units are enqueued at the root instead of stored and never count.
     pub learnt_clauses: u64,
     /// Learnt clauses removed by database reductions.
     pub removed_clauses: u64,
@@ -54,48 +73,19 @@ impl SolverStats {
     }
 
     /// Charges the delta from `before` to `self` to the observability
-    /// layer's deterministic counters — called once per `solve()` so the
-    /// search loop itself carries no instrumentation. `names` picks the
-    /// counter namespace (`sat.*` for [`Solver`], `sat.legacy.*` for the
-    /// A/B baseline).
-    fn charge_obs(&self, before: &SolverStats, names: &[&'static str; 7]) {
-        gatediag_obs::count(names[0], 1);
-        gatediag_obs::count(names[1], self.conflicts - before.conflicts);
-        gatediag_obs::count(names[2], self.decisions - before.decisions);
-        gatediag_obs::count(names[3], self.propagations - before.propagations);
-        gatediag_obs::count(names[4], self.restarts - before.restarts);
-        gatediag_obs::count(names[5], self.removed_clauses - before.removed_clauses);
-        gatediag_obs::count(names[6], self.gc_runs - before.gc_runs);
-    }
-
-    pub(crate) fn charge_solve(&self, before: &SolverStats) {
-        self.charge_obs(
-            before,
-            &[
-                "sat.solves",
-                "sat.conflicts",
-                "sat.decisions",
-                "sat.propagations",
-                "sat.restarts",
-                "sat.removed_clauses",
-                "sat.gc_runs",
-            ],
+    /// layer's deterministic `sat.*` counters — called once per `solve()`
+    /// so the search loop itself carries no instrumentation.
+    fn charge_solve(&self, before: &SolverStats) {
+        gatediag_obs::count("sat.solves", 1);
+        gatediag_obs::count("sat.conflicts", self.conflicts - before.conflicts);
+        gatediag_obs::count("sat.decisions", self.decisions - before.decisions);
+        gatediag_obs::count("sat.propagations", self.propagations - before.propagations);
+        gatediag_obs::count("sat.restarts", self.restarts - before.restarts);
+        gatediag_obs::count(
+            "sat.removed_clauses",
+            self.removed_clauses - before.removed_clauses,
         );
-    }
-
-    pub(crate) fn charge_legacy_solve(&self, before: &SolverStats) {
-        self.charge_obs(
-            before,
-            &[
-                "sat.legacy.solves",
-                "sat.legacy.conflicts",
-                "sat.legacy.decisions",
-                "sat.legacy.propagations",
-                "sat.legacy.restarts",
-                "sat.legacy.removed_clauses",
-                "sat.legacy.gc_runs",
-            ],
-        );
+        gatediag_obs::count("sat.gc_runs", self.gc_runs - before.gc_runs);
     }
 }
 
@@ -114,64 +104,82 @@ impl Watcher {
 }
 
 /// CSR-style flat watcher lists: one contiguous `Watcher` buffer with a
-/// per-literal `(start, len, cap)` region, replacing the seed's
-/// `Vec<Vec<Watcher>>` (one heap allocation per literal, pointer-chased
-/// on every propagation — see [`crate::legacy::LegacySolver`]).
+/// per-literal `(start, len, cap)` region, so propagation scans one
+/// contiguous slice per literal instead of chasing a per-literal heap
+/// allocation.
 ///
 /// A region that outgrows its capacity is relocated to the end of the
 /// buffer with doubled capacity (amortised O(1) push, like `Vec`); the
 /// abandoned slots are tracked in `wasted` and reclaimed when the solver
 /// rebuilds the lists during clause-arena garbage collection
 /// ([`WatchLists::rebuild_exact`] lays the regions back out tightly in
-/// literal order). Relocation never moves *other* regions, so propagation
-/// may push watchers onto other literals' lists mid-scan while holding
-/// only `(start, len)` indices into its own region.
+/// literal order). Relocation never moves *other* regions and the buffer
+/// never shrinks between rebuilds, so propagation may push watchers onto
+/// other literals' lists mid-scan while holding only `(start, len)`
+/// indices into its own region.
 #[derive(Clone, Debug, Default)]
 struct WatchLists {
     buf: Vec<Watcher>,
-    start: Vec<u32>,
-    len: Vec<u32>,
-    cap: Vec<u32>,
+    regions: Vec<Region>,
     wasted: usize,
+}
+
+/// One literal's slots in [`WatchLists::buf`]: `start..start + cap`,
+/// the first `len` in use. Kept together so a lookup is one load.
+#[derive(Copy, Clone, Debug, Default)]
+struct Region {
+    start: u32,
+    len: u32,
+    cap: u32,
 }
 
 impl WatchLists {
     /// Registers one more literal code (empty region, grown on first push).
     fn add_literal(&mut self) {
-        self.start.push(0);
-        self.len.push(0);
-        self.cap.push(0);
+        self.regions.push(Region::default());
     }
 
     #[inline]
     fn region(&self, code: usize) -> (usize, usize) {
-        (self.start[code] as usize, self.len[code] as usize)
+        let r = self.regions[code];
+        (r.start as usize, r.len as usize)
+    }
+
+    /// Truncates `code`'s region to its first `len` watchers.
+    #[inline]
+    fn set_len(&mut self, code: usize, len: usize) {
+        self.regions[code].len = len as u32;
     }
 
     /// Appends a watcher to `code`'s region, relocating it if full.
     #[inline]
     fn push(&mut self, code: usize, w: Watcher) {
-        if self.len[code] == self.cap[code] {
-            self.grow(code);
+        let mut r = self.regions[code];
+        if r.len == r.cap {
+            r = self.grow(code);
         }
-        let at = (self.start[code] + self.len[code]) as usize;
-        self.buf[at] = w;
-        self.len[code] += 1;
+        self.buf[(r.start + r.len) as usize] = w;
+        self.regions[code].len = r.len + 1;
     }
 
     /// Relocates `code`'s region to the end of the buffer with doubled
     /// capacity, abandoning the old slots until the next rebuild.
     #[cold]
-    fn grow(&mut self, code: usize) {
-        let (s, l) = self.region(code);
-        let new_cap = (self.cap[code] * 2).max(4);
+    fn grow(&mut self, code: usize) -> Region {
+        let r = self.regions[code];
+        let (s, l) = (r.start as usize, r.len as usize);
+        let new_cap = (r.cap * 2).max(4);
         let new_start = self.buf.len();
         self.buf.extend_from_within(s..s + l);
         self.buf
             .resize(new_start + new_cap as usize, Watcher::DUMMY);
-        self.wasted += self.cap[code] as usize;
-        self.start[code] = new_start as u32;
-        self.cap[code] = new_cap;
+        self.wasted += r.cap as usize;
+        self.regions[code] = Region {
+            start: new_start as u32,
+            len: r.len,
+            cap: new_cap,
+        };
+        self.regions[code]
     }
 
     /// Removes every watcher of `cref` from `code`'s region.
@@ -185,19 +193,21 @@ impl WatchLists {
                 keep += 1;
             }
         }
-        self.len[code] = keep as u32;
+        self.set_len(code, keep);
     }
 
     /// Lays the lists back out tightly: region `code` gets exactly
     /// `counts[code]` slots at consecutive offsets, all lengths zeroed for
     /// re-attachment. Reclaims all waste (the GC compaction step).
     fn rebuild_exact(&mut self, counts: &[u32]) {
-        debug_assert_eq!(counts.len(), self.start.len());
+        debug_assert_eq!(counts.len(), self.regions.len());
         let mut offset = 0u32;
-        for (code, &count) in counts.iter().enumerate() {
-            self.start[code] = offset;
-            self.len[code] = 0;
-            self.cap[code] = count;
+        for (region, &count) in self.regions.iter_mut().zip(counts) {
+            *region = Region {
+                start: offset,
+                len: 0,
+                cap: count,
+            };
             offset += count;
         }
         self.buf.clear();
@@ -214,6 +224,50 @@ const VAR_DECAY: f64 = 0.95;
 const CLA_DECAY: f64 = 0.999;
 const RESCALE_LIMIT: f64 = 1e100;
 const RESTART_BASE: u64 = 100;
+
+/// Why and where a variable was assigned. Meaningful only while the
+/// variable is assigned (see [`Solver::cancel_until`]); kept together
+/// because assignment writes both and conflict analysis reads both.
+#[derive(Copy, Clone, Debug)]
+struct VarData {
+    /// The clause that implied the variable; `UNDEF` for decisions,
+    /// assumptions and root units.
+    reason: CRef,
+    /// The decision level of the assignment.
+    level: u32,
+}
+
+/// Assigns `lit` true at decision level `level` with `reason`: both
+/// polarities' entries of the value table, the variable's [`VarData`]
+/// and the trail. Shared by [`Solver::unchecked_enqueue`] and the
+/// propagation loop, which holds split borrows of the solver.
+#[inline(always)]
+fn assign(
+    vals: &mut [LBool],
+    vardata: &mut [VarData],
+    trail: &mut Vec<Lit>,
+    lit: Lit,
+    reason: CRef,
+    level: u32,
+) {
+    debug_assert_eq!(vals[lit.code()], LBool::Undef);
+    vals[lit.code()] = LBool::True;
+    vals[(!lit).code()] = LBool::False;
+    vardata[lit.var().index()] = VarData { reason, level };
+    trail.push(lit);
+}
+
+/// The value of a literal stored in a watcher or in the clause arena.
+///
+/// Every stored literal went through [`Solver::add_clause`]'s checked
+/// value lookup, or was copied from one that did (learnt clauses are
+/// built from stored literals), so its code indexes inside the table.
+#[inline(always)]
+fn stored_value(vals: &[LBool], lit: Lit) -> LBool {
+    debug_assert!(lit.code() < vals.len());
+    // SAFETY: stored literals index inside the table, see above.
+    unsafe { *vals.get_unchecked(lit.code()) }
+}
 
 /// An incremental CDCL SAT solver.
 ///
@@ -247,9 +301,13 @@ pub struct Solver {
     watches: WatchLists,
     /// Flat CSR watch lists for binary clauses; the watcher's `blocker` is
     /// the *other* literal, so propagation needs no clause-arena access on
-    /// the scan (only on enqueue/conflict, to normalise `lits[0]`).
+    /// the scan (only on enqueue, to normalise `lits[0]`).
     bin_watches: WatchLists,
-    assigns: Vec<LBool>,
+    /// The current assignment as a per-*literal* value table indexed by
+    /// [`Lit::code`]: assigning or unassigning a variable writes both of
+    /// its entries, so reading a literal's value is one load with no
+    /// polarity branch. A variable's own value is its positive entry.
+    vals: Vec<LBool>,
     polarity: Vec<bool>,
     activity: Vec<f64>,
     var_inc: f64,
@@ -258,8 +316,7 @@ pub struct Solver {
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
-    reason: Vec<CRef>,
-    level: Vec<u32>,
+    vardata: Vec<VarData>,
     seen: Vec<bool>,
     ok: bool,
     model: Vec<LBool>,
@@ -269,6 +326,10 @@ pub struct Solver {
     conflict_budget: Option<u64>,
     deadline: Option<std::time::Instant>,
     deadline_hit: bool,
+    /// Scratch for [`Solver::add_clause`] (sort, dedup, filter).
+    clause_buf: Vec<Lit>,
+    /// Scratch for [`Solver::analyze`]: the clause being learnt.
+    learnt: Vec<Lit>,
 }
 
 impl Solver {
@@ -285,24 +346,28 @@ impl Solver {
 
     /// Creates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let var = Var::from_index(self.assigns.len());
-        self.assigns.push(LBool::Undef);
+        let var = Var::from_index(self.num_vars());
+        self.vals.push(LBool::Undef);
+        self.vals.push(LBool::Undef);
         self.polarity.push(false);
         self.activity.push(0.0);
-        self.reason.push(CRef::UNDEF);
-        self.level.push(0);
+        self.vardata.push(VarData {
+            reason: CRef::UNDEF,
+            level: 0,
+        });
         self.seen.push(false);
         for _ in 0..2 {
             self.watches.add_literal();
             self.bin_watches.add_literal();
         }
-        self.order.insert(var, &self.activity);
+        self.order.grow(var.index() + 1);
+        self.order.insert(var, 0.0);
         var
     }
 
     /// Number of variables created.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.activity.len()
     }
 
     /// Number of problem (non-learnt) clauses.
@@ -310,7 +375,8 @@ impl Solver {
         self.clauses.len()
     }
 
-    /// Search statistics so far.
+    /// Search statistics so far. `learnt_clauses` is the current size of
+    /// the learnt-clause database.
     pub fn stats(&self) -> SolverStats {
         SolverStats {
             learnt_clauses: self.learnts.len() as u64,
@@ -361,13 +427,13 @@ impl Solver {
         if self.activity[var.index()] > RESCALE_LIMIT {
             self.rescale_var_activity();
         }
-        self.order.update(var, &self.activity);
+        self.order.update(var, self.activity[var.index()]);
     }
 
     /// Current assignment of a literal (during/after search).
     #[inline]
     fn value(&self, lit: Lit) -> LBool {
-        self.assigns[lit.var().index()].under(lit)
+        self.vals[lit.code()]
     }
 
     /// The model value of `lit` after a [`SolveResult::Sat`] outcome.
@@ -395,11 +461,13 @@ impl Solver {
     }
 
     /// MiniSat-style `analyzeFinal`: collect the assumptions responsible
-    /// for the falsified assumption literal `p`.
-    fn analyze_final(&mut self, p: Lit) -> Vec<Lit> {
-        let mut core = vec![p];
+    /// for the falsified assumption literal `p` into
+    /// `failed_assumptions`.
+    fn analyze_final(&mut self, p: Lit) {
+        self.failed_assumptions.clear();
+        self.failed_assumptions.push(p);
         if self.decision_level() == 0 {
-            return core;
+            return;
         }
         self.seen[p.var().index()] = true;
         let start = self.trail_lim[0];
@@ -409,10 +477,10 @@ impl Solver {
             if !self.seen[v.index()] {
                 continue;
             }
-            let reason = self.reason[v.index()];
+            let reason = self.vardata[v.index()].reason;
             if reason.is_defined() {
-                for &q in self.db.lits(reason).iter().skip(1) {
-                    if self.level[q.var().index()] > 0 {
+                for &q in &self.db.lits(reason)[1..] {
+                    if self.vardata[q.var().index()].level > 0 {
                         self.seen[q.var().index()] = true;
                     }
                 }
@@ -421,12 +489,11 @@ impl Solver {
                 // conflict. At this point every pseudo-decision on the
                 // trail is one of the given assumptions, so the trail
                 // literal is the assumption in given form.
-                core.push(x);
+                self.failed_assumptions.push(x);
             }
             self.seen[v.index()] = false;
         }
         self.seen[p.var().index()] = false;
-        core
     }
 
     fn decision_level(&self) -> u32 {
@@ -443,41 +510,58 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let mut sorted: Vec<Lit> = lits.to_vec();
-        sorted.sort();
-        sorted.dedup();
-        let mut filtered: Vec<Lit> = Vec::with_capacity(sorted.len());
+        // Sort, dedup and filter in a reused buffer.
+        let mut clause = std::mem::take(&mut self.clause_buf);
+        clause.clear();
+        clause.extend_from_slice(lits);
+        clause.sort_unstable();
+        clause.dedup();
+        let mut kept = 0usize;
+        let mut satisfied = false;
         let mut prev: Option<Lit> = None;
-        for &lit in &sorted {
-            if let Some(p) = prev {
-                if p == !lit {
-                    return true; // tautology
-                }
+        for i in 0..clause.len() {
+            let lit = clause[i];
+            if prev == Some(!lit) {
+                satisfied = true; // tautology
+                break;
             }
             match self.value(lit) {
-                LBool::True => return true, // already satisfied at root
-                LBool::False => {}          // drop falsified literal
-                LBool::Undef => filtered.push(lit),
+                LBool::True => {
+                    satisfied = true; // already satisfied at root
+                    break;
+                }
+                LBool::False => {} // drop falsified literal
+                LBool::Undef => {
+                    clause[kept] = lit;
+                    kept += 1;
+                }
             }
             prev = Some(lit);
         }
-        match filtered.len() {
-            0 => {
-                self.ok = false;
-                false
+        clause.truncate(kept);
+        let consistent = if satisfied {
+            true
+        } else {
+            match kept {
+                0 => {
+                    self.ok = false;
+                    false
+                }
+                1 => {
+                    self.unchecked_enqueue(clause[0], CRef::UNDEF);
+                    self.ok = self.propagate().is_none();
+                    self.ok
+                }
+                _ => {
+                    let cref = self.db.alloc(&clause, false);
+                    self.clauses.push(cref);
+                    self.attach(cref);
+                    true
+                }
             }
-            1 => {
-                self.unchecked_enqueue(filtered[0], CRef::UNDEF);
-                self.ok = self.propagate().is_none();
-                self.ok
-            }
-            _ => {
-                let cref = self.db.alloc(&filtered, false);
-                self.clauses.push(cref);
-                self.attach(cref);
-                true
-            }
-        }
+        };
+        self.clause_buf = clause;
+        consistent
     }
 
     fn attach(&mut self, cref: CRef) {
@@ -493,12 +577,15 @@ impl Solver {
     }
 
     fn unchecked_enqueue(&mut self, lit: Lit, reason: CRef) {
-        debug_assert_eq!(self.value(lit), LBool::Undef);
-        let v = lit.var();
-        self.assigns[v.index()] = LBool::from_bool(lit.is_positive());
-        self.level[v.index()] = self.decision_level();
-        self.reason[v.index()] = reason;
-        self.trail.push(lit);
+        let level_now = self.decision_level();
+        assign(
+            &mut self.vals,
+            &mut self.vardata,
+            &mut self.trail,
+            lit,
+            reason,
+            level_now,
+        );
     }
 
     /// Unit propagation; returns the conflicting clause, if any.
@@ -510,126 +597,147 @@ impl Solver {
     /// onto *other* literals' regions are safe mid-scan — relocation never
     /// moves the region being scanned (see [`WatchLists`]).
     fn propagate(&mut self) -> Option<CRef> {
-        while self.qhead < self.trail.len() {
-            let p = self.trail[self.qhead];
-            self.qhead += 1;
-            self.stats.propagations += 1;
-            let pcode = p.code();
+        let Solver {
+            db,
+            watches,
+            bin_watches,
+            vals,
+            vardata,
+            trail,
+            trail_lim,
+            qhead,
+            stats,
+            ..
+        } = self;
+        let level_now = trail_lim.len() as u32;
+        while *qhead < trail.len() {
+            let p = trail[*qhead];
+            *qhead += 1;
+            stats.propagations += 1;
+            let false_lit = !p;
 
             // Binary watchers: nothing is ever moved or removed here, so
             // the region is stable for the whole scan.
-            let (bs, bl) = self.bin_watches.region(pcode);
-            for i in bs..bs + bl {
-                let w = self.bin_watches.buf[i];
-                match self.value(w.blocker) {
+            let (bs, bl) = bin_watches.region(p.code());
+            for &w in &bin_watches.buf[bs..bs + bl] {
+                match stored_value(vals, w.blocker) {
                     LBool::True => {}
                     LBool::False => {
                         // Conflict analysis reads all literals of the
                         // conflict clause, in any order — no normalisation
                         // needed.
-                        self.qhead = self.trail.len();
+                        *qhead = trail.len();
                         return Some(w.cref);
                     }
                     LBool::Undef => {
                         // The learning/locking code expects the enqueued
                         // literal at `lits[0]` of its reason clause.
-                        if self.db.lits(w.cref)[0] != w.blocker {
-                            self.db.lits_mut(w.cref).swap(0, 1);
+                        let lits = db.lits_mut(w.cref);
+                        if lits[0] != w.blocker {
+                            lits.swap(0, 1);
                         }
-                        self.unchecked_enqueue(w.blocker, w.cref);
+                        assign(vals, vardata, trail, w.blocker, w.cref, level_now);
                     }
                 }
             }
 
-            // Long-clause watchers: in-place compaction of the region.
-            let (s, l) = self.watches.region(pcode);
-            let mut keep = 0usize;
-            let mut i = 0usize;
-            let mut conflict = None;
-            'watchers: while i < l {
-                let w = self.watches.buf[s + i];
+            // Long-clause watchers: in-place compaction of the region
+            // `start..end`; `keep <= i` is the compacted prefix's end.
+            let (start, len) = watches.region(p.code());
+            let end = start + len;
+            let (mut i, mut keep) = (start, start);
+            while i < end {
+                // SAFETY: `keep <= i < end = start + len <= start + cap
+                // <= buf.len()` — a region's slots lie inside the buffer,
+                // and pushes onto other regions below only ever grow it.
+                let w = unsafe { *watches.buf.get_unchecked(i) };
                 i += 1;
                 // Fast path: blocker already true.
-                if self.value(w.blocker) == LBool::True {
-                    self.watches.buf[s + keep] = w;
+                if stored_value(vals, w.blocker) == LBool::True {
+                    // SAFETY: `keep < i <= end`, see above.
+                    unsafe { *watches.buf.get_unchecked_mut(keep) = w };
                     keep += 1;
                     continue;
                 }
                 let cref = w.cref;
-                {
-                    let lits = self.db.lits_mut(cref);
-                    // Ensure the false literal (!p) is at position 1.
-                    if lits[0] == !p {
-                        lits.swap(0, 1);
-                    }
+                let lits = db.lits_mut(cref);
+                let (head, tail) = lits.split_at_mut(2);
+                // Ensure the false literal (!p) is at position 1.
+                if head[0] == false_lit {
+                    head.swap(0, 1);
                 }
-                let first = self.db.lits(cref)[0];
-                debug_assert_eq!(self.db.lits(cref)[1], !p);
-                if first != w.blocker && self.value(first) == LBool::True {
-                    self.watches.buf[s + keep] = Watcher {
-                        cref,
-                        blocker: first,
-                    };
-                    keep += 1;
-                    continue;
-                }
-                // Look for a new literal to watch.
-                let size = self.db.size(cref);
-                for k in 2..size {
-                    let lk = self.db.lits(cref)[k];
-                    if self.value(lk) != LBool::False {
-                        self.db.lits_mut(cref).swap(1, k);
-                        // `lk` is a distinct variable from `p`, so this
-                        // push cannot relocate the region being scanned.
-                        self.watches.push(
-                            (!lk).code(),
-                            Watcher {
-                                cref,
-                                blocker: first,
-                            },
-                        );
-                        continue 'watchers;
-                    }
-                }
-                // Clause is unit or conflicting.
-                self.watches.buf[s + keep] = Watcher {
+                debug_assert_eq!(head[1], false_lit);
+                let first = head[0];
+                let first_val = stored_value(vals, first);
+                // `first == w.blocker` is not true (checked above), so a
+                // true `first` is always a better blocker.
+                let watcher = Watcher {
                     cref,
                     blocker: first,
                 };
-                keep += 1;
-                if self.value(first) == LBool::False {
-                    conflict = Some(cref);
-                    self.qhead = self.trail.len();
-                    // Compact the remaining unscanned watchers down.
-                    while i < l {
-                        self.watches.buf[s + keep] = self.watches.buf[s + i];
-                        keep += 1;
-                        i += 1;
+                if first_val != LBool::True {
+                    // Look for a new literal to watch.
+                    let mut moved = None;
+                    for slot in tail.iter_mut() {
+                        let lk = *slot;
+                        if stored_value(vals, lk) != LBool::False {
+                            *slot = false_lit;
+                            head[1] = lk;
+                            moved = Some(lk);
+                            break;
+                        }
                     }
-                } else {
-                    self.unchecked_enqueue(first, cref);
+                    if let Some(lk) = moved {
+                        // `lk` is a distinct variable from `p`, so this
+                        // push cannot relocate the region being scanned.
+                        watches.push((!lk).code(), watcher);
+                        continue;
+                    }
+                    // Clause is unit or conflicting.
+                }
+                // SAFETY: `keep < i <= end`, see above.
+                unsafe { *watches.buf.get_unchecked_mut(keep) = watcher };
+                keep += 1;
+                if first_val == LBool::False {
+                    *qhead = trail.len();
+                    // Keep the unscanned watchers.
+                    watches.buf.copy_within(i..end, keep);
+                    watches.set_len(p.code(), keep + (end - i) - start);
+                    return Some(cref);
+                }
+                if first_val == LBool::Undef {
+                    assign(vals, vardata, trail, first, cref, level_now);
                 }
             }
-            self.watches.len[pcode] = keep as u32;
-            if conflict.is_some() {
-                return conflict;
-            }
+            watches.set_len(p.code(), keep - start);
         }
         None
     }
 
+    /// Backtracks to `target_level`: unassigns the trail above it (saving
+    /// phases) and re-inserts the variables into the decision heap, in
+    /// reverse trail order.
+    ///
+    /// The unassigned variables' [`VarData`] is deliberately left stale.
+    /// Every reader looks only at assigned variables (`analyze`,
+    /// `analyze_final` and `literal_redundant` walk trail or learnt-clause
+    /// literals, all assigned) or checks the value first (`locked`
+    /// requires its literal to be true), and garbage collection remaps a
+    /// stale reason like any other — to the clause's new location, or to
+    /// `UNDEF` if it was deleted — so no stale entry is ever dereferenced.
     fn cancel_until(&mut self, target_level: u32) {
         if self.decision_level() <= target_level {
             return;
         }
         let lim = self.trail_lim[target_level as usize];
-        for i in (lim..self.trail.len()).rev() {
-            let lit = self.trail[i];
+        for &lit in self.trail[lim..].iter().rev() {
             let v = lit.var();
-            self.assigns[v.index()] = LBool::Undef;
+            self.vals[lit.code()] = LBool::Undef;
+            self.vals[(!lit).code()] = LBool::Undef;
             self.polarity[v.index()] = lit.is_positive();
-            self.reason[v.index()] = CRef::UNDEF;
-            self.order.insert(v, &self.activity);
+            if !self.order.contains(v) {
+                self.order.insert(v, self.activity[v.index()]);
+            }
         }
         self.trail.truncate(lim);
         self.trail_lim.truncate(target_level as usize);
@@ -640,6 +748,7 @@ impl Solver {
         for a in &mut self.activity {
             *a *= 1e-100;
         }
+        self.order.scale(1e-100);
         self.var_inc *= 1e-100;
     }
 
@@ -648,7 +757,7 @@ impl Solver {
         if self.activity[var.index()] > RESCALE_LIMIT {
             self.rescale_var_activity();
         }
-        self.order.update(var, &self.activity);
+        self.order.update(var, self.activity[var.index()]);
     }
 
     fn bump_clause(&mut self, cref: CRef) {
@@ -666,10 +775,13 @@ impl Solver {
         }
     }
 
-    /// 1UIP conflict analysis; returns the learnt clause (asserting literal
-    /// first) and the backtrack level.
-    fn analyze(&mut self, confl: CRef) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // placeholder
+    /// 1UIP conflict analysis; leaves the learnt clause (asserting literal
+    /// first, a literal of the backtrack level second) in `self.learnt`
+    /// and returns the backtrack level.
+    fn analyze(&mut self, confl: CRef) -> u32 {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit::from_code(0)); // placeholder
         let mut path_count = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
@@ -682,10 +794,11 @@ impl Solver {
             for k in start..size {
                 let q = self.db.lits(cref)[k];
                 let v = q.var();
-                if !self.seen[v.index()] && self.level[v.index()] > 0 {
+                let level = self.vardata[v.index()].level;
+                if !self.seen[v.index()] && level > 0 {
                     self.seen[v.index()] = true;
                     self.bump_var(v);
-                    if self.level[v.index()] >= self.decision_level() {
+                    if level >= self.decision_level() {
                         path_count += 1;
                     } else {
                         learnt.push(q);
@@ -707,7 +820,7 @@ impl Solver {
                 break;
             }
             p = Some(pl);
-            cref = self.reason[pl.var().index()];
+            cref = self.vardata[pl.var().index()].reason;
             debug_assert!(cref.is_defined(), "non-decision must have a reason");
         }
 
@@ -716,17 +829,20 @@ impl Solver {
             self.seen[lit.var().index()] = true;
         }
         // Basic self-subsumption minimisation: drop literals whose reason is
-        // fully covered by the learnt clause.
-        let keep: Vec<Lit> = learnt[1..]
-            .iter()
-            .copied()
-            .filter(|&lit| !self.literal_redundant(lit))
-            .collect();
+        // fully covered by the learnt clause. Kept literals move to the
+        // front in order; dropped ones collect behind them, still marked,
+        // so the unmarking pass below sees every literal.
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            if !self.literal_redundant(learnt[i]) {
+                learnt.swap(kept, i);
+                kept += 1;
+            }
+        }
         for lit in &learnt[1..] {
             self.seen[lit.var().index()] = false;
         }
-        learnt.truncate(1);
-        learnt.extend(keep);
+        learnt.truncate(kept);
 
         // Compute backtrack level; move the max-level literal to slot 1.
         let backtrack = if learnt.len() == 1 {
@@ -734,40 +850,47 @@ impl Solver {
         } else {
             let mut max_i = 1;
             for i in 2..learnt.len() {
-                if self.level[learnt[i].var().index()] > self.level[learnt[max_i].var().index()] {
+                if self.level_of(learnt[i]) > self.level_of(learnt[max_i]) {
                     max_i = i;
                 }
             }
             learnt.swap(1, max_i);
-            self.level[learnt[1].var().index()]
+            self.level_of(learnt[1])
         };
-        (learnt, backtrack)
+        self.learnt = learnt;
+        backtrack
     }
 
     /// `true` if `lit`'s reason clause is entirely made of seen/root
     /// literals, i.e. `lit` is implied by the rest of the learnt clause.
     fn literal_redundant(&self, lit: Lit) -> bool {
-        let reason = self.reason[lit.var().index()];
+        let reason = self.vardata[lit.var().index()].reason;
         if !reason.is_defined() {
             return false;
         }
-        let lits = self.db.lits(reason);
-        lits.iter().skip(1).all(|&q| {
-            let v = q.var();
-            self.seen[v.index()] || self.level[v.index()] == 0
-        })
+        self.db.lits(reason)[1..]
+            .iter()
+            .all(|&q| self.seen[q.var().index()] || self.level_of(q) == 0)
     }
 
-    fn record_learnt(&mut self, learnt: Vec<Lit>) {
-        self.stats.learnt_clauses += 1;
-        if learnt.len() == 1 {
-            self.unchecked_enqueue(learnt[0], CRef::UNDEF);
+    /// The decision level `lit`'s variable was assigned at.
+    #[inline]
+    fn level_of(&self, lit: Lit) -> u32 {
+        self.vardata[lit.var().index()].level
+    }
+
+    /// Stores the clause [`Solver::analyze`] left in `self.learnt` and
+    /// enqueues its asserting literal.
+    fn record_learnt(&mut self) {
+        let asserting = self.learnt[0];
+        if self.learnt.len() == 1 {
+            self.unchecked_enqueue(asserting, CRef::UNDEF);
         } else {
-            let cref = self.db.alloc(&learnt, true);
+            let cref = self.db.alloc(&self.learnt, true);
             self.learnts.push(cref);
             self.attach(cref);
             self.bump_clause(cref);
-            self.unchecked_enqueue(learnt[0], cref);
+            self.unchecked_enqueue(asserting, cref);
         }
         self.var_inc /= VAR_DECAY;
         self.cla_inc /= CLA_DECAY;
@@ -775,7 +898,7 @@ impl Solver {
 
     fn locked(&self, cref: CRef) -> bool {
         let first = self.db.lits(cref)[0];
-        self.reason[first.var().index()] == cref && self.value(first) == LBool::True
+        self.vardata[first.var().index()].reason == cref && self.value(first) == LBool::True
     }
 
     fn detach(&mut self, cref: CRef) {
@@ -837,16 +960,17 @@ impl Solver {
                 *cref = new;
             }
         }
-        for r in &mut self.reason {
+        for r in self.vardata.iter_mut().map(|d| &mut d.reason) {
             if r.is_defined() {
                 // Locked clauses are never deleted, so the mapping exists
-                // whenever the reason is still referenced.
+                // whenever the reason is still in use; stale entries of
+                // unassigned variables map like any other.
                 *r = *remap.get(r).unwrap_or(&CRef::UNDEF);
             }
         }
         self.db = fresh;
         // Exact per-literal counts, then tight rebuild + re-attachment.
-        let codes = self.assigns.len() * 2;
+        let codes = self.vals.len();
         let mut long_counts = vec![0u32; codes];
         let mut bin_counts = vec![0u32; codes];
         for &cref in self.clauses.iter().chain(&self.learnts) {
@@ -868,8 +992,15 @@ impl Solver {
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
-        while let Some(var) = self.order.pop(&self.activity) {
-            if self.assigns[var.index()] == LBool::Undef {
+        if self.trail.len() == self.num_vars() {
+            // Everything is assigned, so popping would drain the heap
+            // without returning a variable. The drain's end state — an
+            // empty heap — does not depend on the pop order, so skip it.
+            self.order.clear();
+            return None;
+        }
+        while let Some(var) = self.order.pop() {
+            if self.vals[var.positive().code()] == LBool::Undef {
                 return Some(var.lit(self.polarity[var.index()]));
             }
         }
@@ -933,7 +1064,9 @@ impl Solver {
             let allowed = RESTART_BASE * Self::luby(restart_round);
             match self.search(allowed, assumptions, budget_start) {
                 InnerResult::Sat => {
-                    self.model = self.assigns.clone();
+                    // A variable's value is its positive literal's entry.
+                    self.model.clear();
+                    self.model.extend(self.vals.iter().step_by(2));
                     self.cancel_until(0);
                     return SolveResult::Sat;
                 }
@@ -970,9 +1103,9 @@ impl Solver {
                     self.ok = false;
                     return InnerResult::Unsat;
                 }
-                let (learnt, backtrack) = self.analyze(confl);
+                let backtrack = self.analyze(confl);
                 self.cancel_until(backtrack);
-                self.record_learnt(learnt);
+                self.record_learnt();
                 if let Some(budget) = self.conflict_budget {
                     if self.stats.conflicts - budget_start >= budget {
                         return InnerResult::Unknown;
@@ -1005,7 +1138,7 @@ impl Solver {
                             self.trail_lim.push(self.trail.len());
                         }
                         LBool::False => {
-                            self.failed_assumptions = self.analyze_final(p);
+                            self.analyze_final(p);
                             return InnerResult::Unsat;
                         }
                         LBool::Undef => {

@@ -22,7 +22,9 @@
 //!   request — both are literally one code path,
 //!   [`Service::handle_line`].
 //! * [`server`] / [`client`]: thread-per-connection TCP and stdio
-//!   transports, and the blocking client the CLI and benches use.
+//!   transports sharing one read loop that caps request lines at
+//!   [`MAX_REQUEST_LINE`] bytes, and the blocking client the CLI and
+//!   benches use.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -39,5 +41,5 @@ pub use protocol::{
     RESPONSE_SCHEMA,
 };
 pub use registry::{CircuitRegistry, RegistryStats};
-pub use server::{serve_lines, serve_tcp};
+pub use server::{serve_lines, serve_tcp, MAX_REQUEST_LINE};
 pub use service::{Service, ServiceConfig};

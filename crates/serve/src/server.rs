@@ -8,31 +8,80 @@
 //! request handled on any connection stops the daemon without needing
 //! to interrupt a blocked `accept`.
 
+use crate::protocol::status_response;
 use crate::service::Service;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Serves one established connection until EOF or shutdown. Blank
-/// lines are ignored; every other line gets exactly one response line.
-fn serve_connection(service: &Service, stream: TcpStream) -> std::io::Result<()> {
-    let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+/// Longest request line served, in bytes, newline excluded. The largest
+/// bundled circuit (`s38417_like`, 25.7k gates) renders to a request
+/// line of about 860 KB, so this leaves ~20x headroom while bounding
+/// what one line can make the daemon buffer. A longer line is discarded
+/// unread and answered with one `error` response.
+pub const MAX_REQUEST_LINE: usize = 16 << 20;
+
+/// What [`read_request_line`] found.
+enum RequestLine {
+    /// A line of at most [`MAX_REQUEST_LINE`] bytes is in the buffer.
+    Complete,
+    /// The line was longer; it was skipped through its newline.
+    TooLong,
+    /// End of input.
+    Eof,
+}
+
+/// Reads the next line of `input` into `buf` without its `\n` (or
+/// `\r\n`). A line longer than `cap` bytes is consumed through its
+/// newline but never buffered, so a newline-less stream costs no
+/// memory beyond `input`'s own buffer.
+fn read_request_line(
+    input: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> std::io::Result<RequestLine> {
+    buf.clear();
+    let (mut seen, mut too_long) = (false, false);
+    loop {
+        let chunk = input.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(match (seen, too_long) {
+                (false, _) => RequestLine::Eof,
+                (true, false) => RequestLine::Complete,
+                (true, true) => RequestLine::TooLong,
+            });
         }
-        let response = service.handle_line(&line);
-        writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        if service.shutdown_requested() {
-            break;
+        seen = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.unwrap_or(chunk.len());
+        if !too_long {
+            if buf.len() + take > cap {
+                too_long = true;
+                buf.clear();
+            } else {
+                buf.extend_from_slice(&chunk[..take]);
+            }
+        }
+        input.consume(take + usize::from(newline.is_some()));
+        if newline.is_some() {
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+            return Ok(if too_long {
+                RequestLine::TooLong
+            } else {
+                RequestLine::Complete
+            });
         }
     }
-    Ok(())
+}
+
+/// Serves one established connection until EOF or shutdown (see
+/// [`serve_lines`]).
+fn serve_connection(service: &Service, stream: TcpStream) -> std::io::Result<()> {
+    let writer = stream.try_clone()?;
+    serve_lines(service, BufReader::new(stream), writer)
 }
 
 /// Accepts connections on `listener` until a `shutdown` request is
@@ -70,23 +119,37 @@ pub fn serve_tcp(service: Arc<Service>, listener: TcpListener) -> std::io::Resul
 }
 
 /// Serves request lines from `input` to `output` until EOF or a
-/// `shutdown` request — the `--stdio` transport, also what the
-/// in-process tests drive.
+/// `shutdown` request — the `--stdio` transport, each TCP connection,
+/// and what the in-process tests drive. Blank lines are ignored; every
+/// other line gets exactly one response line, including a line over
+/// [`MAX_REQUEST_LINE`], which gets an `error` response.
 ///
 /// # Errors
 ///
-/// Returns the first read or write error.
+/// Returns the first read or write error; a request line that is not
+/// UTF-8 is a read error.
 pub fn serve_lines(
     service: &Service,
-    input: impl BufRead,
+    mut input: impl BufRead,
     mut output: impl Write,
 ) -> std::io::Result<()> {
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = service.handle_line(&line);
+    let mut buf = Vec::new();
+    loop {
+        let response = match read_request_line(&mut input, &mut buf, MAX_REQUEST_LINE)? {
+            RequestLine::Eof => break,
+            RequestLine::TooLong => status_response(
+                "error",
+                &format!("request line longer than {MAX_REQUEST_LINE} bytes"),
+            ),
+            RequestLine::Complete => {
+                let line = std::str::from_utf8(&buf)
+                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+                if line.trim().is_empty() {
+                    continue;
+                }
+                service.handle_line(line)
+            }
+        };
         output.write_all(response.as_bytes())?;
         output.write_all(b"\n")?;
         output.flush()?;

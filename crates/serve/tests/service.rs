@@ -5,6 +5,7 @@ use gatediag_core::json::{parse_json, Json};
 use gatediag_core::{ChaosConfig, DiagnoseRequest, EngineKind};
 use gatediag_serve::{
     render_diagnose_request, serve_lines, serve_tcp, Client, DiagnoseCall, Service, ServiceConfig,
+    MAX_REQUEST_LINE,
 };
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -276,4 +277,40 @@ fn stdio_transport_answers_line_per_line() {
     assert_eq!(responses[0], responses[1]);
     assert_eq!(status_of(responses[2]), "ok");
     assert!(service.shutdown_requested());
+}
+
+#[test]
+fn over_long_request_line_gets_one_error_and_serving_continues() {
+    let service = Service::new(ServiceConfig::default());
+    let line = render_diagnose_request(&call(EngineKind::Auto, 1));
+    let expected = Service::new(ServiceConfig::default()).handle_line(&line);
+    // A newline-less run longer than the cap, then a valid request. The
+    // small reader buffer makes the loop skip the long line in many
+    // chunks, as it would on a socket.
+    let mut input = vec![b'x'; MAX_REQUEST_LINE + 1];
+    input.push(b'\n');
+    input.extend_from_slice(line.as_bytes());
+    input.push(b'\n');
+    let reader = std::io::BufReader::with_capacity(4096, input.as_slice());
+    let mut output = Vec::new();
+    serve_lines(&service, reader, &mut output).expect("stdio loop");
+    let text = String::from_utf8(output).unwrap();
+    let responses: Vec<&str> = text.lines().collect();
+    assert_eq!(responses.len(), 2, "{text}");
+    assert_eq!(status_of(responses[0]), "error");
+    let error = parse_json(responses[0]).unwrap();
+    let message = field(&error, "message").as_str("message").unwrap();
+    assert!(message.contains("longer than"), "{message}");
+    assert_eq!(responses[1], expected);
+
+    // A line of exactly the cap is served (and, not being JSON, gets
+    // the parser's error instead).
+    let mut input = vec![b' '; MAX_REQUEST_LINE - 1];
+    input.push(b'x');
+    input.push(b'\n');
+    let mut output = Vec::new();
+    serve_lines(&service, input.as_slice(), &mut output).expect("stdio loop");
+    let text = String::from_utf8(output).unwrap();
+    assert_eq!(text.lines().count(), 1);
+    assert!(!text.contains("longer than"), "{text}");
 }

@@ -150,7 +150,7 @@ fn main() {
 
     // --- Solver throughput on the benches/solver.rs workloads ----------
     // (name, instance, probes, pinned (verdict, conflicts, propagations)).
-    let workloads: [(&str, usize, Vec<Vec<Lit>>, usize, (SolveResult, u64, u64)); 3] = {
+    let workloads = {
         let (nv_php, php) = pigeonhole(8, 7);
         let (nv_sat, sat) = random_3sat(150, 600, 7);
         let (nv_inc, inc) = random_3sat(120, 430, 9);

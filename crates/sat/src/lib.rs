@@ -10,11 +10,11 @@
 //! * two-watched-literal Boolean constraint propagation over CSR-style
 //!   *flat* watch lists (one contiguous watcher buffer with per-literal
 //!   regions, compacted during garbage collection) with a dedicated
-//!   binary-clause fast path — the seed's `Vec<Vec<Watcher>>` engine
-//!   survives as [`LegacySolver`] for baseline measurements;
+//!   binary-clause fast path, reading a per-literal value table;
 //! * first-UIP conflict-driven clause learning with basic self-subsumption
 //!   minimisation;
-//! * VSIDS decision heuristic with phase saving (externally seedable — the
+//! * VSIDS decision heuristic over a heap that caches each variable's
+//!   activity beside it, with phase saving (externally seedable — the
 //!   hybrid flow of paper Sec. 6 injects simulation-derived priorities via
 //!   [`Solver::bump_variable`] / [`Solver::set_polarity`]);
 //! * Luby restarts and activity-based learnt-clause reduction with arena
@@ -24,6 +24,14 @@
 //!
 //! A brute-force [`mod@reference`] solver cross-checks the CDCL engine in
 //! tests.
+//!
+//! The search itself is part of the contract: campaign records and
+//! served responses report [`SolverStats`], and truncated enumerations
+//! depend on the order models are found. Optimisations keep every
+//! [`Solver::solve`] bit-identical — result, model, failed assumptions
+//! and statistics — and `gatediag-core`'s `solver_trajectory` test pins
+//! that with per-solve fingerprints. Heuristic changes need a deliberate
+//! re-pin.
 //!
 //! # Examples
 //!

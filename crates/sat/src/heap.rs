@@ -4,8 +4,8 @@ use crate::lit::Var;
 
 /// A binary max-heap of variables keyed by VSIDS activity.
 ///
-/// Each slot caches its variable's key next to the variable (`heap[i]`
-/// holds a variable and its activity), so the sift loops compare
+/// Each slot caches its variable's key next to the heap array
+/// (`keys[i]` is the activity of `heap[i]`), so the sift loops compare
 /// neighbouring memory instead of chasing `activity[heap[j]]`. The
 /// solver keeps the cache exact: every activity change goes through
 /// [`VarHeap::update`] or [`VarHeap::scale`], which apply the same
@@ -17,15 +17,9 @@ use crate::lit::Var;
 /// re-sift a contained variable in `O(log n)`.
 #[derive(Clone, Debug, Default)]
 pub struct VarHeap {
-    heap: Vec<Slot>,
+    heap: Vec<Var>,
+    keys: Vec<f64>,
     position: Vec<i32>, // -1 when absent
-}
-
-/// A heap slot: a variable and its cached activity.
-#[derive(Copy, Clone, Debug)]
-struct Slot {
-    key: f64,
-    var: Var,
 }
 
 impl VarHeap {
@@ -60,50 +54,61 @@ impl VarHeap {
         self.position[var.index()] >= 0
     }
 
-    /// Moves the hole at `pos` towards the root until `slot`'s key fits,
-    /// then places `slot` there.
-    fn sift_up(&mut self, mut pos: usize, slot: Slot) {
-        while pos > 0 {
-            let parent = (pos - 1) / 2;
-            let moved = self.heap[parent];
-            if moved.key >= slot.key {
-                break;
-            }
-            self.heap[pos] = moved;
-            self.position[moved.var.index()] = pos as i32;
-            pos = parent;
-        }
-        self.heap[pos] = slot;
-        self.position[slot.var.index()] = pos as i32;
+    /// Moves slot `from`'s entry to slot `to`.
+    #[inline(always)]
+    fn move_slot(&mut self, from: usize, to: usize) {
+        let var = self.heap[from];
+        self.heap[to] = var;
+        self.keys[to] = self.keys[from];
+        self.position[var.index()] = to as i32;
     }
 
-    /// Moves the hole at `pos` towards the leaves until `slot`'s key
-    /// fits, then places `slot` there.
+    /// Places `(var, key)` in slot `pos`.
+    #[inline(always)]
+    fn place(&mut self, pos: usize, var: Var, key: f64) {
+        self.heap[pos] = var;
+        self.keys[pos] = key;
+        self.position[var.index()] = pos as i32;
+    }
+
+    /// Moves the hole at `pos` towards the root until `key` fits, then
+    /// places `(var, key)` there.
+    fn sift_up(&mut self, mut pos: usize, var: Var, key: f64) {
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if self.keys[parent] >= key {
+                break;
+            }
+            self.move_slot(parent, pos);
+            pos = parent;
+        }
+        self.place(pos, var, key);
+    }
+
+    /// Moves the hole at `pos` towards the leaves until `key` fits, then
+    /// places `(var, key)` there.
     ///
     /// The larger child is chosen arithmetically rather than by a branch
     /// (a coin flip the predictor cannot learn); a right child wins only
     /// when strictly larger, so ties go left as in any textbook heap.
-    fn sift_down(&mut self, mut pos: usize, slot: Slot) {
+    fn sift_down(&mut self, mut pos: usize, var: Var, key: f64) {
         let len = self.heap.len();
         loop {
             let left = 2 * pos + 1;
             let child = if left + 1 < len {
-                left + usize::from(self.heap[left + 1].key > self.heap[left].key)
+                left + usize::from(self.keys[left + 1] > self.keys[left])
             } else if left < len {
                 left
             } else {
                 break;
             };
-            let moved = self.heap[child];
-            if moved.key <= slot.key {
+            if self.keys[child] <= key {
                 break;
             }
-            self.heap[pos] = moved;
-            self.position[moved.var.index()] = pos as i32;
+            self.move_slot(child, pos);
             pos = child;
         }
-        self.heap[pos] = slot;
-        self.position[slot.var.index()] = pos as i32;
+        self.place(pos, var, key);
     }
 
     /// Inserts `var` with activity `key` if absent. `var` must be covered
@@ -114,15 +119,15 @@ impl VarHeap {
             return;
         }
         let pos = self.heap.len();
-        let slot = Slot { key, var };
-        self.heap.push(slot);
+        self.heap.push(var);
+        self.keys.push(key);
         // Fast path: most inserts (backtracking re-inserts, fresh
         // variables) carry a key no larger than their parent's — e.g. the
         // zero activity of a never-bumped variable — and stay at the end.
-        if pos == 0 || self.heap[(pos - 1) / 2].key >= key {
+        if pos == 0 || self.keys[(pos - 1) / 2] >= key {
             self.position[var.index()] = pos as i32;
         } else {
-            self.sift_up(pos, slot);
+            self.sift_up(pos, var, key);
         }
     }
 
@@ -131,7 +136,7 @@ impl VarHeap {
     pub fn update(&mut self, var: Var, key: f64) {
         if self.contains(var) {
             let pos = self.position[var.index()] as usize;
-            self.sift_up(pos, Slot { key, var });
+            self.sift_up(pos, var, key);
         }
     }
 
@@ -139,27 +144,29 @@ impl VarHeap {
     /// applied with the same operation so keys stay bit-identical to the
     /// activities.
     pub fn scale(&mut self, factor: f64) {
-        for slot in &mut self.heap {
-            slot.key *= factor;
+        for key in &mut self.keys {
+            *key *= factor;
         }
     }
 
     /// Removes every variable.
     pub fn clear(&mut self) {
-        for slot in &self.heap {
-            self.position[slot.var.index()] = -1;
+        for &var in &self.heap {
+            self.position[var.index()] = -1;
         }
         self.heap.clear();
+        self.keys.clear();
     }
 
     /// Pops the variable with maximal activity.
     #[inline]
     pub fn pop(&mut self) -> Option<Var> {
-        let top = self.heap.first()?.var;
+        let top = *self.heap.first()?;
         self.position[top.index()] = -1;
         let last = self.heap.pop().expect("non-empty");
+        let last_key = self.keys.pop().expect("keys mirror the heap");
         if !self.heap.is_empty() {
-            self.sift_down(0, last);
+            self.sift_down(0, last, last_key);
         }
         Some(top)
     }

@@ -54,21 +54,46 @@ impl VarHeap {
         self.position[var.index()] >= 0
     }
 
-    /// Moves slot `from`'s entry to slot `to`.
+    // The sift loops below index without bounds checks. Their indices
+    // are slot numbers below `heap.len()` (each loop compares against the
+    // length, or walks towards the root from a valid slot), `keys` always
+    // has the same length as `heap`, and every variable in the heap
+    // passed `contains`' checked lookup, so its index is below
+    // `position.len()`.
+
+    /// The cached key of slot `i < len`.
     #[inline(always)]
-    fn move_slot(&mut self, from: usize, to: usize) {
-        let var = self.heap[from];
-        self.heap[to] = var;
-        self.keys[to] = self.keys[from];
-        self.position[var.index()] = to as i32;
+    fn key(&self, i: usize) -> f64 {
+        debug_assert!(i < self.keys.len());
+        // SAFETY: `i` is a slot below the length, see above.
+        unsafe { *self.keys.get_unchecked(i) }
     }
 
-    /// Places `(var, key)` in slot `pos`.
+    /// Moves slot `from`'s entry to slot `to` (both below the length).
+    #[inline(always)]
+    fn move_slot(&mut self, from: usize, to: usize) {
+        debug_assert!(from < self.heap.len() && to < self.heap.len());
+        // SAFETY: both slots are below the length and the moved variable
+        // is a heap member, see above.
+        unsafe {
+            let var = *self.heap.get_unchecked(from);
+            *self.heap.get_unchecked_mut(to) = var;
+            *self.keys.get_unchecked_mut(to) = *self.keys.get_unchecked(from);
+            *self.position.get_unchecked_mut(var.index()) = to as i32;
+        }
+    }
+
+    /// Places `(var, key)` in slot `pos` (below the length).
     #[inline(always)]
     fn place(&mut self, pos: usize, var: Var, key: f64) {
-        self.heap[pos] = var;
-        self.keys[pos] = key;
-        self.position[var.index()] = pos as i32;
+        debug_assert!(pos < self.heap.len() && var.index() < self.position.len());
+        // SAFETY: `pos` is below the length and `var` is a heap member,
+        // see above.
+        unsafe {
+            *self.heap.get_unchecked_mut(pos) = var;
+            *self.keys.get_unchecked_mut(pos) = key;
+            *self.position.get_unchecked_mut(var.index()) = pos as i32;
+        }
     }
 
     /// Moves the hole at `pos` towards the root until `key` fits, then
@@ -76,7 +101,7 @@ impl VarHeap {
     fn sift_up(&mut self, mut pos: usize, var: Var, key: f64) {
         while pos > 0 {
             let parent = (pos - 1) / 2;
-            if self.keys[parent] >= key {
+            if self.key(parent) >= key {
                 break;
             }
             self.move_slot(parent, pos);
@@ -96,13 +121,13 @@ impl VarHeap {
         loop {
             let left = 2 * pos + 1;
             let child = if left + 1 < len {
-                left + usize::from(self.keys[left + 1] > self.keys[left])
+                left + usize::from(self.key(left + 1) > self.key(left))
             } else if left < len {
                 left
             } else {
                 break;
             };
-            if self.keys[child] <= key {
+            if self.key(child) <= key {
                 break;
             }
             self.move_slot(child, pos);
@@ -124,7 +149,7 @@ impl VarHeap {
         // Fast path: most inserts (backtracking re-inserts, fresh
         // variables) carry a key no larger than their parent's — e.g. the
         // zero activity of a never-bumped variable — and stay at the end.
-        if pos == 0 || self.keys[(pos - 1) / 2] >= key {
+        if pos == 0 || self.key((pos - 1) / 2) >= key {
             self.position[var.index()] = pos as i32;
         } else {
             self.sift_up(pos, var, key);

@@ -120,66 +120,55 @@ impl Watcher {
 #[derive(Clone, Debug, Default)]
 struct WatchLists {
     buf: Vec<Watcher>,
-    regions: Vec<Region>,
+    start: Vec<u32>,
+    len: Vec<u32>,
+    cap: Vec<u32>,
     wasted: usize,
-}
-
-/// One literal's slots in [`WatchLists::buf`]: `start..start + cap`,
-/// the first `len` in use. Kept together so a lookup is one load.
-#[derive(Copy, Clone, Debug, Default)]
-struct Region {
-    start: u32,
-    len: u32,
-    cap: u32,
 }
 
 impl WatchLists {
     /// Registers one more literal code (empty region, grown on first push).
     fn add_literal(&mut self) {
-        self.regions.push(Region::default());
+        self.start.push(0);
+        self.len.push(0);
+        self.cap.push(0);
     }
 
     #[inline]
     fn region(&self, code: usize) -> (usize, usize) {
-        let r = self.regions[code];
-        (r.start as usize, r.len as usize)
+        (self.start[code] as usize, self.len[code] as usize)
     }
 
     /// Truncates `code`'s region to its first `len` watchers.
     #[inline]
     fn set_len(&mut self, code: usize, len: usize) {
-        self.regions[code].len = len as u32;
+        self.len[code] = len as u32;
     }
 
     /// Appends a watcher to `code`'s region, relocating it if full.
     #[inline]
     fn push(&mut self, code: usize, w: Watcher) {
-        let mut r = self.regions[code];
-        if r.len == r.cap {
-            r = self.grow(code);
+        if self.len[code] == self.cap[code] {
+            self.grow(code);
         }
-        self.buf[(r.start + r.len) as usize] = w;
-        self.regions[code].len = r.len + 1;
+        let at = (self.start[code] + self.len[code]) as usize;
+        self.buf[at] = w;
+        self.len[code] += 1;
     }
 
     /// Relocates `code`'s region to the end of the buffer with doubled
     /// capacity, abandoning the old slots until the next rebuild.
     #[cold]
-    fn grow(&mut self, code: usize) -> Region {
-        let r = self.regions[code];
-        let (s, l) = (r.start as usize, r.len as usize);
-        let new_cap = (r.cap * 2).max(4);
+    fn grow(&mut self, code: usize) {
+        let (s, l) = self.region(code);
+        let new_cap = (self.cap[code] * 2).max(4);
         let new_start = self.buf.len();
         self.buf.extend_from_within(s..s + l);
         self.buf
             .resize(new_start + new_cap as usize, Watcher::DUMMY);
-        self.wasted += r.cap as usize;
-        self.regions[code] = Region {
-            start: new_start as u32,
-            len: r.len,
-            cap: new_cap,
-        };
-        self.regions[code]
+        self.wasted += self.cap[code] as usize;
+        self.start[code] = new_start as u32;
+        self.cap[code] = new_cap;
     }
 
     /// Removes every watcher of `cref` from `code`'s region.
@@ -200,14 +189,12 @@ impl WatchLists {
     /// `counts[code]` slots at consecutive offsets, all lengths zeroed for
     /// re-attachment. Reclaims all waste (the GC compaction step).
     fn rebuild_exact(&mut self, counts: &[u32]) {
-        debug_assert_eq!(counts.len(), self.regions.len());
+        debug_assert_eq!(counts.len(), self.start.len());
         let mut offset = 0u32;
-        for (region, &count) in self.regions.iter_mut().zip(counts) {
-            *region = Region {
-                start: offset,
-                len: 0,
-                cap: count,
-            };
+        for (code, &count) in counts.iter().enumerate() {
+            self.start[code] = offset;
+            self.len[code] = 0;
+            self.cap[code] = count;
             offset += count;
         }
         self.buf.clear();

@@ -656,32 +656,29 @@ impl Solver {
                 debug_assert_eq!(head[1], false_lit);
                 let first = head[0];
                 let first_val = stored_value(vals, first);
-                // `first == w.blocker` is not true (checked above), so a
-                // true `first` is always a better blocker.
+                // The blocker is not true, so a true `first` differs from
+                // it and becomes the new blocker.
                 let watcher = Watcher {
                     cref,
                     blocker: first,
                 };
                 if first_val != LBool::True {
                     // Look for a new literal to watch.
-                    let mut moved = None;
-                    for slot in tail.iter_mut() {
+                    let free = tail
+                        .iter_mut()
+                        .find(|lk| stored_value(vals, **lk) != LBool::False);
+                    if let Some(slot) = free {
                         let lk = *slot;
-                        if stored_value(vals, lk) != LBool::False {
-                            *slot = false_lit;
-                            head[1] = lk;
-                            moved = Some(lk);
-                            break;
-                        }
-                    }
-                    if let Some(lk) = moved {
+                        *slot = false_lit;
+                        head[1] = lk;
                         // `lk` is a distinct variable from `p`, so this
                         // push cannot relocate the region being scanned.
                         watches.push((!lk).code(), watcher);
                         continue;
                     }
-                    // Clause is unit or conflicting.
                 }
+                // Still watched here: satisfied by `first`, unit or
+                // conflicting.
                 // SAFETY: `keep < i <= end`, see above.
                 unsafe { *watches.buf.get_unchecked_mut(keep) = watcher };
                 keep += 1;
@@ -722,6 +719,8 @@ impl Solver {
             self.vals[lit.code()] = LBool::Undef;
             self.vals[(!lit).code()] = LBool::Undef;
             self.polarity[v.index()] = lit.is_positive();
+            // Checked here so that a variable still in the heap costs no
+            // activity load.
             if !self.order.contains(v) {
                 self.order.insert(v, self.activity[v.index()]);
             }

@@ -8,9 +8,9 @@
 //! a clause, a different restart point) would silently move all of
 //! those. Each workload here therefore folds *every* `solve()` into one
 //! FNV-1a fingerprint: the result, all `SolverStats` fields, the full
-//! model and `failed_assumptions`. The expected fingerprints were
-//! computed with the solver as it stood before its hot path was
-//! rewritten; a deliberate heuristic change must re-pin them.
+//! model and `failed_assumptions`. A speed-only change must reproduce
+//! the pinned fingerprints exactly; a deliberate heuristic change must
+//! re-pin them (and everything downstream, such as benchmark digests).
 //!
 //! The BSAT and COV workloads drive the solver through faithful copies of
 //! the engines' enumeration loops (same CNF, same clause order, same

@@ -3,9 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gatediag_netlist::{s1423_like, RandomCircuitSpec, VectorGen};
-use gatediag_sim::{
-    pack_vectors, pack_vectors_into, simulate, simulate_packed, DeltaSim, PackedSim,
-};
+use gatediag_sim::{pack_vectors, pack_vectors_into, simulate, simulate_packed, PackedSim};
 
 fn bench_sim(c: &mut Criterion) {
     let circuit = s1423_like(1);
@@ -26,8 +24,8 @@ fn bench_sim(c: &mut Criterion) {
     });
     group.finish();
 
-    // Event-driven incremental vs full resimulation under a single forced
-    // gate change (the advanced simulation-based effect analysis).
+    // Full scalar resimulation under a single forced gate change (the
+    // advanced simulation-based effect analysis).
     let medium = RandomCircuitSpec::new(32, 8, 4000).seed(2).generate();
     let vector = VectorGen::new(&medium, 2).next_vector();
     let deep_gate = medium
@@ -41,16 +39,6 @@ fn bench_sim(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_secs(1));
     group.bench_function("full_resim_4000_gates", |b| {
         b.iter(|| gatediag_sim::simulate_forced(&medium, &vector, &[(deep_gate, true)]))
-    });
-    group.bench_function("event_driven_4000_gates", |b| {
-        let mut sim = DeltaSim::new(&medium, &vector);
-        sim.propagate();
-        let mut flip = false;
-        b.iter(|| {
-            flip = !flip;
-            sim.force(deep_gate, flip);
-            sim.propagate()
-        })
     });
     group.finish();
 }

@@ -14,8 +14,10 @@
 //! [-- --out PATH]` (default `BENCH_PR1.json` in the working directory).
 
 use gatediag_bench::harness::secs;
-use gatediag_core::SimValidityEngine;
-use gatediag_core::{basic_sim_diagnose, generate_failing_tests, path_trace, BsimOptions, TestSet};
+use gatediag_core::{
+    basic_sim_diagnose, generate_failing_tests, path_trace, BsimOptions, TestSet, ValidityBackend,
+    ValidityOracle,
+};
 use gatediag_netlist::{inject_errors, Circuit, GateId, GateSet, RandomCircuitSpec, VectorGen};
 use gatediag_sim::{pack_vectors_into, simulate, PackedSim};
 use std::fmt::Write as _;
@@ -220,11 +222,13 @@ fn main() {
     let seed_validity_time = measure(budget, || {
         seed_style_validity(&faulty, &screen_tests, &candidates)
     });
-    let packed_validity_time = measure(budget, || {
-        SimValidityEngine::new(&faulty).is_valid(&screen_tests, &candidates)
-    });
+    let sim_valid = || {
+        ValidityOracle::with_backend(&faulty, ValidityBackend::Sim)
+            .is_valid(&screen_tests, &candidates)
+    };
+    let packed_validity_time = measure(budget, sim_valid);
     assert_eq!(
-        SimValidityEngine::new(&faulty).is_valid(&screen_tests, &candidates),
+        sim_valid(),
         seed_style_validity(&faulty, &screen_tests, &candidates),
         "validity verdict drift"
     );

@@ -5,9 +5,10 @@
 //!
 //! * `basic_sim_diagnose` wall time with the packed sweeps and path
 //!   traces sharded over 1 / 2 / 4 / 8 workers;
-//! * candidate screening ([`screen_valid_corrections_sim`] over singleton
-//!   candidate sets drawn from the path-tracing union) over the same
-//!   worker counts, one reusable `SimValidityEngine` per worker;
+//! * candidate screening ([`screen_valid_corrections`] pinned to the
+//!   simulation backend, over singleton candidate sets drawn from the
+//!   path-tracing union) over the same worker counts, one reusable
+//!   validity oracle per worker;
 //! * the engine-reuse win itself: fresh-engine-per-call screening vs the
 //!   reusable-engine sequential batch (the ROADMAP "reusable engine
 //!   across validity calls" item, now the single-core fast path).
@@ -25,8 +26,8 @@
 //! [-- --out PATH]` (default `BENCH_PR2.json` in the working directory).
 
 use gatediag_core::{
-    basic_sim_diagnose, generate_failing_tests, screen_valid_corrections_sim, BsimOptions,
-    Parallelism, SimValidityEngine,
+    basic_sim_diagnose, generate_failing_tests, screen_valid_corrections, BsimOptions, Budget,
+    Parallelism, ValidityBackend, ValidityOracle,
 };
 use gatediag_netlist::{inject_errors, GateId, RandomCircuitSpec};
 use std::fmt::Write as _;
@@ -186,21 +187,28 @@ fn main() {
         "need a meaningful candidate pool (got {})",
         candidates.len()
     );
-    let baseline_verdicts =
-        screen_valid_corrections_sim(&faulty, &screen_tests, &candidates, Parallelism::Fixed(1));
+    let sim_screen = |parallelism| {
+        screen_valid_corrections(
+            &faulty,
+            &screen_tests,
+            &candidates,
+            parallelism,
+            ValidityBackend::Sim,
+            &Budget::default(),
+        )
+        .verdicts
+    };
+    let baseline_verdicts = sim_screen(Parallelism::Fixed(1));
     let mut screen_ms = Vec::new();
     for &workers in &SWEEP {
         let parallelism = Parallelism::Fixed(workers);
         assert_eq!(
-            screen_valid_corrections_sim(&faulty, &screen_tests, &candidates, parallelism),
+            sim_screen(parallelism),
             baseline_verdicts,
             "screening verdicts drifted at {workers} workers"
         );
         let t = measure(budget, || {
-            screen_valid_corrections_sim(&faulty, &screen_tests, &candidates, parallelism)
-                .iter()
-                .filter(|&&v| v)
-                .count()
+            sim_screen(parallelism).iter().filter(|&&v| v).count()
         });
         screen_ms.push(t.as_secs_f64() * 1e3);
         entries.push(num(
@@ -215,11 +223,14 @@ fn main() {
     let fresh_t = measure(budget, || {
         candidates
             .iter()
-            .filter(|c| SimValidityEngine::new(&faulty).is_valid(&screen_tests, c))
+            .filter(|c| {
+                ValidityOracle::with_backend(&faulty, ValidityBackend::Sim)
+                    .is_valid(&screen_tests, c)
+            })
             .count()
     });
     let reused_t = measure(budget, || {
-        screen_valid_corrections_sim(&faulty, &screen_tests, &candidates, Parallelism::Sequential)
+        sim_screen(Parallelism::Sequential)
             .iter()
             .filter(|&&v| v)
             .count()

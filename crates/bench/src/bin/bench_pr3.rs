@@ -11,9 +11,9 @@
 //! * **Per-worker BSAT scaling** — `basic_sat_diagnose` with the
 //!   parallel per-test CNF build at 1/2/4 workers, solutions asserted
 //!   bit-identical to the sequential build first.
-//! * **Per-worker validity-`_sat` scaling** — the per-test-sharded
-//!   oracle [`is_valid_correction_sat_par`] at 1/2/4 workers (plus the
-//!   batch SAT screen), verdicts asserted identical first.
+//! * **Per-worker SAT batch screen** — [`screen_valid_corrections`]
+//!   pinned to [`ValidityBackend::Sat`] at 1/2/4 workers, verdicts
+//!   asserted identical to the sequential screen first.
 //!
 //! The parallel-scaling numbers document whatever the host provides — on
 //! a single-core container the pool degrades to ~1x by design, while the
@@ -26,8 +26,8 @@
 
 use gatediag_bench::solver_workloads::{load, pigeonhole, random_3sat, PROBE_SEED};
 use gatediag_core::{
-    basic_sat_diagnose, generate_failing_tests, is_valid_correction_sat,
-    is_valid_correction_sat_par, screen_valid_corrections_sat, BsatOptions, Parallelism,
+    basic_sat_diagnose, generate_failing_tests, screen_valid_corrections, BsatOptions, Budget,
+    Parallelism, ValidityBackend,
 };
 use gatediag_netlist::{inject_errors, GateId, RandomCircuitSpec};
 use gatediag_sat::{Lit, SolveResult, Solver, Var};
@@ -258,58 +258,41 @@ fn main() {
     }
     entries.push(num("bsat_speedup_4w", bsat_ms[0] / bsat_ms[2]));
 
-    // --- Validity `_sat` oracle per-worker scaling ------------------------
-    let functional: Vec<GateId> = faulty
+    // --- SAT batch screen per-worker scaling ------------------------------
+    let screen_sets: Vec<Vec<GateId>> = faulty
         .iter()
         .filter(|(_, g)| !g.kind().is_source())
-        .map(|(id, _)| id)
-        .collect();
-    let candidates = vec![
-        functional[functional.len() / 3],
-        functional[2 * functional.len() / 3],
-    ];
-    let screen_sets: Vec<Vec<GateId>> = functional
-        .iter()
+        .map(|(id, _)| vec![id])
         .step_by(7)
         .take(48)
-        .map(|&g| vec![g])
         .collect();
-    let sequential_verdict = is_valid_correction_sat(&faulty, &tests, &candidates);
-    let sequential_screen =
-        screen_valid_corrections_sat(&faulty, &tests, &screen_sets, Parallelism::Sequential);
-    let mut valsat_ms = Vec::new();
+    let sat_screen = |parallelism| {
+        screen_valid_corrections(
+            &faulty,
+            &tests,
+            &screen_sets,
+            parallelism,
+            ValidityBackend::Sat,
+            &Budget::default(),
+        )
+        .verdicts
+    };
+    let sequential_screen = sat_screen(Parallelism::Sequential);
     for &workers in &SWEEP {
         let parallelism = Parallelism::Fixed(workers);
         assert_eq!(
-            is_valid_correction_sat_par(&faulty, &tests, &candidates, parallelism),
-            sequential_verdict,
-            "validity _sat verdict drifted at {workers} workers"
-        );
-        assert_eq!(
-            screen_valid_corrections_sat(&faulty, &tests, &screen_sets, parallelism),
+            sat_screen(parallelism),
             sequential_screen,
-            "validity _sat screen drifted at {workers} workers"
+            "SAT screen drifted at {workers} workers"
         );
-        let t = measure(budget, || {
-            is_valid_correction_sat_par(&faulty, &tests, &candidates, parallelism)
-        });
-        valsat_ms.push(t.as_secs_f64() * 1e3);
-        entries.push(num(
-            format!("validity_sat_ms_{workers}w"),
-            t.as_secs_f64() * 1e3,
-        ));
         let ts = measure(budget, || {
-            screen_valid_corrections_sat(&faulty, &tests, &screen_sets, parallelism)
-                .iter()
-                .filter(|&&v| v)
-                .count()
+            sat_screen(parallelism).iter().filter(|&&v| v).count()
         });
         entries.push(num(
             format!("validity_sat_screen_ms_{workers}w"),
             ts.as_secs_f64() * 1e3,
         ));
     }
-    entries.push(num("validity_sat_speedup_4w", valsat_ms[0] / valsat_ms[2]));
 
     // --- Report -----------------------------------------------------------
     let mut json = String::from("{\n");
@@ -322,11 +305,7 @@ fn main() {
     json.push_str("}\n");
     std::fs::write(&out_path, &json).expect("write BENCH_PR3.json");
     println!("{json}");
-    eprintln!(
-        "BSAT {:.2}x and validity-_sat {:.2}x at 4 workers",
-        bsat_ms[0] / bsat_ms[2],
-        valsat_ms[0] / valsat_ms[2],
-    );
+    eprintln!("BSAT {:.2}x at 4 workers", bsat_ms[0] / bsat_ms[2]);
     eprintln!("wrote {out_path}");
 
     if cores < 4 {

@@ -10,6 +10,7 @@
 //! wall-clock column for local profiling.
 
 use crate::spec::{CampaignSpec, RetryPolicy, TestGenSpec};
+use gatediag_core::json::escape_str;
 use gatediag_core::{ChaosConfig, EngineKind};
 use gatediag_netlist::FaultModel;
 use std::fmt::Write as _;
@@ -230,24 +231,6 @@ pub struct CampaignReport {
     pub records: Vec<InstanceRecord>,
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.4}")
@@ -331,7 +314,7 @@ impl CampaignReport {
             "    \"circuits\": [{}],",
             self.circuits
                 .iter()
-                .map(|c| json_str(c))
+                .map(|c| escape_str(c))
                 .collect::<Vec<_>>()
                 .join(", ")
         );
@@ -340,7 +323,7 @@ impl CampaignReport {
             "    \"fault_models\": [{}],",
             self.fault_models
                 .iter()
-                .map(|m| json_str(m.name()))
+                .map(|m| escape_str(m.name()))
                 .collect::<Vec<_>>()
                 .join(", ")
         );
@@ -367,7 +350,7 @@ impl CampaignReport {
             "    \"engines\": [{}],",
             self.engines
                 .iter()
-                .map(|e| json_str(e.name()))
+                .map(|e| escape_str(e.name()))
                 .collect::<Vec<_>>()
                 .join(", ")
         );
@@ -434,7 +417,7 @@ impl CampaignReport {
             "    \"retry\": {{\"max_attempts\": {}, \"backoff_ms\": {}, \"retry_on\": {}}},",
             self.retry.max_attempts,
             self.retry.backoff_ms,
-            json_str(self.retry.retry_on.name())
+            escape_str(self.retry.retry_on.name())
         );
         // Emitted only when the phase is on, so reports from campaigns
         // without it — including every legacy report — are unchanged.
@@ -455,7 +438,7 @@ impl CampaignReport {
             "    \"bench_warnings\": [{}]",
             self.bench_warnings
                 .iter()
-                .map(|w| json_str(w))
+                .map(|w| escape_str(w))
                 .collect::<Vec<_>>()
                 .join(", ")
         );
@@ -468,15 +451,15 @@ impl CampaignReport {
                  \"candidates\": {}, \"solutions\": {}, \"complete\": {}, \"hit\": {}, \
                  \"quality_min\": {}, \"quality_avg\": {}, \"quality_max\": {}, \
                  \"conflicts\": {}, \"decisions\": {}, \"propagations\": {}",
-                json_str(&r.circuit),
+                escape_str(&r.circuit),
                 r.gates,
-                json_str(r.fault_model.name()),
+                escape_str(r.fault_model.name()),
                 r.p,
                 r.seed,
-                json_str(r.engine.name()),
+                escape_str(r.engine.name()),
                 r.k,
                 r.tests,
-                json_str(r.status.name()),
+                escape_str(r.status.name()),
                 r.candidates,
                 r.solutions,
                 r.complete,
@@ -530,7 +513,7 @@ impl CampaignReport {
                 out,
                 ", \"attempts\": {}, \"failure\": {}",
                 r.attempts,
-                r.failure.as_deref().map_or("null".to_string(), json_str)
+                r.failure.as_deref().map_or("null".to_string(), escape_str)
             );
             if include_timing {
                 let _ = write!(out, ", \"wall_ms\": {}", json_f64(r.wall_ms));
@@ -973,8 +956,16 @@ mod tests {
 
     #[test]
     fn json_strings_are_escaped() {
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("x\ny"), "\"x\\u000ay\"");
+        // Circuit names come from file names and may hold quotes,
+        // backslashes or control characters: the report must stay valid
+        // JSON and carry the name through unchanged.
+        let mut report = small_report();
+        let name = "a\"b\\c\nd";
+        report.records[0].circuit = name.to_string();
+        let json = report.to_json(false);
+        assert!(json.contains(r#""circuit": "a\"b\\c\u000ad""#));
+        let parsed = crate::reader::parse_report(&json).expect("escaped report parses");
+        assert_eq!(parsed.records[0].circuit, name);
     }
 
     #[test]

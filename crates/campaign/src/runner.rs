@@ -331,12 +331,9 @@ fn fill_missing(
     let every = checkpoint.map_or(usize::MAX, |c| c.every);
     for group in checkpoint_runs(&cells, every) {
         let workers = spec.parallelism.workers(group.len());
-        let results = parallel_map_init_isolated(
-            workers,
-            group.len(),
-            || (),
-            |(), j| run_cell(spec, instances, &group[j]),
-        );
+        let results = parallel_map_init_isolated(workers, group.len(), |j| {
+            run_cell(spec, instances, &group[j])
+        });
         for (cell, result) in group.iter().zip(results) {
             match result {
                 Ok(records) => {

@@ -14,7 +14,7 @@
 
 use crate::budget::{Budget, Truncation};
 use crate::test_set::TestSet;
-use crate::validity::screen_valid_corrections;
+use crate::validity::{screen_valid_corrections, ValidityBackend};
 use gatediag_cnf::{
     encode_instrumented_copy, CnfCollector, Instrumentation, MuxEncoding, Totalizer,
 };
@@ -464,8 +464,15 @@ pub fn partitioned_sat_diagnose(
     // candidate set, screened across workers with the auto-dispatching
     // oracle (verdicts are exact, so the retained list is bit-identical
     // for every worker count).
-    let verdicts = screen_valid_corrections(circuit, tests, &result.solutions, parallelism);
-    let mut keep = verdicts.iter();
+    let screen = screen_valid_corrections(
+        circuit,
+        tests,
+        &result.solutions,
+        parallelism,
+        ValidityBackend::Auto,
+        &Budget::default(),
+    );
+    let mut keep = screen.verdicts.iter();
     result
         .solutions
         .retain(|_| *keep.next().expect("verdict per solution"));

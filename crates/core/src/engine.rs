@@ -24,7 +24,7 @@ use crate::sequential::{
 };
 use crate::test_set::TestSet;
 use crate::testgen::{generate_discriminating_tests, TestGenOutcome, TestGenPolicy};
-use crate::validity::{screen_valid_corrections_metered, ValidityBackend};
+use crate::validity::{screen_valid_corrections, ValidityBackend};
 use gatediag_netlist::{Circuit, GateId};
 use gatediag_sat::SolverStats;
 use gatediag_sim::Parallelism;
@@ -50,10 +50,10 @@ pub enum EngineKind {
     Hybrid,
     /// COV covers screened through the auto-dispatching
     /// [`ValidityOracle`](crate::ValidityOracle)
-    /// ([`screen_valid_corrections_metered`]): like BSAT everything
+    /// ([`screen_valid_corrections`]): like BSAT everything
     /// reported is a valid correction, but candidates come from
     /// simulation covers and each validity call picks the sim or SAT
-    /// backend per [`crate::resolve_validity_backend`].
+    /// backend per [`ValidityBackend::Auto`].
     Auto,
     /// Sequential path tracing across time frames
     /// ([`sequential_sim_diagnose`]): the BSIM analogue over
@@ -383,7 +383,7 @@ pub fn run_engine(
             // being silently dropped.
             let screen = {
                 let _phase = gatediag_obs::span("screen");
-                screen_valid_corrections_metered(
+                screen_valid_corrections(
                     circuit,
                     tests,
                     &cov.solutions,

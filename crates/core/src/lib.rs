@@ -16,11 +16,10 @@
 //! resimulation effect analysis for simulation) and the Sec. 6 hybrids
 //! ([`hybrid_seeded_bsat`], [`repair_correction`]).
 //!
-//! Two exact validity oracles (simulation: [`SimValidityEngine`]; SAT:
-//! [`is_valid_correction_sat`]), an auto-dispatching front door
-//! ([`is_valid_correction`] / [`ValidityOracle`] — pick the backend from
-//! `|C|`, cone size and test count instead of hardcoding one) and a
-//! [`brute_force_diagnose`] ground truth
+//! One exact validity oracle, [`ValidityOracle`], with two backends
+//! (forced-value simulation and SAT, picked per call from `|C|` and cone
+//! size unless pinned via [`ValidityBackend`]), its one-shot form
+//! [`is_valid_correction`], and a [`brute_force_diagnose`] ground truth
 //! make the paper's Lemmas 1-4 and Theorems 1-2 executable; the
 //! [`paper_examples`] module ships the Fig. 5 witness circuits.
 //!
@@ -34,10 +33,8 @@
 //! Results are **bit-identical for every thread count**; drift tests and
 //! property tests pin this. Cross-candidate loops should reuse one
 //! [`ValidityOracle`] per thread (or batch-screen with
-//! [`screen_valid_corrections_sim`] / [`screen_valid_corrections_sat`])
-//! instead of paying a fresh engine's per-call buffer setup. The SAT
-//! side shards too: the validity `_sat` oracle fans its independent
-//! per-test instances out with [`is_valid_correction_sat_par`], and
+//! [`screen_valid_corrections`]) instead of paying a fresh engine's
+//! per-call buffer setup. The SAT side shards too:
 //! [`BsatOptions::parallelism`] parallelizes the BSAT instance build.
 //!
 //! # Examples
@@ -148,13 +145,8 @@ pub use test_set::{generate_failing_tests, Test, TestSet};
 pub use testgen::{
     distinguish_pair, generate_discriminating_tests, PairOutcome, TestGenOutcome, TestGenPolicy,
 };
-#[allow(deprecated)]
-pub use validity::is_valid_correction_sim;
 pub use validity::{
-    is_valid_correction, is_valid_correction_sat, is_valid_correction_sat_par,
-    resolve_validity_backend, screen_valid_corrections, screen_valid_corrections_metered,
-    screen_valid_corrections_sat, screen_valid_corrections_sim, SatValidityEngine, ScreenOutcome,
-    SimValidityEngine, ValidityBackend, ValidityOracle, ValidityVerdict, PAR_MIN_TESTS_PER_WORKER,
+    is_valid_correction, screen_valid_corrections, ScreenOutcome, ValidityBackend, ValidityOracle,
     SIM_MAX_CANDIDATES,
 };
 

@@ -93,7 +93,7 @@ mod tests {
     use crate::bsat::{basic_sat_diagnose, BsatOptions};
     use crate::bsim::{basic_sim_diagnose, BsimOptions};
     use crate::cov::{sc_diagnose, CovOptions};
-    use crate::validity::{is_valid_correction, is_valid_correction_sat};
+    use crate::validity::{is_valid_correction, ValidityBackend, ValidityOracle};
     use gatediag_sim::simulate;
 
     #[test]
@@ -128,7 +128,8 @@ mod tests {
         );
         // ...but it is not a valid correction (Lemma 2).
         assert!(!is_valid_correction(&w.circuit, &w.tests, &[b]));
-        assert!(!is_valid_correction_sat(&w.circuit, &w.tests, &[b]));
+        let mut sat = ValidityOracle::with_backend(&w.circuit, ValidityBackend::Sat);
+        assert!(!sat.is_valid(&w.tests, &[b]));
     }
 
     #[test]
@@ -177,7 +178,8 @@ mod tests {
         let b = w.circuit.find("B").unwrap();
         // {A, B} is a valid correction...
         assert!(is_valid_correction(&w.circuit, &w.tests, &[a, b]));
-        assert!(is_valid_correction_sat(&w.circuit, &w.tests, &[a, b]));
+        let mut sat = ValidityOracle::with_backend(&w.circuit, ValidityBackend::Sat);
+        assert!(sat.is_valid(&w.tests, &[a, b]));
         // ...and irredundant (neither singleton suffices)...
         assert!(!is_valid_correction(&w.circuit, &w.tests, &[a]));
         assert!(!is_valid_correction(&w.circuit, &w.tests, &[b]));

@@ -41,8 +41,8 @@ pub struct SimBacktrackOptions {
     /// off quantifies its benefit in the ablation bench).
     pub x_pruning: bool,
     /// Worker count for fanning the top-level search branches out over a
-    /// pool, one reusable [`SimValidityEngine`] per worker. The solution
-    /// list is bit-identical for every setting.
+    /// pool, one reusable simulation validity engine per worker. The
+    /// solution list is bit-identical for every setting.
     pub parallelism: Parallelism,
 }
 
@@ -64,8 +64,8 @@ impl Default for SimBacktrackOptions {
 /// (mark count), each sorted by gate id.
 ///
 /// The search fans the top-level branches out over a worker pool
-/// ([`SimBacktrackOptions::parallelism`]), one reusable
-/// [`SimValidityEngine`] per worker. The subtrees are independent: every
+/// ([`SimBacktrackOptions::parallelism`]), one reusable simulation
+/// validity engine per worker. The subtrees are independent: every
 /// subtree's candidate sets contain its own branch root, which no later
 /// subtree can pick again, so the sequential search's superset pruning
 /// never crosses subtree boundaries and the merged solution list is

@@ -51,7 +51,7 @@
 
 use crate::budget::{Budget, Truncation};
 use crate::test_set::{Test, TestSet};
-use crate::validity::{screen_valid_corrections_metered, ValidityBackend};
+use crate::validity::{screen_valid_corrections, ValidityBackend};
 use gatediag_cnf::{
     block_input_vector, encode_circuit, encode_freed_copy, encode_pinned_copy, harvest_input_lane,
     harvest_input_vector, tie_inputs, CircuitVars, ClauseSink,
@@ -437,14 +437,8 @@ pub fn generate_discriminating_tests(
     let verdicts: Vec<bool> = if tests.is_empty() {
         vec![true; solutions.len()]
     } else {
-        let screen = screen_valid_corrections_metered(
-            faulty,
-            &tests,
-            solutions,
-            parallelism,
-            backend,
-            &budget,
-        );
+        let screen =
+            screen_valid_corrections(faulty, &tests, solutions, parallelism, backend, &budget);
         stats.absorb(&screen.stats);
         screen_truncated = screen.truncation.is_some();
         let mut verdicts = screen.verdicts;

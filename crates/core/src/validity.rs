@@ -4,42 +4,35 @@
 //! of the gates in `C` can rectify every test. Because a replacement
 //! function is arbitrary, its output on any single test vector is a free
 //! Boolean value — so validity decomposes per test into "∃ values at `C`
-//! making the designated output correct". Two independent oracles:
+//! making the designated output correct". Two independent backends answer
+//! that question:
 //!
-//! * [`SimValidityEngine`] — exhaustive forced-value simulation, 1024
-//!   value combinations per incremental packed sweep (exact, exponential
-//!   in `|C|`);
-//! * [`SatValidityEngine`] / [`is_valid_correction_sat`] — the circuit
-//!   encoded once with `C` freed, then one assumption-based SAT query per
-//!   test (exact, scales to large `C`).
+//! * forced-value simulation ([`ValidityBackend::Sim`]) — 1024 value
+//!   combinations per incremental packed sweep (exact, exponential in
+//!   `|C|`);
+//! * SAT ([`ValidityBackend::Sat`]) — the circuit encoded once with `C`
+//!   freed, then one assumption-based query per test (exact, scales to
+//!   large `C`).
 //!
 //! The two must always agree; property tests enforce it. Validity is
 //! monotone under supersets (force the extra gates to the values they
 //! would compute anyway), which the essentiality analysis relies on.
 //!
-//! Callers should not hardcode a backend: [`is_valid_correction`] and the
-//! reusable [`ValidityOracle`] auto-dispatch per call from `|C|`, the
-//! candidates' fan-out cone size and the test count
-//! ([`resolve_validity_backend`]), with the incremental simulation engine
-//! as the fast path.
-//!
-//! Cross-candidate loops (backtrack search, cover screening) should hold a
-//! [`ValidityOracle`] (or a bare [`SimValidityEngine`]) per loop: the
-//! engine keeps its [`PackedSim`] buffers and baseline values across
-//! calls, so consecutive screenings only re-simulate the cones of inputs
-//! and candidates that changed. Screening many candidate sets at once
-//! parallelizes with [`screen_valid_corrections_sim`] /
-//! [`screen_valid_corrections_sat`] — one engine per worker,
-//! work-stealing over the sets — and the SAT oracle itself shards its
-//! independent per-test instances across workers with
-//! [`is_valid_correction_sat_par`].
+//! The public surface is one question behind one type: a
+//! [`ValidityOracle`] auto-dispatches per call from `|C|` and the
+//! candidates' fan-out cone size (or stays pinned to one backend), and
+//! keeps its simulation baseline warm across calls, so cross-candidate
+//! loops hold one oracle per loop. [`is_valid_correction`] is the one-shot
+//! form; [`screen_valid_corrections`] screens many candidate sets at once
+//! under a [`Budget`] — one oracle per worker, work-stealing over the
+//! sets, verdicts bit-identical for every worker count.
 
 use crate::budget::{Budget, Truncation};
 use crate::test_set::{Test, TestSet};
 use gatediag_cnf::{encode_gate, ClauseSink};
 use gatediag_netlist::{Circuit, GateId, GateKind};
 use gatediag_sat::{SolveResult, Solver, SolverStats, Var};
-use gatediag_sim::{parallel_map_init, parallel_map_init_while, PackedSim, Parallelism};
+use gatediag_sim::{parallel_map_init_while, PackedSim, Parallelism};
 use std::time::Instant;
 
 /// Words per gate used by the forced-value screening sweeps: 16 words =
@@ -53,24 +46,25 @@ const SCREEN_WORDS: usize = 16;
 /// [`crate::sim_backtrack_diagnose`]) pays the O(gates) buffer setup and
 /// the full baseline sweep *once*, after which every call re-simulates
 /// only the fan-out cones of the inputs and candidate gates that changed
-/// since the previous call.
+/// since the previous call. Outside the crate it is reached through a
+/// [`ValidityOracle`] pinned to [`ValidityBackend::Sim`].
 ///
 /// # Examples
 ///
 /// ```
-/// use gatediag_core::{generate_failing_tests, SimValidityEngine};
+/// use gatediag_core::{generate_failing_tests, ValidityBackend, ValidityOracle};
 /// use gatediag_netlist::{c17, inject_errors};
 ///
 /// let golden = c17();
 /// let (faulty, sites) = inject_errors(&golden, 1, 42);
 /// let tests = generate_failing_tests(&golden, &faulty, 8, 42, 4096);
-/// let mut engine = SimValidityEngine::new(&faulty);
+/// let mut oracle = ValidityOracle::with_backend(&faulty, ValidityBackend::Sim);
 /// // The real error site is a valid correction; screening more
 /// // candidates reuses the engine's baseline incrementally.
-/// assert!(engine.is_valid(&tests, &[sites[0].gate]));
+/// assert!(oracle.is_valid(&tests, &[sites[0].gate]));
 /// ```
 #[derive(Debug)]
-pub struct SimValidityEngine<'c> {
+pub(crate) struct SimValidityEngine<'c> {
     circuit: &'c Circuit,
     sim: PackedSim<'c>,
     force_words: Vec<u64>,
@@ -84,7 +78,7 @@ pub struct SimValidityEngine<'c> {
 impl<'c> SimValidityEngine<'c> {
     /// Creates an engine for `circuit`. Buffers are sized lazily on the
     /// first [`SimValidityEngine::is_valid`] call.
-    pub fn new(circuit: &'c Circuit) -> SimValidityEngine<'c> {
+    pub(crate) fn new(circuit: &'c Circuit) -> SimValidityEngine<'c> {
         SimValidityEngine {
             circuit,
             sim: PackedSim::new(circuit),
@@ -95,16 +89,16 @@ impl<'c> SimValidityEngine<'c> {
     }
 
     /// Exact validity of `candidates`, reusing the engine's baseline from
-    /// previous calls. Bit-identical to [`is_valid_correction_sim`].
+    /// previous calls. Bit-identical to a fresh engine's verdict.
     ///
     /// # Panics
     ///
     /// Panics if `candidates.len() > 16` (use the SAT oracle instead) or
     /// if a candidate is a primary input.
-    pub fn is_valid(&mut self, tests: &TestSet, candidates: &[GateId]) -> bool {
+    pub(crate) fn is_valid(&mut self, tests: &TestSet, candidates: &[GateId]) -> bool {
         assert!(
-            candidates.len() <= 16,
-            "simulation oracle limited to 16 candidates; use is_valid_correction_sat"
+            candidates.len() <= SIM_MAX_CANDIDATES,
+            "simulation oracle limited to 16 candidates; use the SAT backend"
         );
         for &g in candidates {
             assert!(
@@ -179,62 +173,6 @@ impl<'c> SimValidityEngine<'c> {
     }
 }
 
-/// Exact validity check by exhaustive forced-value simulation.
-///
-/// For every test, tries all `2^|C|` assignments of replacement values to
-/// the candidate gates — batched `64 * SCREEN_WORDS` combinations per
-/// sweep of a reusable [`PackedSim`] — and checks whether some assignment
-/// produces the expected value at the test's output. After the per-test
-/// baseline sweep, each batch only re-simulates the fan-out cones of the
-/// candidate gates (incremental forced-value propagation), so screening a
-/// candidate set is far cheaper than `tests * combos` full simulations.
-///
-/// # Panics
-///
-/// Panics if `candidates.len() > 16` (use the SAT oracle instead) or if a
-/// candidate is a source gate.
-#[deprecated(
-    since = "0.1.0",
-    note = "builds a fresh engine (O(gates) buffers + a full baseline sweep) on every call; \
-            hold a `SimValidityEngine` across calls, batch with `screen_valid_corrections_sim`, \
-            or let the auto-dispatching `is_valid_correction` pick the backend"
-)]
-pub fn is_valid_correction_sim(circuit: &Circuit, tests: &TestSet, candidates: &[GateId]) -> bool {
-    SimValidityEngine::new(circuit).is_valid(tests, candidates)
-}
-
-/// Screens many candidate sets in parallel: one [`SimValidityEngine`] per
-/// worker, work-stealing over a shared index, verdicts in input order.
-///
-/// The verdict vector is bit-identical for every thread count (including
-/// [`Parallelism::Sequential`], which reuses a single engine across all
-/// sets — the fastest single-core option too).
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`is_valid_correction_sim`].
-pub fn screen_valid_corrections_sim(
-    circuit: &Circuit,
-    tests: &TestSet,
-    candidate_sets: &[Vec<GateId>],
-    parallelism: Parallelism,
-) -> Vec<bool> {
-    // Per-set cost scales with circuit size and test count; under `Auto`
-    // tiny screens stay inline (see `Parallelism::workers_for`).
-    let work = candidate_sets
-        .len()
-        .saturating_mul(circuit.len())
-        .saturating_mul(tests.len().max(1));
-    let workers =
-        parallelism.workers_for(candidate_sets.len(), work, gatediag_sim::AUTO_WORK_FLOOR);
-    parallel_map_init(
-        workers,
-        candidate_sets.len(),
-        || SimValidityEngine::new(circuit),
-        |engine, i| engine.is_valid(tests, &candidate_sets[i]),
-    )
-}
-
 /// A reusable SAT validity oracle for one `(circuit, candidate set)` pair.
 ///
 /// Encodes the circuit *once* with the candidate gates' defining clauses
@@ -243,27 +181,24 @@ pub fn screen_valid_corrections_sim(
 /// (inputs and the expected output value), so checking `|T|` tests costs
 /// one encoding instead of `|T|`. Learnt clauses accumulate across tests,
 /// which is sound (they are implied by the circuit clauses alone) and
-/// usually speeds up later tests of the same set.
-///
-/// This is also the unit of work for per-test sharding: each pool worker
-/// of [`is_valid_correction_sat_par`] holds its own engine, and because
-/// per-test verdicts are exact, the merged result is bit-identical for
-/// every worker count.
+/// usually speeds up later tests of the same set. Outside the module it
+/// is reached through a [`ValidityOracle`] pinned to
+/// [`ValidityBackend::Sat`] (or auto-dispatched there for large sets).
 ///
 /// # Examples
 ///
 /// ```
-/// use gatediag_core::{generate_failing_tests, SatValidityEngine};
+/// use gatediag_core::{generate_failing_tests, ValidityBackend, ValidityOracle};
 /// use gatediag_netlist::{c17, inject_errors};
 ///
 /// let golden = c17();
 /// let (faulty, sites) = inject_errors(&golden, 1, 42);
 /// let tests = generate_failing_tests(&golden, &faulty, 8, 42, 4096);
-/// let mut engine = SatValidityEngine::new(&faulty, &[sites[0].gate]);
-/// assert!(tests.iter().all(|t| engine.test_rectifiable(t)));
+/// let mut oracle = ValidityOracle::with_backend(&faulty, ValidityBackend::Sat);
+/// assert!(oracle.is_valid(&tests, &[sites[0].gate]));
 /// ```
 #[derive(Debug)]
-pub struct SatValidityEngine<'c> {
+struct SatValidityEngine<'c> {
     circuit: &'c Circuit,
     solver: Solver,
     vars: Vec<Var>,
@@ -272,7 +207,7 @@ pub struct SatValidityEngine<'c> {
 /// Outcome of one budgeted rectifiability query
 /// ([`SatValidityEngine::query`]).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum ValidityVerdict {
+enum ValidityVerdict {
     /// Some assignment of the freed candidates rectifies the test.
     Rectifiable,
     /// No assignment rectifies the test (the candidate set is invalid).
@@ -288,7 +223,7 @@ impl<'c> SatValidityEngine<'c> {
     /// # Panics
     ///
     /// Panics if a candidate is a primary input.
-    pub fn new(circuit: &'c Circuit, candidates: &[GateId]) -> SatValidityEngine<'c> {
+    fn new(circuit: &'c Circuit, candidates: &[GateId]) -> SatValidityEngine<'c> {
         let mut freed = vec![false; circuit.len()];
         for &g in candidates {
             assert!(
@@ -320,18 +255,13 @@ impl<'c> SatValidityEngine<'c> {
         }
     }
 
-    /// `true` if some assignment of the freed candidate values makes the
-    /// test's designated output take its expected value.
-    pub fn test_rectifiable(&mut self, test: &Test) -> bool {
-        self.query(test) == ValidityVerdict::Rectifiable
-    }
-
-    /// [`SatValidityEngine::test_rectifiable`] with the budget-aware
-    /// tri-state outcome: a solver that gives up (conflict budget or
-    /// deadline, see [`SatValidityEngine::set_limits`]) reports
+    /// Whether some assignment of the freed candidate values makes the
+    /// test's designated output take its expected value. A solver that
+    /// gives up (conflict budget or deadline, see
+    /// [`SatValidityEngine::set_limits`]) reports
     /// [`ValidityVerdict::Unknown`] instead of silently conflating "gave
     /// up" with "not rectifiable".
-    pub fn query(&mut self, test: &Test) -> ValidityVerdict {
+    fn query(&mut self, test: &Test) -> ValidityVerdict {
         let mut assumptions: Vec<_> = self
             .circuit
             .inputs()
@@ -354,7 +284,7 @@ impl<'c> SatValidityEngine<'c> {
     /// Installs a per-query conflict budget and/or an absolute wall
     /// deadline on the engine's solver (`None` = unlimited, the default).
     /// The conflict budget is deterministic; the deadline is not.
-    pub fn set_limits(&mut self, conflicts: Option<u64>, deadline: Option<Instant>) {
+    fn set_limits(&mut self, conflicts: Option<u64>, deadline: Option<Instant>) {
         self.solver.set_conflict_budget(conflicts);
         self.solver.set_deadline(deadline);
     }
@@ -363,145 +293,13 @@ impl<'c> SatValidityEngine<'c> {
     /// the real cost of SAT-backed validity screening, which callers
     /// aggregating per-run stats (the campaign's `auto` engine) must not
     /// drop on the floor.
-    pub fn stats(&self) -> SolverStats {
+    fn stats(&self) -> SolverStats {
         self.solver.stats()
     }
 }
 
-/// Exact validity check by SAT.
-///
-/// Builds one [`SatValidityEngine`] (circuit encoded once, candidates
-/// freed) and checks every test under assumptions, stopping at the first
-/// non-rectifiable test. Semantically identical to — and substantially
-/// faster than — the seed's one-fresh-solver-per-test formulation.
-pub fn is_valid_correction_sat(circuit: &Circuit, tests: &TestSet, candidates: &[GateId]) -> bool {
-    let mut engine = SatValidityEngine::new(circuit, candidates);
-    tests.iter().all(|t| engine.test_rectifiable(t))
-}
-
-/// Minimum stolen tests per worker before the sharded SAT oracle fans
-/// out. Every worker pays a full circuit encoding *and* starts with an
-/// empty learnt-clause database, so with fewer tests per worker the
-/// per-worker setup dominates and the shards run slower than the single
-/// warm sequential engine. `BENCH_PR3.json` measured 0.23x at 4 workers
-/// (32 tests, 620 gates: 0.29 ms sequential vs 1.27 ms sharded), and the
-/// `validity.satpar.encodes` / `cnf.clauses` observability counters
-/// attribute the ~1 ms slowdown to the `workers × encoding` term plus
-/// pool spawn — versus warm assumption queries at ~8 µs each, which puts
-/// break-even near 50 tests per worker for propagation-dominated
-/// workloads (see ARCHITECTURE.md, "Observability"). Conflict-heavy
-/// query mixes amortise sooner, but the guard is calibrated to the
-/// measured regime.
-pub const PAR_MIN_TESTS_PER_WORKER: usize = 64;
-
-/// [`is_valid_correction_sat`] with the per-test SAT instances sharded
-/// across a worker pool.
-///
-/// Each worker holds its own [`SatValidityEngine`] (one encoding per
-/// worker, not per test) and steals test indices off the shared queue;
-/// verdicts are collected in test order and conjoined. Because every
-/// per-test verdict is exact, the result is bit-identical to the
-/// sequential oracle for any worker count — this is the ROADMAP's
-/// "per-test instance sharding for the validity `_sat` oracle".
-///
-/// Sharding is work-gated even under [`Parallelism::Fixed`]: unless every
-/// worker would steal at least [`PAR_MIN_TESTS_PER_WORKER`] tests, the
-/// call runs the sequential engine instead (same verdict, and measurably
-/// faster — see [`PAR_MIN_TESTS_PER_WORKER`]).
-pub fn is_valid_correction_sat_par(
-    circuit: &Circuit,
-    tests: &TestSet,
-    candidates: &[GateId],
-    parallelism: Parallelism,
-) -> bool {
-    gatediag_obs::count("validity.satpar.calls", 1);
-    // Only fan out when the per-test solves plausibly dwarf the per-worker
-    // setup cost: each worker re-encodes the circuit (O(gates) clauses)
-    // and re-learns its clauses from scratch, so it needs a minimum
-    // number of tests to amortise that.
-    let work = tests.len().saturating_mul(circuit.len()).saturating_mul(8);
-    let workers = parallelism
-        .workers_for(tests.len(), work, gatediag_sim::AUTO_WORK_FLOOR)
-        .min(tests.len() / PAR_MIN_TESTS_PER_WORKER);
-    if workers <= 1 {
-        return is_valid_correction_sat(circuit, tests, candidates);
-    }
-    gatediag_obs::count("validity.satpar.encodes", workers as u64);
-    // Cross-worker early exit, mirroring the sequential oracle's short
-    // circuit: once any worker finds a non-rectifiable test the overall
-    // conjunction is false, so remaining stolen tests are skipped. The
-    // skip only ever happens after a genuine `false` verdict is recorded,
-    // so the conjunction — the only published output — is unaffected.
-    let failed = std::sync::atomic::AtomicBool::new(false);
-    let verdicts = parallel_map_init(
-        workers,
-        tests.len(),
-        || SatValidityEngine::new(circuit, candidates),
-        |engine, i| {
-            if failed.load(std::sync::atomic::Ordering::Relaxed) {
-                return false; // don't-care: a real failure is already recorded
-            }
-            let ok = engine.test_rectifiable(&tests.tests()[i]);
-            if !ok {
-                failed.store(true, std::sync::atomic::Ordering::Relaxed);
-            }
-            ok
-        },
-    );
-    verdicts.into_iter().all(|v| v)
-}
-
-/// Screens many candidate sets with the SAT oracle in parallel: one
-/// worker per stolen set, each building a [`SatValidityEngine`] for its
-/// current set and early-exiting on the first non-rectifiable test.
-/// Verdicts are returned in input order and are bit-identical for every
-/// worker count.
-pub fn screen_valid_corrections_sat(
-    circuit: &Circuit,
-    tests: &TestSet,
-    candidate_sets: &[Vec<GateId>],
-    parallelism: Parallelism,
-) -> Vec<bool> {
-    let work = candidate_sets
-        .len()
-        .saturating_mul(circuit.len())
-        .saturating_mul(tests.len().max(1));
-    let workers =
-        parallelism.workers_for(candidate_sets.len(), work, gatediag_sim::AUTO_WORK_FLOOR);
-    parallel_map_init(
-        workers,
-        candidate_sets.len(),
-        || (),
-        |(), i| is_valid_correction_sat(circuit, tests, &candidate_sets[i]),
-    )
-}
-
-/// Screens many candidate sets with the *auto-dispatching* oracle in
-/// parallel: one [`ValidityOracle`] per worker (primed sim engine as the
-/// fast path, SAT for large sets), work-stealing over the sets, verdicts
-/// in input order — bit-identical for every worker count.
-pub fn screen_valid_corrections(
-    circuit: &Circuit,
-    tests: &TestSet,
-    candidate_sets: &[Vec<GateId>],
-    parallelism: Parallelism,
-) -> Vec<bool> {
-    let work = candidate_sets
-        .len()
-        .saturating_mul(circuit.len())
-        .saturating_mul(tests.len().max(1));
-    let workers =
-        parallelism.workers_for(candidate_sets.len(), work, gatediag_sim::AUTO_WORK_FLOOR);
-    parallel_map_init(
-        workers,
-        candidate_sets.len(),
-        || ValidityOracle::new(circuit),
-        |oracle, i| oracle.is_valid(tests, &candidate_sets[i]),
-    )
-}
-
 /// Outcome of a budgeted batch screen
-/// ([`screen_valid_corrections_metered`]).
+/// ([`screen_valid_corrections`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ScreenOutcome {
     /// Verdicts for the *screened prefix* of the input sets, in input
@@ -521,8 +319,10 @@ pub struct ScreenOutcome {
     pub work: u64,
 }
 
-/// [`screen_valid_corrections`] under a cooperative [`Budget`], reporting
-/// SAT statistics and truncation — the campaign-grade batch screen.
+/// Screens many candidate sets under a cooperative [`Budget`]: one
+/// [`ValidityOracle`] per worker, work-stealing over the sets, verdicts in
+/// input order (bit-identical for every worker count), with the SAT
+/// statistics and any truncation reported alongside.
 ///
 /// The deterministic work unit is **one candidate set screened**: a work
 /// budget truncates the set list to a prefix before the fan-out, so the
@@ -532,7 +332,7 @@ pub struct ScreenOutcome {
 /// recorded — deterministic, since the CDCL search is). The wall deadline
 /// stops between sets (nondeterministic, opt-in). `backend` pins the
 /// validity backend, or [`ValidityBackend::Auto`] to dispatch per set.
-pub fn screen_valid_corrections_metered(
+pub fn screen_valid_corrections(
     circuit: &Circuit,
     tests: &TestSet,
     candidate_sets: &[Vec<GateId>],
@@ -604,12 +404,11 @@ pub fn screen_valid_corrections_metered(
 /// backend only trades time: forced-value simulation is exponential in
 /// `|C|` but touches only the candidates' fan-out cones, while SAT scales
 /// to large `C` but pays a circuit-sized encoding and CDCL search per
-/// test. [`ValidityBackend::Auto`] picks per call from `|C|`, the
-/// candidates' fan-out cone size and the test count — so callers no
-/// longer hardcode `_sim` vs `_sat`.
+/// test. [`ValidityBackend::Auto`] picks per call from `|C|` and the
+/// candidates' fan-out cone size, so callers do not hardcode a backend.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum ValidityBackend {
-    /// Choose per call (see [`resolve_validity_backend`]).
+    /// Choose per call from `|C|` and the candidates' fan-out cone size.
     #[default]
     Auto,
     /// Always forced-value simulation (panics if `|C| > 16`).
@@ -618,7 +417,7 @@ pub enum ValidityBackend {
     Sat,
 }
 
-/// Largest candidate set the simulation oracle accepts (`2^16`
+/// Largest candidate set the simulation backend accepts (`2^16`
 /// combinations per test).
 pub const SIM_MAX_CANDIDATES: usize = 16;
 
@@ -635,13 +434,8 @@ const SAT_COST_PER_GATE: u64 = 48;
 /// `ceil(2^|C| / 1024) · cone(C)` for simulation (1024 = lanes per
 /// incremental sweep) versus `SAT_COST_PER_GATE · gates` for SAT. The
 /// test count multiplies both sides equally and therefore drops out of
-/// the comparison; it still decides ties for empty test sets (trivially
-/// `Sim`).
-pub fn resolve_validity_backend(
-    circuit: &Circuit,
-    _tests: &TestSet,
-    candidates: &[GateId],
-) -> ValidityBackend {
+/// the comparison.
+fn resolve_validity_backend(circuit: &Circuit, candidates: &[GateId]) -> ValidityBackend {
     if candidates.len() > SIM_MAX_CANDIDATES {
         return ValidityBackend::Sat;
     }
@@ -687,23 +481,19 @@ fn fanout_cone_size(circuit: &Circuit, candidates: &[GateId]) -> usize {
 
 /// Exact validity with automatic backend dispatch.
 ///
-/// Equivalent to both [`SimValidityEngine::is_valid`] and
-/// [`is_valid_correction_sat`] (the oracles agree on every input); the
-/// backend is chosen by [`resolve_validity_backend`]. One-shot
-/// convenience — loops over many candidate sets should hold a
-/// [`ValidityOracle`] instead.
+/// One-shot convenience over [`ValidityOracle::new`] — loops over many
+/// candidate sets should hold a [`ValidityOracle`] instead.
 pub fn is_valid_correction(circuit: &Circuit, tests: &TestSet, candidates: &[GateId]) -> bool {
     ValidityOracle::new(circuit).is_valid(tests, candidates)
 }
 
 /// A reusable auto-dispatching validity oracle.
 ///
-/// Owns a primed [`SimValidityEngine`] as the fast path and falls back to
-/// the per-test SAT oracle when [`resolve_validity_backend`] (or an
+/// Owns a primed forced-value simulation engine as the fast path and
+/// falls back to the per-test SAT oracle when the cost model (or an
 /// explicit [`ValidityBackend`]) says so. Cross-candidate loops keep the
-/// simulation engine's incremental baseline warm across calls exactly
-/// like holding a bare `SimValidityEngine`, but large candidate sets no
-/// longer panic — they transparently route to SAT.
+/// simulation engine's incremental baseline warm across calls, and large
+/// candidate sets do not panic — they route to SAT.
 ///
 /// # Examples
 ///
@@ -778,14 +568,6 @@ impl<'c> ValidityOracle<'c> {
         self.truncation.take()
     }
 
-    /// The backend a call with these arguments would use.
-    pub fn backend_for(&self, tests: &TestSet, candidates: &[GateId]) -> ValidityBackend {
-        match self.backend {
-            ValidityBackend::Auto => resolve_validity_backend(self.circuit, tests, candidates),
-            pinned => pinned,
-        }
-    }
-
     /// Exact validity of `candidates` for `tests`.
     ///
     /// # Panics
@@ -794,7 +576,11 @@ impl<'c> ValidityOracle<'c> {
     /// pinned to [`ValidityBackend::Sim`] with more than
     /// [`SIM_MAX_CANDIDATES`] candidates.
     pub fn is_valid(&mut self, tests: &TestSet, candidates: &[GateId]) -> bool {
-        match self.backend_for(tests, candidates) {
+        let backend = match self.backend {
+            ValidityBackend::Auto => resolve_validity_backend(self.circuit, candidates),
+            pinned => pinned,
+        };
+        match backend {
             ValidityBackend::Sim | ValidityBackend::Auto => {
                 gatediag_obs::count("validity.dispatch.sim", 1);
                 self.sim.is_valid(tests, candidates)
@@ -834,10 +620,14 @@ mod tests {
     use crate::test_set::generate_failing_tests;
     use gatediag_netlist::{c17, inject_errors, RandomCircuitSpec};
 
-    /// Fresh-engine simulation verdict (what the deprecated
-    /// `is_valid_correction_sim` wrapper computes).
+    /// Fresh-engine simulation verdict.
     fn sim_valid(circuit: &Circuit, tests: &TestSet, candidates: &[GateId]) -> bool {
         SimValidityEngine::new(circuit).is_valid(tests, candidates)
+    }
+
+    /// Fresh-oracle SAT verdict.
+    fn sat_valid(circuit: &Circuit, tests: &TestSet, candidates: &[GateId]) -> bool {
+        ValidityOracle::with_backend(circuit, ValidityBackend::Sat).is_valid(tests, candidates)
     }
 
     #[test]
@@ -855,7 +645,7 @@ mod tests {
                 "seed {seed}: real error sites rejected by sim oracle"
             );
             assert!(
-                is_valid_correction_sat(&faulty, &tests, &gates),
+                sat_valid(&faulty, &tests, &gates),
                 "seed {seed}: real error sites rejected by SAT oracle"
             );
         }
@@ -885,7 +675,7 @@ mod tests {
                     .copied()
                     .collect();
                 let sim = sim_valid(&faulty, &tests, &candidates);
-                let sat = is_valid_correction_sat(&faulty, &tests, &candidates);
+                let sat = sat_valid(&faulty, &tests, &candidates);
                 assert_eq!(sim, sat, "oracles disagree on {candidates:?}");
             }
         }
@@ -918,10 +708,10 @@ mod tests {
         assert!(!tests.is_empty());
         // Failing tests cannot be rectified by changing nothing.
         assert!(!sim_valid(&faulty, &tests, &[]));
-        assert!(!is_valid_correction_sat(&faulty, &tests, &[]));
+        assert!(!sat_valid(&faulty, &tests, &[]));
         // An empty test set is trivially rectified.
         assert!(sim_valid(&faulty, &TestSet::default(), &[]));
-        assert!(is_valid_correction_sat(&faulty, &TestSet::default(), &[]));
+        assert!(sat_valid(&faulty, &TestSet::default(), &[]));
     }
 
     #[test]
@@ -964,9 +754,7 @@ mod tests {
         let golden = RandomCircuitSpec::new(6, 3, 40).seed(4).generate();
         let (faulty, sites) = inject_errors(&golden, 1, 4);
         let tests = generate_failing_tests(&golden, &faulty, 8, 4, 8192);
-        if tests.is_empty() {
-            return;
-        }
+        assert!(!tests.is_empty());
         let functional: Vec<GateId> = faulty
             .iter()
             .filter(|(_, g)| !g.kind().is_source())
@@ -975,38 +763,37 @@ mod tests {
         let mut sets: Vec<Vec<GateId>> = functional.iter().map(|&g| vec![g]).collect();
         sets.push(sites.iter().map(|s| s.gate).collect());
         sets.push(Vec::new());
-        let expected: Vec<bool> = sets.iter().map(|s| sim_valid(&faulty, &tests, s)).collect();
-        for parallelism in [
-            Parallelism::Sequential,
-            Parallelism::Fixed(2),
-            Parallelism::Fixed(7),
-            Parallelism::Fixed(sets.len() + 5),
+        let batches: [&[Vec<GateId>]; 2] = [&sets, &[]];
+        for backend in [
+            ValidityBackend::Auto,
+            ValidityBackend::Sim,
+            ValidityBackend::Sat,
         ] {
-            assert_eq!(
-                screen_valid_corrections_sim(&faulty, &tests, &sets, parallelism),
-                expected,
-                "verdicts drifted at {parallelism:?}"
-            );
+            for batch in batches {
+                let expected: Vec<bool> = batch
+                    .iter()
+                    .map(|s| ValidityOracle::with_backend(&faulty, backend).is_valid(&tests, s))
+                    .collect();
+                for parallelism in [
+                    Parallelism::Sequential,
+                    Parallelism::Fixed(2),
+                    Parallelism::Fixed(7),
+                ] {
+                    let out = screen_valid_corrections(
+                        &faulty,
+                        &tests,
+                        batch,
+                        parallelism,
+                        backend,
+                        &Budget::default(),
+                    );
+                    let case = format!("{backend:?} at {parallelism:?}, {} sets", batch.len());
+                    assert_eq!(out.truncation, None, "{case}");
+                    assert_eq!(out.work, batch.len() as u64, "{case}");
+                    assert_eq!(out.verdicts, expected, "{case}");
+                }
+            }
         }
-        // Empty batch.
-        assert!(
-            screen_valid_corrections_sim(&faulty, &tests, &[], Parallelism::Fixed(4)).is_empty()
-        );
-    }
-
-    #[test]
-    fn deprecated_wrapper_still_matches_engine() {
-        // The back-compat wrapper must stay bit-identical to holding an
-        // engine explicitly for as long as it exists.
-        #![allow(deprecated)]
-        let golden = c17();
-        let (faulty, sites) = inject_errors(&golden, 1, 9);
-        let tests = generate_failing_tests(&golden, &faulty, 6, 9, 4096);
-        let gates = vec![sites[0].gate];
-        assert_eq!(
-            is_valid_correction_sim(&faulty, &tests, &gates),
-            sim_valid(&faulty, &tests, &gates)
-        );
     }
 
     #[test]
@@ -1025,153 +812,11 @@ mod tests {
             for (i, t) in tests.iter().enumerate() {
                 let single: TestSet = std::iter::once(t.clone()).collect();
                 assert_eq!(
-                    engine.test_rectifiable(t),
+                    engine.query(t) == ValidityVerdict::Rectifiable,
                     sim_valid(&faulty, &single, &gates),
                     "seed {seed} test {i}: SAT engine drifted from sim oracle"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn sharded_sat_oracle_is_worker_count_invariant() {
-        use gatediag_sim::Parallelism;
-        use rand::seq::SliceRandom;
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(55);
-        let golden = RandomCircuitSpec::new(6, 3, 40).seed(3).generate();
-        let (faulty, _) = inject_errors(&golden, 2, 3);
-        let tests = generate_failing_tests(&golden, &faulty, 8, 3, 8192);
-        if tests.is_empty() {
-            return;
-        }
-        let functional: Vec<GateId> = faulty
-            .iter()
-            .filter(|(_, g)| !g.kind().is_source())
-            .map(|(id, _)| id)
-            .collect();
-        for round in 0..8 {
-            let size = 1 + round % 3;
-            let candidates: Vec<GateId> = functional
-                .choose_multiple(&mut rng, size)
-                .copied()
-                .collect();
-            let sequential = is_valid_correction_sat(&faulty, &tests, &candidates);
-            for workers in [1usize, 2, 4, 8] {
-                assert_eq!(
-                    is_valid_correction_sat_par(
-                        &faulty,
-                        &tests,
-                        &candidates,
-                        Parallelism::Fixed(workers)
-                    ),
-                    sequential,
-                    "round {round}: {workers}-worker SAT oracle drifted on {candidates:?}"
-                );
-            }
-        }
-        // Empty test set: trivially valid, also when sharded.
-        assert!(is_valid_correction_sat_par(
-            &faulty,
-            &TestSet::default(),
-            &functional[..1],
-            Parallelism::Fixed(4)
-        ));
-    }
-
-    #[test]
-    fn sharded_sat_oracle_is_work_gated_and_counted() {
-        // The BENCH_PR3 regression fix, pinned by the observability
-        // counters: a call with fewer than PAR_MIN_TESTS_PER_WORKER tests
-        // per worker must run the warm sequential engine (one encoding,
-        // no fan-out), and a call over the threshold must fan out with
-        // exactly `workers` encodings — both with identical verdicts.
-        use gatediag_sim::Parallelism;
-        let golden = RandomCircuitSpec::new(10, 3, 60).seed(17).generate();
-        let (faulty, sites) = inject_errors(&golden, 1, 17);
-        let tests = generate_failing_tests(&golden, &faulty, 256, 17, 1 << 10);
-        assert!(
-            tests.len() >= 2 * PAR_MIN_TESTS_PER_WORKER,
-            "need {} failing tests to cross the sharding gate, got {}",
-            2 * PAR_MIN_TESTS_PER_WORKER,
-            tests.len()
-        );
-        let gates: Vec<GateId> = sites.iter().map(|s| s.gate).collect();
-        let sequential = is_valid_correction_sat(&faulty, &tests, &gates);
-        let counter = |trace: &gatediag_obs::ObsTrace, name: &str| {
-            trace
-                .counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(0, |&(_, v)| v)
-        };
-        // Over the threshold at 2 workers: the shards really fan out, and
-        // every worker pays one circuit encoding.
-        let sink = std::sync::Arc::new(gatediag_obs::Sink::new());
-        let guard = gatediag_obs::install(sink.clone());
-        assert_eq!(
-            is_valid_correction_sat_par(&faulty, &tests, &gates, Parallelism::Fixed(2)),
-            sequential
-        );
-        drop(guard);
-        let sharded = sink.take_trace();
-        assert_eq!(counter(&sharded, "validity.satpar.calls"), 1);
-        assert_eq!(counter(&sharded, "validity.satpar.encodes"), 2);
-        // Under the threshold (a prefix too small for even two shards):
-        // the guard routes to the sequential engine — no extra encodings.
-        let small: TestSet = tests
-            .iter()
-            .take(PAR_MIN_TESTS_PER_WORKER)
-            .cloned()
-            .collect();
-        let small_expected = is_valid_correction_sat(&faulty, &small, &gates);
-        let sink = std::sync::Arc::new(gatediag_obs::Sink::new());
-        let guard = gatediag_obs::install(sink.clone());
-        assert_eq!(
-            is_valid_correction_sat_par(&faulty, &small, &gates, Parallelism::Fixed(4)),
-            small_expected
-        );
-        drop(guard);
-        let gated = sink.take_trace();
-        assert_eq!(counter(&gated, "validity.satpar.calls"), 1);
-        assert_eq!(counter(&gated, "validity.satpar.encodes"), 0);
-        // The attribution itself: the sharded call multiplies the CNF
-        // work — strictly more clauses encoded than the gated call for
-        // the same candidate set.
-        assert!(counter(&sharded, "cnf.clauses") > counter(&gated, "cnf.clauses"));
-    }
-
-    #[test]
-    fn sat_batch_screening_matches_per_set_verdicts() {
-        use gatediag_sim::Parallelism;
-        let golden = RandomCircuitSpec::new(6, 3, 40).seed(4).generate();
-        let (faulty, sites) = inject_errors(&golden, 1, 4);
-        let tests = generate_failing_tests(&golden, &faulty, 6, 4, 8192);
-        if tests.is_empty() {
-            return;
-        }
-        let functional: Vec<GateId> = faulty
-            .iter()
-            .filter(|(_, g)| !g.kind().is_source())
-            .map(|(id, _)| id)
-            .take(12)
-            .collect();
-        let mut sets: Vec<Vec<GateId>> = functional.iter().map(|&g| vec![g]).collect();
-        sets.push(sites.iter().map(|s| s.gate).collect());
-        let expected: Vec<bool> = sets
-            .iter()
-            .map(|s| is_valid_correction_sat(&faulty, &tests, s))
-            .collect();
-        for parallelism in [
-            Parallelism::Sequential,
-            Parallelism::Fixed(2),
-            Parallelism::Fixed(7),
-        ] {
-            assert_eq!(
-                screen_valid_corrections_sat(&faulty, &tests, &sets, parallelism),
-                expected,
-                "SAT screening drifted at {parallelism:?}"
-            );
         }
     }
 
@@ -1229,18 +874,18 @@ mod tests {
             .collect();
         assert!(functional.len() > SIM_MAX_CANDIDATES);
         assert_eq!(
-            resolve_validity_backend(&faulty, &tests, &functional),
+            resolve_validity_backend(&faulty, &functional),
             ValidityBackend::Sat
         );
         // Freeing that many gates of a small circuit rectifies everything.
         let mut oracle = ValidityOracle::new(&faulty);
         assert_eq!(
             oracle.is_valid(&tests, &functional),
-            is_valid_correction_sat(&faulty, &tests, &functional)
+            sat_valid(&faulty, &tests, &functional)
         );
         // Small sets resolve to the sim fast path.
         assert_eq!(
-            resolve_validity_backend(&faulty, &tests, &functional[..2]),
+            resolve_validity_backend(&faulty, &functional[..2]),
             ValidityBackend::Sim
         );
     }
@@ -1256,6 +901,6 @@ mod tests {
         outs.sort();
         outs.dedup();
         assert!(sim_valid(&faulty, &tests, &outs));
-        assert!(is_valid_correction_sat(&faulty, &tests, &outs));
+        assert!(sat_valid(&faulty, &tests, &outs));
     }
 }

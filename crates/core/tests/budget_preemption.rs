@@ -9,7 +9,7 @@
 use gatediag_core::budget::{Budget, Truncation};
 use gatediag_core::{
     basic_sat_diagnose, basic_sim_diagnose, cover_all, generate_failing_tests, sc_diagnose,
-    screen_valid_corrections_metered, BsatOptions, BsimOptions, CovEngine, CovOptions, Parallelism,
+    screen_valid_corrections, BsatOptions, BsimOptions, CovEngine, CovOptions, Parallelism,
     ValidityBackend,
 };
 use gatediag_netlist::{inject_errors, Circuit, GateId, RandomCircuitSpec};
@@ -248,7 +248,7 @@ fn metered_screen_truncates_sets_deterministically() {
         .take(12)
         .collect();
     let sets: Vec<Vec<GateId>> = functional.iter().map(|&g| vec![g]).collect();
-    let unlimited = screen_valid_corrections_metered(
+    let unlimited = screen_valid_corrections(
         &faulty,
         &small,
         &sets,
@@ -265,7 +265,7 @@ fn metered_screen_truncates_sets_deterministically() {
         };
         let screened = (budget_units as usize).min(sets.len());
         for parallelism in WORKER_SWEEP {
-            let out = screen_valid_corrections_metered(
+            let out = screen_valid_corrections(
                 &faulty,
                 &small,
                 &sets,

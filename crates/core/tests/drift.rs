@@ -6,18 +6,19 @@
 //! reimplementations of the seed's scalar algorithms: candidate sets,
 //! mark counts and verdicts must be *bit-identical* on the paper examples
 //! and on randomly generated circuits.
-//!
-//! These back-compat tests deliberately keep exercising the deprecated
-//! seed-era entry points (e.g. `is_valid_correction_sim`) — they pin the
-//! wrappers, not the replacements.
-#![allow(deprecated)]
 
 use gatediag_core::{
-    basic_sim_diagnose, find_kind_repairs, generate_failing_tests, is_valid_correction_sim,
-    path_trace, BsimOptions, BsimResult, MarkPolicy, Test, TestSet,
+    basic_sim_diagnose, find_kind_repairs, generate_failing_tests, path_trace, BsimOptions,
+    BsimResult, MarkPolicy, Test, TestSet, ValidityBackend, ValidityOracle,
 };
 use gatediag_netlist::{c17, inject_errors, GateId, GateKind, GateSet, RandomCircuitSpec};
 use gatediag_sim::{simulate, simulate_forced};
+
+/// Validity by the forced-value simulation backend, one fresh oracle per
+/// call.
+fn sim_valid(circuit: &gatediag_netlist::Circuit, tests: &TestSet, candidates: &[GateId]) -> bool {
+    ValidityOracle::with_backend(circuit, ValidityBackend::Sim).is_valid(tests, candidates)
+}
 
 /// The seed's `basic_sim_diagnose`: one scalar simulation per test.
 fn reference_bsim(
@@ -202,7 +203,7 @@ fn validity_verdicts_are_bit_identical_to_scalar_reference() {
         for candidates in candidate_sets {
             let small = tests.prefix_at_most(6);
             assert_eq!(
-                is_valid_correction_sim(&faulty, &small, &candidates),
+                sim_valid(&faulty, &small, &candidates),
                 reference_validity(&faulty, &small, &candidates),
                 "verdict drift on {candidates:?}"
             );
@@ -237,7 +238,7 @@ fn validity_multiword_and_multibatch_paths_match_reference() {
             for candidates in [&functional[..size], &functional[functional.len() - size..]] {
                 exercised += 1;
                 assert_eq!(
-                    is_valid_correction_sim(&faulty, &tests, candidates),
+                    sim_valid(&faulty, &tests, candidates),
                     reference_validity(&faulty, &tests, candidates),
                     "seed {seed}: verdict drift on |C| = {size}"
                 );
@@ -312,7 +313,7 @@ fn empty_test_set_edge_cases_agree() {
     let empty = TestSet::default();
     let fast = basic_sim_diagnose(&c, &empty, BsimOptions::default());
     assert!(fast.candidate_sets.is_empty());
-    assert!(is_valid_correction_sim(&c, &empty, &[]));
+    assert!(sim_valid(&c, &empty, &[]));
     let g = c.find("G16").unwrap();
     assert_eq!(
         find_kind_repairs(&c, &empty, &[g]),

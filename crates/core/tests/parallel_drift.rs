@@ -7,15 +7,11 @@
 //! cases (one worker, more workers than work items, empty work). These
 //! tests pin that contract explicitly; `proptest_parallel.rs` fuzzes it
 //! on random circuits.
-//!
-//! Back-compat: the deprecated seed-era oracles stay exercised here on
-//! purpose — drift tests compare against what the seed computed.
-#![allow(deprecated)]
 
 use gatediag_core::{
-    basic_sim_diagnose, cover_all, find_kind_repairs_par, generate_failing_tests,
-    is_valid_correction_sim, sc_diagnose, screen_valid_corrections_sim, sim_backtrack_diagnose,
-    BsimOptions, CovEngine, CovOptions, MarkPolicy, Parallelism, SimBacktrackOptions, TestSet,
+    basic_sim_diagnose, cover_all, find_kind_repairs_par, generate_failing_tests, sc_diagnose,
+    screen_valid_corrections, sim_backtrack_diagnose, BsimOptions, Budget, CovEngine, CovOptions,
+    MarkPolicy, Parallelism, SimBacktrackOptions, TestSet, ValidityBackend, ValidityOracle,
 };
 use gatediag_netlist::{c17, inject_errors, Circuit, GateId, RandomCircuitSpec};
 
@@ -321,12 +317,21 @@ fn screening_matches_oracle_for_all_worker_counts() {
         let small = tests.prefix_at_most(6);
         let expected: Vec<bool> = sets
             .iter()
-            .map(|s| is_valid_correction_sim(&faulty, &small, s))
+            .map(|s| {
+                ValidityOracle::with_backend(&faulty, ValidityBackend::Sim).is_valid(&small, s)
+            })
             .collect();
         for parallelism in WORKER_SWEEP {
+            let screen = screen_valid_corrections(
+                &faulty,
+                &small,
+                &sets,
+                parallelism,
+                ValidityBackend::Sim,
+                &Budget::default(),
+            );
             assert_eq!(
-                screen_valid_corrections_sim(&faulty, &small, &sets, parallelism),
-                expected,
+                screen.verdicts, expected,
                 "verdicts drifted at {parallelism:?}"
             );
         }

@@ -1,20 +1,19 @@
 //! Thread-count invariance for the parallel *SAT* layer (PR 3).
 //!
-//! The SAT side now fans out in three places: the validity `_sat` oracle
-//! shards its independent per-test instances over per-worker solvers,
-//! `basic_sat_diagnose` generates its per-test CNF copies on a worker
-//! pool (replayed into the solver in test order), and the COV SAT engine
-//! partitions cover enumeration over the top-level branch set with one
-//! solver per branch. Every one of these must produce *bit-identical
-//! diagnosis output* for every worker count, including the sequential
-//! path — these tests pin that contract the same way `parallel_drift.rs`
+//! The SAT side fans out in three places: `basic_sat_diagnose` generates
+//! its per-test CNF copies on a worker pool (replayed into the solver in
+//! test order), `partitioned_sat_diagnose` screens the chunk's candidates
+//! against the full test set with one validity oracle per worker, and the
+//! COV SAT engine partitions cover enumeration over the top-level branch
+//! set with one solver per branch. Every one of these must produce
+//! *bit-identical diagnosis output* for every worker count, including the
+//! sequential path — these tests pin that contract the same way `parallel_drift.rs`
 //! pins the simulation side.
 
 use gatediag_core::{
     basic_sat_diagnose, cover_all, generate_failing_tests, hybrid_seeded_bsat,
-    is_valid_correction_sat, is_valid_correction_sat_par, partitioned_sat_diagnose, sc_diagnose,
-    screen_valid_corrections, screen_valid_corrections_sat, two_pass_sat_diagnose, BsatOptions,
-    CovEngine, CovOptions, Parallelism, TestSet,
+    partitioned_sat_diagnose, sc_diagnose, two_pass_sat_diagnose, BsatOptions, CovEngine,
+    CovOptions, Parallelism, TestSet,
 };
 use gatediag_netlist::{inject_errors, Circuit, GateId, RandomCircuitSpec};
 
@@ -28,15 +27,14 @@ const WORKER_SWEEP: [Parallelism; 4] = [
     Parallelism::Fixed(8),
 ];
 
-fn workloads() -> Vec<(Circuit, Vec<GateId>, TestSet)> {
+fn workloads() -> Vec<(Circuit, TestSet)> {
     let mut out = Vec::new();
     for seed in 0..3u64 {
         let golden = RandomCircuitSpec::new(6, 3, 40).seed(seed).generate();
-        let (faulty, sites) = inject_errors(&golden, 1 + (seed as usize % 2), seed);
+        let (faulty, _) = inject_errors(&golden, 1 + (seed as usize % 2), seed);
         let tests = generate_failing_tests(&golden, &faulty, 8, seed, 8192);
         if !tests.is_empty() {
-            let gates = sites.iter().map(|s| s.gate).collect();
-            out.push((faulty, gates, tests));
+            out.push((faulty, tests));
         }
     }
     assert!(!out.is_empty(), "no workload produced failing tests");
@@ -45,7 +43,7 @@ fn workloads() -> Vec<(Circuit, Vec<GateId>, TestSet)> {
 
 #[test]
 fn bsat_solutions_are_identical_for_all_worker_counts() {
-    for (faulty, _, tests) in workloads() {
+    for (faulty, tests) in workloads() {
         let sequential = basic_sat_diagnose(
             &faulty,
             &tests,
@@ -86,7 +84,7 @@ fn bsat_solutions_are_identical_for_all_worker_counts() {
 
 #[test]
 fn bsat_variants_are_worker_count_invariant() {
-    for (faulty, _, tests) in workloads() {
+    for (faulty, tests) in workloads() {
         let baseline_two_pass = two_pass_sat_diagnose(
             &faulty,
             &tests,
@@ -140,60 +138,8 @@ fn bsat_variants_are_worker_count_invariant() {
 }
 
 #[test]
-fn sat_validity_oracle_is_worker_count_invariant() {
-    for (faulty, error_gates, tests) in workloads() {
-        let functional: Vec<GateId> = faulty
-            .iter()
-            .filter(|(_, g)| !g.kind().is_source())
-            .map(|(id, _)| id)
-            .collect();
-        let mut sets: Vec<Vec<GateId>> = functional.iter().take(10).map(|&g| vec![g]).collect();
-        sets.push(error_gates.clone());
-        sets.push(Vec::new());
-        for candidates in &sets {
-            let sequential = is_valid_correction_sat(&faulty, &tests, candidates);
-            for parallelism in WORKER_SWEEP {
-                assert_eq!(
-                    is_valid_correction_sat_par(&faulty, &tests, candidates, parallelism),
-                    sequential,
-                    "per-test sharded oracle drifted at {parallelism:?} on {candidates:?}"
-                );
-            }
-        }
-        // Batch screening: both the SAT-only and the auto-dispatching
-        // screens, against per-set sequential verdicts.
-        let expected: Vec<bool> = sets
-            .iter()
-            .map(|s| is_valid_correction_sat(&faulty, &tests, s))
-            .collect();
-        for parallelism in WORKER_SWEEP {
-            assert_eq!(
-                screen_valid_corrections_sat(&faulty, &tests, &sets, parallelism),
-                expected,
-                "SAT screening drifted at {parallelism:?}"
-            );
-            assert_eq!(
-                screen_valid_corrections(&faulty, &tests, &sets, parallelism),
-                expected,
-                "auto-dispatch screening drifted at {parallelism:?}"
-            );
-        }
-        // Degenerate inputs, every worker count.
-        for parallelism in WORKER_SWEEP {
-            assert!(screen_valid_corrections_sat(&faulty, &tests, &[], parallelism).is_empty());
-            assert!(is_valid_correction_sat_par(
-                &faulty,
-                &TestSet::default(),
-                &functional[..1],
-                parallelism
-            ));
-        }
-    }
-}
-
-#[test]
 fn cov_sat_engine_is_identical_for_all_worker_counts() {
-    for (faulty, _, tests) in workloads() {
+    for (faulty, tests) in workloads() {
         let small = tests.prefix_at_most(12);
         let sequential = sc_diagnose(
             &faulty,

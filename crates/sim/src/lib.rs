@@ -18,8 +18,6 @@
 //! * [`simulate_tv`] / [`x_may_rectify`] — three-valued X-injection
 //!   simulation (the conservative rectifiability check of Boppana et al.,
 //!   the paper's reference \[5\]);
-//! * [`DeltaSim`] — scalar event-driven incremental resimulation for
-//!   backtracking effect analysis (Sec. 2.2's advanced approaches);
 //! * [`SeqPackedSim`] / [`simulate_sequence`] — frame-major sequential
 //!   simulation: `64 * W` input *sequences* at once per time frame, latch
 //!   state words carried frame-to-frame over the explicit
@@ -78,20 +76,16 @@
 #![warn(missing_debug_implementations)]
 
 mod engine;
-mod event;
 mod packed;
-mod packed_tv;
 mod pool;
 mod scalar;
 mod sequential;
 mod tv;
 
 pub use engine::PackedSim;
-pub use event::DeltaSim;
 pub use packed::{
     pack_vectors, pack_vectors_into, simulate_packed, simulate_packed_forced, unpack_lane,
 };
-pub use packed_tv::{eval_dual_rail, simulate_tv_packed, DualRail};
 pub use pool::{
     parallel_map_init, parallel_map_init_isolated, parallel_map_init_while, Parallelism,
     PersistentPool, WorkItemFailure, AUTO_WORK_FLOOR, MAX_ENV_WORKERS,

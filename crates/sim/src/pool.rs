@@ -236,32 +236,21 @@ where
     })
 }
 
-/// One work item that panicked inside [`parallel_map_init_isolated`].
-///
-/// The pool stringifies the panic payload (the `String`/`&str` message of
-/// an `assert!`/`panic!`, or a placeholder for exotic payloads) and
-/// records where the failure happened. The worker index is a *schedule*
-/// artifact — it tells you which thread was unlucky, and is therefore
-/// nondeterministic across runs; callers that publish deterministic
-/// reports must key on `item` and `reason` only.
+/// One work item that panicked inside [`parallel_map_init_isolated`]: the
+/// item's index and its stringified panic payload (the `String`/`&str`
+/// message of an `assert!`/`panic!`, or a placeholder for exotic
+/// payloads). Both are pure functions of the item, never of the schedule.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct WorkItemFailure {
     /// Index of the work item that panicked.
     pub item: usize,
-    /// Index of the worker thread that was running it (0 on the inline
-    /// sequential path). Nondeterministic under work stealing.
-    pub worker: usize,
     /// The panic payload, stringified.
     pub reason: String,
 }
 
 impl std::fmt::Display for WorkItemFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "work item {} panicked (worker {}): {}",
-            self.item, self.worker, self.reason
-        )
+        write!(f, "work item {} panicked: {}", self.item, self.reason)
     }
 }
 
@@ -275,141 +264,61 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// [`parallel_map_init`] with **panic isolation**: each work item runs
-/// under [`std::panic::catch_unwind`], so one poisoned item no longer
-/// kills its siblings — the pool keeps draining the queue and the item
-/// comes back as `Err(WorkItemFailure)` instead of unwinding the caller.
+/// [`parallel_map_init`] with **panic isolation** and no per-worker
+/// state: each work item runs under [`std::panic::catch_unwind`], so one
+/// poisoned item does not kill its siblings — the pool keeps draining the
+/// queue and the item comes back as `Err(WorkItemFailure)` instead of
+/// unwinding the caller.
 ///
 /// This is the execution primitive of the fault-tolerant campaign layer;
 /// the propagate-by-default [`parallel_map_init`] remains the right
 /// choice for the bit-identity-pinned engine flows, where a panic is a
-/// bug that must fail the run loudly.
-///
-/// # State poisoning
-///
-/// A panic can leave the per-worker state `S` half-mutated (a simulation
-/// engine mid-update, a buffer partially written). The pool therefore
-/// **discards the worker's state after a caught panic** and lazily
-/// re-creates it with `init()` before the next item, so a failure can
-/// never leak corruption into later items. (If dropping the poisoned
-/// state itself panics, the drop panic is swallowed too.) Panics raised
-/// by `init()` itself are *not* isolated — a broken state factory would
-/// fail every item, so it propagates like a plain bug.
+/// bug that must fail the run loudly. Because there is no shared state, a
+/// panicking item cannot leak half-mutated scratch into later items.
 ///
 /// # Determinism
 ///
-/// Results and failures are reassembled in item order. As long as `work`
-/// is a pure function of `(state, index)` — including any panic it
-/// raises and the payload it raises it with — the returned vector
-/// (including each failure's `item` and `reason`) is identical for every
-/// worker count; only the `worker` field of a failure depends on the
-/// schedule.
+/// Results and failures come back in item order. As long as `work` is a
+/// pure function of the index — including any panic it raises and the
+/// payload it raises it with — the returned vector is identical for every
+/// worker count.
 ///
 /// # Examples
 ///
 /// ```
 /// use gatediag_sim::parallel_map_init_isolated;
 ///
-/// let out = parallel_map_init_isolated(
-///     4,
-///     4,
-///     || (),
-///     |(), i| {
-///         assert!(i != 2, "item 2 is poisoned");
-///         i * 10
-///     },
-/// );
+/// let out = parallel_map_init_isolated(4, 4, |i| {
+///     assert!(i != 2, "item 2 is poisoned");
+///     i * 10
+/// });
 /// assert_eq!(out[0], Ok(0));
 /// assert_eq!(out[3], Ok(30), "items after the panic still ran");
 /// let failure = out[2].as_ref().unwrap_err();
 /// assert_eq!(failure.item, 2);
 /// assert!(failure.reason.contains("item 2 is poisoned"));
 /// ```
-pub fn parallel_map_init_isolated<S, R, I, W>(
+pub fn parallel_map_init_isolated<R, W>(
     workers: usize,
     items: usize,
-    init: I,
     work: W,
 ) -> Vec<Result<R, WorkItemFailure>>
 where
     R: Send,
-    I: Fn() -> S + Sync,
-    W: Fn(&mut S, usize) -> R + Sync,
+    W: Fn(usize) -> R + Sync,
 {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    // Runs one item against a lazily (re-)initialised state slot.
-    let run_one = |state: &mut Option<S>, worker: usize, i: usize| -> Result<R, WorkItemFailure> {
-        let slot = state.get_or_insert_with(&init);
-        match catch_unwind(AssertUnwindSafe(|| work(slot, i))) {
-            Ok(result) => Ok(result),
-            Err(payload) => {
-                // The state may be poisoned mid-mutation: throw it away
-                // (guarding against drop panics) and re-init lazily.
-                let poisoned = state.take();
-                let _ = catch_unwind(AssertUnwindSafe(move || drop(poisoned)));
-                Err(WorkItemFailure {
-                    item: i,
-                    worker,
-                    reason: panic_reason(payload.as_ref()),
-                })
-            }
-        }
-    };
-    charge_pool_counters(workers, items);
-    if workers <= 1 || items <= 1 {
-        let mut state: Option<S> = None;
-        return (0..items).map(|i| run_one(&mut state, 0, i)).collect();
-    }
-    let workers = workers.min(items);
-    let next = AtomicUsize::new(0);
-    // Forward the caller's observability sink into the workers: their
-    // counter charges merge (sums commute, so totals stay deterministic)
-    // while span recording remains owner-thread-only.
-    let sink = gatediag_obs::current();
-    let mut collected: Vec<Vec<(usize, Result<R, WorkItemFailure>)>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let run_one = &run_one;
-                    let next = &next;
-                    let sink = &sink;
-                    scope.spawn(move || {
-                        let _obs = sink.clone().map(gatediag_obs::install);
-                        let mut state: Option<S> = None;
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= items {
-                                break;
-                            }
-                            out.push((i, run_one(&mut state, w, i)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(pairs) => pairs,
-                    // Only `init()` (or a pool bug) can still unwind a
-                    // worker; that is a caller bug, not an isolated work
-                    // failure — re-raise it.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-    let mut slots: Vec<Option<Result<R, WorkItemFailure>>> = (0..items).map(|_| None).collect();
-    for pairs in &mut collected {
-        for (i, r) in pairs.drain(..) {
-            debug_assert!(slots[i].is_none(), "item {i} computed twice");
-            slots[i] = Some(r);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every item claimed exactly once"))
-        .collect()
+    parallel_map_init(
+        workers,
+        items,
+        || (),
+        |(), i| {
+            catch_unwind(AssertUnwindSafe(|| work(i))).map_err(|payload| WorkItemFailure {
+                item: i,
+                reason: panic_reason(payload.as_ref()),
+            })
+        },
+    )
 }
 
 /// The shared fan-out kernel: `workers >= 2` scoped threads, work-stealing
@@ -422,8 +331,9 @@ where
 {
     let workers = workers.min(items);
     let next = AtomicUsize::new(0);
-    // See parallel_map_init_isolated: counters merge across workers,
-    // spans stay on the owning thread.
+    // Forward the caller's observability sink into the workers: their
+    // counter charges merge (sums commute, so totals stay deterministic)
+    // while span recording remains owner-thread-only.
     let sink = gatediag_obs::current();
     let mut collected: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
@@ -695,28 +605,10 @@ mod tests {
         items: usize,
         poison: fn(usize) -> bool,
     ) -> Vec<Result<usize, WorkItemFailure>> {
-        parallel_map_init_isolated(
-            workers,
-            items,
-            || (),
-            move |(), i| {
-                assert!(!poison(i), "poisoned item {i}");
-                i * 7
-            },
-        )
-    }
-
-    /// Strips the schedule-dependent worker index so outcomes can be
-    /// compared across worker counts.
-    fn deterministic_view(
-        out: &[Result<usize, WorkItemFailure>],
-    ) -> Vec<Result<usize, (usize, String)>> {
-        out.iter()
-            .map(|r| match r {
-                Ok(v) => Ok(*v),
-                Err(f) => Err((f.item, f.reason.clone())),
-            })
-            .collect()
+        parallel_map_init_isolated(workers, items, move |i| {
+            assert!(!poison(i), "poisoned item {i}");
+            i * 7
+        })
     }
 
     #[test]
@@ -769,58 +661,29 @@ mod tests {
 
     #[test]
     fn isolated_results_index_ordered_and_identical_across_worker_counts() {
-        let baseline = deterministic_view(&isolated_run(1, 41, |i| i % 7 == 3));
+        let baseline = isolated_run(1, 41, |i| i % 7 == 3);
         // Survivors must sit at their own index with their own value.
         for (i, r) in baseline.iter().enumerate() {
             match r {
                 Ok(v) => assert_eq!(*v, i * 7),
-                Err((item, _)) => assert_eq!(*item, i),
+                Err(failure) => assert_eq!(failure.item, i),
             }
         }
         for workers in [2usize, 8] {
-            let view = deterministic_view(&isolated_run(workers, 41, |i| i % 7 == 3));
-            assert_eq!(view, baseline, "{workers} workers drifted");
+            let out = isolated_run(workers, 41, |i| i % 7 == 3);
+            assert_eq!(out, baseline, "{workers} workers drifted");
         }
-    }
-
-    #[test]
-    fn isolated_state_is_reinitialised_after_a_panic() {
-        // Sequential path: the state is a counter bumped BEFORE the
-        // panic, so a poisoned (stale) state would leak inflated counts
-        // into later items if it were reused.
-        let out = parallel_map_init_isolated(
-            1,
-            5,
-            || 0usize,
-            |seen, i| {
-                *seen += 1;
-                assert!(i != 2, "boom at {i}");
-                *seen
-            },
-        );
-        assert_eq!(out[0], Ok(1));
-        assert_eq!(out[1], Ok(2));
-        assert!(out[2].is_err());
-        // Fresh state after the panic: counts restart at 1.
-        assert_eq!(out[3], Ok(1));
-        assert_eq!(out[4], Ok(2));
     }
 
     #[test]
     fn isolated_zero_items_yields_empty() {
-        let out: Vec<Result<usize, WorkItemFailure>> =
-            parallel_map_init_isolated(4, 0, || (), |(), i| i);
+        let out: Vec<Result<usize, WorkItemFailure>> = parallel_map_init_isolated(4, 0, |i| i);
         assert!(out.is_empty());
     }
 
     #[test]
     fn isolated_stringifies_non_string_payloads() {
-        let out = parallel_map_init_isolated(
-            1,
-            1,
-            || (),
-            |(), _| -> usize { std::panic::panic_any(42usize) },
-        );
+        let out = parallel_map_init_isolated(1, 1, |_| -> usize { std::panic::panic_any(42usize) });
         let failure = out[0].as_ref().unwrap_err();
         assert_eq!(failure.reason, "non-string panic payload");
     }

@@ -1,10 +1,11 @@
-//! Property tests for the simulation engines: all four engines agree with
-//! the scalar reference on random circuits, vectors and forcings.
+//! Property tests for the simulation engines: the packed, three-valued
+//! and sequential engines agree with the scalar reference on random
+//! circuits, vectors and forcings.
 
 use gatediag_netlist::{unroll, GateId, GateKind, RandomCircuitSpec, StateView};
 use gatediag_sim::{
     pack_vectors, pack_vectors_into, simulate, simulate_forced, simulate_packed_forced,
-    simulate_sequence, simulate_tv, simulate_tv_packed, unpack_lane, DeltaSim, PackedSim, Tv,
+    simulate_sequence, simulate_tv, unpack_lane, PackedSim, Tv,
 };
 use proptest::prelude::*;
 
@@ -93,51 +94,6 @@ proptest! {
                 // match the plain Boolean simulation.
                 prop_assert_eq!(v, boolean[id.index()], "gate {}", id);
             }
-        }
-    }
-
-    /// Packed TV equals scalar TV on every used lane.
-    #[test]
-    fn packed_tv_equals_scalar_tv(w in workbench()) {
-        let c = circuit_of(w.seed);
-        let vector = vector_of(&c, w.vector_bits);
-        let inject: Vec<GateId> = forcings(&c, w.force_bits).iter().map(|&(g, _)| g).collect();
-        let masked: Vec<(GateId, u64)> = inject.iter().map(|&g| (g, 0b10)).collect();
-        let packed = simulate_tv_packed(&c, &vector, &masked);
-        let tv_in: Vec<Tv> = vector.iter().map(|&b| Tv::from_bool(b)).collect();
-        let with_x = simulate_tv(&c, &tv_in, &inject);
-        let without_x = simulate_tv(&c, &tv_in, &[]);
-        for (id, _) in c.iter() {
-            prop_assert_eq!(packed[id.index()].lane(1), with_x[id.index()]);
-            prop_assert_eq!(packed[id.index()].lane(0), without_x[id.index()]);
-        }
-    }
-
-    /// DeltaSim under arbitrary force/unforce sequences tracks full
-    /// forced resimulation.
-    #[test]
-    fn delta_sim_tracks_reference(w in workbench(), toggles in prop::collection::vec((any::<u8>(), any::<bool>()), 1..12)) {
-        let c = circuit_of(w.seed);
-        let vector = vector_of(&c, w.vector_bits);
-        let functional: Vec<GateId> = c
-            .iter()
-            .filter(|(_, g)| !g.kind().is_source())
-            .map(|(id, _)| id)
-            .collect();
-        let mut sim = DeltaSim::new(&c, &vector);
-        let mut active: Vec<(GateId, bool)> = Vec::new();
-        for (pick, value) in toggles {
-            let g = functional[pick as usize % functional.len()];
-            active.retain(|&(x, _)| x != g);
-            if value || active.len().is_multiple_of(2) {
-                active.push((g, value));
-                sim.force(g, value);
-            } else {
-                sim.unforce(g);
-            }
-            sim.propagate();
-            let reference = simulate_forced(&c, &vector, &active);
-            prop_assert_eq!(sim.values(), &reference[..]);
         }
     }
 

@@ -2,13 +2,19 @@
 //! on randomized circuits, checking engine agreements and soundness
 //! end-to-end.
 
-use gatediag::netlist::{inject_errors, write_bench, GateId, RandomCircuitSpec};
+use gatediag::netlist::{inject_errors, write_bench, Circuit, GateId, RandomCircuitSpec};
 use gatediag::{
     basic_sat_diagnose, brute_force_diagnose, generate_failing_tests, is_valid_correction,
-    is_valid_correction_sat, partitioned_sat_diagnose, sc_diagnose, sim_backtrack_diagnose,
-    BsatOptions, CovEngine, CovOptions, SimBacktrackOptions,
+    partitioned_sat_diagnose, sc_diagnose, sim_backtrack_diagnose, BsatOptions, CovEngine,
+    CovOptions, SimBacktrackOptions, TestSet, ValidityBackend, ValidityOracle,
 };
 use proptest::prelude::*;
+
+/// Validity by the SAT backend, the cross-check for the auto-dispatched
+/// (simulation-backed) [`is_valid_correction`].
+fn sat_valid(circuit: &Circuit, tests: &TestSet, candidates: &[GateId]) -> bool {
+    ValidityOracle::with_backend(circuit, ValidityBackend::Sat).is_valid(tests, candidates)
+}
 
 #[derive(Clone, Debug)]
 struct Case {
@@ -21,7 +27,7 @@ fn case_strategy() -> impl Strategy<Value = Case> {
     (0u64..2_000, 1usize..=2, 2usize..=6).prop_map(|(seed, p, m)| Case { seed, p, m })
 }
 
-fn build(case: &Case) -> Option<(gatediag::netlist::Circuit, Vec<GateId>, gatediag::TestSet)> {
+fn build(case: &Case) -> Option<(Circuit, Vec<GateId>, TestSet)> {
     let golden = RandomCircuitSpec::new(5, 3, 30).seed(case.seed).generate();
     let (faulty, sites) = inject_errors(&golden, case.p, case.seed);
     let tests = generate_failing_tests(&golden, &faulty, case.m, case.seed, 4096);
@@ -73,7 +79,7 @@ proptest! {
         }
         for sol in &bsat.solutions {
             prop_assert!(is_valid_correction(&faulty, &tests, sol));
-            prop_assert!(is_valid_correction_sat(&faulty, &tests, sol));
+            prop_assert!(sat_valid(&faulty, &tests, sol));
         }
     }
 
@@ -108,7 +114,7 @@ proptest! {
             let name = faulty.gate_name(g).expect("generated gates are named");
             reparsed.find(name).expect("name survives round trip")
         };
-        let remapped: gatediag::TestSet = tests
+        let remapped: TestSet = tests
             .iter()
             .map(|t| {
                 // Input ORDER may differ after reparse; rebuild by name.

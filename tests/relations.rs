@@ -3,17 +3,19 @@
 //! circuits with brute-force ground truth.
 
 use gatediag::core::paper_examples::{lemma2_witness, lemma4_witness};
-use gatediag::netlist::{inject_errors, GateId, RandomCircuitSpec};
+use gatediag::netlist::{inject_errors, Circuit, GateId, RandomCircuitSpec};
 use gatediag::{
     basic_sat_diagnose, brute_force_diagnose, generate_failing_tests, is_valid_correction,
-    is_valid_correction_sat, sc_diagnose, BsatOptions, CovOptions, TestSet,
+    sc_diagnose, BsatOptions, CovOptions, TestSet, ValidityBackend, ValidityOracle,
 };
 
-fn random_case(
-    seed: u64,
-    p: usize,
-    m: usize,
-) -> Option<(gatediag::netlist::Circuit, Vec<GateId>, TestSet)> {
+/// Validity by the SAT backend, the cross-check for the auto-dispatched
+/// (simulation-backed) [`is_valid_correction`].
+fn sat_valid(circuit: &Circuit, tests: &TestSet, candidates: &[GateId]) -> bool {
+    ValidityOracle::with_backend(circuit, ValidityBackend::Sat).is_valid(tests, candidates)
+}
+
+fn random_case(seed: u64, p: usize, m: usize) -> Option<(Circuit, Vec<GateId>, TestSet)> {
     let golden = RandomCircuitSpec::new(6, 3, 35).seed(seed).generate();
     let (faulty, sites) = inject_errors(&golden, p, seed);
     let tests = generate_failing_tests(&golden, &faulty, m, seed, 8192);
@@ -96,7 +98,7 @@ fn lemma4_and_theorem2_on_witness() {
     let a = w.circuit.find("A").unwrap();
     let b = w.circuit.find("B").unwrap();
     let target = vec![a, b];
-    assert!(is_valid_correction_sat(&w.circuit, &w.tests, &target));
+    assert!(sat_valid(&w.circuit, &w.tests, &target));
     let bsat = basic_sat_diagnose(&w.circuit, &w.tests, 2, BsatOptions::default());
     let cov = sc_diagnose(&w.circuit, &w.tests, 2, CovOptions::default());
     assert!(bsat.solutions.contains(&target));
@@ -146,7 +148,7 @@ fn oracles_agree_on_engine_outputs() {
         for sol in cov.solutions.iter().chain(&bsat.solutions) {
             assert_eq!(
                 is_valid_correction(&faulty, &tests, sol),
-                is_valid_correction_sat(&faulty, &tests, sol),
+                sat_valid(&faulty, &tests, sol),
                 "oracle disagreement on {sol:?}"
             );
         }

@@ -797,6 +797,44 @@ mod tests {
     }
 
     #[test]
+    fn sat_batch_screening_matches_per_set_verdicts() {
+        use gatediag_sim::Parallelism;
+        let golden = RandomCircuitSpec::new(6, 3, 40).seed(4).generate();
+        let (faulty, sites) = inject_errors(&golden, 1, 4);
+        let tests = generate_failing_tests(&golden, &faulty, 6, 4, 8192);
+        if tests.is_empty() {
+            return;
+        }
+        let functional: Vec<GateId> = faulty
+            .iter()
+            .filter(|(_, g)| !g.kind().is_source())
+            .map(|(id, _)| id)
+            .take(12)
+            .collect();
+        let mut sets: Vec<Vec<GateId>> = functional.iter().map(|&g| vec![g]).collect();
+        sets.push(sites.iter().map(|s| s.gate).collect());
+        let expected: Vec<bool> = sets.iter().map(|s| sat_valid(&faulty, &tests, s)).collect();
+        for parallelism in [
+            Parallelism::Sequential,
+            Parallelism::Fixed(2),
+            Parallelism::Fixed(7),
+        ] {
+            let out = screen_valid_corrections(
+                &faulty,
+                &tests,
+                &sets,
+                parallelism,
+                ValidityBackend::Sat,
+                &Budget::default(),
+            );
+            assert_eq!(
+                out.verdicts, expected,
+                "SAT screening drifted at {parallelism:?}"
+            );
+        }
+    }
+
+    #[test]
     fn sat_engine_reuse_matches_fresh_oracle() {
         // One engine across all tests (assumption-based) must agree with
         // the per-test definition on every test individually.

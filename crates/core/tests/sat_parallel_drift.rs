@@ -2,9 +2,9 @@
 //!
 //! The SAT side fans out in three places: `basic_sat_diagnose` generates
 //! its per-test CNF copies on a worker pool (replayed into the solver in
-//! test order), `partitioned_sat_diagnose` screens the chunk's candidates
-//! against the full test set with one validity oracle per worker, and the
-//! COV SAT engine partitions cover enumeration over the top-level branch
+//! test order), `screen_valid_corrections` (which
+//! `partitioned_sat_diagnose` verifies through) screens candidate sets
+//! with one validity oracle per worker, and the COV SAT engine partitions cover enumeration over the top-level branch
 //! set with one solver per branch. Every one of these must produce
 //! *bit-identical diagnosis output* for every worker count, including the
 //! sequential path — these tests pin that contract the same way `parallel_drift.rs`
@@ -12,8 +12,9 @@
 
 use gatediag_core::{
     basic_sat_diagnose, cover_all, generate_failing_tests, hybrid_seeded_bsat,
-    partitioned_sat_diagnose, sc_diagnose, two_pass_sat_diagnose, BsatOptions, CovEngine,
-    CovOptions, Parallelism, TestSet,
+    partitioned_sat_diagnose, sc_diagnose, screen_valid_corrections, two_pass_sat_diagnose,
+    BsatOptions, Budget, CovEngine, CovOptions, Parallelism, TestSet, ValidityBackend,
+    ValidityOracle,
 };
 use gatediag_netlist::{inject_errors, Circuit, GateId, RandomCircuitSpec};
 
@@ -27,14 +28,15 @@ const WORKER_SWEEP: [Parallelism; 4] = [
     Parallelism::Fixed(8),
 ];
 
-fn workloads() -> Vec<(Circuit, TestSet)> {
+fn workloads() -> Vec<(Circuit, Vec<GateId>, TestSet)> {
     let mut out = Vec::new();
     for seed in 0..3u64 {
         let golden = RandomCircuitSpec::new(6, 3, 40).seed(seed).generate();
-        let (faulty, _) = inject_errors(&golden, 1 + (seed as usize % 2), seed);
+        let (faulty, sites) = inject_errors(&golden, 1 + (seed as usize % 2), seed);
         let tests = generate_failing_tests(&golden, &faulty, 8, seed, 8192);
         if !tests.is_empty() {
-            out.push((faulty, tests));
+            let gates = sites.iter().map(|s| s.gate).collect();
+            out.push((faulty, gates, tests));
         }
     }
     assert!(!out.is_empty(), "no workload produced failing tests");
@@ -43,7 +45,7 @@ fn workloads() -> Vec<(Circuit, TestSet)> {
 
 #[test]
 fn bsat_solutions_are_identical_for_all_worker_counts() {
-    for (faulty, tests) in workloads() {
+    for (faulty, _, tests) in workloads() {
         let sequential = basic_sat_diagnose(
             &faulty,
             &tests,
@@ -84,7 +86,7 @@ fn bsat_solutions_are_identical_for_all_worker_counts() {
 
 #[test]
 fn bsat_variants_are_worker_count_invariant() {
-    for (faulty, tests) in workloads() {
+    for (faulty, _, tests) in workloads() {
         let baseline_two_pass = two_pass_sat_diagnose(
             &faulty,
             &tests,
@@ -138,8 +140,70 @@ fn bsat_variants_are_worker_count_invariant() {
 }
 
 #[test]
+fn sat_validity_oracle_is_worker_count_invariant() {
+    for (faulty, error_gates, tests) in workloads() {
+        let functional: Vec<GateId> = faulty
+            .iter()
+            .filter(|(_, g)| !g.kind().is_source())
+            .map(|(id, _)| id)
+            .collect();
+        let mut sets: Vec<Vec<GateId>> = functional.iter().take(10).map(|&g| vec![g]).collect();
+        sets.push(error_gates.clone());
+        sets.push(Vec::new());
+        let screen = |sets: &[Vec<GateId>], tests: &TestSet, parallelism, backend| {
+            screen_valid_corrections(
+                &faulty,
+                tests,
+                sets,
+                parallelism,
+                backend,
+                &Budget::default(),
+            )
+            .verdicts
+        };
+        // Batch screening: both the SAT-pinned and the auto-dispatching
+        // screens, against per-set sequential SAT verdicts.
+        let expected: Vec<bool> = sets
+            .iter()
+            .map(|s| {
+                ValidityOracle::with_backend(&faulty, ValidityBackend::Sat).is_valid(&tests, s)
+            })
+            .collect();
+        assert!(
+            expected.last() == Some(&false),
+            "failing tests need a correction"
+        );
+        for parallelism in WORKER_SWEEP {
+            assert_eq!(
+                screen(&sets, &tests, parallelism, ValidityBackend::Sat),
+                expected,
+                "SAT screening drifted at {parallelism:?}"
+            );
+            assert_eq!(
+                screen(&sets, &tests, parallelism, ValidityBackend::Auto),
+                expected,
+                "auto-dispatch screening drifted at {parallelism:?}"
+            );
+        }
+        // Degenerate inputs, every worker count.
+        for parallelism in WORKER_SWEEP {
+            assert!(screen(&[], &tests, parallelism, ValidityBackend::Sat).is_empty());
+            assert_eq!(
+                screen(
+                    &sets[..1],
+                    &TestSet::default(),
+                    parallelism,
+                    ValidityBackend::Sat
+                ),
+                vec![true]
+            );
+        }
+    }
+}
+
+#[test]
 fn cov_sat_engine_is_identical_for_all_worker_counts() {
-    for (faulty, tests) in workloads() {
+    for (faulty, _, tests) in workloads() {
         let small = tests.prefix_at_most(12);
         let sequential = sc_diagnose(
             &faulty,

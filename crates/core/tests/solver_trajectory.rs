@@ -20,8 +20,8 @@
 
 use gatediag_cnf::{encode_instrumented_copy, Instrumentation, MuxEncoding, Totalizer};
 use gatediag_core::{
-    basic_sat_diagnose, basic_sim_diagnose, prepare, sc_diagnose, BsatOptions, BsimOptions,
-    CovOptions, DiagnoseRequest, Parallelism, PreparedTests, TestSet,
+    basic_sat_diagnose, basic_sim_diagnose, prepare, sc_diagnose, BsatOptions, BsimOptions, Budget,
+    CovOptions, DiagnoseRequest, Parallelism, PreparedTests, TestSet, Truncation,
 };
 use gatediag_netlist::{s1423_like, Circuit, GateId, GateKind};
 use gatediag_sat::{Lit, SolveResult, Solver, Var};
@@ -34,6 +34,8 @@ use std::collections::HashMap;
 struct Trajectory {
     hash: u64,
     solves: u64,
+    /// Solves that ran out of conflict budget.
+    unknowns: u64,
     /// Largest `conflicts` count any single solver reached.
     max_conflicts: u64,
     removed_clauses: u64,
@@ -45,6 +47,7 @@ impl Trajectory {
         Trajectory {
             hash: 0xcbf2_9ce4_8422_2325,
             solves: 0,
+            unknowns: 0,
             max_conflicts: 0,
             removed_clauses: 0,
             gc_runs: 0,
@@ -66,6 +69,7 @@ impl Trajectory {
     fn solve(&mut self, solver: &mut Solver, assumptions: &[Lit]) -> SolveResult {
         let result = solver.solve(assumptions);
         self.solves += 1;
+        self.unknowns += u64::from(result == SolveResult::Unknown);
         self.byte(match result {
             SolveResult::Sat => 1,
             SolveResult::Unsat => 2,
@@ -226,7 +230,15 @@ fn bsat(t: &mut Trajectory, golden: &Circuit, p: usize, seed: u64, max_solutions
 
 /// `sc_diagnose` with the SAT cover engine: one solver per top-level
 /// branch, fingerprinted; asserts the copy matches the engine.
-fn cov(t: &mut Trajectory, golden: &Circuit, p: usize, seed: u64, max_solutions: usize) {
+/// `conflict_budget` is the per-branch [`Budget::conflicts`].
+fn cov(
+    t: &mut Trajectory,
+    golden: &Circuit,
+    p: usize,
+    seed: u64,
+    max_solutions: usize,
+    conflict_budget: Option<u64>,
+) {
     let (faulty, tests) = failing_tests(golden, p, seed);
     let bsim = basic_sim_diagnose(&faulty, &tests, BsimOptions::default());
     let sets: Vec<Vec<GateId>> = bsim
@@ -263,6 +275,7 @@ fn cov(t: &mut Trajectory, golden: &Circuit, p: usize, seed: u64, max_solutions:
         let limit = p.min(selectors.len());
         let lits: Vec<Lit> = selectors.iter().map(|v| v.positive()).collect();
         let totalizer = Totalizer::new(&mut solver, &lits, limit);
+        solver.set_conflict_budget(conflict_budget);
         let mut branch: Vec<Vec<GateId>> = Vec::new();
         for size in 1..=limit {
             let assumptions: Vec<Lit> = totalizer.at_most(size).into_iter().collect();
@@ -313,6 +326,10 @@ fn cov(t: &mut Trajectory, golden: &Circuit, p: usize, seed: u64, max_solutions:
         CovOptions {
             max_solutions,
             parallelism: Parallelism::Sequential,
+            budget: Budget {
+                conflicts: conflict_budget,
+                ..Budget::default()
+            },
             ..CovOptions::default()
         },
     );
@@ -320,6 +337,9 @@ fn cov(t: &mut Trajectory, golden: &Circuit, p: usize, seed: u64, max_solutions:
         solutions, engine.solutions,
         "COV copy drifted from the engine"
     );
+    if t.unknowns > 0 {
+        assert_eq!(engine.truncation, Some(Truncation::Conflicts));
+    }
     assert_eq!(
         conflicts + bsim.work,
         engine.work,
@@ -473,14 +493,26 @@ fn cov_trajectories_are_pinned() {
     let golden = s1423_like(1);
     check(
         "cov p2 s1",
-        |t| cov(t, &golden, 2, 1, 1000),
+        |t| cov(t, &golden, 2, 1, 1000, None),
         0x6ff5_587b_8cdc_6350,
     );
     check(
         "cov p4 s3 truncated",
-        |t| cov(t, &golden, 4, 3, 40),
+        |t| cov(t, &golden, 4, 3, 40, None),
         0x61a1_e7fe_f239_c384,
     );
+    // k = 1: every covering campaign instance takes this path.
+    check(
+        "cov p1 s2",
+        |t| cov(t, &golden, 1, 2, 1000, None),
+        0x47e8_3644_94c8_6f4f,
+    );
+    let budgeted = check(
+        "cov p2 s1 conflict budget",
+        |t| cov(t, &golden, 2, 1, 1000, Some(5)),
+        0xd1ee_5a2f_a207_9dfc,
+    );
+    assert!(budgeted.unknowns > 0, "no branch ran out of conflicts");
 }
 
 #[test]

@@ -14,7 +14,7 @@ use crate::budget::{Budget, BudgetMeter, Truncation};
 use crate::test_set::TestSet;
 use gatediag_cnf::{ClauseSink, Totalizer};
 use gatediag_netlist::{Circuit, GateId};
-use gatediag_sat::{enumerate_positive_subsets, Solver, Var};
+use gatediag_sat::{enumerate_positive_subsets, Lit, Solver, Var};
 use gatediag_sim::{parallel_map_init, Parallelism};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -81,8 +81,9 @@ pub struct CovResult {
     pub solutions: Vec<Vec<GateId>>,
     /// `false` if `max_solutions` truncated the enumeration.
     pub complete: bool,
-    /// Time spent building the instance (for COV this includes BSIM, as in
-    /// Table 2's "CNF" column).
+    /// Time spent building the instance: the SAT engine's covering base
+    /// (selectors, set clauses, totalizer), plus the BSIM phase for
+    /// [`sc_diagnose`], as in Table 2's "CNF" column.
     pub build_time: Duration,
     /// Time until the first solution (Table 2 "One").
     pub first_solution_time: Duration,
@@ -219,6 +220,11 @@ struct CoverOutcome {
 /// worker count (each branch's enumeration depends only on its own
 /// solver).
 ///
+/// The branch-independent part of the instance — selectors, set clauses
+/// and the totalizer's clause stream — is a [`CoverBase`], built once per
+/// call and shared by every branch; a branch clones its solver, adds its
+/// units and replays the totalizer (see [`CoverBase::branch_solver`]).
+///
 /// Within a branch, subset blocking alone cannot reject a cover whose
 /// redundant gate *is* the branch gate (the witness subset lives in an
 /// earlier branch), so the merged list is filtered for irredundancy
@@ -247,6 +253,7 @@ fn cover_sat(
         .min_by_key(|set| set.len())
         .expect("sets checked non-empty");
     let cap = max_solutions.max(1);
+    let base = CoverBase::new(sets, branch_set, k);
     let build_time = build_start.elapsed();
     let enum_start = Instant::now();
     // The SAT engine's work unit is solver conflicts: the work budget and
@@ -274,17 +281,10 @@ fn cover_sat(
         branch_set.len(),
         || (),
         |(), b| {
-            enumerate_cover_branch(
-                sets,
-                branch_set,
-                b,
-                k,
-                cap,
-                enum_start,
-                conflict_limit,
-                conflict_reason,
-                deadline,
-            )
+            let mut solver = base.branch_solver(b);
+            solver.set_conflict_budget(conflict_limit);
+            solver.set_deadline(deadline);
+            enumerate_cover_branch(&base, solver, cap, enum_start, conflict_reason)
         },
     );
 
@@ -306,31 +306,159 @@ fn cover_sat(
     }
     let truncated = found.len() >= cap;
     found.truncate(cap);
-    let first_solution_time = first_elapsed.map_or(Duration::ZERO, |t| build_time + t);
-
-    // Cross-branch irredundancy filter (see the function docs) plus the
-    // usual normalisation.
-    for sol in &mut found {
-        sol.sort();
-    }
-    found.sort();
-    found.dedup();
-    let irredundant: Vec<Vec<GateId>> = found
-        .into_iter()
-        .filter(|sol| {
-            sol.iter().all(|g| {
-                let without: Vec<GateId> = sol.iter().copied().filter(|&h| h != *g).collect();
-                sets.iter()
-                    .any(|set| !without.iter().any(|h| set.contains(h)))
-            })
-        })
-        .collect();
     CoverOutcome {
-        solutions: irredundant,
+        // Cross-branch irredundancy filter (see the function docs).
+        solutions: irredundant_covers(sets, found),
         build_time,
-        first_solution_time,
+        first_solution_time: first_elapsed.map_or(Duration::ZERO, |t| build_time + t),
         truncation: budget_truncation.or((!complete || truncated).then_some(Truncation::Solutions)),
         work,
+    }
+}
+
+/// The branch-independent part of the SAT covering instance, built once
+/// per [`cover_sat`] call and read concurrently by every branch.
+///
+/// A branch solver must search exactly as one encoded from scratch in
+/// the order selectors, set clauses, branch units, totalizer. That order
+/// matters because [`Solver::add_clause`] simplifies every clause
+/// against the root units already present: the totalizer clauses must
+/// meet the branch units, so they cannot live in the shared solver. The
+/// base therefore holds the solver only up to the set clauses, and
+/// records the totalizer as a clause stream that each branch replays
+/// after its units — with the same interleaving of fresh variables and
+/// clauses as a direct encoding — which reproduces the clause database,
+/// and therefore the search, bit for bit.
+struct CoverBase {
+    /// Selector variables `0..n`, one per distinct gate in first-seen
+    /// order over the sets.
+    selectors: Vec<Var>,
+    /// The gate selector `v` stands for, indexed by `v.index()`.
+    gate_of: Vec<GateId>,
+    /// The selector of each branch-set gate, in branch-set order.
+    branch_vars: Vec<Var>,
+    /// The selectors and one at-least-one clause per set.
+    solver: Solver,
+    /// The largest bound the `k`-loop asks for: `k.min(n)`.
+    limit: usize,
+    /// The totalizer over all selectors, up to `limit`; its variables
+    /// start at `n` and exist once [`CoverBase::branch_solver`] replays
+    /// `totalizer_cnf`.
+    totalizer: Totalizer,
+    totalizer_cnf: Recording,
+}
+
+impl CoverBase {
+    fn new(sets: &[Vec<GateId>], branch_set: &[GateId], k: usize) -> Self {
+        let mut solver = Solver::new();
+        let mut var_of: HashMap<GateId, Var> = HashMap::new();
+        let mut gate_of: Vec<GateId> = Vec::new();
+        for set in sets {
+            for &g in set {
+                var_of.entry(g).or_insert_with(|| {
+                    gate_of.push(g);
+                    solver.new_var()
+                });
+            }
+        }
+        for set in sets {
+            let clause: Vec<_> = set.iter().map(|g| var_of[g].positive()).collect();
+            solver.add_clause(&clause);
+        }
+        let selectors: Vec<Var> = (0..gate_of.len()).map(Var::from_index).collect();
+        let select_lits: Vec<_> = selectors.iter().map(|v| v.positive()).collect();
+        let limit = k.min(selectors.len());
+        let mut totalizer_cnf = Recording::starting_at(selectors.len());
+        let totalizer = Totalizer::new(&mut totalizer_cnf, &select_lits, limit);
+        CoverBase {
+            branch_vars: branch_set.iter().map(|g| var_of[g]).collect(),
+            selectors,
+            gate_of,
+            solver,
+            limit,
+            totalizer,
+            totalizer_cnf,
+        }
+    }
+
+    /// The encoded instance of branch `b`: covers containing
+    /// `branch_set[b]` and none of `branch_set[..b]`.
+    ///
+    /// Charges the `cnf.vars`/`cnf.clauses` counters as encoding the
+    /// branch from scratch through the counting [`ClauseSink`] does: every
+    /// selector and totalizer variable, and the totalizer clauses.
+    fn branch_solver(&self, b: usize) -> Solver {
+        let mut solver = self.solver.clone();
+        // The branch constraints (root units), before the totalizer (see
+        // the type docs). A duplicated branch gate makes a later branch
+        // inconsistent, which is exactly right: the first occurrence's
+        // branch already owns those covers.
+        solver.add_clause(&[self.branch_vars[b].positive()]);
+        for v in &self.branch_vars[..b] {
+            solver.add_clause(&[v.negative()]);
+        }
+        self.totalizer_cnf.replay(&mut solver);
+        gatediag_obs::count(
+            "cnf.vars",
+            (self.selectors.len() + self.totalizer_cnf.vars) as u64,
+        );
+        gatediag_obs::count("cnf.clauses", self.totalizer_cnf.clauses.len() as u64);
+        solver
+    }
+}
+
+/// A formula fragment recorded for replay into solvers that already hold
+/// `base` variables. Unlike [`gatediag_cnf::CnfCollector`] it charges no
+/// obs counters (the replaying branch does) and keeps, per clause, how
+/// many variables had been allocated before it, so a replay reproduces
+/// the exact interleaving of [`Solver::new_var`] and
+/// [`Solver::add_clause`] calls of a direct encoding.
+struct Recording {
+    base: usize,
+    /// Variables allocated by this recording.
+    vars: usize,
+    /// Per clause: `(variables allocated before it, end offset in lits)`.
+    clauses: Vec<(usize, usize)>,
+    lits: Vec<Lit>,
+}
+
+impl Recording {
+    fn starting_at(base: usize) -> Self {
+        Recording {
+            base,
+            vars: 0,
+            clauses: Vec::new(),
+            lits: Vec::new(),
+        }
+    }
+
+    /// Allocates the recorded variables and adds the recorded clauses to
+    /// `solver`, which must hold exactly `base` variables.
+    fn replay(&self, solver: &mut Solver) {
+        debug_assert_eq!(solver.num_vars(), self.base);
+        let mut start = 0;
+        for &(vars_before, end) in &self.clauses {
+            while solver.num_vars() < self.base + vars_before {
+                solver.new_var();
+            }
+            solver.add_clause(&self.lits[start..end]);
+            start = end;
+        }
+        while solver.num_vars() < self.base + self.vars {
+            solver.new_var();
+        }
+    }
+}
+
+impl ClauseSink for Recording {
+    fn new_var(&mut self) -> Var {
+        self.vars += 1;
+        Var::from_index(self.base + self.vars - 1)
+    }
+
+    fn add_clause(&mut self, lits: &[Lit]) {
+        self.lits.extend_from_slice(lits);
+        self.clauses.push((self.vars, self.lits.len()));
     }
 }
 
@@ -345,6 +473,44 @@ fn trivial_outcome(solutions: Vec<Vec<GateId>>, build_time: Duration) -> CoverOu
     }
 }
 
+/// Normalises the covers `found` (each sorted, list sorted and
+/// deduplicated) and keeps the irredundant ones: those in which every
+/// gate hits some set that no other gate of the cover hits. The covers
+/// have distinct gates, all drawn from `sets`.
+///
+/// Each gate's hits are a bitmask over set indices, so one cover costs
+/// `O(|cover| · |sets| / 64)` after an `O(Σ|set|)` index.
+fn irredundant_covers(sets: &[Vec<GateId>], mut found: Vec<Vec<GateId>>) -> Vec<Vec<GateId>> {
+    for sol in &mut found {
+        sol.sort();
+    }
+    found.sort();
+    found.dedup();
+    let words = sets.len().div_ceil(64);
+    let mut hits: HashMap<GateId, Vec<u64>> = HashMap::new();
+    for (i, set) in sets.iter().enumerate() {
+        for &g in set {
+            hits.entry(g).or_insert_with(|| vec![0; words])[i / 64] |= 1 << (i % 64);
+        }
+    }
+    // Sets hit by at least one / at least two gates of the cover.
+    let mut once = vec![0u64; words];
+    let mut twice = vec![0u64; words];
+    found.retain(|sol| {
+        once.fill(0);
+        twice.fill(0);
+        for g in sol {
+            for ((o, t), &h) in once.iter_mut().zip(&mut twice).zip(&hits[g]) {
+                *t |= *o & h;
+                *o |= h;
+            }
+        }
+        sol.iter()
+            .all(|g| hits[g].iter().zip(&twice).any(|(&h, &t)| h & !t != 0))
+    });
+    found
+}
+
 /// What one top-level branch of either covering engine reports back.
 struct BranchOutcome {
     solutions: Vec<Vec<GateId>>,
@@ -354,81 +520,35 @@ struct BranchOutcome {
     work: u64,
 }
 
-/// One branch of the sharded SAT cover enumeration: covers containing
-/// `branch_set[b]` and none of `branch_set[..b]`. `conflict_limit` /
-/// `deadline` are the per-branch cooperative budget (see
-/// [`CovOptions::budget`]); `conflict_reason` is the [`Truncation`] to
-/// report when the conflict limit trips.
-#[allow(clippy::too_many_arguments)] // one shard's full budget context
+/// One branch of the sharded SAT cover enumeration on its encoded
+/// `solver` ([`CoverBase::branch_solver`], with the per-branch
+/// cooperative budget installed — see [`CovOptions::budget`]);
+/// `conflict_reason` is the [`Truncation`] to report when the conflict
+/// limit trips.
 fn enumerate_cover_branch(
-    sets: &[Vec<GateId>],
-    branch_set: &[GateId],
-    b: usize,
-    k: usize,
+    base: &CoverBase,
+    mut solver: Solver,
     cap: usize,
     enum_start: Instant,
-    conflict_limit: Option<u64>,
     conflict_reason: Truncation,
-    deadline: Option<Instant>,
 ) -> BranchOutcome {
-    let mut solver = Solver::new();
-    let mut var_of: HashMap<GateId, Var> = HashMap::new();
-    let mut gate_of: Vec<GateId> = Vec::new();
-    let mut selectors: Vec<Var> = Vec::new();
-    for set in sets {
-        for &g in set {
-            var_of.entry(g).or_insert_with(|| {
-                let v = ClauseSink::new_var(&mut solver);
-                gate_of.push(g);
-                selectors.push(v);
-                v
-            });
-        }
-    }
-    for set in sets {
-        let clause: Vec<_> = set.iter().map(|g| var_of[g].positive()).collect();
-        solver.add_clause(&clause);
-    }
-    // The branch constraints (root units). A duplicated branch gate makes
-    // a later branch inconsistent, which is exactly right: the first
-    // occurrence's branch already owns those covers.
-    solver.add_clause(&[var_of[&branch_set[b]].positive()]);
-    for g in &branch_set[..b] {
-        solver.add_clause(&[var_of[g].negative()]);
-    }
-    let limit = k.min(selectors.len());
-    let select_lits: Vec<_> = selectors.iter().map(|v| v.positive()).collect();
-    let totalizer = Totalizer::new(&mut solver, &select_lits, limit);
-    solver.set_conflict_budget(conflict_limit);
-    solver.set_deadline(deadline);
-
     let mut solutions: Vec<Vec<GateId>> = Vec::new();
     let mut complete = true;
     let mut first_elapsed: Option<Duration> = None;
     let mut truncation: Option<Truncation> = None;
-    'sizes: for size in 1..=limit {
-        let assumptions: Vec<_> = totalizer.at_most(size).into_iter().collect();
+    'sizes: for size in 1..=base.limit {
+        let assumptions: Vec<_> = base.totalizer.at_most(size).into_iter().collect();
         let remaining = cap.saturating_sub(solutions.len());
         if remaining == 0 {
             complete = false;
             break 'sizes;
         }
-        let out = enumerate_positive_subsets(&mut solver, &selectors, &assumptions, remaining);
+        let out = enumerate_positive_subsets(&mut solver, &base.selectors, &assumptions, remaining);
         for subset in out.solutions {
             if solutions.is_empty() {
                 first_elapsed = Some(enum_start.elapsed());
             }
-            let gates: Vec<GateId> = subset
-                .iter()
-                .map(|v| {
-                    let pos = selectors
-                        .iter()
-                        .position(|s| s == v)
-                        .expect("selector var maps to a gate");
-                    gate_of[pos]
-                })
-                .collect();
-            solutions.push(gates);
+            solutions.push(subset.iter().map(|v| base.gate_of[v.index()]).collect());
         }
         if !out.complete {
             complete = false;
@@ -450,7 +570,6 @@ fn enumerate_cover_branch(
         work: solver.stats().conflicts,
     }
 }
-
 /// Branch-and-bound cover enumeration, fanned out over the gates of the
 /// top-level branch set.
 ///
@@ -583,30 +702,10 @@ fn cover_bnb(
     }
     let truncated = found.len() >= cap;
     found.truncate(cap);
-    let first_solution_time = first_elapsed.map_or(Duration::ZERO, |t| build_time + t);
-
-    // Deduplicate and keep only irredundant covers.
-    for sol in &mut found {
-        sol.sort();
-    }
-    found.sort();
-    found.dedup();
-    let irredundant: Vec<Vec<GateId>> = found
-        .iter()
-        .filter(|sol| {
-            sol.iter().all(|g| {
-                // Removing g must leave some set uncovered.
-                let without: Vec<GateId> = sol.iter().copied().filter(|&h| h != *g).collect();
-                sets.iter()
-                    .any(|set| !without.iter().any(|h| set.contains(h)))
-            })
-        })
-        .cloned()
-        .collect();
     CoverOutcome {
-        solutions: irredundant,
+        solutions: irredundant_covers(sets, found),
         build_time,
-        first_solution_time,
+        first_solution_time: first_elapsed.map_or(Duration::ZERO, |t| build_time + t),
         truncation: budget_truncation.or(truncated.then_some(Truncation::Solutions)),
         work,
     }
@@ -779,6 +878,77 @@ mod tests {
         }
     }
 
+    /// Every subset of the gates of `sets` with at most `k` gates that
+    /// hits every set and stays irredundant, in [`CovResult`] order.
+    fn brute_force_covers(sets: &[Vec<GateId>], k: usize) -> Vec<Vec<GateId>> {
+        let mut gates: Vec<GateId> = sets.iter().flatten().copied().collect();
+        gates.sort();
+        gates.dedup();
+        let hits_all =
+            |cover: &[GateId]| sets.iter().all(|set| set.iter().any(|g| cover.contains(g)));
+        let mut covers: Vec<Vec<GateId>> = (0..1u32 << gates.len())
+            .filter(|mask| mask.count_ones() as usize <= k)
+            .map(|mask| {
+                (0..gates.len())
+                    .filter(|&i| mask >> i & 1 == 1)
+                    .map(|i| gates[i])
+                    .collect::<Vec<_>>()
+            })
+            .filter(|cover| {
+                hits_all(cover)
+                    && cover.iter().all(|g| {
+                        let without: Vec<GateId> =
+                            cover.iter().copied().filter(|h| h != g).collect();
+                        !hits_all(&without)
+                    })
+            })
+            .collect();
+        covers.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+        covers
+    }
+
+    #[test]
+    fn engines_match_brute_force_oracle() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2006);
+        let mut repeated_branch_sets = 0;
+        for round in 0..80 {
+            let universe = rng.gen_range(1..=9usize);
+            let num_sets = rng.gen_range(0..=5usize);
+            // Sampling with replacement repeats gates inside a set; sets
+            // drawn from one small universe share gates.
+            let mut sets: Vec<Vec<GateId>> = (0..num_sets)
+                .map(|_| {
+                    let size = rng.gen_range(1..=universe.min(4));
+                    (0..size).map(|_| g(rng.gen_range(0..universe))).collect()
+                })
+                .collect();
+            // Every other round, repeat a gate inside the branch set (the
+            // first smallest set) without changing its length.
+            if round % 2 == 0 {
+                if let Some(branch) = sets.iter_mut().min_by_key(|set| set.len()) {
+                    if branch.len() >= 2 {
+                        let first = branch[0];
+                        *branch.last_mut().unwrap() = first;
+                    }
+                }
+            }
+            let branch = sets.iter().min_by_key(|set| set.len());
+            if branch.is_some_and(|set| (1..set.len()).any(|i| set[..i].contains(&set[i]))) {
+                repeated_branch_sets += 1;
+            }
+            let k = rng.gen_range(0..=3usize);
+            let expected = brute_force_covers(&sets, k);
+            let (sat, bnb) = both_engines(&sets, k);
+            assert_eq!(sat, expected, "round {round}: SAT, sets {sets:?} k {k}");
+            assert_eq!(bnb, expected, "round {round}: B&B, sets {sets:?} k {k}");
+        }
+        assert!(
+            repeated_branch_sets >= 10,
+            "only {repeated_branch_sets} branch sets with repeated gates"
+        );
+    }
+
     #[test]
     fn empty_sets_edge_cases() {
         let empty: Vec<Vec<GateId>> = Vec::new();
@@ -804,6 +974,14 @@ mod tests {
         );
         assert!(!out.complete);
         assert!(out.solutions.len() <= 2);
+    }
+
+    #[test]
+    fn sat_cover_counts_its_base_build() {
+        let out = cover_all(&example1_sets(), 3, CovOptions::default());
+        assert!(out.build_time > Duration::ZERO);
+        assert!(out.build_time <= out.first_solution_time);
+        assert!(out.first_solution_time <= out.total_time);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 use gatediag_core::{
     basic_sim_diagnose, cover_all, find_kind_repairs_par, generate_failing_tests, sc_diagnose,
     screen_valid_corrections, sim_backtrack_diagnose, BsimOptions, Budget, CovEngine, CovOptions,
-    MarkPolicy, Parallelism, SimBacktrackOptions, TestSet, ValidityBackend, ValidityOracle,
+    CovResult, MarkPolicy, Parallelism, SimBacktrackOptions, TestSet, Truncation, ValidityBackend,
+    ValidityOracle,
 };
 use gatediag_netlist::{c17, inject_errors, Circuit, GateId, RandomCircuitSpec};
 
@@ -299,6 +300,49 @@ fn cov_bnb_truncation_is_identical() {
             // irredundancy filter may still drop) and reports truncation.
             assert!(sequential.solutions.len() <= 1);
             assert!(!sequential.complete);
+        }
+    }
+}
+
+#[test]
+fn cov_sat_truncation_is_identical() {
+    // Twelve-gate branch set and many covers: every branch reads the one
+    // shared covering base, and small caps truncate the merged list.
+    let g = GateId::new;
+    let sets: Vec<Vec<GateId>> = (0..6)
+        .map(|i| (0..12).map(|j| g((i * 5 + j * 7) % 30)).collect())
+        .collect();
+    for max_solutions in [1usize, 3, 10] {
+        let runs: Vec<CovResult> = [
+            Parallelism::Sequential,
+            Parallelism::Fixed(2),
+            Parallelism::Fixed(7),
+        ]
+        .into_iter()
+        .map(|parallelism| {
+            cover_all(
+                &sets,
+                3,
+                CovOptions {
+                    engine: CovEngine::Sat,
+                    max_solutions,
+                    parallelism,
+                    ..CovOptions::default()
+                },
+            )
+        })
+        .collect();
+        let sequential = &runs[0];
+        assert!(!sequential.complete, "cap {max_solutions} did not truncate");
+        assert_eq!(sequential.truncation, Some(Truncation::Solutions));
+        for parallel in &runs[1..] {
+            assert_eq!(
+                sequential.solutions, parallel.solutions,
+                "cap {max_solutions}"
+            );
+            assert_eq!(sequential.complete, parallel.complete);
+            assert_eq!(sequential.truncation, parallel.truncation);
+            assert_eq!(sequential.work, parallel.work);
         }
     }
 }

@@ -2,7 +2,10 @@
 //! linear runtime" claim behind the paper's simulation-based approaches.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use gatediag_netlist::{s1423_like, RandomCircuitSpec, VectorGen};
+use gatediag_core::generate_failing_tests;
+use gatediag_netlist::{
+    s1423_like, s6669_like, try_inject_faults, FaultModel, RandomCircuitSpec, VectorGen,
+};
 use gatediag_sim::{pack_vectors, pack_vectors_into, simulate, simulate_packed, PackedSim};
 
 fn bench_sim(c: &mut Criterion) {
@@ -104,5 +107,36 @@ fn bench_packed_engine(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sim, bench_packed_engine);
+fn bench_testgen(c: &mut Criterion) {
+    // Failing-test generation's two halves on `s6669_like` (322 inputs):
+    // the random stream alone, packed straight into input words in the
+    // search's 512-vector batches, and a search that exhausts its
+    // 2^15-vector budget (one gate change, seed 7, exposes fewer failures
+    // than the 8 wanted).
+    const VECTORS: usize = 1 << 15;
+    const BATCH: usize = 512;
+    let golden = s6669_like(1);
+    let (faulty, _) =
+        try_inject_faults(&golden, FaultModel::GateChange, 1, 7).expect("gate change injectable");
+    let mut group = c.benchmark_group("testgen");
+    group.measurement_time(std::time::Duration::from_secs(5));
+    group.warm_up_time(std::time::Duration::from_secs(1));
+    group.throughput(Throughput::Elements(VECTORS as u64));
+    group.bench_function("next_packed_2p15_vectors_s6669_like", |b| {
+        let mut gen = VectorGen::new(&golden, 7);
+        let mut out = Vec::new();
+        b.iter(|| {
+            for _ in 0..VECTORS / BATCH {
+                gen.next_packed(BATCH, &mut out);
+            }
+            out[0]
+        })
+    });
+    group.bench_function("exhausted_search_2p15_vectors_s6669_like", |b| {
+        b.iter(|| generate_failing_tests(&golden, &faulty, 8, 7, VECTORS).len())
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_sim, bench_packed_engine, bench_testgen);
 criterion_main!(benches);

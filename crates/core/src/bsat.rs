@@ -232,13 +232,10 @@ struct Instance {
 }
 
 impl Instance {
+    /// The site of selector `v`, in O(1): the selectors are consecutive
+    /// variables in site order, which [`build_instance`] checks.
     fn gate_of_selector(&self, v: Var) -> GateId {
-        let pos = self
-            .selectors
-            .iter()
-            .position(|&s| s == v)
-            .expect("selector belongs to the instance");
-        self.sites[pos]
+        self.sites[v.index() - self.selectors[0].index()]
     }
 }
 
@@ -309,6 +306,14 @@ fn build_instance(
         }
     }
     let selectors = inst.select_vars();
+    // `Instrumentation::new` allocates one selector per site, in order.
+    assert!(
+        selectors
+            .iter()
+            .enumerate()
+            .all(|(k, v)| v.index() == selectors[0].index() + k),
+        "selectors are consecutive variables"
+    );
     let totalizer = if selectors.is_empty() {
         None
     } else {

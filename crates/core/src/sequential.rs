@@ -34,10 +34,12 @@ use crate::bsim::BsimResult;
 use crate::budget::{Budget, Truncation};
 use crate::test_set::TestSet;
 use gatediag_cnf::{encode_gate, ClauseSink, Totalizer};
-use gatediag_netlist::{unroll, Circuit, GateId, GateKind, GateSet, StateView, Unrolling};
+use gatediag_netlist::{
+    unroll, Circuit, FairCoins, GateId, GateKind, GateSet, StateView, Unrolling,
+};
 use gatediag_sat::{enumerate_positive_subsets, Lit, SolveResult, Solver, SolverStats, Var};
 use gatediag_sim::{pack_rows_into, SeqPackedSim};
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// A sequential diagnosis test: an input sequence driving the circuit from
@@ -171,7 +173,7 @@ pub fn generate_failing_sequences(
     let view = StateView::new(golden);
     let reals = view.real_inputs().len();
     let real_outputs = view.real_outputs();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x94d0_49bb_1331_11eb);
+    let mut coins = FairCoins::new(ChaCha8Rng::seed_from_u64(seed ^ 0x94d0_49bb_1331_11eb));
     let mut tests = Vec::new();
     let initial_state = vec![false; view.num_latches()];
     let zero_state = vec![0u64; view.num_latches()];
@@ -183,11 +185,12 @@ pub fn generate_failing_sequences(
         let batch = 64.min(max_sequences - generated);
         generated += batch;
         // Drawing order matches the scalar per-sequence generator: for
-        // each sequence, frames × real-input bits.
+        // each sequence, frames × real-input bits, one `gen_bool(0.5)`
+        // coin each.
         let seqs: Vec<Vec<Vec<bool>>> = (0..batch)
             .map(|_| {
                 (0..frames)
-                    .map(|_| (0..reals).map(|_| rng.gen_bool(0.5)).collect())
+                    .map(|_| (0..reals).map(|_| coins.flip()).collect())
                     .collect()
             })
             .collect();
@@ -574,10 +577,8 @@ pub fn sequential_sat_diagnose(
         for subset in out.solutions {
             let mut gates: Vec<GateId> = subset
                 .iter()
-                .map(|v| {
-                    let pos = selects.iter().position(|s| s == v).expect("known select");
-                    sites[pos]
-                })
+                // The selects are consecutive variables in site order.
+                .map(|v| sites[v.index() - selects[0].index()])
                 .collect();
             gates.sort();
             solutions.push(gates);
@@ -760,6 +761,7 @@ mod tests {
     use crate::bsim::MarkPolicy;
     use gatediag_netlist::{inject_errors, parse_bench, CircuitBuilder, RandomCircuitSpec};
     use gatediag_sim::simulate;
+    use rand::Rng;
 
     fn toggle_circuit() -> Circuit {
         parse_bench("INPUT(en)\nOUTPUT(out)\nq = DFF(d)\nd = XOR(q, en)\nout = BUF(q)\n").unwrap()

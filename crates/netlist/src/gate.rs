@@ -196,8 +196,9 @@ impl GateKind {
 
     /// Evaluates the gate bit-parallel over 64-pattern words.
     ///
-    /// Each bit position is an independent simulation pattern; this is the
-    /// kernel of the [parallel simulator](../gatediag_sim/index.html).
+    /// Each bit position is an independent simulation pattern: the
+    /// word-level semantics the kernel of the
+    /// [parallel simulator](../gatediag_sim/index.html) is tested against.
     ///
     /// # Panics
     ///

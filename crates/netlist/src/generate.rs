@@ -11,7 +11,7 @@
 use crate::circuit::{Circuit, CircuitBuilder};
 use crate::gate::{GateId, GateKind};
 use rand::distributions::{Distribution, WeightedIndex};
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Parameters for the seeded random circuit generator.
@@ -410,12 +410,66 @@ pub fn equality_comparator(n: usize) -> Circuit {
     b.finish().expect("comparator construction is valid")
 }
 
+/// Fair coins from a seeded ChaCha8 stream, drawn 64 at a time.
+///
+/// Coin `k` is `true` exactly when the sign bit of the stream's `k`-th
+/// `next_u64` draw is clear, which is what `gen_bool(0.5)` answers for
+/// that draw. So the coins are those of one `gen_bool(0.5)` per coin on
+/// the same generator, but [`ChaCha8Rng::top_bits64`] fetches their
+/// sign bits 64 at a time into a reservoir.
+#[derive(Clone, Debug)]
+pub struct FairCoins {
+    rng: ChaCha8Rng,
+    /// Undrawn sign bits, the next one at bit 0.
+    signs: u64,
+    /// How many bits of `signs` are undrawn.
+    left: usize,
+}
+
+impl FairCoins {
+    /// Coins from `rng`'s stream, starting at its next draw.
+    pub fn new(rng: ChaCha8Rng) -> FairCoins {
+        FairCoins {
+            rng,
+            signs: 0,
+            left: 0,
+        }
+    }
+
+    /// The next coin.
+    #[inline]
+    pub fn flip(&mut self) -> bool {
+        self.signs(1).0 == 0
+    }
+
+    /// Takes up to `max` (1 to 64) coins from the reservoir, refilling it
+    /// when it is dry: their sign bits (coin `k` at bit `k`, the bits
+    /// above zero) and how many were taken.
+    #[inline]
+    fn signs(&mut self, max: usize) -> (u64, usize) {
+        if self.left == 0 {
+            self.signs = self.rng.top_bits64();
+            self.left = 64;
+        }
+        let take = max.min(self.left);
+        let signs = self.signs & u64::MAX >> (64 - take);
+        self.signs = self.signs.checked_shr(take as u32).unwrap_or(0);
+        self.left -= take;
+        (signs, take)
+    }
+}
+
 /// Deterministic pseudo-random input vector generator for a circuit.
 ///
-/// Produces `Vec<bool>` assignments over `circuit.inputs()` order.
+/// Produces `Vec<bool>` assignments over `circuit.inputs()` order, or
+/// packs them straight into input words ([`VectorGen::next_packed`]).
+/// Each input bit is one of the seeded stream's [`FairCoins`],
+/// vector-major and input-minor, and both methods drain the same coins:
+/// any mix of calls yields the vectors that one `gen_bool(0.5)` per bit
+/// would, in the same order.
 #[derive(Clone, Debug)]
 pub struct VectorGen {
-    rng: ChaCha8Rng,
+    coins: FairCoins,
     width: usize,
 }
 
@@ -423,14 +477,14 @@ impl VectorGen {
     /// Creates a generator for `circuit`-width vectors.
     pub fn new(circuit: &Circuit, seed: u64) -> Self {
         VectorGen {
-            rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5851_f42d_4c95_7f2d),
+            coins: FairCoins::new(ChaCha8Rng::seed_from_u64(seed ^ 0x5851_f42d_4c95_7f2d)),
             width: circuit.inputs().len(),
         }
     }
 
     /// Next pseudo-random input vector.
     pub fn next_vector(&mut self) -> Vec<bool> {
-        (0..self.width).map(|_| self.rng.gen_bool(0.5)).collect()
+        (0..self.width).map(|_| self.coins.flip()).collect()
     }
 
     /// Draws the next `n` vectors straight into packed input words,
@@ -439,19 +493,37 @@ impl VectorGen {
     /// The layout is input-major, the one `PackedSim::set_input_words`
     /// consumes: input `i`'s words are `out[i * W .. (i + 1) * W]`, vector
     /// `p` at bit `p % 64` of word `p / 64`. Lanes past `n` are zero. The
-    /// draw order is that of `n` calls to [`VectorGen::next_vector`]
-    /// (vector-major, input-minor), so the random stream and every vector
-    /// are identical; only the `Vec<bool>` per vector is skipped.
+    /// vectors are exactly those of `n` calls to
+    /// [`VectorGen::next_vector`], on the same stream: the coins run
+    /// vector-major, input-minor, 64 at a time, and each clear sign bit
+    /// (a `true` input) is scattered to its word by `trailing_zeros`.
     pub fn next_packed(&mut self, n: usize, out: &mut Vec<u64>) -> usize {
         let words = n.div_ceil(64).max(1);
         out.clear();
         out.resize(self.width * words, 0);
-        for p in 0..n {
-            let (word, shift) = (p / 64, p % 64);
-            for i in 0..self.width {
-                // `gen_bool(0.5)` is true exactly when the top bit of its
-                // one 64-bit draw is clear.
-                out[i * words + word] |= (!self.rng.next_u64() >> 63) << shift;
+        let mut remaining = n * self.width;
+        // Vector `p`, input `i` of the coin at chunk offset `at`.
+        let (mut p, mut i) = (0usize, 0usize);
+        while remaining > 0 {
+            let (signs, take) = self.coins.signs(remaining.min(64));
+            let mut ones = !signs & u64::MAX >> (64 - take);
+            remaining -= take;
+            let mut at = 0;
+            while ones != 0 {
+                let bit = ones.trailing_zeros() as usize;
+                ones &= ones - 1;
+                i += bit - at;
+                at = bit;
+                if i >= self.width {
+                    p += i / self.width;
+                    i %= self.width;
+                }
+                out[i * words + p / 64] |= 1 << (p % 64);
+            }
+            i += take - at;
+            if i >= self.width {
+                p += i / self.width;
+                i %= self.width;
             }
         }
         words
@@ -594,6 +666,46 @@ mod tests {
             }
             // Both generators continue on the same stream.
             assert_eq!(scalar.next_vector(), packed.next_vector());
+        }
+    }
+
+    /// Any mix of `next_vector` and `next_packed` calls yields the
+    /// vectors of one `gen_bool(0.5)` per input bit on the seeded stream,
+    /// the generator's definition.
+    #[test]
+    fn vectors_follow_one_gen_bool_per_bit() {
+        for (width, seed) in [(1usize, 3u64), (5, 4), (64, 5), (91, 6), (131, 7)] {
+            let mut b = CircuitBuilder::new();
+            let inputs: Vec<GateId> = (0..width).map(|i| b.input(format!("i{i}"))).collect();
+            b.output(inputs[0]);
+            let c = b.finish().expect("inputs-only circuit is valid");
+            let mut gen = VectorGen::new(&c, seed);
+            let mut reference = ChaCha8Rng::seed_from_u64(seed ^ 0x5851_f42d_4c95_7f2d);
+            let mut expect = |n: usize| -> Vec<Vec<bool>> {
+                (0..n)
+                    .map(|_| (0..width).map(|_| reference.gen_bool(0.5)).collect())
+                    .collect()
+            };
+            let mut out = Vec::new();
+            for (step, n) in [1usize, 3, 64, 0, 130, 7, 513, 2].into_iter().enumerate() {
+                if step % 3 == 1 {
+                    let got: Vec<Vec<bool>> = (0..n).map(|_| gen.next_vector()).collect();
+                    assert_eq!(got, expect(n), "width {width}, step {step}");
+                    continue;
+                }
+                let words = gen.next_packed(n, &mut out);
+                for (p, v) in expect(n).iter().enumerate() {
+                    for (i, &bit) in v.iter().enumerate() {
+                        let got = out[i * words + p / 64] >> (p % 64) & 1 == 1;
+                        assert_eq!(got, bit, "width {width}, step {step}, vector {p}");
+                    }
+                }
+                for i in 0..width {
+                    for p in n..words * 64 {
+                        assert_eq!(out[i * words + p / 64] >> (p % 64) & 1, 0);
+                    }
+                }
+            }
         }
     }
 }

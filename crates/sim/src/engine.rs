@@ -332,47 +332,39 @@ impl<'c> PackedSim<'c> {
         }
     }
 
-    /// Evaluates gate `i` in place; returns `true` if any word changed.
-    ///
-    /// `values` is indexed gate-major with `w` words per gate.
-    #[inline]
-    fn eval_into(&mut self, i: usize) -> bool {
+    /// Writes gate `i`'s words: its forced words, its input words, or the
+    /// [`eval_gate`] kernel over its fan-ins; returns `true` if any word
+    /// changed. The one evaluator behind both [`PackedSim::sweep`], which
+    /// ignores the answer, and [`PackedSim::propagate`].
+    #[inline(always)]
+    fn eval(&mut self, i: usize, heads: &[u32], edges: &[GateId]) -> bool {
         let w = self.words;
         let base = i * w;
-        let mut changed = false;
         if self.forced_epoch[i] == self.epoch {
-            for k in 0..w {
-                let new = self.forced_vals[base + k];
-                changed |= self.values[base + k] != new;
-                self.values[base + k] = new;
-            }
-            return changed;
+            return copy_words(
+                &mut self.values[base..base + w],
+                &self.forced_vals[base..base + w],
+            );
         }
         let kind = self.effective_kind(i);
         if kind == GateKind::Input {
-            let pos = self.input_pos[i] as usize;
-            for k in 0..w {
-                let new = self.input_words[pos * w + k];
-                changed |= self.values[base + k] != new;
-                self.values[base + k] = new;
-            }
-            return changed;
+            let pos = self.input_pos[i] as usize * w;
+            return copy_words(
+                &mut self.values[base..base + w],
+                &self.input_words[pos..pos + w],
+            );
         }
-        let circuit: &Circuit = self.circuit;
-        let (heads, edges) = circuit.fanin_csr();
-        let lo = heads[i] as usize;
-        let hi = heads[i + 1] as usize;
-        for k in 0..w {
-            let new = kind.eval_word(edges[lo..hi].iter().map(|f| self.values[f.index() * w + k]));
-            changed |= self.values[base + k] != new;
-            self.values[base + k] = new;
-        }
-        changed
+        let fanins = &edges[heads[i] as usize..heads[i + 1] as usize];
+        eval_gate(&mut self.values, w, i, kind, fanins)
     }
 
     /// Full linear topological sweep: every gate is evaluated once, in
     /// topo order, honouring the current input words and overlays.
     /// Establishes the baseline for subsequent incremental updates.
+    ///
+    /// It runs the same per-gate evaluator as [`PackedSim::propagate`]
+    /// but ignores whether a gate changed, so after inlining it tracks no
+    /// changes.
     ///
     /// # Panics
     ///
@@ -388,8 +380,9 @@ impl<'c> PackedSim<'c> {
             self.pending = 0;
         }
         let circuit: &Circuit = self.circuit;
+        let (heads, edges) = circuit.fanin_csr();
         for &id in circuit.topo_order() {
-            self.eval_into(id.index());
+            self.eval(id.index(), heads, edges);
         }
         // Charged per sweep, not per gate, so the hot loop stays clean.
         let evals = circuit.topo_order().len() as u64;
@@ -403,6 +396,7 @@ impl<'c> PackedSim<'c> {
     /// Returns the number of gate evaluations performed.
     pub fn propagate(&mut self) -> u64 {
         let circuit: &Circuit = self.circuit;
+        let (heads, edges) = circuit.fanin_csr();
         let mut evals = 0u64;
         let mut level = 0usize;
         while self.pending > 0 && level < self.buckets.len() {
@@ -416,7 +410,7 @@ impl<'c> PackedSim<'c> {
                 self.queued[i] = false;
                 self.pending -= 1;
                 evals += 1;
-                if self.eval_into(i) {
+                if self.eval(i, heads, edges) {
                     for &succ in circuit.fanouts(GateId::new(i)) {
                         self.schedule(succ);
                     }
@@ -466,12 +460,103 @@ impl<'c> PackedSim<'c> {
     }
 }
 
+/// Copies `src` over `dst`; returns `true` if any word changed.
+#[inline(always)]
+fn copy_words(dst: &mut [u64], src: &[u64]) -> bool {
+    let changed = dst != src;
+    dst.copy_from_slice(src);
+    changed
+}
+
+/// Evaluates gate `i` (of `kind`, a non-source kind or a constant) into
+/// its `w` words of the gate-major `values` from its fan-ins' words: per
+/// word, the fan-ins fold from the kind's identity under AND, OR or XOR,
+/// and the negated kinds invert the result. Returns `true` if any word
+/// changed. Bit-identical to [`GateKind::eval_word`] on every word.
+#[inline(always)]
+fn eval_gate(values: &mut [u64], w: usize, i: usize, kind: GateKind, fanins: &[GateId]) -> bool {
+    let and = |a: u64, b: u64| a & b;
+    let or = |a: u64, b: u64| a | b;
+    let xor = |a: u64, b: u64| a ^ b;
+    match kind {
+        GateKind::Const0 => fold_words(values, w, i, &[], 0, 0, or),
+        GateKind::Const1 => fold_words(values, w, i, &[], !0, 0, and),
+        GateKind::And => fold_words(values, w, i, fanins, !0, 0, and),
+        GateKind::Nand => fold_words(values, w, i, fanins, !0, !0, and),
+        GateKind::Or | GateKind::Buf => fold_words(values, w, i, fanins, 0, 0, or),
+        GateKind::Nor | GateKind::Not => fold_words(values, w, i, fanins, 0, !0, or),
+        GateKind::Xor => fold_words(values, w, i, fanins, 0, 0, xor),
+        GateKind::Xnor => fold_words(values, w, i, fanins, 0, !0, xor),
+        GateKind::Input => unreachable!("inputs are loaded, not evaluated"),
+    }
+}
+
+/// Each word of gate `i` becomes `invert ^` the fold of `op` from
+/// `identity` over that word of each fan-in; returns `true` if any word
+/// changed. The words go in chunks of [`CHUNK`], each folded over all
+/// fan-ins in registers, then one by one.
+#[inline(always)]
+fn fold_words(
+    values: &mut [u64],
+    w: usize,
+    i: usize,
+    fanins: &[GateId],
+    identity: u64,
+    invert: u64,
+    op: impl Fn(u64, u64) -> u64 + Copy,
+) -> bool {
+    let mut changed = false;
+    let mut k = 0;
+    while k + CHUNK <= w {
+        changed |= fold_chunk::<CHUNK>(values, w, i, k, fanins, identity, invert, op);
+        k += CHUNK;
+    }
+    while k < w {
+        changed |= fold_chunk::<1>(values, w, i, k, fanins, identity, invert, op);
+        k += 1;
+    }
+    changed
+}
+
+/// Words folded together by [`fold_words`].
+const CHUNK: usize = 4;
+
+/// [`fold_words`] for words `k .. k + N` of gate `i`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn fold_chunk<const N: usize>(
+    values: &mut [u64],
+    w: usize,
+    i: usize,
+    k: usize,
+    fanins: &[GateId],
+    identity: u64,
+    invert: u64,
+    op: impl Fn(u64, u64) -> u64,
+) -> bool {
+    let mut acc = [identity; N];
+    for f in fanins {
+        let src = &values[f.index() * w + k..][..N];
+        for (a, &s) in acc.iter_mut().zip(src) {
+            *a = op(*a, s);
+        }
+    }
+    let mut changed = false;
+    for (d, a) in values[i * w + k..][..N].iter_mut().zip(acc) {
+        changed |= *d != a ^ invert;
+        *d = a ^ invert;
+    }
+    changed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::packed::pack_vectors_into;
     use crate::scalar::{simulate, simulate_forced};
     use gatediag_netlist::{c17, RandomCircuitSpec, VectorGen};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn vectors_for(c: &Circuit, n: usize, seed: u64) -> Vec<Vec<bool>> {
         let mut gen = VectorGen::new(c, seed);
@@ -574,6 +659,70 @@ mod tests {
         sim.clear_kind_overrides();
         sim.propagate();
         assert_eq!(sim.values(), &baseline[..]);
+    }
+
+    /// The gate kernel matches [`GateKind::eval_word`] word by word for
+    /// every kind and arity, on widths with and without a whole chunk and
+    /// a tail, and reports a change exactly when a word moved.
+    #[test]
+    fn eval_gate_matches_eval_word() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        for w in 1..=9 {
+            for arity in 0..=4 {
+                // Gates 0..arity are the fan-ins, gate `arity` the output.
+                let fanins: Vec<GateId> = (0..arity).map(GateId::new).collect();
+                for &kind in GateKind::compatible_with_arity(arity) {
+                    let mut values: Vec<u64> = (0..(arity + 1) * w).map(|_| rng.gen()).collect();
+                    let expect: Vec<u64> = (0..w)
+                        .map(|k| kind.eval_word(fanins.iter().map(|f| values[f.index() * w + k])))
+                        .collect();
+                    let moved = values[arity * w..] != expect[..];
+                    assert_eq!(eval_gate(&mut values, w, arity, kind, &fanins), moved);
+                    assert_eq!(values[arity * w..], expect[..], "{kind:?}, w {w}");
+                    assert!(!eval_gate(&mut values, w, arity, kind, &fanins));
+                }
+            }
+        }
+    }
+
+    /// A fresh sweep and an incremental propagate agree on every gate
+    /// kind, under kind overrides and forcings, over several words.
+    #[test]
+    fn sweep_matches_propagate_under_overlays() {
+        let c = RandomCircuitSpec::new(12, 4, 300).seed(5).generate();
+        let vectors = vectors_for(&c, 190, 5);
+        let mut packed = Vec::new();
+        let w = pack_vectors_into(&c, &vectors, &mut packed);
+        let functional: Vec<GateId> = c
+            .iter()
+            .filter(|(_, g)| !g.kind().is_source())
+            .map(|(id, _)| id)
+            .collect();
+        let mut incremental = PackedSim::new(&c);
+        incremental.reset(w);
+        incremental.set_input_words(&packed);
+        incremental.sweep();
+        let mut edits = Vec::new();
+        for (n, &g) in functional.iter().enumerate().step_by(7) {
+            let kinds = GateKind::compatible_with_arity(c.fanins(g).len());
+            edits.push((g, kinds[n % kinds.len()]));
+        }
+        for &(g, kind) in &edits {
+            incremental.override_kind(g, kind);
+        }
+        let forced = functional[functional.len() / 3];
+        let pattern: Vec<u64> = (0..w as u64).map(|k| 0x9e37_79b9 * (k + 1)).collect();
+        incremental.force(forced, &pattern);
+        incremental.propagate();
+        let mut fresh = PackedSim::new(&c);
+        fresh.reset(w);
+        fresh.set_input_words(&packed);
+        for &(g, kind) in &edits {
+            fresh.override_kind(g, kind);
+        }
+        fresh.force(forced, &pattern);
+        fresh.sweep();
+        assert_eq!(fresh.values(), incremental.values());
     }
 
     #[test]

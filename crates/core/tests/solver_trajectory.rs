@@ -23,7 +23,7 @@ use gatediag_core::{
     basic_sat_diagnose, basic_sim_diagnose, prepare, sc_diagnose, BsatOptions, BsimOptions, Budget,
     CovOptions, DiagnoseRequest, Parallelism, PreparedTests, TestSet, Truncation,
 };
-use gatediag_netlist::{s1423_like, Circuit, GateId, GateKind};
+use gatediag_netlist::{s1423_like, s6669_like, Circuit, GateId, GateKind};
 use gatediag_sat::{Lit, SolveResult, Solver, Var};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -154,7 +154,7 @@ fn failing_tests(golden: &Circuit, p: usize, seed: u64) -> (Circuit, TestSet) {
         ..DiagnoseRequest::default()
     };
     let prepared = prepare(golden, &request);
-    let faulty = prepared.faulty.expect("s1423_like is injectable");
+    let faulty = prepared.faulty.expect("the circuit is injectable");
     let PreparedTests::Combinational(tests) = prepared.tests else {
         unreachable!("combinational request")
     };
@@ -485,6 +485,19 @@ fn bsat_trajectories_are_pinned() {
         "bsat p2 s3 truncated",
         |t| bsat(t, &golden, 2, 3, 60),
         0x4215_e7bf_61c8_95e6,
+    );
+}
+
+/// `s6669_like`'s BSAT instance is several times the size of
+/// `s1423_like`'s and its watch lists spill a typical L2, so it takes the
+/// propagation paths that only a large, cache-cold instance exercises.
+#[test]
+fn large_bsat_trajectory_is_pinned() {
+    let golden = s6669_like(1);
+    check(
+        "s6669 bsat p1 s1",
+        |t| bsat(t, &golden, 1, 1, 1000),
+        0xbbfc_c787_1d88_47a9,
     );
 }
 

@@ -256,6 +256,30 @@ fn stored_value(vals: &[LBool], lit: Lit) -> LBool {
     unsafe { *vals.get_unchecked(lit.code()) }
 }
 
+/// How many trail entries ahead of the one being scanned
+/// [`Solver::propagate`] prefetches watch regions. Enough to hide a cache
+/// miss behind the scans in between, few enough that the target is
+/// usually already on the trail.
+const PREFETCH_AHEAD: usize = 3;
+
+/// Hints the CPU to load the cache line holding `slice[at]`. A prefetch
+/// never faults and changes no visible state, so any `at` is fine (an
+/// empty region's start may lie at or past the end); on targets without
+/// the intrinsic it does nothing.
+#[inline(always)]
+fn prefetch<T>(slice: &[T], at: usize) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` is a hint with no architectural effect and
+    // cannot fault on any address; `wrapping_add` forms the address
+    // without asserting it is in bounds. SSE is baseline on x86_64.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(slice.as_ptr().wrapping_add(at).cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (slice, at);
+}
+
 /// An incremental CDCL SAT solver.
 ///
 /// The feature set mirrors what the paper's diagnosis engines need from
@@ -583,6 +607,12 @@ impl Solver {
     /// region, compacted in place as watchers move to new literals. Pushes
     /// onto *other* literals' regions are safe mid-scan — relocation never
     /// moves the region being scanned (see [`WatchLists`]).
+    ///
+    /// Large instances' watch buffers do not fit in cache, so before each
+    /// scan it prefetches the first line of both regions of the literal
+    /// [`PREFETCH_AHEAD`] entries further down the trail, when that entry
+    /// exists yet. The prefetch is only a hint: every watcher, clause and
+    /// trail entry is visited in the same order either way.
     fn propagate(&mut self) -> Option<CRef> {
         let Solver {
             db,
@@ -598,6 +628,10 @@ impl Solver {
         } = self;
         let level_now = trail_lim.len() as u32;
         while *qhead < trail.len() {
+            if let Some(&ahead) = trail.get(*qhead + PREFETCH_AHEAD) {
+                prefetch(&watches.buf, watches.region(ahead.code()).0);
+                prefetch(&bin_watches.buf, bin_watches.region(ahead.code()).0);
+            }
             let p = trail[*qhead];
             *qhead += 1;
             stats.propagations += 1;

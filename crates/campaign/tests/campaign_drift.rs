@@ -313,6 +313,49 @@ fn cells_charge_inject_once_and_tests_once_per_prepare_key() {
 }
 
 #[test]
+fn cells_charge_one_cover_span_per_cover_key() {
+    // `cov` and `auto` share one COV phase per prepare: whichever runs
+    // first in a cell opens the `cover` span, every later run of the same
+    // cover key (one per cell here: k, caps and budgets are campaign-wide)
+    // charges `cov.cover_reuses` instead.
+    for engines in [
+        vec![EngineKind::Cov, EngineKind::Bsim, EngineKind::Auto],
+        vec![EngineKind::Auto, EngineKind::Cov],
+    ] {
+        let mut spec = drift_spec();
+        spec.engines = engines;
+        spec.collect_obs = true;
+        let report = run_campaign(&spec);
+        let mut cells = std::collections::BTreeMap::new();
+        for r in &report.records {
+            let cell = (r.circuit.clone(), r.fault_model.name(), r.p, r.seed);
+            cells.entry(cell).or_insert_with(Vec::new).push(r);
+        }
+        let mut shared = 0;
+        for (cell, records) in cells {
+            let trace = |r: &gatediag_campaign::InstanceRecord| r.obs.clone().expect("traced");
+            let covers: usize = records
+                .iter()
+                .map(|r| trace(r).spans.iter().filter(|s| s.name == "cover").count())
+                .sum();
+            let reuses: u64 = records
+                .iter()
+                .map(|r| trace(r).counter("cov.cover_reuses"))
+                .sum();
+            let covering = records
+                .iter()
+                .filter(|r| matches!(r.engine, EngineKind::Cov | EngineKind::Auto))
+                .filter(|r| matches!(r.status, InstanceStatus::Ok | InstanceStatus::Preempted))
+                .count();
+            assert_eq!(covers, usize::from(covering > 0), "{cell:?}");
+            assert_eq!(reuses as usize, covering.saturating_sub(1), "{cell:?}");
+            shared += usize::from(covering > 1);
+        }
+        assert!(shared > 0, "no cell shared its covers");
+    }
+}
+
+#[test]
 fn every_record_equals_a_per_instance_run_diagnose() {
     let spec = mixed_spec();
     let report = run_campaign(&spec);

@@ -29,6 +29,7 @@ use gatediag_netlist::{Circuit, GateId};
 use gatediag_sat::SolverStats;
 use gatediag_sim::Parallelism;
 use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Which diagnosis engine to run.
@@ -254,6 +255,120 @@ fn armed_budget(engine: EngineKind, config: &EngineConfig) -> Budget {
     budget
 }
 
+/// The outcome of a COV phase that the engines read: the covers and
+/// why the enumeration stopped early, if it did.
+#[derive(Debug)]
+pub(crate) struct Covers {
+    solutions: Vec<Vec<GateId>>,
+    truncation: Option<Truncation>,
+}
+
+/// Everything a COV phase's result depends on besides `(circuit,
+/// tests)`: `k`, the solution cap and the merged deterministic limits.
+/// Parallelism is absent because every worker count gives the same
+/// result.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+struct CoverKey {
+    k: usize,
+    max_solutions: usize,
+    work: Option<u64>,
+    conflicts: Option<u64>,
+}
+
+/// One COV phase result per [`Prepared`](crate::Prepared), shared by
+/// its [`EngineKind::Cov`] and [`EngineKind::Auto`] runs, which compute
+/// the same covers (paper Theorem 2: `auto` is COV plus a validity
+/// screen). One slot: a run under another [`CoverKey`] replaces it.
+///
+/// The phase is a pure function of `(circuit, tests, key)`, so a reused
+/// result equals a recomputed one. Runs under an active chaos policy or
+/// a wall deadline neither read nor fill the memo: their budgets depend
+/// on perturbation or timing, not only on the key.
+#[derive(Default)]
+pub(crate) struct CoverMemo(Mutex<Option<(CoverKey, Arc<Covers>)>>);
+
+impl CoverMemo {
+    fn lock(&self) -> MutexGuard<'_, Option<(CoverKey, Arc<Covers>)>> {
+        // Only complete results are ever stored, so a poisoned slot is
+        // still sound.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get(&self, key: &CoverKey) -> Option<Arc<Covers>> {
+        match &*self.lock() {
+            Some((k, covers)) if k == key => Some(Arc::clone(covers)),
+            _ => None,
+        }
+    }
+
+    fn store(&self, key: CoverKey, covers: &Arc<Covers>) {
+        *self.lock() = Some((key, Arc::clone(covers)));
+    }
+}
+
+impl Clone for CoverMemo {
+    fn clone(&self) -> Self {
+        CoverMemo(Mutex::new(self.lock().clone()))
+    }
+}
+
+impl fmt::Debug for CoverMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let key = self.lock().as_ref().map(|(key, _)| *key);
+        f.debug_tuple("CoverMemo").field(&key).finish()
+    }
+}
+
+/// The COV phase of [`EngineKind::Cov`] and [`EngineKind::Auto`]:
+/// [`sc_diagnose`] under a `cover` span, or the result `memo` already
+/// holds for this run's [`CoverKey`], which opens no span and charges
+/// `cov.cover_reuses` once instead.
+fn cover_phase(
+    circuit: &Circuit,
+    tests: &TestSet,
+    config: &EngineConfig,
+    budget: &Budget,
+    memo: Option<&CoverMemo>,
+) -> Arc<Covers> {
+    let key = CoverKey {
+        k: config.k,
+        max_solutions: config.max_solutions,
+        work: budget.work,
+        conflicts: budget.conflicts,
+    };
+    let memo = memo.filter(|_| !config.chaos.is_active() && budget.deadline_ms.is_none());
+    if let Some(covers) = memo.and_then(|memo| memo.get(&key)) {
+        gatediag_obs::count("cov.cover_reuses", 1);
+        return covers;
+    }
+    let result = {
+        let _phase = gatediag_obs::span("cover");
+        sc_diagnose(
+            circuit,
+            tests,
+            config.k,
+            CovOptions {
+                max_solutions: config.max_solutions,
+                parallelism: config.parallelism,
+                budget: *budget,
+                bsim: BsimOptions {
+                    parallelism: config.parallelism,
+                    ..BsimOptions::default()
+                },
+                ..CovOptions::default()
+            },
+        )
+    };
+    let covers = Arc::new(Covers {
+        solutions: result.solutions,
+        truncation: result.truncation,
+    });
+    if let Some(memo) = memo {
+        memo.store(key, &covers);
+    }
+    covers
+}
+
 /// Runs one engine on `(circuit, tests)` under shared limits.
 ///
 /// # Examples
@@ -274,6 +389,20 @@ pub fn run_engine(
     circuit: &Circuit,
     tests: &TestSet,
     config: &EngineConfig,
+) -> EngineRun {
+    run_engine_sharing(engine, circuit, tests, config, None)
+}
+
+/// [`run_engine`], with the COV phase of [`EngineKind::Cov`] and
+/// [`EngineKind::Auto`] read from and stored into `covers` when given
+/// (see [`CoverMemo`]). The memo must belong to this `(circuit, tests)`
+/// pair.
+pub(crate) fn run_engine_sharing(
+    engine: EngineKind,
+    circuit: &Circuit,
+    tests: &TestSet,
+    config: &EngineConfig,
+    covers: Option<&CoverMemo>,
 ) -> EngineRun {
     let budget = armed_budget(engine, config);
     let mut run = match engine {
@@ -302,30 +431,13 @@ pub fn run_engine(
             }
         }
         EngineKind::Cov => {
-            let result = {
-                let _phase = gatediag_obs::span("cover");
-                sc_diagnose(
-                    circuit,
-                    tests,
-                    config.k,
-                    CovOptions {
-                        max_solutions: config.max_solutions,
-                        parallelism: config.parallelism,
-                        budget,
-                        bsim: BsimOptions {
-                            parallelism: config.parallelism,
-                            ..BsimOptions::default()
-                        },
-                        ..CovOptions::default()
-                    },
-                )
-            };
+            let covers = cover_phase(circuit, tests, config, &budget, covers);
             EngineRun {
                 engine,
-                candidates: union_of(circuit, &result.solutions),
-                solutions: result.solutions,
-                complete: result.truncation.is_none(),
-                truncation: result.truncation,
+                candidates: union_of(circuit, &covers.solutions),
+                solutions: covers.solutions.clone(),
+                complete: covers.truncation.is_none(),
+                truncation: covers.truncation,
                 stats: SolverStats::default(),
                 test_gen: None,
             }
@@ -356,24 +468,7 @@ pub fn run_engine(
             }
         }
         EngineKind::Auto => {
-            let cov = {
-                let _phase = gatediag_obs::span("cover");
-                sc_diagnose(
-                    circuit,
-                    tests,
-                    config.k,
-                    CovOptions {
-                        max_solutions: config.max_solutions,
-                        parallelism: config.parallelism,
-                        budget,
-                        bsim: BsimOptions {
-                            parallelism: config.parallelism,
-                            ..BsimOptions::default()
-                        },
-                        ..CovOptions::default()
-                    },
-                )
-            };
+            let cov = cover_phase(circuit, tests, config, &budget, covers);
             // The screen — like every phase — gets the full work budget
             // in its own unit (sets screened; phase units are not
             // commensurable, so they are never summed across phases),

@@ -46,7 +46,9 @@ use gatediag_sim::Parallelism;
 
 use crate::budget::Budget;
 use crate::chaos::ChaosPolicy;
-use crate::engine::{run_engine, run_sequential_engine, EngineConfig, EngineKind, EngineRun};
+use crate::engine::{
+    run_engine_sharing, run_sequential_engine, CoverMemo, EngineConfig, EngineKind, EngineRun,
+};
 use crate::sequential::{generate_failing_sequences, SequenceTestSet};
 use crate::test_set::{generate_failing_tests, TestSet};
 use crate::testgen::TestGenPolicy;
@@ -378,6 +380,8 @@ pub struct Prepared {
     /// The failing tests; empty when injection failed or no vector
     /// within `max_test_vectors` exposed the faults.
     pub tests: PreparedTests,
+    /// The COV phase [`run_prepared`]'s `cov` and `auto` runs share.
+    covers: CoverMemo,
 }
 
 /// Builds the [`Prepared`] for `request`: [`inject`], then
@@ -404,6 +408,7 @@ pub fn prepare_injected(
             faulty: None,
             faults: Vec::new(),
             tests: empty,
+            covers: CoverMemo::default(),
         };
     };
     let faulty = &injection.faulty;
@@ -431,6 +436,7 @@ pub fn prepare_injected(
         faulty: Some(Arc::clone(faulty)),
         faults: injection.faults.clone(),
         tests,
+        covers: CoverMemo::default(),
     }
 }
 
@@ -482,9 +488,13 @@ pub fn run_prepared(
     let run = {
         let _engine = gatediag_obs::span("engine");
         match &prepared.tests {
-            PreparedTests::Combinational(tests) => {
-                run_engine(request.engine, faulty, tests, &config)
-            }
+            PreparedTests::Combinational(tests) => run_engine_sharing(
+                request.engine,
+                faulty,
+                tests,
+                &config,
+                Some(&prepared.covers),
+            ),
             PreparedTests::Sequential(tests) => {
                 run_sequential_engine(request.engine, faulty, tests, &config)
             }
@@ -954,6 +964,119 @@ mod tests {
         assert_eq!(outcome.tests, fresh.tests);
         assert_eq!(outcome.status, fresh.status);
         assert_eq!(format!("{:?}", outcome.run), format!("{:?}", fresh.run));
+    }
+
+    /// Runs `request` on `session` under a fresh sink; returns the
+    /// outcome and the run's trace.
+    fn traced(
+        session: &CircuitSession,
+        request: &DiagnoseRequest,
+        chaos: ChaosPolicy,
+    ) -> (Arc<DiagnoseOutcome>, gatediag_obs::ObsTrace) {
+        let sink = Arc::new(gatediag_obs::Sink::new());
+        let guard = gatediag_obs::install(Arc::clone(&sink));
+        let (outcome, warm) = session
+            .diagnose(request, Parallelism::Sequential, chaos)
+            .unwrap();
+        drop(guard);
+        assert!(!warm);
+        (outcome, sink.take_trace())
+    }
+
+    fn cover_spans(trace: &gatediag_obs::ObsTrace) -> usize {
+        trace.spans.iter().filter(|s| s.name == "cover").count()
+    }
+
+    #[test]
+    fn cov_and_auto_share_one_cover_phase_in_either_order() {
+        let golden = c17();
+        for order in [
+            [EngineKind::Cov, EngineKind::Auto],
+            [EngineKind::Auto, EngineKind::Cov],
+        ] {
+            let session = CircuitSession::new("c17", golden.clone());
+            for (i, engine) in order.into_iter().enumerate() {
+                let request = DiagnoseRequest {
+                    engine,
+                    seed: 42,
+                    ..DiagnoseRequest::default()
+                };
+                let (outcome, trace) = traced(&session, &request, ChaosPolicy::off());
+                let run = outcome.run.as_ref().expect("the engine ran");
+                assert!(!run.solutions.is_empty(), "{order:?}: no covers");
+                // The first run computes the covers, the second reuses them.
+                assert_eq!(cover_spans(&trace), usize::from(i == 0), "{order:?}");
+                assert_eq!(trace.counter("cov.cover_reuses"), i as u64, "{order:?}");
+                let fresh = run_diagnose(
+                    &golden,
+                    &request,
+                    Parallelism::Sequential,
+                    ChaosPolicy::off(),
+                );
+                assert_eq!(
+                    format!("{:?}", outcome.run),
+                    format!("{:?}", fresh.run),
+                    "{order:?}"
+                );
+                assert_eq!(outcome.status, fresh.status);
+            }
+            assert_eq!(session.prepare_hits(), 1);
+        }
+    }
+
+    #[test]
+    fn chaos_and_deadline_runs_neither_read_nor_fill_the_cover_memo() {
+        let golden = c17();
+        let request = |engine: EngineKind, deadline_ms: Option<u64>| DiagnoseRequest {
+            engine,
+            seed: 42,
+            deadline_ms,
+            ..DiagnoseRequest::default()
+        };
+        // A chaos policy that is active but never fires.
+        let chaos = || {
+            ChaosPolicy::new(
+                crate::chaos::ChaosConfig {
+                    seed: 7,
+                    rate_ppm: 0,
+                },
+                1,
+            )
+        };
+        let plain = ChaosPolicy::off;
+
+        // Neither fills: a plain run after a deadline run and after a
+        // chaos run still computes its covers.
+        for (bypassing, policy) in [
+            (request(EngineKind::Cov, Some(60_000)), plain()),
+            (request(EngineKind::Cov, None), chaos()),
+        ] {
+            let session = CircuitSession::new("c17", golden.clone());
+            let (_, trace) = traced(&session, &bypassing, policy);
+            assert_eq!(cover_spans(&trace), 1);
+            let (_, trace) = traced(&session, &request(EngineKind::Auto, None), plain());
+            assert_eq!(cover_spans(&trace), 1, "a bypassing run filled the memo");
+            assert_eq!(trace.counter("cov.cover_reuses"), 0);
+        }
+
+        // Neither reads: after a plain run filled the memo, a deadline
+        // run and a chaos run compute their covers anyway.
+        let session = CircuitSession::new("c17", golden.clone());
+        traced(&session, &request(EngineKind::Cov, None), plain());
+        for (bypassing, policy) in [
+            (request(EngineKind::Auto, Some(60_000)), plain()),
+            (request(EngineKind::Auto, None), chaos()),
+        ] {
+            let (outcome, trace) = traced(&session, &bypassing, policy);
+            assert_eq!(cover_spans(&trace), 1, "a bypassing run read the memo");
+            assert_eq!(trace.counter("cov.cover_reuses"), 0);
+            let fresh = run_diagnose(&golden, &bypassing, Parallelism::Sequential, plain());
+            assert_eq!(format!("{:?}", outcome.run), format!("{:?}", fresh.run));
+        }
+        // The memo still serves a plain run.
+        let (_, trace) = traced(&session, &request(EngineKind::Auto, None), plain());
+        assert_eq!(cover_spans(&trace), 0);
+        assert_eq!(trace.counter("cov.cover_reuses"), 1);
     }
 
     #[test]

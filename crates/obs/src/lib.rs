@@ -23,6 +23,10 @@
 //! installed sink through a thread-local. With no sink installed every
 //! entry point is a no-op behind a single thread-local flag check, so
 //! hot loops pay nothing in the (default) unobserved configuration.
+//! With a sink installed, a [`count`] adds to a per-thread pending
+//! delta and takes no lock; pending deltas merge into the sink whenever
+//! its totals are read (span enter and exit, [`Sink::take_trace`]) or
+//! the thread's sink changes.
 //!
 //! Spans ([`span`]) are recorded **only on the thread that created the
 //! sink** — worker threads inside a fan-out contribute counters (sums
@@ -107,6 +111,7 @@ impl Sink {
     /// spans (possible only after a panic unwound past their guards)
     /// are closed as-recorded with whatever deltas they had at enter.
     pub fn take_trace(&self) -> ObsTrace {
+        flush_pending();
         let mut shared = self.lock();
         shared.stack.clear();
         ObsTrace {
@@ -128,12 +133,75 @@ thread_local! {
     /// Mirror of `CURRENT.is_some()`: the no-op fast path is one
     /// thread-local `Cell` read and a branch.
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
+    /// Deterministic counter charges not yet merged into `CURRENT`.
+    static PENDING: RefCell<Pending> = const { RefCell::new(Pending::new()) };
+}
+
+/// One thread's counter deltas charged since the last flush into its
+/// current sink, so that [`count`] takes no lock. They are flushed
+/// whenever the totals are read or the sink changes: when a span opens
+/// or closes, when a sink is installed or uninstalled, and in
+/// [`Sink::take_trace`]. Worker threads flush when their forwarded
+/// install ends, which the pool's scoped join orders before the owner's
+/// next span event, so every total and span delta is what direct
+/// charging would give.
+struct Pending {
+    /// `(name, delta)` in first-charge order, keyed by the name's
+    /// address: one name spelled at two call sites may appear twice, and
+    /// the entries merge on flush.
+    entries: Vec<(&'static str, u64)>,
+    /// The entry charged last: hot loops charge one name repeatedly.
+    last: usize,
+}
+
+impl Pending {
+    const fn new() -> Self {
+        Pending {
+            entries: Vec::new(),
+            last: 0,
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, name: &'static str, delta: u64) {
+        let same = |entry: &str| std::ptr::eq(entry, name);
+        let at = match self.entries.get(self.last) {
+            Some(&(entry, _)) if same(entry) => self.last,
+            _ => match self.entries.iter().position(|&(entry, _)| same(entry)) {
+                Some(at) => at,
+                None => {
+                    self.entries.push((name, 0));
+                    self.entries.len() - 1
+                }
+            },
+        };
+        self.entries[at].1 += delta;
+        self.last = at;
+    }
+}
+
+/// Merges this thread's pending counter deltas into its current sink.
+fn flush_pending() {
+    PENDING.with(|pending| {
+        let mut pending = pending.borrow_mut();
+        if pending.entries.is_empty() {
+            return;
+        }
+        if let Some(sink) = CURRENT.with(|c| c.borrow().clone()) {
+            let mut shared = sink.lock();
+            for &(name, delta) in &pending.entries {
+                *shared.counters.entry(name).or_insert(0) += delta;
+            }
+        }
+        pending.entries.clear();
+    });
 }
 
 /// Makes `sink` the current thread's sink until the guard drops (the
 /// previous sink, if any, is restored — installs nest).
 #[must_use = "dropping the guard immediately uninstalls the sink"]
 pub fn install(sink: Arc<Sink>) -> InstallGuard {
+    flush_pending();
     let prev = CURRENT.with(|c| c.replace(Some(sink)));
     ACTIVE.with(|a| a.set(true));
     InstallGuard { prev }
@@ -146,6 +214,7 @@ pub struct InstallGuard {
 
 impl Drop for InstallGuard {
     fn drop(&mut self) {
+        flush_pending();
         let prev = self.prev.take();
         ACTIVE.with(|a| a.set(prev.is_some()));
         CURRENT.with(|c| *c.borrow_mut() = prev);
@@ -172,9 +241,7 @@ pub fn count(name: &'static str, delta: u64) {
     if delta == 0 || !ACTIVE.with(Cell::get) {
         return;
     }
-    if let Some(sink) = current() {
-        *sink.lock().counters.entry(name).or_insert(0) += delta;
-    }
+    PENDING.with(|pending| pending.borrow_mut().add(name, delta));
 }
 
 /// Charges `delta` to the **timing-channel** counter `name`
@@ -209,6 +276,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     if sink.owner != std::thread::current().id() {
         return SpanGuard { sink: None };
     }
+    flush_pending();
     {
         let mut shared = sink.lock();
         let depth = shared.stack.len();
@@ -239,6 +307,7 @@ impl Drop for SpanGuard {
         let Some(sink) = self.sink.take() else {
             return;
         };
+        flush_pending();
         let mut shared = sink.lock();
         // Guards drop in strict LIFO order on the owner thread (also
         // during unwinding), so the top of the stack is this span.
@@ -356,6 +425,37 @@ mod tests {
         drop(ga);
         assert_eq!(b.take_trace().counters, vec![("inner".to_string(), 1)]);
         assert_eq!(a.take_trace().counters, vec![("outer".to_string(), 1)]);
+    }
+
+    #[test]
+    fn pending_charges_flush_at_every_read_and_sink_switch() {
+        let a = Arc::new(Sink::new());
+        let _ga = install(a.clone());
+        count("before", 1);
+        {
+            let _span = span("s");
+            count("inside", 2);
+            {
+                let b = Arc::new(Sink::new());
+                let _gb = install(b.clone());
+                count("nested", 4);
+                drop(_gb);
+                assert_eq!(b.take_trace().counters, vec![("nested".to_string(), 4)]);
+            }
+            count("inside", 3);
+        }
+        // One name at two addresses still makes one counter.
+        let other: &'static str = Box::leak(String::from("before").into_boxed_str());
+        count(other, 2);
+        // Read while still installed: everything charged so far.
+        let trace = a.take_trace();
+        assert_eq!(
+            trace.counters,
+            vec![("before".to_string(), 3), ("inside".to_string(), 5)]
+        );
+        assert_eq!(trace.spans[0].counters, vec![("inside".to_string(), 5)]);
+        count("after", 1);
+        assert_eq!(a.take_trace().counters, vec![("after".to_string(), 1)]);
     }
 
     #[test]

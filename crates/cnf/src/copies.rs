@@ -30,12 +30,13 @@ pub fn encode_freed_copy<S: ClauseSink>(
 ) -> CircuitVars {
     let vars: Vec<Var> = (0..circuit.len()).map(|_| sink.new_var()).collect();
     let map = CircuitVars::from_vars(vars);
+    let mut fanins: Vec<Lit> = Vec::new();
     for &id in circuit.topo_order() {
         let gate = circuit.gate(id);
         if gate.kind() == GateKind::Input || freed.contains(&id) {
             continue;
         }
-        let fanins: Vec<Lit> = gate.fanins().iter().map(|&f| map.lit(f, true)).collect();
+        map.fanin_lits(gate, &mut fanins);
         encode_gate(sink, gate.kind(), map.var(id), &fanins, None);
     }
     map
@@ -58,6 +59,7 @@ pub fn encode_pinned_copy<S: ClauseSink>(
 ) -> CircuitVars {
     let vars: Vec<Var> = (0..circuit.len()).map(|_| sink.new_var()).collect();
     let map = CircuitVars::from_vars(vars);
+    let mut fanins: Vec<Lit> = Vec::new();
     for &(id, value) in pinned {
         assert_ne!(
             circuit.gate(id).kind(),
@@ -71,7 +73,7 @@ pub fn encode_pinned_copy<S: ClauseSink>(
         if gate.kind() == GateKind::Input || pinned.iter().any(|&(p, _)| p == id) {
             continue;
         }
-        let fanins: Vec<Lit> = gate.fanins().iter().map(|&f| map.lit(f, true)).collect();
+        map.fanin_lits(gate, &mut fanins);
         encode_gate(sink, gate.kind(), map.var(id), &fanins, None);
     }
     map

@@ -125,13 +125,14 @@ pub fn encode_instrumented_copy<S: ClauseSink>(
 ) -> InstrumentedCopy {
     let vars: Vec<Var> = (0..circuit.len()).map(|_| sink.new_var()).collect();
     let map = CircuitVars::from_vars(vars);
+    let mut fanins: Vec<Lit> = Vec::new();
     let mut injected = vec![None; circuit.len()];
     for &id in circuit.topo_order() {
         let gate = circuit.gate(id);
         if gate.kind() == GateKind::Input {
             continue;
         }
-        let fanins: Vec<Lit> = gate.fanins().iter().map(|&f| map.lit(f, true)).collect();
+        map.fanin_lits(gate, &mut fanins);
         let y = map.var(id);
         match (inst.select(id), encoding) {
             (None, _) => encode_gate(sink, gate.kind(), y, &fanins, None),

@@ -6,7 +6,7 @@
 //! [11]).
 
 use crate::sink::ClauseSink;
-use gatediag_netlist::{Circuit, GateId, GateKind};
+use gatediag_netlist::{Circuit, Gate, GateId, GateKind};
 use gatediag_sat::{Lit, Var};
 
 /// Variable map of one encoded circuit copy.
@@ -35,6 +35,13 @@ impl CircuitVars {
         self.var(id).lit(value)
     }
 
+    /// Replaces `out`'s contents with the positive literals of `gate`'s
+    /// fan-ins, so an encoding loop reuses one buffer for every gate.
+    pub(crate) fn fanin_lits(&self, gate: Gate<'_>, out: &mut Vec<Lit>) {
+        out.clear();
+        out.extend(gate.fanins().iter().map(|&f| self.lit(f, true)));
+    }
+
     /// All gate variables in gate-id order.
     pub fn all(&self) -> &[Var] {
         &self.vars
@@ -61,33 +68,26 @@ pub fn encode_gate<S: ClauseSink>(
     guard: Option<Lit>,
 ) {
     gatediag_obs::count("cnf.gates_encoded", 1);
-    fn emit<S: ClauseSink>(sink: &mut S, base: &[Lit], guard: Option<Lit>) {
-        let mut lits = base.to_vec();
-        if let Some(g) = guard {
-            lits.push(g);
-        }
-        sink.add_clause(&lits);
-    }
     macro_rules! clause {
-        ($base:expr) => {
-            emit(sink, $base, guard)
+        ($lits:expr) => {
+            emit(sink, $lits, guard)
         };
     }
     let yp = y.positive();
     let yn = y.negative();
     match kind {
         GateKind::Input => panic!("primary inputs have no defining clauses"),
-        GateKind::Const0 => clause!(&[yn]),
-        GateKind::Const1 => clause!(&[yp]),
+        GateKind::Const0 => clause!([yn]),
+        GateKind::Const1 => clause!([yp]),
         GateKind::Buf => {
             let a = fanins[0];
-            clause!(&[yn, a]);
-            clause!(&[yp, !a]);
+            clause!([yn, a]);
+            clause!([yp, !a]);
         }
         GateKind::Not => {
             let a = fanins[0];
-            clause!(&[yn, !a]);
-            clause!(&[yp, a]);
+            clause!([yn, !a]);
+            clause!([yp, a]);
         }
         GateKind::And | GateKind::Nand => {
             // t = AND(fanins); y = t (And) or !t (Nand).
@@ -97,11 +97,9 @@ pub fn encode_gate<S: ClauseSink>(
                 (yn, yp)
             };
             for &a in fanins {
-                clause!(&[t_false, a]);
+                clause!([t_false, a]);
             }
-            let mut long: Vec<Lit> = fanins.iter().map(|&a| !a).collect();
-            long.push(t_true);
-            clause!(&long);
+            clause!(fanins.iter().map(|&a| !a).chain([t_true]));
         }
         GateKind::Or | GateKind::Nor => {
             let (t_true, t_false) = if kind == GateKind::Or {
@@ -110,11 +108,9 @@ pub fn encode_gate<S: ClauseSink>(
                 (yn, yp)
             };
             for &a in fanins {
-                clause!(&[t_true, !a]);
+                clause!([t_true, !a]);
             }
-            let mut long: Vec<Lit> = fanins.to_vec();
-            long.push(t_false);
-            clause!(&long);
+            clause!(fanins.iter().copied().chain([t_false]));
         }
         GateKind::Xor | GateKind::Xnor => {
             // Chain binary XORs through aux variables; the last step folds
@@ -133,14 +129,35 @@ pub fn encode_gate<S: ClauseSink>(
                     sink.new_var().positive()
                 };
                 // out <-> acc XOR b
-                clause!(&[!out, acc, b]);
-                clause!(&[!out, !acc, !b]);
-                clause!(&[out, !acc, b]);
-                clause!(&[out, acc, !b]);
+                clause!([!out, acc, b]);
+                clause!([!out, !acc, !b]);
+                clause!([out, !acc, b]);
+                clause!([out, acc, !b]);
                 acc = out;
             }
         }
     }
+}
+
+/// Clauses up to this many literals are built on the stack.
+const STACK_LITS: usize = 16;
+
+/// Adds `lits` followed by the optional `guard` as one clause, built in
+/// a stack buffer unless it is longer than [`STACK_LITS`].
+fn emit<S: ClauseSink>(sink: &mut S, lits: impl IntoIterator<Item = Lit>, guard: Option<Lit>) {
+    let mut buf = [Lit::from_code(0); STACK_LITS];
+    let mut len = 0;
+    let mut lits = lits.into_iter().chain(guard);
+    for lit in lits.by_ref() {
+        if len == STACK_LITS {
+            let long: Vec<Lit> = buf.iter().copied().chain([lit]).chain(lits).collect();
+            sink.add_clause(&long);
+            return;
+        }
+        buf[len] = lit;
+        len += 1;
+    }
+    sink.add_clause(&buf[..len]);
 }
 
 /// Encodes a full circuit copy; returns the gate-to-variable map.
@@ -162,12 +179,13 @@ pub fn encode_gate<S: ClauseSink>(
 pub fn encode_circuit<S: ClauseSink>(sink: &mut S, circuit: &Circuit) -> CircuitVars {
     let vars: Vec<Var> = (0..circuit.len()).map(|_| sink.new_var()).collect();
     let map = CircuitVars { vars };
+    let mut fanins: Vec<Lit> = Vec::new();
     for &id in circuit.topo_order() {
         let gate = circuit.gate(id);
         if gate.kind() == GateKind::Input {
             continue;
         }
-        let fanins: Vec<Lit> = gate.fanins().iter().map(|&f| map.lit(f, true)).collect();
+        map.fanin_lits(gate, &mut fanins);
         encode_gate(sink, gate.kind(), map.var(id), &fanins, None);
     }
     map

@@ -54,7 +54,16 @@ pub enum EngineKind {
     /// ([`screen_valid_corrections`]): like BSAT everything
     /// reported is a valid correction, but candidates come from
     /// simulation covers and each validity call picks the sim or SAT
-    /// backend per [`ValidityBackend::Auto`].
+    /// backend per [`ValidityBackend::Auto`]. By Theorem 2 the
+    /// survivors are BSAT solutions.
+    ///
+    /// Its COV phase is exactly [`EngineKind::Cov`]'s, so runs through
+    /// [`run_prepared`](crate::run_prepared) (campaign cells, serve
+    /// sessions) compute it once per prepare and `k`, solution cap and
+    /// deterministic limits, whichever of the two engines runs first.
+    /// Chaos and wall-deadline runs always recompute it, and
+    /// [`run_engine`] never shares it. Its reported stats are the
+    /// screen's, so sharing moves none of them.
     Auto,
     /// Sequential path tracing across time frames
     /// ([`sequential_sim_diagnose`]): the BSIM analogue over

@@ -20,7 +20,8 @@
 //!   [`run_prepared`] runs the engine on it under the `engine` span.
 //!   [`run_diagnose`] is their composition. Callers that diagnose one
 //!   injection with several engines (a campaign cell, a daemon session)
-//!   prepare once and run many;
+//!   prepare once and run many, and their `cov` and `auto` runs share
+//!   one COV phase;
 //! * [`CircuitSession`] — a circuit plus bounded memos of completed
 //!   runs (keyed by the request) and of prepares (keyed by
 //!   [`PrepareKey`]). Engine runs are pure functions of
@@ -370,7 +371,8 @@ impl PreparedTests {
 /// circuit and the failing tests. A function of (golden, request
 /// [`PrepareKey`]) only, so every engine run on the same key can share
 /// one — the paper's setting, where BSIM, COV and BSAT diagnose one
-/// test-set per injected error.
+/// test-set per injected error. It also keeps the COV phase its `cov`
+/// and `auto` runs share (see [`run_prepared`]).
 #[derive(Clone, Debug)]
 pub struct Prepared {
     /// The faulty circuit; `None` when injection failed.
@@ -463,6 +465,12 @@ pub struct DiagnoseOutcome {
 /// `golden` is the reference the discriminating-test phase compares
 /// against. Chaos fires and wall deadlines anchor at engine entry, so
 /// sharing one `Prepared` across runs never changes an outcome.
+///
+/// The `cov` and `auto` runs on one `Prepared` compute their COV phase
+/// once: the first stores it in the `Prepared`, a later run with the
+/// same `k`, solution cap and deterministic limits reuses it (no `cover`
+/// span; one `cov.cover_reuses` charge). Runs under an active chaos
+/// policy or a wall deadline neither read nor store it.
 pub fn run_prepared(
     golden: &Circuit,
     prepared: &Prepared,
@@ -1021,6 +1029,23 @@ mod tests {
                 assert_eq!(outcome.status, fresh.status);
             }
             assert_eq!(session.prepare_hits(), 1);
+            // Another solution cap is another cover key: computed anew.
+            let capped = DiagnoseRequest {
+                engine: EngineKind::Cov,
+                seed: 42,
+                max_solutions: 1,
+                ..DiagnoseRequest::default()
+            };
+            let (outcome, trace) = traced(&session, &capped, ChaosPolicy::off());
+            assert_eq!(cover_spans(&trace), 1, "{order:?}");
+            assert_eq!(trace.counter("cov.cover_reuses"), 0, "{order:?}");
+            let fresh = run_diagnose(
+                &golden,
+                &capped,
+                Parallelism::Sequential,
+                ChaosPolicy::off(),
+            );
+            assert_eq!(format!("{:?}", outcome.run), format!("{:?}", fresh.run));
         }
     }
 

@@ -293,7 +293,7 @@ struct CoverKey {
 /// result equals a recomputed one. Runs under an active chaos policy or
 /// a wall deadline neither read nor fill the memo: their budgets depend
 /// on perturbation or timing, not only on the key.
-#[derive(Default)]
+#[derive(Default, Debug)]
 pub(crate) struct CoverMemo(Mutex<Option<(CoverKey, Arc<Covers>)>>);
 
 impl CoverMemo {
@@ -318,13 +318,6 @@ impl CoverMemo {
 impl Clone for CoverMemo {
     fn clone(&self) -> Self {
         CoverMemo(Mutex::new(self.lock().clone()))
-    }
-}
-
-impl fmt::Debug for CoverMemo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let key = self.lock().as_ref().map(|(key, _)| *key);
-        f.debug_tuple("CoverMemo").field(&key).finish()
     }
 }
 

@@ -17,11 +17,13 @@
 //! * every record is a pure function of `(spec, instance)`: a
 //!   [`Prepared`] depends only on its prepare key, so sharing it inside
 //!   a cell changes no record, and nothing is shared across cells;
-//! * inside a cell, instances run in matrix order, and each builds its
-//!   key's [`Prepared`] lazily inside its own observability sink and
-//!   root `instance` span. Exactly one instance per key — the first —
-//!   is charged the `inject`/`tests` spans and their counters, whatever
-//!   the worker count, so traces stay byte-identical too;
+//! * inside a cell, instances run in matrix order, except that `auto`
+//!   runs after the cell's other engines (so a `cov` always computes the
+//!   shared COV phase), and each builds its key's [`Prepared`] lazily
+//!   inside its own observability sink and root `instance` span. Exactly
+//!   one instance per key — the first to run — is charged the
+//!   `inject`/`tests` spans and their counters, whatever the worker
+//!   count, so traces stay byte-identical too;
 //! * engines run with [`Parallelism::Sequential`] *inside* a work item:
 //!   the campaign level owns the worker pool, which avoids nested pools
 //!   oversubscribing the machine, and makes each item's cost independent
@@ -396,15 +398,30 @@ fn checkpoint_runs(cells: &[Vec<usize>], every: usize) -> Vec<&[Vec<usize>]> {
     runs
 }
 
-/// Runs one cell's instances in matrix order, sharing their prepares.
+/// Runs one cell's instances, sharing their prepares, and returns their
+/// records in matrix order. They run in matrix order, except that `auto`
+/// runs after the cell's other engines: a `cov` in the cell then always
+/// computes the shared COV phase and `auto` always reuses it, whatever
+/// order the spec lists the engines in.
 fn run_cell(
     spec: &CampaignSpec,
     instances: &[InstanceSpec],
     cell: &[usize],
 ) -> Vec<InstanceRecord> {
     let mut cache = PrepareCache::default();
-    cell.iter()
-        .map(|&i| run_instance_resilient(spec, &instances[i], &mut cache))
+    let mut order: Vec<usize> = (0..cell.len()).collect();
+    order.sort_by_key(|&j| instances[cell[j]].engine == EngineKind::Auto);
+    let mut records: Vec<Option<InstanceRecord>> = vec![None; cell.len()];
+    for j in order {
+        records[j] = Some(run_instance_resilient(
+            spec,
+            &instances[cell[j]],
+            &mut cache,
+        ));
+    }
+    records
+        .into_iter()
+        .map(|r| r.expect("every instance of the cell ran"))
         .collect()
 }
 

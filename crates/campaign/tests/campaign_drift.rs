@@ -356,6 +356,44 @@ fn cells_charge_one_cover_span_per_cover_key() {
 }
 
 #[test]
+fn cov_computes_the_shared_cover_phase_in_any_engine_order() {
+    // A cell runs `auto` after its other engines, so the `cover` span is
+    // always the `cov` instance's and the reuse always `auto`'s: which
+    // instance carries the phase's cost does not depend on the order the
+    // spec lists the engines in.
+    for engines in [
+        vec![EngineKind::Auto, EngineKind::Cov, EngineKind::Bsim],
+        vec![EngineKind::Bsim, EngineKind::Cov, EngineKind::Auto],
+    ] {
+        let mut spec = drift_spec();
+        spec.engines = engines.clone();
+        spec.collect_obs = true;
+        let report = run_campaign(&spec);
+        let mut checked = 0;
+        for cell in report.records.chunks(engines.len()) {
+            let ran = |engine: EngineKind| {
+                cell.iter().find(|r| {
+                    r.engine == engine
+                        && matches!(r.status, InstanceStatus::Ok | InstanceStatus::Preempted)
+                })
+            };
+            let (Some(cov), Some(auto)) = (ran(EngineKind::Cov), ran(EngineKind::Auto)) else {
+                continue;
+            };
+            let covers = |r: &gatediag_campaign::InstanceRecord| {
+                let trace = r.obs.as_ref().expect("traced");
+                let spans = trace.spans.iter().filter(|s| s.name == "cover").count();
+                (spans, trace.counter("cov.cover_reuses"))
+            };
+            assert_eq!(covers(cov), (1, 0), "{engines:?} {cov:?}");
+            assert_eq!(covers(auto), (0, 1), "{engines:?} {auto:?}");
+            checked += 1;
+        }
+        assert!(checked > 0, "no cell ran both cov and auto");
+    }
+}
+
+#[test]
 fn every_record_equals_a_per_instance_run_diagnose() {
     let spec = mixed_spec();
     let report = run_campaign(&spec);

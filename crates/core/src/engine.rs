@@ -60,8 +60,8 @@ pub enum EngineKind {
     /// Its COV phase is exactly [`EngineKind::Cov`]'s, so runs through
     /// [`run_prepared`](crate::run_prepared) (campaign cells, serve
     /// sessions) compute it once per prepare and `k`, solution cap and
-    /// deterministic limits, whichever of the two engines runs first.
-    /// Chaos and wall-deadline runs always recompute it, and
+    /// deterministic limits, whichever of the two engines runs first (a
+    /// campaign cell always runs its `cov` first). Chaos and wall-deadline runs always recompute it, and
     /// [`run_engine`] never shares it. Its reported stats are the
     /// screen's, so sharing moves none of them.
     Auto,

@@ -3,7 +3,9 @@
 //! Columns as in the paper: circuit, p, m; COV's "CNF" (instance build,
 //! including BSIM), "One" (first solution) and "All" (complete
 //! enumeration); the same three for BSAT. BSIM's single column is its
-//! total wall time.
+//! total wall time. At p = 1 COV builds no covering instance (its
+//! size-one covers are the gates common to every candidate set), so its
+//! "CNF" is the BSIM phase plus ~0, and "One" and "All" add ~0 to it.
 //!
 //! ```text
 //! cargo run --release -p gatediag-bench --bin table2 -- [--scale quick|full] [--seed N]

@@ -53,10 +53,11 @@ pub struct CovOptions {
     /// [`CovEngine::Sat`]. Because the top-level branches are independent
     /// shards, the work budget applies *per top-level branch* — a pure
     /// function of the instance, so budgeted runs stay bit-identical for
-    /// every worker count. In [`sc_diagnose`] the same work number first
-    /// bounds the BSIM phase in *its* unit (one test traced = one unit; a
-    /// preempted BSIM phase short-circuits the run) — phase units are not
-    /// commensurable and are never summed. The wall deadline is shared
+    /// every worker count. A `k = 1` SAT cover runs no solver, so no
+    /// conflict limit can trip it. In [`sc_diagnose`] the same work
+    /// number first bounds the BSIM phase in *its* unit (one test
+    /// traced = one unit; a preempted BSIM phase short-circuits the run)
+    /// — phase units are not commensurable and are never summed. The wall deadline is shared
     /// across phases and branches (opt-in, nondeterministic).
     pub budget: Budget,
 }
@@ -94,7 +95,11 @@ pub struct CovResult {
     /// `Some` when `complete` is `false`.
     pub truncation: Option<Truncation>,
     /// Deterministic work charged (tests traced by the BSIM phase plus
-    /// the covering engine's units — see [`CovOptions::budget`]).
+    /// the covering engine's units — see [`CovOptions::budget`]). The
+    /// SAT engine charges only the conflicts spent on the covers it
+    /// reports: none at `k = 1`, where it runs no solver, and in a
+    /// capped run none past the first `max_solutions` covers. It is the
+    /// same for every worker count.
     pub work: u64,
     /// The BSIM result the covering instance was built from (absent for
     /// [`cover_all`] on raw sets).
@@ -170,6 +175,13 @@ pub fn sc_diagnose(circuit: &Circuit, tests: &TestSet, k: usize, options: CovOpt
 ///
 /// An empty collection of sets has the empty cover as its only solution.
 /// If any set is empty, there is no cover at all.
+///
+/// A run truncated by `max_solutions` reports the irredundant part of
+/// the first `max_solutions.max(1)` covers the engine meets, and the
+/// same covers for every worker count. [`CovEngine::Sat`] computes no
+/// cover past that prefix: it stops each top-level branch at its share
+/// of the cap, and at `k = 1` it runs no solver at all, since the
+/// size-one covers are the gates common to every set.
 pub fn cover_all(sets: &[Vec<GateId>], k: usize, options: CovOptions) -> CovResult {
     let total_start = Instant::now();
     let budget = options.budget.anchored(total_start);
@@ -230,10 +242,42 @@ struct CoverOutcome {
 /// earlier branch), so the merged list is filtered for irredundancy
 /// explicitly — the same final filter the branch-and-bound engine
 /// applies. For complete runs the result is exactly the irredundant
-/// covers of size ≤ `k` (paper Lemma 3), identical to the pre-sharding
-/// single-solver enumeration; truncated runs keep the same cap and
-/// `complete = false` semantics but may retain a different (still
-/// deterministic) subset of the solutions.
+/// covers of size ≤ `k` (paper Lemma 3).
+///
+/// # Only the reported covers are computed
+///
+/// The reported list is the irredundant part of the first
+/// `cap = max_solutions.max(1)` covers in branch order, each branch's in
+/// its enumeration order, and a run is truncated when that prefix is
+/// full. Two shortcuts compute exactly this prefix and nothing past it:
+///
+/// * **`k = 1` needs no solver** ([`size_one_covers`]). Branch `b`
+///   asserts `s_{g_b}`, denies the earlier branch gates and allows at
+///   most one selector, so its only possible model is `{g_b}`, which
+///   satisfies every set clause iff `g_b` is in every set. A gate
+///   repeated in the branch set makes its later branch inconsistent
+///   (`s_g` both asserted and denied), so it counts once. The covers are
+///   therefore the gates common to every set, in branch-set order, first
+///   occurrences only.
+/// * **No branch runs past the cap.** Branch `b` keeps only its share,
+///   `cap` minus the covers of branches `0..b`. Enumeration is
+///   deterministic and stops as soon as it holds its limit, so a branch
+///   capped at `r` yields the first `r` models of its uncapped run and
+///   spends exactly the conflicts that run had spent right after its
+///   `r`-th model. The sequential path starts no branch once the prefix
+///   is full and hands each branch its share as its cap; the parallel
+///   path runs every branch speculatively at the full cap and trims each
+///   to its share ([`BranchOutcome::keep_first`]), which reproduces the
+///   sequential outcome — solutions, truncation and work — exactly.
+///
+/// Solutions, `complete` and `truncation` are those of enumerating every
+/// branch in full and then cutting the merged list at the cap, with two
+/// deliberate budget differences: a `k = 1` cover spends no conflicts,
+/// so a conflict limit (or the wall deadline) cannot trip it; and a
+/// budget that would have run out in a branch only after the prefix was
+/// full no longer turns the cap truncation into a preemption — the rule
+/// BSAT's capped enumeration already follows. `work` counts only the
+/// conflicts of the kept prefix.
 fn cover_sat(
     sets: &[Vec<GateId>],
     k: usize,
@@ -245,7 +289,7 @@ fn cover_sat(
     if sets.is_empty() {
         return trivial_outcome(vec![Vec::new()], build_start.elapsed());
     }
-    if sets.iter().any(|s| s.is_empty()) {
+    if sets.iter().any(|s| s.is_empty()) || k == 0 {
         return trivial_outcome(Vec::new(), build_start.elapsed());
     }
     let branch_set = sets
@@ -253,6 +297,9 @@ fn cover_sat(
         .min_by_key(|set| set.len())
         .expect("sets checked non-empty");
     let cap = max_solutions.max(1);
+    if k == 1 {
+        return size_one_covers(sets, branch_set, cap, build_start);
+    }
     let base = CoverBase::new(sets, branch_set, k);
     let build_time = build_start.elapsed();
     let enum_start = Instant::now();
@@ -264,6 +311,12 @@ fn cover_sat(
     // cooperative deadline hook.
     let (conflict_limit, conflict_reason) = budget.conflict_limit();
     let deadline = budget.deadline_instant();
+    let run_branch = |b: usize, share: usize| {
+        let mut solver = base.branch_solver(b);
+        solver.set_conflict_budget(conflict_limit);
+        solver.set_deadline(deadline);
+        enumerate_cover_branch(&base, solver, share, enum_start, conflict_reason)
+    };
     // Enumeration cost is dominated by per-branch CDCL runs over the
     // covering CNF; scale the Auto work estimate with instance size.
     let universe: usize = sets.iter().map(|s| s.len()).sum();
@@ -276,28 +329,35 @@ fn cover_sat(
         work_estimate,
         gatediag_sim::AUTO_WORK_FLOOR,
     );
-    let per_branch: Vec<BranchOutcome> = parallel_map_init(
-        workers,
-        branch_set.len(),
-        || (),
-        |(), b| {
-            let mut solver = base.branch_solver(b);
-            solver.set_conflict_budget(conflict_limit);
-            solver.set_deadline(deadline);
-            enumerate_cover_branch(&base, solver, cap, enum_start, conflict_reason)
-        },
-    );
+    let per_branch: Vec<BranchOutcome> = if workers <= 1 {
+        let mut runs = Vec::new();
+        let mut kept = 0;
+        for b in 0..branch_set.len() {
+            if kept >= cap {
+                break;
+            }
+            let run = run_branch(b, cap - kept);
+            kept += run.solutions.len();
+            runs.push(run);
+        }
+        runs
+    } else {
+        parallel_map_init(workers, branch_set.len(), || (), |(), b| run_branch(b, cap))
+    };
 
     let mut found: Vec<Vec<GateId>> = Vec::new();
-    let mut complete = true;
     let mut first_elapsed: Option<Duration> = None;
     let mut budget_truncation: Option<Truncation> = None;
     let mut work = 0u64;
-    for branch in per_branch {
+    for mut branch in per_branch {
+        let share = cap - found.len();
+        if share == 0 {
+            break;
+        }
+        branch.keep_first(share);
         if let Some(t) = branch.first_elapsed {
             first_elapsed = Some(first_elapsed.map_or(t, |cur: Duration| cur.min(t)));
         }
-        complete &= branch.complete;
         if budget_truncation.is_none() {
             budget_truncation = branch.truncation;
         }
@@ -305,14 +365,49 @@ fn cover_sat(
         found.extend(branch.solutions);
     }
     let truncated = found.len() >= cap;
-    found.truncate(cap);
     CoverOutcome {
         // Cross-branch irredundancy filter (see the function docs).
-        solutions: irredundant_covers(sets, found),
+        solutions: SetHits::new(sets).irredundant(found),
         build_time,
         first_solution_time: first_elapsed.map_or(Duration::ZERO, |t| build_time + t),
-        truncation: budget_truncation.or((!complete || truncated).then_some(Truncation::Solutions)),
+        truncation: budget_truncation.or(truncated.then_some(Truncation::Solutions)),
         work,
+    }
+}
+
+/// [`cover_sat`] at `k = 1`: the gates of `branch_set` that hit every
+/// set, first occurrences only, in branch-set order and cut at `cap` —
+/// exactly the covers the per-branch solvers would find (see the
+/// function docs there), without building a covering instance or
+/// spending a conflict.
+fn size_one_covers(
+    sets: &[Vec<GateId>],
+    branch_set: &[GateId],
+    cap: usize,
+    build_start: Instant,
+) -> CoverOutcome {
+    let hits = SetHits::new(sets);
+    let mut found: Vec<Vec<GateId>> = Vec::new();
+    for (i, &g) in branch_set.iter().enumerate() {
+        if found.len() >= cap {
+            break;
+        }
+        if hits.hits_every_set(g) && !branch_set[..i].contains(&g) {
+            found.push(vec![g]);
+        }
+    }
+    let truncated = found.len() >= cap;
+    let build_time = build_start.elapsed();
+    CoverOutcome {
+        first_solution_time: if found.is_empty() {
+            Duration::ZERO
+        } else {
+            build_time
+        },
+        solutions: hits.irredundant(found),
+        build_time,
+        truncation: truncated.then_some(Truncation::Solutions),
+        work: 0,
     }
 }
 
@@ -473,51 +568,91 @@ fn trivial_outcome(solutions: Vec<Vec<GateId>>, build_time: Duration) -> CoverOu
     }
 }
 
-/// Normalises the covers `found` (each sorted, list sorted and
-/// deduplicated) and keeps the irredundant ones: those in which every
-/// gate hits some set that no other gate of the cover hits. The covers
-/// have distinct gates, all drawn from `sets`.
-///
-/// Each gate's hits are a bitmask over set indices, so one cover costs
-/// `O(|cover| · |sets| / 64)` after an `O(Σ|set|)` index.
-fn irredundant_covers(sets: &[Vec<GateId>], mut found: Vec<Vec<GateId>>) -> Vec<Vec<GateId>> {
-    for sol in &mut found {
-        sol.sort();
-    }
-    found.sort();
-    found.dedup();
-    let words = sets.len().div_ceil(64);
-    let mut hits: HashMap<GateId, Vec<u64>> = HashMap::new();
-    for (i, set) in sets.iter().enumerate() {
-        for &g in set {
-            hits.entry(g).or_insert_with(|| vec![0; words])[i / 64] |= 1 << (i % 64);
-        }
-    }
-    // Sets hit by at least one / at least two gates of the cover.
-    let mut once = vec![0u64; words];
-    let mut twice = vec![0u64; words];
-    found.retain(|sol| {
-        once.fill(0);
-        twice.fill(0);
-        for g in sol {
-            for ((o, t), &h) in once.iter_mut().zip(&mut twice).zip(&hits[g]) {
-                *t |= *o & h;
-                *o |= h;
+/// Which sets each gate hits, as a bitmask over set indices: the index
+/// behind the irredundancy filter and the size-one covers.
+struct SetHits {
+    /// The mask of a gate that hits every set.
+    every: Vec<u64>,
+    of: HashMap<GateId, Vec<u64>>,
+}
+
+impl SetHits {
+    /// An `O(Σ|set|)` pass over `sets`.
+    fn new(sets: &[Vec<GateId>]) -> Self {
+        let words = sets.len().div_ceil(64);
+        let mut of: HashMap<GateId, Vec<u64>> = HashMap::new();
+        for (i, set) in sets.iter().enumerate() {
+            for &g in set {
+                of.entry(g).or_insert_with(|| vec![0; words])[i / 64] |= 1 << (i % 64);
             }
         }
-        sol.iter()
-            .all(|g| hits[g].iter().zip(&twice).any(|(&h, &t)| h & !t != 0))
-    });
-    found
+        let mut every = vec![0u64; words];
+        for i in 0..sets.len() {
+            every[i / 64] |= 1 << (i % 64);
+        }
+        SetHits { every, of }
+    }
+
+    /// Whether `{g}` is a cover. `g` must occur in some set.
+    fn hits_every_set(&self, g: GateId) -> bool {
+        self.of[&g] == self.every
+    }
+
+    /// Normalises the covers `found` (each sorted, list sorted and
+    /// deduplicated) and keeps the irredundant ones: those in which every
+    /// gate hits some set that no other gate of the cover hits. The
+    /// covers have distinct gates, all drawn from the sets. One cover
+    /// costs `O(|cover| · |sets| / 64)`.
+    fn irredundant(&self, mut found: Vec<Vec<GateId>>) -> Vec<Vec<GateId>> {
+        for sol in &mut found {
+            sol.sort();
+        }
+        found.sort();
+        found.dedup();
+        // Sets hit by at least one / at least two gates of the cover.
+        let mut once = vec![0u64; self.every.len()];
+        let mut twice = vec![0u64; self.every.len()];
+        found.retain(|sol| {
+            once.fill(0);
+            twice.fill(0);
+            for g in sol {
+                for ((o, t), &h) in once.iter_mut().zip(&mut twice).zip(&self.of[g]) {
+                    *t |= *o & h;
+                    *o |= h;
+                }
+            }
+            sol.iter()
+                .all(|g| self.of[g].iter().zip(&twice).any(|(&h, &t)| h & !t != 0))
+        });
+        found
+    }
 }
 
 /// What one top-level branch of either covering engine reports back.
 struct BranchOutcome {
     solutions: Vec<Vec<GateId>>,
-    complete: bool,
     first_elapsed: Option<Duration>,
     truncation: Option<Truncation>,
     work: u64,
+    /// The SAT engine's work right after each solution, parallel to
+    /// `solutions` (see [`BranchOutcome::keep_first`]); empty for
+    /// branch-and-bound, which never trims a branch.
+    work_at: Vec<u64>,
+}
+
+impl BranchOutcome {
+    /// Cuts a SAT branch that ran at a cap above `share` back to what it
+    /// would have reported with `share` as its cap: its first `share`
+    /// solutions, the work spent right after the last of them, and no
+    /// budget truncation, since the search stops there before it could
+    /// run out (see [`cover_sat`]).
+    fn keep_first(&mut self, share: usize) {
+        if self.solutions.len() >= share {
+            self.solutions.truncate(share);
+            self.work = self.work_at[share - 1];
+            self.truncation = None;
+        }
+    }
 }
 
 /// One branch of the sharded SAT cover enumeration on its encoded
@@ -533,15 +668,14 @@ fn enumerate_cover_branch(
     conflict_reason: Truncation,
 ) -> BranchOutcome {
     let mut solutions: Vec<Vec<GateId>> = Vec::new();
-    let mut complete = true;
+    let mut work_at: Vec<u64> = Vec::new();
     let mut first_elapsed: Option<Duration> = None;
     let mut truncation: Option<Truncation> = None;
-    'sizes: for size in 1..=base.limit {
+    for size in 1..=base.limit {
         let assumptions: Vec<_> = base.totalizer.at_most(size).into_iter().collect();
         let remaining = cap.saturating_sub(solutions.len());
         if remaining == 0 {
-            complete = false;
-            break 'sizes;
+            break;
         }
         let out = enumerate_positive_subsets(&mut solver, &base.selectors, &assumptions, remaining);
         for subset in out.solutions {
@@ -550,8 +684,8 @@ fn enumerate_cover_branch(
             }
             solutions.push(subset.iter().map(|v| base.gate_of[v.index()]).collect());
         }
+        work_at.extend(out.conflicts);
         if !out.complete {
-            complete = false;
             if out.gave_up {
                 truncation = Some(if solver.deadline_hit() {
                     Truncation::Deadline
@@ -559,15 +693,15 @@ fn enumerate_cover_branch(
                     conflict_reason
                 });
             }
-            break 'sizes;
+            break;
         }
     }
     BranchOutcome {
         solutions,
-        complete,
         first_elapsed,
         truncation,
         work: solver.stats().conflicts,
+        work_at,
     }
 }
 /// Branch-and-bound cover enumeration, fanned out over the gates of the
@@ -681,10 +815,10 @@ fn cover_bnb(
                     );
                     BranchOutcome {
                         solutions: local,
-                        complete: meter.truncation().is_none(),
                         first_elapsed: local_first,
                         truncation: meter.truncation(),
                         work: meter.work_used(),
+                        work_at: Vec::new(),
                     }
                 },
             );
@@ -703,7 +837,7 @@ fn cover_bnb(
     let truncated = found.len() >= cap;
     found.truncate(cap);
     CoverOutcome {
-        solutions: irredundant_covers(sets, found),
+        solutions: SetHits::new(sets).irredundant(found),
         build_time,
         first_solution_time: first_elapsed.map_or(Duration::ZERO, |t| build_time + t),
         truncation: budget_truncation.or(truncated.then_some(Truncation::Solutions)),
@@ -946,6 +1080,109 @@ mod tests {
         assert!(
             repeated_branch_sets >= 10,
             "only {repeated_branch_sets} branch sets with repeated gates"
+        );
+    }
+
+    /// What [`cover_sat`] reported before it stopped at the cap: every
+    /// top-level branch enumerated in full on its own solver (k = 1
+    /// included), the merged list cut at the cap, then filtered.
+    /// Returns the [`cover_all`] fields that must match, plus how many
+    /// covers the branches found in all.
+    fn cover_sat_in_full(
+        sets: &[Vec<GateId>],
+        k: usize,
+        max_solutions: usize,
+    ) -> (Vec<Vec<GateId>>, Option<Truncation>, u64, usize) {
+        let branch_set = sets.iter().min_by_key(|set| set.len()).unwrap();
+        let cap = max_solutions.max(1);
+        let base = CoverBase::new(sets, branch_set, k);
+        let mut found: Vec<Vec<GateId>> = Vec::new();
+        let mut work = 0;
+        for b in 0..branch_set.len() {
+            let branch = enumerate_cover_branch(
+                &base,
+                base.branch_solver(b),
+                cap,
+                Instant::now(),
+                Truncation::Conflicts,
+            );
+            assert_eq!(branch.truncation, None, "unbudgeted branch preempted");
+            work += branch.work;
+            found.extend(branch.solutions);
+        }
+        let raw = found.len();
+        let truncation = (found.len() >= cap).then_some(Truncation::Solutions);
+        found.truncate(cap);
+        let mut solutions = SetHits::new(sets).irredundant(found);
+        solutions.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+        (solutions, truncation, work, raw)
+    }
+
+    #[test]
+    fn sat_engine_reports_what_full_enumeration_reports() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(18);
+        // A repeated gate common to every set, at the head of the branch
+        // set: at k = 1 and cap 2 the SAT branches find it once and the
+        // run is complete.
+        let mut instances = vec![vec![vec![g(3), g(1), g(3)], vec![g(3), g(2), g(0), g(5)]]];
+        while instances.len() < 40 {
+            let universe = rng.gen_range(2..=8usize);
+            let num_sets = rng.gen_range(1..=4usize);
+            // Sampling with replacement repeats gates inside a set.
+            let sets: Vec<Vec<GateId>> = (0..num_sets)
+                .map(|_| {
+                    let size = rng.gen_range(1..=universe.min(5));
+                    (0..size).map(|_| g(rng.gen_range(0..universe))).collect()
+                })
+                .collect();
+            instances.push(sets);
+        }
+        let mut cap_inside_a_branch = 0;
+        for sets in &instances {
+            for k in 1..=3 {
+                let (_, _, _, raw) = cover_sat_in_full(sets, k, usize::MAX);
+                for max_solutions in 1..=raw + 1 {
+                    let (solutions, truncation, work, _) =
+                        cover_sat_in_full(sets, k, max_solutions);
+                    let runs: Vec<CovResult> = [
+                        Parallelism::Sequential,
+                        Parallelism::Fixed(2),
+                        Parallelism::Fixed(7),
+                    ]
+                    .into_iter()
+                    .map(|parallelism| {
+                        cover_all(
+                            sets,
+                            k,
+                            CovOptions {
+                                engine: CovEngine::Sat,
+                                max_solutions,
+                                parallelism,
+                                ..CovOptions::default()
+                            },
+                        )
+                    })
+                    .collect();
+                    let case = format!("sets {sets:?} k {k} cap {max_solutions}");
+                    for run in &runs {
+                        assert_eq!(run.solutions, solutions, "{case}");
+                        assert_eq!(run.truncation, truncation, "{case}");
+                        assert_eq!(run.complete, truncation.is_none(), "{case}");
+                        assert!(run.work <= work, "{case}: work {} > {work}", run.work);
+                        assert_eq!(run.work, runs[0].work, "{case}: work drifted");
+                    }
+                    if k == 1 {
+                        assert_eq!(runs[0].work, 0, "{case}: k = 1 spent conflicts");
+                    } else if runs[0].work < work && max_solutions < raw {
+                        cap_inside_a_branch += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            cap_inside_a_branch >= 10,
+            "only {cap_inside_a_branch} capped runs skipped conflicts"
         );
     }
 

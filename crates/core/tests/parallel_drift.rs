@@ -304,6 +304,54 @@ fn cov_bnb_truncation_is_identical() {
     }
 }
 
+/// How many covers each top-level branch of the SAT cover engine finds
+/// before its irredundancy filter: branch `b` (the `b`-th gate of the
+/// first smallest set) finds the inclusion-minimal covers of at most `k`
+/// gates that contain its gate and no earlier branch gate. A repeated
+/// branch gate's later branch finds none.
+fn sat_branch_counts(sets: &[Vec<GateId>], k: usize) -> Vec<usize> {
+    let mut gates: Vec<GateId> = sets.iter().flatten().copied().collect();
+    gates.sort();
+    gates.dedup();
+    let covers = |c: &[GateId]| sets.iter().all(|set| set.iter().any(|g| c.contains(g)));
+    let branch_set = sets.iter().min_by_key(|s| s.len()).unwrap();
+    (0..branch_set.len())
+        .map(|b| {
+            if branch_set[..b].contains(&branch_set[b]) {
+                return 0;
+            }
+            // The branch's covers contain g_b and avoid the earlier
+            // branch gates; one is minimal among them iff no gate other
+            // than g_b can be dropped. Growing stops at a cover: every
+            // superset of it is redundant.
+            let mut minimal = 0;
+            let mut stack: Vec<(usize, Vec<GateId>)> = vec![(0, vec![branch_set[b]])];
+            while let Some((next, chosen)) = stack.pop() {
+                if covers(&chosen) {
+                    if (1..chosen.len()).all(|i| {
+                        let mut without = chosen.clone();
+                        without.remove(i);
+                        !covers(&without)
+                    }) {
+                        minimal += 1;
+                    }
+                    continue;
+                }
+                if chosen.len() < k {
+                    for (i, &g) in gates.iter().enumerate().skip(next) {
+                        if g != branch_set[b] && !branch_set[..b].contains(&g) {
+                            let mut grown = chosen.clone();
+                            grown.push(g);
+                            stack.push((i + 1, grown));
+                        }
+                    }
+                }
+            }
+            minimal
+        })
+        .collect()
+}
+
 #[test]
 fn cov_sat_truncation_is_identical() {
     // Twelve-gate branch set and many covers: every branch reads the one
@@ -312,7 +360,34 @@ fn cov_sat_truncation_is_identical() {
     let sets: Vec<Vec<GateId>> = (0..6)
         .map(|i| (0..12).map(|j| g((i * 5 + j * 7) % 30)).collect())
         .collect();
-    for max_solutions in [1usize, 3, 10] {
+    // A cap that lands strictly inside a branch after a whole one: the
+    // parallel path enumerates that branch past its share of the cap and
+    // must trim its solutions and its work back to the share. The caps
+    // `total` (reached) and `total + 1` (not) check the counts.
+    let counts = sat_branch_counts(&sets, 3);
+    let inside_branch = (1..counts.len())
+        .find(|&b| counts[b] >= 2)
+        .expect("a later branch with two covers");
+    let inside = counts[..inside_branch].iter().sum::<usize>() + counts[inside_branch] / 2;
+    let total: usize = counts.iter().sum();
+    // Two gates common to every set, one of them repeated: the size-one
+    // covers at k = 1, where a cap of 3 is not reached.
+    let common: Vec<Vec<GateId>> = sets
+        .iter()
+        .map(|set| [set.as_slice(), &[g(40), g(41), g(40)]].concat())
+        .collect();
+    let cases = [
+        (&sets, 3, 1usize),
+        (&sets, 3, 3),
+        (&sets, 3, 10),
+        (&sets, 3, inside),
+        (&sets, 3, total),
+        (&sets, 3, total + 1),
+        (&common, 1, 1),
+        (&common, 1, 2),
+        (&common, 1, 3),
+    ];
+    for (sets, k, max_solutions) in cases {
         let runs: Vec<CovResult> = [
             Parallelism::Sequential,
             Parallelism::Fixed(2),
@@ -321,8 +396,8 @@ fn cov_sat_truncation_is_identical() {
         .into_iter()
         .map(|parallelism| {
             cover_all(
-                &sets,
-                3,
+                sets,
+                k,
                 CovOptions {
                     engine: CovEngine::Sat,
                     max_solutions,
@@ -333,16 +408,33 @@ fn cov_sat_truncation_is_identical() {
         })
         .collect();
         let sequential = &runs[0];
-        assert!(!sequential.complete, "cap {max_solutions} did not truncate");
-        assert_eq!(sequential.truncation, Some(Truncation::Solutions));
+        if k == 1 {
+            let expected: Vec<Vec<GateId>> = [g(40), g(41)]
+                .into_iter()
+                .take(max_solutions)
+                .map(|gate| vec![gate])
+                .collect();
+            assert_eq!(sequential.solutions, expected, "cap {max_solutions}");
+            assert_eq!(sequential.complete, max_solutions > 2);
+            assert_eq!(sequential.work, 0, "k = 1 spent conflicts");
+        } else {
+            assert_eq!(
+                sequential.complete,
+                max_solutions > total,
+                "cap {max_solutions}"
+            );
+        }
+        if !sequential.complete {
+            assert_eq!(sequential.truncation, Some(Truncation::Solutions));
+        }
         for parallel in &runs[1..] {
             assert_eq!(
                 sequential.solutions, parallel.solutions,
-                "cap {max_solutions}"
+                "k {k} cap {max_solutions}"
             );
             assert_eq!(sequential.complete, parallel.complete);
             assert_eq!(sequential.truncation, parallel.truncation);
-            assert_eq!(sequential.work, parallel.work);
+            assert_eq!(sequential.work, parallel.work, "k {k} cap {max_solutions}");
         }
     }
 }

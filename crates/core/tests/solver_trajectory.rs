@@ -114,18 +114,20 @@ impl Trajectory {
 }
 
 /// `enumerate_positive_subsets`, with every solve fingerprinted.
-/// Returns `(solutions, complete)`.
+/// Returns `(solutions, conflicts, complete)`, where `conflicts` holds
+/// the solver's conflict count right after each solution's solve.
 fn enumerate(
     t: &mut Trajectory,
     solver: &mut Solver,
     selectors: &[Var],
     assumptions: &[Lit],
     limit: usize,
-) -> (Vec<Vec<Var>>, bool) {
+) -> (Vec<Vec<Var>>, Vec<u64>, bool) {
     let mut solutions = Vec::new();
+    let mut conflicts = Vec::new();
     loop {
         if solutions.len() >= limit {
-            return (solutions, false);
+            return (solutions, conflicts, false);
         }
         match t.solve(solver, assumptions) {
             SolveResult::Sat => {
@@ -136,13 +138,14 @@ fn enumerate(
                     .collect();
                 let block: Vec<Lit> = subset.iter().map(|v| v.negative()).collect();
                 solutions.push(subset);
+                conflicts.push(solver.stats().conflicts);
                 if block.is_empty() {
-                    return (solutions, true);
+                    return (solutions, conflicts, true);
                 }
                 solver.add_clause(&block);
             }
-            SolveResult::Unsat => return (solutions, true),
-            SolveResult::Unknown => return (solutions, false),
+            SolveResult::Unsat => return (solutions, conflicts, true),
+            SolveResult::Unknown => return (solutions, conflicts, false),
         }
     }
 }
@@ -191,7 +194,7 @@ fn bsat(t: &mut Trajectory, golden: &Circuit, p: usize, seed: u64, max_solutions
         if remaining == 0 {
             break;
         }
-        let (found, complete) = enumerate(t, &mut solver, &selectors, &assumptions, remaining);
+        let (found, _, complete) = enumerate(t, &mut solver, &selectors, &assumptions, remaining);
         for subset in found {
             let mut gates: Vec<GateId> = subset
                 .iter()
@@ -231,6 +234,14 @@ fn bsat(t: &mut Trajectory, golden: &Circuit, p: usize, seed: u64, max_solutions
 /// `sc_diagnose` with the SAT cover engine: one solver per top-level
 /// branch, fingerprinted; asserts the copy matches the engine.
 /// `conflict_budget` is the per-branch [`Budget::conflicts`].
+///
+/// The copy enumerates every branch in full, so the fingerprint covers
+/// every branch's search. The engine computes only the covers it
+/// reports: it stops each branch at its share of the cap (the first
+/// `cap` covers in branch order) and builds no solver at all at `p = 1`.
+/// So its `work` is the copy's conflicts up to the cap point, and zero
+/// cover conflicts at `p = 1`; and only a branch that ran out of
+/// conflicts before the cap point preempts the run.
 fn cov(
     t: &mut Trajectory,
     golden: &Circuit,
@@ -249,7 +260,10 @@ fn cov(
     let branch_set = sets.iter().min_by_key(|s| s.len()).unwrap();
     let cap = max_solutions.max(1);
     let mut found: Vec<Vec<GateId>> = Vec::new();
-    let mut conflicts = 0u64;
+    // The cover conflicts the engine spends, and whether a kept branch ran
+    // out of conflicts.
+    let mut reported_conflicts = 0u64;
+    let mut preempted = false;
     for b in 0..branch_set.len() {
         let mut solver = Solver::new();
         let mut var_of: HashMap<GateId, Var> = HashMap::new();
@@ -277,14 +291,17 @@ fn cov(
         let totalizer = Totalizer::new(&mut solver, &lits, limit);
         solver.set_conflict_budget(conflict_budget);
         let mut branch: Vec<Vec<GateId>> = Vec::new();
+        let mut conflicts_at: Vec<u64> = Vec::new();
+        let unknowns_before = t.unknowns;
         for size in 1..=limit {
             let assumptions: Vec<Lit> = totalizer.at_most(size).into_iter().collect();
             let remaining = cap.saturating_sub(branch.len());
             if remaining == 0 {
                 break;
             }
-            let (subsets, complete) =
+            let (subsets, conflicts, complete) =
                 enumerate(t, &mut solver, &selectors, &assumptions, remaining);
+            conflicts_at.extend(conflicts);
             for subset in subsets {
                 branch.push(
                     subset
@@ -297,7 +314,17 @@ fn cov(
                 break;
             }
         }
-        conflicts += solver.stats().conflicts;
+        // The branch's share of the cap: every earlier branch was kept in
+        // full unless the merged list already reached the cap.
+        let share = cap.saturating_sub(found.len());
+        if p > 1 && share > 0 {
+            if branch.len() >= share {
+                reported_conflicts += conflicts_at[share - 1];
+            } else {
+                reported_conflicts += solver.stats().conflicts;
+                preempted |= t.unknowns > unknowns_before;
+            }
+        }
         t.retire(&solver);
         found.extend(branch);
     }
@@ -337,11 +364,13 @@ fn cov(
         solutions, engine.solutions,
         "COV copy drifted from the engine"
     );
-    if t.unknowns > 0 {
-        assert_eq!(engine.truncation, Some(Truncation::Conflicts));
-    }
     assert_eq!(
-        conflicts + bsim.work,
+        engine.truncation == Some(Truncation::Conflicts),
+        preempted,
+        "COV copy and engine disagree on the preemption"
+    );
+    assert_eq!(
+        reported_conflicts + bsim.work,
         engine.work,
         "COV copy searched differently"
     );

@@ -23,8 +23,9 @@
 //!   [`Service::handle_line`].
 //! * [`server`] / [`client`]: thread-per-connection TCP and stdio
 //!   transports sharing one read loop that caps request lines at
-//!   [`MAX_REQUEST_LINE`] bytes, and the blocking client the CLI and
-//!   benches use.
+//!   [`MAX_REQUEST_LINE`] bytes (TCP serves at most [`MAX_CONNECTIONS`]
+//!   connections at once), and the blocking client the CLI and benches
+//!   use.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -41,5 +42,5 @@ pub use protocol::{
     RESPONSE_SCHEMA,
 };
 pub use registry::{CircuitRegistry, RegistryStats};
-pub use server::{serve_lines, serve_tcp, MAX_REQUEST_LINE};
+pub use server::{serve_lines, serve_tcp, MAX_CONNECTIONS, MAX_REQUEST_LINE};
 pub use service::{Service, ServiceConfig};

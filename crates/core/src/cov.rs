@@ -39,13 +39,15 @@ pub struct CovOptions {
     /// Path-tracing options for the BSIM phase (its `parallelism` field
     /// shards the packed sweeps).
     pub bsim: BsimOptions,
-    /// Worker count for the covering phase. Both engines fan out over the
-    /// gates of the top-level branch set: [`CovEngine::BranchAndBound`]
-    /// shards its recursion subtrees, and [`CovEngine::Sat`] partitions
-    /// the solution space by "first branch-set gate contained" — branch
-    /// `b` enumerates with `s_b` asserted and `s_0..s_{b-1}` denied on a
-    /// per-branch solver, so the branches are disjoint and independently
-    /// enumerable. Solutions are bit-identical for every setting.
+    /// Worker count for the covering phase of
+    /// [`CovEngine::BranchAndBound`], which fans its recursion subtrees
+    /// out over the gates of the top-level branch set. Solutions are
+    /// bit-identical for every setting. [`CovEngine::Sat`] partitions the
+    /// solution space the same way — branch `b` enumerates with `s_b`
+    /// asserted and `s_0..s_{b-1}` denied on a per-branch solver — but
+    /// runs its branches in order on the calling thread, so that it can
+    /// stop at the solution cap (see [`cover_all`]); it ignores this
+    /// field.
     pub parallelism: Parallelism,
     /// Cooperative budget. COV's deterministic work unit depends on the
     /// engine: **branch-and-bound node expansions** for
@@ -99,7 +101,9 @@ pub struct CovResult {
     /// SAT engine charges only the conflicts spent on the covers it
     /// reports: none at `k = 1`, where it runs no solver, and in a
     /// capped run none past the first `max_solutions` covers. It is the
-    /// same for every worker count.
+    /// same for every worker count, except in an unbudgeted
+    /// [`CovEngine::BranchAndBound`] run, whose one-worker recursion and
+    /// multi-worker fan-out count nodes differently.
     pub work: u64,
     /// The BSIM result the covering instance was built from (absent for
     /// [`cover_all`] on raw sets).
@@ -186,7 +190,7 @@ pub fn cover_all(sets: &[Vec<GateId>], k: usize, options: CovOptions) -> CovResu
     let total_start = Instant::now();
     let budget = options.budget.anchored(total_start);
     let out = match options.engine {
-        CovEngine::Sat => cover_sat(sets, k, options.max_solutions, options.parallelism, &budget),
+        CovEngine::Sat => cover_sat(sets, k, options.max_solutions, &budget),
         CovEngine::BranchAndBound => {
             cover_bnb(sets, k, options.max_solutions, options.parallelism, &budget)
         }
@@ -227,10 +231,11 @@ struct CoverOutcome {
 /// partitions the solution space into disjoint branches. Branch `b` gets
 /// its *own* CDCL solver with `s_{g_b}` asserted and `s_{g_j}` (`j < b`)
 /// denied as root units, then runs the usual incremental `k`-loop with
-/// subset blocking. Branches are independent, so they shard across the
-/// worker pool; the branch-ordered merge is deterministic for every
-/// worker count (each branch's enumeration depends only on its own
-/// solver).
+/// subset blocking. Each branch's enumeration depends only on its own
+/// solver, so the branch-ordered merge is deterministic. The branches run
+/// one after another on the calling thread for every
+/// [`CovOptions::parallelism`]: the stop at the cap (below) needs the
+/// covers of the earlier branches before it can start the next one.
 ///
 /// The branch-independent part of the instance — selectors, set clauses
 /// and the totalizer's clause stream — is a [`CoverBase`], built once per
@@ -264,11 +269,8 @@ struct CoverOutcome {
 ///   deterministic and stops as soon as it holds its limit, so a branch
 ///   capped at `r` yields the first `r` models of its uncapped run and
 ///   spends exactly the conflicts that run had spent right after its
-///   `r`-th model. The sequential path starts no branch once the prefix
-///   is full and hands each branch its share as its cap; the parallel
-///   path runs every branch speculatively at the full cap and trims each
-///   to its share ([`BranchOutcome::keep_first`]), which reproduces the
-///   sequential outcome — solutions, truncation and work — exactly.
+///   `r`-th model. So no branch starts once the prefix is full, and each
+///   branch gets its share as its cap.
 ///
 /// Solutions, `complete` and `truncation` are those of enumerating every
 /// branch in full and then cutting the merged list at the cap, with two
@@ -282,7 +284,6 @@ fn cover_sat(
     sets: &[Vec<GateId>],
     k: usize,
     max_solutions: usize,
-    parallelism: Parallelism,
     budget: &Budget,
 ) -> CoverOutcome {
     let build_start = Instant::now();
@@ -305,62 +306,31 @@ fn cover_sat(
     let enum_start = Instant::now();
     // The SAT engine's work unit is solver conflicts: the work budget and
     // the conflict budget merge into one solver limit, installed on each
-    // branch's own solver (bounding every enumeration query; branches are
-    // independent shards, so the truncation points stay deterministic for
-    // every worker count), and the wall deadline plugs into the solver's
-    // cooperative deadline hook.
+    // branch's own solver (bounding every enumeration query, so the
+    // truncation points are a pure function of the instance), and the
+    // wall deadline plugs into the solver's cooperative deadline hook.
     let (conflict_limit, conflict_reason) = budget.conflict_limit();
     let deadline = budget.deadline_instant();
-    let run_branch = |b: usize, share: usize| {
-        let mut solver = base.branch_solver(b);
-        solver.set_conflict_budget(conflict_limit);
-        solver.set_deadline(deadline);
-        enumerate_cover_branch(&base, solver, share, enum_start, conflict_reason)
-    };
-    // Enumeration cost is dominated by per-branch CDCL runs over the
-    // covering CNF; scale the Auto work estimate with instance size.
-    let universe: usize = sets.iter().map(|s| s.len()).sum();
-    let work_estimate = branch_set
-        .len()
-        .saturating_mul(universe.max(1))
-        .saturating_mul(64);
-    let workers = parallelism.workers_for(
-        branch_set.len(),
-        work_estimate,
-        gatediag_sim::AUTO_WORK_FLOOR,
-    );
-    let per_branch: Vec<BranchOutcome> = if workers <= 1 {
-        let mut runs = Vec::new();
-        let mut kept = 0;
-        for b in 0..branch_set.len() {
-            if kept >= cap {
-                break;
-            }
-            let run = run_branch(b, cap - kept);
-            kept += run.solutions.len();
-            runs.push(run);
-        }
-        runs
-    } else {
-        parallel_map_init(workers, branch_set.len(), || (), |(), b| run_branch(b, cap))
-    };
-
     let mut found: Vec<Vec<GateId>> = Vec::new();
     let mut first_elapsed: Option<Duration> = None;
     let mut budget_truncation: Option<Truncation> = None;
     let mut work = 0u64;
-    for mut branch in per_branch {
-        let share = cap - found.len();
-        if share == 0 {
+    for b in 0..branch_set.len() {
+        if found.len() >= cap {
             break;
         }
-        branch.keep_first(share);
-        if let Some(t) = branch.first_elapsed {
-            first_elapsed = Some(first_elapsed.map_or(t, |cur: Duration| cur.min(t)));
-        }
-        if budget_truncation.is_none() {
-            budget_truncation = branch.truncation;
-        }
+        let mut solver = base.branch_solver(b);
+        solver.set_conflict_budget(conflict_limit);
+        solver.set_deadline(deadline);
+        let branch = enumerate_cover_branch(
+            &base,
+            solver,
+            cap - found.len(),
+            enum_start,
+            conflict_reason,
+        );
+        first_elapsed = first_elapsed.or(branch.first_elapsed);
+        budget_truncation = budget_truncation.or(branch.truncation);
         work += branch.work;
         found.extend(branch.solutions);
     }
@@ -634,25 +604,6 @@ struct BranchOutcome {
     first_elapsed: Option<Duration>,
     truncation: Option<Truncation>,
     work: u64,
-    /// The SAT engine's work right after each solution, parallel to
-    /// `solutions` (see [`BranchOutcome::keep_first`]); empty for
-    /// branch-and-bound, which never trims a branch.
-    work_at: Vec<u64>,
-}
-
-impl BranchOutcome {
-    /// Cuts a SAT branch that ran at a cap above `share` back to what it
-    /// would have reported with `share` as its cap: its first `share`
-    /// solutions, the work spent right after the last of them, and no
-    /// budget truncation, since the search stops there before it could
-    /// run out (see [`cover_sat`]).
-    fn keep_first(&mut self, share: usize) {
-        if self.solutions.len() >= share {
-            self.solutions.truncate(share);
-            self.work = self.work_at[share - 1];
-            self.truncation = None;
-        }
-    }
 }
 
 /// One branch of the sharded SAT cover enumeration on its encoded
@@ -668,7 +619,6 @@ fn enumerate_cover_branch(
     conflict_reason: Truncation,
 ) -> BranchOutcome {
     let mut solutions: Vec<Vec<GateId>> = Vec::new();
-    let mut work_at: Vec<u64> = Vec::new();
     let mut first_elapsed: Option<Duration> = None;
     let mut truncation: Option<Truncation> = None;
     for size in 1..=base.limit {
@@ -684,7 +634,6 @@ fn enumerate_cover_branch(
             }
             solutions.push(subset.iter().map(|v| base.gate_of[v.index()]).collect());
         }
-        work_at.extend(out.conflicts);
         if !out.complete {
             if out.gave_up {
                 truncation = Some(if solver.deadline_hit() {
@@ -701,7 +650,6 @@ fn enumerate_cover_branch(
         first_elapsed,
         truncation,
         work: solver.stats().conflicts,
-        work_at,
     }
 }
 /// Branch-and-bound cover enumeration, fanned out over the gates of the
@@ -818,7 +766,6 @@ fn cover_bnb(
                         first_elapsed: local_first,
                         truncation: meter.truncation(),
                         work: meter.work_used(),
-                        work_at: Vec::new(),
                     }
                 },
             );

@@ -352,6 +352,84 @@ fn sat_branch_counts(sets: &[Vec<GateId>], k: usize) -> Vec<usize> {
         .collect()
 }
 
+/// Deterministic obs counter totals, sorted by name.
+type Counters = Vec<(String, u64)>;
+
+/// Runs `f` under a fresh obs sink and returns its result with the
+/// deterministic counters it charged.
+fn observed<R>(f: impl FnOnce() -> R) -> (R, Counters) {
+    let sink = std::sync::Arc::new(gatediag_obs::Sink::new());
+    let guard = gatediag_obs::install(sink.clone());
+    let out = f();
+    drop(guard);
+    (out, sink.take_trace().counters)
+}
+
+/// The one documented exception to the obs contract among the covering
+/// engines: without a budget, branch-and-bound runs one recursion with a
+/// global early exit on one worker and shards its branches with
+/// per-branch caps on more. So `pool.*` is charged only by the fan-out,
+/// and `budget.charged` (with `CovResult::work`) differs: the recursion
+/// also charges its root node, and on a capped run the fan-out charges
+/// every branch up to its own cap. Every other counter, and every
+/// counter of a budgeted run, matches.
+#[test]
+fn cov_bnb_counters_differ_only_in_the_documented_fields() {
+    let g = GateId::new;
+    let sets = vec![
+        vec![g(0), g(1), g(5), g(6)],
+        vec![g(2), g(3), g(4), g(5), g(6)],
+        vec![g(1), g(2), g(4), g(7)],
+    ];
+    let schedule_shaped = |name: &str| name.starts_with("pool.") || name == "budget.charged";
+    for (max_solutions, budget) in [
+        (2usize, Budget::default()),
+        (100, Budget::default()),
+        (
+            2,
+            Budget {
+                work: Some(1_000_000),
+                ..Budget::default()
+            },
+        ),
+    ] {
+        let counters: Vec<Counters> = WORKER_SWEEP
+            .into_iter()
+            .map(|parallelism| {
+                observed(|| {
+                    cover_all(
+                        &sets,
+                        3,
+                        CovOptions {
+                            engine: CovEngine::BranchAndBound,
+                            max_solutions,
+                            parallelism,
+                            budget,
+                            ..CovOptions::default()
+                        },
+                    )
+                })
+                .1
+            })
+            .collect();
+        let budgeted = budget.work.is_some();
+        let kept = |c: &Counters| -> Counters {
+            c.iter()
+                .filter(|(name, _)| budgeted || !schedule_shaped(name))
+                .cloned()
+                .collect()
+        };
+        for other in &counters[1..] {
+            assert_eq!(kept(&counters[0]), kept(other), "cap {max_solutions}");
+        }
+        if !budgeted {
+            // The exception is real: one worker charges no fan-out.
+            assert!(!counters[0].iter().any(|(name, _)| name == "pool.tasks"));
+            assert!(counters[1].iter().any(|(name, _)| name == "pool.tasks"));
+        }
+    }
+}
+
 #[test]
 fn cov_sat_truncation_is_identical() {
     // Twelve-gate branch set and many covers: every branch reads the one
@@ -360,10 +438,9 @@ fn cov_sat_truncation_is_identical() {
     let sets: Vec<Vec<GateId>> = (0..6)
         .map(|i| (0..12).map(|j| g((i * 5 + j * 7) % 30)).collect())
         .collect();
-    // A cap that lands strictly inside a branch after a whole one: the
-    // parallel path enumerates that branch past its share of the cap and
-    // must trim its solutions and its work back to the share. The caps
-    // `total` (reached) and `total + 1` (not) check the counts.
+    // A cap that lands strictly inside a branch after a whole one: that
+    // branch stops at its share of the cap, and no later branch starts.
+    // The caps `total` (reached) and `total + 1` (not) check the counts.
     let counts = sat_branch_counts(&sets, 3);
     let inside_branch = (1..counts.len())
         .find(|&b| counts[b] >= 2)
@@ -388,26 +465,40 @@ fn cov_sat_truncation_is_identical() {
         (&common, 1, 3),
     ];
     for (sets, k, max_solutions) in cases {
-        let runs: Vec<CovResult> = [
+        let (runs, counters): (Vec<CovResult>, Vec<Counters>) = [
             Parallelism::Sequential,
             Parallelism::Fixed(2),
             Parallelism::Fixed(7),
         ]
         .into_iter()
         .map(|parallelism| {
-            cover_all(
-                sets,
-                k,
-                CovOptions {
-                    engine: CovEngine::Sat,
-                    max_solutions,
-                    parallelism,
-                    ..CovOptions::default()
-                },
-            )
+            observed(|| {
+                cover_all(
+                    sets,
+                    k,
+                    CovOptions {
+                        engine: CovEngine::Sat,
+                        max_solutions,
+                        parallelism,
+                        ..CovOptions::default()
+                    },
+                )
+            })
         })
-        .collect();
+        .unzip();
         let sequential = &runs[0];
+        // The deterministic obs counters match too (the engine runs its
+        // branches in order for every worker count).
+        for other in &counters[1..] {
+            assert_eq!(&counters[0], other, "k {k} cap {max_solutions}");
+        }
+        if k > 1 {
+            assert!(
+                counters[0].iter().any(|(name, _)| name == "sat.solves"),
+                "no solver counters observed: {:?}",
+                counters[0]
+            );
+        }
         if k == 1 {
             let expected: Vec<Vec<GateId>> = [g(40), g(41)]
                 .into_iter()

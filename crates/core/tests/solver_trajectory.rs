@@ -115,7 +115,9 @@ impl Trajectory {
 
 /// `enumerate_positive_subsets`, with every solve fingerprinted.
 /// Returns `(solutions, conflicts, complete)`, where `conflicts` holds
-/// the solver's conflict count right after each solution's solve.
+/// the solver's conflict count right after each solution's solve: what
+/// a run capped at that solution would have spent, which [`cov`] needs
+/// to check the work of an engine that stops at the cap.
 fn enumerate(
     t: &mut Trajectory,
     solver: &mut Solver,

@@ -9,7 +9,12 @@
 //!   performed (sweeps, gate evaluations, clauses, conflicts, budget
 //!   charges, …). For any flow whose *results* are worker-count
 //!   invariant, these counters are worker-count invariant too, so they
-//!   may appear in byte-compared reports and traces.
+//!   may appear in byte-compared reports and traces. One exception:
+//!   unbudgeted branch-and-bound covering (`CovEngine::BranchAndBound`
+//!   in `gatediag_core`) runs one recursion on one worker and a fan-out
+//!   with per-branch caps on more, so its `pool.*` and `budget.charged`
+//!   counters depend on the worker count (its solutions do not). Byte-compared flows pin `Parallelism::Sequential`
+//!   or use the SAT cover engine, which has no such exception.
 //! * **The timing channel** — wall-clock span durations and
 //!   schedule-dependent counters ([`count_nd`], e.g. threads actually
 //!   spawned by a pool fan-out). Quarantined exactly like the campaign's

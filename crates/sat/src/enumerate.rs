@@ -15,10 +15,6 @@ use crate::solver::{SolveResult, Solver};
 pub struct EnumOutcome {
     /// The projected solutions, in discovery order.
     pub solutions: Vec<Vec<Var>>,
-    /// The solver's conflict count right after the solve that found each
-    /// solution, parallel to `solutions`: what a run with `limit` set to
-    /// that solution's position would have spent.
-    pub conflicts: Vec<u64>,
     /// `false` if the run stopped because `limit` was reached or the solver
     /// gave up (conflict budget / deadline).
     pub complete: bool,
@@ -46,12 +42,10 @@ pub fn enumerate_positive_subsets(
     limit: usize,
 ) -> EnumOutcome {
     let mut solutions = Vec::new();
-    let mut conflicts = Vec::new();
     loop {
         if solutions.len() >= limit {
             return EnumOutcome {
                 solutions,
-                conflicts,
                 complete: false,
                 gave_up: false,
             };
@@ -65,13 +59,11 @@ pub fn enumerate_positive_subsets(
                     .collect();
                 let block: Vec<Lit> = subset.iter().map(|v| v.negative()).collect();
                 solutions.push(subset);
-                conflicts.push(solver.stats().conflicts);
                 if block.is_empty() {
                     // Empty solution: nothing needs selecting; blocking it
                     // would empty the clause set.
                     return EnumOutcome {
                         solutions,
-                        conflicts,
                         complete: true,
                         gave_up: false,
                     };
@@ -81,7 +73,6 @@ pub fn enumerate_positive_subsets(
             SolveResult::Unsat => {
                 return EnumOutcome {
                     solutions,
-                    conflicts,
                     complete: true,
                     gave_up: false,
                 }
@@ -89,7 +80,6 @@ pub fn enumerate_positive_subsets(
             SolveResult::Unknown => {
                 return EnumOutcome {
                     solutions,
-                    conflicts,
                     complete: false,
                     gave_up: true,
                 }
@@ -158,8 +148,6 @@ mod tests {
         let out = enumerate_positive_subsets(&mut s, &vs, &[], 2);
         assert!(!out.complete);
         assert_eq!(out.solutions.len(), 2);
-        assert_eq!(out.conflicts.len(), 2);
-        assert_eq!(out.conflicts[1], s.stats().conflicts);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! SAT solver microbenchmarks: the BCP/learning engine that replaces
-//! Zchaff in this reproduction. `bench_pr3` publishes the same workloads
-//! as JSON.
+//! Zchaff in this reproduction. `tests/solver_workloads.rs` pins the
+//! search of the same workloads.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gatediag_bench::solver_workloads::{load, pigeonhole, random_3sat, PROBE_SEED};

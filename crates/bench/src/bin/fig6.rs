@@ -11,7 +11,7 @@
 //! ```
 
 use gatediag_bench::harness::{
-    configured_workloads, parse_config, run_cell, write_artifact, TEST_COUNTS,
+    configured_workloads_with_source, parse_config, run_cell, write_artifact, TEST_COUNTS,
 };
 use std::fmt::Write as _;
 
@@ -58,7 +58,7 @@ fn main() {
     let (seed, limits) = (config.seed, config.limits);
     println!("Figure 6: quality of BSAT vs COV (seed {seed})\n");
     let mut points: Vec<Point> = Vec::new();
-    for workload in configured_workloads(&config) {
+    for workload in configured_workloads_with_source(&config).0 {
         for m in TEST_COUNTS {
             if workload.tests.len() < m {
                 continue;

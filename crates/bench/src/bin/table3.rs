@@ -11,7 +11,7 @@
 //! ```
 
 use gatediag_bench::harness::{
-    configured_workloads, parse_config, run_cell, write_artifact, TEST_COUNTS,
+    configured_workloads_with_source, parse_config, run_cell, write_artifact, TEST_COUNTS,
 };
 use std::fmt::Write as _;
 
@@ -30,7 +30,7 @@ fn main() {
     let mut csv = String::from(
         "circuit,p,m,union,avg_all,gmax,gmax_min,gmax_max,gmax_avg,cov_sols,cov_min,cov_max,cov_avg,bsat_sols,bsat_min,bsat_max,bsat_avg\n",
     );
-    for workload in configured_workloads(&config) {
+    for workload in configured_workloads_with_source(&config).0 {
         for m in TEST_COUNTS {
             if workload.tests.len() < m {
                 println!(

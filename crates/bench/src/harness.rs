@@ -149,77 +149,6 @@ pub fn bench_dir_workloads(dir: &str, scale: Scale, seed: u64) -> Vec<Workload> 
         .collect()
 }
 
-/// The largest circuit in a `.bench` directory, for the single-circuit
-/// `bench_pr*` perf baselines. `None` when the directory has no `.bench`
-/// files.
-///
-/// # Panics
-///
-/// Panics like [`bench_dir_workloads`] on unreadable input.
-pub fn largest_bench_circuit(dir: &str) -> Option<(String, Circuit)> {
-    let circuits = parse_bench_dir_strict(std::path::Path::new(dir))
-        .unwrap_or_else(|e| panic!("--bench-dir {dir}: {e}"));
-    circuits
-        .into_iter()
-        .max_by_key(|(_, c)| c.num_functional_gates())
-}
-
-/// Which circuit a single-circuit perf baseline should pick from a
-/// user-supplied `.bench` directory.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum BaselinePick {
-    /// The largest circuit — the simulation-side baselines, whose hot
-    /// paths scale with circuit size.
-    Largest,
-    /// The smallest circuit — the BSAT-side baseline, whose instances
-    /// grow as gates × tests with CDCL enumeration on top.
-    Smallest,
-}
-
-/// Resolves the benchmark circuit for a single-circuit `bench_pr*`
-/// baseline: the [`BaselinePick`] circuit of `bench_dir` when given and
-/// non-empty, otherwise `synthetic()`. The returned flag says whether
-/// the circuit came from the directory — size-calibrated acceptance
-/// gates must be skipped for user corpora, which can be arbitrarily
-/// small.
-///
-/// # Panics
-///
-/// Panics like [`bench_dir_workloads`] on unreadable input.
-pub fn baseline_circuit(
-    bench_dir: Option<&str>,
-    pick: BaselinePick,
-    synthetic: impl FnOnce() -> Circuit,
-) -> (Circuit, bool) {
-    let picked = bench_dir.and_then(|dir| {
-        let circuits = parse_bench_dir_strict(std::path::Path::new(dir))
-            .unwrap_or_else(|e| panic!("--bench-dir {dir}: {e}"));
-        match pick {
-            BaselinePick::Largest => circuits
-                .into_iter()
-                .max_by_key(|(_, c)| c.num_functional_gates()),
-            BaselinePick::Smallest => circuits
-                .into_iter()
-                .min_by_key(|(_, c)| c.num_functional_gates()),
-        }
-    });
-    match picked {
-        Some((name, circuit)) => {
-            eprintln!(
-                "benchmarking on {name} ({} gates) from --bench-dir",
-                circuit.num_functional_gates()
-            );
-            (circuit, true)
-        }
-        None => {
-            if let Some(dir) = bench_dir {
-                eprintln!("no .bench files in {dir}; using the synthetic circuit");
-            }
-            (synthetic(), false)
-        }
-    }
-}
-
 /// The paper's three benchmark configurations.
 pub fn paper_workloads(scale: Scale, seed: u64) -> Vec<Workload> {
     let mut workloads = vec![
@@ -361,19 +290,8 @@ pub struct RunConfig {
     pub bench_dir: Option<String>,
 }
 
-/// Parses `--scale`, `--seed`, `--max-solutions`, `--only` command-line
-/// options shared by the experiment binaries. Returns `(scale, seed,
-/// limits)` for compatibility; use [`parse_config`] for the full set.
-///
-/// # Panics
-///
-/// Panics with a usage message on malformed options.
-pub fn parse_args() -> (Scale, u64, Limits) {
-    let c = parse_config();
-    (c.scale, c.seed, c.limits)
-}
-
-/// Full option parsing (see [`parse_args`]).
+/// Parses the `--scale`, `--seed`, `--max-solutions`, `--only` and
+/// `--bench-dir` options shared by the experiment binaries.
 ///
 /// # Panics
 ///
@@ -487,11 +405,6 @@ pub fn configured_workloads_with_source(config: &RunConfig) -> (Vec<Workload>, W
     (filtered, source)
 }
 
-/// [`configured_workloads_with_source`] without the source tag.
-pub fn configured_workloads(config: &RunConfig) -> Vec<Workload> {
-    configured_workloads_with_source(config).0
-}
-
 /// Writes `content` under `target/experiments/<file>` and reports the path.
 pub fn write_artifact(file: &str, content: &str) {
     let dir = std::path::Path::new("target/experiments");
@@ -589,11 +502,10 @@ mod tests {
             only: None,
             bench_dir: Some(dir_str.clone()),
         };
-        let via_config = configured_workloads(&config);
+        let (via_config, source) = configured_workloads_with_source(&config);
         assert_eq!(via_config.len(), 1);
         assert_eq!(via_config[0].name, "c17");
-        let largest = largest_bench_circuit(&dir_str).unwrap();
-        assert_eq!(largest.0, "c17");
+        assert_eq!(source, WorkloadSource::BenchDir);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,8 +1,8 @@
-//! The shared SAT solver workloads measured by both the `solver`
-//! criterion bench and the `bench_pr3` JSON emitter.
+//! The SAT solver workloads timed by the `solver` criterion bench and
+//! pinned by `tests/solver_workloads.rs`.
 //!
 //! Keeping the generators (and the instance loader) in one place keeps
-//! `bench_pr3`'s numbers an exact mirror of `benches/solver.rs`: a
+//! the pinned searches an exact mirror of `benches/solver.rs`: a
 //! parameter tweak in either consumer is a tweak in both.
 
 use gatediag_sat::{Lit, Solver, Var};

@@ -5,7 +5,7 @@
 //! serde); the JSON syntax layer — full JSON, numbers kept as raw text
 //! so `u64` seeds survive without a round-trip through `f64`, a
 //! recursion-depth cap and duplicate-key rejection — lives in
-//! [`gatediag_core::json`] (shared with the serve protocol), and this
+//! [`gatediag_obs::json`] (shared with the serve protocol), and this
 //! module carries the schema mapping onto [`CampaignReport`].
 //!
 //! # Compatibility
@@ -25,9 +25,9 @@
 
 use crate::report::{CampaignReport, InstanceRecord, InstanceStatus, TestGenRecord};
 use crate::spec::{RetryOn, RetryPolicy, TestGenSpec};
-use gatediag_core::json::{parse_json, Json, JsonError};
 use gatediag_core::{ChaosConfig, EngineKind};
 use gatediag_netlist::FaultModel;
+use gatediag_obs::json::{parse_json, Json, JsonError};
 
 /// Why a report failed to parse.
 #[derive(Clone, PartialEq, Eq, Debug)]

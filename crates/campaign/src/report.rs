@@ -10,9 +10,9 @@
 //! wall-clock column for local profiling.
 
 use crate::spec::{CampaignSpec, RetryPolicy, TestGenSpec};
-use gatediag_core::json::escape_str;
 use gatediag_core::{ChaosConfig, EngineKind};
 use gatediag_netlist::FaultModel;
+use gatediag_obs::json::escape_str;
 use std::fmt::Write as _;
 
 /// Why an instance did or did not produce a diagnosis.

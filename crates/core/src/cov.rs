@@ -15,7 +15,6 @@ use crate::test_set::TestSet;
 use gatediag_cnf::{ClauseSink, Totalizer};
 use gatediag_netlist::{Circuit, GateId};
 use gatediag_sat::{enumerate_positive_subsets, Lit, Solver, Var};
-use gatediag_sim::{parallel_map_init, Parallelism};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -37,26 +36,16 @@ pub struct CovOptions {
     /// Stop after this many solutions (`complete = false` if hit).
     pub max_solutions: usize,
     /// Path-tracing options for the BSIM phase (its `parallelism` field
-    /// shards the packed sweeps).
+    /// shards the packed sweeps). The covering phase runs on the calling
+    /// thread.
     pub bsim: BsimOptions,
-    /// Worker count for the covering phase of
-    /// [`CovEngine::BranchAndBound`], which fans its recursion subtrees
-    /// out over the gates of the top-level branch set. Solutions are
-    /// bit-identical for every setting. [`CovEngine::Sat`] partitions the
-    /// solution space the same way — branch `b` enumerates with `s_b`
-    /// asserted and `s_0..s_{b-1}` denied on a per-branch solver — but
-    /// runs its branches in order on the calling thread, so that it can
-    /// stop at the solution cap (see [`cover_all`]); it ignores this
-    /// field.
-    pub parallelism: Parallelism,
     /// Cooperative budget. COV's deterministic work unit depends on the
     /// engine: **branch-and-bound node expansions** for
     /// [`CovEngine::BranchAndBound`], **solver conflicts** for
-    /// [`CovEngine::Sat`]. Because the top-level branches are independent
-    /// shards, the work budget applies *per top-level branch* — a pure
-    /// function of the instance, so budgeted runs stay bit-identical for
-    /// every worker count. A `k = 1` SAT cover runs no solver, so no
-    /// conflict limit can trip it. In [`sc_diagnose`] the same work
+    /// [`CovEngine::Sat`]. The work budget applies *per top-level
+    /// branch*, each with its own meter, merged in branch order. A
+    /// `k = 1` SAT cover runs no solver, so no conflict limit can trip
+    /// it. In [`sc_diagnose`] the same work
     /// number first bounds the BSIM phase in *its* unit (one test
     /// traced = one unit; a preempted BSIM phase short-circuits the run)
     /// — phase units are not commensurable and are never summed. The wall deadline is shared
@@ -70,7 +59,6 @@ impl Default for CovOptions {
             engine: CovEngine::default(),
             max_solutions: 1_000_000,
             bsim: BsimOptions::default(),
-            parallelism: Parallelism::default(),
             budget: Budget::default(),
         }
     }
@@ -100,10 +88,7 @@ pub struct CovResult {
     /// the covering engine's units — see [`CovOptions::budget`]). The
     /// SAT engine charges only the conflicts spent on the covers it
     /// reports: none at `k = 1`, where it runs no solver, and in a
-    /// capped run none past the first `max_solutions` covers. It is the
-    /// same for every worker count, except in an unbudgeted
-    /// [`CovEngine::BranchAndBound`] run, whose one-worker recursion and
-    /// multi-worker fan-out count nodes differently.
+    /// capped run none past the first `max_solutions` covers.
     pub work: u64,
     /// The BSIM result the covering instance was built from (absent for
     /// [`cover_all`] on raw sets).
@@ -181,19 +166,17 @@ pub fn sc_diagnose(circuit: &Circuit, tests: &TestSet, k: usize, options: CovOpt
 /// If any set is empty, there is no cover at all.
 ///
 /// A run truncated by `max_solutions` reports the irredundant part of
-/// the first `max_solutions.max(1)` covers the engine meets, and the
-/// same covers for every worker count. [`CovEngine::Sat`] computes no
-/// cover past that prefix: it stops each top-level branch at its share
-/// of the cap, and at `k = 1` it runs no solver at all, since the
-/// size-one covers are the gates common to every set.
+/// the first `max_solutions.max(1)` covers the engine meets.
+/// [`CovEngine::Sat`] computes no cover past that prefix: it stops each
+/// top-level branch at its share of the cap, and at `k = 1` it runs no
+/// solver at all, since the size-one covers are the gates common to
+/// every set.
 pub fn cover_all(sets: &[Vec<GateId>], k: usize, options: CovOptions) -> CovResult {
     let total_start = Instant::now();
     let budget = options.budget.anchored(total_start);
     let out = match options.engine {
         CovEngine::Sat => cover_sat(sets, k, options.max_solutions, &budget),
-        CovEngine::BranchAndBound => {
-            cover_bnb(sets, k, options.max_solutions, options.parallelism, &budget)
-        }
+        CovEngine::BranchAndBound => cover_bnb(sets, k, options.max_solutions, &budget),
     };
     let mut solutions = out.solutions;
     for sol in &mut solutions {
@@ -233,9 +216,9 @@ struct CoverOutcome {
 /// denied as root units, then runs the usual incremental `k`-loop with
 /// subset blocking. Each branch's enumeration depends only on its own
 /// solver, so the branch-ordered merge is deterministic. The branches run
-/// one after another on the calling thread for every
-/// [`CovOptions::parallelism`]: the stop at the cap (below) needs the
-/// covers of the earlier branches before it can start the next one.
+/// one after another on the calling thread: the stop at the cap (below)
+/// needs the covers of the earlier branches before it can start the
+/// next one.
 ///
 /// The branch-independent part of the instance — selectors, set clauses
 /// and the totalizer's clause stream — is a [`CoverBase`], built once per
@@ -598,7 +581,7 @@ impl SetHits {
     }
 }
 
-/// What one top-level branch of either covering engine reports back.
+/// What one top-level branch of the SAT cover engine reports back.
 struct BranchOutcome {
     solutions: Vec<Vec<GateId>>,
     first_elapsed: Option<Duration>,
@@ -652,36 +635,28 @@ fn enumerate_cover_branch(
         work: solver.stats().conflicts,
     }
 }
-/// Branch-and-bound cover enumeration, fanned out over the gates of the
-/// top-level branch set.
+/// Branch-and-bound cover enumeration on the calling thread.
 ///
-/// The subtrees share nothing (the recursion's only cross-branch state in
-/// the sequential version was the truncation counter), so with one worker
-/// the branches share the seed's global cap and early exit, and with
-/// several each branch enumerates independently with its own cap: the
-/// branch-ordered merge, truncated to the cap, reproduces the sequential
-/// DFS solution list exactly for every worker count (at the cost of up to
-/// one cap's worth of discarded work per branch when truncation
-/// actually triggers).
+/// An unbudgeted run is one recursion from the empty root: a shared
+/// solution list and a global early exit at the cap.
 ///
-/// The effective cap is `max_solutions.max(1)`: the seed recursion only
-/// noticed truncation *after* pushing a solution, so even
+/// The effective cap is `max_solutions.max(1)`: the recursion only
+/// notices truncation *after* pushing a solution, so even
 /// `max_solutions == 0` reports the first cover found.
 ///
 /// # Budgeted runs
 ///
-/// With a work or deadline budget the engine always takes the
-/// branch-decomposed path — even with one worker — so that a truncated
-/// enumeration is the same *set of per-branch truncations* for every
-/// worker count: each top-level branch gets its own meter (the full work
-/// budget, counted in node expansions; the shared absolute deadline), and
-/// branches merge in branch order. Unbudgeted runs keep the seed's
-/// sequential shape bit-for-bit.
+/// With a work or deadline budget the engine decomposes the search over
+/// the gates of the top-level branch set (the smallest set, as in the
+/// recursion): each branch gets its own meter (the full work budget,
+/// counted in node expansions; the shared absolute deadline) and its own
+/// cap, and the branches run in order and merge in branch order, the
+/// merged list then cut at the cap. A truncation is thus a set of
+/// per-branch truncations, each a pure function of its branch.
 fn cover_bnb(
     sets: &[Vec<GateId>],
     k: usize,
     max_solutions: usize,
-    parallelism: Parallelism,
     budget: &Budget,
 ) -> CoverOutcome {
     let build_start = Instant::now();
@@ -693,92 +668,57 @@ fn cover_bnb(
     }
     let build_time = build_start.elapsed();
     let enum_start = Instant::now();
-    // The root branches on the smallest set (nothing is covered yet);
-    // ties resolve to the first set, as in the recursion.
-    let branch_set = sets
-        .iter()
-        .min_by_key(|set| set.len())
-        .expect("sets checked non-empty");
     let cap = max_solutions.max(1);
-    let budgeted = budget.work.is_some() || budget.deadline_ms.is_some();
     let mut found: Vec<Vec<GateId>> = Vec::new();
     let mut first_elapsed: Option<Duration> = None;
     let mut budget_truncation: Option<Truncation> = None;
     let mut work = 0u64;
-    {
-        // Rough enumeration-size estimate for the `Auto` work floor: the
-        // search visits O(branch · max_set_len^(k-1)) nodes, each
-        // scanning the sets for cover checks.
-        let max_set_len = sets.iter().map(|s| s.len()).max().unwrap_or(1);
-        let work_estimate = branch_set
-            .len()
-            .saturating_mul(max_set_len.saturating_pow(k.saturating_sub(1).min(3) as u32))
-            .saturating_mul(sets.len());
-        let workers = parallelism.workers_for(
-            branch_set.len(),
-            work_estimate,
-            gatediag_sim::AUTO_WORK_FLOOR,
+    if budget.work.is_none() && budget.deadline_ms.is_none() {
+        // With empty `chosen` the recursion picks the smallest branch
+        // set itself, and its budget check handles `k == 0`. The meter
+        // is unlimited, so the hot loop pays one add per node and never
+        // polls the clock.
+        let mut meter = Budget::default().meter();
+        recurse(
+            sets,
+            k,
+            &mut Vec::new(),
+            &mut found,
+            cap,
+            &mut first_elapsed,
+            enum_start,
+            &mut meter,
         );
-        if !budgeted && workers <= 1 {
-            // Sequential: one recursion from the empty root — shared
-            // solution list, global early exit across branches (the
-            // seed's behaviour). With empty `chosen` the recursion picks
-            // the same smallest branch set as above, and its budget
-            // check handles `k == 0`. The meter is unlimited here, so the
-            // hot loop pays one add per node and never polls the clock.
-            let mut meter = Budget::default().meter();
+        work = meter.work_used();
+    } else if k > 0 {
+        // Ties resolve to the first set, as in the recursion.
+        let branch_set = sets
+            .iter()
+            .min_by_key(|set| set.len())
+            .expect("sets checked non-empty");
+        let root_meter = budget.meter();
+        for &g in branch_set {
+            let mut local: Vec<Vec<GateId>> = Vec::new();
+            let mut local_first = None;
+            let mut meter = root_meter.fork();
             recurse(
                 sets,
-                k,
-                &mut Vec::new(),
-                &mut found,
+                k - 1,
+                &mut vec![g],
+                &mut local,
                 cap,
-                &mut first_elapsed,
+                &mut local_first,
                 enum_start,
                 &mut meter,
             );
-            work = meter.work_used();
-        } else if k > 0 {
-            // Branch-decomposed: always taken when budgeted (any worker
-            // count) so truncation points cannot depend on the schedule.
-            let root_meter = budget.meter();
-            let per_branch: Vec<BranchOutcome> = parallel_map_init(
-                workers,
-                branch_set.len(),
-                || (),
-                |(), b| {
-                    let mut chosen = vec![branch_set[b]];
-                    let mut local: Vec<Vec<GateId>> = Vec::new();
-                    let mut local_first = None;
-                    let mut meter = root_meter.fork();
-                    recurse(
-                        sets,
-                        k - 1,
-                        &mut chosen,
-                        &mut local,
-                        cap,
-                        &mut local_first,
-                        enum_start,
-                        &mut meter,
-                    );
-                    BranchOutcome {
-                        solutions: local,
-                        first_elapsed: local_first,
-                        truncation: meter.truncation(),
-                        work: meter.work_used(),
-                    }
-                },
-            );
-            for branch in per_branch {
-                if let Some(t) = branch.first_elapsed {
-                    first_elapsed = Some(first_elapsed.map_or(t, |cur: Duration| cur.min(t)));
-                }
-                if budget_truncation.is_none() {
-                    budget_truncation = branch.truncation;
-                }
-                work += branch.work;
-                found.extend(branch.solutions);
+            if first_elapsed.is_none() {
+                first_elapsed = local_first;
             }
+            if budget_truncation.is_none() {
+                budget_truncation = meter.truncation();
+            }
+            work += meter.work_used();
+            found.extend(local);
         }
     }
     let truncated = found.len() >= cap;
@@ -792,10 +732,10 @@ fn cover_bnb(
     }
 }
 
-/// The cover search. The sequential path enters once with an empty
-/// `chosen` (the full seed recursion); a parallel branch enters with its
-/// root gate pre-chosen. `found` is the sequential path's shared list or
-/// a parallel branch's local list, capped at `cap`
+/// The cover search. An unbudgeted run enters once with an empty
+/// `chosen` (the full recursion); a budgeted branch enters with its root
+/// gate pre-chosen. `found` is the unbudgeted run's shared list or a
+/// branch's local list, capped at `cap`
 /// (`max_solutions.max(1)`, see [`cover_bnb`]). `meter` charges one work
 /// unit per node expansion — the engine's cooperative checkpoint; an
 /// unlimited meter reduces it to a counter.
@@ -1092,36 +1032,23 @@ mod tests {
                 for max_solutions in 1..=raw + 1 {
                     let (solutions, truncation, work, _) =
                         cover_sat_in_full(sets, k, max_solutions);
-                    let runs: Vec<CovResult> = [
-                        Parallelism::Sequential,
-                        Parallelism::Fixed(2),
-                        Parallelism::Fixed(7),
-                    ]
-                    .into_iter()
-                    .map(|parallelism| {
-                        cover_all(
-                            sets,
-                            k,
-                            CovOptions {
-                                engine: CovEngine::Sat,
-                                max_solutions,
-                                parallelism,
-                                ..CovOptions::default()
-                            },
-                        )
-                    })
-                    .collect();
+                    let run = cover_all(
+                        sets,
+                        k,
+                        CovOptions {
+                            engine: CovEngine::Sat,
+                            max_solutions,
+                            ..CovOptions::default()
+                        },
+                    );
                     let case = format!("sets {sets:?} k {k} cap {max_solutions}");
-                    for run in &runs {
-                        assert_eq!(run.solutions, solutions, "{case}");
-                        assert_eq!(run.truncation, truncation, "{case}");
-                        assert_eq!(run.complete, truncation.is_none(), "{case}");
-                        assert!(run.work <= work, "{case}: work {} > {work}", run.work);
-                        assert_eq!(run.work, runs[0].work, "{case}: work drifted");
-                    }
+                    assert_eq!(run.solutions, solutions, "{case}");
+                    assert_eq!(run.truncation, truncation, "{case}");
+                    assert_eq!(run.complete, truncation.is_none(), "{case}");
+                    assert!(run.work <= work, "{case}: work {} > {work}", run.work);
                     if k == 1 {
-                        assert_eq!(runs[0].work, 0, "{case}: k = 1 spent conflicts");
-                    } else if runs[0].work < work && max_solutions < raw {
+                        assert_eq!(run.work, 0, "{case}: k = 1 spent conflicts");
+                    } else if run.work < work && max_solutions < raw {
                         cap_inside_a_branch += 1;
                     }
                 }

@@ -351,7 +351,6 @@ fn cover_phase(
             config.k,
             CovOptions {
                 max_solutions: config.max_solutions,
-                parallelism: config.parallelism,
                 budget: *budget,
                 bsim: BsimOptions {
                     parallelism: config.parallelism,

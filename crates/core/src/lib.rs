@@ -99,7 +99,6 @@ pub mod chaos;
 mod cov;
 mod engine;
 mod hybrid;
-pub mod json;
 pub mod paper_examples;
 mod quality;
 mod repair;
@@ -159,3 +158,8 @@ pub use gatediag_sim::Parallelism;
 // downstream users need not depend on the encoding crate directly.
 pub use gatediag_cnf::MuxEncoding;
 pub use gatediag_sat::SolverStats;
+
+// The JSON layer lives in `gatediag_obs`, at the bottom of the
+// dependency graph, so the trace reader can share it; `perfbench` and
+// other importers still reach it as `gatediag_core::json`.
+pub use gatediag_obs::json;

@@ -423,8 +423,8 @@ pub const SIM_MAX_CANDIDATES: usize = 16;
 
 /// Cost-model constant: a per-test SAT solve is charged roughly this many
 /// scalar operations per circuit gate (encoding amortised, CDCL search
-/// included). Calibrated coarsely from `bench_pr3`; only the crossover
-/// matters, not the absolute value.
+/// included). Calibrated coarsely from the SAT screen timings committed
+/// at `ff32b1a`; only the crossover matters, not the absolute value.
 const SAT_COST_PER_GATE: u64 = 48;
 
 /// Resolves [`ValidityBackend::Auto`] for one call: `Sim` or `Sat`.

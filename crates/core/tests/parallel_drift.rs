@@ -1,17 +1,18 @@
 //! Thread-count invariance for the parallel diagnosis layer.
 //!
 //! Every parallel entry point — sharded BSIM, the fanned-out backtrack
-//! search, the sharded repair enumeration, the branch-parallel cover
-//! engine and the batch validity screen — must be *bit-identical* to its
-//! sequential counterpart for every worker count, including degenerate
-//! cases (one worker, more workers than work items, empty work). These
-//! tests pin that contract explicitly; `proptest_parallel.rs` fuzzes it
-//! on random circuits.
+//! search, the sharded repair enumeration and the batch validity screen
+//! — must be *bit-identical* to its sequential counterpart for every
+//! worker count, including degenerate cases (one worker, more workers
+//! than work items, empty work). These tests pin that contract
+//! explicitly; `proptest_parallel.rs` fuzzes it on random circuits. The
+//! cover engines run on the calling thread; their tests here pin the
+//! solution cap and the agreement of the two engines.
 
 use gatediag_core::{
     basic_sim_diagnose, cover_all, find_kind_repairs_par, generate_failing_tests, sc_diagnose,
     screen_valid_corrections, sim_backtrack_diagnose, BsimOptions, Budget, CovEngine, CovOptions,
-    CovResult, MarkPolicy, Parallelism, SimBacktrackOptions, TestSet, Truncation, ValidityBackend,
+    MarkPolicy, Parallelism, SimBacktrackOptions, TestSet, Truncation, ValidityBackend,
     ValidityOracle,
 };
 use gatediag_netlist::{c17, inject_errors, Circuit, GateId, RandomCircuitSpec};
@@ -230,11 +231,16 @@ fn cov_bnb_is_identical_for_all_worker_counts_and_agrees_with_sat() {
             2,
             CovOptions {
                 engine: CovEngine::BranchAndBound,
-                parallelism: Parallelism::Sequential,
+                bsim: BsimOptions {
+                    parallelism: Parallelism::Sequential,
+                    ..BsimOptions::default()
+                },
                 ..CovOptions::default()
             },
         );
         assert_eq!(sat.solutions, sequential.solutions, "SAT vs BnB covers");
+        // The worker count shards the BSIM phase; covering runs on the
+        // calling thread.
         for parallelism in WORKER_SWEEP {
             let parallel = sc_diagnose(
                 &faulty,
@@ -242,7 +248,10 @@ fn cov_bnb_is_identical_for_all_worker_counts_and_agrees_with_sat() {
                 2,
                 CovOptions {
                     engine: CovEngine::BranchAndBound,
-                    parallelism,
+                    bsim: BsimOptions {
+                        parallelism,
+                        ..BsimOptions::default()
+                    },
                     ..CovOptions::default()
                 },
             );
@@ -266,34 +275,32 @@ fn cov_bnb_truncation_is_identical() {
     ];
     // max_solutions == 0 keeps the seed's quirk: truncation was only
     // noticed after a push, so the first cover is still reported.
+    // An unbudgeted run is one recursion with a global early exit; a
+    // budgeted one decomposes over the top-level branches with a cap
+    // each. A budget that never trips must not change the answer.
     for max_solutions in [0usize, 1, 2, 4, 100] {
-        let sequential = cover_all(
-            &sets,
-            3,
-            CovOptions {
-                engine: CovEngine::BranchAndBound,
-                max_solutions,
-                parallelism: Parallelism::Sequential,
-                ..CovOptions::default()
-            },
-        );
-        for parallelism in WORKER_SWEEP {
-            let parallel = cover_all(
+        let run = |budget| {
+            cover_all(
                 &sets,
                 3,
                 CovOptions {
                     engine: CovEngine::BranchAndBound,
                     max_solutions,
-                    parallelism,
+                    budget,
                     ..CovOptions::default()
                 },
-            );
-            assert_eq!(
-                sequential.solutions, parallel.solutions,
-                "covers drifted at {parallelism:?} (max {max_solutions})"
-            );
-            assert_eq!(sequential.complete, parallel.complete);
-        }
+            )
+        };
+        let sequential = run(Budget::default());
+        let decomposed = run(Budget {
+            work: Some(1 << 40),
+            ..Budget::default()
+        });
+        assert_eq!(
+            sequential.solutions, decomposed.solutions,
+            "budgeted covers drifted (max {max_solutions})"
+        );
+        assert_eq!(sequential.complete, decomposed.complete);
         if max_solutions == 0 {
             // Seed behaviour: truncation is only noticed after the first
             // push, so enumeration stops at one raw cover (which the
@@ -365,71 +372,6 @@ fn observed<R>(f: impl FnOnce() -> R) -> (R, Counters) {
     (out, sink.take_trace().counters)
 }
 
-/// The one documented exception to the obs contract among the covering
-/// engines: without a budget, branch-and-bound runs one recursion with a
-/// global early exit on one worker and shards its branches with
-/// per-branch caps on more. So `pool.*` is charged only by the fan-out,
-/// and `budget.charged` (with `CovResult::work`) differs: the recursion
-/// also charges its root node, and on a capped run the fan-out charges
-/// every branch up to its own cap. Every other counter, and every
-/// counter of a budgeted run, matches.
-#[test]
-fn cov_bnb_counters_differ_only_in_the_documented_fields() {
-    let g = GateId::new;
-    let sets = vec![
-        vec![g(0), g(1), g(5), g(6)],
-        vec![g(2), g(3), g(4), g(5), g(6)],
-        vec![g(1), g(2), g(4), g(7)],
-    ];
-    let schedule_shaped = |name: &str| name.starts_with("pool.") || name == "budget.charged";
-    for (max_solutions, budget) in [
-        (2usize, Budget::default()),
-        (100, Budget::default()),
-        (
-            2,
-            Budget {
-                work: Some(1_000_000),
-                ..Budget::default()
-            },
-        ),
-    ] {
-        let counters: Vec<Counters> = WORKER_SWEEP
-            .into_iter()
-            .map(|parallelism| {
-                observed(|| {
-                    cover_all(
-                        &sets,
-                        3,
-                        CovOptions {
-                            engine: CovEngine::BranchAndBound,
-                            max_solutions,
-                            parallelism,
-                            budget,
-                            ..CovOptions::default()
-                        },
-                    )
-                })
-                .1
-            })
-            .collect();
-        let budgeted = budget.work.is_some();
-        let kept = |c: &Counters| -> Counters {
-            c.iter()
-                .filter(|(name, _)| budgeted || !schedule_shaped(name))
-                .cloned()
-                .collect()
-        };
-        for other in &counters[1..] {
-            assert_eq!(kept(&counters[0]), kept(other), "cap {max_solutions}");
-        }
-        if !budgeted {
-            // The exception is real: one worker charges no fan-out.
-            assert!(!counters[0].iter().any(|(name, _)| name == "pool.tasks"));
-            assert!(counters[1].iter().any(|(name, _)| name == "pool.tasks"));
-        }
-    }
-}
-
 #[test]
 fn cov_sat_truncation_is_identical() {
     // Twelve-gate branch set and many covers: every branch reads the one
@@ -465,38 +407,21 @@ fn cov_sat_truncation_is_identical() {
         (&common, 1, 3),
     ];
     for (sets, k, max_solutions) in cases {
-        let (runs, counters): (Vec<CovResult>, Vec<Counters>) = [
-            Parallelism::Sequential,
-            Parallelism::Fixed(2),
-            Parallelism::Fixed(7),
-        ]
-        .into_iter()
-        .map(|parallelism| {
-            observed(|| {
-                cover_all(
-                    sets,
-                    k,
-                    CovOptions {
-                        engine: CovEngine::Sat,
-                        max_solutions,
-                        parallelism,
-                        ..CovOptions::default()
-                    },
-                )
-            })
-        })
-        .unzip();
-        let sequential = &runs[0];
-        // The deterministic obs counters match too (the engine runs its
-        // branches in order for every worker count).
-        for other in &counters[1..] {
-            assert_eq!(&counters[0], other, "k {k} cap {max_solutions}");
-        }
+        let (run, counters) = observed(|| {
+            cover_all(
+                sets,
+                k,
+                CovOptions {
+                    engine: CovEngine::Sat,
+                    max_solutions,
+                    ..CovOptions::default()
+                },
+            )
+        });
         if k > 1 {
             assert!(
-                counters[0].iter().any(|(name, _)| name == "sat.solves"),
-                "no solver counters observed: {:?}",
-                counters[0]
+                counters.iter().any(|(name, _)| name == "sat.solves"),
+                "no solver counters observed: {counters:?}"
             );
         }
         if k == 1 {
@@ -505,27 +430,14 @@ fn cov_sat_truncation_is_identical() {
                 .take(max_solutions)
                 .map(|gate| vec![gate])
                 .collect();
-            assert_eq!(sequential.solutions, expected, "cap {max_solutions}");
-            assert_eq!(sequential.complete, max_solutions > 2);
-            assert_eq!(sequential.work, 0, "k = 1 spent conflicts");
+            assert_eq!(run.solutions, expected, "cap {max_solutions}");
+            assert_eq!(run.complete, max_solutions > 2);
+            assert_eq!(run.work, 0, "k = 1 spent conflicts");
         } else {
-            assert_eq!(
-                sequential.complete,
-                max_solutions > total,
-                "cap {max_solutions}"
-            );
+            assert_eq!(run.complete, max_solutions > total, "cap {max_solutions}");
         }
-        if !sequential.complete {
-            assert_eq!(sequential.truncation, Some(Truncation::Solutions));
-        }
-        for parallel in &runs[1..] {
-            assert_eq!(
-                sequential.solutions, parallel.solutions,
-                "k {k} cap {max_solutions}"
-            );
-            assert_eq!(sequential.complete, parallel.complete);
-            assert_eq!(sequential.truncation, parallel.truncation);
-            assert_eq!(sequential.work, parallel.work, "k {k} cap {max_solutions}");
+        if !run.complete {
+            assert_eq!(run.truncation, Some(Truncation::Solutions));
         }
     }
 }

@@ -1,19 +1,20 @@
 //! Thread-count invariance for the parallel *SAT* layer (PR 3).
 //!
-//! The SAT side fans out in three places: `basic_sat_diagnose` generates
+//! The SAT side fans out in two places: `basic_sat_diagnose` generates
 //! its per-test CNF copies on a worker pool (replayed into the solver in
-//! test order), `screen_valid_corrections` (which
+//! test order), and `screen_valid_corrections` (which
 //! `partitioned_sat_diagnose` verifies through) screens candidate sets
-//! with one validity oracle per worker, and the COV SAT engine partitions cover enumeration over the top-level branch
-//! set with one solver per branch. Every one of these must produce
-//! *bit-identical diagnosis output* for every worker count, including the
-//! sequential path — these tests pin that contract the same way `parallel_drift.rs`
-//! pins the simulation side.
+//! with one validity oracle per worker. Both must produce *bit-identical
+//! diagnosis output* for every worker count, including the sequential
+//! path — these tests pin that contract the same way `parallel_drift.rs`
+//! pins the simulation side. The COV SAT engine runs its branches on the
+//! calling thread; its tests sweep the sharded BSIM phase of
+//! `sc_diagnose` and check the cap on raw covering instances.
 
 use gatediag_core::{
     basic_sat_diagnose, cover_all, generate_failing_tests, hybrid_seeded_bsat,
     partitioned_sat_diagnose, sc_diagnose, screen_valid_corrections, two_pass_sat_diagnose,
-    BsatOptions, Budget, CovEngine, CovOptions, Parallelism, TestSet, ValidityBackend,
+    BsatOptions, BsimOptions, Budget, CovEngine, CovOptions, Parallelism, TestSet, ValidityBackend,
     ValidityOracle,
 };
 use gatediag_netlist::{inject_errors, Circuit, GateId, RandomCircuitSpec};
@@ -211,19 +212,22 @@ fn cov_sat_engine_is_identical_for_all_worker_counts() {
             2,
             CovOptions {
                 engine: CovEngine::Sat,
-                parallelism: Parallelism::Sequential,
+                bsim: BsimOptions {
+                    parallelism: Parallelism::Sequential,
+                    ..BsimOptions::default()
+                },
                 ..CovOptions::default()
             },
         );
-        // The sharded SAT engine must agree with branch-and-bound (the
-        // independent cross-check) and with itself at every worker count.
+        // The SAT engine must agree with branch-and-bound (the
+        // independent cross-check) and with itself at every worker count
+        // of the sharded BSIM phase.
         let bnb = sc_diagnose(
             &faulty,
             &small,
             2,
             CovOptions {
                 engine: CovEngine::BranchAndBound,
-                parallelism: Parallelism::Sequential,
                 ..CovOptions::default()
             },
         );
@@ -235,7 +239,10 @@ fn cov_sat_engine_is_identical_for_all_worker_counts() {
                 2,
                 CovOptions {
                     engine: CovEngine::Sat,
-                    parallelism,
+                    bsim: BsimOptions {
+                        parallelism,
+                        ..BsimOptions::default()
+                    },
                     ..CovOptions::default()
                 },
             );
@@ -256,57 +263,28 @@ fn cov_sat_abstract_instances_and_truncation_are_invariant() {
         vec![g(2), g(3), g(4), g(5), g(6)],
         vec![g(1), g(2), g(4), g(7)],
     ];
-    for max_solutions in [0usize, 1, 2, 4, 100] {
-        let sequential = cover_all(
-            &sets,
+    let sat = |sets: &[Vec<GateId>], max_solutions| {
+        cover_all(
+            sets,
             3,
             CovOptions {
                 engine: CovEngine::Sat,
                 max_solutions,
-                parallelism: Parallelism::Sequential,
                 ..CovOptions::default()
             },
-        );
-        assert!(sequential.solutions.len() <= max_solutions.max(1));
-        for parallelism in WORKER_SWEEP {
-            let parallel = cover_all(
-                &sets,
-                3,
-                CovOptions {
-                    engine: CovEngine::Sat,
-                    max_solutions,
-                    parallelism,
-                    ..CovOptions::default()
-                },
-            );
-            assert_eq!(
-                sequential.solutions, parallel.solutions,
-                "truncated SAT covers drifted at {parallelism:?} (max {max_solutions})"
-            );
-            assert_eq!(sequential.complete, parallel.complete);
+        )
+    };
+    let full = sat(&sets, 100);
+    assert!(full.complete);
+    for max_solutions in [0usize, 1, 2, 4] {
+        let truncated = sat(&sets, max_solutions);
+        assert!(truncated.solutions.len() <= max_solutions.max(1));
+        assert_eq!(truncated.complete, truncated.truncation.is_none());
+        for sol in &truncated.solutions {
+            assert!(full.solutions.contains(sol), "{sol:?} not in full run");
         }
     }
     // Edge cases: no sets (one empty cover) and an unhittable empty set.
-    for parallelism in WORKER_SWEEP {
-        let empty = cover_all(
-            &Vec::new(),
-            2,
-            CovOptions {
-                engine: CovEngine::Sat,
-                parallelism,
-                ..CovOptions::default()
-            },
-        );
-        assert_eq!(empty.solutions, vec![Vec::<GateId>::new()]);
-        let unhittable = cover_all(
-            &[vec![g(0)], vec![]],
-            2,
-            CovOptions {
-                engine: CovEngine::Sat,
-                parallelism,
-                ..CovOptions::default()
-            },
-        );
-        assert!(unhittable.solutions.is_empty());
-    }
+    assert_eq!(sat(&[], 100).solutions, vec![Vec::<GateId>::new()]);
+    assert!(sat(&[vec![g(0)], vec![]], 100).solutions.is_empty());
 }

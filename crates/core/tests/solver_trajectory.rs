@@ -354,7 +354,6 @@ fn cov(
         p,
         CovOptions {
             max_solutions,
-            parallelism: Parallelism::Sequential,
             budget: Budget {
                 conflicts: conflict_budget,
                 ..Budget::default()

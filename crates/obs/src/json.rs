@@ -1,5 +1,6 @@
-//! A minimal, offline JSON layer shared by the campaign report reader
-//! and the serve request/response protocol.
+//! A minimal, offline JSON layer shared by the campaign report reader,
+//! the serve request/response protocol and the trace reader
+//! ([`crate::parse_trace_line`]).
 //!
 //! The build is offline (no serde), so this module carries a small
 //! self-contained JSON parser — full JSON syntax, numbers kept as raw
@@ -17,7 +18,8 @@
 //!   spelling would make the two protocol endpoints drift;
 //! * malformed input of any shape (torn writes, bit flips, binary
 //!   garbage) yields `Err`, never a panic — pinned by mutation proptests
-//!   in `crates/campaign/tests/proptest_reader.rs`.
+//!   in `crates/campaign/tests/proptest_reader.rs` and
+//!   `crates/obs/tests/proptest_trace.rs`.
 
 use std::fmt::Write as _;
 

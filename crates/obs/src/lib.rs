@@ -9,16 +9,15 @@
 //!   performed (sweeps, gate evaluations, clauses, conflicts, budget
 //!   charges, …). For any flow whose *results* are worker-count
 //!   invariant, these counters are worker-count invariant too, so they
-//!   may appear in byte-compared reports and traces. One exception:
-//!   unbudgeted branch-and-bound covering (`CovEngine::BranchAndBound`
-//!   in `gatediag_core`) runs one recursion on one worker and a fan-out
-//!   with per-branch caps on more, so its `pool.*` and `budget.charged`
-//!   counters depend on the worker count (its solutions do not). Byte-compared flows pin `Parallelism::Sequential`
-//!   or use the SAT cover engine, which has no such exception.
+//!   may appear in byte-compared reports and traces.
 //! * **The timing channel** — wall-clock span durations and
 //!   schedule-dependent counters ([`count_nd`], e.g. threads actually
 //!   spawned by a pool fan-out). Quarantined exactly like the campaign's
 //!   `wall_ms` column: opt-in, never part of byte-compared output.
+//!
+//! The crate also carries the workspace's one JSON layer ([`json`]):
+//! the trace reader parses with it, and so do the campaign report
+//! reader and the serve protocol.
 //!
 //! # Sink model
 //!
@@ -58,6 +57,7 @@
 //! assert_eq!(trace.spans[0].name, "solve");
 //! ```
 
+pub mod json;
 mod trace;
 
 pub use trace::{parse_trace, parse_trace_line, ObsTrace, SpanRecord, TraceLine, TraceParseError};

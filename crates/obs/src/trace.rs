@@ -15,11 +15,13 @@
 //! Equality on every type here ignores the timing channel, so two
 //! traces of the same deterministic work compare equal.
 //!
-//! The parser is hand-rolled recursive descent in the style of the
-//! campaign report reader: depth-capped, allocation-light, and it must
-//! return a clean [`TraceParseError`] — never panic — on arbitrary
-//! corrupted input (property-tested in `tests/proptest_trace.rs`).
+//! Both directions go through the shared [`crate::json`] layer: a line
+//! is rendered from a [`Json`] tree and parsed back by mapping the parsed
+//! tree onto a [`TraceLine`]. Parsing must return a clean
+//! [`TraceParseError`] — never panic — on arbitrary corrupted input
+//! (property-tested in `tests/proptest_trace.rs`).
 
+use crate::json::{parse_json, Json, JsonError};
 use std::fmt;
 
 /// One closed span: name, nesting depth and the inclusive deltas of the
@@ -98,34 +100,13 @@ pub struct TraceLine {
     pub trace: ObsTrace,
 }
 
-fn escape_json_into(out: &mut String, text: &str) {
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-fn counters_into(out: &mut String, counters: &[(String, u64)]) {
-    out.push('{');
-    for (i, (name, value)) in counters.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push('"');
-        escape_json_into(out, name);
-        out.push_str("\": ");
-        out.push_str(&value.to_string());
-    }
-    out.push('}');
+fn counters_json(counters: &[(String, u64)]) -> Json {
+    Json::Obj(
+        counters
+            .iter()
+            .map(|(name, value)| (name.clone(), Json::Num(value.to_string())))
+            .collect(),
+    )
 }
 
 impl TraceLine {
@@ -135,35 +116,34 @@ impl TraceLine {
     /// object. Output re-parses to an equal line ([`parse_trace_line`])
     /// and re-serialises byte-identically.
     pub fn to_json(&self, include_timing: bool) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str("{\"instance\": \"");
-        escape_json_into(&mut out, &self.instance);
-        out.push_str("\", \"counters\": ");
-        counters_into(&mut out, &self.trace.counters);
-        out.push_str(", \"spans\": [");
-        for (i, span) in self.trace.spans.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("{\"name\": \"");
-            escape_json_into(&mut out, &span.name);
-            out.push_str("\", \"depth\": ");
-            out.push_str(&span.depth.to_string());
-            out.push_str(", \"counters\": ");
-            counters_into(&mut out, &span.counters);
-            if include_timing {
-                out.push_str(", \"wall_ns\": ");
-                out.push_str(&span.wall_ns.to_string());
-            }
-            out.push('}');
-        }
-        out.push(']');
+        let spans = self
+            .trace
+            .spans
+            .iter()
+            .map(|span| {
+                let mut fields = vec![
+                    ("name".to_string(), Json::Str(span.name.clone())),
+                    ("depth".to_string(), Json::Num(span.depth.to_string())),
+                    ("counters".to_string(), counters_json(&span.counters)),
+                ];
+                if include_timing {
+                    fields.push(("wall_ns".to_string(), Json::Num(span.wall_ns.to_string())));
+                }
+                Json::Obj(fields)
+            })
+            .collect();
+        let mut fields = vec![
+            ("instance".to_string(), Json::Str(self.instance.clone())),
+            ("counters".to_string(), counters_json(&self.trace.counters)),
+            ("spans".to_string(), Json::Arr(spans)),
+        ];
         if include_timing {
-            out.push_str(", \"nd_counters\": ");
-            counters_into(&mut out, &self.trace.nd_counters);
+            fields.push((
+                "nd_counters".to_string(),
+                counters_json(&self.trace.nd_counters),
+            ));
         }
-        out.push('}');
-        out
+        Json::Obj(fields).render()
     }
 }
 
@@ -189,362 +169,98 @@ impl fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
-/// Maximum object/array nesting the parser will follow. A trace line is
-/// three levels deep; anything deeper is garbage, and the cap keeps the
-/// recursive parser safe from stack exhaustion on adversarial input.
-const MAX_DEPTH: usize = 16;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    at: usize,
+impl From<JsonError> for TraceParseError {
+    fn from(e: JsonError) -> Self {
+        TraceParseError::new(e.message)
+    }
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            at: 0,
-        }
+/// The fields of a JSON object, or an error naming `context`.
+fn object<'a>(value: &'a Json, context: &str) -> Result<&'a [(String, Json)], TraceParseError> {
+    match value {
+        Json::Obj(fields) => Ok(fields),
+        _ => Err(TraceParseError::new(format!(
+            "{context}: expected an object"
+        ))),
     }
+}
 
-    fn error(&self, message: impl Into<String>) -> TraceParseError {
-        TraceParseError::new(format!("at byte {}: {}", self.at, message.into()))
-    }
+/// A `{"name": u64, ...}` counters object.
+fn counters(value: &Json, context: &str) -> Result<Vec<(String, u64)>, TraceParseError> {
+    object(value, context)?
+        .iter()
+        .map(|(name, v)| Ok((name.clone(), v.as_u64(context)?)))
+        .collect()
+}
 
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.at), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.at += 1;
-        }
-    }
+fn span(value: &Json) -> Result<SpanRecord, TraceParseError> {
+    object(value, "span")?;
+    let depth = value.expect("depth", "span")?.as_u64("span depth")?;
+    Ok(SpanRecord {
+        name: value
+            .expect("name", "span")?
+            .as_str("span name")?
+            .to_string(),
+        depth: usize::try_from(depth)
+            .map_err(|_| TraceParseError::new("span depth out of range"))?,
+        counters: match value.get("counters") {
+            Some(c) => counters(c, "span counters")?,
+            None => Vec::new(),
+        },
+        wall_ns: match value.get("wall_ns") {
+            Some(w) => w.as_u64("span wall_ns")?,
+            None => 0,
+        },
+    })
+}
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
+/// Maps a parsed document onto a [`TraceLine`]: `instance` and `spans`
+/// are required, `counters` and `nd_counters` optional, and unknown keys
+/// are ignored (forward compatibility).
+fn trace_line(doc: &Json) -> Result<TraceLine, TraceParseError> {
+    object(doc, "trace line")?;
+    let optional_counters = |key: &str| match doc.get(key) {
+        Some(c) => counters(c, key),
+        None => Ok(Vec::new()),
+    };
+    let line = TraceLine {
+        instance: doc
+            .expect("instance", "trace line")?
+            .as_str("instance")?
+            .to_string(),
+        trace: ObsTrace {
+            spans: doc
+                .expect("spans", "trace line")?
+                .as_arr("spans")?
+                .iter()
+                .map(span)
+                .collect::<Result<_, _>>()?,
+            counters: optional_counters("counters")?,
+            nd_counters: optional_counters("nd_counters")?,
+        },
+    };
+    // Structural invariant of pre-order emission: the first span is
+    // the root and depth never jumps by more than +1.
+    let mut prev_depth = 0usize;
+    for (i, span) in line.trace.spans.iter().enumerate() {
+        if i == 0 && span.depth != 0 {
+            return Err(TraceParseError::new("first span is not a root (depth 0)"));
+        }
+        if i > 0 && span.depth > prev_depth + 1 {
+            return Err(TraceParseError::new(format!(
+                "span `{}` jumps from depth {} to {}",
+                span.name, prev_depth, span.depth
+            )));
+        }
+        prev_depth = span.depth;
     }
-
-    fn expect(&mut self, byte: u8) -> Result<(), TraceParseError> {
-        self.skip_ws();
-        if self.peek() == Some(byte) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(self.error(format!("expected `{}`", char::from(byte))))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, TraceParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.at + 1..self.at + 5)
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.error("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.error("bad \\u code point"))?,
-                            );
-                            self.at += 4;
-                        }
-                        _ => return Err(self.error("bad escape")),
-                    }
-                    self.at += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 is passed through whole; the
-                    // input is a &str, so char boundaries are valid.
-                    let rest = &self.bytes[self.at..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = text.chars().next().ok_or_else(|| self.error("empty"))?;
-                    out.push(c);
-                    self.at += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, TraceParseError> {
-        self.skip_ws();
-        let start = self.at;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.at += 1;
-        }
-        if self.at == start {
-            return Err(self.error("expected an unsigned integer"));
-        }
-        let digits = std::str::from_utf8(&self.bytes[start..self.at])
-            .map_err(|_| self.error("bad number"))?;
-        digits
-            .parse()
-            .map_err(|_| self.error("integer out of range"))
-    }
-
-    /// Parses a `{"name": u64, ...}` counters object.
-    fn parse_counters(&mut self) -> Result<Vec<(String, u64)>, TraceParseError> {
-        self.expect(b'{')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(out);
-        }
-        loop {
-            self.skip_ws();
-            let name = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_u64()?;
-            out.push((name, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                _ => return Err(self.error("expected `,` or `}` in counters")),
-            }
-        }
-    }
-
-    /// Skips any JSON value (for unknown keys — forward compatibility).
-    fn skip_value(&mut self, depth: usize) -> Result<(), TraceParseError> {
-        if depth > MAX_DEPTH {
-            return Err(self.error("nesting too deep"));
-        }
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => {
-                self.parse_string()?;
-                Ok(())
-            }
-            Some(b'{') => {
-                self.at += 1;
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.at += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.skip_ws();
-                    self.parse_string()?;
-                    self.expect(b':')?;
-                    self.skip_value(depth + 1)?;
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.at += 1,
-                        Some(b'}') => {
-                            self.at += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(self.error("expected `,` or `}`")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.at += 1;
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.at += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.skip_value(depth + 1)?;
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.at += 1,
-                        Some(b']') => {
-                            self.at += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(self.error("expected `,` or `]`")),
-                    }
-                }
-            }
-            Some(b't') => self.expect_word("true"),
-            Some(b'f') => self.expect_word("false"),
-            Some(b'n') => self.expect_word("null"),
-            Some(b'-' | b'0'..=b'9') => {
-                self.at += 1;
-                while matches!(
-                    self.peek(),
-                    Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-                ) {
-                    self.at += 1;
-                }
-                Ok(())
-            }
-            _ => Err(self.error("expected a JSON value")),
-        }
-    }
-
-    fn expect_word(&mut self, word: &str) -> Result<(), TraceParseError> {
-        if self.bytes[self.at..].starts_with(word.as_bytes()) {
-            self.at += word.len();
-            Ok(())
-        } else {
-            Err(self.error(format!("expected `{word}`")))
-        }
-    }
-
-    fn parse_span(&mut self) -> Result<SpanRecord, TraceParseError> {
-        self.expect(b'{')?;
-        let mut span = SpanRecord::default();
-        let mut seen_name = false;
-        let mut seen_depth = false;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            return Err(self.error("span object is empty"));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "name" => {
-                    self.skip_ws();
-                    span.name = self.parse_string()?;
-                    seen_name = true;
-                }
-                "depth" => {
-                    let depth = self.parse_u64()?;
-                    span.depth = usize::try_from(depth)
-                        .map_err(|_| self.error("span depth out of range"))?;
-                    seen_depth = true;
-                }
-                "counters" => {
-                    self.skip_ws();
-                    span.counters = self.parse_counters()?;
-                }
-                "wall_ns" => span.wall_ns = self.parse_u64()?,
-                _ => self.skip_value(0)?,
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    break;
-                }
-                _ => return Err(self.error("expected `,` or `}` in span")),
-            }
-        }
-        if !seen_name || !seen_depth {
-            return Err(self.error("span is missing `name` or `depth`"));
-        }
-        Ok(span)
-    }
-
-    fn parse_line(&mut self) -> Result<TraceLine, TraceParseError> {
-        self.expect(b'{')?;
-        let mut line = TraceLine::default();
-        let mut seen_instance = false;
-        let mut seen_spans = false;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            return Err(self.error("trace line is empty"));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "instance" => {
-                    self.skip_ws();
-                    line.instance = self.parse_string()?;
-                    seen_instance = true;
-                }
-                "counters" => {
-                    self.skip_ws();
-                    line.trace.counters = self.parse_counters()?;
-                }
-                "nd_counters" => {
-                    self.skip_ws();
-                    line.trace.nd_counters = self.parse_counters()?;
-                }
-                "spans" => {
-                    self.expect(b'[')?;
-                    seen_spans = true;
-                    self.skip_ws();
-                    if self.peek() == Some(b']') {
-                        self.at += 1;
-                    } else {
-                        loop {
-                            self.skip_ws();
-                            line.trace.spans.push(self.parse_span()?);
-                            self.skip_ws();
-                            match self.peek() {
-                                Some(b',') => self.at += 1,
-                                Some(b']') => {
-                                    self.at += 1;
-                                    break;
-                                }
-                                _ => return Err(self.error("expected `,` or `]` in spans")),
-                            }
-                        }
-                    }
-                }
-                _ => self.skip_value(0)?,
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    break;
-                }
-                _ => return Err(self.error("expected `,` or `}` in trace line")),
-            }
-        }
-        self.skip_ws();
-        if self.at != self.bytes.len() {
-            return Err(self.error("trailing garbage after trace line"));
-        }
-        if !seen_instance || !seen_spans {
-            return Err(self.error("trace line is missing `instance` or `spans`"));
-        }
-        // Structural invariant of pre-order emission: the first span is
-        // the root and depth never jumps by more than +1.
-        let mut prev_depth = 0usize;
-        for (i, span) in line.trace.spans.iter().enumerate() {
-            if i == 0 && span.depth != 0 {
-                return Err(TraceParseError::new("first span is not a root (depth 0)"));
-            }
-            if i > 0 && span.depth > prev_depth + 1 {
-                return Err(TraceParseError::new(format!(
-                    "span `{}` jumps from depth {} to {}",
-                    span.name, prev_depth, span.depth
-                )));
-            }
-            prev_depth = span.depth;
-        }
-        Ok(line)
-    }
+    Ok(line)
 }
 
 /// Parses one JSONL trace line. Corrupted input yields a clean error,
 /// never a panic.
 pub fn parse_trace_line(text: &str) -> Result<TraceLine, TraceParseError> {
-    Parser::new(text).parse_line()
+    trace_line(&parse_json(text)?)
 }
 
 /// Parses a whole trace stream (one JSON object per non-empty line),
@@ -650,6 +366,10 @@ mod tests {
             r#"{"instance": "x"}"#,
             r#"{"instance": "x", "spans": [{"depth": 0, "counters": {}}]}"#,
             r#"{"instance": "x", "spans": []} trailing"#,
+            r#"{"instance": "x", "instance": "y", "spans": []}"#,
+            r#"{"instance": "x", "counters": {"a": -1}, "spans": []}"#,
+            r#"{"instance": "x", "spans": [{"name": "a", "depth": 0, "counters": {"c": 1.5}}]}"#,
+            r#"{"instance": "x", "spans": [{"name": "a", "depth": 0, "counters": []}]}"#,
             &("[".repeat(64)),
         ] {
             assert!(parse_trace_line(garbage).is_err(), "{garbage:?}");

@@ -16,7 +16,7 @@
 //!   [`gatediag_sim::PersistentPool`].
 //! * [`protocol`]: the `gatediag-serve-v1` request /
 //!   `gatediag-diagnose-v1` response schema on the shared
-//!   [`gatediag_core::json`] layer. Responses carry no timing or
+//!   [`gatediag_obs::json`] layer. Responses carry no timing or
 //!   counters unless asked, so a daemon response is byte-identical to
 //!   the one-shot `gatediag diagnose --json` output for the same
 //!   request — both are literally one code path,

@@ -3,7 +3,7 @@
 //!
 //! Requests are `gatediag-serve-v1` objects; diagnose responses are
 //! `gatediag-diagnose-v1` objects. Everything rides on the shared
-//! [`gatediag_core::json`] layer, so field order is insertion order and
+//! [`gatediag_obs::json`] layer, so field order is insertion order and
 //! rendering is deterministic — the property that lets the CI smoke
 //! `cmp` a daemon response against the one-shot CLI's `--json` output.
 //!
@@ -12,9 +12,9 @@
 //! at all, which is what keeps it byte-comparable across runs, worker
 //! counts and warm/cold cache states.
 
-use gatediag_core::json::{escape_str, parse_json, Json};
 use gatediag_core::{ChaosConfig, DiagnoseRequest, EngineKind};
 use gatediag_netlist::FaultModel;
+use gatediag_obs::json::{escape_str, parse_json, Json};
 
 /// Schema tag every request must carry.
 pub const REQUEST_SCHEMA: &str = "gatediag-serve-v1";

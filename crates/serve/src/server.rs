@@ -224,7 +224,7 @@ mod tests {
     use super::*;
     use crate::service::ServiceConfig;
     use crate::Client;
-    use gatediag_core::json::parse_json;
+    use gatediag_obs::json::parse_json;
 
     const PING: &str = "{\"schema\": \"gatediag-serve-v1\", \"op\": \"ping\"}";
 

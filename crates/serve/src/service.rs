@@ -16,9 +16,9 @@
 
 use crate::protocol::{parse_request, status_response, DiagnoseCall, Request, RESPONSE_SCHEMA};
 use crate::registry::CircuitRegistry;
-use gatediag_core::json::Json;
 use gatediag_core::{ChaosPolicy, CircuitSession, DiagnoseOutcome};
 use gatediag_netlist::{Circuit, GateId};
+use gatediag_obs::json::Json;
 use gatediag_obs::{ObsTrace, Sink};
 use gatediag_sim::{Parallelism, PersistentPool};
 use std::sync::atomic::{AtomicBool, Ordering};

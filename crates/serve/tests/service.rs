@@ -1,14 +1,16 @@
 //! End-to-end service tests: warm-cache proof, concurrency drift,
 //! admission control, crash isolation, and the TCP/stdio transports.
 
-use gatediag_core::json::{parse_json, Json};
 use gatediag_core::{ChaosConfig, DiagnoseRequest, EngineKind};
+use gatediag_netlist::{s1423_like, write_bench};
+use gatediag_obs::json::{parse_json, Json};
 use gatediag_serve::{
     render_diagnose_request, serve_lines, serve_tcp, Client, DiagnoseCall, Service, ServiceConfig,
     MAX_REQUEST_LINE,
 };
 use std::net::TcpListener;
 use std::sync::Arc;
+use std::time::Instant;
 
 const C17: &str = "INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
                    10 = NAND(1, 3)\n11 = NAND(3, 6)\n16 = NAND(2, 11)\n19 = NAND(11, 7)\n\
@@ -70,6 +72,42 @@ fn repeat_requests_are_byte_identical_and_warm() {
             .as_u64("session.warm_hits")
             .unwrap(),
         1
+    );
+}
+
+#[test]
+fn warm_requests_are_at_least_twice_as_fast_as_cold() {
+    // A warm hit skips parse-to-engine entirely, so the margin is orders
+    // of magnitude (about 100x on a 657-gate circuit in release builds)
+    // and the 2x floor holds in debug builds and on loaded hosts.
+    const WARM_REPS: u32 = 50;
+    let golden = s1423_like(1);
+    let line = render_diagnose_request(&DiagnoseCall {
+        circuit: Some(golden.name().to_string()),
+        bench: write_bench(&golden),
+        request: DiagnoseRequest {
+            engine: EngineKind::Bsat,
+            ..DiagnoseRequest::default()
+        },
+        chaos: None,
+        obs: false,
+        timing: false,
+    });
+    let service = Service::new(ServiceConfig::default());
+    let start = Instant::now();
+    let cold = service.handle_line(&line);
+    let cold_time = start.elapsed();
+    assert_eq!(status_of(&cold), "ok", "{cold}");
+    let start = Instant::now();
+    for _ in 0..WARM_REPS {
+        assert_eq!(service.handle_line(&line), cold, "warm response drifted");
+    }
+    let warm_time = start.elapsed() / WARM_REPS;
+    let speedup = cold_time.as_secs_f64() / warm_time.as_secs_f64();
+    eprintln!("warm over cold: {speedup:.0}x (cold {cold_time:?}, warm {warm_time:?})");
+    assert!(
+        speedup >= 2.0,
+        "warm-vs-cold speedup below 2x ({speedup:.1}x: cold {cold_time:?}, warm {warm_time:?})"
     );
 }
 

@@ -386,7 +386,7 @@ fn diagnose_call(golden: &Circuit, request: DiagnoseRequest, o: &Options) -> Dia
 /// Exit code for a protocol response line: failure for the
 /// `error`/`failed`/`rejected` statuses (and for unparseable bytes).
 fn response_exit(response: &str) -> ExitCode {
-    let failed = match gatediag::core::json::parse_json(response) {
+    let failed = match gatediag_obs::json::parse_json(response) {
         Ok(v) => matches!(
             v.get("status").and_then(|s| s.as_str("status").ok()),
             None | Some("error") | Some("failed") | Some("rejected")

@@ -13,6 +13,10 @@
 //!   max distance to the nearest injected site), for complete runs only:
 //!   a truncated list, and so its triple, depends on the model order.
 //!
+//! A second pin holds the failing tests alone (count and digest) of
+//! every `campaign-triage` prepare at full scale, where five searches
+//! exhaust the 2^15-vector budget and others span several batches.
+//!
 //! No solver statistic is pinned. A change that alters the search but
 //! not the answers leaves this file untouched; a change that alters the
 //! generated tests or an answer re-pins it in a commit of its own, whose
@@ -24,7 +28,7 @@ use gatediag::core::{
     prepare, run_prepared, solution_quality, ChaosPolicy, DiagnoseOutcome, DiagnoseRequest,
     EngineKind, Parallelism, Prepared, PreparedTests,
 };
-use gatediag::netlist::{s1423_like, Circuit, FaultModel, GateId, RandomCircuitSpec};
+use gatediag::netlist::{s1423_like, s6669_like, Circuit, FaultModel, GateId, RandomCircuitSpec};
 
 /// FNV-1a 64 over a byte stream.
 struct Fnv(u64);
@@ -231,4 +235,77 @@ fn answers_match_pins() {
         eprintln!("actual answers:\n{actual}");
     }
     assert!(actual == PINS, "answers moved; see the lines printed above");
+}
+
+/// The failing tests of every prepare of `campaign-triage` at full
+/// scale: `s6669_like` and `s1423_like`, the four fault models, p = 1,
+/// seeds 1 and 2, with the campaign's request defaults (8 tests, a
+/// 2^15-vector budget). Five of the sixteen searches exhaust the budget
+/// without a failing test; the others stop after one or more 512-vector
+/// batches. Only the tests are pinned: the engines' answers at this
+/// scale are the perfbench digests' business.
+fn full_scale_triage_tests() -> Vec<String> {
+    let mut spec = CampaignSpec::new(vec![
+        ("s6669_like".to_string(), s6669_like(1)),
+        ("s1423_like".to_string(), s1423_like(1)),
+    ]);
+    spec.error_counts = vec![1];
+    spec.engines = vec![EngineKind::Bsim];
+    spec.fault_models = FaultModel::ALL.to_vec();
+    spec.seeds = vec![1, 2];
+    spec.instances()
+        .iter()
+        .map(|inst| {
+            let (name, golden) = &spec.circuits[inst.circuit];
+            let request = DiagnoseRequest {
+                engine: inst.engine,
+                fault_model: inst.fault_model,
+                p: inst.p,
+                seed: inst.seed,
+                tests: spec.tests,
+                max_test_vectors: spec.max_test_vectors,
+                ..DiagnoseRequest::default()
+            };
+            format!(
+                "{name}/{}/p{}/s{} tests={}",
+                inst.fault_model.name(),
+                inst.p,
+                inst.seed,
+                tests_digest(&prepare(golden, &request))
+            )
+        })
+        .collect()
+}
+
+/// One line per full-scale `campaign-triage` prepare: `label
+/// tests=count:digest`.
+const FULL_SCALE_TEST_PINS: &str = "\
+s6669_like/gate-change/p1/s1 tests=8:5590f84ba85a14ae\n\
+s6669_like/gate-change/p1/s2 tests=8:b039a05295765d80\n\
+s6669_like/stuck-at/p1/s1 tests=8:e6fa08b644184217\n\
+s6669_like/stuck-at/p1/s2 tests=0:cbf29ce484222325\n\
+s6669_like/input-swap/p1/s1 tests=0:cbf29ce484222325\n\
+s6669_like/input-swap/p1/s2 tests=8:2087085246d8cc99\n\
+s6669_like/extra-inverter/p1/s1 tests=8:7dac102fd7951826\n\
+s6669_like/extra-inverter/p1/s2 tests=0:cbf29ce484222325\n\
+s1423_like/gate-change/p1/s1 tests=8:6dc5ebf2f5cd0dca\n\
+s1423_like/gate-change/p1/s2 tests=8:8a29c65bef8a60cc\n\
+s1423_like/stuck-at/p1/s1 tests=8:598e538bd96cd3a7\n\
+s1423_like/stuck-at/p1/s2 tests=0:cbf29ce484222325\n\
+s1423_like/input-swap/p1/s1 tests=8:429cb373d2108da4\n\
+s1423_like/input-swap/p1/s2 tests=0:cbf29ce484222325\n\
+s1423_like/extra-inverter/p1/s1 tests=8:c1362e740bc03382\n\
+s1423_like/extra-inverter/p1/s2 tests=8:4c5e11158b08b8a6\n\
+";
+
+#[test]
+fn full_scale_triage_tests_match_pins() {
+    let actual = full_scale_triage_tests().join("\n") + "\n";
+    if actual != FULL_SCALE_TEST_PINS {
+        eprintln!("actual tests:\n{actual}");
+    }
+    assert!(
+        actual == FULL_SCALE_TEST_PINS,
+        "generated tests moved; see the lines printed above"
+    );
 }

@@ -110,14 +110,17 @@ fn bench_packed_engine(c: &mut Criterion) {
 fn bench_testgen(c: &mut Criterion) {
     // Failing-test generation's two halves on `s6669_like` (322 inputs):
     // the random stream alone, packed straight into input words in the
-    // search's 512-vector batches, and a search that exhausts its
-    // 2^15-vector budget (one gate change, seed 7, exposes fewer failures
-    // than the 8 wanted).
+    // search's 512-vector batches, and searches that exhaust their
+    // 2^15-vector budget: one gate change, seed 7, exposes fewer failures
+    // than the 8 wanted; `campaign-triage`'s stuck-at seed 2 prepare
+    // (g3721 stuck-at-1) exposes none.
     const VECTORS: usize = 1 << 15;
     const BATCH: usize = 512;
     let golden = s6669_like(1);
     let (faulty, _) =
         try_inject_faults(&golden, FaultModel::GateChange, 1, 7).expect("gate change injectable");
+    let (stuck, _) =
+        try_inject_faults(&golden, FaultModel::StuckAt, 1, 2).expect("stuck-at injectable");
     let mut group = c.benchmark_group("testgen");
     group.measurement_time(std::time::Duration::from_secs(5));
     group.warm_up_time(std::time::Duration::from_secs(1));
@@ -134,6 +137,9 @@ fn bench_testgen(c: &mut Criterion) {
     });
     group.bench_function("exhausted_search_2p15_vectors_s6669_like", |b| {
         b.iter(|| generate_failing_tests(&golden, &faulty, 8, 7, VECTORS).len())
+    });
+    group.bench_function("exhausted_search_stuck_at_s2_s6669_like", |b| {
+        b.iter(|| generate_failing_tests(&golden, &stuck, 8, 2, VECTORS).len())
     });
     group.finish();
 }

@@ -649,10 +649,17 @@ fn enumerate_cover_branch(
 /// With a work or deadline budget the engine decomposes the search over
 /// the gates of the top-level branch set (the smallest set, as in the
 /// recursion): each branch gets its own meter (the full work budget,
-/// counted in node expansions; the shared absolute deadline) and its own
-/// cap, and the branches run in order and merge in branch order, the
-/// merged list then cut at the cap. A truncation is thus a set of
-/// per-branch truncations, each a pure function of its branch.
+/// counted in node expansions; the shared absolute deadline), and the
+/// branches run in order and merge in branch order. A truncation is thus
+/// a set of per-branch truncations, each a pure function of its branch.
+///
+/// As in the SAT engine, no branch runs past the cap: branch `b` gets
+/// `cap` minus the covers of branches `0..b` as its own cap, and no
+/// branch starts once the prefix is full. The recursion is
+/// deterministic, so a branch capped at `r` expands exactly the nodes of
+/// the unbudgeted recursion's same subtree up to its `r`-th cover: a
+/// budget that never trips reports the unbudgeted run's covers and its
+/// `work` less the one root node.
 fn cover_bnb(
     sets: &[Vec<GateId>],
     k: usize,
@@ -698,6 +705,9 @@ fn cover_bnb(
             .expect("sets checked non-empty");
         let root_meter = budget.meter();
         for &g in branch_set {
+            if found.len() >= cap {
+                break;
+            }
             let mut local: Vec<Vec<GateId>> = Vec::new();
             let mut local_first = None;
             let mut meter = root_meter.fork();
@@ -706,7 +716,7 @@ fn cover_bnb(
                 k - 1,
                 &mut vec![g],
                 &mut local,
-                cap,
+                cap - found.len(),
                 &mut local_first,
                 enum_start,
                 &mut meter,
@@ -722,7 +732,6 @@ fn cover_bnb(
         }
     }
     let truncated = found.len() >= cap;
-    found.truncate(cap);
     CoverOutcome {
         solutions: SetHits::new(sets).irredundant(found),
         build_time,

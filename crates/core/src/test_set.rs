@@ -1,6 +1,6 @@
 //! Tests and test-sets (Definition 1 of the paper) and their generation.
 
-use gatediag_netlist::{Circuit, GateId, VectorGen};
+use gatediag_netlist::{fanin_cone, fanout_cone, Circuit, GateId, GateSet, VectorGen};
 use gatediag_sim::PackedSim;
 
 /// A diagnosis test: the triple `(t, o, v)` of Definition 1.
@@ -100,8 +100,11 @@ impl<'a> IntoIterator for &'a TestSet {
 /// faulty circuit pair.
 ///
 /// Random vectors are drawn straight into packed input words, 512 per
-/// batch, and each batch is one sweep of both circuits. The golden and
-/// faulty output words are XORed and ORed into one "some output differs"
+/// batch. Only outputs in the fan-out cone of the gates that differ
+/// between the two circuits can differ, so each batch sweeps the golden
+/// circuit over those outputs' fan-in cones and the faulty one over the
+/// fan-out cone, on top of the golden values. The golden and faulty words
+/// of those outputs are XORed and ORed into one "some output differs"
 /// mask per word; only the set lanes of that mask are unpacked. Every
 /// (vector, output) pair on which the circuits disagree yields a [`Test`]
 /// whose `expected` value comes from the golden circuit, in vector order
@@ -111,6 +114,8 @@ impl<'a> IntoIterator for &'a TestSet {
 /// occurrence. Returns fewer than `want` tests if `max_vectors` random
 /// vectors do not expose enough failures (e.g. the injected error is
 /// close to redundant).
+///
+/// The `tests.vectors` obs counter charges the vectors drawn.
 ///
 /// # Panics
 ///
@@ -148,12 +153,18 @@ pub fn generate_failing_tests(
         faulty.outputs().len(),
         "golden/faulty output mismatch"
     );
-    // Multi-word batches: one topological sweep of each circuit covers up
-    // to `BATCH` random vectors, and both engines reuse their buffers
-    // across batches.
+    // Multi-word batches: one sweep of each circuit covers up to `BATCH`
+    // random vectors, and both engines reuse their buffers across
+    // batches.
     const BATCH: usize = 512;
+    let cone = ObservableCone::new(golden, faulty);
+    if cone.outputs.is_empty() {
+        return TestSet::default();
+    }
     let mut gen = VectorGen::new(golden, seed);
-    let mut tests = Vec::with_capacity(want);
+    // No capacity from `want`: a caller may ask for more tests than
+    // memory holds and rely on `max_vectors` to end the search.
+    let mut tests = Vec::new();
     let mut seen: std::collections::HashSet<(Vec<bool>, GateId)> = std::collections::HashSet::new();
     let mut tried = 0usize;
     let mut golden_sim = PackedSim::new(golden);
@@ -164,15 +175,23 @@ pub fn generate_failing_tests(
         let n = BATCH.min(max_vectors - tried);
         tried += n;
         let words = gen.next_packed(n, &mut packed);
-        golden_sim.reset(words);
+        // Every batch but a short last one has the first one's width.
+        if words != golden_sim.words_per_gate() {
+            golden_sim.reset(words);
+            faulty_sim.reset(words);
+        }
         golden_sim.set_input_words(&packed);
-        golden_sim.sweep();
-        faulty_sim.reset(words);
+        golden_sim.sweep_gates(&cone.golden);
+        // Read only by a cone that holds inputs, when every gate counts
+        // as changed.
         faulty_sim.set_input_words(&packed);
-        faulty_sim.sweep();
+        for &b in &cone.boundary {
+            faulty_sim.force(b, golden_sim.value_words(b));
+        }
+        faulty_sim.sweep_gates(&cone.faulty);
         differs.clear();
         differs.resize(words, 0u64);
-        for &o in golden.outputs() {
+        for &o in &cone.outputs {
             let g = golden_sim.value_words(o);
             let f = faulty_sim.value_words(o);
             for (d, (g, f)) in differs.iter_mut().zip(g.iter().zip(f)) {
@@ -191,7 +210,7 @@ pub fn generate_failing_tests(
                 let vector: Vec<bool> = (0..golden.inputs().len())
                     .map(|i| packed[i * words + w] >> (lane % 64) & 1 == 1)
                     .collect();
-                for &o in golden.outputs() {
+                for &o in &cone.outputs {
                     let g = golden_sim.lane(o, lane);
                     if g != faulty_sim.lane(o, lane) && seen.insert((vector.clone(), o)) {
                         tests.push(Test {
@@ -207,7 +226,87 @@ pub fn generate_failing_tests(
             }
         }
     }
+    gatediag_obs::count("tests.vectors", tried as u64);
     TestSet::new(tests)
+}
+
+/// The part of a golden/faulty pair that random simulation must
+/// evaluate to find every output on which the two differ.
+///
+/// Gate ids align: the fault models rebuild the golden circuit gate by
+/// gate and append any new gate past `golden.len()`. A faulty gate is
+/// *changed* if its id is past `golden.len()` or its kind or fan-in ids
+/// differ from the golden gate's; if the input lists (or the gate counts)
+/// differ, every gate counts as changed. Then:
+///
+/// * an unchanged gate outside the fan-out cone of the changed gates
+///   keeps its golden value on every vector, by induction along the
+///   topological order: same function of the same fan-ins, none of them
+///   in the cone (inputs take the same words by position);
+/// * so an output outside the cone cannot differ, and only the outputs
+///   in the cone are compared;
+/// * the faulty cone reads, besides itself, only unchanged gates outside
+///   it (the *boundary*), whose golden values are its faulty ones.
+///
+/// So the golden circuit is swept over the fan-in cone of the compared
+/// outputs and the boundary, and the faulty one over the boundary, which
+/// takes the golden words, and its cone. Outputs are golden ids, as in
+/// the tests, and index the faulty simulator too.
+struct ObservableCone {
+    /// Golden gates to evaluate, in golden topological order.
+    golden: Vec<GateId>,
+    /// Faulty gates outside the cone that the cone reads.
+    boundary: Vec<GateId>,
+    /// Faulty gates to evaluate: the boundary and the cone, in faulty
+    /// topological order.
+    faulty: Vec<GateId>,
+    /// The outputs in the cone, in `golden.outputs()` order.
+    outputs: Vec<GateId>,
+}
+
+impl ObservableCone {
+    fn new(golden: &Circuit, faulty: &Circuit) -> ObservableCone {
+        let all_changed = golden.inputs() != faulty.inputs() || faulty.len() < golden.len();
+        let changed: Vec<GateId> = (0..faulty.len())
+            .map(GateId::new)
+            .filter(|&id| {
+                all_changed
+                    || id.index() >= golden.len()
+                    || golden.kind(id) != faulty.kind(id)
+                    || golden.fanins(id) != faulty.fanins(id)
+            })
+            .collect();
+        let cone = fanout_cone(faulty, &changed);
+        let outputs: Vec<GateId> = golden
+            .outputs()
+            .iter()
+            .copied()
+            .filter(|&o| all_changed || cone.contains(o))
+            .collect();
+        let mut boundary = GateSet::new(faulty.len());
+        for id in cone.iter() {
+            for &f in faulty.fanins(id) {
+                if !cone.contains(f) {
+                    boundary.insert(f);
+                }
+            }
+        }
+        let mut evaluated = boundary.clone();
+        evaluated.union_with(&cone);
+        let boundary: Vec<GateId> = boundary.iter().collect();
+        let golden_roots: Vec<GateId> = outputs.iter().chain(&boundary).copied().collect();
+        let read = fanin_cone(golden, &golden_roots);
+        let in_order = |circuit: &Circuit, gates: &GateSet| -> Vec<GateId> {
+            let order = circuit.topo_order().iter().copied();
+            order.filter(|&id| gates.contains(id)).collect()
+        };
+        ObservableCone {
+            golden: in_order(golden, &read),
+            faulty: in_order(faulty, &evaluated),
+            boundary,
+            outputs,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -292,6 +391,43 @@ mod tests {
         // golden vs golden: no failures possible.
         let ts = generate_failing_tests(&golden, &golden, 4, 0, 256);
         assert!(ts.is_empty());
+    }
+
+    #[test]
+    fn searches_sweep_only_the_observable_cone() {
+        use gatediag_netlist::{inject_stuck_at, RandomCircuitSpec};
+        use std::sync::Arc;
+        let golden = RandomCircuitSpec::new(12, 6, 200).seed(5).generate();
+        let observed = |faulty: &Circuit, max_vectors: usize| {
+            let sink = Arc::new(gatediag_obs::Sink::new());
+            let tests = {
+                let _guard = gatediag_obs::install(Arc::clone(&sink));
+                generate_failing_tests(&golden, faulty, usize::MAX, 1, max_vectors)
+            };
+            (tests, sink.take_trace())
+        };
+        // No gate changed: no output can differ, and no vector is drawn.
+        let (tests, trace) = observed(&golden, 1000);
+        assert!(tests.is_empty());
+        assert_eq!(trace.counter("tests.vectors"), 0);
+        assert_eq!(trace.counter("sim.sweeps"), 0);
+        // One deep stuck-at: each of the three batches (512, 512, 76
+        // vectors) sweeps the two cone lists, far fewer gates than two
+        // full sweeps.
+        let site = golden
+            .topo_order()
+            .iter()
+            .copied()
+            .rfind(|&id| !golden.kind(id).is_source() && !golden.is_output(id))
+            .unwrap();
+        let faulty = inject_stuck_at(&golden, site, true);
+        let cone = ObservableCone::new(&golden, &faulty);
+        let evaluated = cone.golden.len() + cone.faulty.len();
+        assert!(evaluated < golden.len(), "{evaluated} of {}", golden.len());
+        let (_, trace) = observed(&faulty, 1100);
+        assert_eq!(trace.counter("tests.vectors"), 1100);
+        assert_eq!(trace.counter("sim.sweeps"), 6);
+        assert_eq!(trace.counter("sim.gate_evals"), 3 * evaluated as u64);
     }
 
     #[test]

@@ -309,6 +309,45 @@ fn cov_bnb_truncation_is_identical() {
             assert!(!sequential.complete);
         }
     }
+    // The six twelve-gate sets of `cov_sat_truncation_is_identical` at
+    // k = 3: a budgeted branch stops at its share of the cap and no
+    // branch starts once the cap is reached, so a budget that never
+    // trips expands the unbudgeted recursion's nodes, less its root.
+    let sets: Vec<Vec<GateId>> = (0..6)
+        .map(|i| (0..12).map(|j| g((i * 5 + j * 7) % 30)).collect())
+        .collect();
+    let mut works = Vec::new();
+    for max_solutions in [1usize, 10, 115] {
+        let run = |budget| {
+            cover_all(
+                &sets,
+                3,
+                CovOptions {
+                    engine: CovEngine::BranchAndBound,
+                    max_solutions,
+                    budget,
+                    ..CovOptions::default()
+                },
+            )
+        };
+        let sequential = run(Budget::default());
+        let decomposed = run(Budget {
+            work: Some(1 << 40),
+            ..Budget::default()
+        });
+        assert_eq!(
+            sequential.solutions, decomposed.solutions,
+            "cap {max_solutions}"
+        );
+        assert_eq!(
+            sequential.complete, decomposed.complete,
+            "cap {max_solutions}"
+        );
+        works.push((max_solutions, sequential.work, decomposed.work));
+    }
+    // (cap, unbudgeted work, budgeted work); the budgeted run read 126,
+    // 534 and 1740 while every branch ran to the full cap.
+    assert_eq!(works, [(1, 9, 8), (10, 24, 23), (115, 171, 170)]);
 }
 
 /// How many covers each top-level branch of the SAT cover engine finds

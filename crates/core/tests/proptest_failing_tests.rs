@@ -1,78 +1,144 @@
-//! Pins the word-level `generate_failing_tests` against the per-lane
-//! generator it replaced, kept here as a test-only oracle: draw every
-//! vector as a `Vec<bool>`, pack the batch, sweep both circuits, then
-//! compare golden and faulty lane by lane and output by output.
+//! Pins `generate_failing_tests` against the search it implements, kept
+//! here as a test-only oracle: draw each vector with
+//! `VectorGen::next_vector`, simulate both circuits on it with the scalar
+//! simulator, and take the first `want` distinct (vector, output)
+//! failures, vector by vector and then in `golden.outputs()` order.
 //!
 //! Both must return the same `TestSet` — same tests, same order — for
-//! every circuit, seed, `want` and `max_vectors`, including vector
-//! budgets whose last packed word is partial and `want` limits reached
-//! in the middle of a vector that fails on several outputs.
+//! every circuit, fault model, seed, `want` and `max_vectors`, including
+//! vector budgets whose last packed word is partial, `want` limits
+//! reached in the middle of a vector that fails on several outputs, and
+//! circuit pairs whose input lists differ (where no cone is taken).
 
 use gatediag_core::{generate_failing_tests, Test, TestSet};
 use gatediag_netlist::{
-    c17, inject_errors, parse_bench, Circuit, GateId, GateKind, RandomCircuitSpec, VectorGen,
+    c17, inject_errors, parse_bench, try_inject_faults, Circuit, CircuitBuilder, FaultModel,
+    GateId, GateKind, RandomCircuitSpec, VectorGen,
 };
-use gatediag_sim::{pack_vectors_into, PackedSim};
+use gatediag_sim::simulate;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-/// The per-lane generator: 512 vectors per batch, each unpacked and
-/// checked output by output.
-fn per_lane_failing_tests(
+/// Every distinct (vector, output) failure among the first `max_vectors`
+/// vectors, in order, each with the index of the vector that first
+/// exposed it.
+fn scalar_failures(
+    golden: &Circuit,
+    faulty: &Circuit,
+    seed: u64,
+    max_vectors: usize,
+) -> Vec<(usize, Test)> {
+    let mut gen = VectorGen::new(golden, seed);
+    let mut seen: HashSet<(Vec<bool>, GateId)> = HashSet::new();
+    let mut failures = Vec::new();
+    for index in 0..max_vectors {
+        let vector = gen.next_vector();
+        let g = simulate(golden, &vector);
+        let f = simulate(faulty, &vector);
+        for &o in golden.outputs() {
+            if g[o.index()] != f[o.index()] && seen.insert((vector.clone(), o)) {
+                let test = Test {
+                    vector: vector.clone(),
+                    output: o,
+                    expected: g[o.index()],
+                };
+                failures.push((index, test));
+            }
+        }
+    }
+    failures
+}
+
+/// The first `want` of `failures` exposed within `max_vectors` vectors.
+fn first_failures(failures: &[(usize, Test)], want: usize, max_vectors: usize) -> TestSet {
+    failures
+        .iter()
+        .filter(|(index, _)| *index < max_vectors)
+        .take(want)
+        .map(|(_, test)| test.clone())
+        .collect()
+}
+
+fn reference_failing_tests(
     golden: &Circuit,
     faulty: &Circuit,
     want: usize,
     seed: u64,
     max_vectors: usize,
 ) -> TestSet {
-    const BATCH: usize = 512;
-    let mut gen = VectorGen::new(golden, seed);
-    let mut tests = Vec::with_capacity(want);
-    let mut seen: HashSet<(Vec<bool>, GateId)> = HashSet::new();
-    let mut tried = 0usize;
-    let mut golden_sim = PackedSim::new(golden);
-    let mut faulty_sim = PackedSim::new(faulty);
-    let mut packed = Vec::new();
-    while tests.len() < want && tried < max_vectors {
-        let batch: Vec<Vec<bool>> = (0..BATCH.min(max_vectors - tried))
-            .map(|_| gen.next_vector())
-            .collect();
-        tried += batch.len();
-        let words = pack_vectors_into(golden, &batch, &mut packed);
-        golden_sim.reset(words);
-        golden_sim.set_input_words(&packed);
-        golden_sim.sweep();
-        faulty_sim.reset(words);
-        faulty_sim.set_input_words(&packed);
-        faulty_sim.sweep();
-        for (lane, vector) in batch.iter().enumerate() {
-            if tests.len() >= want {
-                break;
-            }
-            for &o in golden.outputs() {
-                let g = golden_sim.lane(o, lane);
-                if g != faulty_sim.lane(o, lane) && seen.insert((vector.clone(), o)) {
-                    tests.push(Test {
-                        vector: vector.clone(),
-                        output: o,
-                        expected: g,
-                    });
-                    if tests.len() >= want {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    TestSet::new(tests)
+    first_failures(
+        &scalar_failures(golden, faulty, seed, max_vectors),
+        want,
+        max_vectors,
+    )
 }
 
 fn assert_same(golden: &Circuit, faulty: &Circuit, want: usize, seed: u64, max_vectors: usize) {
     assert_eq!(
         generate_failing_tests(golden, faulty, want, seed, max_vectors),
-        per_lane_failing_tests(golden, faulty, want, seed, max_vectors),
+        reference_failing_tests(golden, faulty, want, seed, max_vectors),
         "want {want}, seed {seed}, max_vectors {max_vectors}"
     );
+}
+
+#[test]
+fn every_fault_model_matches_the_scalar_search() {
+    // A narrow circuit, whose vectors repeat, and one wider than 64
+    // inputs, whose packed vectors span two transpose tiles.
+    let circuits = [
+        RandomCircuitSpec::new(10, 5, 80).seed(3).generate(),
+        RandomCircuitSpec::new(70, 6, 160).seed(4).generate(),
+    ];
+    for golden in &circuits {
+        for model in FaultModel::ALL {
+            for (p, seed) in [(1, 1u64), (1, 2), (2, 3)] {
+                let Some((faulty, _)) = try_inject_faults(golden, model, p, seed) else {
+                    continue;
+                };
+                let failures = scalar_failures(golden, &faulty, seed, 4096);
+                for max_vectors in [1, 63, 512, 700, 4096] {
+                    for want in [1, 8, 64] {
+                        assert_eq!(
+                            generate_failing_tests(golden, &faulty, want, seed, max_vectors),
+                            first_failures(&failures, want, max_vectors),
+                            "{model}, p {p}, seed {seed}, want {want}, max_vectors {max_vectors}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn unaligned_inputs_match_the_scalar_search() {
+    // An input declared after a gate: the input lists differ, so every
+    // gate counts as changed and both circuits are swept in full.
+    let build = |late_input: bool, kind: GateKind| {
+        let mut b = CircuitBuilder::new();
+        let a = b.input("a");
+        let c = b.input("c");
+        let (x, d) = if late_input {
+            let x = b.gate(GateKind::And, vec![a, c], "x");
+            (x, b.input("d"))
+        } else {
+            let d = b.input("d");
+            (b.gate(GateKind::And, vec![a, c], "x"), d)
+        };
+        let y = b.gate(kind, vec![x, d], "y");
+        let z = b.gate(GateKind::Nor, vec![y, c], "z");
+        b.output(y);
+        b.output(z);
+        b.finish().unwrap()
+    };
+    let golden = build(false, GateKind::Xor);
+    let faulty = build(true, GateKind::Or);
+    assert_ne!(golden.inputs(), faulty.inputs());
+    for max_vectors in [1, 63, 700] {
+        for want in [1, 8, 64] {
+            assert_same(&golden, &faulty, want, 6, max_vectors);
+        }
+    }
 }
 
 #[test]
@@ -142,7 +208,7 @@ proptest! {
         let (faulty, _) = inject_errors(&golden, errors, seed);
         prop_assert_eq!(
             generate_failing_tests(&golden, &faulty, want, seed, max_vectors),
-            per_lane_failing_tests(&golden, &faulty, want, seed, max_vectors)
+            reference_failing_tests(&golden, &faulty, want, seed, max_vectors)
         );
     }
 }

@@ -471,6 +471,8 @@ impl FairCoins {
 pub struct VectorGen {
     coins: FairCoins,
     width: usize,
+    /// [`VectorGen::next_packed`]'s batch bitstream, reused across calls.
+    stream: Vec<u64>,
 }
 
 impl VectorGen {
@@ -479,6 +481,7 @@ impl VectorGen {
         VectorGen {
             coins: FairCoins::new(ChaCha8Rng::seed_from_u64(seed ^ 0x5851_f42d_4c95_7f2d)),
             width: circuit.inputs().len(),
+            stream: Vec::new(),
         }
     }
 
@@ -494,39 +497,83 @@ impl VectorGen {
     /// consumes: input `i`'s words are `out[i * W .. (i + 1) * W]`, vector
     /// `p` at bit `p % 64` of word `p / 64`. Lanes past `n` are zero. The
     /// vectors are exactly those of `n` calls to
-    /// [`VectorGen::next_vector`], on the same stream: the coins run
-    /// vector-major, input-minor, 64 at a time, and each clear sign bit
-    /// (a `true` input) is scattered to its word by `trailing_zeros`.
+    /// [`VectorGen::next_vector`], on the same stream.
+    ///
+    /// The batch's `n * width` coins are first laid out as one bitstream,
+    /// coin `p * width + i` at bit `p * width + i`, set for `true`. Vector
+    /// `p`'s inputs `64j .. 64j + 64` are then the 64 bits of the stream
+    /// from bit `p * width + 64j`, so each tile of 64 vectors by 64 inputs
+    /// is 64 unaligned word reads, one 64 x 64 bit transpose and 64 word
+    /// stores.
     pub fn next_packed(&mut self, n: usize, out: &mut Vec<u64>) -> usize {
         let words = n.div_ceil(64).max(1);
         out.clear();
         out.resize(self.width * words, 0);
-        let mut remaining = n * self.width;
-        // Vector `p`, input `i` of the coin at chunk offset `at`.
-        let (mut p, mut i) = (0usize, 0usize);
-        while remaining > 0 {
-            let (signs, take) = self.coins.signs(remaining.min(64));
-            let mut ones = !signs & u64::MAX >> (64 - take);
-            remaining -= take;
-            let mut at = 0;
-            while ones != 0 {
-                let bit = ones.trailing_zeros() as usize;
-                ones &= ones - 1;
-                i += bit - at;
-                at = bit;
-                if i >= self.width {
-                    p += i / self.width;
-                    i %= self.width;
-                }
-                out[i * words + p / 64] |= 1 << (p % 64);
+        let coins = n * self.width;
+        // One zero word past the coins keeps every unaligned read in
+        // bounds.
+        self.stream.clear();
+        self.stream.resize(coins.div_ceil(64) + 1, 0);
+        let mut at = 0;
+        while at < coins {
+            let (signs, take) = self.coins.signs((coins - at).min(64));
+            let ones = !signs & u64::MAX >> (64 - take);
+            let (w, b) = (at / 64, at % 64);
+            self.stream[w] |= ones << b;
+            if b + take > 64 {
+                self.stream[w + 1] |= ones >> (64 - b);
             }
-            i += take - at;
-            if i >= self.width {
-                p += i / self.width;
-                i %= self.width;
+            at += take;
+        }
+        let mut tile = [0u64; 64];
+        for block in 0..words {
+            let vectors = (n - block * 64).min(64);
+            for first in (0..self.width).step_by(64) {
+                let inputs = (self.width - first).min(64);
+                let mask = u64::MAX >> (64 - inputs);
+                for (r, row) in tile.iter_mut().enumerate() {
+                    *row = if r < vectors {
+                        read_bits(&self.stream, (block * 64 + r) * self.width + first) & mask
+                    } else {
+                        0
+                    };
+                }
+                transpose64(&mut tile);
+                for (c, &column) in tile[..inputs].iter().enumerate() {
+                    out[(first + c) * words + block] = column;
+                }
             }
         }
         words
+    }
+}
+
+/// The 64 bits of `stream` from bit `at` on, bit `at` at bit 0.
+/// `stream` must hold a word past the one that bit `at` is in.
+#[inline(always)]
+fn read_bits(stream: &[u64], at: usize) -> u64 {
+    let (w, s) = (at / 64, at % 64);
+    // `<< 1 << (63 - s)` is `<< (64 - s)`, and zero at `s = 0`.
+    stream[w] >> s | stream[w + 1] << 1 << (63 - s)
+}
+
+/// Transposes a 64 x 64 bit matrix in place: bit `c` of word `r` swaps
+/// with bit `r` of word `c`. Each round swaps the off-diagonal `j x j`
+/// blocks of every `2j x 2j` block, for `j` = 32, 16, .., 1.
+#[inline]
+fn transpose64(a: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask: u64 = 0x0000_0000_ffff_ffff;
+    while j != 0 {
+        for base in (0..64).step_by(2 * j) {
+            for r in base..base + j {
+                let t = (a[r] >> j ^ a[r + j]) & mask;
+                a[r] ^= t << j;
+                a[r + j] ^= t;
+            }
+        }
+        j >>= 1;
+        mask ^= mask << j;
     }
 }
 
@@ -674,7 +721,17 @@ mod tests {
     /// the generator's definition.
     #[test]
     fn vectors_follow_one_gen_bool_per_bit() {
-        for (width, seed) in [(1usize, 3u64), (5, 4), (64, 5), (91, 6), (131, 7)] {
+        for (width, seed) in [
+            (1usize, 3u64),
+            (5, 4),
+            (63, 8),
+            (64, 5),
+            (65, 9),
+            (91, 6),
+            (128, 10),
+            (131, 7),
+            (322, 11),
+        ] {
             let mut b = CircuitBuilder::new();
             let inputs: Vec<GateId> = (0..width).map(|i| b.input(format!("i{i}"))).collect();
             b.output(inputs[0]);
@@ -707,5 +764,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn transpose64_swaps_rows_and_columns() {
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let mut a = [0u64; 64];
+        for row in &mut a {
+            *row = rng.gen::<u64>();
+        }
+        let mut t = a;
+        transpose64(&mut t);
+        for (r, &row) in a.iter().enumerate() {
+            for (c, &column) in t.iter().enumerate() {
+                assert_eq!(row >> c & 1, column >> r & 1, "row {r}, column {c}");
+            }
+        }
+        transpose64(&mut t);
+        assert_eq!(t, a);
     }
 }

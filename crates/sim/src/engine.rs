@@ -22,6 +22,7 @@
 //!   reset(W)                     size buffers for 64*W patterns, clear overlays
 //!     set_input_words / set_inputs_broadcast
 //!     sweep()                    full linear topological sweep -> baseline
+//!     sweep_gates(list)          the same over a topo-ordered gate list (a cone)
 //!       force / override_kind    sparse overlay edits (schedule the gate)
 //!       propagate()              incremental: touched cones only
 //!       clear_forced / clear_kind_overrides + propagate()  -> back to baseline
@@ -362,16 +363,35 @@ impl<'c> PackedSim<'c> {
     /// topo order, honouring the current input words and overlays.
     /// Establishes the baseline for subsequent incremental updates.
     ///
-    /// It runs the same per-gate evaluator as [`PackedSim::propagate`]
-    /// but ignores whether a gate changed, so after inlining it tracks no
-    /// changes.
+    /// It is [`PackedSim::sweep_gates`] over the whole topological order.
     ///
     /// # Panics
     ///
     /// Panics if the engine was not `reset`.
     pub fn sweep(&mut self) {
+        let circuit: &'c Circuit = self.circuit;
+        self.sweep_gates(circuit.topo_order());
+    }
+
+    /// Evaluates exactly `gates`, in the given order, each once, honouring
+    /// the current input words and overlays; every other gate keeps its
+    /// words. `gates` must list every gate after its fan-ins, or a gate
+    /// reads its fan-ins' previous words. A restricted sweep evaluates a
+    /// cone: a gate list closed under fan-ins (say, a fan-in cone in topo
+    /// order) gets the values a full sweep gives it.
+    ///
+    /// It runs the same per-gate evaluator as [`PackedSim::propagate`]
+    /// but ignores whether a gate changed, so after inlining it tracks no
+    /// changes. Pending events are dropped: after a restricted sweep
+    /// only a full [`PackedSim::sweep`] re-establishes a baseline for
+    /// [`PackedSim::propagate`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine was not `reset`.
+    pub fn sweep_gates(&mut self, gates: &[GateId]) {
         assert!(self.words > 0, "reset() must be called first");
-        // A full sweep subsumes all pending events.
+        // A sweep subsumes all pending events.
         if self.pending > 0 {
             for bucket in &mut self.buckets {
                 bucket.clear();
@@ -381,11 +401,11 @@ impl<'c> PackedSim<'c> {
         }
         let circuit: &Circuit = self.circuit;
         let (heads, edges) = circuit.fanin_csr();
-        for &id in circuit.topo_order() {
+        for &id in gates {
             self.eval(id.index(), heads, edges);
         }
         // Charged per sweep, not per gate, so the hot loop stays clean.
-        let evals = circuit.topo_order().len() as u64;
+        let evals = gates.len() as u64;
         gatediag_obs::count("sim.sweeps", 1);
         gatediag_obs::count("sim.gate_evals", evals);
         gatediag_obs::count("sim.words", evals * self.words as u64);
@@ -577,6 +597,46 @@ mod tests {
         for (lane, v) in vectors.iter().enumerate() {
             assert_eq!(sim.unpack_lane(lane), simulate(&c, v), "lane {lane}");
         }
+    }
+
+    #[test]
+    fn cone_sweep_matches_full_sweep_on_the_cone() {
+        let c = RandomCircuitSpec::new(8, 4, 90).seed(2).generate();
+        let vectors = vectors_for(&c, 130, 2);
+        let mut packed = Vec::new();
+        let w = pack_vectors_into(&c, &vectors, &mut packed);
+        let mut full = PackedSim::new(&c);
+        full.reset(w);
+        full.set_input_words(&packed);
+        full.sweep();
+        let cone = gatediag_netlist::fanin_cone(&c, &c.outputs()[..1]);
+        let gates: Vec<GateId> = c
+            .topo_order()
+            .iter()
+            .copied()
+            .filter(|&g| cone.contains(g))
+            .collect();
+        assert!(gates.len() < c.len());
+        let mut partial = PackedSim::new(&c);
+        partial.reset(w);
+        partial.set_input_words(&packed);
+        let sink = std::sync::Arc::new(gatediag_obs::Sink::new());
+        {
+            let _guard = gatediag_obs::install(std::sync::Arc::clone(&sink));
+            partial.sweep_gates(&gates);
+        }
+        for id in c.topo_order() {
+            let expect: &[u64] = if cone.contains(*id) {
+                full.value_words(*id)
+            } else {
+                &vec![0; w]
+            };
+            assert_eq!(partial.value_words(*id), expect, "gate {id}");
+        }
+        let trace = sink.take_trace();
+        assert_eq!(trace.counter("sim.sweeps"), 1);
+        assert_eq!(trace.counter("sim.gate_evals"), gates.len() as u64);
+        assert_eq!(trace.counter("sim.words"), (gates.len() * w) as u64);
     }
 
     #[test]

@@ -3,16 +3,14 @@
 //!
 //! * mux encodings: inline guards vs the paper's explicit mux, with and
 //!   without the `c = 0` pinning clauses ("prevents up to |I| decisions");
-//! * dominator-restricted first pass vs all-gate instrumentation;
-//! * test-set partitioning vs the monolithic instance;
 //! * BSIM-seeded decision heuristic vs unseeded (Sec. 6 hybrid);
 //! * X-injection pruning in the advanced simulation-based search.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gatediag_bench::harness::Workload;
 use gatediag_core::{
-    basic_sat_diagnose, hybrid_seeded_bsat, partitioned_sat_diagnose, sim_backtrack_diagnose,
-    two_pass_sat_diagnose, BsatOptions, MuxEncoding, SimBacktrackOptions,
+    basic_sat_diagnose, hybrid_seeded_bsat, sim_backtrack_diagnose, BsatOptions, MuxEncoding,
+    SimBacktrackOptions,
 };
 use gatediag_netlist::RandomCircuitSpec;
 
@@ -62,86 +60,6 @@ fn bench_encodings(c: &mut Criterion) {
             })
         });
     }
-    group.finish();
-}
-
-fn bench_site_selection(c: &mut Criterion) {
-    let (w, m) = workload();
-    if m == 0 {
-        return;
-    }
-    let tests = w.tests.prefix(m);
-    let mut group = c.benchmark_group("ablation_sites");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(6));
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    group.bench_function("all_gates", |b| {
-        b.iter(|| {
-            basic_sat_diagnose(
-                &w.faulty,
-                &tests,
-                w.p,
-                BsatOptions {
-                    max_solutions: 500,
-                    ..BsatOptions::default()
-                },
-            )
-        })
-    });
-    group.bench_function("dominator_two_pass", |b| {
-        b.iter(|| {
-            two_pass_sat_diagnose(
-                &w.faulty,
-                &tests,
-                w.p,
-                BsatOptions {
-                    max_solutions: 500,
-                    ..BsatOptions::default()
-                },
-            )
-        })
-    });
-    group.finish();
-}
-
-fn bench_partitioning(c: &mut Criterion) {
-    let (w, _) = workload();
-    let m = w.tests.len().min(16);
-    if m < 16 {
-        return;
-    }
-    let tests = w.tests.prefix(m);
-    let mut group = c.benchmark_group("ablation_partitioning");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(6));
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    group.bench_function("monolithic_16_tests", |b| {
-        b.iter(|| {
-            basic_sat_diagnose(
-                &w.faulty,
-                &tests,
-                w.p,
-                BsatOptions {
-                    max_solutions: 500,
-                    ..BsatOptions::default()
-                },
-            )
-        })
-    });
-    group.bench_function("partitioned_4x4", |b| {
-        b.iter(|| {
-            partitioned_sat_diagnose(
-                &w.faulty,
-                &tests,
-                w.p,
-                4,
-                BsatOptions {
-                    max_solutions: 500,
-                    ..BsatOptions::default()
-                },
-            )
-        })
-    });
     group.finish();
 }
 
@@ -217,8 +135,6 @@ fn bench_x_pruning(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_encodings,
-    bench_site_selection,
-    bench_partitioning,
     bench_hybrid_seeding,
     bench_x_pruning
 );

@@ -10,8 +10,8 @@
 
 use gatediag_core::{
     basic_sat_diagnose, basic_sim_diagnose, bsim_quality, sc_diagnose, solution_quality,
-    BsatOptions, BsatResult, BsimOptions, BsimQuality, CovOptions, CovResult, SolutionQuality,
-    TestSet,
+    BsatOptions, BsatResult, BsimOptions, BsimQuality, Budget, CovOptions, CovResult,
+    SolutionQuality, TestSet,
 };
 use gatediag_netlist::{
     inject_errors, parse_bench_dir_strict, parse_bench_named, s1423_like, s38417_like, s6669_like,
@@ -248,7 +248,10 @@ pub fn run_cell(workload: &Workload, m: usize, limits: Limits) -> CellMetrics {
         k,
         BsatOptions {
             max_solutions: limits.max_solutions,
-            conflict_budget: limits.bsat_conflict_budget,
+            budget: Budget {
+                conflicts: limits.bsat_conflict_budget,
+                ..Budget::default()
+            },
             ..BsatOptions::default()
         },
     );

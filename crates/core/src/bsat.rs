@@ -7,63 +7,44 @@
 //! and iterating `k = 1..K` with subset blocking yields exactly the
 //! corrections with only essential candidates (Lemma 3).
 //!
-//! The advanced options of Sec. 2.3 are all available: the explicit-mux
-//! encoding with `c = 0` pinning, dominator-based two-pass site selection,
-//! test-set partitioning, and (for the Sec. 6 hybrid) seeding of the
-//! solver's decision heuristic from simulation results.
+//! Of the advanced options of Sec. 2.3 this engine keeps the
+//! explicit-mux encoding with `c = 0` pinning ([`MuxEncoding`]) and, for
+//! the Sec. 6 hybrid, seeding of the solver's decision heuristic from
+//! simulation results ([`BsatOptions::hints`]). Every non-input gate
+//! receives a correction multiplexer.
 
 use crate::budget::{Budget, Truncation};
 use crate::test_set::TestSet;
-use crate::validity::{screen_valid_corrections, ValidityBackend};
 use gatediag_cnf::{
     encode_instrumented_copy, CnfCollector, Instrumentation, MuxEncoding, Totalizer,
 };
-use gatediag_netlist::{ffr_roots, Circuit, GateId, GateSet};
+use gatediag_netlist::{Circuit, GateId, GateKind};
 use gatediag_sat::{enumerate_positive_subsets, Lit, Solver, SolverStats, Var};
 use gatediag_sim::{parallel_map_init, Parallelism};
 use std::time::{Duration, Instant};
-
-/// Which gates receive correction multiplexers.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub enum SiteSelection {
-    /// Every functional gate (the basic approach).
-    #[default]
-    AllGates,
-    /// Only fan-out-free-region roots — the dominator-based first pass of
-    /// the advanced approach; combine with [`two_pass_sat_diagnose`] for
-    /// full gate-level resolution.
-    Dominators,
-    /// An explicit site list (hybrid flows restrict to BSIM candidates).
-    Custom(Vec<GateId>),
-}
 
 /// Options for [`basic_sat_diagnose`].
 #[derive(Clone, PartialEq, Debug)]
 pub struct BsatOptions {
     /// Multiplexer encoding (inline guards vs the paper's explicit mux).
     pub encoding: MuxEncoding,
-    /// Where to insert multiplexers.
-    pub sites: SiteSelection,
     /// Stop after this many solutions (`complete = false` if hit).
     pub max_solutions: usize,
-    /// Conflict budget across the whole run (`None` = unlimited).
-    pub conflict_budget: Option<u64>,
     /// VSIDS seed hints `(gate, weight)`: bumps the gate's select variable
     /// and sets its phase to "selected" — the Sec. 6 hybrid lever.
     pub hints: Vec<(GateId, f64)>,
     /// Worker count for the parallelizable SAT-side phases: the per-test
     /// CNF copies of the instance build are *generated* on a worker pool
     /// (each worker Tseitin-encodes whole copies into a pre-assigned
-    /// variable block) and replayed into the solver in test order, and
-    /// [`partitioned_sat_diagnose`]'s full-test-set validation screens
-    /// candidate solutions across workers. The CDCL search itself stays
-    /// sequential, so results are bit-identical for every setting.
+    /// variable block) and replayed into the solver in test order. The
+    /// CDCL search itself stays sequential, so results are bit-identical
+    /// for every setting.
     pub parallelism: Parallelism,
     /// Cooperative budget. BSAT's deterministic work unit **is** solver
-    /// conflicts, so [`Budget::work`] and [`Budget::conflicts`] merge with
-    /// the legacy [`BsatOptions::conflict_budget`] into one solver limit
-    /// (the smallest wins, bounding each enumeration query); the opt-in
-    /// wall deadline threads into the solver's cooperative deadline hook.
+    /// conflicts, so [`Budget::work`] and [`Budget::conflicts`] merge into
+    /// one solver limit (the smaller wins, bounding each enumeration
+    /// query); the opt-in wall deadline threads into the solver's
+    /// cooperative deadline hook.
     pub budget: Budget,
 }
 
@@ -71,9 +52,7 @@ impl Default for BsatOptions {
     fn default() -> Self {
         BsatOptions {
             encoding: MuxEncoding::default(),
-            sites: SiteSelection::default(),
             max_solutions: 1_000_000,
-            conflict_budget: None,
             hints: Vec::new(),
             parallelism: Parallelism::default(),
             budget: Budget::default(),
@@ -102,28 +81,13 @@ pub struct BsatResult {
     pub stats: SolverStats,
 }
 
-fn resolve_sites(circuit: &Circuit, selection: &SiteSelection) -> Vec<GateId> {
-    match selection {
-        SiteSelection::AllGates => circuit
-            .iter()
-            .filter(|(_, g)| g.kind() != gatediag_netlist::GateKind::Input)
-            .map(|(id, _)| id)
-            .collect(),
-        SiteSelection::Dominators => {
-            let roots = ffr_roots(circuit);
-            let mut set = GateSet::new(circuit.len());
-            for (id, g) in circuit.iter() {
-                if g.kind() != gatediag_netlist::GateKind::Input {
-                    let r = roots[id.index()];
-                    if circuit.gate(r).kind() != gatediag_netlist::GateKind::Input {
-                        set.insert(r);
-                    }
-                }
-            }
-            set.iter().collect()
-        }
-        SiteSelection::Custom(sites) => sites.clone(),
-    }
+/// The multiplexer sites: every non-input gate, in id order.
+fn resolve_sites(circuit: &Circuit) -> Vec<GateId> {
+    circuit
+        .iter()
+        .filter(|(_, g)| g.kind() != GateKind::Input)
+        .map(|(id, _)| id)
+        .collect()
 }
 
 /// `BasicSATDiagnose(I, T, k)` — Fig. 3.
@@ -154,7 +118,7 @@ pub fn basic_sat_diagnose(
     k: usize,
     options: BsatOptions,
 ) -> BsatResult {
-    let sites = resolve_sites(circuit, &options.sites);
+    let sites = resolve_sites(circuit);
     let build_start = Instant::now();
     let mut solver = Solver::new();
     let instance = {
@@ -167,13 +131,12 @@ pub fn basic_sat_diagnose(
     let mut first_solution_time = Duration::ZERO;
     let mut truncation: Option<Truncation> = None;
     let enum_start = Instant::now();
-    // The budget's work unit is conflicts here, so `work`, `conflicts` and
-    // the legacy `conflict_budget` knob merge into one solver limit; the
-    // wall deadline (if any) rides on the solver's own cooperative hook.
-    let budget = options.budget.merge_conflicts(options.conflict_budget);
-    let (conflict_limit, conflict_reason) = budget.conflict_limit();
+    // The budget's work unit is conflicts here, so `work` and `conflicts`
+    // merge into one solver limit; the wall deadline (if any) rides on the
+    // solver's own cooperative hook.
+    let (conflict_limit, conflict_reason) = options.budget.conflict_limit();
     solver.set_conflict_budget(conflict_limit);
-    solver.set_deadline(budget.deadline_instant());
+    solver.set_deadline(options.budget.deadline_instant());
     let limit = k.min(instance.selectors.len());
     let enumerate_span = gatediag_obs::span("enumerate");
     'sizes: for size in 1..=limit {
@@ -190,10 +153,12 @@ pub fn basic_sat_diagnose(
         }
         let out =
             enumerate_positive_subsets(&mut solver, &instance.selectors, &assumptions, remaining);
-        for subset in out.solutions {
-            if solutions.is_empty() {
-                first_solution_time = build_time + enum_start.elapsed();
+        if solutions.is_empty() {
+            if let Some(found) = out.first_found {
+                first_solution_time = build_time + found.duration_since(enum_start);
             }
+        }
+        for subset in out.solutions {
             let mut gates: Vec<GateId> = subset
                 .iter()
                 .map(|v| instance.gate_of_selector(*v))
@@ -335,162 +300,12 @@ fn build_instance(
     }
 }
 
-/// The advanced two-pass flow (Sec. 2.3): first diagnose with muxes only at
-/// dominators (fan-out-free-region roots), then refine each hit region at
-/// gate granularity.
-///
-/// Returns the union of the refined runs' solutions, deduplicated and
-/// sorted. The refined pass instruments all gates of every region whose
-/// root occurred in a first-pass solution.
-pub fn two_pass_sat_diagnose(
-    circuit: &Circuit,
-    tests: &TestSet,
-    k: usize,
-    options: BsatOptions,
-) -> BsatResult {
-    let first = basic_sat_diagnose(
-        circuit,
-        tests,
-        k,
-        BsatOptions {
-            sites: SiteSelection::Dominators,
-            ..options.clone()
-        },
-    );
-    // Collect regions to refine.
-    let roots = ffr_roots(circuit);
-    let mut hit_roots = GateSet::new(circuit.len());
-    for sol in &first.solutions {
-        for &g in sol {
-            hit_roots.insert(g);
-        }
-    }
-    let mut refined_sites = GateSet::new(circuit.len());
-    for (id, g) in circuit.iter() {
-        if !g.kind().is_source() && hit_roots.contains(roots[id.index()]) {
-            refined_sites.insert(id);
-        }
-    }
-    let sites: Vec<GateId> = refined_sites.iter().collect();
-    let mut second = basic_sat_diagnose(
-        circuit,
-        tests,
-        k,
-        BsatOptions {
-            sites: SiteSelection::Custom(sites),
-            ..options
-        },
-    );
-    second.build_time += first.build_time;
-    second.total_time += first.total_time;
-    // Phases in run order: the dominator pass ran first, so its reason
-    // wins ties (see `Truncation::merge`).
-    second.truncation = Truncation::merge(first.truncation, second.truncation);
-    second.complete = second.truncation.is_none();
-    second
-}
-
-/// When diagnosis with bound `k` is infeasible, explains why: returns a
-/// subset of test indices that *jointly* admit no correction of size ≤ k
-/// (an unsat core over the tests; not necessarily minimal).
-///
-/// Returns `None` when the tests are diagnosable with bound `k` (a
-/// correction exists). Useful when `k` was under-estimated: the core
-/// pinpoints the tests proving that more (or different) gates must change.
-pub fn conflicting_test_core(
-    circuit: &Circuit,
-    tests: &TestSet,
-    k: usize,
-    options: &BsatOptions,
-) -> Option<Vec<usize>> {
-    let sites = resolve_sites(circuit, &options.sites);
-    let mut solver = Solver::new();
-    let inst = Instrumentation::new(&mut solver, circuit, &sites);
-    // One activation literal per test; all test constraints are guarded so
-    // the solver can tell us which subset conflicts.
-    let mut activators = Vec::with_capacity(tests.len());
-    for test in tests {
-        let a = gatediag_cnf::ClauseSink::new_var(&mut solver);
-        let copy = encode_instrumented_copy(&mut solver, circuit, &inst, options.encoding);
-        for (&pi, &v) in circuit.inputs().iter().zip(&test.vector) {
-            solver.add_clause(&[a.negative(), copy.vars.lit(pi, v)]);
-        }
-        solver.add_clause(&[a.negative(), copy.vars.lit(test.output, test.expected)]);
-        activators.push(a);
-    }
-    let selectors = inst.select_vars();
-    let mut assumptions: Vec<Lit> = activators.iter().map(|a| a.positive()).collect();
-    if !selectors.is_empty() {
-        let lits: Vec<Lit> = selectors.iter().map(|v| v.positive()).collect();
-        let totalizer = Totalizer::new(&mut solver, &lits, k.min(selectors.len()));
-        assumptions.extend(totalizer.at_most(k.min(selectors.len())));
-    }
-    match solver.solve(&assumptions) {
-        gatediag_sat::SolveResult::Sat => None,
-        _ => {
-            let failed = solver.failed_assumptions();
-            let core: Vec<usize> = activators
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| failed.contains(&a.positive()))
-                .map(|(i, _)| i)
-                .collect();
-            Some(core)
-        }
-    }
-}
-
-/// The advanced test-set partitioning heuristic (Sec. 2.3): diagnose with a
-/// first chunk of `partition_size` tests (a much smaller SAT instance),
-/// then keep only candidates that an exact validity check (auto-dispatched
-/// between the sim and SAT oracles, screened in parallel per
-/// [`BsatOptions::parallelism`]) confirms against the *full* test-set.
-///
-/// Sound (every returned solution is a valid correction for all tests) but
-/// not complete: a correction that is not irredundant on the first chunk
-/// can be missed. The speed/completeness trade-off is measured in the
-/// ablation benchmarks.
-pub fn partitioned_sat_diagnose(
-    circuit: &Circuit,
-    tests: &TestSet,
-    k: usize,
-    partition_size: usize,
-    options: BsatOptions,
-) -> BsatResult {
-    assert!(partition_size > 0, "partition size must be positive");
-    if tests.len() <= partition_size {
-        return basic_sat_diagnose(circuit, tests, k, options);
-    }
-    let chunk = tests.prefix_at_most(partition_size);
-    let parallelism = options.parallelism;
-    let mut result = basic_sat_diagnose(circuit, &chunk, k, options);
-    let verify_start = Instant::now();
-    // Full-test-set validation of the chunk's candidates: independent per
-    // candidate set, screened across workers with the auto-dispatching
-    // oracle (verdicts are exact, so the retained list is bit-identical
-    // for every worker count).
-    let screen = screen_valid_corrections(
-        circuit,
-        tests,
-        &result.solutions,
-        parallelism,
-        ValidityBackend::Auto,
-        &Budget::default(),
-    );
-    let mut keep = screen.verdicts.iter();
-    result
-        .solutions
-        .retain(|_| *keep.next().expect("verdict per solution"));
-    result.total_time += verify_start.elapsed();
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_set::generate_failing_tests;
+    use crate::test_set::{generate_failing_tests, Test};
     use crate::validity::is_valid_correction;
-    use gatediag_netlist::{c17, inject_errors, RandomCircuitSpec};
+    use gatediag_netlist::{inject_errors, CircuitBuilder, RandomCircuitSpec};
 
     fn setup(seed: u64, p: usize, m: usize) -> (Circuit, Circuit, TestSet) {
         let golden = RandomCircuitSpec::new(6, 3, 40).seed(seed).generate();
@@ -611,46 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn dominator_sites_are_subset_of_all_gates() {
-        let c = c17();
-        let all = resolve_sites(&c, &SiteSelection::AllGates);
-        let dom = resolve_sites(&c, &SiteSelection::Dominators);
-        assert!(!dom.is_empty());
-        assert!(dom.len() <= all.len());
-        for d in &dom {
-            assert!(all.contains(d));
-        }
-    }
-
-    #[test]
-    fn two_pass_finds_valid_corrections() {
-        let (_, faulty, tests) = setup(5, 1, 6);
-        if tests.is_empty() {
-            return;
-        }
-        let refined = two_pass_sat_diagnose(&faulty, &tests, 2, BsatOptions::default());
-        assert!(!refined.solutions.is_empty());
-        for sol in &refined.solutions {
-            assert!(is_valid_correction(&faulty, &tests, sol));
-        }
-    }
-
-    #[test]
-    fn partitioning_is_sound() {
-        let (_, faulty, tests) = setup(11, 1, 8);
-        if tests.len() < 8 {
-            return;
-        }
-        let part = partitioned_sat_diagnose(&faulty, &tests, 2, 4, BsatOptions::default());
-        for sol in &part.solutions {
-            assert!(
-                is_valid_correction(&faulty, &tests, sol),
-                "partitioned diagnosis returned invalid {sol:?}"
-            );
-        }
-    }
-
-    #[test]
     fn max_solutions_truncates() {
         let (_, faulty, tests) = setup(2, 2, 6);
         if tests.is_empty() {
@@ -670,44 +445,36 @@ mod tests {
     }
 
     #[test]
-    fn conflicting_core_is_none_when_diagnosable() {
-        let (_, faulty, tests) = setup(4, 1, 6);
-        if tests.is_empty() {
-            return;
+    fn first_solution_time_is_the_first_model() {
+        // A 300-buffer chain with two failing tests: each buffer alone is
+        // a valid correction, so the k = 1 layer holds 300 solutions, one
+        // solve each. Table 2's "One" is the time to the first of them,
+        // not to the end of the layer.
+        let mut b = CircuitBuilder::new();
+        let mut x = b.input("a");
+        for i in 0..300 {
+            x = b.gate(GateKind::Buf, vec![x], format!("n{i}"));
         }
-        // k = 1 with a single injected error: always diagnosable.
-        assert_eq!(
-            conflicting_test_core(&faulty, &tests, 1, &BsatOptions::default()),
-            None
+        b.output(x);
+        let chain = b.finish().unwrap();
+        let tests = TestSet::new(
+            [false, true]
+                .into_iter()
+                .map(|a| Test {
+                    vector: vec![a],
+                    output: x,
+                    expected: !a,
+                })
+                .collect(),
         );
-    }
-
-    #[test]
-    fn conflicting_core_explains_infeasibility() {
-        // Find a 2-error workload where no single-gate correction exists.
-        for seed in 0..30 {
-            let golden = RandomCircuitSpec::new(6, 3, 40).seed(seed).generate();
-            let (faulty, _) = inject_errors(&golden, 2, seed);
-            let tests = generate_failing_tests(&golden, &faulty, 8, seed, 8192);
-            if tests.len() < 2 {
-                continue;
-            }
-            let k1 = basic_sat_diagnose(&faulty, &tests, 1, BsatOptions::default());
-            if !k1.solutions.is_empty() {
-                continue; // diagnosable at k=1, try another seed
-            }
-            let core = conflicting_test_core(&faulty, &tests, 1, &BsatOptions::default())
-                .expect("infeasible at k=1 must yield a core");
-            assert!(core.len() >= 2, "a single test is always rectifiable");
-            // The core tests alone are already infeasible at k = 1.
-            let core_tests: TestSet = core.iter().map(|&i| tests.tests()[i].clone()).collect();
-            let sub = basic_sat_diagnose(&faulty, &core_tests, 1, BsatOptions::default());
-            assert!(
-                sub.solutions.is_empty(),
-                "seed {seed}: core {core:?} is not actually conflicting"
-            );
-            return; // one good case suffices
-        }
+        let r = basic_sat_diagnose(&chain, &tests, 1, BsatOptions::default());
+        assert_eq!(r.solutions.len(), 300);
+        let first = r.first_solution_time - r.build_time;
+        let enumeration = r.total_time - r.build_time;
+        assert!(
+            first < enumeration / 2,
+            "first solution at {first:?} of a {enumeration:?} enumeration"
+        );
     }
 
     #[test]

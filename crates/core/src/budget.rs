@@ -134,17 +134,6 @@ impl Budget {
         self
     }
 
-    /// This budget with `extra` folded into the conflict limit (the
-    /// smaller of the two wins). Lets `run_engine` merge the legacy
-    /// `conflict_budget` knob with `Budget::conflicts`.
-    pub fn merge_conflicts(mut self, extra: Option<u64>) -> Budget {
-        self.conflicts = match (self.conflicts, extra) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self
-    }
-
     /// The element-wise intersection of this budget with `other`: the
     /// smaller of each pair of limits wins, the anchor is kept (falling
     /// back to `other`'s). Phases with their own sub-budget (the testgen
@@ -382,22 +371,6 @@ mod tests {
         assert_eq!(
             b(Some(9), Some(7)).conflict_limit(),
             (Some(7), Truncation::Conflicts)
-        );
-    }
-
-    #[test]
-    fn merge_conflicts_takes_the_smaller_limit() {
-        let budget = Budget {
-            work: Some(10),
-            conflicts: Some(100),
-            ..Budget::default()
-        };
-        assert_eq!(budget.merge_conflicts(Some(50)).conflicts, Some(50));
-        assert_eq!(budget.merge_conflicts(Some(200)).conflicts, Some(100));
-        assert_eq!(budget.merge_conflicts(None).conflicts, Some(100));
-        assert_eq!(
-            Budget::default().merge_conflicts(Some(3)).conflicts,
-            Some(3)
         );
     }
 

@@ -611,10 +611,10 @@ fn enumerate_cover_branch(
             break;
         }
         let out = enumerate_positive_subsets(&mut solver, &base.selectors, &assumptions, remaining);
+        if solutions.is_empty() {
+            first_elapsed = out.first_found.map(|t| t.duration_since(enum_start));
+        }
         for subset in out.solutions {
-            if solutions.is_empty() {
-                first_elapsed = Some(enum_start.elapsed());
-            }
             solutions.push(subset.iter().map(|v| base.gate_of[v.index()]).collect());
         }
         if !out.complete {

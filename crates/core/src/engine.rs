@@ -134,14 +134,11 @@ pub struct EngineConfig {
     pub k: usize,
     /// Enumeration cap; `complete = false` when hit.
     pub max_solutions: usize,
-    /// Conflict budget for every SAT search the run performs — including
-    /// the [`EngineKind::Auto`] validity screen's SAT backend (`None` =
-    /// unlimited). Folded into [`EngineConfig::budget`]'s conflict limit
-    /// (the smaller wins).
-    pub conflict_budget: Option<u64>,
-    /// Cooperative work/deadline budget (see [`crate::budget`]): the
-    /// deterministic work limit counts engine-defined units and keeps
-    /// truncated runs bit-identical across worker counts; the wall
+    /// Cooperative budget (see [`crate::budget`]): the deterministic
+    /// work limit counts engine-defined units and keeps truncated runs
+    /// bit-identical across worker counts; [`Budget::conflicts`] caps
+    /// every SAT search the run performs, including the
+    /// [`EngineKind::Auto`] validity screen's SAT backend; the wall
     /// deadline is opt-in and nondeterministic. Anchored once at
     /// [`run_engine`] entry so composite engines race one deadline.
     pub budget: Budget,
@@ -173,7 +170,6 @@ impl Default for EngineConfig {
         EngineConfig {
             k: 1,
             max_solutions: 10_000,
-            conflict_budget: None,
             budget: Budget::default(),
             validity_backend: ValidityBackend::default(),
             parallelism: Parallelism::default(),
@@ -231,17 +227,13 @@ fn union_of(circuit: &Circuit, solutions: &[Vec<GateId>]) -> Vec<GateId> {
 }
 
 /// Resolves the run budget shared by [`run_engine`] and
-/// [`run_sequential_engine`]: the legacy conflict knob folds in, the
-/// anchor is set once so every phase races the same wall deadline, and
+/// [`run_sequential_engine`]: the anchor is set once so every phase races the same wall deadline, and
 /// chaos injection happens before any engine work — an injected failure
 /// can never leave a half-updated result behind, and the budget
 /// mutations flow through the ordinary preemption machinery rather than
 /// a parallel code path.
 fn armed_budget(engine: EngineKind, config: &EngineConfig) -> Budget {
-    let mut budget = config
-        .budget
-        .merge_conflicts(config.conflict_budget)
-        .anchored(Instant::now());
+    let mut budget = config.budget.anchored(Instant::now());
     match config.chaos.decide() {
         None => {}
         Some(ChaosEvent::Panic) => {
@@ -790,8 +782,8 @@ mod tests {
 
     #[test]
     fn auto_engine_respects_the_conflict_budget() {
-        // Regression: `EngineKind::Auto` dropped
-        // `EngineConfig::conflict_budget` entirely — campaign `auto`
+        // Regression: `EngineKind::Auto` dropped the conflict budget
+        // entirely — campaign `auto`
         // instances had no runaway guard. Find a workload whose SAT
         // validity screen really conflicts, then pin a 1-conflict budget:
         // the screen must give up (truncation = conflicts, run
@@ -823,7 +815,10 @@ mod tests {
                 &EngineConfig {
                     k: 2,
                     validity_backend: ValidityBackend::Sat,
-                    conflict_budget: Some(1),
+                    budget: Budget {
+                        conflicts: Some(1),
+                        ..Budget::default()
+                    },
                     ..EngineConfig::default()
                 },
             );
@@ -841,7 +836,10 @@ mod tests {
                 &EngineConfig {
                     k: 2,
                     validity_backend: ValidityBackend::Sat,
-                    conflict_budget: Some(1),
+                    budget: Budget {
+                        conflicts: Some(1),
+                        ..Budget::default()
+                    },
                     ..EngineConfig::default()
                 },
             );

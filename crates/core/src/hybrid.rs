@@ -2,25 +2,18 @@
 //! technique").
 //!
 //! The paper's closing observation: BSIM/COV are fast and usually land
-//! *near* the real error, while BSAT is exact but slow. Two hybrid levers
-//! follow directly:
-//!
-//! 1. [`hybrid_seeded_bsat`] — run BSIM first and *tune the SAT solver's
-//!    decision heuristic* with the path-tracing mark counts: select
-//!    variables of frequently marked gates get VSIDS bumps and a
-//!    "selected" phase, steering the search towards likely corrections
-//!    without changing the solution space.
-//! 2. [`repair_correction`] — take an initial (possibly invalid)
-//!    correction, e.g. a COV cover, and *turn it into a valid correction*
-//!    with SAT: restrict the multiplexer sites to a structural
-//!    neighbourhood of the seed and grow the radius until a valid
-//!    correction exists.
+//! *near* the real error, while BSAT is exact but slow. The lever kept
+//! here is [`hybrid_seeded_bsat`]: run BSIM first and *tune the SAT
+//! solver's decision heuristic* with the path-tracing mark counts. Select
+//! variables of frequently marked gates get VSIDS bumps and a "selected"
+//! phase, steering the search towards likely corrections without changing
+//! the solution space. [`EngineKind::Hybrid`](crate::EngineKind::Hybrid)
+//! runs it.
 
-use crate::bsat::{basic_sat_diagnose, BsatOptions, BsatResult, SiteSelection};
+use crate::bsat::{basic_sat_diagnose, BsatOptions, BsatResult};
 use crate::bsim::{basic_sim_diagnose, BsimOptions};
 use crate::test_set::TestSet;
-use gatediag_netlist::{Circuit, GateId, GateSet};
-use std::collections::VecDeque;
+use gatediag_netlist::{Circuit, GateId};
 
 /// BSIM-seeded SAT diagnosis: identical solution space to
 /// [`basic_sat_diagnose`], with the decision heuristic primed by path
@@ -58,94 +51,10 @@ pub fn hybrid_seeded_bsat(
     basic_sat_diagnose(circuit, tests, k, BsatOptions { hints, ..options })
 }
 
-/// Result of a [`repair_correction`] run.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RepairOutcome {
-    /// The valid corrections found (possibly the seed itself).
-    pub solutions: Vec<Vec<GateId>>,
-    /// The neighbourhood radius at which a correction was found (0 means
-    /// the seed's own gates sufficed).
-    pub radius: usize,
-    /// Number of multiplexer sites in the final restricted instance.
-    pub sites_used: usize,
-}
-
-/// Repairs an initial candidate set into valid corrections by SAT over a
-/// growing structural neighbourhood.
-///
-/// Starting from `seed` (e.g. a COV cover that failed validation), the
-/// multiplexer sites are the gates within BFS radius `r` of the seed in
-/// the undirected gate graph, for `r = 0, 1, …, max_radius`. The first
-/// radius whose restricted BSAT instance has solutions (with the given
-/// `k`) wins. Returns `None` if even the largest neighbourhood cannot
-/// rectify the tests.
-pub fn repair_correction(
-    circuit: &Circuit,
-    tests: &TestSet,
-    seed: &[GateId],
-    k: usize,
-    max_radius: usize,
-    options: BsatOptions,
-) -> Option<RepairOutcome> {
-    // BFS distances from the seed over the undirected gate graph.
-    let mut dist = vec![usize::MAX; circuit.len()];
-    let mut queue = VecDeque::new();
-    for &g in seed {
-        dist[g.index()] = 0;
-        queue.push_back(g);
-    }
-    while let Some(id) = queue.pop_front() {
-        let d = dist[id.index()];
-        let neighbours = circuit
-            .gate(id)
-            .fanins()
-            .iter()
-            .copied()
-            .chain(circuit.fanouts(id).iter().copied());
-        for n in neighbours {
-            if dist[n.index()] == usize::MAX {
-                dist[n.index()] = d + 1;
-                queue.push_back(n);
-            }
-        }
-    }
-    for radius in 0..=max_radius {
-        let mut sites = GateSet::new(circuit.len());
-        for (id, g) in circuit.iter() {
-            if !g.kind().is_source() && dist[id.index()] <= radius {
-                sites.insert(id);
-            }
-        }
-        let site_list: Vec<GateId> = sites.iter().collect();
-        if site_list.is_empty() {
-            continue;
-        }
-        let result = basic_sat_diagnose(
-            circuit,
-            tests,
-            k,
-            BsatOptions {
-                sites: SiteSelection::Custom(site_list.clone()),
-                ..options.clone()
-            },
-        );
-        if !result.solutions.is_empty() {
-            return Some(RepairOutcome {
-                solutions: result.solutions,
-                radius,
-                sites_used: site_list.len(),
-            });
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cov::{sc_diagnose, CovOptions};
     use crate::test_set::generate_failing_tests;
-    use crate::validity::is_valid_correction;
     use gatediag_netlist::{inject_errors, RandomCircuitSpec};
 
     #[test]
@@ -160,74 +69,6 @@ mod tests {
             let plain = basic_sat_diagnose(&faulty, &tests, 2, BsatOptions::default());
             let seeded = hybrid_seeded_bsat(&faulty, &tests, 2, BsatOptions::default());
             assert_eq!(plain.solutions, seeded.solutions, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn repair_turns_cover_into_valid_correction() {
-        for seed in 0..5 {
-            let golden = RandomCircuitSpec::new(6, 3, 40).seed(seed).generate();
-            let (faulty, _) = inject_errors(&golden, 1, seed);
-            let tests = generate_failing_tests(&golden, &faulty, 6, seed, 8192);
-            if tests.is_empty() {
-                continue;
-            }
-            let cov = sc_diagnose(&faulty, &tests, 1, CovOptions::default());
-            let Some(first_cover) = cov.solutions.first() else {
-                continue;
-            };
-            let outcome =
-                repair_correction(&faulty, &tests, first_cover, 2, 6, BsatOptions::default());
-            let outcome = outcome.expect("a repair must exist within radius 6");
-            for sol in &outcome.solutions {
-                assert!(
-                    is_valid_correction(&faulty, &tests, sol),
-                    "seed {seed}: repair produced invalid {sol:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn repair_radius_zero_when_seed_is_valid() {
-        let golden = RandomCircuitSpec::new(6, 3, 40).seed(1).generate();
-        let (faulty, sites) = inject_errors(&golden, 1, 1);
-        let tests = generate_failing_tests(&golden, &faulty, 6, 1, 8192);
-        if tests.is_empty() {
-            return;
-        }
-        let outcome = repair_correction(
-            &faulty,
-            &tests,
-            &[sites[0].gate],
-            1,
-            3,
-            BsatOptions::default(),
-        )
-        .expect("seed is already valid");
-        assert_eq!(outcome.radius, 0);
-        assert!(outcome.solutions.contains(&vec![sites[0].gate]));
-    }
-
-    #[test]
-    fn repair_gives_none_when_radius_insufficient() {
-        // Seed far from the error with radius 0: generally unable to
-        // rectify (unless the seed gate dominates the output).
-        let golden = RandomCircuitSpec::new(8, 3, 80).seed(3).generate();
-        let (faulty, sites) = inject_errors(&golden, 1, 3);
-        let tests = generate_failing_tests(&golden, &faulty, 8, 3, 8192);
-        if tests.is_empty() {
-            return;
-        }
-        // Find a functional gate that cannot alone rectify.
-        let hopeless = faulty.iter().find(|(id, g)| {
-            !g.kind().is_source()
-                && *id != sites[0].gate
-                && !is_valid_correction(&faulty, &tests, &[*id])
-        });
-        if let Some((id, _)) = hopeless {
-            let outcome = repair_correction(&faulty, &tests, &[id], 1, 0, BsatOptions::default());
-            assert!(outcome.is_none());
         }
     }
 }

@@ -2,19 +2,24 @@
 //! Simulation-based and SAT-based Diagnosis" (Fey, Safarpour, Veneris,
 //! Drechsler — DATE 2006).
 //!
-//! Given a faulty circuit and a set of failing [`Test`]s, three basic
-//! engines locate candidate error gates:
+//! Given a faulty circuit and a set of failing [`Test`]s, the engines
+//! locate candidate error gates. The first three are the paper's basic
+//! engines; every row is an [`EngineKind`], named as on the command line:
 //!
 //! | engine | function | guarantees | paper |
 //! |--------|----------|------------|-------|
-//! | BSIM | [`basic_sim_diagnose`] | marks sensitised paths, no validity | Fig. 1 |
-//! | COV | [`sc_diagnose`] | irredundant covers ≤ k, no validity | Fig. 4 |
-//! | BSAT | [`basic_sat_diagnose`] | exactly all irredundant *valid* corrections ≤ k | Fig. 3 |
+//! | `bsim` | [`basic_sim_diagnose`] | marks sensitised paths, no validity | Fig. 1 |
+//! | `cov` | [`sc_diagnose`] | irredundant covers ≤ k, no validity | Fig. 4 |
+//! | `bsat` | [`basic_sat_diagnose`] | exactly all irredundant *valid* corrections ≤ k | Fig. 3 |
+//! | `hybrid` | [`hybrid_seeded_bsat`] | BSAT's solutions, search seeded by BSIM marks | Sec. 6 |
+//! | `auto` | COV, then [`screen_valid_corrections`] | the valid COV covers | Theorem 2 |
+//! | `seq-bsim`, `seq-bsat` | [`sequential_sim_diagnose`], [`sequential_sat_diagnose`] | BSIM and BSAT over time frames | |
 //!
-//! plus the advanced variants the paper discusses (dominator two-pass and
-//! test-set partitioning for SAT, [`sim_backtrack_diagnose`] with
-//! resimulation effect analysis for simulation) and the Sec. 6 hybrids
-//! ([`hybrid_seeded_bsat`], [`repair_correction`]).
+//! [`run_engine`] and [`run_sequential_engine`] run an engine by its
+//! kind; `diagnose`, `campaign` and `serve` reach the engines only
+//! through them. The paper's advanced simulation variant,
+//! [`sim_backtrack_diagnose`] (backtracking with resimulation effect
+//! analysis), has no engine kind yet.
 //!
 //! One exact validity oracle, [`ValidityOracle`], with two backends
 //! (forced-value simulation and SAT, picked per call from `|C|` and cone
@@ -39,13 +44,11 @@
 //!
 //! # Examples
 //!
-//! Diagnose a 3-gate circuit end to end: path-trace candidates, validate
-//! them, and recover the concrete repair.
+//! Diagnose a 3-gate circuit end to end: path-trace candidates, then
+//! validate them.
 //!
 //! ```
-//! use gatediag_core::{
-//!     basic_sim_diagnose, find_kind_repairs, is_valid_correction, BsimOptions, Test, TestSet,
-//! };
+//! use gatediag_core::{basic_sim_diagnose, is_valid_correction, BsimOptions, Test, TestSet};
 //! use gatediag_netlist::{CircuitBuilder, GateKind};
 //!
 //! // A 3-gate faulty design: y = AND(NOT(a), b) where the golden design
@@ -66,11 +69,8 @@
 //! // BSIM marks candidates along sensitised paths from y.
 //! let marked = basic_sim_diagnose(&faulty, &tests, BsimOptions::default());
 //! assert!(marked.union.contains(y));
-//! // The faulty gate alone is a valid correction, and library
-//! // resynthesis recovers OR as one concrete repair.
+//! // The faulty gate alone is a valid correction.
 //! assert!(is_valid_correction(&faulty, &tests, &[y]));
-//! let repairs = find_kind_repairs(&faulty, &tests, &[y]);
-//! assert!(repairs.contains(&vec![(y, GateKind::Or)]));
 //! ```
 //!
 //! SAT-based diagnosis on the paper's workloads:
@@ -101,7 +101,6 @@ mod engine;
 mod hybrid;
 pub mod paper_examples;
 mod quality;
-mod repair;
 mod sequential;
 pub mod session;
 mod sim_backtrack;
@@ -110,10 +109,7 @@ pub mod testgen;
 mod validity;
 
 pub use bruteforce::brute_force_diagnose;
-pub use bsat::{
-    basic_sat_diagnose, conflicting_test_core, partitioned_sat_diagnose, two_pass_sat_diagnose,
-    BsatOptions, BsatResult, SiteSelection,
-};
+pub use bsat::{basic_sat_diagnose, BsatOptions, BsatResult};
 pub use bsim::{
     basic_sim_diagnose, path_trace, path_trace_packed, BsimOptions, BsimResult, MarkPolicy,
 };
@@ -121,12 +117,8 @@ pub use budget::{Budget, BudgetMeter, Truncation};
 pub use chaos::{ChaosConfig, ChaosEvent, ChaosPolicy};
 pub use cov::{cover_all, sc_diagnose, CovEngine, CovOptions, CovResult};
 pub use engine::{run_engine, run_sequential_engine, EngineConfig, EngineKind, EngineRun};
-pub use hybrid::{hybrid_seeded_bsat, repair_correction, RepairOutcome};
+pub use hybrid::hybrid_seeded_bsat;
 pub use quality::{bsim_quality, solution_quality, BsimQuality, SolutionQuality};
-pub use repair::{
-    correction_observations, find_kind_repairs, find_kind_repairs_par, FunctionObservation,
-    KindRepair,
-};
 pub use sequential::{
     generate_failing_sequences, is_valid_sequential_correction, real_inputs,
     sequence_tests_to_unrolled, sequential_sat_diagnose, sequential_sim_diagnose,

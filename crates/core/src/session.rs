@@ -219,7 +219,8 @@ impl DiagnoseRequest {
     }
 
     /// Builds the one [`EngineConfig`] every front door uses: `k`
-    /// defaults to `p`, the budget carries the work/deadline limits, and
+    /// defaults to `p`, the budget carries the work, deadline and conflict
+    /// limits, and
     /// the test-generation phase gets the golden reference exactly when
     /// it is enabled.
     pub fn engine_config(
@@ -231,10 +232,10 @@ impl DiagnoseRequest {
         EngineConfig {
             k: self.k.unwrap_or(self.p),
             max_solutions: self.max_solutions,
-            conflict_budget: self.conflict_budget,
             budget: Budget {
                 work: self.work_budget,
                 deadline_ms: self.deadline_ms,
+                conflicts: self.conflict_budget,
                 ..Budget::default()
             },
             parallelism,

@@ -216,7 +216,10 @@ fn bsat_work_budget_acts_as_a_conflict_budget() {
             &small,
             2,
             BsatOptions {
-                conflict_budget: Some(1),
+                budget: Budget {
+                    conflicts: Some(1),
+                    ..Budget::default()
+                },
                 ..BsatOptions::default()
             },
         );

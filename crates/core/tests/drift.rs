@@ -1,17 +1,16 @@
 //! No-behavioral-drift guard for the packed/incremental hot-path rewrite.
 //!
-//! The BSIM batching, validity screening and repair enumeration were
-//! rewritten from per-test scalar simulation to `PackedSim` sweeps. These
+//! The BSIM batching and validity screening were rewritten from per-test scalar simulation to `PackedSim` sweeps. These
 //! tests pin the rewritten entry points against straightforward
 //! reimplementations of the seed's scalar algorithms: candidate sets,
 //! mark counts and verdicts must be *bit-identical* on the paper examples
 //! and on randomly generated circuits.
 
 use gatediag_core::{
-    basic_sim_diagnose, find_kind_repairs, generate_failing_tests, path_trace, BsimOptions,
-    BsimResult, MarkPolicy, Test, TestSet, ValidityBackend, ValidityOracle,
+    basic_sim_diagnose, generate_failing_tests, path_trace, BsimOptions, BsimResult, MarkPolicy,
+    Test, TestSet, ValidityBackend, ValidityOracle,
 };
-use gatediag_netlist::{c17, inject_errors, GateId, GateKind, GateSet, RandomCircuitSpec};
+use gatediag_netlist::{c17, inject_errors, GateId, GateSet, RandomCircuitSpec};
 use gatediag_sim::{simulate, simulate_forced};
 
 /// Validity by the forced-value simulation backend, one fresh oracle per
@@ -69,62 +68,6 @@ fn reference_validity(
     })
 }
 
-/// The seed's repair verifier: clone the circuit per assignment and
-/// scalar-simulate every test.
-fn reference_repairs(
-    circuit: &gatediag_netlist::Circuit,
-    tests: &TestSet,
-    correction: &[GateId],
-) -> Vec<Vec<(GateId, GateKind)>> {
-    let menus: Vec<Vec<GateKind>> = correction
-        .iter()
-        .map(|&g| {
-            GateKind::compatible_with_arity(circuit.gate(g).arity())
-                .iter()
-                .copied()
-                .filter(|&k| k != circuit.gate(g).kind())
-                .collect()
-        })
-        .collect();
-    let mut repairs = Vec::new();
-    let mut choice: Vec<usize> = vec![0; correction.len()];
-    loop {
-        let assignment: Vec<(GateId, GateKind)> = correction
-            .iter()
-            .zip(&choice)
-            .map(|(&g, &c)| {
-                (
-                    g,
-                    menus[correction.iter().position(|&x| x == g).unwrap()][c],
-                )
-            })
-            .collect();
-        let mut repaired = circuit.clone();
-        for &(g, kind) in &assignment {
-            repaired = repaired.with_gate_kind(g, kind);
-        }
-        let fixes_all = tests.iter().all(|t| {
-            let values = simulate(&repaired, &t.vector);
-            values[t.output.index()] == t.expected
-        });
-        if fixes_all {
-            repairs.push(assignment);
-        }
-        let mut pos = 0;
-        loop {
-            if pos == choice.len() {
-                return repairs;
-            }
-            choice[pos] += 1;
-            if choice[pos] < menus[pos].len() {
-                break;
-            }
-            choice[pos] = 0;
-            pos += 1;
-        }
-    }
-}
-
 fn workloads() -> Vec<(gatediag_netlist::Circuit, Vec<GateId>, TestSet)> {
     let mut out = Vec::new();
     // Paper example circuit.
@@ -137,7 +80,7 @@ fn workloads() -> Vec<(gatediag_netlist::Circuit, Vec<GateId>, TestSet)> {
         }
     }
     // Random circuits, 1-2 injected errors, enough tests to span
-    // multiple 64-lane words in the repair batch.
+    // multiple 64-lane words in the BSIM batch.
     for seed in 0..6u64 {
         let golden = RandomCircuitSpec::new(7, 3, 60).seed(seed).generate();
         let p = 1 + (seed as usize % 2);
@@ -252,73 +195,12 @@ fn validity_multiword_and_multibatch_paths_match_reference() {
 }
 
 #[test]
-fn repairs_are_bit_identical_to_scalar_reference() {
-    for (faulty, errors, tests) in workloads() {
-        let correction: Vec<GateId> = errors.iter().copied().take(2).collect();
-        let fast = find_kind_repairs(&faulty, &tests, &correction);
-        let reference = reference_repairs(&faulty, &tests, &correction);
-        assert_eq!(fast, reference, "repair drift at sites {correction:?}");
-    }
-}
-
-#[test]
-fn repairs_match_reference_on_non_error_sites() {
-    // Corrections that do NOT cover the real error sites usually admit no
-    // repair; the engines must agree on that too (enumeration order and
-    // all).
-    let golden = c17();
-    let (faulty, sites) = inject_errors(&golden, 1, 2);
-    let tests = generate_failing_tests(&golden, &faulty, 8, 2, 4096);
-    if tests.is_empty() {
-        return;
-    }
-    for (id, g) in faulty.iter() {
-        if g.kind().is_source() || sites.iter().any(|s| s.gate == id) {
-            continue;
-        }
-        let fast = find_kind_repairs(&faulty, &tests, &[id]);
-        let reference = reference_repairs(&faulty, &tests, &[id]);
-        assert_eq!(fast, reference, "repair drift at non-error site {id}");
-    }
-}
-
-#[test]
-fn repairs_on_constant_sites_match_reference() {
-    // path_trace marks constants as correctable candidates, so repair
-    // enumeration must handle Const0/Const1 correction sites exactly as
-    // the seed's clone-and-resimulate path did.
-    use gatediag_netlist::CircuitBuilder;
-    let mut b = CircuitBuilder::new();
-    let a = b.input("a");
-    let k = b.anon_gate(GateKind::Const0, vec![]);
-    let y = b.gate(GateKind::Or, vec![a, k], "y");
-    b.output(y);
-    let faulty = b.finish().unwrap();
-    // One failing test: with a = 0 the output should be 1 (as if the
-    // constant had been Const1 in the golden design).
-    let tests = TestSet::new(vec![Test {
-        vector: vec![false],
-        output: y,
-        expected: true,
-    }]);
-    let fast = find_kind_repairs(&faulty, &tests, &[k]);
-    let reference = reference_repairs(&faulty, &tests, &[k]);
-    assert_eq!(fast, reference);
-    assert_eq!(fast, vec![vec![(k, GateKind::Const1)]]);
-}
-
-#[test]
 fn empty_test_set_edge_cases_agree() {
     let c = c17();
     let empty = TestSet::default();
     let fast = basic_sim_diagnose(&c, &empty, BsimOptions::default());
     assert!(fast.candidate_sets.is_empty());
     assert!(sim_valid(&c, &empty, &[]));
-    let g = c.find("G16").unwrap();
-    assert_eq!(
-        find_kind_repairs(&c, &empty, &[g]),
-        reference_repairs(&c, &empty, &[g])
-    );
 }
 
 #[test]

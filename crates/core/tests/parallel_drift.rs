@@ -1,8 +1,7 @@
 //! Thread-count invariance for the parallel diagnosis layer.
 //!
 //! Every parallel entry point — sharded BSIM, the fanned-out backtrack
-//! search, the sharded repair enumeration and the batch validity screen
-//! — must be *bit-identical* to its sequential counterpart for every
+//! search and the batch validity screen — must be *bit-identical* to its sequential counterpart for every
 //! worker count, including degenerate cases (one worker, more workers
 //! than work items, empty work). These tests pin that contract
 //! explicitly; `proptest_parallel.rs` fuzzes it on random circuits. The
@@ -10,10 +9,9 @@
 //! solution cap and the agreement of the two engines.
 
 use gatediag_core::{
-    basic_sim_diagnose, cover_all, find_kind_repairs_par, generate_failing_tests, sc_diagnose,
-    screen_valid_corrections, sim_backtrack_diagnose, BsimOptions, Budget, CovEngine, CovOptions,
-    MarkPolicy, Parallelism, SimBacktrackOptions, TestSet, Truncation, ValidityBackend,
-    ValidityOracle,
+    basic_sim_diagnose, cover_all, generate_failing_tests, sc_diagnose, screen_valid_corrections,
+    sim_backtrack_diagnose, BsimOptions, Budget, CovEngine, CovOptions, MarkPolicy, Parallelism,
+    SimBacktrackOptions, TestSet, Truncation, ValidityBackend, ValidityOracle,
 };
 use gatediag_netlist::{c17, inject_errors, Circuit, GateId, RandomCircuitSpec};
 
@@ -185,29 +183,6 @@ fn sim_backtrack_max_solutions_truncation_is_identical() {
                     "truncated search drifted at {parallelism:?} (max {max_solutions})"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn kind_repairs_are_identical_for_all_worker_counts() {
-    for (faulty, errors, tests) in workloads() {
-        let correction: Vec<GateId> = errors.iter().copied().take(2).collect();
-        let sequential =
-            find_kind_repairs_par(&faulty, &tests, &correction, Parallelism::Sequential);
-        for parallelism in WORKER_SWEEP {
-            assert_eq!(
-                sequential,
-                find_kind_repairs_par(&faulty, &tests, &correction, parallelism),
-                "repair list drifted at {parallelism:?} for {correction:?}"
-            );
-        }
-        // Empty correction: the single empty assignment, every shard count.
-        for parallelism in WORKER_SWEEP {
-            assert_eq!(
-                find_kind_repairs_par(&faulty, &tests, &[], Parallelism::Sequential),
-                find_kind_repairs_par(&faulty, &tests, &[], parallelism)
-            );
         }
     }
 }

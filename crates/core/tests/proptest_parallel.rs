@@ -8,10 +8,10 @@
 //! surface as a mismatch.
 
 use gatediag_core::{
-    basic_sim_diagnose, find_kind_repairs_par, generate_failing_tests, sim_backtrack_diagnose,
-    BsimOptions, MarkPolicy, Parallelism, SimBacktrackOptions,
+    basic_sim_diagnose, generate_failing_tests, sim_backtrack_diagnose, BsimOptions, MarkPolicy,
+    Parallelism, SimBacktrackOptions,
 };
-use gatediag_netlist::{inject_errors, GateId, RandomCircuitSpec};
+use gatediag_netlist::{inject_errors, RandomCircuitSpec};
 use proptest::prelude::*;
 
 proptest! {
@@ -68,25 +68,6 @@ proptest! {
             parallelism: Parallelism::Fixed(workers),
             ..SimBacktrackOptions::default()
         });
-        prop_assert_eq!(sequential, parallel);
-    }
-
-    /// The sharded repair enumeration equals the sequential enumeration,
-    /// including the order of the repair list.
-    #[test]
-    fn parallel_repairs_equal_sequential(
-        seed in 0u64..500,
-        errors in 1usize..=2,
-        workers in 1usize..9,
-    ) {
-        let golden = RandomCircuitSpec::new(6, 3, 40).seed(seed).generate();
-        let (faulty, sites) = inject_errors(&golden, errors, seed);
-        let tests = generate_failing_tests(&golden, &faulty, 8, seed, 1 << 13);
-        let correction: Vec<GateId> = sites.iter().map(|s| s.gate).collect();
-        let sequential =
-            find_kind_repairs_par(&faulty, &tests, &correction, Parallelism::Sequential);
-        let parallel =
-            find_kind_repairs_par(&faulty, &tests, &correction, Parallelism::Fixed(workers));
         prop_assert_eq!(sequential, parallel);
     }
 }

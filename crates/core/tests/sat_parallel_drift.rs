@@ -2,8 +2,7 @@
 //!
 //! The SAT side fans out in two places: `basic_sat_diagnose` generates
 //! its per-test CNF copies on a worker pool (replayed into the solver in
-//! test order), and `screen_valid_corrections` (which
-//! `partitioned_sat_diagnose` verifies through) screens candidate sets
+//! test order), and `screen_valid_corrections` screens candidate sets
 //! with one validity oracle per worker. Both must produce *bit-identical
 //! diagnosis output* for every worker count, including the sequential
 //! path — these tests pin that contract the same way `parallel_drift.rs`
@@ -12,10 +11,9 @@
 //! `sc_diagnose` and check the cap on raw covering instances.
 
 use gatediag_core::{
-    basic_sat_diagnose, cover_all, generate_failing_tests, hybrid_seeded_bsat,
-    partitioned_sat_diagnose, sc_diagnose, screen_valid_corrections, two_pass_sat_diagnose,
-    BsatOptions, BsimOptions, Budget, CovEngine, CovOptions, Parallelism, TestSet, ValidityBackend,
-    ValidityOracle,
+    basic_sat_diagnose, cover_all, generate_failing_tests, hybrid_seeded_bsat, sc_diagnose,
+    screen_valid_corrections, BsatOptions, BsimOptions, Budget, CovEngine, CovOptions, Parallelism,
+    TestSet, ValidityBackend, ValidityOracle,
 };
 use gatediag_netlist::{inject_errors, Circuit, GateId, RandomCircuitSpec};
 
@@ -88,25 +86,6 @@ fn bsat_solutions_are_identical_for_all_worker_counts() {
 #[test]
 fn bsat_variants_are_worker_count_invariant() {
     for (faulty, _, tests) in workloads() {
-        let baseline_two_pass = two_pass_sat_diagnose(
-            &faulty,
-            &tests,
-            2,
-            BsatOptions {
-                parallelism: Parallelism::Sequential,
-                ..BsatOptions::default()
-            },
-        );
-        let baseline_part = partitioned_sat_diagnose(
-            &faulty,
-            &tests,
-            2,
-            4,
-            BsatOptions {
-                parallelism: Parallelism::Sequential,
-                ..BsatOptions::default()
-            },
-        );
         let baseline_hybrid = hybrid_seeded_bsat(
             &faulty,
             &tests,
@@ -121,16 +100,6 @@ fn bsat_variants_are_worker_count_invariant() {
                 parallelism,
                 ..BsatOptions::default()
             };
-            assert_eq!(
-                two_pass_sat_diagnose(&faulty, &tests, 2, options.clone()).solutions,
-                baseline_two_pass.solutions,
-                "two-pass drifted at {parallelism:?}"
-            );
-            assert_eq!(
-                partitioned_sat_diagnose(&faulty, &tests, 2, 4, options.clone()).solutions,
-                baseline_part.solutions,
-                "partitioned drifted at {parallelism:?}"
-            );
             assert_eq!(
                 hybrid_seeded_bsat(&faulty, &tests, 2, options).solutions,
                 baseline_hybrid.solutions,

@@ -1,15 +1,9 @@
-//! Structural analyses: cones, fan-out-free regions, dominators and
-//! distances.
+//! Structural analyses: gate sets, cones and distances.
 //!
-//! These back two parts of the reproduction:
-//!
-//! * the *quality metrics* of Table 3 need the shortest structural distance
-//!   from a candidate gate to the nearest injected error site
-//!   ([`undirected_distances`]);
-//! * the *advanced SAT-based approach* (Sec. 2.3 of the paper) inserts
-//!   correction multiplexers only at dominators in a first pass —
-//!   fan-out-free region roots dominate their region, which
-//!   [`ffr_roots`] computes.
+//! The cones bound what a fault or a correction can reach
+//! ([`fanin_cone`], [`fanout_cone`]); the *quality metrics* of Table 3
+//! need the shortest structural distance from a candidate gate to the
+//! nearest injected error site ([`undirected_distances`]).
 
 use crate::circuit::Circuit;
 use crate::gate::GateId;
@@ -187,101 +181,6 @@ pub fn undirected_distances(circuit: &Circuit, sources: &[GateId]) -> Vec<u32> {
     dist
 }
 
-/// Fan-out-free region root of every gate.
-///
-/// `roots[g]` is the nearest transitive fan-out of `g` (possibly `g` itself)
-/// that has fan-out ≠ 1 or is a primary output. Every path from `g` to a
-/// primary output passes through `roots[g]`, i.e. the root *dominates* its
-/// region — the property the advanced SAT-based diagnosis exploits when it
-/// instruments only dominators in its first pass.
-pub fn ffr_roots(circuit: &Circuit) -> Vec<GateId> {
-    let mut roots: Vec<GateId> = (0..circuit.len()).map(GateId::new).collect();
-    // Reverse topological order: fan-outs are finalised before fan-ins.
-    for &id in circuit.topo_order().iter().rev() {
-        let fanouts = circuit.fanouts(id);
-        if fanouts.len() == 1 && !circuit.is_output(id) {
-            roots[id.index()] = roots[fanouts[0].index()];
-        } else {
-            roots[id.index()] = id;
-        }
-    }
-    roots
-}
-
-/// Immediate dominators of each gate towards the primary outputs.
-///
-/// The graph is viewed with a virtual sink fed by every primary output;
-/// `idom[g]` is the unique gate through which every `g`→output path passes
-/// first (or `None` when the only common dominator is the virtual sink).
-/// Iterative Cooper–Harvey–Kennedy over the reverse DAG.
-pub fn output_idoms(circuit: &Circuit) -> Vec<Option<GateId>> {
-    let n = circuit.len();
-    // Process in reverse topo order so "predecessors" (fanouts) are done first.
-    let order: Vec<GateId> = circuit.topo_order().iter().rev().copied().collect();
-    let mut rank = vec![0usize; n]; // position in `order`
-    for (i, &id) in order.iter().enumerate() {
-        rank[id.index()] = i;
-    }
-    const SINK: usize = usize::MAX;
-    let mut idom: Vec<Option<usize>> = vec![None; n]; // rank-based, SINK = virtual sink
-
-    let intersect = |idom: &Vec<Option<usize>>, mut a: usize, mut b: usize| -> usize {
-        // Walk up the dominator tree in rank space; sink dominates everything.
-        while a != b {
-            if a == SINK {
-                return SINK;
-            }
-            if b == SINK {
-                return SINK;
-            }
-            while a > b {
-                match idom[order[a].index()] {
-                    Some(x) => a = x,
-                    None => return SINK,
-                }
-                if a == SINK {
-                    return SINK;
-                }
-            }
-            while b > a {
-                match idom[order[b].index()] {
-                    Some(x) => b = x,
-                    None => return SINK,
-                }
-                if b == SINK {
-                    return SINK;
-                }
-            }
-        }
-        a
-    };
-
-    // DAG: a single pass in reverse-topo order converges.
-    for (i, &id) in order.iter().enumerate() {
-        let mut new_idom: Option<usize> = None;
-        if circuit.is_output(id) {
-            new_idom = Some(SINK);
-        }
-        for &f in circuit.fanouts(id) {
-            let p = rank[f.index()];
-            // Predecessor in reversed graph; processed already since DAG.
-            new_idom = Some(match new_idom {
-                None => p,
-                Some(cur) => intersect(&idom, cur, p),
-            });
-        }
-        idom[id.index()] = new_idom;
-        let _ = i;
-    }
-
-    idom.into_iter()
-        .map(|d| match d {
-            Some(SINK) | None => None,
-            Some(r) => Some(order[r]),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,76 +275,5 @@ mod tests {
         let c = b.finish().unwrap();
         let d = undirected_distances(&c, &[a]);
         assert_eq!(d[x.index()], u32::MAX);
-    }
-
-    #[test]
-    fn ffr_roots_chain_and_stem() {
-        // a -> n1 -> n2 -> out (chain), a also feeds n3 (stem at a)
-        let mut b = CircuitBuilder::new();
-        let a = b.input("a");
-        let n1 = b.gate(GateKind::Not, vec![a], "n1");
-        let n2 = b.gate(GateKind::Not, vec![n1], "n2");
-        let n3 = b.gate(GateKind::Buf, vec![a], "n3");
-        b.output(n2);
-        b.output(n3);
-        let c = b.finish().unwrap();
-        let roots = ffr_roots(&c);
-        assert_eq!(roots[n1.index()], n2); // chain collapses into its PO
-        assert_eq!(roots[n2.index()], n2);
-        assert_eq!(roots[a.index()], a); // fanout 2 => stem
-        assert_eq!(roots[n3.index()], n3);
-    }
-
-    #[test]
-    fn idoms_diamond() {
-        // g1 feeds both outputs: its only dominator is the virtual sink.
-        let (c, ids) = diamondish();
-        let (a, b, g1, g2, g3) = (ids[0], ids[1], ids[2], ids[3], ids[4]);
-        let idom = output_idoms(&c);
-        assert_eq!(idom[g1.index()], None);
-        assert_eq!(idom[g2.index()], None); // g2 is itself an output
-        assert_eq!(idom[g3.index()], None);
-        assert_eq!(idom[a.index()], Some(g1)); // a only reaches outputs via g1
-        assert_eq!(idom[b.index()], None); // b reaches g1 and g3 directly
-    }
-
-    #[test]
-    fn idoms_chain() {
-        let mut b = CircuitBuilder::new();
-        let a = b.input("a");
-        let n1 = b.gate(GateKind::Not, vec![a], "n1");
-        let n2 = b.gate(GateKind::Not, vec![n1], "n2");
-        b.output(n2);
-        let c = b.finish().unwrap();
-        let idom = output_idoms(&c);
-        assert_eq!(idom[a.index()], Some(n1));
-        assert_eq!(idom[n1.index()], Some(n2));
-        assert_eq!(idom[n2.index()], None);
-    }
-
-    #[test]
-    fn ffr_root_dominates_region() {
-        // Property glue: for every gate, its FFR root must appear on every
-        // path to an output. Check via idoms: walking the idom chain from g
-        // reaches root (or g == root).
-        let (c, _) = diamondish();
-        let roots = ffr_roots(&c);
-        let idom = output_idoms(&c);
-        for (id, _) in c.iter() {
-            let root = roots[id.index()];
-            if root == id {
-                continue;
-            }
-            let mut cur = id;
-            let mut found = false;
-            while let Some(d) = idom[cur.index()] {
-                if d == root {
-                    found = true;
-                    break;
-                }
-                cur = d;
-            }
-            assert!(found, "{id} not dominated by its FFR root {root}");
-        }
     }
 }

@@ -35,9 +35,9 @@
 //!   the stored [`Circuit`] is the combinationalised lowering of them, and
 //!   [`StateView`] is that lowering made explicit (real vs pseudo I/O,
 //!   state slots) for the sequential simulator, unroller and engines;
-//! * structural analyses ([`fanin_cone`], [`fanout_cone`], [`ffr_roots`],
-//!   [`output_idoms`], [`undirected_distances`]) used by the quality metrics
-//!   and the advanced SAT-based diagnosis;
+//! * structural analyses ([`fanin_cone`], [`fanout_cone`],
+//!   [`undirected_distances`]) used by the engines, test generation and
+//!   the quality metrics;
 //! * deterministic circuit generators ([`RandomCircuitSpec`], the
 //!   ISCAS89-profile stand-ins [`s1423_like`], [`s6669_like`],
 //!   [`s38417_like`], and canned textbook circuits such as [`c17`] and
@@ -76,9 +76,7 @@ mod inject;
 mod state;
 mod unroll;
 
-pub use analysis::{
-    fanin_cone, fanout_cone, ffr_roots, output_idoms, undirected_distances, GateSet,
-};
+pub use analysis::{fanin_cone, fanout_cone, undirected_distances, GateSet};
 pub use bench_format::{
     parse_bench, parse_bench_dir, parse_bench_dir_strict, parse_bench_named, write_bench,
     BenchDirLoad, BenchLoadWarning,

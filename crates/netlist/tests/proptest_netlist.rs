@@ -2,8 +2,8 @@
 //! generated circuits, `.bench` round-trips, analysis consistency.
 
 use gatediag_netlist::{
-    fanin_cone, fanout_cone, ffr_roots, inject_errors, output_idoms, parse_bench,
-    undirected_distances, unroll, write_bench, GateId, GateKind, RandomCircuitSpec,
+    fanin_cone, fanout_cone, inject_errors, parse_bench, undirected_distances, unroll, write_bench,
+    GateId, GateKind, RandomCircuitSpec,
 };
 use proptest::prelude::*;
 
@@ -100,37 +100,6 @@ proptest! {
                 // id must be in g's fanout cone.
                 let fo = fanout_cone(&c, &[g]);
                 prop_assert!(fo.contains(id));
-            }
-        }
-    }
-
-    /// FFR roots dominate: every path from a gate to an output passes its
-    /// FFR root (checked by following the unique fan-out chain).
-    #[test]
-    fn ffr_roots_on_chains(spec in spec_strategy()) {
-        let c = spec.generate();
-        let roots = ffr_roots(&c);
-        for (id, _) in c.iter() {
-            let mut cur = id;
-            // Walk the single-fanout chain; it must end at the FFR root.
-            while c.fanouts(cur).len() == 1 && !c.is_output(cur) {
-                cur = c.fanouts(cur)[0];
-            }
-            prop_assert_eq!(roots[id.index()], cur);
-        }
-    }
-
-    /// Immediate dominators, where defined, are reachable from the gate
-    /// and at strictly greater level.
-    #[test]
-    fn idom_sanity(spec in spec_strategy()) {
-        let c = spec.generate();
-        let idoms = output_idoms(&c);
-        for (id, _) in c.iter() {
-            if let Some(d) = idoms[id.index()] {
-                prop_assert!(c.level(d) > c.level(id), "{:?} idom {:?}", id, d);
-                let fo = fanout_cone(&c, &[id]);
-                prop_assert!(fo.contains(d), "idom must be downstream");
             }
         }
     }

@@ -9,6 +9,7 @@
 
 use crate::lit::{Lit, Var};
 use crate::solver::{SolveResult, Solver};
+use std::time::Instant;
 
 /// Result of an enumeration run.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -23,6 +24,10 @@ pub struct EnumOutcome {
     /// the enumeration `limit`; lets callers report the right truncation
     /// reason. Always `false` when `complete` is `true`.
     pub gave_up: bool,
+    /// When the first model arrived (`None` without solutions): a caller
+    /// timing "time to the first solution" reads it here, since the
+    /// call returns only once the whole enumeration is done.
+    pub first_found: Option<Instant>,
 }
 
 /// Enumerates satisfying assignments projected onto `selectors`, blocking
@@ -42,16 +47,19 @@ pub fn enumerate_positive_subsets(
     limit: usize,
 ) -> EnumOutcome {
     let mut solutions = Vec::new();
+    let mut first_found = None;
     loop {
         if solutions.len() >= limit {
             return EnumOutcome {
                 solutions,
                 complete: false,
                 gave_up: false,
+                first_found,
             };
         }
         match solver.solve(assumptions) {
             SolveResult::Sat => {
+                first_found.get_or_insert_with(Instant::now);
                 let subset: Vec<Var> = selectors
                     .iter()
                     .copied()
@@ -66,6 +74,7 @@ pub fn enumerate_positive_subsets(
                         solutions,
                         complete: true,
                         gave_up: false,
+                        first_found,
                     };
                 }
                 solver.add_clause(&block);
@@ -75,6 +84,7 @@ pub fn enumerate_positive_subsets(
                     solutions,
                     complete: true,
                     gave_up: false,
+                    first_found,
                 }
             }
             SolveResult::Unknown => {
@@ -82,6 +92,7 @@ pub fn enumerate_positive_subsets(
                     solutions,
                     complete: false,
                     gave_up: true,
+                    first_found,
                 }
             }
         }

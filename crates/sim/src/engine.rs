@@ -12,8 +12,8 @@
 //!   tagged, O(1) to clear) instead of dense `Vec<Option<u64>>`s;
 //! * an event-driven incremental mode ([`PackedSim::propagate`])
 //!   re-evaluates only the fan-out cone of changed gates, in level order,
-//!   which is what makes per-candidate screening (validity oracles,
-//!   repair enumeration) near-free.
+//!   which is what makes per-candidate screening (validity oracles)
+//!   near-free.
 //!
 //! # Lifecycle
 //!

@@ -8,7 +8,7 @@
 //!   sweep) with sparse forced-value and gate-kind-override overlays and
 //!   an event-driven incremental mode that re-simulates only the fan-out
 //!   cone of a change. All hot diagnosis paths (BSIM batching, validity
-//!   screening, repair enumeration, test generation) run on it;
+//!   screening, test generation) run on it;
 //! * [`simulate`] / [`simulate_forced`] — scalar two-valued simulation
 //!   with optional forced gate values (the effect-analysis reference
 //!   semantics; `PackedSim` is lane-for-lane bit-identical to it);
@@ -25,7 +25,7 @@
 //!   fault injection (scalar frame stepping is the pinned reference);
 //! * [`parallel_map_init`] / [`Parallelism`] — a scoped worker pool for
 //!   the embarrassingly parallel diagnosis fan-outs (test batches,
-//!   candidate cones, repair assignments), built on
+//!   candidate cones, search branches), built on
 //!   [`std::thread::scope`] with one reusable engine per worker and
 //!   work-stealing over a shared atomic index. Results are merged in
 //!   item order, so parallel diagnosis is bit-identical to sequential.

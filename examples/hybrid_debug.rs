@@ -1,18 +1,13 @@
-//! The paper's Sec. 6 hybrid flows in action.
-//!
-//! Flow 1: seed the SAT solver's decision heuristic with BSIM mark counts.
-//! Flow 2: take a (possibly invalid) COV cover and repair it into a valid
-//! correction by SAT over a growing structural neighbourhood.
+//! The paper's Sec. 6 hybrid in action: seed the SAT solver's decision
+//! heuristic with BSIM mark counts, and check that the solution space
+//! stays the same.
 //!
 //! ```text
 //! cargo run --example hybrid_debug
 //! ```
 
 use gatediag::netlist::{inject_errors, RandomCircuitSpec};
-use gatediag::{
-    basic_sat_diagnose, generate_failing_tests, hybrid_seeded_bsat, is_valid_correction,
-    repair_correction, sc_diagnose, BsatOptions, CovOptions,
-};
+use gatediag::{basic_sat_diagnose, generate_failing_tests, hybrid_seeded_bsat, BsatOptions};
 
 fn main() {
     let golden = RandomCircuitSpec::new(12, 4, 300)
@@ -29,14 +24,13 @@ fn main() {
         tests.len()
     );
 
-    // --- Flow 1: BSIM-seeded BSAT --------------------------------------
     let plain = basic_sat_diagnose(&faulty, &tests, 2, BsatOptions::default());
     let seeded = hybrid_seeded_bsat(&faulty, &tests, 2, BsatOptions::default());
     assert_eq!(
         plain.solutions, seeded.solutions,
         "seeding must not change the solution space"
     );
-    println!("\nflow 1 — BSIM-seeded decision heuristic:");
+    println!("\nBSIM-seeded decision heuristic:");
     println!(
         "  plain BSAT : {} solutions, {} conflicts, {} decisions",
         plain.solutions.len(),
@@ -49,42 +43,4 @@ fn main() {
         seeded.stats.conflicts,
         seeded.stats.decisions
     );
-
-    // --- Flow 2: repair a COV cover ------------------------------------
-    let cov = sc_diagnose(&faulty, &tests, 2, CovOptions::default());
-    println!("\nflow 2 — repair an initial COV cover:");
-    let Some(seed_cover) = cov
-        .solutions
-        .iter()
-        .find(|sol| !is_valid_correction(&faulty, &tests, sol))
-        .or_else(|| cov.solutions.first())
-    else {
-        println!("  COV produced no covers to repair");
-        return;
-    };
-    let seed_valid = is_valid_correction(&faulty, &tests, seed_cover);
-    println!(
-        "  seed cover {:?} is {}",
-        seed_cover,
-        if seed_valid {
-            "already a valid correction"
-        } else {
-            "NOT a valid correction (Lemma 2 in the wild)"
-        }
-    );
-    match repair_correction(&faulty, &tests, seed_cover, 2, 8, BsatOptions::default()) {
-        Some(outcome) => {
-            println!(
-                "  repaired at radius {} using {} mux sites; {} valid corrections, e.g. {:?}",
-                outcome.radius,
-                outcome.sites_used,
-                outcome.solutions.len(),
-                outcome.solutions.first().expect("non-empty")
-            );
-            for sol in &outcome.solutions {
-                assert!(is_valid_correction(&faulty, &tests, sol));
-            }
-        }
-        None => println!("  no valid correction within radius 8"),
-    }
 }

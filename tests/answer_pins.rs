@@ -15,7 +15,9 @@
 //!
 //! A second pin holds the failing tests alone (count and digest) of
 //! every `campaign-triage` prepare at full scale, where five searches
-//! exhaust the 2^15-vector budget and others span several batches.
+//! exhaust the 2^15-vector budget and others span several batches. The
+//! same prepares carry a Lemma 3 certificate: BSAT at k = 1 equals the
+//! simulation screen of the failing outputs' common fan-in cone.
 //!
 //! No solver statistic is pinned. A change that alters the search but
 //! not the answers leaves this file untouched; a change that alters the
@@ -25,10 +27,15 @@
 
 use gatediag::campaign::CampaignSpec;
 use gatediag::core::{
-    prepare, run_prepared, solution_quality, ChaosPolicy, DiagnoseOutcome, DiagnoseRequest,
-    EngineKind, Parallelism, Prepared, PreparedTests,
+    basic_sat_diagnose, prepare, run_prepared, solution_quality, BsatOptions, ChaosPolicy,
+    DiagnoseOutcome, DiagnoseRequest, EngineKind, Parallelism, Prepared, PreparedTests,
+    ValidityBackend, ValidityOracle,
 };
-use gatediag::netlist::{s1423_like, s6669_like, Circuit, FaultModel, GateId, RandomCircuitSpec};
+use gatediag::netlist::{
+    fanin_cone, s1423_like, s6669_like, Circuit, FaultModel, GateId, GateKind, GateSet,
+    RandomCircuitSpec,
+};
+use std::sync::OnceLock;
 
 /// FNV-1a 64 over a byte stream.
 struct Fnv(u64);
@@ -237,43 +244,56 @@ fn answers_match_pins() {
     assert!(actual == PINS, "answers moved; see the lines printed above");
 }
 
-/// The failing tests of every prepare of `campaign-triage` at full
-/// scale: `s6669_like` and `s1423_like`, the four fault models, p = 1,
-/// seeds 1 and 2, with the campaign's request defaults (8 tests, a
-/// 2^15-vector budget). Five of the sixteen searches exhaust the budget
-/// without a failing test; the others stop after one or more 512-vector
-/// batches. Only the tests are pinned: the engines' answers at this
-/// scale are the perfbench digests' business.
+/// Every prepare of `campaign-triage` at full scale, labelled
+/// `circuit/fault-model/pP/sSEED`: `s6669_like` and `s1423_like`, the
+/// four fault models, p = 1, seeds 1 and 2, with the campaign's request
+/// defaults (8 tests, a 2^15-vector budget). Built once per test binary
+/// and shared by the tests below.
+fn full_scale_triage_prepares() -> &'static [(String, Prepared)] {
+    static PREPARES: OnceLock<Vec<(String, Prepared)>> = OnceLock::new();
+    PREPARES.get_or_init(|| {
+        let mut spec = CampaignSpec::new(vec![
+            ("s6669_like".to_string(), s6669_like(1)),
+            ("s1423_like".to_string(), s1423_like(1)),
+        ]);
+        spec.error_counts = vec![1];
+        spec.engines = vec![EngineKind::Bsim];
+        spec.fault_models = FaultModel::ALL.to_vec();
+        spec.seeds = vec![1, 2];
+        spec.instances()
+            .iter()
+            .map(|inst| {
+                let (name, golden) = &spec.circuits[inst.circuit];
+                let request = DiagnoseRequest {
+                    engine: inst.engine,
+                    fault_model: inst.fault_model,
+                    p: inst.p,
+                    seed: inst.seed,
+                    tests: spec.tests,
+                    max_test_vectors: spec.max_test_vectors,
+                    ..DiagnoseRequest::default()
+                };
+                let label = format!(
+                    "{name}/{}/p{}/s{}",
+                    inst.fault_model.name(),
+                    inst.p,
+                    inst.seed
+                );
+                (label, prepare(golden, &request))
+            })
+            .collect()
+    })
+}
+
+/// The failing tests of every full-scale `campaign-triage` prepare. Five
+/// of the sixteen searches exhaust the budget without a failing test;
+/// the others stop after one or more 512-vector batches. Only the tests
+/// are pinned: the engines' answers at this scale are the perfbench
+/// digests' business.
 fn full_scale_triage_tests() -> Vec<String> {
-    let mut spec = CampaignSpec::new(vec![
-        ("s6669_like".to_string(), s6669_like(1)),
-        ("s1423_like".to_string(), s1423_like(1)),
-    ]);
-    spec.error_counts = vec![1];
-    spec.engines = vec![EngineKind::Bsim];
-    spec.fault_models = FaultModel::ALL.to_vec();
-    spec.seeds = vec![1, 2];
-    spec.instances()
+    full_scale_triage_prepares()
         .iter()
-        .map(|inst| {
-            let (name, golden) = &spec.circuits[inst.circuit];
-            let request = DiagnoseRequest {
-                engine: inst.engine,
-                fault_model: inst.fault_model,
-                p: inst.p,
-                seed: inst.seed,
-                tests: spec.tests,
-                max_test_vectors: spec.max_test_vectors,
-                ..DiagnoseRequest::default()
-            };
-            format!(
-                "{name}/{}/p{}/s{} tests={}",
-                inst.fault_model.name(),
-                inst.p,
-                inst.seed,
-                tests_digest(&prepare(golden, &request))
-            )
-        })
+        .map(|(label, prepared)| format!("{label} tests={}", tests_digest(prepared)))
         .collect()
 }
 
@@ -308,4 +328,44 @@ fn full_scale_triage_tests_match_pins() {
         actual == FULL_SCALE_TEST_PINS,
         "generated tests moved; see the lines printed above"
     );
+}
+
+/// Lemma 3 at full scale: BSAT at k = 1 returns exactly the single gates
+/// that are valid corrections. Such a gate lies in the fan-in cone of
+/// every failing output, so one reused simulation oracle screening the
+/// intersection of those cones must return BSAT's list. This certifies
+/// completeness where brute force cannot reach.
+#[test]
+fn full_scale_bsat_k1_equals_the_cone_intersection_sim_screen() {
+    let mut prepares = 0;
+    let mut solutions = 0;
+    for (label, prepared) in full_scale_triage_prepares() {
+        let (Some(faulty), PreparedTests::Combinational(tests)) =
+            (&prepared.faulty, &prepared.tests)
+        else {
+            panic!("{label}: campaign-triage prepares are combinational and injectable");
+        };
+        if tests.is_empty() {
+            continue;
+        }
+        let bsat = basic_sat_diagnose(faulty, tests, 1, BsatOptions::default());
+        assert!(bsat.complete, "{label}: BSAT truncated");
+        let mut outputs: Vec<GateId> = tests.iter().map(|t| t.output).collect();
+        outputs.sort();
+        outputs.dedup();
+        let cones: Vec<GateSet> = outputs.iter().map(|&o| fanin_cone(faulty, &[o])).collect();
+        let mut oracle = ValidityOracle::with_backend(faulty, ValidityBackend::Sim);
+        let screened: Vec<Vec<GateId>> = faulty
+            .iter()
+            .filter(|&(id, g)| {
+                g.kind() != GateKind::Input && cones.iter().all(|cone| cone.contains(id))
+            })
+            .filter(|&(id, _)| oracle.is_valid(tests, &[id]))
+            .map(|(id, _)| vec![id])
+            .collect();
+        assert_eq!(bsat.solutions, screened, "{label}");
+        prepares += 1;
+        solutions += screened.len();
+    }
+    assert_eq!((prepares, solutions), (11, 134));
 }

@@ -5,8 +5,8 @@
 use gatediag::netlist::{inject_errors, write_bench, Circuit, GateId, RandomCircuitSpec};
 use gatediag::{
     basic_sat_diagnose, brute_force_diagnose, generate_failing_tests, is_valid_correction,
-    partitioned_sat_diagnose, sc_diagnose, sim_backtrack_diagnose, BsatOptions, CovEngine,
-    CovOptions, SimBacktrackOptions, TestSet, ValidityBackend, ValidityOracle,
+    sc_diagnose, sim_backtrack_diagnose, BsatOptions, CovEngine, CovOptions, SimBacktrackOptions,
+    TestSet, ValidityBackend, ValidityOracle,
 };
 use proptest::prelude::*;
 
@@ -80,23 +80,6 @@ proptest! {
         for sol in &bsat.solutions {
             prop_assert!(is_valid_correction(&faulty, &tests, sol));
             prop_assert!(sat_valid(&faulty, &tests, sol));
-        }
-    }
-
-    /// Partitioned diagnosis is sound: everything it returns is a valid
-    /// correction for the FULL test-set, and is one of BSAT's solutions.
-    #[test]
-    fn partitioning_is_sound(case in case_strategy()) {
-        let Some((faulty, _, tests)) = build(&case) else { return Ok(()); };
-        if tests.len() < 4 { return Ok(()); }
-        let part = partitioned_sat_diagnose(&faulty, &tests, 2, 2, BsatOptions::default());
-        let full = basic_sat_diagnose(&faulty, &tests, 2, BsatOptions::default());
-        for sol in &part.solutions {
-            prop_assert!(is_valid_correction(&faulty, &tests, sol));
-            prop_assert!(
-                full.solutions.contains(sol),
-                "partitioned {:?} not in monolithic output", sol
-            );
         }
     }
 

@@ -1,12 +1,12 @@
 //! Experiment harness for the `gatediag` reproduction of Fey et al.,
 //! DATE 2006.
 //!
-//! Binaries (`cargo run --release -p gatediag-bench --bin <name>`):
-//!
-//! * `table2` — runtimes of BSIM / COV / BSAT (paper Table 2);
-//! * `table3` — diagnosis quality metrics (paper Table 3);
-//! * `fig6` — BSAT-vs-COV scatter data for quality and solution counts
-//!   (paper Fig. 6), CSV plus ASCII preview.
+//! The `paper` binary (`cargo run --release -p gatediag-bench --bin
+//! paper`) runs each `(workload, m)` cell once and prints, from the same
+//! cells, the runtimes of BSIM / COV / BSAT (paper Table 2), their
+//! diagnosis quality metrics (paper Table 3) and the BSAT-vs-COV scatter
+//! data for quality and solution counts (paper Fig. 6, ASCII preview),
+//! with one CSV per section.
 //!
 //! Criterion benchmarks (`cargo bench -p gatediag-bench`): `solver`,
 //! `sim` (including the `PackedSim` multi-word and incremental groups),

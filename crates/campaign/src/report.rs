@@ -294,13 +294,6 @@ impl CampaignReport {
         }
     }
 
-    /// Records that actually ran an engine.
-    pub fn ok_records(&self) -> impl Iterator<Item = &InstanceRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.status == InstanceStatus::Ok)
-    }
-
     /// Serialises the report as JSON with a stable field order.
     ///
     /// With `include_timing = false` (the default for published

@@ -9,11 +9,9 @@
 //!
 //! The totalizer is truncated at `limit + 1` counts, keeping the encoding
 //! linear in the number of inputs for the small `k` used in diagnosis.
-//! A Sinz sequential-counter encoding with a hard-wired bound is provided
-//! for ablation comparisons.
 
 use crate::sink::ClauseSink;
-use gatediag_sat::{Lit, Var};
+use gatediag_sat::Lit;
 
 /// A truncated totalizer: unary counter over input literals.
 ///
@@ -118,49 +116,11 @@ impl Totalizer {
     }
 }
 
-/// Sinz sequential-counter encoding of a *hard* `Σ lits ≤ k` constraint.
-///
-/// Unlike [`Totalizer`], the bound is baked into the clauses — the
-/// paper-basic style where each `k` requires rebuilding. Kept for the
-/// ablation benchmarks.
-///
-/// # Panics
-///
-/// Panics if `k == 0` (use unit clauses instead) or `lits` is empty.
-pub fn encode_at_most_seq<S: ClauseSink>(sink: &mut S, lits: &[Lit], k: usize) {
-    assert!(k > 0, "use unit clauses for k = 0");
-    assert!(!lits.is_empty(), "empty constraint");
-    let n = lits.len();
-    if k >= n {
-        return; // vacuous
-    }
-    // registers[i][j]: among lits[0..=i], at least j+1 are true.
-    let mut prev: Vec<Var> = (0..k).map(|_| sink.new_var()).collect();
-    sink.add_clause(&[!lits[0], prev[0].positive()]);
-    for reg in prev.iter().skip(1) {
-        sink.add_clause(&[reg.negative()]);
-    }
-    for &lit_i in lits.iter().skip(1) {
-        let regs: Vec<Var> = (0..k).map(|_| sink.new_var()).collect();
-        // carry: s_{i,0} ← x_i ∨ s_{i-1,0}
-        sink.add_clause(&[!lit_i, regs[0].positive()]);
-        sink.add_clause(&[prev[0].negative(), regs[0].positive()]);
-        for j in 1..k {
-            // s_{i,j} ← (x_i ∧ s_{i-1,j-1}) ∨ s_{i-1,j}
-            sink.add_clause(&[!lit_i, prev[j - 1].negative(), regs[j].positive()]);
-            sink.add_clause(&[prev[j].negative(), regs[j].positive()]);
-        }
-        // overflow: x_i ∧ s_{i-1,k-1} forbidden
-        sink.add_clause(&[!lit_i, prev[k - 1].negative()]);
-        prev = regs;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sink::CnfCollector;
-    use gatediag_sat::{SolveResult, Solver};
+    use gatediag_sat::{SolveResult, Solver, Var};
 
     fn setup(n: usize) -> (Solver, Vec<Var>, Vec<Lit>) {
         let mut solver = Solver::new();
@@ -242,31 +202,5 @@ mod tests {
             c800 < 12 * c100,
             "truncated totalizer should scale linearly: {c100} -> {c800}"
         );
-    }
-
-    #[test]
-    fn seq_counter_bounds_exactly() {
-        for n in 1..=6usize {
-            for k in 1..=3usize {
-                let (mut solver, vars, lits) = setup(n);
-                encode_at_most_seq(&mut solver, &lits, k);
-                for pattern in 0..1u32 << n {
-                    let assumptions = subset_assumptions(&vars, pattern);
-                    let expect_sat = pattern.count_ones() as usize <= k;
-                    assert_eq!(
-                        solver.solve(&assumptions) == SolveResult::Sat,
-                        expect_sat,
-                        "n={n} k={k} pattern={pattern:b}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "unit clauses")]
-    fn seq_counter_rejects_zero() {
-        let (mut solver, _, lits) = setup(2);
-        encode_at_most_seq(&mut solver, &lits, 0);
     }
 }

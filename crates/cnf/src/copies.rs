@@ -1,66 +1,135 @@
-//! Constrained circuit copies and model-harvest helpers for
-//! SAT-guided discriminating-test generation.
+//! Circuit copies: the one encoder every copy goes through, and the
+//! input tie/harvest helpers of SAT-guided discriminating-test
+//! generation.
 //!
-//! The testgen queries in `gatediag_core::testgen` stack several copies
-//! of the same circuit into one solver: the golden reference, the faulty
-//! circuit as manufactured, a copy with a candidate's gates *freed*
-//! (paper Definition 3: a correction may drive any value there), and a
-//! family of copies with those gates *pinned* to concrete constants
-//! (universal expansion of "no free values rectify this output"). All
-//! copies share their primary inputs, so a model is a single input
-//! vector; the harvest helpers extract it either as a plain `Vec<bool>`
-//! or directly into `PackedSim`-layout pattern words.
+//! Every SAT engine stacks Tseitin copies of a circuit into one solver,
+//! and a copy differs from the plain circuit only in how some gates are
+//! encoded ([`GateRole`]): *freed* (paper Definition 3: a correction may
+//! drive any value there — the SAT validity backend and test
+//! generation's keeper copy), *pinned* to a constant (test generation's
+//! universal expansion over a candidate's free values) or *selected*
+//! behind a correction multiplexer (paper Fig. 2 — BSAT, and sequential
+//! BSAT over the time-frame expansion). [`encode_copy`] emits all of
+//! them; [`encode_circuit`](crate::encode_circuit), [`encode_freed_copy`],
+//! [`encode_pinned_copy`] and
+//! [`encode_instrumented_copy`](crate::encode_instrumented_copy) are
+//! one-line calls of it.
+//!
+//! Test-generation queries tie their copies' primary inputs together, so
+//! a model is a single input vector; the harvest helpers extract it either
+//! as a plain `Vec<bool>` or directly into `PackedSim`-layout pattern
+//! words.
 
+use crate::mux::{InstrumentedCopy, MuxEncoding};
 use crate::sink::ClauseSink;
 use crate::tseitin::{encode_gate, CircuitVars};
 use gatediag_netlist::{Circuit, GateId, GateKind};
 use gatediag_sat::{Lit, Solver, Var};
 
-/// Encodes a circuit copy with the gates in `freed` left unconstrained.
-///
-/// Freed gates still get variables (so fanouts reference them), but their
-/// defining clauses are dropped: the solver may assign them any value,
-/// which is exactly the paper's Definition 3 notion of a correction at
-/// those locations. Freeing a primary input is a no-op (inputs never have
-/// defining clauses).
-pub fn encode_freed_copy<S: ClauseSink>(
-    sink: &mut S,
-    circuit: &Circuit,
-    freed: &[GateId],
-) -> CircuitVars {
-    let vars: Vec<Var> = (0..circuit.len()).map(|_| sink.new_var()).collect();
-    let map = CircuitVars::from_vars(vars);
-    let mut fanins: Vec<Lit> = Vec::new();
-    for &id in circuit.topo_order() {
-        let gate = circuit.gate(id);
-        if gate.kind() == GateKind::Input || freed.contains(&id) {
-            continue;
-        }
-        map.fanin_lits(gate, &mut fanins);
-        encode_gate(sink, gate.kind(), map.var(id), &fanins, None);
-    }
-    map
+/// How [`encode_copy`] encodes one gate of a circuit copy.
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
+pub enum GateRole {
+    /// The gate's defining clauses: it computes its function.
+    #[default]
+    Plain,
+    /// No defining clauses: the solver may give the gate any value.
+    Freed,
+    /// A unit clause holds the gate at this constant instead of its
+    /// defining clauses.
+    Pinned(bool),
+    /// A correction multiplexer with this select line: the gate computes
+    /// its function while the select is 0 and is free while it is 1,
+    /// encoded as the copy's [`MuxEncoding`] says.
+    Selected(Var),
 }
 
-/// Encodes a circuit copy with each gate in `pinned` forced to a constant.
+/// The [`GateRole`] of every gate of one circuit copy, dense by gate id.
 ///
-/// Pinned gates get a unit clause instead of their defining clauses — one
-/// hardwired point of the universal expansion over a candidate's free
-/// values.
+/// A gate never [`set`](CopyRoles::set) is [`GateRole::Plain`], so
+/// `CopyRoles::default()` describes a plain copy of any circuit. One
+/// `CopyRoles` may serve many copies (BSAT's select lines are shared by
+/// every test's copy).
+#[derive(Clone, Debug, Default)]
+pub struct CopyRoles {
+    roles: Vec<GateRole>,
+    /// The pinned gates, in the order their unit clauses are emitted.
+    pins: Vec<(GateId, bool)>,
+}
+
+impl CopyRoles {
+    /// Roles freeing `gates` (freeing a primary input is a no-op: inputs
+    /// never have defining clauses).
+    pub(crate) fn freed(gates: &[GateId]) -> CopyRoles {
+        let mut roles = CopyRoles::default();
+        for &g in gates {
+            roles.set(g, GateRole::Freed);
+        }
+        roles
+    }
+
+    /// Roles pinning each gate of `pins` to its constant; the unit clauses
+    /// follow the order of `pins`.
+    pub(crate) fn pinned(pins: &[(GateId, bool)]) -> CopyRoles {
+        let mut roles = CopyRoles::default();
+        for &(g, value) in pins {
+            roles.set(g, GateRole::Pinned(value));
+        }
+        roles
+    }
+
+    /// Gives `gate` its role. Pinning appends the gate's unit clause to
+    /// the pin list, so set each gate once.
+    pub fn set(&mut self, gate: GateId, role: GateRole) {
+        let i = gate.index();
+        if i >= self.roles.len() {
+            self.roles.resize(i + 1, GateRole::Plain);
+        }
+        self.roles[i] = role;
+        if let GateRole::Pinned(value) = role {
+            self.pins.push((gate, value));
+        }
+    }
+
+    /// The role of `gate`.
+    #[inline]
+    pub(crate) fn role(&self, gate: GateId) -> GateRole {
+        self.roles.get(gate.index()).copied().unwrap_or_default()
+    }
+}
+
+/// Encodes one circuit copy: a fresh variable per gate in gate-id order,
+/// the unit clauses of the pinned gates in pin order, then every
+/// non-input gate in topological order as its role in `roles` says.
+///
+/// This is the one loop every circuit copy in the workspace is emitted
+/// by. `encoding` shapes the [`GateRole::Selected`] gates only.
 ///
 /// # Panics
 ///
 /// Panics if a pinned gate is a primary input: inputs are shared across
 /// copies via [`tie_inputs`], so pinning one would constrain every copy.
-pub fn encode_pinned_copy<S: ClauseSink>(
+///
+/// # Examples
+///
+/// ```
+/// use gatediag_cnf::{encode_copy, CnfCollector, CopyRoles, GateRole, MuxEncoding};
+///
+/// let c = gatediag_netlist::c17();
+/// let mut sink = CnfCollector::new();
+/// let mut roles = CopyRoles::default();
+/// roles.set(c.find("G16").unwrap(), GateRole::Freed);
+/// let copy = encode_copy(&mut sink, &c, &roles, MuxEncoding::Inline);
+/// assert_eq!(copy.vars.all().len(), c.len());
+/// ```
+pub fn encode_copy<S: ClauseSink>(
     sink: &mut S,
     circuit: &Circuit,
-    pinned: &[(GateId, bool)],
-) -> CircuitVars {
+    roles: &CopyRoles,
+    encoding: MuxEncoding,
+) -> InstrumentedCopy {
     let vars: Vec<Var> = (0..circuit.len()).map(|_| sink.new_var()).collect();
     let map = CircuitVars::from_vars(vars);
-    let mut fanins: Vec<Lit> = Vec::new();
-    for &(id, value) in pinned {
+    for &(id, value) in &roles.pins {
         assert_ne!(
             circuit.gate(id).kind(),
             GateKind::Input,
@@ -68,15 +137,82 @@ pub fn encode_pinned_copy<S: ClauseSink>(
         );
         sink.add_clause(&[map.lit(id, value)]);
     }
+    let mut injected = match encoding {
+        MuxEncoding::Inline => Vec::new(),
+        MuxEncoding::ExplicitMux { .. } => vec![None; circuit.len()],
+    };
+    let mut fanins: Vec<Lit> = Vec::new();
     for &id in circuit.topo_order() {
         let gate = circuit.gate(id);
-        if gate.kind() == GateKind::Input || pinned.iter().any(|&(p, _)| p == id) {
+        if gate.kind() == GateKind::Input {
             continue;
         }
+        let select = match roles.role(id) {
+            GateRole::Plain => None,
+            GateRole::Freed | GateRole::Pinned(_) => continue,
+            GateRole::Selected(s) => Some(s),
+        };
         map.fanin_lits(gate, &mut fanins);
-        encode_gate(sink, gate.kind(), map.var(id), &fanins, None);
+        let y = map.var(id);
+        match (select, encoding) {
+            (None, _) => encode_gate(sink, gate.kind(), y, &fanins, None),
+            (Some(s), MuxEncoding::Inline) => {
+                encode_gate(sink, gate.kind(), y, &fanins, Some(s.positive()));
+            }
+            (Some(s), MuxEncoding::ExplicitMux { force_c_zero }) => {
+                let f = sink.new_var();
+                encode_gate(sink, gate.kind(), f, &fanins, None);
+                let c = sink.new_var();
+                injected[id.index()] = Some(c);
+                let (sp, sn) = (s.positive(), s.negative());
+                // y = s ? c : f
+                sink.add_clause(&[sn, c.negative(), y.positive()]);
+                sink.add_clause(&[sn, c.positive(), y.negative()]);
+                sink.add_clause(&[sp, f.negative(), y.positive()]);
+                sink.add_clause(&[sp, f.positive(), y.negative()]);
+                if force_c_zero {
+                    sink.add_clause(&[sp, c.negative()]);
+                }
+            }
+        }
     }
-    map
+    InstrumentedCopy {
+        vars: map,
+        injected,
+    }
+}
+
+/// Encodes a circuit copy with the gates in `freed` left unconstrained:
+/// they still get variables (so fanouts reference them) but no defining
+/// clauses, so the solver may assign them any value — the paper's
+/// Definition 3 notion of a correction at those locations.
+pub fn encode_freed_copy<S: ClauseSink>(
+    sink: &mut S,
+    circuit: &Circuit,
+    freed: &[GateId],
+) -> CircuitVars {
+    encode_copy(sink, circuit, &CopyRoles::freed(freed), MuxEncoding::Inline).vars
+}
+
+/// Encodes a circuit copy with each gate in `pinned` forced to a constant
+/// by a unit clause instead of its defining clauses — one hardwired point
+/// of the universal expansion over a candidate's free values.
+///
+/// # Panics
+///
+/// Panics if a pinned gate is a primary input (see [`encode_copy`]).
+pub fn encode_pinned_copy<S: ClauseSink>(
+    sink: &mut S,
+    circuit: &Circuit,
+    pinned: &[(GateId, bool)],
+) -> CircuitVars {
+    encode_copy(
+        sink,
+        circuit,
+        &CopyRoles::pinned(pinned),
+        MuxEncoding::Inline,
+    )
+    .vars
 }
 
 /// Ties the primary inputs of two encoded copies together positionally.

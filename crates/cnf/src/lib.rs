@@ -3,13 +3,19 @@
 //! Bridges the [`gatediag-netlist`](gatediag_netlist) substrate and the
 //! [`gatediag-sat`](gatediag_sat) solver:
 //!
-//! * [`encode_circuit`] — Tseitin encoding of a circuit copy (one variable
-//!   per gate, linear clause count);
-//! * [`Instrumentation`] / [`encode_instrumented_copy`] — the correction
-//!   multiplexers of the paper's Fig. 2, with shared select lines across
-//!   test copies and a choice of [`MuxEncoding`]s (inline guards vs the
-//!   paper-faithful explicit mux, with the advanced `c = 0` optimisation);
-//! * [`Totalizer`] / [`encode_at_most_seq`] — cardinality constraints
+//! * [`encode_copy`] — the one circuit-copy encoder: a Tseitin copy (one
+//!   variable per gate, linear clause count) in which each gate is
+//!   [plain, freed, pinned or selected](GateRole) per its [`CopyRoles`].
+//!   Every copy in the workspace goes through it; [`encode_circuit`]
+//!   (plain), [`encode_freed_copy`] (paper Definition 3's freed
+//!   candidates), [`encode_pinned_copy`] (test generation's universal
+//!   expansion) and [`encode_instrumented_copy`] are one-line calls of
+//!   it;
+//! * [`Instrumentation`] — the correction multiplexers of the paper's
+//!   Fig. 2, with select lines shared across test copies and a choice of
+//!   [`MuxEncoding`]s (inline guards vs the paper-faithful explicit mux,
+//!   with the advanced `c = 0` optimisation);
+//! * [`Totalizer`] — cardinality constraints
 //!   `Σ s_g ≤ k`, the totalizer exposing incremental per-`k` assumption
 //!   literals (the Zchaff-style incremental usage of Fig. 3);
 //! * [`ClauseSink`] / [`CnfCollector`] — encode into a live solver or
@@ -41,12 +47,12 @@ mod mux;
 mod sink;
 mod tseitin;
 
-pub use card::{encode_at_most_seq, Totalizer};
+pub use card::Totalizer;
 pub use copies::{
-    block_input_vector, encode_freed_copy, encode_pinned_copy, harvest_input_lane,
-    harvest_input_vector, tie_inputs,
+    block_input_vector, encode_copy, encode_freed_copy, encode_pinned_copy, harvest_input_lane,
+    harvest_input_vector, tie_inputs, CopyRoles, GateRole,
 };
-pub use miter::{check_equivalence, distinguishing_vectors, Distinguisher, Miter};
+pub use miter::{check_equivalence, distinguishing_vectors, Distinguisher};
 pub use mux::{encode_instrumented_copy, Instrumentation, InstrumentedCopy, MuxEncoding};
 pub use sink::{ClauseSink, CnfCollector};
-pub use tseitin::{encode_circuit, encode_gate, CircuitVars};
+pub use tseitin::{encode_circuit, CircuitVars};

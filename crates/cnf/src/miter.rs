@@ -8,125 +8,15 @@
 //! SAT-based directed test generation for diagnosis when random
 //! simulation fails to expose an error.
 
+use crate::copies::{block_input_vector, harvest_input_vector, tie_inputs};
 use crate::sink::ClauseSink;
-use crate::tseitin::{encode_circuit, CircuitVars};
+use crate::tseitin::encode_circuit;
 use gatediag_netlist::{Circuit, GateId};
-use gatediag_sat::{Lit, SolveResult, Solver, Var};
+use gatediag_sat::{Lit, SolveResult, Solver};
 
 /// A distinguishing input vector plus the outputs it separates, paired
 /// with the golden circuit's value for each differing output.
 pub type Distinguisher = (Vec<bool>, Vec<(GateId, bool)>);
-
-/// A miter over two same-interface circuits encoded into a solver.
-#[derive(Debug)]
-pub struct Miter {
-    golden_vars: CircuitVars,
-    faulty_vars: CircuitVars,
-    /// One "this output pair differs" variable per primary output.
-    diff_vars: Vec<Var>,
-    inputs: Vec<GateId>,
-    outputs: Vec<GateId>,
-}
-
-impl Miter {
-    /// Builds the miter into `solver`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuits' input/output interfaces differ in shape.
-    pub fn build(solver: &mut Solver, golden: &Circuit, faulty: &Circuit) -> Miter {
-        assert_eq!(
-            golden.inputs().len(),
-            faulty.inputs().len(),
-            "input count mismatch"
-        );
-        assert_eq!(
-            golden.outputs().len(),
-            faulty.outputs().len(),
-            "output count mismatch"
-        );
-        let golden_vars = encode_circuit(solver, golden);
-        let faulty_vars = encode_circuit(solver, faulty);
-        // Tie the inputs together.
-        for (&gi, &fi) in golden.inputs().iter().zip(faulty.inputs()) {
-            let g = golden_vars.lit(gi, true);
-            let f = faulty_vars.lit(fi, true);
-            solver.add_clause(&[!g, f]);
-            solver.add_clause(&[g, !f]);
-        }
-        // diff_o <-> (golden_o XOR faulty_o)
-        let mut diff_vars = Vec::with_capacity(golden.outputs().len());
-        for (&go, &fo) in golden.outputs().iter().zip(faulty.outputs()) {
-            let d = ClauseSink::new_var(solver);
-            let g = golden_vars.lit(go, true);
-            let f = faulty_vars.lit(fo, true);
-            solver.add_clause(&[d.negative(), g, f]);
-            solver.add_clause(&[d.negative(), !g, !f]);
-            solver.add_clause(&[d.positive(), !g, f]);
-            solver.add_clause(&[d.positive(), g, !f]);
-            diff_vars.push(d);
-        }
-        // At least one output differs.
-        let clause: Vec<Lit> = diff_vars.iter().map(|d| d.positive()).collect();
-        solver.add_clause(&clause);
-        Miter {
-            golden_vars,
-            faulty_vars,
-            diff_vars,
-            inputs: golden.inputs().to_vec(),
-            outputs: golden.outputs().to_vec(),
-        }
-    }
-
-    /// Extracts the counterexample of the current model: the input vector
-    /// (in `golden.inputs()` order) and every differing output with its
-    /// golden value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the solver holds no model.
-    pub fn counterexample(&self, solver: &Solver) -> (Vec<bool>, Vec<(GateId, bool)>) {
-        let vector: Vec<bool> = self
-            .inputs
-            .iter()
-            .map(|&pi| {
-                solver
-                    .model_value(self.golden_vars.lit(pi, true))
-                    .expect("model available after SAT")
-            })
-            .collect();
-        let diffs: Vec<(GateId, bool)> = self
-            .outputs
-            .iter()
-            .zip(&self.diff_vars)
-            .filter(|(_, d)| solver.model_value(d.positive()) == Some(true))
-            .map(|(&o, _)| {
-                let golden_value = solver
-                    .model_value(self.golden_vars.lit(o, true))
-                    .expect("model available after SAT");
-                (o, golden_value)
-            })
-            .collect();
-        (vector, diffs)
-    }
-
-    /// Blocks the current input vector so the next solve yields a new
-    /// counterexample.
-    pub fn block_vector(&self, solver: &mut Solver, vector: &[bool]) {
-        let clause: Vec<Lit> = self
-            .inputs
-            .iter()
-            .zip(vector)
-            .map(|(&pi, &v)| self.golden_vars.lit(pi, !v))
-            .collect();
-        solver.add_clause(&clause);
-    }
-
-    /// The faulty-copy variable map (for advanced constraints).
-    pub fn faulty_vars(&self) -> &CircuitVars {
-        &self.faulty_vars
-    }
-}
 
 /// Checks functional equivalence of two same-interface circuits.
 ///
@@ -150,32 +40,69 @@ impl Miter {
 /// assert!(check_equivalence(&golden, &faulty).is_some());
 /// ```
 pub fn check_equivalence(golden: &Circuit, faulty: &Circuit) -> Option<Distinguisher> {
-    let mut solver = Solver::new();
-    let miter = Miter::build(&mut solver, golden, faulty);
-    match solver.solve(&[]) {
-        SolveResult::Sat => Some(miter.counterexample(&solver)),
-        _ => None,
-    }
+    distinguishing_vectors(golden, faulty, 1).pop()
 }
 
 /// Enumerates up to `want` distinct distinguishing input vectors
-/// (SAT-based directed test generation).
+/// (SAT-based directed test generation) on a miter: two plain copies with
+/// tied inputs and one "this output pair differs" variable per primary
+/// output, at least one of them true.
 ///
 /// Each entry is `(vector, differing outputs with golden values)`. Fewer
 /// than `want` entries are returned when the circuits admit fewer
 /// distinguishing vectors.
+///
+/// # Panics
+///
+/// Panics if the interfaces differ in shape.
 pub fn distinguishing_vectors(
     golden: &Circuit,
     faulty: &Circuit,
     want: usize,
 ) -> Vec<Distinguisher> {
+    assert_eq!(
+        golden.inputs().len(),
+        faulty.inputs().len(),
+        "input count mismatch"
+    );
+    assert_eq!(
+        golden.outputs().len(),
+        faulty.outputs().len(),
+        "output count mismatch"
+    );
     let mut solver = Solver::new();
-    let miter = Miter::build(&mut solver, golden, faulty);
+    let g = encode_circuit(&mut solver, golden);
+    let f = encode_circuit(&mut solver, faulty);
+    tie_inputs(&mut solver, (&g, golden.inputs()), (&f, faulty.inputs()));
+    // diff_o <-> (golden_o XOR faulty_o)
+    let mut diffs = Vec::with_capacity(golden.outputs().len());
+    for (&go, &fo) in golden.outputs().iter().zip(faulty.outputs()) {
+        let d = ClauseSink::new_var(&mut solver);
+        let (gl, fl) = (g.lit(go, true), f.lit(fo, true));
+        solver.add_clause(&[d.negative(), gl, fl]);
+        solver.add_clause(&[d.negative(), !gl, !fl]);
+        solver.add_clause(&[d.positive(), !gl, fl]);
+        solver.add_clause(&[d.positive(), gl, !fl]);
+        diffs.push((go, d));
+    }
+    // At least one output differs.
+    let clause: Vec<Lit> = diffs.iter().map(|&(_, d)| d.positive()).collect();
+    solver.add_clause(&clause);
     let mut found = Vec::new();
     while found.len() < want && solver.solve(&[]) == SolveResult::Sat {
-        let (vector, diffs) = miter.counterexample(&solver);
-        miter.block_vector(&mut solver, &vector);
-        found.push((vector, diffs));
+        let vector = harvest_input_vector(&solver, &g, golden.inputs());
+        let differing = diffs
+            .iter()
+            .filter(|&&(_, d)| solver.model_value(d.positive()) == Some(true))
+            .map(|&(o, _)| {
+                let golden_value = solver
+                    .model_value(g.lit(o, true))
+                    .expect("model available after SAT");
+                (o, golden_value)
+            })
+            .collect();
+        block_input_vector(&mut solver, &g, golden.inputs(), &vector);
+        found.push((vector, differing));
     }
     found
 }
@@ -267,7 +194,6 @@ mod tests {
     fn rejects_interface_mismatch() {
         let a = c17();
         let b = parity_tree(4);
-        let mut solver = Solver::new();
-        let _ = Miter::build(&mut solver, &a, &b);
+        let _ = check_equivalence(&a, &b);
     }
 }

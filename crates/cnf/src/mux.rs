@@ -17,10 +17,11 @@
 //!   (Sec. 2.3) that pins `c` to 0 while the mux is off, saving up to |I|
 //!   decisions.
 
+use crate::copies::{encode_copy, CopyRoles, GateRole};
 use crate::sink::ClauseSink;
-use crate::tseitin::{encode_gate, CircuitVars};
+use crate::tseitin::CircuitVars;
 use gatediag_netlist::{Circuit, GateId, GateKind};
-use gatediag_sat::{Lit, Var};
+use gatediag_sat::Var;
 
 /// Choice of multiplexer encoding (see module docs).
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -43,7 +44,8 @@ pub enum MuxEncoding {
 #[derive(Clone, Debug)]
 pub struct Instrumentation {
     sites: Vec<GateId>,
-    select_of: Vec<Option<Var>>,
+    /// [`GateRole::Selected`] at every site.
+    roles: CopyRoles,
 }
 
 impl Instrumentation {
@@ -54,21 +56,21 @@ impl Instrumentation {
     /// Panics if a site is a source gate (inputs/constants cannot be
     /// corrected) or listed twice.
     pub fn new<S: ClauseSink>(sink: &mut S, circuit: &Circuit, sites: &[GateId]) -> Self {
-        let mut select_of = vec![None; circuit.len()];
+        let mut roles = CopyRoles::default();
         for &site in sites {
             assert!(
                 circuit.gate(site).kind() != GateKind::Input,
                 "cannot instrument primary input {site}"
             );
             assert!(
-                select_of[site.index()].is_none(),
+                roles.role(site) == GateRole::Plain,
                 "gate {site} instrumented twice"
             );
-            select_of[site.index()] = Some(sink.new_var());
+            roles.set(site, GateRole::Selected(sink.new_var()));
         }
         Instrumentation {
             sites: sites.to_vec(),
-            select_of,
+            roles,
         }
     }
 
@@ -79,14 +81,17 @@ impl Instrumentation {
 
     /// The select variable of `gate`, if instrumented.
     pub fn select(&self, gate: GateId) -> Option<Var> {
-        self.select_of[gate.index()]
+        match self.roles.role(gate) {
+            GateRole::Selected(s) => Some(s),
+            _ => None,
+        }
     }
 
     /// All select variables, parallel to [`Instrumentation::sites`].
     pub fn select_vars(&self) -> Vec<Var> {
         self.sites
             .iter()
-            .map(|&g| self.select_of[g.index()].expect("site has a select var"))
+            .map(|&g| self.select(g).expect("site has a select var"))
             .collect()
     }
 }
@@ -96,8 +101,8 @@ impl Instrumentation {
 pub struct InstrumentedCopy {
     /// Gate-value variables of this copy.
     pub vars: CircuitVars,
-    /// The per-copy injected-value variables (`ExplicitMux` encoding only),
-    /// dense by gate id.
+    /// The per-copy injected-value variables, dense by gate id under the
+    /// `ExplicitMux` encoding and empty under `Inline`.
     pub injected: Vec<Option<Var>>,
 }
 
@@ -123,43 +128,7 @@ pub fn encode_instrumented_copy<S: ClauseSink>(
     inst: &Instrumentation,
     encoding: MuxEncoding,
 ) -> InstrumentedCopy {
-    let vars: Vec<Var> = (0..circuit.len()).map(|_| sink.new_var()).collect();
-    let map = CircuitVars::from_vars(vars);
-    let mut fanins: Vec<Lit> = Vec::new();
-    let mut injected = vec![None; circuit.len()];
-    for &id in circuit.topo_order() {
-        let gate = circuit.gate(id);
-        if gate.kind() == GateKind::Input {
-            continue;
-        }
-        map.fanin_lits(gate, &mut fanins);
-        let y = map.var(id);
-        match (inst.select(id), encoding) {
-            (None, _) => encode_gate(sink, gate.kind(), y, &fanins, None),
-            (Some(s), MuxEncoding::Inline) => {
-                encode_gate(sink, gate.kind(), y, &fanins, Some(s.positive()));
-            }
-            (Some(s), MuxEncoding::ExplicitMux { force_c_zero }) => {
-                let f = sink.new_var();
-                encode_gate(sink, gate.kind(), f, &fanins, None);
-                let c = sink.new_var();
-                injected[id.index()] = Some(c);
-                let (sp, sn) = (s.positive(), s.negative());
-                // y = s ? c : f
-                sink.add_clause(&[sn, c.negative(), y.positive()]);
-                sink.add_clause(&[sn, c.positive(), y.negative()]);
-                sink.add_clause(&[sp, f.negative(), y.positive()]);
-                sink.add_clause(&[sp, f.positive(), y.negative()]);
-                if force_c_zero {
-                    sink.add_clause(&[sp, c.negative()]);
-                }
-            }
-        }
-    }
-    InstrumentedCopy {
-        vars: map,
-        injected,
-    }
+    encode_copy(sink, circuit, &inst.roles, encoding)
 }
 
 #[cfg(test)]

@@ -5,6 +5,8 @@
 //! kind. This is the CNF representation the paper assumes (its reference
 //! [11]).
 
+use crate::copies::{encode_copy, CopyRoles};
+use crate::mux::MuxEncoding;
 use crate::sink::ClauseSink;
 use gatediag_netlist::{Circuit, Gate, GateId, GateKind};
 use gatediag_sat::{Lit, Var};
@@ -48,8 +50,8 @@ impl CircuitVars {
     }
 }
 
-/// Emits the clauses tying `y` to `kind(fanins)`; the workhorse shared by
-/// the plain and the multiplexer-instrumented encodings.
+/// Emits the clauses tying `y` to `kind(fanins)`: the per-gate step of
+/// [`encode_copy`], the one circuit-copy encoder.
 ///
 /// When `guard` is `Some(s)`, every clause gets the extra literal `s`,
 /// making the constraint vacuous when `s` is true — this implements the
@@ -60,7 +62,7 @@ impl CircuitVars {
 ///
 /// Panics on source kinds other than constants (inputs have no defining
 /// clauses) or on arity violations.
-pub fn encode_gate<S: ClauseSink>(
+pub(crate) fn encode_gate<S: ClauseSink>(
     sink: &mut S,
     kind: GateKind,
     y: Var,
@@ -177,18 +179,7 @@ fn emit<S: ClauseSink>(sink: &mut S, lits: impl IntoIterator<Item = Lit>, guard:
 /// assert_eq!(vars.all().len(), c.len());
 /// ```
 pub fn encode_circuit<S: ClauseSink>(sink: &mut S, circuit: &Circuit) -> CircuitVars {
-    let vars: Vec<Var> = (0..circuit.len()).map(|_| sink.new_var()).collect();
-    let map = CircuitVars { vars };
-    let mut fanins: Vec<Lit> = Vec::new();
-    for &id in circuit.topo_order() {
-        let gate = circuit.gate(id);
-        if gate.kind() == GateKind::Input {
-            continue;
-        }
-        map.fanin_lits(gate, &mut fanins);
-        encode_gate(sink, gate.kind(), map.var(id), &fanins, None);
-    }
-    map
+    encode_copy(sink, circuit, &CopyRoles::default(), MuxEncoding::Inline).vars
 }
 
 #[cfg(test)]

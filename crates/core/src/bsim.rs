@@ -76,11 +76,6 @@ impl BsimResult {
             .map(|(i, _)| GateId::new(i))
             .collect()
     }
-
-    /// Candidates of test `i` as a sorted vector.
-    pub fn candidates_of(&self, i: usize) -> Vec<GateId> {
-        self.candidate_sets[i].iter().collect()
-    }
 }
 
 /// Path tracing from one erroneous output over pre-simulated values

@@ -26,7 +26,13 @@
 //! size unless pinned via [`ValidityBackend`]), its one-shot form
 //! [`is_valid_correction`], and a [`brute_force_diagnose`] ground truth
 //! make the paper's Lemmas 1-4 and Theorems 1-2 executable; the
-//! [`paper_examples`] module ships the Fig. 5 witness circuits.
+//! [`paper_examples`] module ships the Fig. 5 witness circuits. The same
+//! oracle answers for sequential corrections
+//! ([`is_valid_sequential_correction`]) over the time-frame expansion.
+//!
+//! Every SAT engine here (BSAT, sequential BSAT, the SAT validity
+//! backend and test generation) builds its circuit copies with
+//! [`gatediag_cnf::encode_copy`], the one circuit-copy encoder.
 //!
 //! # Parallel diagnosis
 //!
@@ -122,8 +128,7 @@ pub use quality::{bsim_quality, solution_quality, BsimQuality, SolutionQuality};
 pub use sequential::{
     generate_failing_sequences, is_valid_sequential_correction, real_inputs,
     sequence_tests_to_unrolled, sequential_sat_diagnose, sequential_sim_diagnose,
-    simulate_sequence, SeqBsatOptions, SeqDiagnosis, SeqValidityOracle, SequenceTest,
-    SequenceTestSet,
+    simulate_sequence, SeqBsatOptions, SeqDiagnosis, SequenceTest, SequenceTestSet,
 };
 pub use session::{
     circuit_content_hash, inject, prepare, prepare_injected, run_diagnose, run_prepared,

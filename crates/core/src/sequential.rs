@@ -17,7 +17,7 @@
 //! | [`generate_failing_tests`](crate::generate_failing_tests) | [`generate_failing_sequences`] (frame-major packed) |
 //! | [`basic_sim_diagnose`](crate::basic_sim_diagnose) | [`sequential_sim_diagnose`] (path tracing across frames) |
 //! | [`basic_sat_diagnose`](crate::basic_sat_diagnose) | [`sequential_sat_diagnose`] (time-frame expansion) |
-//! | [`is_valid_correction`](crate::is_valid_correction) | [`is_valid_sequential_correction`] / [`SeqValidityOracle`] |
+//! | [`is_valid_correction`](crate::is_valid_correction) | [`is_valid_sequential_correction`] (the same [`ValidityOracle`] over the unrolling) |
 //!
 //! Both engines are available behind
 //! [`EngineKind::SeqBsim`](crate::EngineKind) /
@@ -33,11 +33,12 @@ use crate::bsim::BsimOptions;
 use crate::bsim::BsimResult;
 use crate::budget::{Budget, Truncation};
 use crate::test_set::TestSet;
-use gatediag_cnf::{encode_gate, ClauseSink, Totalizer};
+use crate::validity::ValidityOracle;
+use gatediag_cnf::{encode_copy, ClauseSink, CopyRoles, GateRole, MuxEncoding, Totalizer};
 use gatediag_netlist::{
     unroll, Circuit, FairCoins, GateId, GateKind, GateSet, StateView, Unrolling,
 };
-use gatediag_sat::{enumerate_positive_subsets, Lit, SolveResult, Solver, SolverStats, Var};
+use gatediag_sat::{enumerate_positive_subsets, Lit, Solver, SolverStats, Var};
 use gatediag_sim::{pack_rows_into, SeqPackedSim};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -499,52 +500,30 @@ pub fn sequential_sat_diagnose(
         .iter()
         .map(|_| ClauseSink::new_var(&mut solver))
         .collect();
-    let mut select_of: Vec<Option<Var>> = vec![None; circuit.len()];
-    for (&site, &sel) in sites.iter().zip(&selects) {
-        select_of[site.index()] = Some(sel);
-    }
-    // Map unrolled gates back to original gates for select sharing.
-    let mut origin: Vec<Option<GateId>> = vec![None; unrolled.circuit.len()];
+    // The per-gate guard map over the unrolling: a site's instance in
+    // every frame shares the site's select, in every test's copy.
+    let mut guards = CopyRoles::default();
     for frame in 0..frames {
-        for (id, _) in circuit.iter() {
-            origin[unrolled.instance(frame, id).index()] = Some(id);
+        for (&site, &select) in sites.iter().zip(&selects) {
+            guards.set(unrolled.instance(frame, site), GateRole::Selected(select));
         }
     }
 
     for test in tests {
-        // Encode one copy of the unrolled circuit with guards.
-        let vars: Vec<Var> = (0..unrolled.circuit.len())
-            .map(|_| ClauseSink::new_var(&mut solver))
-            .collect();
-        for &uid in unrolled.circuit.topo_order() {
-            let gate = unrolled.circuit.gate(uid);
-            if gate.kind() == GateKind::Input {
-                continue;
-            }
-            let guard = origin[uid.index()]
-                .and_then(|orig| select_of[orig.index()])
-                .map(|s| s.positive());
-            let fanins: Vec<Lit> = gate
-                .fanins()
-                .iter()
-                .map(|f| vars[f.index()].positive())
-                .collect();
-            encode_gate(&mut solver, gate.kind(), vars[uid.index()], &fanins, guard);
-        }
+        let vars = encode_copy(&mut solver, &unrolled.circuit, &guards, MuxEncoding::Inline).vars;
         // Constrain initial state.
-        for (init_pi, &v) in unrolled.initial_state.iter().zip(&test.initial_state) {
-            solver.add_clause(&[vars[init_pi.index()].lit(v)]);
+        for (&init_pi, &v) in unrolled.initial_state.iter().zip(&test.initial_state) {
+            solver.add_clause(&[vars.lit(init_pi, v)]);
         }
         // Constrain per-frame real inputs.
         for (frame, vector) in test.vectors.iter().enumerate() {
             for (&pi, &v) in reals.iter().zip(vector) {
-                let inst = unrolled.instance(frame, pi);
-                solver.add_clause(&[vars[inst.index()].lit(v)]);
+                solver.add_clause(&[vars.lit(unrolled.instance(frame, pi), v)]);
             }
         }
         // Constrain the erroneous output at its frame.
         let out_inst = unrolled.instance(test.frame, test.output);
-        solver.add_clause(&[vars[out_inst.index()].lit(test.expected)]);
+        solver.add_clause(&[vars.lit(out_inst, test.expected)]);
     }
 
     let select_lits: Vec<Lit> = selects.iter().map(|v| v.positive()).collect();
@@ -609,98 +588,13 @@ pub fn sequential_sat_diagnose(
     }
 }
 
-/// A reusable exact validity oracle for sequential corrections: the
-/// time-frame expansion is built once per `(circuit, frames)` pair and
-/// shared across [`SeqValidityOracle::is_valid`] calls — the sequential
-/// analogue of caching a
-/// [`ValidityOracle`](crate::ValidityOracle)'s engine across candidates.
-#[derive(Debug)]
-pub struct SeqValidityOracle<'c> {
-    circuit: &'c Circuit,
-    frames: usize,
-    unrolled: Unrolling,
-    reals: Vec<GateId>,
-}
-
-impl<'c> SeqValidityOracle<'c> {
-    /// Builds the oracle for sequences of exactly `frames` frames.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frames == 0`.
-    pub fn new(circuit: &'c Circuit, frames: usize) -> SeqValidityOracle<'c> {
-        SeqValidityOracle {
-            circuit,
-            frames,
-            unrolled: unroll(circuit, frames),
-            reals: real_inputs(circuit),
-        }
-    }
-
-    /// The number of frames this oracle's unrolling covers.
-    pub fn frames(&self) -> usize {
-        self.frames
-    }
-
-    /// The (sequential) circuit this oracle validates corrections for.
-    pub fn circuit(&self) -> &'c Circuit {
-        self.circuit
-    }
-
-    /// Exact validity by SAT: the candidate gates are freed in *every*
-    /// frame of every test's unrolling; valid iff each test instance is
-    /// satisfiable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a test's sequence is longer than the oracle's unrolling.
-    pub fn is_valid(&self, tests: &SequenceTestSet, candidates: &[GateId]) -> bool {
-        let mut freed = vec![false; self.unrolled.circuit.len()];
-        for &g in candidates {
-            for frame in 0..self.frames {
-                freed[self.unrolled.instance(frame, g).index()] = true;
-            }
-        }
-        tests.iter().all(|test| {
-            assert!(
-                test.vectors.len() <= self.frames,
-                "test sequence longer than the oracle's unrolling"
-            );
-            let mut solver = Solver::new();
-            let vars: Vec<Var> = (0..self.unrolled.circuit.len())
-                .map(|_| ClauseSink::new_var(&mut solver))
-                .collect();
-            for &uid in self.unrolled.circuit.topo_order() {
-                let gate = self.unrolled.circuit.gate(uid);
-                if gate.kind() == GateKind::Input || freed[uid.index()] {
-                    continue;
-                }
-                let fanins: Vec<Lit> = gate
-                    .fanins()
-                    .iter()
-                    .map(|f| vars[f.index()].positive())
-                    .collect();
-                encode_gate(&mut solver, gate.kind(), vars[uid.index()], &fanins, None);
-            }
-            for (init_pi, &v) in self.unrolled.initial_state.iter().zip(&test.initial_state) {
-                solver.add_clause(&[vars[init_pi.index()].lit(v)]);
-            }
-            for (frame, vector) in test.vectors.iter().enumerate() {
-                for (&pi, &v) in self.reals.iter().zip(vector) {
-                    let inst = self.unrolled.instance(frame, pi);
-                    solver.add_clause(&[vars[inst.index()].lit(v)]);
-                }
-            }
-            let out_inst = self.unrolled.instance(test.frame, test.output);
-            solver.add_clause(&[vars[out_inst.index()].lit(test.expected)]);
-            solver.solve(&[]) == SolveResult::Sat
-        })
-    }
-}
-
-/// Exact validity check for sequential corrections by SAT: the candidate
-/// gates are freed in *every* frame of every test's unrolling. One-shot
-/// convenience over [`SeqValidityOracle`].
+/// Exact validity check for sequential corrections: a gate-change
+/// correction acts in every frame, so the candidates' instances in every
+/// frame of the unrolling are checked by the combinational
+/// [`ValidityOracle`] against the unrolled tests of
+/// [`sequence_tests_to_unrolled`]. A latch output's frame-0 instance is
+/// the initial-state input, which no correction drives, so only its later
+/// frames count.
 pub fn is_valid_sequential_correction(
     circuit: &Circuit,
     tests: &SequenceTestSet,
@@ -709,43 +603,59 @@ pub fn is_valid_sequential_correction(
     if tests.is_empty() {
         return true;
     }
-    SeqValidityOracle::new(circuit, tests.max_frames()).is_valid(tests, candidates)
+    let (unrolled, set) = sequence_tests_to_unrolled(circuit, tests);
+    let mut instances = Vec::with_capacity(candidates.len() * unrolled.frames());
+    for frame in 0..unrolled.frames() {
+        for &g in candidates {
+            let instance = unrolled.instance(frame, g);
+            if unrolled.circuit.gate(instance).kind() != GateKind::Input {
+                instances.push(instance);
+            }
+        }
+    }
+    instances.sort_unstable();
+    instances.dedup();
+    ValidityOracle::new(&unrolled.circuit).is_valid(&set, &instances)
 }
 
 /// Converts sequence tests into combinational [`TestSet`]s over the
-/// unrolled circuit (for reusing combinational engines on sequential
-/// problems). All tests must share one sequence length; the returned
-/// test-set targets the unrolled circuit of [`unroll`].
+/// unrolled circuit (for reusing combinational engines and the validity
+/// oracle on sequential problems). The unrolling spans the longest
+/// sequence; a shorter sequence's later frames get all-zero inputs, which
+/// cannot matter, since an output at frame `f` depends only on frames
+/// `≤ f`. The returned test-set targets the unrolled circuit of
+/// [`unroll`].
 ///
 /// Note: combinational diagnosis over the unrolling treats each *frame
 /// instance* of a gate as an independent candidate; only the sequential
 /// engine above shares selects per original gate.
+///
+/// # Panics
+///
+/// Panics if `tests` is empty.
 pub fn sequence_tests_to_unrolled(
     circuit: &Circuit,
     tests: &SequenceTestSet,
 ) -> (Unrolling, TestSet) {
     assert!(!tests.is_empty(), "need at least one sequence test");
-    let frames = tests.tests()[0].vectors.len();
-    let unrolled = unroll(circuit, frames);
+    let unrolled = unroll(circuit, tests.max_frames());
     let reals = real_inputs(circuit);
-    let mut set = Vec::new();
+    // Position of each unrolled input in `unrolled.circuit.inputs()`.
+    let mut position = vec![usize::MAX; unrolled.circuit.len()];
+    for (i, &pi) in unrolled.circuit.inputs().iter().enumerate() {
+        position[pi.index()] = i;
+    }
+    let mut set = Vec::with_capacity(tests.len());
     for test in tests {
-        // Assemble the unrolled input vector in unrolled.inputs() order.
-        let mut value_of = std::collections::HashMap::new();
+        let mut vector = vec![false; unrolled.circuit.inputs().len()];
         for (init_pi, &v) in unrolled.initial_state.iter().zip(&test.initial_state) {
-            value_of.insert(*init_pi, v);
+            vector[position[init_pi.index()]] = v;
         }
-        for (frame, vector) in test.vectors.iter().enumerate() {
-            for (&pi, &v) in reals.iter().zip(vector) {
-                value_of.insert(unrolled.instance(frame, pi), v);
+        for (frame, values) in test.vectors.iter().enumerate() {
+            for (&pi, &v) in reals.iter().zip(values) {
+                vector[position[unrolled.instance(frame, pi).index()]] = v;
             }
         }
-        let vector: Vec<bool> = unrolled
-            .circuit
-            .inputs()
-            .iter()
-            .map(|pi| *value_of.get(pi).expect("all unrolled inputs covered"))
-            .collect();
         set.push(crate::test_set::Test {
             vector,
             output: unrolled.instance(test.frame, test.output),
@@ -957,9 +867,8 @@ mod tests {
                 "seed {seed}: real site missing from {:?}",
                 diag.solutions
             );
-            let oracle = SeqValidityOracle::new(&faulty, tests.max_frames());
             for sol in &diag.solutions {
-                assert!(oracle.is_valid(&tests, sol));
+                assert!(is_valid_sequential_correction(&faulty, &tests, sol));
             }
         }
     }
@@ -1042,6 +951,35 @@ mod tests {
         for t in &test_set {
             let v = simulate(&unrolled_faulty.circuit, &t.vector);
             assert_ne!(v[t.output.index()], t.expected);
+        }
+    }
+
+    #[test]
+    fn unrolled_conversion_spans_mixed_lengths() {
+        let golden = toggle_circuit();
+        let d = golden.find("d").unwrap();
+        let faulty = golden.with_gate_kind(d, gatediag_netlist::GateKind::Xnor);
+        let short = generate_failing_sequences(&golden, &faulty, 2, 2, 1, 512);
+        let long = generate_failing_sequences(&golden, &faulty, 4, 2, 2, 512);
+        assert!(!short.is_empty() && !long.is_empty());
+        // A longer test after a shorter one, and a shorter after a longer.
+        for tests in [
+            short
+                .iter()
+                .chain(&long)
+                .cloned()
+                .collect::<SequenceTestSet>(),
+            long.iter().chain(&short).cloned().collect(),
+        ] {
+            let (unrolled, set) = sequence_tests_to_unrolled(&faulty, &tests);
+            assert_eq!(unrolled.frames(), 4);
+            assert_eq!(set.len(), tests.len());
+            for (t, seq) in set.iter().zip(&tests) {
+                let v = simulate(&unrolled.circuit, &t.vector);
+                assert_ne!(v[t.output.index()], t.expected);
+                let frames = simulate_sequence(&faulty, &seq.initial_state, &seq.vectors);
+                assert_eq!(v[t.output.index()], frames[seq.frame][seq.output.index()]);
+            }
         }
     }
 

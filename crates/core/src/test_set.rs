@@ -72,11 +72,6 @@ impl TestSet {
     pub fn prefix_at_most(&self, m: usize) -> TestSet {
         self.prefix(m.min(self.tests.len()))
     }
-
-    /// Appends every test of `other`, keeping order.
-    pub fn extend_from(&mut self, other: &TestSet) {
-        self.tests.extend(other.tests.iter().cloned());
-    }
 }
 
 impl FromIterator<Test> for TestSet {

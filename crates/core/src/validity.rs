@@ -29,9 +29,9 @@
 
 use crate::budget::{Budget, Truncation};
 use crate::test_set::{Test, TestSet};
-use gatediag_cnf::{encode_gate, ClauseSink};
-use gatediag_netlist::{Circuit, GateId, GateKind};
-use gatediag_sat::{SolveResult, Solver, SolverStats, Var};
+use gatediag_cnf::{encode_freed_copy, CircuitVars};
+use gatediag_netlist::{fanout_cone, Circuit, GateId, GateKind};
+use gatediag_sat::{SolveResult, Solver, SolverStats};
 use gatediag_sim::{parallel_map_init_while, PackedSim, Parallelism};
 use std::time::Instant;
 
@@ -201,7 +201,7 @@ impl<'c> SimValidityEngine<'c> {
 struct SatValidityEngine<'c> {
     circuit: &'c Circuit,
     solver: Solver,
-    vars: Vec<Var>,
+    vars: CircuitVars,
 }
 
 /// Outcome of one budgeted rectifiability query
@@ -224,30 +224,14 @@ impl<'c> SatValidityEngine<'c> {
     ///
     /// Panics if a candidate is a primary input.
     fn new(circuit: &'c Circuit, candidates: &[GateId]) -> SatValidityEngine<'c> {
-        let mut freed = vec![false; circuit.len()];
         for &g in candidates {
             assert!(
                 circuit.gate(g).kind() != GateKind::Input,
                 "candidate {g} is a primary input"
             );
-            freed[g.index()] = true;
         }
         let mut solver = Solver::new();
-        let vars: Vec<Var> = (0..circuit.len())
-            .map(|_| ClauseSink::new_var(&mut solver))
-            .collect();
-        for &id in circuit.topo_order() {
-            let gate = circuit.gate(id);
-            if gate.kind() == GateKind::Input || freed[id.index()] {
-                continue;
-            }
-            let fanins: Vec<_> = gate
-                .fanins()
-                .iter()
-                .map(|&f| vars[f.index()].positive())
-                .collect();
-            encode_gate(&mut solver, gate.kind(), vars[id.index()], &fanins, None);
-        }
+        let vars = encode_freed_copy(&mut solver, circuit, candidates);
         SatValidityEngine {
             circuit,
             solver,
@@ -267,9 +251,9 @@ impl<'c> SatValidityEngine<'c> {
             .inputs()
             .iter()
             .zip(&test.vector)
-            .map(|(&pi, &v)| self.vars[pi.index()].lit(v))
+            .map(|(&pi, &v)| self.vars.lit(pi, v))
             .collect();
-        assumptions.push(self.vars[test.output.index()].lit(test.expected));
+        assumptions.push(self.vars.lit(test.output, test.expected));
         match self.solver.solve(&assumptions) {
             SolveResult::Sat => ValidityVerdict::Rectifiable,
             SolveResult::Unsat => ValidityVerdict::NotRectifiable,
@@ -445,7 +429,9 @@ fn resolve_validity_backend(circuit: &Circuit, candidates: &[GateId]) -> Validit
     }
     let combos = 1u64 << candidates.len();
     let sweeps = combos.div_ceil(64 * SCREEN_WORDS as u64);
-    let cone = fanout_cone_size(circuit, candidates) as u64;
+    // The union of the candidates' fan-out cones: the region an
+    // incremental forced-value sweep actually re-simulates.
+    let cone = fanout_cone(circuit, candidates).len() as u64;
     let sim_cost = sweeps.saturating_mul(cone.max(1));
     let sat_cost = SAT_COST_PER_GATE.saturating_mul(circuit.len() as u64);
     if sim_cost <= sat_cost {
@@ -453,30 +439,6 @@ fn resolve_validity_backend(circuit: &Circuit, candidates: &[GateId]) -> Validit
     } else {
         ValidityBackend::Sat
     }
-}
-
-/// Number of gates in the union of the candidates' fan-out cones — the
-/// region an incremental forced-value sweep actually re-simulates.
-fn fanout_cone_size(circuit: &Circuit, candidates: &[GateId]) -> usize {
-    let mut visited = vec![false; circuit.len()];
-    let mut stack: Vec<GateId> = Vec::new();
-    for &g in candidates {
-        if !visited[g.index()] {
-            visited[g.index()] = true;
-            stack.push(g);
-        }
-    }
-    let mut size = 0usize;
-    while let Some(id) = stack.pop() {
-        size += 1;
-        for &f in circuit.fanouts(id) {
-            if !visited[f.index()] {
-                visited[f.index()] = true;
-                stack.push(f);
-            }
-        }
-    }
-    size
 }
 
 /// Exact validity with automatic backend dispatch.

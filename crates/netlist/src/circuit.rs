@@ -322,12 +322,6 @@ impl Circuit {
         clone.kinds[id.index()] = kind;
         clone
     }
-
-    /// Renames the circuit (fluent helper for generators).
-    pub fn with_name(mut self, name: impl Into<String>) -> Circuit {
-        self.name = name.into();
-        self
-    }
 }
 
 /// Incremental constructor for [`Circuit`].
@@ -375,13 +369,6 @@ impl CircuitBuilder {
     /// Adds a primary input.
     pub fn input(&mut self, name: impl Into<String>) -> GateId {
         let id = self.push(GateKind::Input, Vec::new(), Some(name.into()));
-        self.inputs.push(id);
-        id
-    }
-
-    /// Adds an anonymous primary input.
-    pub fn anon_input(&mut self) -> GateId {
-        let id = self.push(GateKind::Input, Vec::new(), None);
         self.inputs.push(id);
         id
     }

@@ -158,15 +158,6 @@ impl GateKind {
         }
     }
 
-    /// Whether the gate inverts its "base" function (`Nand`, `Nor`, `Xnor`,
-    /// `Not`).
-    pub fn is_inverting(self) -> bool {
-        matches!(
-            self,
-            GateKind::Nand | GateKind::Nor | GateKind::Xnor | GateKind::Not
-        )
-    }
-
     /// Evaluates the gate over `bool` fan-in values.
     ///
     /// # Panics

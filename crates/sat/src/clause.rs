@@ -143,12 +143,6 @@ impl ClauseDb {
         self.wasted
     }
 
-    /// Total arena size in words.
-    #[allow(dead_code)]
-    pub fn len_words(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Copies a live clause into `target`, returning its new reference.
     ///
     /// # Panics

@@ -8,8 +8,8 @@
 //!   nothing after the first [`PackedSim::reset`];
 //! * each gate carries `W` 64-bit words, so one topological sweep
 //!   evaluates `64 * W` patterns;
-//! * forced values and gate-kind overrides are *sparse overlays* (epoch
-//!   tagged, O(1) to clear) instead of dense `Vec<Option<u64>>`s;
+//! * forced values are a *sparse overlay* (epoch tagged, O(1) to clear)
+//!   instead of a dense `Vec<Option<u64>>`;
 //! * an event-driven incremental mode ([`PackedSim::propagate`])
 //!   re-evaluates only the fan-out cone of changed gates, in level order,
 //!   which is what makes per-candidate screening (validity oracles)
@@ -19,13 +19,13 @@
 //!
 //! ```text
 //! new(circuit)                   bind to a circuit, no allocation yet
-//!   reset(W)                     size buffers for 64*W patterns, clear overlays
+//!   reset(W)                     size buffers for 64*W patterns, clear the overlay
 //!     set_input_words / set_inputs_broadcast
 //!     sweep()                    full linear topological sweep -> baseline
 //!     sweep_gates(list)          the same over a topo-ordered gate list (a cone)
-//!       force / override_kind    sparse overlay edits (schedule the gate)
+//!       force                    sparse overlay edit (schedules the gate)
 //!       propagate()              incremental: touched cones only
-//!       clear_forced / clear_kind_overrides + propagate()  -> back to baseline
+//!       clear_forced + propagate()  -> back to baseline
 //!   reset(W')                    repartition for a different pattern count
 //! ```
 //!
@@ -34,8 +34,8 @@
 
 use gatediag_netlist::{Circuit, GateId, GateKind};
 
-/// Reusable multi-word bit-parallel simulator with sparse forced-value and
-/// kind-override overlays and event-driven incremental resimulation.
+/// Reusable multi-word bit-parallel simulator with a sparse forced-value
+/// overlay and event-driven incremental resimulation.
 ///
 /// See the [crate docs](crate) for the lifecycle. Values are stored
 /// gate-major: gate `g`'s patterns live in
@@ -54,11 +54,6 @@ pub struct PackedSim<'c> {
     forced_epoch: Vec<u32>,
     forced_vals: Vec<u64>,
     forced_list: Vec<GateId>,
-
-    kind_epoch: u32,
-    kind_mark: Vec<u32>,
-    kind_over: Vec<GateKind>,
-    kind_list: Vec<GateId>,
 
     queued: Vec<bool>,
     buckets: Vec<Vec<u32>>,
@@ -84,10 +79,6 @@ impl<'c> PackedSim<'c> {
             forced_epoch: Vec::new(),
             forced_vals: Vec::new(),
             forced_list: Vec::new(),
-            kind_epoch: 1,
-            kind_mark: Vec::new(),
-            kind_over: Vec::new(),
-            kind_list: Vec::new(),
             queued: Vec::new(),
             buckets: Vec::new(),
             pending: 0,
@@ -119,7 +110,7 @@ impl<'c> PackedSim<'c> {
     }
 
     /// Sizes the engine for `words` 64-bit words per gate (`64 * words`
-    /// patterns), clearing all values, overlays and pending events.
+    /// patterns), clearing all values, the overlay and pending events.
     ///
     /// Buffers are reused when possible; calling `reset` with the current
     /// width is cheap and simply returns the engine to a pristine state.
@@ -148,12 +139,6 @@ impl<'c> PackedSim<'c> {
         self.forced_vals.resize(n * words, 0);
         self.forced_list.clear();
         self.epoch = 1;
-        self.kind_mark.clear();
-        self.kind_mark.resize(n, 0);
-        self.kind_over.clear();
-        self.kind_over.resize(n, GateKind::Const0);
-        self.kind_list.clear();
-        self.kind_epoch = 1;
         self.queued.clear();
         self.queued.resize(n, false);
         let depth = self.circuit.depth() as usize + 1;
@@ -265,64 +250,6 @@ impl<'c> PackedSim<'c> {
         }
     }
 
-    /// Replaces the Boolean function of gate `g` with `kind` until
-    /// [`PackedSim::clear_kind_overrides`] — the "gate change" error model
-    /// evaluated without rebuilding the circuit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine was not `reset`, `g` is a primary input, or
-    /// `kind` is illegal for the gate's arity. Constant gates CAN be
-    /// overridden (`Const0` <-> `Const1`), matching
-    /// [`Circuit::with_gate_kind`]'s contract — constants are correctable
-    /// error sites in the paper's model.
-    pub fn override_kind(&mut self, g: GateId, kind: GateKind) {
-        assert!(self.words > 0, "reset() must be called first");
-        let i = g.index();
-        assert!(
-            self.circuit.kind(g) != GateKind::Input,
-            "cannot override the function of primary input {g}"
-        );
-        assert!(
-            kind != GateKind::Input,
-            "cannot override a gate to the Input pseudo-kind"
-        );
-        assert!(
-            kind.arity_ok(self.circuit.fanins(g).len()),
-            "kind {kind} illegal for arity {}",
-            self.circuit.fanins(g).len()
-        );
-        if self.kind_mark[i] != self.kind_epoch {
-            self.kind_mark[i] = self.kind_epoch;
-            self.kind_list.push(g);
-        }
-        self.kind_over[i] = kind;
-        self.schedule(g);
-    }
-
-    /// Removes every kind override in O(#overridden), scheduling the
-    /// affected gates.
-    pub fn clear_kind_overrides(&mut self) {
-        let list = std::mem::take(&mut self.kind_list);
-        for &g in &list {
-            self.schedule(g);
-        }
-        self.kind_epoch = self.kind_epoch.wrapping_add(1);
-        if self.kind_epoch == 0 {
-            self.kind_mark.fill(u32::MAX);
-            self.kind_epoch = 1;
-        }
-    }
-
-    #[inline]
-    fn effective_kind(&self, i: usize) -> GateKind {
-        if self.kind_mark[i] == self.kind_epoch {
-            self.kind_over[i]
-        } else {
-            self.circuit.kinds()[i]
-        }
-    }
-
     #[inline]
     fn schedule(&mut self, g: GateId) {
         let i = g.index();
@@ -347,7 +274,7 @@ impl<'c> PackedSim<'c> {
                 &self.forced_vals[base..base + w],
             );
         }
-        let kind = self.effective_kind(i);
+        let kind = self.circuit.kinds()[i];
         if kind == GateKind::Input {
             let pos = self.input_pos[i] as usize * w;
             return copy_words(
@@ -360,7 +287,7 @@ impl<'c> PackedSim<'c> {
     }
 
     /// Full linear topological sweep: every gate is evaluated once, in
-    /// topo order, honouring the current input words and overlays.
+    /// topo order, honouring the current input words and forced values.
     /// Establishes the baseline for subsequent incremental updates.
     ///
     /// It is [`PackedSim::sweep_gates`] over the whole topological order.
@@ -374,7 +301,7 @@ impl<'c> PackedSim<'c> {
     }
 
     /// Evaluates exactly `gates`, in the given order, each once, honouring
-    /// the current input words and overlays; every other gate keeps its
+    /// the current input words and forced values; every other gate keeps its
     /// words. `gates` must list every gate after its fan-ins, or a gate
     /// reads its fan-ins' previous words. A restricted sweep evaluates a
     /// cone: a gate list closed under fan-ins (say, a fan-in cone in topo
@@ -693,34 +620,6 @@ mod tests {
         assert_eq!(sim.values(), &baseline[..], "baseline not restored");
     }
 
-    #[test]
-    fn kind_override_matches_with_gate_kind() {
-        let c = c17();
-        let g = c.find("G16").unwrap();
-        let vectors = vectors_for(&c, 32, 9);
-        let mut packed = Vec::new();
-        let w = pack_vectors_into(&c, &vectors, &mut packed);
-        let mut sim = PackedSim::new(&c);
-        sim.reset(w);
-        sim.set_input_words(&packed);
-        sim.sweep();
-        let baseline = sim.values().to_vec();
-        for kind in [
-            gatediag_netlist::GateKind::Or,
-            gatediag_netlist::GateKind::Xor,
-        ] {
-            sim.override_kind(g, kind);
-            sim.propagate();
-            let mutated = c.with_gate_kind(g, kind);
-            for (lane, v) in vectors.iter().enumerate() {
-                assert_eq!(sim.unpack_lane(lane), simulate(&mutated, v), "lane {lane}");
-            }
-        }
-        sim.clear_kind_overrides();
-        sim.propagate();
-        assert_eq!(sim.values(), &baseline[..]);
-    }
-
     /// The gate kernel matches [`GateKind::eval_word`] word by word for
     /// every kind and arity, on widths with and without a whole chunk and
     /// a tail, and reports a change exactly when a word moved.
@@ -745,8 +644,8 @@ mod tests {
         }
     }
 
-    /// A fresh sweep and an incremental propagate agree on every gate
-    /// kind, under kind overrides and forcings, over several words.
+    /// A fresh sweep and an incremental propagate agree under the forced
+    /// overlay, over several words.
     #[test]
     fn sweep_matches_propagate_under_overlays() {
         let c = RandomCircuitSpec::new(12, 4, 300).seed(5).generate();
@@ -762,14 +661,6 @@ mod tests {
         incremental.reset(w);
         incremental.set_input_words(&packed);
         incremental.sweep();
-        let mut edits = Vec::new();
-        for (n, &g) in functional.iter().enumerate().step_by(7) {
-            let kinds = GateKind::compatible_with_arity(c.fanins(g).len());
-            edits.push((g, kinds[n % kinds.len()]));
-        }
-        for &(g, kind) in &edits {
-            incremental.override_kind(g, kind);
-        }
         let forced = functional[functional.len() / 3];
         let pattern: Vec<u64> = (0..w as u64).map(|k| 0x9e37_79b9 * (k + 1)).collect();
         incremental.force(forced, &pattern);
@@ -777,9 +668,6 @@ mod tests {
         let mut fresh = PackedSim::new(&c);
         fresh.reset(w);
         fresh.set_input_words(&packed);
-        for &(g, kind) in &edits {
-            fresh.override_kind(g, kind);
-        }
         fresh.force(forced, &pattern);
         fresh.sweep();
         assert_eq!(fresh.values(), incremental.values());
@@ -826,30 +714,6 @@ mod tests {
                 assert_eq!(sim.unpack_lane(lane), simulate(&c, v));
             }
         }
-    }
-
-    #[test]
-    fn const_gates_can_be_overridden() {
-        // Constants are correctable error sites (Const0 <-> Const1); the
-        // override contract matches Circuit::with_gate_kind, which only
-        // forbids primary inputs.
-        use gatediag_netlist::{CircuitBuilder, GateKind};
-        let mut b = CircuitBuilder::new();
-        let a = b.input("a");
-        let k = b.anon_gate(GateKind::Const0, vec![]);
-        let y = b.gate(GateKind::Or, vec![a, k], "y");
-        b.output(y);
-        let c = b.finish().unwrap();
-        let mut sim = PackedSim::new(&c);
-        sim.reset(1);
-        sim.set_inputs_broadcast(&[false]);
-        sim.sweep();
-        assert!(!sim.lane(y, 0), "OR(0, Const0) must be 0");
-        sim.override_kind(k, GateKind::Const1);
-        sim.propagate();
-        assert!(sim.lane(y, 0), "OR(0, Const1) must be 1");
-        let mutated = c.with_gate_kind(k, GateKind::Const1);
-        assert_eq!(sim.unpack_lane(0), simulate(&mutated, &[false]));
     }
 
     #[test]

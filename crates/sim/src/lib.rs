@@ -5,10 +5,10 @@
 //!
 //! * [`PackedSim`] — the workhorse: a reusable multi-word bit-parallel
 //!   engine (arbitrary pattern counts, `64 * W` patterns per topological
-//!   sweep) with sparse forced-value and gate-kind-override overlays and
-//!   an event-driven incremental mode that re-simulates only the fan-out
-//!   cone of a change. All hot diagnosis paths (BSIM batching, validity
-//!   screening, test generation) run on it;
+//!   sweep) with a sparse forced-value overlay and an event-driven
+//!   incremental mode that re-simulates only the fan-out cone of a
+//!   change. All hot diagnosis paths (BSIM batching, validity screening,
+//!   test generation) run on it;
 //! * [`simulate`] / [`simulate_forced`] — scalar two-valued simulation
 //!   with optional forced gate values (the effect-analysis reference
 //!   semantics; `PackedSim` is lane-for-lane bit-identical to it);
@@ -21,8 +21,8 @@
 //! * [`SeqPackedSim`] / [`simulate_sequence`] — frame-major sequential
 //!   simulation: `64 * W` input *sequences* at once per time frame, latch
 //!   state words carried frame-to-frame over the explicit
-//!   combinationalisation lowering, with the same overlay machinery for
-//!   fault injection (scalar frame stepping is the pinned reference);
+//!   combinationalisation lowering, with the same forced-value overlay
+//!   (scalar frame stepping is the pinned reference);
 //! * [`parallel_map_init`] / [`Parallelism`] — a scoped worker pool for
 //!   the embarrassingly parallel diagnosis fan-outs (test batches,
 //!   candidate cones, search branches), built on
@@ -35,12 +35,10 @@
 //! [`PackedSim::new`] binds to a circuit; [`PackedSim::reset`] sizes the
 //! scratch buffers for a pattern count; [`PackedSim::sweep`] runs one
 //! full linear topological sweep over the circuit's CSR arrays; after
-//! that, [`PackedSim::force`] / [`PackedSim::override_kind`] +
-//! [`PackedSim::propagate`] update only affected cones, and
-//! [`PackedSim::clear_forced`] / [`PackedSim::clear_kind_overrides`]
-//! return to baseline in time proportional to the overlay size. Nothing
-//! is allocated after `reset`, so a single engine can screen thousands
-//! of candidates.
+//! that, [`PackedSim::force`] + [`PackedSim::propagate`] update only
+//! affected cones, and [`PackedSim::clear_forced`] returns to baseline
+//! in time proportional to the overlay size. Nothing is allocated after
+//! `reset`, so a single engine can screen thousands of candidates.
 //!
 //! # Examples
 //!

@@ -8,9 +8,9 @@
 //! value words) so the following frame reads them back through the latch
 //! `q` pseudo-inputs. The latch plumbing comes from the explicit
 //! combinationalisation lowering
-//! ([`StateView`](gatediag_netlist::StateView)); fault injection uses the
-//! same sparse overlays as the combinational engine
-//! ([`SeqPackedSim::override_kind`] / [`SeqPackedSim::force`]).
+//! ([`StateView`](gatediag_netlist::StateView)); forced values use the
+//! same sparse overlay as the combinational engine
+//! ([`SeqPackedSim::force`]).
 //!
 //! [`simulate_sequence`] is the scalar frame-by-frame reference with
 //! explicit latch stepping; `SeqPackedSim` is lane-for-lane bit-identical
@@ -51,7 +51,7 @@
 
 use crate::engine::PackedSim;
 use crate::scalar::simulate;
-use gatediag_netlist::{Circuit, GateId, GateKind, InputSlot, StateView};
+use gatediag_netlist::{Circuit, GateId, InputSlot, StateView};
 
 /// Packs rows of equal-width boolean vectors column-major into pattern
 /// words: column `j`'s words are `out[j * W .. (j + 1) * W]`, with row `r`
@@ -126,7 +126,7 @@ pub fn simulate_sequence(
 /// ```text
 /// new(circuit)                bind; derives the StateView lowering
 ///   begin(W, state_words)     reset for 64*W sequences, load initial state
-///     override_kind / force   optional overlays (fault injection)
+///     force                   optional forced-value overlay
 ///     step(real_input_words)  one frame of every sequence; frame 0 is a
 ///                             full sweep, later frames propagate
 ///                             incrementally; latches the next state
@@ -174,16 +174,6 @@ impl<'c> SeqPackedSim<'c> {
     /// Words per gate (sequences are `64 * words_per_gate`).
     pub fn words_per_gate(&self) -> usize {
         self.sim.words_per_gate()
-    }
-
-    /// Number of sequence lanes carried per frame.
-    pub fn num_sequences(&self) -> usize {
-        self.sim.num_patterns()
-    }
-
-    /// Frames stepped since the last [`SeqPackedSim::begin`].
-    pub fn frames_stepped(&self) -> usize {
-        self.frame
     }
 
     /// Number of real primary inputs (the per-frame vector width).
@@ -283,19 +273,6 @@ impl<'c> SeqPackedSim<'c> {
     /// The value of gate `g` for sequence `lane` at the current frame.
     pub fn lane(&self, g: GateId, lane: usize) -> bool {
         self.sim.lane(g, lane)
-    }
-
-    /// Replaces gate `g`'s function with `kind` (the gate-change error
-    /// model) until [`SeqPackedSim::clear_kind_overrides`]. Applies from
-    /// the next [`SeqPackedSim::step`] (every frame if installed before
-    /// the first).
-    pub fn override_kind(&mut self, g: GateId, kind: GateKind) {
-        self.sim.override_kind(g, kind);
-    }
-
-    /// Removes every kind override.
-    pub fn clear_kind_overrides(&mut self) {
-        self.sim.clear_kind_overrides();
     }
 
     /// Forces gate `g` to the given pattern words until
@@ -398,30 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn kind_override_matches_mutated_scalar() {
-        let c = toggle();
-        let d = c.find("d").unwrap();
-        let mutated = c.with_gate_kind(d, GateKind::Xnor);
-        let (initial, seqs) = random_sequences(&c, 6, 4, 3);
-        let mut sim = SeqPackedSim::new(&c);
-        let mut state = Vec::new();
-        let words = pack_rows_into(1, &initial, &mut state);
-        sim.begin(words, &state);
-        sim.override_kind(d, GateKind::Xnor);
-        let mut packed = Vec::new();
-        let out = c.find("out").unwrap();
-        for frame in 0..4 {
-            let rows: Vec<&[bool]> = seqs.iter().map(|s| s[frame].as_slice()).collect();
-            pack_rows_into(1, &rows, &mut packed);
-            sim.step(&packed);
-            for (lane, seq) in seqs.iter().enumerate() {
-                let scalar = simulate_sequence(&mutated, &initial[lane], seq);
-                assert_eq!(sim.lane(out, lane), scalar[frame][out.index()]);
-            }
-        }
-    }
-
-    #[test]
     fn begin_restarts_cleanly_after_overlays() {
         let c = toggle();
         let d = c.find("d").unwrap();
@@ -444,11 +397,11 @@ mod tests {
         };
         let mut sim = SeqPackedSim::new(&c);
         let clean = run(&mut sim);
-        sim.override_kind(d, GateKind::Xnor);
-        let faulty = run(&mut sim);
-        // begin() clears overlays, so the faulty pass equals the clean one
-        // unless the override is re-installed after begin().
-        assert_eq!(clean, faulty);
+        sim.force(d, &[!0]);
+        let forced = run(&mut sim);
+        // begin() clears the overlay, so the forced pass equals the clean
+        // one unless the forcing is re-installed after begin().
+        assert_eq!(clean, forced);
     }
 
     #[test]

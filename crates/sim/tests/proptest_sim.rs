@@ -2,7 +2,7 @@
 //! and sequential engines agree with the scalar reference on random
 //! circuits, vectors and forcings.
 
-use gatediag_netlist::{unroll, GateId, GateKind, RandomCircuitSpec, StateView};
+use gatediag_netlist::{unroll, GateId, RandomCircuitSpec, StateView};
 use gatediag_sim::{
     pack_vectors, pack_vectors_into, simulate, simulate_forced, simulate_packed_forced,
     simulate_sequence, simulate_tv, unpack_lane, PackedSim, Tv,
@@ -135,7 +135,7 @@ proptest! {
         }
     }
 
-    /// Incremental propagation after force / clear / kind-override edits
+    /// Incremental propagation after force / clear edits
     /// always lands on the same values as a from-scratch sweep, which is
     /// itself anchored to the scalar reference elsewhere.
     #[test]
@@ -163,39 +163,21 @@ proptest! {
         // with a full sweep every time.
         let mut fresh = PackedSim::new(&c);
         let mut forced_now: Vec<(GateId, bool)> = Vec::new();
-        let mut kinds_now: Vec<(GateId, GateKind)> = Vec::new();
         for (pick, action, value) in edits {
             let g = functional[pick as usize % functional.len()];
-            match action % 4 {
-                0 => {
-                    forced_now.retain(|&(x, _)| x != g);
-                    forced_now.push((g, value));
-                    sim.force_all_lanes(g, value);
-                }
-                1 => {
-                    let menu = GateKind::compatible_with_arity(c.gate(g).arity());
-                    let kind = menu[action as usize % menu.len()];
-                    kinds_now.retain(|&(x, _)| x != g);
-                    kinds_now.push((g, kind));
-                    sim.override_kind(g, kind);
-                }
-                2 => {
-                    forced_now.clear();
-                    sim.clear_forced();
-                }
-                _ => {
-                    kinds_now.clear();
-                    sim.clear_kind_overrides();
-                }
+            if action % 3 < 2 {
+                forced_now.retain(|&(x, _)| x != g);
+                forced_now.push((g, value));
+                sim.force_all_lanes(g, value);
+            } else {
+                forced_now.clear();
+                sim.clear_forced();
             }
             sim.propagate();
             fresh.reset(words);
             fresh.set_input_words(&packed);
             for &(fg, fv) in &forced_now {
                 fresh.force_all_lanes(fg, fv);
-            }
-            for &(kg, kk) in &kinds_now {
-                fresh.override_kind(kg, kk);
             }
             fresh.sweep();
             prop_assert_eq!(sim.values(), fresh.values());

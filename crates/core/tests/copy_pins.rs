@@ -13,6 +13,8 @@
 //! - the `CnfCollector` stream (variable count and every clause) of each
 //!   copy shape on a combinational, a random and an unrolled circuit;
 //! - `sequential_sat_diagnose`'s solutions and solver statistics;
+//! - `sequential_sim_diagnose`'s per-test candidate sets and mark counts,
+//!   which do not touch the SAT side but are pinned with their SAT twin;
 //! - the SAT validity backend's verdicts and statistics;
 //! - `generate_discriminating_tests`' tests, classes and statistics;
 //! - `is_valid_sequential_correction`'s verdicts, on a set with mixed
@@ -28,8 +30,9 @@ use gatediag_cnf::{
 use gatediag_core::{
     basic_sat_diagnose, generate_discriminating_tests, generate_failing_sequences,
     generate_failing_tests, is_valid_sequential_correction, prepare, sequential_sat_diagnose,
-    BsatOptions, Budget, DiagnoseRequest, EngineKind, Parallelism, PreparedTests, SeqBsatOptions,
-    SequenceTestSet, TestGenPolicy, ValidityBackend, ValidityOracle,
+    sequential_sim_diagnose, BsatOptions, BsimOptions, Budget, DiagnoseRequest, EngineKind,
+    MarkPolicy, Parallelism, PreparedTests, SeqBsatOptions, SequenceTestSet, TestGenPolicy,
+    ValidityBackend, ValidityOracle,
 };
 use gatediag_netlist::{
     c17, inject_errors, parse_bench, unroll, Circuit, GateId, GateKind, RandomCircuitSpec,
@@ -227,6 +230,87 @@ fn sequential_sat_diagnose_is_pinned() {
         }
     }
     check("sequential_sat_diagnose", &lines, SEQ_BSAT);
+}
+
+const SEQ_BSIM: &str = "
+rnd160/s1 FirstControlling inputs:false tests:4 frames:3 union:67 3d284641ae6d61b4
+rnd160/s1 FirstControlling inputs:true tests:4 frames:3 union:70 9b305a2e18ac6047
+rnd160/s1 AllControlling inputs:false tests:4 frames:3 union:106 02e82495687129ca
+rnd160/s1 AllControlling inputs:true tests:4 frames:3 union:110 6458c7d593718027
+rnd160/s2 FirstControlling inputs:false tests:4 frames:3 union:75 48907378e2f57090
+rnd160/s2 FirstControlling inputs:true tests:4 frames:3 union:78 525fad55894bc857
+rnd160/s2 AllControlling inputs:false tests:4 frames:3 union:99 22cbc0a9e321d2c1
+rnd160/s2 AllControlling inputs:true tests:4 frames:3 union:103 df286ff33d7b1665
+rnd30/mixed FirstControlling inputs:false tests:6 frames:4 union:17 499a3abdb8a22cd5
+rnd30/mixed FirstControlling inputs:true tests:6 frames:4 union:18 a79c94abe334cc6b
+rnd30/mixed AllControlling inputs:false tests:6 frames:4 union:18 6110d86229c5b7c3
+rnd30/mixed AllControlling inputs:true tests:6 frames:4 union:19 beda3287ad4b5fdd
+";
+
+/// The sequential workloads of the seq-BSIM pin: engine-enum's `rnd160`
+/// at p = 2, 3 frames (seeds 1 and 2), and [`latch_circuit`] with a set of
+/// 2- and 4-frame sequences.
+fn seq_bsim_workloads() -> Vec<(String, Circuit, SequenceTestSet)> {
+    let golden = rnd160();
+    let mut workloads = Vec::new();
+    for seed in 1..=2u64 {
+        let request = DiagnoseRequest {
+            engine: EngineKind::SeqBsim,
+            p: 2,
+            seed,
+            frames: Some(3),
+            ..DiagnoseRequest::default()
+        }
+        .validated()
+        .expect("valid request");
+        let prepared = prepare(&golden, &request);
+        let PreparedTests::Sequential(tests) = &prepared.tests else {
+            panic!("sequential request prepares sequences");
+        };
+        let faulty = prepared.faulty.as_deref().expect("injectable").clone();
+        workloads.push((format!("rnd160/s{seed}"), faulty, tests.clone()));
+    }
+    let random = latch_circuit();
+    // The first injection seed whose error shows within 2 frames.
+    let faulty = (1u64..)
+        .map(|seed| inject_errors(&random, 1, seed).0)
+        .find(|f| !generate_failing_sequences(&random, f, 2, 1, 5, 512).is_empty())
+        .expect("some injection is observable");
+    let short = generate_failing_sequences(&random, &faulty, 2, 3, 5, 512);
+    let long = generate_failing_sequences(&random, &faulty, 4, 3, 6, 512);
+    let mixed: SequenceTestSet = short.iter().chain(long.iter()).cloned().collect();
+    workloads.push(("rnd30/mixed".to_string(), faulty, mixed));
+    workloads
+}
+
+#[test]
+fn seq_bsim_is_pinned() {
+    let mut lines = Vec::new();
+    for (name, faulty, tests) in seq_bsim_workloads() {
+        for policy in [MarkPolicy::FirstControlling, MarkPolicy::AllControlling] {
+            for include_inputs in [false, true] {
+                let options = BsimOptions {
+                    policy,
+                    include_inputs,
+                    ..BsimOptions::default()
+                };
+                let result = sequential_sim_diagnose(&faulty, &tests, options);
+                let sets: Vec<Vec<GateId>> = result
+                    .candidate_sets
+                    .iter()
+                    .map(|set| set.iter().collect())
+                    .collect();
+                lines.push(format!(
+                    "{name} {policy:?} inputs:{include_inputs} tests:{} frames:{} union:{} {:016x}",
+                    tests.len(),
+                    tests.max_frames(),
+                    result.union.len(),
+                    fnv(&format!("{sets:?} {:?}", result.mark_counts))
+                ));
+            }
+        }
+    }
+    check("seq-BSIM", &lines, SEQ_BSIM);
 }
 
 const SAT_VALIDITY: &str = "

@@ -40,36 +40,58 @@ pub enum MuxEncoding {
 /// Shared select lines over the instrumented gate sites.
 ///
 /// One select variable per site, shared by every encoded circuit copy, so a
-/// gate is corrected for all tests or none (the key BSAT property).
+/// gate is corrected for all tests or none (the key BSAT property). A site
+/// may stand for several gates of the encoded circuit, its *instances*:
+/// over a time-frame expansion a gate-change error acts in every frame, so
+/// one select guards the gate's instance in each frame.
 #[derive(Clone, Debug)]
 pub struct Instrumentation {
     sites: Vec<GateId>,
-    /// [`GateRole::Selected`] at every site.
+    /// `selects[i]` is the select of `sites[i]`.
+    selects: Vec<Var>,
+    /// [`GateRole::Selected`] at every instance of every site.
     roles: CopyRoles,
 }
 
 impl Instrumentation {
-    /// Allocates one select variable per site.
+    /// Allocates one select variable per site, in site order, guarding the
+    /// gates `instances(site)` of the encoded `circuit`. A combinational
+    /// copy passes `std::iter::once`: each site is its own one instance.
     ///
     /// # Panics
     ///
-    /// Panics if a site is a source gate (inputs/constants cannot be
-    /// corrected) or listed twice.
-    pub fn new<S: ClauseSink>(sink: &mut S, circuit: &Circuit, sites: &[GateId]) -> Self {
+    /// Panics if an instance is a primary input (inputs cannot be
+    /// corrected) or is listed twice.
+    pub fn new<S, I>(
+        sink: &mut S,
+        circuit: &Circuit,
+        sites: &[GateId],
+        instances: impl Fn(GateId) -> I,
+    ) -> Self
+    where
+        S: ClauseSink,
+        I: IntoIterator<Item = GateId>,
+    {
         let mut roles = CopyRoles::default();
+        let mut selects = Vec::with_capacity(sites.len());
         for &site in sites {
-            assert!(
-                circuit.gate(site).kind() != GateKind::Input,
-                "cannot instrument primary input {site}"
-            );
-            assert!(
-                roles.role(site) == GateRole::Plain,
-                "gate {site} instrumented twice"
-            );
-            roles.set(site, GateRole::Selected(sink.new_var()));
+            let select = sink.new_var();
+            for gate in instances(site) {
+                assert!(
+                    circuit.gate(gate).kind() != GateKind::Input,
+                    "cannot instrument primary input {gate}"
+                );
+                assert!(
+                    roles.role(gate) == GateRole::Plain,
+                    "gate {gate} instrumented twice"
+                );
+                roles.set(gate, GateRole::Selected(select));
+            }
+            selects.push(select);
         }
         Instrumentation {
             sites: sites.to_vec(),
+            selects,
             roles,
         }
     }
@@ -79,7 +101,7 @@ impl Instrumentation {
         &self.sites
     }
 
-    /// The select variable of `gate`, if instrumented.
+    /// The select variable guarding `gate` of the encoded circuit, if any.
     pub fn select(&self, gate: GateId) -> Option<Var> {
         match self.roles.role(gate) {
             GateRole::Selected(s) => Some(s),
@@ -88,11 +110,8 @@ impl Instrumentation {
     }
 
     /// All select variables, parallel to [`Instrumentation::sites`].
-    pub fn select_vars(&self) -> Vec<Var> {
-        self.sites
-            .iter()
-            .map(|&g| self.select(g).expect("site has a select var"))
-            .collect()
+    pub fn select_vars(&self) -> &[Var] {
+        &self.selects
     }
 }
 
@@ -118,7 +137,7 @@ pub struct InstrumentedCopy {
 /// let c = gatediag_netlist::c17();
 /// let site = c.find("G16").unwrap();
 /// let mut solver = Solver::new();
-/// let inst = Instrumentation::new(&mut solver, &c, &[site]);
+/// let inst = Instrumentation::new(&mut solver, &c, &[site], std::iter::once);
 /// let copy = encode_instrumented_copy(&mut solver, &c, &inst, MuxEncoding::Inline);
 /// assert_eq!(copy.vars.all().len(), c.len());
 /// ```
@@ -158,7 +177,7 @@ mod tests {
                 .map(|(id, _)| id)
                 .collect();
             let mut solver = Solver::new();
-            let inst = Instrumentation::new(&mut solver, &c, &sites);
+            let inst = Instrumentation::new(&mut solver, &c, &sites, std::iter::once);
             let copy = encode_instrumented_copy(&mut solver, &c, &inst, encoding);
             // All selects off.
             for v in inst.select_vars() {
@@ -192,7 +211,7 @@ mod tests {
         let out = c.find("G22").unwrap();
         for encoding in all_encodings() {
             let mut solver = Solver::new();
-            let inst = Instrumentation::new(&mut solver, &c, &[site]);
+            let inst = Instrumentation::new(&mut solver, &c, &[site], std::iter::once);
             let copy = encode_instrumented_copy(&mut solver, &c, &inst, encoding);
             let s = inst.select(site).unwrap();
             // Fix one input vector; with the mux on, both values of the
@@ -233,7 +252,7 @@ mod tests {
         let c = c17();
         let site = c.find("G16").unwrap();
         let mut solver = Solver::new();
-        let inst = Instrumentation::new(&mut solver, &c, &[site]);
+        let inst = Instrumentation::new(&mut solver, &c, &[site], std::iter::once);
         let copy = encode_instrumented_copy(
             &mut solver,
             &c,
@@ -259,7 +278,7 @@ mod tests {
         let c = c17();
         let pi = c.inputs()[0];
         let mut solver = Solver::new();
-        let _ = Instrumentation::new(&mut solver, &c, &[pi]);
+        let _ = Instrumentation::new(&mut solver, &c, &[pi], std::iter::once);
     }
 
     #[test]
@@ -268,6 +287,6 @@ mod tests {
         let c = c17();
         let site = c.find("G16").unwrap();
         let mut solver = Solver::new();
-        let _ = Instrumentation::new(&mut solver, &c, &[site, site]);
+        let _ = Instrumentation::new(&mut solver, &c, &[site, site], std::iter::once);
     }
 }

@@ -62,7 +62,7 @@ proptest! {
             MuxEncoding::ExplicitMux { force_c_zero: true },
         ] {
             let mut solver = Solver::new();
-            let inst = Instrumentation::new(&mut solver, &circuit, &sites);
+            let inst = Instrumentation::new(&mut solver, &circuit, &sites, std::iter::once);
             let copy = encode_instrumented_copy(&mut solver, &circuit, &inst, encoding);
             let mut assumptions: Vec<Lit> = circuit
                 .inputs()

@@ -12,13 +12,17 @@
 //! the Sec. 6 hybrid, seeding of the solver's decision heuristic from
 //! simulation results ([`BsatOptions::hints`]). Every non-input gate
 //! receives a correction multiplexer.
+//!
+//! The same instance build and enumeration loop serve sequential BSAT
+//! (engine `seq-bsat`): over the time-frame expansion each gate's select
+//! guards its instance in every frame.
 
 use crate::budget::{Budget, Truncation};
 use crate::test_set::TestSet;
 use gatediag_cnf::{
     encode_instrumented_copy, CnfCollector, Instrumentation, MuxEncoding, Totalizer,
 };
-use gatediag_netlist::{Circuit, GateId, GateKind};
+use gatediag_netlist::{Circuit, GateId, GateKind, Unrolling};
 use gatediag_sat::{enumerate_positive_subsets, Lit, Solver, SolverStats, Var};
 use gatediag_sim::{parallel_map_init, Parallelism};
 use std::time::{Duration, Instant};
@@ -119,11 +123,50 @@ pub fn basic_sat_diagnose(
     options: BsatOptions,
 ) -> BsatResult {
     let sites = resolve_sites(circuit);
+    sat_diagnose(circuit, tests, &sites, std::iter::once, k, options)
+}
+
+/// Sequential `BasicSATDiagnose` (the paper's reference \[4\], Ali et al.):
+/// [`basic_sat_diagnose`] over the time-frame expansion `unrolled` of
+/// `circuit`, with `tests` over the unrolled circuit. Each non-input gate
+/// of `circuit` gets one select, and it guards the gate's instance in
+/// every frame, exactly as it is shared across the test copies; the
+/// solutions are gates of `circuit`.
+pub(crate) fn unrolled_sat_diagnose(
+    circuit: &Circuit,
+    unrolled: &Unrolling,
+    tests: &TestSet,
+    k: usize,
+    options: BsatOptions,
+) -> BsatResult {
+    let sites = resolve_sites(circuit);
+    sat_diagnose(
+        &unrolled.circuit,
+        tests,
+        &sites,
+        |g| unrolled.instances(g),
+        k,
+        options,
+    )
+}
+
+/// The instance build and enumeration loop of `BasicSATDiagnose` over
+/// copies of `encoded`, with the select of each site guarding the gates
+/// `instances(site)` of `encoded` (see [`Instrumentation::new`]).
+fn sat_diagnose<I: IntoIterator<Item = GateId>>(
+    encoded: &Circuit,
+    tests: &TestSet,
+    sites: &[GateId],
+    instances: impl Fn(GateId) -> I,
+    k: usize,
+    options: BsatOptions,
+) -> BsatResult {
     let build_start = Instant::now();
     let mut solver = Solver::new();
     let instance = {
         let _encode = gatediag_obs::span("encode");
-        build_instance(&mut solver, circuit, tests, &sites, k, &options)
+        let inst = Instrumentation::new(&mut solver, encoded, sites, instances);
+        build_instance(&mut solver, encoded, tests, &inst, k, &options)
     };
     let build_time = build_start.elapsed();
 
@@ -208,11 +251,10 @@ fn build_instance(
     solver: &mut Solver,
     circuit: &Circuit,
     tests: &TestSet,
-    sites: &[GateId],
+    inst: &Instrumentation,
     k: usize,
     options: &BsatOptions,
 ) -> Instance {
-    let inst = Instrumentation::new(solver, circuit, sites);
     // The per-test instrumented copies are independent given the shared
     // select lines, so their Tseitin encoding — the bulk of the paper's
     // Table 2 "CNF" time — shards across workers: every copy allocates an
@@ -228,7 +270,7 @@ fn build_instance(
         .workers_for(tests.len(), work, gatediag_sim::AUTO_WORK_FLOOR);
     if workers <= 1 || tests.len() <= 1 {
         for test in tests {
-            let copy = encode_instrumented_copy(solver, circuit, &inst, options.encoding);
+            let copy = encode_instrumented_copy(solver, circuit, inst, options.encoding);
             for (&pi, &v) in circuit.inputs().iter().zip(&test.vector) {
                 solver.add_clause(&[copy.vars.lit(pi, v)]);
             }
@@ -238,7 +280,7 @@ fn build_instance(
         let base = solver.num_vars();
         let encode_copy = |var_base: usize| {
             let mut sink = CnfCollector::starting_at(var_base);
-            let copy = encode_instrumented_copy(&mut sink, circuit, &inst, options.encoding);
+            let copy = encode_instrumented_copy(&mut sink, circuit, inst, options.encoding);
             let (allocated, clauses) = sink.into_parts();
             (copy, allocated, clauses)
         };
@@ -270,7 +312,7 @@ fn build_instance(
             solver.add_clause(&[copy.vars.lit(test.output, test.expected)]);
         }
     }
-    let selectors = inst.select_vars();
+    let selectors = inst.select_vars().to_vec();
     // `Instrumentation::new` allocates one selector per site, in order.
     assert!(
         selectors

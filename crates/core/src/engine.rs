@@ -13,15 +13,13 @@
 //! `(engine, circuit, tests, config)` tuple produce identical
 //! [`EngineRun`]s.
 
-use crate::bsat::{basic_sat_diagnose, BsatOptions};
-use crate::bsim::{basic_sim_diagnose, BsimOptions};
+use crate::bsat::{basic_sat_diagnose, unrolled_sat_diagnose, BsatOptions, BsatResult};
+use crate::bsim::{basic_sim_diagnose, BsimOptions, BsimResult};
 use crate::budget::{Budget, Truncation};
 use crate::chaos::{ChaosEvent, ChaosPolicy};
 use crate::cov::{sc_diagnose, CovOptions};
 use crate::hybrid::hybrid_seeded_bsat;
-use crate::sequential::{
-    sequential_sat_diagnose, sequential_sim_diagnose, SeqBsatOptions, SequenceTestSet,
-};
+use crate::sequential::{fold_frames, sequence_tests_to_unrolled, SequenceTestSet};
 use crate::test_set::TestSet;
 use crate::testgen::{generate_discriminating_tests, TestGenOutcome, TestGenPolicy};
 use crate::validity::{screen_valid_corrections, ValidityBackend};
@@ -65,14 +63,15 @@ pub enum EngineKind {
     /// [`run_engine`] never shares it. Its reported stats are the
     /// screen's, so sharing moves none of them.
     Auto,
-    /// Sequential path tracing across time frames
-    /// ([`sequential_sim_diagnose`]): the BSIM analogue over
-    /// multi-frame [`SequenceTestSet`]s, run via
+    /// Sequential path tracing: [`basic_sim_diagnose`] over the
+    /// time-frame expansion of multi-frame [`SequenceTestSet`]s, folded
+    /// onto the original gates ([`fold_frames`]), run via
     /// [`run_sequential_engine`].
     SeqBsim,
-    /// Sequential SAT diagnosis by time-frame expansion
-    /// ([`sequential_sat_diagnose`]): the BSAT analogue over
-    /// [`SequenceTestSet`]s, run via [`run_sequential_engine`].
+    /// Sequential SAT diagnosis: [`basic_sat_diagnose`]'s instance build
+    /// and enumeration over the time-frame expansion, one select per
+    /// original gate shared by its instances in every frame, run via
+    /// [`run_sequential_engine`].
     SeqBsat,
 }
 
@@ -210,6 +209,53 @@ pub struct EngineRun {
     /// was not budget-preempted. [`EngineRun::solutions`] stays the
     /// *pre-shrinkage* list; the outcome carries the survivors.
     pub test_gen: Option<TestGenOutcome>,
+}
+
+/// The [`EngineRun`] of a BSIM-shaped engine: the mark union, and `G_max`
+/// as the single solution.
+fn bsim_run(engine: EngineKind, result: &BsimResult) -> EngineRun {
+    let gmax = result.gmax();
+    EngineRun {
+        engine,
+        candidates: result.union.iter().collect(),
+        solutions: if gmax.is_empty() { vec![] } else { vec![gmax] },
+        complete: result.truncation.is_none(),
+        truncation: result.truncation,
+        stats: SolverStats::default(),
+        test_gen: None,
+    }
+}
+
+/// The [`EngineRun`] of a BSAT-shaped engine over `circuit`'s gates.
+fn bsat_run(engine: EngineKind, circuit: &Circuit, result: BsatResult) -> EngineRun {
+    EngineRun {
+        engine,
+        candidates: union_of(circuit, &result.solutions),
+        solutions: result.solutions,
+        complete: result.truncation.is_none(),
+        truncation: result.truncation,
+        stats: result.stats,
+        test_gen: None,
+    }
+}
+
+/// The [`BsatOptions`] of a BSAT-shaped engine run.
+fn bsat_options(config: &EngineConfig, budget: Budget) -> BsatOptions {
+    BsatOptions {
+        max_solutions: config.max_solutions,
+        budget,
+        parallelism: config.parallelism,
+        ..BsatOptions::default()
+    }
+}
+
+/// The [`BsimOptions`] of a BSIM-shaped engine run.
+fn bsim_options(config: &EngineConfig, budget: Budget) -> BsimOptions {
+    BsimOptions {
+        parallelism: config.parallelism,
+        budget,
+        ..BsimOptions::default()
+    }
 }
 
 fn union_of(circuit: &Circuit, solutions: &[Vec<GateId>]) -> Vec<GateId> {
@@ -402,26 +448,9 @@ pub(crate) fn run_engine_sharing(
         EngineKind::Bsim => {
             let result = {
                 let _phase = gatediag_obs::span("trace");
-                basic_sim_diagnose(
-                    circuit,
-                    tests,
-                    BsimOptions {
-                        parallelism: config.parallelism,
-                        budget,
-                        ..BsimOptions::default()
-                    },
-                )
+                basic_sim_diagnose(circuit, tests, bsim_options(config, budget))
             };
-            let gmax = result.gmax();
-            EngineRun {
-                engine,
-                candidates: result.union.iter().collect(),
-                solutions: if gmax.is_empty() { vec![] } else { vec![gmax] },
-                complete: result.truncation.is_none(),
-                truncation: result.truncation,
-                stats: SolverStats::default(),
-                test_gen: None,
-            }
+            bsim_run(engine, &result)
         }
         EngineKind::Cov => {
             let covers = cover_phase(circuit, tests, config, &budget, covers);
@@ -436,12 +465,7 @@ pub(crate) fn run_engine_sharing(
             }
         }
         EngineKind::Bsat | EngineKind::Hybrid => {
-            let options = BsatOptions {
-                max_solutions: config.max_solutions,
-                budget,
-                parallelism: config.parallelism,
-                ..BsatOptions::default()
-            };
+            let options = bsat_options(config, budget);
             let result = {
                 let _phase = gatediag_obs::span("solve");
                 if engine == EngineKind::Hybrid {
@@ -450,15 +474,7 @@ pub(crate) fn run_engine_sharing(
                     basic_sat_diagnose(circuit, tests, config.k, options)
                 }
             };
-            EngineRun {
-                engine,
-                candidates: union_of(circuit, &result.solutions),
-                solutions: result.solutions,
-                complete: result.truncation.is_none(),
-                truncation: result.truncation,
-                stats: result.stats,
-                test_gen: None,
-            }
+            bsat_run(engine, circuit, result)
         }
         EngineKind::Auto => {
             let cov = cover_phase(circuit, tests, config, &budget, covers);
@@ -602,49 +618,20 @@ pub fn run_sequential_engine(
         EngineKind::SeqBsim => {
             let result = {
                 let _phase = gatediag_obs::span("trace");
-                sequential_sim_diagnose(
-                    circuit,
-                    tests,
-                    BsimOptions {
-                        parallelism: config.parallelism,
-                        budget,
-                        ..BsimOptions::default()
-                    },
-                )
+                let (unrolled, set) = sequence_tests_to_unrolled(circuit, tests);
+                let run = basic_sim_diagnose(&unrolled.circuit, &set, bsim_options(config, budget));
+                fold_frames(circuit, &unrolled, run)
             };
-            let gmax = result.gmax();
-            EngineRun {
-                engine,
-                candidates: result.union.iter().collect(),
-                solutions: if gmax.is_empty() { vec![] } else { vec![gmax] },
-                complete: result.truncation.is_none(),
-                truncation: result.truncation,
-                stats: SolverStats::default(),
-                test_gen: None,
-            }
+            bsim_run(engine, &result)
         }
         EngineKind::SeqBsat => {
             let result = {
                 let _phase = gatediag_obs::span("solve");
-                sequential_sat_diagnose(
-                    circuit,
-                    tests,
-                    config.k,
-                    SeqBsatOptions {
-                        max_solutions: config.max_solutions,
-                        budget,
-                    },
-                )
+                let (unrolled, set) = sequence_tests_to_unrolled(circuit, tests);
+                let options = bsat_options(config, budget);
+                unrolled_sat_diagnose(circuit, &unrolled, &set, config.k, options)
             };
-            EngineRun {
-                engine,
-                candidates: union_of(circuit, &result.solutions),
-                solutions: result.solutions,
-                complete: result.complete,
-                truncation: result.truncation,
-                stats: result.stats,
-                test_gen: None,
-            }
+            bsat_run(engine, circuit, result)
         }
         _ => unreachable!("guarded by is_sequential above"),
     }
@@ -1128,26 +1115,84 @@ mod tests {
         }
     }
 
+    /// engine-enum's sequential workload at p = 2, seed 2, 3 frames.
+    fn rnd160_workload() -> (Circuit, SequenceTestSet) {
+        use crate::session::{prepare, DiagnoseRequest, PreparedTests};
+        let golden = RandomCircuitSpec::new(10, 5, 160)
+            .latches(4)
+            .seed(9)
+            .name("rnd160")
+            .generate();
+        let request = DiagnoseRequest {
+            engine: EngineKind::SeqBsat,
+            p: 2,
+            seed: 2,
+            frames: Some(3),
+            ..DiagnoseRequest::default()
+        }
+        .validated()
+        .expect("valid request");
+        let prepared = prepare(&golden, &request);
+        let PreparedTests::Sequential(tests) = &prepared.tests else {
+            panic!("sequential request prepares sequences");
+        };
+        let faulty = prepared.faulty.as_deref().expect("injectable").clone();
+        (faulty, tests.clone())
+    }
+
     #[test]
     fn sequential_work_budget_preempts_deterministically() {
+        // Each sequential engine keeps its combinational twin's work unit.
+        // seq-bsim's is one test traced, so one unit preempts a run over
+        // several tests. seq-bsat's is one conflict, so its instance must
+        // need conflicts: rnd160 at k = 2 needs 287.
         let (faulty, _, tests) = sequential_workload();
-        for engine in EngineKind::SEQUENTIAL {
-            let config = EngineConfig {
-                budget: Budget {
-                    work: Some(0),
-                    ..Budget::default()
-                },
+        let (rnd160, rnd160_tests) = rnd160_workload();
+        for (engine, faulty, tests, k) in [
+            (EngineKind::SeqBsim, &faulty, &tests, 1),
+            (EngineKind::SeqBsat, &rnd160, &rnd160_tests, 2),
+        ] {
+            let unbudgeted = EngineConfig {
+                k,
                 ..EngineConfig::default()
             };
-            let run = run_sequential_engine(engine, &faulty, &tests, &config);
+            let full = run_sequential_engine(engine, faulty, tests, &unbudgeted);
+            assert!(full.complete, "{engine}: unbudgeted run truncated");
+            if engine == EngineKind::SeqBsat {
+                assert!(
+                    full.stats.conflicts > 1,
+                    "{engine}: instance needs no search"
+                );
+            }
+            let config = EngineConfig {
+                budget: Budget {
+                    work: Some(1),
+                    ..Budget::default()
+                },
+                ..unbudgeted
+            };
+            let run = run_sequential_engine(engine, faulty, tests, &config);
             assert_eq!(
                 run.truncation,
                 Some(Truncation::Work),
-                "{engine}: zero work budget did not preempt"
+                "{engine}: one unit of work did not preempt"
             );
             assert!(!run.complete);
-            let again = run_sequential_engine(engine, &faulty, &tests, &config);
+            let again = run_sequential_engine(engine, faulty, tests, &config);
             assert_eq!(run, again, "{engine}: preempted run not reproducible");
+            let parallel = run_sequential_engine(
+                engine,
+                faulty,
+                tests,
+                &EngineConfig {
+                    parallelism: Parallelism::Fixed(2),
+                    ..config.clone()
+                },
+            );
+            assert_eq!(
+                run, parallel,
+                "{engine}: preempted run drifted at 2 workers"
+            );
         }
     }
 

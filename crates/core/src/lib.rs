@@ -13,7 +13,8 @@
 //! | `bsat` | [`basic_sat_diagnose`] | exactly all irredundant *valid* corrections ≤ k | Fig. 3 |
 //! | `hybrid` | [`hybrid_seeded_bsat`] | BSAT's solutions, search seeded by BSIM marks | Sec. 6 |
 //! | `auto` | COV, then [`screen_valid_corrections`] | the valid COV covers | Theorem 2 |
-//! | `seq-bsim`, `seq-bsat` | [`sequential_sim_diagnose`], [`sequential_sat_diagnose`] | BSIM and BSAT over time frames | |
+//! | `seq-bsim` | [`basic_sim_diagnose`] over the time-frame expansion, then [`fold_frames`] | BSIM's, per original gate | |
+//! | `seq-bsat` | [`basic_sat_diagnose`]'s build and enumeration over the time-frame expansion | BSAT's, one select per original gate | ref. \[4\] |
 //!
 //! [`run_engine`] and [`run_sequential_engine`] run an engine by its
 //! kind; `diagnose`, `campaign` and `serve` reach the engines only
@@ -126,9 +127,8 @@ pub use engine::{run_engine, run_sequential_engine, EngineConfig, EngineKind, En
 pub use hybrid::hybrid_seeded_bsat;
 pub use quality::{bsim_quality, solution_quality, BsimQuality, SolutionQuality};
 pub use sequential::{
-    generate_failing_sequences, is_valid_sequential_correction, real_inputs,
-    sequence_tests_to_unrolled, sequential_sat_diagnose, sequential_sim_diagnose,
-    simulate_sequence, SeqBsatOptions, SeqDiagnosis, SequenceTest, SequenceTestSet,
+    fold_frames, generate_failing_sequences, is_valid_sequential_correction, real_inputs,
+    sequence_tests_to_unrolled, simulate_sequence, SequenceTest, SequenceTestSet,
 };
 pub use session::{
     circuit_content_hash, inject, prepare, prepare_injected, run_diagnose, run_prepared,

@@ -8,37 +8,32 @@
 //! test sequences), exactly like it is shared across test copies in the
 //! combinational case.
 //!
-//! This module is the sequential counterpart of the combinational engine
-//! stack:
+//! The sequential engines are the combinational ones over that expansion.
+//! [`sequence_tests_to_unrolled`] turns the sequence tests into tests of
+//! the unrolled circuit, and each engine folds the unrolled gates back onto
+//! the original ones:
 //!
 //! | combinational | sequential |
 //! |---------------|------------|
 //! | [`Test`](crate::Test) / [`TestSet`](crate::TestSet) | [`SequenceTest`] / [`SequenceTestSet`] |
-//! | [`generate_failing_tests`](crate::generate_failing_tests) | [`generate_failing_sequences`] (frame-major packed) |
-//! | [`basic_sim_diagnose`](crate::basic_sim_diagnose) | [`sequential_sim_diagnose`] (path tracing across frames) |
-//! | [`basic_sat_diagnose`](crate::basic_sat_diagnose) | [`sequential_sat_diagnose`] (time-frame expansion) |
+//! | [`generate_failing_tests`](crate::generate_failing_tests) | [`generate_failing_sequences`] (frame-major packed, on [`SeqPackedSim`]) |
+//! | [`basic_sim_diagnose`](crate::basic_sim_diagnose) | the same over the unrolling, then [`fold_frames`] |
+//! | [`basic_sat_diagnose`](crate::basic_sat_diagnose) | the same build and enumeration over the unrolling, one select per original gate in every frame |
 //! | [`is_valid_correction`](crate::is_valid_correction) | [`is_valid_sequential_correction`] (the same [`ValidityOracle`] over the unrolling) |
 //!
 //! Both engines are available behind
 //! [`EngineKind::SeqBsim`](crate::EngineKind) /
 //! [`EngineKind::SeqBsat`](crate::EngineKind) via
-//! [`run_sequential_engine`](crate::run_sequential_engine). The
-//! simulation side runs on [`SeqPackedSim`] — 64·W sequences per packed
-//! frame sweep, latch state words carried frame-to-frame — and its
-//! deterministic work unit is **frames × sequences**; the SAT side's work
-//! unit is **SAT queries** (enumeration calls), with
-//! [`Budget::conflicts`] threaded to the solver as usual.
+//! [`run_sequential_engine`](crate::run_sequential_engine), and each keeps
+//! its combinational twin's deterministic work unit: **tests traced** for
+//! seq-BSIM and **conflicts** for seq-BSAT (see [`crate::budget`]).
 
-use crate::bsim::BsimOptions;
 use crate::bsim::BsimResult;
-use crate::budget::{Budget, Truncation};
 use crate::test_set::TestSet;
 use crate::validity::ValidityOracle;
-use gatediag_cnf::{encode_copy, ClauseSink, CopyRoles, GateRole, MuxEncoding, Totalizer};
 use gatediag_netlist::{
     unroll, Circuit, FairCoins, GateId, GateKind, GateSet, StateView, Unrolling,
 };
-use gatediag_sat::{enumerate_positive_subsets, Lit, Solver, SolverStats, Var};
 use gatediag_sim::{pack_rows_into, SeqPackedSim};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -235,356 +230,68 @@ pub fn generate_failing_sequences(
     SequenceTestSet::new(tests)
 }
 
-/// Sequential `BasicSimDiagnose`: path tracing across time frames.
+/// Folds a BSIM run over the time-frame expansion `unrolled` of `circuit`
+/// onto the gates of `circuit`.
 ///
-/// All traced tests are simulated frame-major on one [`SeqPackedSim`]
-/// (one lane per test); per test, tracing starts at the erroneous output
-/// in its failing frame and walks backwards over sensitised paths,
-/// crossing frame boundaries through the latches (a latch `q`
-/// pseudo-input at frame `f > 0` continues at its `d` gate in frame
-/// `f - 1`; frame 0's state is given, hence not correctable). Candidates
-/// are *original* gates — a gate sensitised in any frame is implicated
-/// once, mirroring the shared select line of the SAT formulation.
+/// Sequential BSIM is [`basic_sim_diagnose`](crate::basic_sim_diagnose)
+/// on the unrolled circuit of [`sequence_tests_to_unrolled`], then this
+/// fold: each traced test's candidate set becomes the original gates of
+/// its marked instances, so a gate sensitised in any frame is implicated
+/// once, mirroring the select line that sequential BSAT shares across
+/// frames, and [`BsimResult::mark_counts`] counts it once per test.
+/// Instances of a latch output are dropped: its `init_*` input is the
+/// test's initial state, and its later frames' buffers only link a
+/// frame's `d` gate to the next, so tracing crosses them without
+/// implicating anything. The truncation and work are the run's.
 ///
-/// The deterministic work unit is **frames × sequences**: a work budget
-/// truncates the test list to the longest prefix whose total frame count
-/// fits, exactly like BSIM truncates to a test prefix.
-/// [`BsimOptions::parallelism`] is accepted for config uniformity but
-/// unused — the single packed pass is already batch-parallel, so results
-/// are trivially identical for every worker count.
-pub fn sequential_sim_diagnose(
-    circuit: &Circuit,
-    tests: &SequenceTestSet,
-    options: BsimOptions,
-) -> BsimResult {
+/// # Examples
+///
+/// ```
+/// use gatediag_core::{
+///     basic_sim_diagnose, fold_frames, generate_failing_sequences,
+///     sequence_tests_to_unrolled, BsimOptions,
+/// };
+/// use gatediag_netlist::{parse_bench, GateKind};
+///
+/// let golden =
+///     parse_bench("INPUT(en)\nOUTPUT(out)\nq = DFF(d)\nd = XOR(q, en)\nout = BUF(q)\n")
+///         .unwrap();
+/// let d = golden.find("d").unwrap();
+/// let faulty = golden.with_gate_kind(d, GateKind::Xnor);
+/// let tests = generate_failing_sequences(&golden, &faulty, 4, 6, 3, 512);
+/// let (unrolled, set) = sequence_tests_to_unrolled(&faulty, &tests);
+/// let run = basic_sim_diagnose(&unrolled.circuit, &set, BsimOptions::default());
+/// let folded = fold_frames(&faulty, &unrolled, run);
+/// assert!(folded.candidate_sets.iter().all(|c| c.contains(d)));
+/// ```
+pub fn fold_frames(circuit: &Circuit, unrolled: &Unrolling, run: BsimResult) -> BsimResult {
     let view = StateView::new(circuit);
-    let mut meter = options.budget.meter();
-    // Longest test prefix whose Σ frames fits the work budget.
-    let mut traced = 0usize;
-    let mut work = 0u64;
-    for test in tests.iter() {
-        let frames = test.vectors.len() as u64;
-        if work + frames > meter.remaining_work() {
-            break;
-        }
-        work += frames;
-        traced += 1;
-    }
-    let work_truncated = traced < tests.len();
-    let tests_slice = &tests.tests()[..traced];
-    let mut candidate_sets: Vec<GateSet> = Vec::with_capacity(traced);
     let mut mark_counts = vec![0u32; circuit.len()];
     let mut union = GateSet::new(circuit.len());
-    let mut deadline_hit = false;
-    if traced > 0 {
-        let frames = tests_slice
-            .iter()
-            .map(|t| t.vectors.len())
-            .max()
-            .unwrap_or(0);
-        let words = traced.div_ceil(64).max(1);
-        let reals = view.real_inputs().len();
-        let initial: Vec<&[bool]> = tests_slice
-            .iter()
-            .map(|t| t.initial_state.as_slice())
-            .collect();
-        let mut state = Vec::new();
-        pack_rows_into(view.num_latches(), &initial, &mut state);
-        let mut sim = SeqPackedSim::new(circuit);
-        sim.begin(words, &state);
-        // Frame-major pass over every traced sequence at once, snapshotting
-        // the full packed value array per frame for the traces below.
-        // Sequences shorter than the longest are padded with zero vectors;
-        // their padded frames are never read.
-        let zero = vec![false; reals];
-        let mut packed = Vec::new();
-        let mut snapshots: Vec<Vec<u64>> = Vec::with_capacity(frames);
-        let mut completed = 0usize;
-        // The deadline probe mirrors BSIM's between-batch check: one poll
-        // per frame (the opt-in nondeterministic limit).
-        let deadline = meter.deadline();
-        for frame in 0..frames {
-            if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-                // The wall deadline fired mid-pass; trace only the tests
-                // whose sequences fit in the completed frames.
-                deadline_hit = true;
-                break;
-            }
-            let rows: Vec<&[bool]> = tests_slice
-                .iter()
-                .map(|t| {
-                    t.vectors
-                        .get(frame)
-                        .map_or(zero.as_slice(), |v| v.as_slice())
-                })
-                .collect();
-            pack_rows_into(reals, &rows, &mut packed);
-            sim.step(&packed);
-            snapshots.push(sim.values().to_vec());
-            completed = frame + 1;
-        }
-        let w = sim.words_per_gate();
-        for (lane, test) in tests_slice.iter().enumerate() {
-            if test.vectors.len() > completed {
-                // Only possible after a deadline abort.
-                break;
-            }
-            let marked = seq_path_trace(circuit, &view, &snapshots, w, lane, test, options);
-            for g in marked.iter() {
-                mark_counts[g.index()] += 1;
-            }
-            union.union_with(&marked);
-            candidate_sets.push(marked);
-        }
-    }
-    if deadline_hit {
-        meter.note(Truncation::Deadline);
-    } else if work_truncated {
-        meter.note(Truncation::Work);
-    }
-    let work = candidate_sets
+    let candidate_sets = run
+        .candidate_sets
         .iter()
-        .zip(tests_slice)
-        .map(|(_, t)| t.vectors.len() as u64)
-        .sum();
+        .map(|marked| {
+            let mut folded = GateSet::new(circuit.len());
+            for instance in marked.iter() {
+                let gate = unrolled.original(instance);
+                if view.latch_slot_of(gate).is_none() {
+                    folded.insert(gate);
+                }
+            }
+            for gate in folded.iter() {
+                mark_counts[gate.index()] += 1;
+            }
+            union.union_with(&folded);
+            folded
+        })
+        .collect();
     BsimResult {
         candidate_sets,
         mark_counts,
         union,
-        truncation: meter.truncation(),
-        work,
-    }
-}
-
-/// Backward path trace from `(test.frame, test.output)` over the
-/// snapshotted frame values of one sequence lane.
-fn seq_path_trace(
-    circuit: &Circuit,
-    view: &StateView,
-    snapshots: &[Vec<u64>],
-    words_per_gate: usize,
-    lane: usize,
-    test: &SequenceTest,
-    options: BsimOptions,
-) -> GateSet {
-    let (word, bit) = (lane / 64, lane % 64);
-    let value_at = |frame: usize, g: GateId| -> bool {
-        snapshots[frame][g.index() * words_per_gate + word] >> bit & 1 == 1
-    };
-    let kinds = circuit.kinds();
-    let (heads, edges) = circuit.fanin_csr();
-    let mut visited: Vec<GateSet> = (0..=test.frame)
-        .map(|_| GateSet::new(circuit.len()))
-        .collect();
-    let mut candidates = GateSet::new(circuit.len());
-    let mut worklist: Vec<(usize, GateId)> = vec![(test.frame, test.output)];
-    while let Some((frame, id)) = worklist.pop() {
-        if !visited[frame].insert(id) {
-            continue;
-        }
-        let kind = kinds[id.index()];
-        if kind == GateKind::Input {
-            if let Some(slot) = view.latch_slot_of(id) {
-                if frame > 0 {
-                    // Cross the frame boundary: continue at the latch's
-                    // data gate in the previous frame.
-                    worklist.push((frame - 1, view.latch_d()[slot]));
-                }
-                // Frame 0's state is part of the test, not correctable.
-            } else if options.include_inputs {
-                candidates.insert(id);
-            }
-            continue;
-        }
-        if kind.is_source() {
-            candidates.insert(id);
-            continue;
-        }
-        candidates.insert(id);
-        let fanins = &edges[heads[id.index()] as usize..heads[id.index() + 1] as usize];
-        match kind.controlling_value() {
-            Some(cv) => {
-                let mut controlling = fanins
-                    .iter()
-                    .copied()
-                    .filter(|&f| value_at(frame, f) == cv)
-                    .peekable();
-                if controlling.peek().is_some() {
-                    match options.policy {
-                        crate::bsim::MarkPolicy::FirstControlling => {
-                            worklist.push((frame, controlling.next().expect("peeked non-empty")));
-                        }
-                        crate::bsim::MarkPolicy::AllControlling => {
-                            worklist.extend(controlling.map(|f| (frame, f)));
-                        }
-                    }
-                } else {
-                    worklist.extend(fanins.iter().map(|&f| (frame, f)));
-                }
-            }
-            None => worklist.extend(fanins.iter().map(|&f| (frame, f))),
-        }
-    }
-    candidates
-}
-
-/// Options for [`sequential_sat_diagnose`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SeqBsatOptions {
-    /// Stop after this many solutions (`complete = false` if hit).
-    pub max_solutions: usize,
-    /// Cooperative budget. The deterministic work unit is **SAT queries**
-    /// (one per enumerated solution plus one closing query per size
-    /// bound); [`Budget::conflicts`] is threaded to the solver and the
-    /// opt-in wall deadline rides on the solver's cooperative hook.
-    pub budget: Budget,
-}
-
-impl Default for SeqBsatOptions {
-    fn default() -> Self {
-        SeqBsatOptions {
-            max_solutions: 1_000_000,
-            budget: Budget::default(),
-        }
-    }
-}
-
-/// Result of a sequential SAT-based diagnosis run.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SeqDiagnosis {
-    /// Corrections in terms of the *original* circuit's gates, sorted by
-    /// (size, lexicographic).
-    pub solutions: Vec<Vec<GateId>>,
-    /// `false` if enumeration was truncated.
-    pub complete: bool,
-    /// Why the run stopped early, if it did. Always `Some` exactly when
-    /// `complete` is `false`.
-    pub truncation: Option<Truncation>,
-    /// Solver statistics after the run.
-    pub stats: SolverStats,
-}
-
-/// Sequential `BasicSATDiagnose`: one unrolled instrumented copy per
-/// sequence test, select lines shared per original gate across frames and
-/// tests.
-///
-/// All tests must have the same sequence length.
-///
-/// # Panics
-///
-/// Panics if `tests` is empty or sequence lengths differ.
-pub fn sequential_sat_diagnose(
-    circuit: &Circuit,
-    tests: &SequenceTestSet,
-    k: usize,
-    options: SeqBsatOptions,
-) -> SeqDiagnosis {
-    assert!(!tests.is_empty(), "need at least one sequence test");
-    let frames = tests.tests()[0].vectors.len();
-    assert!(
-        tests.iter().all(|t| t.vectors.len() == frames),
-        "all sequences must have the same length"
-    );
-    let unrolled = unroll(circuit, frames);
-    let view = StateView::new(circuit);
-    let reals = view.real_inputs();
-
-    let mut solver = Solver::new();
-    // One shared select per original functional gate.
-    let sites: Vec<GateId> = circuit
-        .iter()
-        .filter(|(_, g)| g.kind() != GateKind::Input)
-        .map(|(id, _)| id)
-        .collect();
-    let selects: Vec<Var> = sites
-        .iter()
-        .map(|_| ClauseSink::new_var(&mut solver))
-        .collect();
-    // The per-gate guard map over the unrolling: a site's instance in
-    // every frame shares the site's select, in every test's copy.
-    let mut guards = CopyRoles::default();
-    for frame in 0..frames {
-        for (&site, &select) in sites.iter().zip(&selects) {
-            guards.set(unrolled.instance(frame, site), GateRole::Selected(select));
-        }
-    }
-
-    for test in tests {
-        let vars = encode_copy(&mut solver, &unrolled.circuit, &guards, MuxEncoding::Inline).vars;
-        // Constrain initial state.
-        for (&init_pi, &v) in unrolled.initial_state.iter().zip(&test.initial_state) {
-            solver.add_clause(&[vars.lit(init_pi, v)]);
-        }
-        // Constrain per-frame real inputs.
-        for (frame, vector) in test.vectors.iter().enumerate() {
-            for (&pi, &v) in reals.iter().zip(vector) {
-                solver.add_clause(&[vars.lit(unrolled.instance(frame, pi), v)]);
-            }
-        }
-        // Constrain the erroneous output at its frame.
-        let out_inst = unrolled.instance(test.frame, test.output);
-        solver.add_clause(&[vars.lit(out_inst, test.expected)]);
-    }
-
-    let select_lits: Vec<Lit> = selects.iter().map(|v| v.positive()).collect();
-    let totalizer = Totalizer::new(&mut solver, &select_lits, k.min(selects.len()));
-
-    // Work unit: SAT queries. Conflicts and the deadline thread straight
-    // into the solver, exactly like the combinational BSAT.
-    let mut meter = options.budget.meter();
-    solver.set_conflict_budget(options.budget.conflicts);
-    solver.set_deadline(options.budget.deadline_instant());
-
-    let mut solutions: Vec<Vec<GateId>> = Vec::new();
-    let mut truncation: Option<Truncation> = None;
-    'sizes: for size in 1..=k.min(selects.len()) {
-        let queries = meter.remaining_work();
-        if queries < 2 {
-            // Cannot afford even one solution plus its closing query.
-            meter.note(Truncation::Work);
-            break 'sizes;
-        }
-        let remaining = options.max_solutions.saturating_sub(solutions.len());
-        if remaining == 0 {
-            truncation = Some(Truncation::Solutions);
-            break 'sizes;
-        }
-        let cap = remaining.min(usize::try_from(queries - 1).unwrap_or(usize::MAX));
-        let assumptions: Vec<Lit> = totalizer.at_most(size).into_iter().collect();
-        let out = enumerate_positive_subsets(&mut solver, &selects, &assumptions, cap);
-        meter.charge(out.solutions.len() as u64 + 1);
-        for subset in out.solutions {
-            let mut gates: Vec<GateId> = subset
-                .iter()
-                // The selects are consecutive variables in site order.
-                .map(|v| sites[v.index() - selects[0].index()])
-                .collect();
-            gates.sort();
-            solutions.push(gates);
-        }
-        if !out.complete {
-            truncation = Some(if out.gave_up {
-                if solver.deadline_hit() {
-                    Truncation::Deadline
-                } else {
-                    Truncation::Conflicts
-                }
-            } else if cap < remaining {
-                // The binding cap was the query budget, not max_solutions.
-                Truncation::Work
-            } else {
-                Truncation::Solutions
-            });
-            break 'sizes;
-        }
-    }
-    let truncation = Truncation::merge(truncation, meter.truncation());
-    solutions.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-    SeqDiagnosis {
-        solutions,
-        complete: truncation.is_none(),
-        truncation,
-        stats: solver.stats(),
+        truncation: run.truncation,
+        work: run.work,
     }
 }
 
@@ -604,15 +311,11 @@ pub fn is_valid_sequential_correction(
         return true;
     }
     let (unrolled, set) = sequence_tests_to_unrolled(circuit, tests);
-    let mut instances = Vec::with_capacity(candidates.len() * unrolled.frames());
-    for frame in 0..unrolled.frames() {
-        for &g in candidates {
-            let instance = unrolled.instance(frame, g);
-            if unrolled.circuit.gate(instance).kind() != GateKind::Input {
-                instances.push(instance);
-            }
-        }
-    }
+    let mut instances: Vec<GateId> = candidates
+        .iter()
+        .flat_map(|&g| unrolled.instances(g))
+        .filter(|&instance| unrolled.circuit.gate(instance).kind() != GateKind::Input)
+        .collect();
     instances.sort_unstable();
     instances.dedup();
     ValidityOracle::new(&unrolled.circuit).is_valid(&set, &instances)
@@ -627,8 +330,9 @@ pub fn is_valid_sequential_correction(
 /// [`unroll`].
 ///
 /// Note: combinational diagnosis over the unrolling treats each *frame
-/// instance* of a gate as an independent candidate; only the sequential
-/// engine above shares selects per original gate.
+/// instance* of a gate as an independent candidate; the sequential engines
+/// fold the instances onto original gates ([`fold_frames`] for seq-BSIM, a
+/// select per original gate for seq-BSAT).
 ///
 /// # Panics
 ///
@@ -668,13 +372,34 @@ pub fn sequence_tests_to_unrolled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bsim::MarkPolicy;
+    use crate::bsim::{basic_sim_diagnose, BsimOptions, MarkPolicy};
+    use crate::budget::{Budget, Truncation};
+    use crate::engine::{run_sequential_engine, EngineConfig, EngineKind};
     use gatediag_netlist::{inject_errors, parse_bench, CircuitBuilder, RandomCircuitSpec};
     use gatediag_sim::simulate;
     use rand::Rng;
 
     fn toggle_circuit() -> Circuit {
         parse_bench("INPUT(en)\nOUTPUT(out)\nq = DFF(d)\nd = XOR(q, en)\nout = BUF(q)\n").unwrap()
+    }
+
+    /// Sequential BSIM: BSIM over the unrolling, folded onto `circuit`.
+    fn seq_bsim(circuit: &Circuit, tests: &SequenceTestSet, options: BsimOptions) -> BsimResult {
+        let (unrolled, set) = sequence_tests_to_unrolled(circuit, tests);
+        fold_frames(
+            circuit,
+            &unrolled,
+            basic_sim_diagnose(&unrolled.circuit, &set, options),
+        )
+    }
+
+    /// Sequential BSAT through its engine entry point.
+    fn seq_bsat(
+        circuit: &Circuit,
+        tests: &SequenceTestSet,
+        config: EngineConfig,
+    ) -> crate::engine::EngineRun {
+        run_sequential_engine(EngineKind::SeqBsat, circuit, tests, &config)
     }
 
     #[test]
@@ -769,13 +494,13 @@ mod tests {
     }
 
     #[test]
-    fn sequential_sim_diagnose_implicates_the_error() {
+    fn seq_bsim_implicates_the_error() {
         let golden = toggle_circuit();
         let d = golden.find("d").unwrap();
         let faulty = golden.with_gate_kind(d, gatediag_netlist::GateKind::Xnor);
         let tests = generate_failing_sequences(&golden, &faulty, 4, 6, 3, 512);
         assert!(!tests.is_empty());
-        let result = sequential_sim_diagnose(
+        let result = seq_bsim(
             &faulty,
             &tests,
             BsimOptions {
@@ -789,21 +514,25 @@ mod tests {
         }
         assert!(result.union.contains(d));
         assert!(result.truncation.is_none());
+        // The latch output is state, never a candidate; a gate marked in
+        // several frames counts once per test.
+        assert!(!result.union.contains(faulty.find("q").unwrap()));
+        assert_eq!(result.mark_counts[d.index()] as usize, tests.len());
     }
 
     #[test]
-    fn sequential_sim_diagnose_work_budget_truncates_to_prefix() {
+    fn seq_bsim_work_budget_traces_a_test_prefix() {
         let golden = toggle_circuit();
         let d = golden.find("d").unwrap();
         let faulty = golden.with_gate_kind(d, gatediag_netlist::GateKind::Xnor);
         let tests = generate_failing_sequences(&golden, &faulty, 4, 6, 3, 512);
         assert!(tests.len() >= 2);
-        // Each test costs 4 frames; a budget of 4 traces exactly one test.
+        // The work unit is one test traced, whatever its length.
         let budget = Budget {
-            work: Some(4),
+            work: Some(1),
             ..Budget::default()
         };
-        let result = sequential_sim_diagnose(
+        let result = seq_bsim(
             &faulty,
             &tests,
             BsimOptions {
@@ -813,9 +542,9 @@ mod tests {
         );
         assert_eq!(result.candidate_sets.len(), 1);
         assert_eq!(result.truncation, Some(Truncation::Work));
-        assert_eq!(result.work, 4);
+        assert_eq!(result.work, 1);
         // The traced prefix matches an unbudgeted run's first set.
-        let full = sequential_sim_diagnose(&faulty, &tests, BsimOptions::default());
+        let full = seq_bsim(&faulty, &tests, BsimOptions::default());
         assert_eq!(result.candidate_sets[0], full.candidate_sets[0]);
     }
 
@@ -826,13 +555,12 @@ mod tests {
         let faulty = golden.with_gate_kind(d, gatediag_netlist::GateKind::Xnor);
         let tests = generate_failing_sequences(&golden, &faulty, 4, 6, 3, 512);
         assert!(!tests.is_empty());
-        let diag = sequential_sat_diagnose(
+        let diag = seq_bsat(
             &faulty,
             &tests,
-            1,
-            SeqBsatOptions {
+            EngineConfig {
                 max_solutions: 1000,
-                ..SeqBsatOptions::default()
+                ..EngineConfig::default()
             },
         );
         assert!(diag.complete);
@@ -861,7 +589,7 @@ mod tests {
             if tests.is_empty() {
                 continue;
             }
-            let diag = sequential_sat_diagnose(&faulty, &tests, 1, SeqBsatOptions::default());
+            let diag = seq_bsat(&faulty, &tests, EngineConfig::default());
             assert!(
                 diag.solutions.contains(&vec![sites[0].gate]),
                 "seed {seed}: real site missing from {:?}",
@@ -874,41 +602,32 @@ mod tests {
     }
 
     #[test]
-    fn sat_work_budget_preempts_as_queries() {
+    fn seq_bsat_diagnoses_mixed_length_sequences() {
+        // 2- and 4-frame sequences in one set: the zero-padded unrolling
+        // over the longest serves both. By Lemma 3 the k = 1 solutions
+        // are exactly the single gates that are valid corrections.
         let golden = toggle_circuit();
         let d = golden.find("d").unwrap();
         let faulty = golden.with_gate_kind(d, gatediag_netlist::GateKind::Xnor);
-        let tests = generate_failing_sequences(&golden, &faulty, 4, 4, 3, 512);
-        assert!(!tests.is_empty());
-        let diag = sequential_sat_diagnose(
-            &faulty,
-            &tests,
-            1,
-            SeqBsatOptions {
-                budget: Budget {
-                    work: Some(0),
-                    ..Budget::default()
-                },
-                ..SeqBsatOptions::default()
-            },
-        );
-        assert!(!diag.complete);
-        assert_eq!(diag.truncation, Some(Truncation::Work));
-        assert!(diag.solutions.is_empty());
-        // Deterministic: the preempted run reproduces itself.
-        let again = sequential_sat_diagnose(
-            &faulty,
-            &tests,
-            1,
-            SeqBsatOptions {
-                budget: Budget {
-                    work: Some(0),
-                    ..Budget::default()
-                },
-                ..SeqBsatOptions::default()
-            },
-        );
-        assert_eq!(diag, again);
+        let short = generate_failing_sequences(&golden, &faulty, 2, 2, 1, 512);
+        let long = generate_failing_sequences(&golden, &faulty, 4, 2, 2, 512);
+        assert!(!short.is_empty() && !long.is_empty());
+        let tests: SequenceTestSet = short.iter().chain(&long).cloned().collect();
+        assert_eq!(tests.max_frames(), 4);
+        let diag = seq_bsat(&faulty, &tests, EngineConfig::default());
+        assert!(diag.complete);
+        assert!(!is_valid_sequential_correction(&faulty, &tests, &[]));
+        let valid_singletons: Vec<Vec<GateId>> = faulty
+            .iter()
+            .filter(|(_, g)| g.kind() != GateKind::Input)
+            .map(|(id, _)| vec![id])
+            .filter(|set| is_valid_sequential_correction(&faulty, &tests, set))
+            .collect();
+        assert!(valid_singletons.contains(&vec![d]));
+        assert_eq!(diag.solutions, valid_singletons);
+        for sol in &diag.solutions {
+            assert!(is_valid_sequential_correction(&faulty, &tests, sol));
+        }
     }
 
     #[test]
@@ -918,19 +637,16 @@ mod tests {
         let faulty = golden.with_gate_kind(d, gatediag_netlist::GateKind::Xnor);
         let tests = generate_failing_sequences(&golden, &faulty, 4, 4, 3, 512);
         assert!(!tests.is_empty());
-        let full = sequential_sat_diagnose(&faulty, &tests, 2, SeqBsatOptions::default());
+        let config = |max_solutions| EngineConfig {
+            k: 2,
+            max_solutions,
+            ..EngineConfig::default()
+        };
+        let full = seq_bsat(&faulty, &tests, config(10_000));
         if full.solutions.len() < 2 {
             return;
         }
-        let capped = sequential_sat_diagnose(
-            &faulty,
-            &tests,
-            2,
-            SeqBsatOptions {
-                max_solutions: 1,
-                ..SeqBsatOptions::default()
-            },
-        );
+        let capped = seq_bsat(&faulty, &tests, config(1));
         assert!(!capped.complete);
         assert_eq!(capped.truncation, Some(Truncation::Solutions));
         assert_eq!(capped.solutions.len(), 1);

@@ -12,9 +12,9 @@
 //!
 //! - the `CnfCollector` stream (variable count and every clause) of each
 //!   copy shape on a combinational, a random and an unrolled circuit;
-//! - `sequential_sat_diagnose`'s solutions and solver statistics;
-//! - `sequential_sim_diagnose`'s per-test candidate sets and mark counts,
-//!   which do not touch the SAT side but are pinned with their SAT twin;
+//! - seq-BSAT's solutions and solver statistics;
+//! - seq-BSIM's per-test candidate sets and mark counts, which do not touch
+//!   the SAT side but are pinned with their SAT twin;
 //! - the SAT validity backend's verdicts and statistics;
 //! - `generate_discriminating_tests`' tests, classes and statistics;
 //! - `is_valid_sequential_correction`'s verdicts, on a set with mixed
@@ -28,11 +28,11 @@ use gatediag_cnf::{
     Instrumentation, MuxEncoding,
 };
 use gatediag_core::{
-    basic_sat_diagnose, generate_discriminating_tests, generate_failing_sequences,
-    generate_failing_tests, is_valid_sequential_correction, prepare, sequential_sat_diagnose,
-    sequential_sim_diagnose, BsatOptions, BsimOptions, Budget, DiagnoseRequest, EngineKind,
-    MarkPolicy, Parallelism, PreparedTests, SeqBsatOptions, SequenceTestSet, TestGenPolicy,
-    ValidityBackend, ValidityOracle,
+    basic_sat_diagnose, basic_sim_diagnose, fold_frames, generate_discriminating_tests,
+    generate_failing_sequences, generate_failing_tests, is_valid_sequential_correction, prepare,
+    run_sequential_engine, sequence_tests_to_unrolled, BsatOptions, BsimOptions, Budget,
+    DiagnoseRequest, EngineConfig, EngineKind, MarkPolicy, Parallelism, PreparedTests,
+    SequenceTestSet, TestGenPolicy, ValidityBackend, ValidityOracle,
 };
 use gatediag_netlist::{
     c17, inject_errors, parse_bench, unroll, Circuit, GateId, GateKind, RandomCircuitSpec,
@@ -158,7 +158,7 @@ fn copy_streams_are_pinned() {
         ] {
             for (sites_label, sites) in [("all", &gates), ("picked", &picked)] {
                 let mut sink = CnfCollector::new();
-                let inst = Instrumentation::new(&mut sink, c, sites);
+                let inst = Instrumentation::new(&mut sink, c, sites, std::iter::once);
                 encode_instrumented_copy(&mut sink, c, &inst, encoding);
                 encode_instrumented_copy(&mut sink, c, &inst, encoding);
                 lines.push(format!("{name} {label}/{sites_label} {}", stream(sink)));
@@ -186,7 +186,7 @@ s3 tests:0
 ";
 
 #[test]
-fn sequential_sat_diagnose_is_pinned() {
+fn seq_bsat_is_pinned() {
     let golden = rnd160();
     let mut lines = Vec::new();
     for seed in 1..=3u64 {
@@ -209,13 +209,14 @@ fn sequential_sat_diagnose_is_pinned() {
             continue;
         }
         for k in [1, 2] {
-            let diag = sequential_sat_diagnose(
+            let diag = run_sequential_engine(
+                EngineKind::SeqBsat,
                 faulty,
                 tests,
-                k,
-                SeqBsatOptions {
+                &EngineConfig {
+                    k,
                     max_solutions: 1000,
-                    ..SeqBsatOptions::default()
+                    ..EngineConfig::default()
                 },
             );
             lines.push(format!(
@@ -229,7 +230,7 @@ fn sequential_sat_diagnose_is_pinned() {
             ));
         }
     }
-    check("sequential_sat_diagnose", &lines, SEQ_BSAT);
+    check("seq-BSAT", &lines, SEQ_BSAT);
 }
 
 const SEQ_BSIM: &str = "
@@ -294,7 +295,9 @@ fn seq_bsim_is_pinned() {
                     include_inputs,
                     ..BsimOptions::default()
                 };
-                let result = sequential_sim_diagnose(&faulty, &tests, options);
+                let (unrolled, set) = sequence_tests_to_unrolled(&faulty, &tests);
+                let run = basic_sim_diagnose(&unrolled.circuit, &set, options);
+                let result = fold_frames(&faulty, &unrolled, run);
                 let sets: Vec<Vec<GateId>> = result
                     .candidate_sets
                     .iter()

@@ -177,7 +177,7 @@ fn bsat(t: &mut Trajectory, golden: &Circuit, p: usize, seed: u64, max_solutions
         .map(|(id, _)| id)
         .collect();
     let mut solver = Solver::new();
-    let inst = Instrumentation::new(&mut solver, &faulty, &sites);
+    let inst = Instrumentation::new(&mut solver, &faulty, &sites, std::iter::once);
     for test in &tests {
         let copy = encode_instrumented_copy(&mut solver, &faulty, &inst, MuxEncoding::default());
         for (&pi, &v) in faulty.inputs().iter().zip(&test.vector) {
@@ -196,7 +196,7 @@ fn bsat(t: &mut Trajectory, golden: &Circuit, p: usize, seed: u64, max_solutions
         if remaining == 0 {
             break;
         }
-        let (found, _, complete) = enumerate(t, &mut solver, &selectors, &assumptions, remaining);
+        let (found, _, complete) = enumerate(t, &mut solver, selectors, &assumptions, remaining);
         for subset in found {
             let mut gates: Vec<GateId> = subset
                 .iter()

@@ -11,14 +11,17 @@ use crate::circuit::{Circuit, CircuitBuilder};
 use crate::gate::{GateId, GateKind};
 use crate::state::StateView;
 
-/// Mapping from the original circuit into an unrolled one.
+/// Mapping between the original circuit and an unrolled one, both ways.
 #[derive(Clone, Debug)]
 pub struct Unrolling {
     /// The unrolled (purely combinational) circuit.
     pub circuit: Circuit,
     /// `map[frame][gate.index()]` = the unrolled gate implementing `gate`
     /// in that time frame.
-    pub map: Vec<Vec<GateId>>,
+    map: Vec<Vec<GateId>>,
+    /// `original[g.index()]` = the original gate the unrolled gate `g`
+    /// implements in its frame.
+    original: Vec<GateId>,
     /// The initial-state pseudo-inputs, one per latch (frame 0's `q`).
     pub initial_state: Vec<GateId>,
 }
@@ -31,6 +34,26 @@ impl Unrolling {
     /// Panics if `frame` or `gate` are out of range.
     pub fn instance(&self, frame: usize, gate: GateId) -> GateId {
         self.map[frame][gate.index()]
+    }
+
+    /// The instances of `gate`, one per frame in frame order.
+    ///
+    /// # Panics
+    ///
+    /// Panics (when iterated) if `gate` is out of range.
+    pub fn instances(&self, gate: GateId) -> impl Iterator<Item = GateId> + '_ {
+        self.map.iter().map(move |frame| frame[gate.index()])
+    }
+
+    /// The original gate that the unrolled gate `unrolled` implements: a
+    /// latch's `q` for its `init_*` input and for its later frames'
+    /// buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `unrolled` is out of range.
+    pub fn original(&self, unrolled: GateId) -> GateId {
+        self.original[unrolled.index()]
     }
 
     /// Number of time frames.
@@ -77,6 +100,7 @@ pub fn unroll(circuit: &Circuit, frames: usize) -> Unrolling {
     b.name(format!("{}@x{}", circuit.name(), frames));
 
     let mut map: Vec<Vec<GateId>> = Vec::with_capacity(frames);
+    let mut original = Vec::with_capacity(frames * circuit.len());
     let mut initial_state = Vec::with_capacity(view.num_latches());
 
     for frame in 0..frames {
@@ -106,6 +130,8 @@ pub fn unroll(circuit: &Circuit, frames: usize) -> Unrolling {
                 b.gate(gate.kind(), fanins, format!("{base_name}@{frame}"))
             };
             frame_map[id.index()] = new_id;
+            assert_eq!(new_id.index(), original.len(), "builder ids are dense");
+            original.push(id);
         }
         // Expose the real primary outputs of this frame (not the latch
         // data pseudo-outputs, which became internal frame links).
@@ -124,6 +150,7 @@ pub fn unroll(circuit: &Circuit, frames: usize) -> Unrolling {
     Unrolling {
         circuit: b.finish().expect("unrolling preserves acyclicity"),
         map,
+        original,
         initial_state,
     }
 }
@@ -199,6 +226,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn original_inverts_the_instances() {
+        let c = counter();
+        let u = unroll(&c, 3);
+        for (id, _) in c.iter() {
+            let instances: Vec<GateId> = u.instances(id).collect();
+            assert_eq!(instances.len(), 3);
+            for (frame, &inst) in instances.iter().enumerate() {
+                assert_eq!(inst, u.instance(frame, id));
+                assert_eq!(u.original(inst), id);
+            }
+        }
+        // Every unrolled gate is an instance of some original gate.
+        assert_eq!(u.circuit.len(), 3 * c.len());
+        let q = c.find("q").unwrap();
+        assert_eq!(u.original(u.initial_state[0]), q);
     }
 
     #[test]

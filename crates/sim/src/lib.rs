@@ -21,8 +21,8 @@
 //! * [`SeqPackedSim`] / [`simulate_sequence`] — frame-major sequential
 //!   simulation: `64 * W` input *sequences* at once per time frame, latch
 //!   state words carried frame-to-frame over the explicit
-//!   combinationalisation lowering, with the same forced-value overlay
-//!   (scalar frame stepping is the pinned reference);
+//!   combinationalisation lowering (scalar frame stepping is the pinned
+//!   reference);
 //! * [`parallel_map_init`] / [`Parallelism`] — a scoped worker pool for
 //!   the embarrassingly parallel diagnosis fan-outs (test batches,
 //!   candidate cones, search branches), built on

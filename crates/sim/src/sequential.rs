@@ -8,9 +8,7 @@
 //! value words) so the following frame reads them back through the latch
 //! `q` pseudo-inputs. The latch plumbing comes from the explicit
 //! combinationalisation lowering
-//! ([`StateView`](gatediag_netlist::StateView)); forced values use the
-//! same sparse overlay as the combinational engine
-//! ([`SeqPackedSim::force`]).
+//! ([`StateView`](gatediag_netlist::StateView)).
 //!
 //! [`simulate_sequence`] is the scalar frame-by-frame reference with
 //! explicit latch stepping; `SeqPackedSim` is lane-for-lane bit-identical
@@ -44,7 +42,8 @@
 //!     sim.step(&packed);
 //!     for (lane, seq) in seqs.iter().enumerate() {
 //!         let scalar = simulate_sequence(&c, &initial[lane], seq);
-//!         assert_eq!(sim.lane(out, lane), scalar[frame][out.index()]);
+//!         let packed_value = sim.value_words(out)[0] >> lane & 1 == 1;
+//!         assert_eq!(packed_value, scalar[frame][out.index()]);
 //!     }
 //! }
 //! ```
@@ -126,17 +125,12 @@ pub fn simulate_sequence(
 /// ```text
 /// new(circuit)                bind; derives the StateView lowering
 ///   begin(W, state_words)     reset for 64*W sequences, load initial state
-///     force                   optional forced-value overlay
 ///     step(real_input_words)  one frame of every sequence; frame 0 is a
 ///                             full sweep, later frames propagate
 ///                             incrementally; latches the next state
-///     lane / value_words      read any gate at the current frame
-///     state_words()           the just-latched next state
-///   begin(...)                restart (e.g. after changing overlays)
+///     value_words             read any gate at the current frame
+///   begin(...)                restart
 /// ```
-///
-/// Overlays installed between `begin` and the first `step` apply to every
-/// frame; overlays changed mid-sequence apply from the next `step` on.
 #[derive(Debug)]
 pub struct SeqPackedSim<'c> {
     sim: PackedSim<'c>,
@@ -166,34 +160,14 @@ impl<'c> SeqPackedSim<'c> {
         }
     }
 
-    /// The circuit this engine simulates.
-    pub fn circuit(&self) -> &'c Circuit {
-        self.sim.circuit()
-    }
-
-    /// Words per gate (sequences are `64 * words_per_gate`).
-    pub fn words_per_gate(&self) -> usize {
-        self.sim.words_per_gate()
-    }
-
-    /// Number of real primary inputs (the per-frame vector width).
-    pub fn num_real_inputs(&self) -> usize {
-        self.num_reals
-    }
-
-    /// Number of latches (the state width).
-    pub fn num_latches(&self) -> usize {
-        self.latch_d.len()
-    }
-
     /// Starts a new batch of `64 * words` sequences from the packed
     /// initial state (latch-major, as produced by [`pack_rows_into`] with
-    /// `width = num_latches()`). Clears all overlays.
+    /// the latch count as `width`).
     ///
     /// # Panics
     ///
-    /// Panics if `words == 0` or the state slice length is not
-    /// `num_latches() * words`.
+    /// Panics if `words == 0` or the state slice length is not the latch
+    /// count times `words`.
     pub fn begin(&mut self, words: usize, initial_state_words: &[u64]) {
         assert_eq!(
             initial_state_words.len(),
@@ -208,8 +182,8 @@ impl<'c> SeqPackedSim<'c> {
 
     /// Simulates one frame of every sequence: assembles the combinational
     /// input words from the carried state and `real_input_words`
-    /// (real-input-major, `num_real_inputs() * words_per_gate()` words,
-    /// as produced by [`pack_rows_into`]), evaluates the frame, and
+    /// (real-input-major, `W` words per real input, as produced by
+    /// [`pack_rows_into`]), evaluates the frame, and
     /// latches the next-state words.
     ///
     /// # Panics
@@ -254,36 +228,9 @@ impl<'c> SeqPackedSim<'c> {
         gatediag_obs::count("sim.seq_frames", 1);
     }
 
-    /// The latched next-state words (latch-major), i.e. the state the
-    /// *next* [`SeqPackedSim::step`] will feed into the latch outputs.
-    pub fn state_words(&self) -> &[u64] {
-        &self.state
-    }
-
     /// The packed value words of gate `g` at the current frame.
     pub fn value_words(&self, g: GateId) -> &[u64] {
         self.sim.value_words(g)
-    }
-
-    /// The full packed value array at the current frame (gate-major).
-    pub fn values(&self) -> &[u64] {
-        self.sim.values()
-    }
-
-    /// The value of gate `g` for sequence `lane` at the current frame.
-    pub fn lane(&self, g: GateId, lane: usize) -> bool {
-        self.sim.lane(g, lane)
-    }
-
-    /// Forces gate `g` to the given pattern words until
-    /// [`SeqPackedSim::clear_forced`].
-    pub fn force(&mut self, g: GateId, words: &[u64]) {
-        self.sim.force(g, words);
-    }
-
-    /// Removes every forcing.
-    pub fn clear_forced(&mut self) {
-        self.sim.clear_forced();
     }
 }
 
@@ -340,7 +287,7 @@ mod tests {
                 let scalar = simulate_sequence(circuit, &initial[lane], &seqs[lane]);
                 for (id, _) in circuit.iter() {
                     assert_eq!(
-                        sim.lane(id, lane),
+                        sim.value_words(id)[lane / 64] >> (lane % 64) & 1 == 1,
                         scalar[frame][id.index()],
                         "gate {id} lane {lane} frame {frame}"
                     );
@@ -372,36 +319,6 @@ mod tests {
             .seed(9)
             .generate();
         assert_packed_matches_scalar(&c, 70, 3, 9);
-    }
-
-    #[test]
-    fn begin_restarts_cleanly_after_overlays() {
-        let c = toggle();
-        let d = c.find("d").unwrap();
-        let out = c.find("out").unwrap();
-        let seqs = [vec![vec![true], vec![true]]];
-        let initial = [vec![false]];
-        let run = |sim: &mut SeqPackedSim| -> Vec<bool> {
-            let mut state = Vec::new();
-            let words = pack_rows_into(1, &initial, &mut state);
-            sim.begin(words, &state);
-            let mut packed = Vec::new();
-            let mut outs = Vec::new();
-            for frame in 0..2 {
-                let rows: Vec<&[bool]> = seqs.iter().map(|s| s[frame].as_slice()).collect();
-                pack_rows_into(1, &rows, &mut packed);
-                sim.step(&packed);
-                outs.push(sim.lane(out, 0));
-            }
-            outs
-        };
-        let mut sim = SeqPackedSim::new(&c);
-        let clean = run(&mut sim);
-        sim.force(d, &[!0]);
-        let forced = run(&mut sim);
-        // begin() clears the overlay, so the forced pass equals the clean
-        // one unless the forcing is re-installed after begin().
-        assert_eq!(clean, forced);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use gatediag::core::{
     generate_failing_sequences, is_valid_sequential_correction, run_sequential_engine,
-    sequential_sat_diagnose, simulate_sequence, EngineConfig, EngineKind, SeqBsatOptions,
+    simulate_sequence, EngineConfig, EngineKind,
 };
 use gatediag::netlist::{inject_errors, parse_bench, RandomCircuitSpec};
 
@@ -100,13 +100,14 @@ carry = AND(c0, q1)
     );
 
     // Sequential SAT diagnosis: selects shared across all 5 frames.
-    let diag = sequential_sat_diagnose(
+    let diag = run_sequential_engine(
+        EngineKind::SeqBsat,
         &faulty,
         &tests,
-        1,
-        SeqBsatOptions {
+        &EngineConfig {
+            k: 1,
             max_solutions: 100,
-            ..SeqBsatOptions::default()
+            ..EngineConfig::default()
         },
     );
     println!(
@@ -136,13 +137,14 @@ carry = AND(c0, q1)
     let (faulty, sites) = inject_errors(&golden, 1, 3);
     let tests = generate_failing_sequences(&golden, &faulty, 4, 8, 3, 8192);
     if !tests.is_empty() {
-        let diag = sequential_sat_diagnose(
+        let diag = run_sequential_engine(
+            EngineKind::SeqBsat,
             &faulty,
             &tests,
-            1,
-            SeqBsatOptions {
+            &EngineConfig {
+                k: 1,
                 max_solutions: 500,
-                ..SeqBsatOptions::default()
+                ..EngineConfig::default()
             },
         );
         println!(

@@ -23,11 +23,11 @@ use crate::sequential::{fold_frames, sequence_tests_to_unrolled, SequenceTestSet
 use crate::test_set::TestSet;
 use crate::testgen::{generate_discriminating_tests, TestGenOutcome, TestGenPolicy};
 use crate::validity::{screen_valid_corrections, ValidityBackend};
-use gatediag_netlist::{Circuit, GateId};
+use gatediag_netlist::{Circuit, GateId, Unrolling};
 use gatediag_sat::SolverStats;
 use gatediag_sim::Parallelism;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Which diagnosis engine to run.
@@ -598,6 +598,44 @@ pub fn run_sequential_engine(
     tests: &SequenceTestSet,
     config: &EngineConfig,
 ) -> EngineRun {
+    run_sequential_engine_sharing(engine, circuit, tests, config, None)
+}
+
+/// The time-frame expansion of one [`Prepared`](crate::Prepared)'s
+/// sequence tests ([`sequence_tests_to_unrolled`]), built by its first
+/// sequential run and read by the rest, so a cell or session that runs
+/// both `seq-bsim` and `seq-bsat` unrolls once. The expansion is a pure
+/// function of `(circuit, tests)`, so unlike [`CoverMemo`] it holds for
+/// every config, chaos policy and deadline.
+#[derive(Clone, Default, Debug)]
+pub(crate) struct UnrollMemo(OnceLock<Arc<(Unrolling, TestSet)>>);
+
+/// Calls `run` on the expansion of `tests`: the one `memo` holds (built
+/// into it on first use), or a fresh one without a memo.
+fn with_unrolled<R>(
+    circuit: &Circuit,
+    tests: &SequenceTestSet,
+    memo: Option<&UnrollMemo>,
+    run: impl FnOnce(&Unrolling, &TestSet) -> R,
+) -> R {
+    let build = || Arc::new(sequence_tests_to_unrolled(circuit, tests));
+    let expansion = match memo {
+        Some(memo) => Arc::clone(memo.0.get_or_init(build)),
+        None => build(),
+    };
+    run(&expansion.0, &expansion.1)
+}
+
+/// [`run_sequential_engine`], with the time-frame expansion read from
+/// and stored into `unrolled` when given (see [`UnrollMemo`]). The memo
+/// must belong to this `(circuit, tests)` pair.
+pub(crate) fn run_sequential_engine_sharing(
+    engine: EngineKind,
+    circuit: &Circuit,
+    tests: &SequenceTestSet,
+    config: &EngineConfig,
+    unrolled: Option<&UnrollMemo>,
+) -> EngineRun {
     assert!(
         engine.is_sequential(),
         "{engine} is a combinational engine: use run_engine with a TestSet"
@@ -618,18 +656,21 @@ pub fn run_sequential_engine(
         EngineKind::SeqBsim => {
             let result = {
                 let _phase = gatediag_obs::span("trace");
-                let (unrolled, set) = sequence_tests_to_unrolled(circuit, tests);
-                let run = basic_sim_diagnose(&unrolled.circuit, &set, bsim_options(config, budget));
-                fold_frames(circuit, &unrolled, run)
+                with_unrolled(circuit, tests, unrolled, |unrolled, set| {
+                    let run =
+                        basic_sim_diagnose(&unrolled.circuit, set, bsim_options(config, budget));
+                    fold_frames(circuit, unrolled, run)
+                })
             };
             bsim_run(engine, &result)
         }
         EngineKind::SeqBsat => {
             let result = {
                 let _phase = gatediag_obs::span("solve");
-                let (unrolled, set) = sequence_tests_to_unrolled(circuit, tests);
                 let options = bsat_options(config, budget);
-                unrolled_sat_diagnose(circuit, &unrolled, &set, config.k, options)
+                with_unrolled(circuit, tests, unrolled, |unrolled, set| {
+                    unrolled_sat_diagnose(circuit, unrolled, set, config.k, options)
+                })
             };
             bsat_run(engine, circuit, result)
         }

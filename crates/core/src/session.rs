@@ -48,7 +48,8 @@ use gatediag_sim::Parallelism;
 use crate::budget::Budget;
 use crate::chaos::ChaosPolicy;
 use crate::engine::{
-    run_engine_sharing, run_sequential_engine, CoverMemo, EngineConfig, EngineKind, EngineRun,
+    run_engine_sharing, run_sequential_engine_sharing, CoverMemo, EngineConfig, EngineKind,
+    EngineRun, UnrollMemo,
 };
 use crate::sequential::{generate_failing_sequences, SequenceTestSet};
 use crate::test_set::{generate_failing_tests, TestSet};
@@ -373,7 +374,8 @@ impl PreparedTests {
 /// [`PrepareKey`]) only, so every engine run on the same key can share
 /// one — the paper's setting, where BSIM, COV and BSAT diagnose one
 /// test-set per injected error. It also keeps the COV phase its `cov`
-/// and `auto` runs share (see [`run_prepared`]).
+/// and `auto` runs share and the time-frame expansion its sequential
+/// runs share (see [`run_prepared`]).
 #[derive(Clone, Debug)]
 pub struct Prepared {
     /// The faulty circuit; `None` when injection failed.
@@ -385,6 +387,8 @@ pub struct Prepared {
     pub tests: PreparedTests,
     /// The COV phase [`run_prepared`]'s `cov` and `auto` runs share.
     covers: CoverMemo,
+    /// The time-frame expansion its sequential runs share.
+    unrolled: UnrollMemo,
 }
 
 /// Builds the [`Prepared`] for `request`: [`inject`], then
@@ -412,6 +416,7 @@ pub fn prepare_injected(
             faults: Vec::new(),
             tests: empty,
             covers: CoverMemo::default(),
+            unrolled: UnrollMemo::default(),
         };
     };
     let faulty = &injection.faulty;
@@ -440,6 +445,7 @@ pub fn prepare_injected(
         faults: injection.faults.clone(),
         tests,
         covers: CoverMemo::default(),
+        unrolled: UnrollMemo::default(),
     }
 }
 
@@ -471,7 +477,10 @@ pub struct DiagnoseOutcome {
 /// once: the first stores it in the `Prepared`, a later run with the
 /// same `k`, solution cap and deterministic limits reuses it (no `cover`
 /// span; one `cov.cover_reuses` charge). Runs under an active chaos
-/// policy or a wall deadline neither read nor store it.
+/// policy or a wall deadline neither read nor store it. Likewise the
+/// sequential runs on one `Prepared` build the time-frame expansion
+/// once, whatever their config: the first run's `trace` or `solve`
+/// span charges the unrolled circuit's build, later runs charge none.
 pub fn run_prepared(
     golden: &Circuit,
     prepared: &Prepared,
@@ -504,9 +513,13 @@ pub fn run_prepared(
                 &config,
                 Some(&prepared.covers),
             ),
-            PreparedTests::Sequential(tests) => {
-                run_sequential_engine(request.engine, faulty, tests, &config)
-            }
+            PreparedTests::Sequential(tests) => run_sequential_engine_sharing(
+                request.engine,
+                faulty,
+                tests,
+                &config,
+                Some(&prepared.unrolled),
+            ),
         }
     };
     outcome.status = if run.truncation.is_some_and(|t| t.is_preemption()) {
@@ -1047,6 +1060,53 @@ mod tests {
                 ChaosPolicy::off(),
             );
             assert_eq!(format!("{:?}", outcome.run), format!("{:?}", fresh.run));
+        }
+    }
+
+    #[test]
+    fn seq_bsim_and_seq_bsat_share_one_unrolling_in_either_order() {
+        let golden = gatediag_netlist::RandomCircuitSpec::new(5, 3, 30)
+            .latches(3)
+            .seed(1)
+            .generate();
+        let request = |engine, seed| DiagnoseRequest {
+            engine,
+            seed,
+            frames: Some(3),
+            seq_len: Some(4),
+            ..DiagnoseRequest::default()
+        };
+        let seed = (1..64)
+            .find(|&seed| {
+                let request = request(EngineKind::SeqBsim, seed).validated().unwrap();
+                !prepare(&golden, &request).tests.is_empty()
+            })
+            .expect("some seed yields failing sequences");
+        for order in [
+            [EngineKind::SeqBsim, EngineKind::SeqBsat],
+            [EngineKind::SeqBsat, EngineKind::SeqBsim],
+        ] {
+            let session = CircuitSession::new("seq", golden.clone());
+            for (i, engine) in order.into_iter().enumerate() {
+                let request = request(engine, seed);
+                let (outcome, trace) = traced(&session, &request, ChaosPolicy::off());
+                // The first run unrolls (and its prepare injects); the
+                // second reuses both, so it builds no netlist at all.
+                let builds = trace.counter("netlist.builds");
+                assert_eq!(builds == 0, i == 1, "{order:?}: {builds} builds");
+                let fresh = run_diagnose(
+                    &golden,
+                    &request.validated().unwrap(),
+                    Parallelism::Sequential,
+                    ChaosPolicy::off(),
+                );
+                assert_eq!(
+                    format!("{:?}", outcome.run),
+                    format!("{:?}", fresh.run),
+                    "{order:?}"
+                );
+            }
+            assert_eq!(session.prepare_hits(), 1);
         }
     }
 

@@ -7,6 +7,12 @@
 //! text so `u64` seeds survive without a round-trip through `f64` — plus
 //! a deterministic compact renderer for single-line protocol messages.
 //!
+//! Strings are where the bytes are (a serve request embeds a whole
+//! `.bench` netlist in one), so the string scanner finds the next `"` or
+//! `\` a machine word at a time ([`find_byte`] is the same search for one
+//! byte), copies each run between them as a slice of the input `&str`,
+//! and decodes `\uXXXX` from exactly four hex digits.
+//!
 //! Hardening carried over from the campaign reader (which feeds
 //! user-supplied `--resume` files, possibly half-written checkpoints,
 //! straight into this parser):
@@ -93,8 +99,34 @@ impl Json {
             .map_or_else(|| err(format!("{context}: missing field \"{key}\"")), Ok)
     }
 
+    /// Removes field `key` from an object and returns its value, or an
+    /// error (with `context`) when it is absent — the owning twin of
+    /// [`Json::expect`], for payloads too large to copy.
+    pub fn take(&mut self, key: &str, context: &str) -> Result<Json, JsonError> {
+        let at = match self {
+            Json::Obj(fields) => fields.iter().position(|(k, _)| k == key),
+            _ => None,
+        };
+        match (self, at) {
+            (Json::Obj(fields), Some(at)) => Ok(fields.remove(at).1),
+            _ => err(format!("{context}: missing field \"{key}\"")),
+        }
+    }
+
     /// The string payload, or a typed error mentioning `context`.
     pub fn as_str(&self, context: &str) -> Result<&str, JsonError> {
+        match self {
+            Json::Str(s) => Ok(s),
+            other => err(format!(
+                "{context}: expected string, got {}",
+                other.type_name()
+            )),
+        }
+    }
+
+    /// Moves the string payload out, or a typed error mentioning
+    /// `context` (the owning twin of [`Json::as_str`]).
+    pub fn into_string(self, context: &str) -> Result<String, JsonError> {
         match self {
             Json::Str(s) => Ok(s),
             other => err(format!(
@@ -242,7 +274,67 @@ pub fn escape_str(s: &str) -> String {
 /// recursive descent.
 pub const MAX_DEPTH: usize = 64;
 
+/// Eight copies of one byte: `splat(b'"')` is `0x2222_2222_2222_2222`.
+const fn splat(byte: u8) -> u64 {
+    u64::from_ne_bytes([byte; 8])
+}
+
+/// Marks the bytes of `word` equal to the byte `needles` repeats: the
+/// high bit of the lowest marked byte is set exactly when that byte is
+/// the first match, which is all a scan reads. (Bytes above the first
+/// match may be marked spuriously by the borrow; they are never read.)
+fn marks(word: u64, needles: u64) -> u64 {
+    let x = word ^ needles;
+    x.wrapping_sub(splat(1)) & !x & splat(0x80)
+}
+
+/// Index of the first byte of `haystack[from..]` that is one of
+/// `needles`, eight bytes per step (SWAR over little-endian `u64`
+/// words, so the lowest mark is the earliest byte).
+#[inline(always)]
+fn find_any<const N: usize>(haystack: &[u8], from: usize, needles: [u8; N]) -> Option<usize> {
+    let rest = haystack.get(from..)?;
+    let mut words = rest.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks of eight"));
+        let hits = needles
+            .iter()
+            .fold(0, |hits, &needle| hits | marks(word, splat(needle)));
+        if hits != 0 {
+            return Some(from + 8 * i + (hits.trailing_zeros() / 8) as usize);
+        }
+    }
+    let tail = rest.len() - words.remainder().len();
+    words
+        .remainder()
+        .iter()
+        .position(|b| needles.contains(b))
+        .map(|i| from + tail + i)
+}
+
+/// Index of the first `needle` in `haystack`, a machine word at a time:
+/// the scanner behind the JSON string runs, shared with the serve
+/// transport's line framing.
+pub fn find_byte(haystack: &[u8], needle: u8) -> Option<usize> {
+    find_any(haystack, 0, [needle])
+}
+
+/// The value of four ASCII hex digits — exactly four, so a sign or a
+/// short escape (`\u+041`, `\u41"`) is not a number.
+fn hex4(digits: &[u8]) -> Option<u32> {
+    digits.iter().try_fold(0, |code, &b| {
+        let digit = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            b'A'..=b'F' => b - b'A' + 10,
+            _ => return None,
+        };
+        Some(code << 4 | u32::from(digit))
+    })
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
     depth: usize,
@@ -337,68 +429,48 @@ impl<'a> Parser<'a> {
         self.at += 1;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return self.error("unterminated string"),
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.at + 1..self.at + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok());
-                            let Some(code) = hex else {
-                                return self.error("bad \\u escape");
-                            };
-                            // Surrogate pairs are not produced by the
-                            // emitters (they only escape control chars);
-                            // reject rather than mis-decode.
-                            let Some(c) = char::from_u32(code) else {
-                                return self.error("\\u escape is not a scalar value");
-                            };
-                            out.push(c);
-                            self.at += 4;
-                        }
-                        _ => return self.error("bad escape"),
-                    }
-                    self.at += 1;
-                }
-                Some(_) => {
-                    // Consume the longest run up to the next quote or
-                    // backslash in one step (multi-byte UTF-8 passes
-                    // through unchanged; its bytes are all >= 0x80 so a
-                    // byte-level scan cannot split a character). Large
-                    // embedded payloads — a full `.bench` netlist in a
-                    // serve request — make per-character validation of
-                    // the remaining input quadratic.
-                    let start = self.at;
-                    while let Some(&b) = self.bytes.get(self.at) {
-                        if b == b'"' || b == b'\\' {
-                            break;
-                        }
-                        self.at += 1;
-                    }
-                    let run = std::str::from_utf8(&self.bytes[start..self.at]).map_err(|_| {
-                        JsonError {
-                            message: format!("invalid UTF-8 at byte {start}"),
-                        }
-                    })?;
-                    out.push_str(run);
-                }
+            // Each run up to the next quote or backslash is copied as one
+            // slice of the input. Both of its ends sit next to an ASCII
+            // byte (the opening quote, an escape, the stop byte), so they
+            // are char boundaries and the run needs no UTF-8 re-check.
+            let Some(stop) = find_any(self.bytes, self.at, [b'"', b'\\']) else {
+                self.at = self.bytes.len();
+                return self.error("unterminated string");
+            };
+            let Some(run) = self.text.get(self.at..stop) else {
+                return self.error("string run splits a character");
+            };
+            out.push_str(run);
+            self.at = stop + 1;
+            if self.bytes[stop] == b'"' {
+                return Ok(out);
             }
+            let c = match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => {
+                    let Some(code) = self.bytes.get(self.at + 1..self.at + 5).and_then(hex4) else {
+                        return self.error("bad \\u escape");
+                    };
+                    // Surrogate pairs are not produced by the emitters
+                    // (they only escape control chars); reject rather
+                    // than mis-decode.
+                    let Some(c) = char::from_u32(code) else {
+                        return self.error("\\u escape is not a scalar value");
+                    };
+                    self.at += 4;
+                    c
+                }
+                _ => return self.error("bad escape"),
+            };
+            out.push(c);
+            self.at += 1;
         }
     }
 
@@ -487,10 +559,11 @@ impl<'a> Parser<'a> {
 /// # Errors
 ///
 /// Returns a [`JsonError`] (never panics) for malformed syntax, nesting
-/// beyond [`MAX_DEPTH`], duplicate object keys, invalid UTF-8 inside
-/// strings, or trailing content.
+/// beyond [`MAX_DEPTH`], duplicate object keys, a `\u` escape that is
+/// not four hex digits, or trailing content.
 pub fn parse_json(text: &str) -> Result<Json, JsonError> {
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         at: 0,
         depth: 0,
@@ -533,6 +606,10 @@ mod tests {
             parse("\"a\\\"b\\\\c\\n\\u000a\""),
             Json::Str("a\"b\\c\n\n".into())
         );
+        assert_eq!(
+            parse("\"\\u00E9\\u20ac\\/\\b\\f\\r\\té€\""),
+            Json::Str("é€/\u{8}\u{c}\r\té€".into())
+        );
     }
 
     #[test]
@@ -544,7 +621,20 @@ mod tests {
 
     #[test]
     fn malformed_documents_error() {
-        for bad in ["", "{", "[1,", "{\"a\" 1}", "truthy", "1 2", "\"open"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\" 1}",
+            "truthy",
+            "1 2",
+            "\"open",
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u41\"",
+            "\"\\u00g1\"",
+            "\"\\ud800\"",
+        ] {
             assert!(parse_json(bad).is_err(), "accepted {bad:?}");
         }
     }

@@ -1,7 +1,8 @@
 //! A minimal blocking JSONL client for the daemon — one connection,
 //! many request/response exchanges.
 
-use std::io::{BufRead, BufReader, Write};
+use crate::server::write_line;
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 
 /// A connected client. Holds the connection open across requests, so a
@@ -38,9 +39,7 @@ impl Client {
     /// Returns write/read errors; an EOF before the response arrives is
     /// reported as [`std::io::ErrorKind::UnexpectedEof`].
     pub fn request(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        write_line(&mut self.writer, line)?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {

@@ -25,7 +25,9 @@
 //!   transports sharing one read loop that caps request lines at
 //!   [`MAX_REQUEST_LINE`] bytes (TCP serves at most [`MAX_CONNECTIONS`]
 //!   connections at once), and the blocking client the CLI and benches
-//!   use.
+//!   use. Both sides frame a line the same way: the reader finds its
+//!   newline a machine word at a time, the writer sends body and
+//!   newline in one write.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

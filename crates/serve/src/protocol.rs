@@ -104,19 +104,20 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "ping" => Ok(Request::Ping),
         "stats" => Ok(Request::Stats),
         "shutdown" => Ok(Request::Shutdown),
-        "diagnose" => parse_diagnose(&v).map(|c| Request::Diagnose(Box::new(c))),
+        "diagnose" => parse_diagnose(v).map(|c| Request::Diagnose(Box::new(c))),
         other => Err(format!(
             "unknown op \"{other}\" (ping|stats|shutdown|diagnose)"
         )),
     }
 }
 
-fn parse_diagnose(v: &Json) -> Result<DiagnoseCall, String> {
+fn parse_diagnose(mut v: Json) -> Result<DiagnoseCall, String> {
+    // The bench text is most of the line; move it out of the tree.
     let bench = v
-        .expect("bench", "diagnose request")
-        .and_then(|s| s.as_str("bench"))
-        .map_err(|e| e.message)?
-        .to_string();
+        .take("bench", "diagnose request")
+        .and_then(|s| s.into_string("bench"))
+        .map_err(|e| e.message)?;
+    let v = &v;
     let circuit = match v.get("circuit") {
         None | Some(Json::Null) => None,
         Some(f) => Some(f.as_str("circuit").map_err(|e| e.message)?.to_string()),

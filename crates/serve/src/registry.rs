@@ -3,11 +3,15 @@
 //!
 //! Two levels of keying make the warm path cheap *and* canonical:
 //!
-//! 1. **Source hash** — FNV-1a over the raw bench text. A repeated
-//!    request with byte-identical bench text resolves through this
-//!    alias map without parsing anything, so a warm hit charges **zero**
-//!    `netlist.builds` (the property the warm-hit tests and the CI
-//!    smoke assert).
+//! 1. **Source hash** — a 64-bit hash over the raw bench text, eight
+//!    bytes per multiply (the text of a large circuit runs to hundreds
+//!    of kilobytes, and a byte-wise hash like FNV-1a pays one dependent
+//!    multiply per byte on every request). A repeated request with
+//!    byte-identical bench text resolves through this alias map without
+//!    parsing anything, so a warm hit charges **zero** `netlist.builds`
+//!    (the property the warm-hit tests and the CI smoke assert). The
+//!    hash is not cryptographic: two sources that collide on it alias
+//!    one session, a case the registry does not defend against.
 //! 2. **Content hash** — [`circuit_content_hash`] over the parsed
 //!    circuit's canonical bench rendering, comments stripped. Two
 //!    sources that differ only in whitespace, comments or the display
@@ -38,7 +42,8 @@ pub struct RegistryStats {
 struct Inner {
     /// LRU order: index 0 is the coldest session, the back the hottest.
     sessions: Vec<Arc<CircuitSession>>,
-    /// Raw-source FNV-1a hash → content hash of the session it parsed to.
+    /// Raw-source hash ([`source_hash`]) → content hash of the session
+    /// it parsed to.
     by_source: HashMap<u64, u64>,
     hits: u64,
     misses: u64,
@@ -60,14 +65,29 @@ impl std::fmt::Debug for CircuitRegistry {
     }
 }
 
-/// FNV-1a 64 over raw bytes — the source-level key.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// The source-level key: a 64-bit hash of the raw bytes that takes
+/// eight bytes per multiply. Each little-endian word (the last one
+/// zero-padded) is XORed into the state, which is then replaced by the
+/// XOR of the two halves of its 128-bit product with an odd constant,
+/// so every input bit reaches every state bit within a word or two.
+/// The length is folded in last, so a source and the same source with
+/// trailing NUL bytes differ. Not cryptographic: a client could craft
+/// two sources with one key.
+fn source_hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    fn mix(state: u64, word: u64) -> u64 {
+        let product = u128::from(state ^ word) * u128::from(K);
+        (product as u64) ^ ((product >> 64) as u64)
     }
-    hash
+    let mut words = bytes.chunks_exact(8);
+    let mut state = 0xcbf2_9ce4_8422_2325;
+    for word in words.by_ref() {
+        state = mix(state, u64::from_le_bytes(word.try_into().expect("eight")));
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    state = mix(state, u64::from_le_bytes(tail));
+    mix(state, bytes.len() as u64)
 }
 
 impl CircuitRegistry {
@@ -105,7 +125,7 @@ impl CircuitRegistry {
         bench: &str,
         name: Option<&str>,
     ) -> Result<(Arc<CircuitSession>, bool), String> {
-        let source = fnv64(bench.as_bytes());
+        let source = source_hash(bench.as_bytes());
         let mut inner = self.lock();
         if let Some(&content) = inner.by_source.get(&source) {
             if let Some(pos) = inner
@@ -245,6 +265,26 @@ mod tests {
             0,
             "a source-hash hit must not parse or build anything"
         );
+    }
+
+    #[test]
+    fn source_hash_separates_edits_at_every_offset() {
+        let base = bench(3).into_bytes();
+        let mut variants = vec![base.clone()];
+        for at in 0..base.len() {
+            for flip in [0x01, 0x80] {
+                let mut edited = base.clone();
+                edited[at] ^= flip;
+                variants.push(edited);
+            }
+            variants.push(base[..at].to_vec());
+        }
+        for nuls in 1..=9 {
+            variants.push([base.as_slice(), &vec![0; nuls]].concat());
+        }
+        let keys: std::collections::HashSet<u64> =
+            variants.iter().map(|v| source_hash(v)).collect();
+        assert_eq!(keys.len(), variants.len());
     }
 
     #[test]

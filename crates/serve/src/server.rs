@@ -7,10 +7,16 @@
 //! whole story. The accept loop polls non-blockingly so a `shutdown`
 //! request handled on any connection stops the daemon without needing
 //! to interrupt a blocked `accept`.
+//!
+//! A request line carries a whole bench text (hundreds of kilobytes for
+//! the larger circuits), so framing reads it in a 64 KiB buffer per
+//! connection and finds its newline a word at a time
+//! ([`gatediag_obs::json::find_byte`]); every line goes out in one write.
 
 use crate::protocol::status_response;
 use crate::service::Service;
-use std::io::{BufRead, BufReader, Write};
+use gatediag_obs::json::find_byte;
+use std::io::{BufRead, BufReader, IoSlice, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -54,7 +60,7 @@ fn read_request_line(
             });
         }
         seen = true;
-        let newline = chunk.iter().position(|&b| b == b'\n');
+        let newline = find_byte(chunk, b'\n');
         let take = newline.unwrap_or(chunk.len());
         if !too_long {
             if buf.len() + take > cap {
@@ -78,11 +84,38 @@ fn read_request_line(
     }
 }
 
+/// Read buffer of each connection, in bytes. A request carries its
+/// whole bench text (about 116 KB for `s6669_like`), so a buffer this
+/// size takes a typical request in a few reads rather than dozens.
+const READ_BUFFER: usize = 64 << 10;
+
+/// Writes `line` and its `\n` in one vectored write, so a request or
+/// response line leaves as one unit (one segment under `TCP_NODELAY`
+/// when it fits) rather than its body and then a lone newline. A short
+/// write resumes where it stopped.
+pub(crate) fn write_line(output: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut slices = [IoSlice::new(line.as_bytes()), IoSlice::new(b"\n")];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match output.write_vectored(rest) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    output.flush()
+}
+
 /// Serves one established connection until EOF or shutdown (see
 /// [`serve_lines`]).
 fn serve_connection(service: &Service, stream: TcpStream) -> std::io::Result<()> {
     let writer = stream.try_clone()?;
-    serve_lines(service, BufReader::new(stream), writer)
+    serve_lines(
+        service,
+        BufReader::with_capacity(READ_BUFFER, stream),
+        writer,
+    )
 }
 
 /// Most connections [`serve_tcp`] serves at once. Each holds a thread
@@ -156,8 +189,7 @@ fn accept_loop(
 /// write does not block the accept loop; a failed write is the client's
 /// business.
 fn refuse(mut stream: TcpStream, message: &str) {
-    let line = status_response("error", message) + "\n";
-    let _ = stream.write_all(line.as_bytes());
+    let _ = write_line(&mut stream, &status_response("error", message));
 }
 
 /// One of the accept loop's open-connection slots, released on drop.
@@ -209,9 +241,7 @@ pub fn serve_lines(
                 service.handle_line(line)
             }
         };
-        output.write_all(response.as_bytes())?;
-        output.write_all(b"\n")?;
-        output.flush()?;
+        write_line(&mut output, &response)?;
         if service.shutdown_requested() {
             break;
         }

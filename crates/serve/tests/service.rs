@@ -2,7 +2,7 @@
 //! admission control, crash isolation, and the TCP/stdio transports.
 
 use gatediag_core::{ChaosConfig, DiagnoseRequest, EngineKind};
-use gatediag_netlist::{s1423_like, write_bench};
+use gatediag_netlist::{s1423_like, s6669_like, write_bench};
 use gatediag_obs::json::{parse_json, Json};
 use gatediag_serve::{
     render_diagnose_request, serve_lines, serve_tcp, Client, DiagnoseCall, Service, ServiceConfig,
@@ -281,6 +281,19 @@ fn tcp_transport_matches_in_process_responses() {
     let mut client = Client::connect(&addr).expect("connect");
     assert_eq!(client.request(&line).expect("cold request"), expected);
     assert_eq!(client.request(&line).expect("warm request"), expected);
+    // A real-sized line (~116 KB of bench text) arrives in several
+    // reads and is answered as the in-process service answers it; its
+    // byte-identical repeat is a registry hit.
+    let large = render_diagnose_request(&DiagnoseCall {
+        circuit: Some("s6669_like".to_string()),
+        bench: write_bench(&s6669_like(1)),
+        ..call(EngineKind::Bsim, 1)
+    });
+    assert!(large.len() > 100_000, "{} bytes", large.len());
+    let expected = reference.handle_line(&large);
+    assert_eq!(status_of(&expected), "ok", "{expected}");
+    assert_eq!(client.request(&large).expect("large request"), expected);
+    assert_eq!(client.request(&large).expect("large repeat"), expected);
     let ping = client
         .request("{\"schema\": \"gatediag-serve-v1\", \"op\": \"ping\"}")
         .expect("ping");
@@ -289,8 +302,8 @@ fn tcp_transport_matches_in_process_responses() {
         .request("{\"schema\": \"gatediag-serve-v1\", \"op\": \"stats\"}")
         .expect("stats");
     let v = parse_json(&stats).unwrap();
-    assert_eq!(field(&v, "sessions").as_u64("sessions").unwrap(), 1);
-    assert_eq!(field(&v, "hits").as_u64("hits").unwrap(), 1);
+    assert_eq!(field(&v, "sessions").as_u64("sessions").unwrap(), 2);
+    assert_eq!(field(&v, "hits").as_u64("hits").unwrap(), 2);
     let bye = client
         .request("{\"schema\": \"gatediag-serve-v1\", \"op\": \"shutdown\"}")
         .expect("shutdown");
@@ -315,6 +328,42 @@ fn stdio_transport_answers_line_per_line() {
     assert_eq!(responses[0], responses[1]);
     assert_eq!(status_of(responses[2]), "ok");
     assert!(service.shutdown_requested());
+}
+
+#[test]
+fn framing_is_independent_of_the_read_buffer_size() {
+    let diagnose = render_diagnose_request(&call(EngineKind::Bsim, 1));
+    let lines = [
+        "{\"schema\": \"gatediag-serve-v1\", \"op\": \"ping\"}",
+        "not json",
+        &diagnose,
+        "{\"schema\": \"gatediag-serve-v1\", \"op\": \"stats\"}",
+    ];
+    // Leading blanks shift every line end through each offset of a
+    // word and of the small buffers; `\n` and `\r\n` alternate, and a
+    // bare `\r\n` is a blank line.
+    let mut input = String::new();
+    for pad in 0..16 {
+        for (i, line) in lines.iter().enumerate() {
+            input.push_str(&" ".repeat(pad));
+            input.push_str(line);
+            input.push_str(if (pad + i) % 2 == 0 { "\n" } else { "\r\n" });
+        }
+        input.push_str("\r\n");
+    }
+    let serve = |capacity: usize| {
+        let service = Service::new(ServiceConfig::default());
+        let reader = std::io::BufReader::with_capacity(capacity, input.as_bytes());
+        let mut output = Vec::new();
+        serve_lines(&service, reader, &mut output).expect("stdio loop");
+        String::from_utf8(output).unwrap()
+    };
+    let whole = serve(input.len());
+    assert_eq!(whole.lines().count(), 16 * lines.len(), "{whole}");
+    assert_eq!(whole.matches("\"status\": \"error\"").count(), 16);
+    for capacity in [1, 7, 8, 64] {
+        assert_eq!(serve(capacity), whole, "buffer of {capacity} bytes");
+    }
 }
 
 #[test]

@@ -7,9 +7,11 @@
 //! release). `crates/core/tests/drift.rs` checks that both paths give
 //! the same answers.
 //!
-//! Each side's time is the minimum over several runs, not the mean, so
-//! a test running on a neighbouring thread slows only some runs and
-//! cannot flip the verdict.
+//! Each side's time is the minimum over several runs, not the mean, and
+//! the two sides run interleaved, one of each per repetition: a stall of
+//! the host (a test on a neighbouring thread, another process) slows
+//! runs of both sides alike instead of only the side that happened to be
+//! timing, so it cannot flip the verdict.
 
 use gatediag_core::{basic_sim_diagnose, generate_failing_tests, path_trace, BsimOptions, TestSet};
 use gatediag_netlist::{inject_errors, Circuit, GateSet, RandomCircuitSpec, VectorGen};
@@ -19,17 +21,25 @@ use std::time::{Duration, Instant};
 /// The speed-up every packed path must reach.
 const FLOOR: f64 = 5.0;
 
-/// The fastest of `reps` timed calls of `f`, after one warm-up call.
-fn min_time<R>(reps: usize, mut f: impl FnMut() -> R) -> Duration {
+/// The time of one call of `f`.
+fn time<R>(f: &mut impl FnMut() -> R) -> Duration {
+    let start = Instant::now();
     std::hint::black_box(f());
-    (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed()
-        })
-        .min()
-        .expect("at least one repetition")
+    start.elapsed()
+}
+
+/// The fastest of `reps` timed calls of `scalar` and of `packed`, after
+/// one warm-up call of each; each repetition times one call of each.
+fn min_times<R, S>(
+    reps: usize,
+    mut scalar: impl FnMut() -> R,
+    mut packed: impl FnMut() -> S,
+) -> (Duration, Duration) {
+    std::hint::black_box(scalar());
+    std::hint::black_box(packed());
+    (0..reps).fold((Duration::MAX, Duration::MAX), |(s, p), _| {
+        (s.min(time(&mut scalar)), p.min(time(&mut packed)))
+    })
 }
 
 /// The scalar BSIM loop: one full simulation per test, then the trace.
@@ -60,20 +70,23 @@ fn packed_sim_and_bsim_are_at_least_5x_faster_than_scalar() {
     // packed patterns, compared per pattern.
     let mut gen = VectorGen::new(&faulty, 3);
     let vectors: Vec<Vec<bool>> = (0..512).map(|_| gen.next_vector()).collect();
-    let scalar = min_time(10, || {
-        vectors[..8].iter().fold(false, |acc, v| {
-            acc ^ *simulate(&faulty, v).last().expect("gates")
-        })
-    });
     let mut packed = Vec::new();
     let words = pack_vectors_into(&faulty, &vectors, &mut packed);
     let mut sim = PackedSim::new(&faulty);
     sim.reset(words);
     sim.set_input_words(&packed);
-    let sweep = min_time(10, || {
-        sim.sweep();
-        sim.values()[faulty.len() * words - 1]
-    });
+    let (scalar, sweep) = min_times(
+        10,
+        || {
+            vectors[..8].iter().fold(false, |acc, v| {
+                acc ^ *simulate(&faulty, v).last().expect("gates")
+            })
+        },
+        || {
+            sim.sweep();
+            sim.values()[faulty.len() * words - 1]
+        },
+    );
     let sim_ratio = (512.0 / sweep.as_secs_f64()) / (8.0 / scalar.as_secs_f64());
 
     // BSIM on one worker, so the ratio is the packed substrate's alone.
@@ -81,12 +94,15 @@ fn packed_sim_and_bsim_are_at_least_5x_faster_than_scalar() {
         parallelism: Parallelism::Sequential,
         ..BsimOptions::default()
     };
-    let scalar = min_time(5, || scalar_bsim(&faulty, &tests, options).len());
-    let packed = min_time(5, || {
-        basic_sim_diagnose(&faulty, &tests, options)
-            .candidate_sets
-            .len()
-    });
+    let (scalar, packed) = min_times(
+        5,
+        || scalar_bsim(&faulty, &tests, options).len(),
+        || {
+            basic_sim_diagnose(&faulty, &tests, options)
+                .candidate_sets
+                .len()
+        },
+    );
     let bsim_ratio = scalar.as_secs_f64() / packed.as_secs_f64();
     eprintln!("packed over scalar: sim {sim_ratio:.1}x, bsim {bsim_ratio:.1}x");
 

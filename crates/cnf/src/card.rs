@@ -77,15 +77,18 @@ impl Totalizer {
                 if total == 0 || total > out_len {
                     continue;
                 }
-                let mut clause = Vec::with_capacity(3);
+                let mut clause = [outputs[total - 1]; 3];
+                let mut len = 0;
                 if i > 0 {
-                    clause.push(!left[i - 1]);
+                    clause[len] = !left[i - 1];
+                    len += 1;
                 }
                 if j > 0 {
-                    clause.push(!right[j - 1]);
+                    clause[len] = !right[j - 1];
+                    len += 1;
                 }
-                clause.push(outputs[total - 1]);
-                sink.add_clause(&clause);
+                clause[len] = outputs[total - 1];
+                sink.add_clause(&clause[..=len]);
             }
         }
         outputs

@@ -18,8 +18,11 @@
 //! * [`Totalizer`] — cardinality constraints
 //!   `Σ s_g ≤ k`, the totalizer exposing incremental per-`k` assumption
 //!   literals (the Zchaff-style incremental usage of Fig. 3);
-//! * [`ClauseSink`] / [`CnfCollector`] — encode into a live solver or
-//!   capture the formula for DIMACS export and brute-force cross-checks.
+//! * [`ClauseSink`] / [`CnfCollector`] / [`BlockRecorder`] — encode into
+//!   a live solver, capture the formula for DIMACS export and brute-force
+//!   cross-checks, or record a fragment once and stamp it into solvers
+//!   per use ([`gatediag_sat::Solver::add_block`]; BSAT records one
+//!   instrumented copy and stamps it per test).
 //!
 //! # Examples
 //!
@@ -54,5 +57,5 @@ pub use copies::{
 };
 pub use miter::{check_equivalence, distinguishing_vectors, Distinguisher};
 pub use mux::{encode_instrumented_copy, Instrumentation, InstrumentedCopy, MuxEncoding};
-pub use sink::{ClauseSink, CnfCollector};
+pub use sink::{BlockRecorder, ClauseSink, CnfCollector};
 pub use tseitin::{encode_circuit, CircuitVars};

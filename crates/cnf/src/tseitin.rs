@@ -69,7 +69,7 @@ pub(crate) fn encode_gate<S: ClauseSink>(
     fanins: &[Lit],
     guard: Option<Lit>,
 ) {
-    gatediag_obs::count("cnf.gates_encoded", 1);
+    sink.gate_encoded();
     macro_rules! clause {
         ($lits:expr) => {
             emit(sink, $lits, guard)

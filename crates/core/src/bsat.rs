@@ -13,6 +13,14 @@
 //! simulation results ([`BsatOptions::hints`]). Every non-input gate
 //! receives a correction multiplexer.
 //!
+//! The instance build encodes one instrumented copy into a recorded
+//! clause block ([`BlockRecorder`]) and stamps it once per test
+//! ([`Solver::add_block`]): the copies differ only by a variable offset,
+//! and a stamp appends a copy's normalised clauses, arena words and
+//! watchers in bulk, leaving the solver exactly as encoding the copy
+//! clause by clause would. After an earlier test's pins force a select
+//! line at the root, the remaining copies go in clause by clause.
+//!
 //! The same instance build and enumeration loop serve sequential BSAT
 //! (engine `seq-bsat`): over the time-frame expansion each gate's select
 //! guards its instance in every frame.
@@ -20,11 +28,10 @@
 use crate::budget::{Budget, Truncation};
 use crate::test_set::TestSet;
 use gatediag_cnf::{
-    encode_instrumented_copy, CnfCollector, Instrumentation, MuxEncoding, Totalizer,
+    encode_instrumented_copy, BlockRecorder, Instrumentation, MuxEncoding, Totalizer,
 };
 use gatediag_netlist::{Circuit, GateId, GateKind, Unrolling};
 use gatediag_sat::{enumerate_positive_subsets, Lit, Solver, SolverStats, Var};
-use gatediag_sim::{parallel_map_init, Parallelism};
 use std::time::{Duration, Instant};
 
 /// Options for [`basic_sat_diagnose`].
@@ -37,13 +44,6 @@ pub struct BsatOptions {
     /// VSIDS seed hints `(gate, weight)`: bumps the gate's select variable
     /// and sets its phase to "selected" — the Sec. 6 hybrid lever.
     pub hints: Vec<(GateId, f64)>,
-    /// Worker count for the parallelizable SAT-side phases: the per-test
-    /// CNF copies of the instance build are *generated* on a worker pool
-    /// (each worker Tseitin-encodes whole copies into a pre-assigned
-    /// variable block) and replayed into the solver in test order. The
-    /// CDCL search itself stays sequential, so results are bit-identical
-    /// for every setting.
-    pub parallelism: Parallelism,
     /// Cooperative budget. BSAT's deterministic work unit **is** solver
     /// conflicts, so [`Budget::work`] and [`Budget::conflicts`] merge into
     /// one solver limit (the smaller wins, bounding each enumeration
@@ -58,7 +58,6 @@ impl Default for BsatOptions {
             encoding: MuxEncoding::default(),
             max_solutions: 1_000_000,
             hints: Vec::new(),
-            parallelism: Parallelism::default(),
             budget: Budget::default(),
         }
     }
@@ -255,61 +254,25 @@ fn build_instance(
     k: usize,
     options: &BsatOptions,
 ) -> Instance {
-    // The per-test instrumented copies are independent given the shared
-    // select lines, so their Tseitin encoding — the bulk of the paper's
-    // Table 2 "CNF" time — shards across workers: every copy allocates an
-    // identical variable block, so copy `i`'s block base is known in
-    // advance and workers encode into `CnfCollector`s starting there.
-    // Replaying the collected clauses into the solver *in test order*
-    // reproduces the sequential build's exact clause/variable sequence,
-    // so the search (and hence the diagnosis output) is bit-identical for
-    // every worker count.
-    let work = tests.len().saturating_mul(circuit.len()).saturating_mul(4);
-    let workers = options
-        .parallelism
-        .workers_for(tests.len(), work, gatediag_sim::AUTO_WORK_FLOOR);
-    if workers <= 1 || tests.len() <= 1 {
+    // The per-test instrumented copies differ only by a variable offset,
+    // so copy 0 is encoded once into a recorded block and every test's
+    // copy is stamped from it (`Solver::add_block`), followed by the
+    // test's input and output pins. The stamp leaves the solver exactly
+    // as encoding each copy clause by clause would, so the search is the
+    // one a direct encoding gets.
+    if !tests.is_empty() {
+        let mut recorder = BlockRecorder::starting_at(solver.num_vars());
+        let template = encode_instrumented_copy(&mut recorder, circuit, inst, options.encoding);
+        recorder.reserve(solver, tests.len());
         for test in tests {
-            let copy = encode_instrumented_copy(solver, circuit, inst, options.encoding);
+            let shift = recorder.stamp(solver);
+            let lit = |gate: GateId, value: bool| {
+                Var::from_index(template.vars.var(gate).index() + shift).lit(value)
+            };
             for (&pi, &v) in circuit.inputs().iter().zip(&test.vector) {
-                solver.add_clause(&[copy.vars.lit(pi, v)]);
+                solver.add_clause(&[lit(pi, v)]);
             }
-            solver.add_clause(&[copy.vars.lit(test.output, test.expected)]);
-        }
-    } else {
-        let base = solver.num_vars();
-        let encode_copy = |var_base: usize| {
-            let mut sink = CnfCollector::starting_at(var_base);
-            let copy = encode_instrumented_copy(&mut sink, circuit, inst, options.encoding);
-            let (allocated, clauses) = sink.into_parts();
-            (copy, allocated, clauses)
-        };
-        // Copy 0 pins the per-copy variable demand; the rest fan out.
-        let (copy0, vars_per_copy, clauses0) = encode_copy(base);
-        let rest = parallel_map_init(
-            workers,
-            tests.len() - 1,
-            || (),
-            |(), i| encode_copy(base + (i + 1) * vars_per_copy),
-        );
-        let mut copies = Vec::with_capacity(tests.len());
-        copies.push((copy0, vars_per_copy, clauses0));
-        copies.extend(rest);
-        for _ in 0..tests.len() * vars_per_copy {
-            solver.new_var();
-        }
-        for ((copy, allocated, clauses), test) in copies.iter().zip(tests) {
-            debug_assert_eq!(
-                *allocated, vars_per_copy,
-                "instrumented copies must allocate identical variable blocks"
-            );
-            for clause in clauses {
-                solver.add_clause(clause);
-            }
-            for (&pi, &v) in circuit.inputs().iter().zip(&test.vector) {
-                solver.add_clause(&[copy.vars.lit(pi, v)]);
-            }
-            solver.add_clause(&[copy.vars.lit(test.output, test.expected)]);
+            solver.add_clause(&[lit(test.output, test.expected)]);
         }
     }
     let selectors = inst.select_vars().to_vec();

@@ -12,9 +12,9 @@
 use crate::bsim::{basic_sim_diagnose, BsimOptions, BsimResult};
 use crate::budget::{Budget, BudgetMeter, Truncation};
 use crate::test_set::TestSet;
-use gatediag_cnf::{ClauseSink, Totalizer};
+use gatediag_cnf::{BlockRecorder, Totalizer};
 use gatediag_netlist::{Circuit, GateId};
-use gatediag_sat::{enumerate_positive_subsets, Lit, Solver, Var};
+use gatediag_sat::{enumerate_positive_subsets, Solver, Var};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -223,7 +223,7 @@ struct CoverOutcome {
 /// The branch-independent part of the instance — selectors, set clauses
 /// and the totalizer's clause stream — is a [`CoverBase`], built once per
 /// call and shared by every branch; a branch clones its solver, adds its
-/// units and replays the totalizer (see [`CoverBase::branch_solver`]).
+/// units and stamps the totalizer block (see [`CoverBase::branch_solver`]).
 ///
 /// Within a branch, subset blocking alone cannot reject a cover whose
 /// redundant gate *is* the branch gate (the witness subset lives in an
@@ -373,10 +373,11 @@ fn size_one_covers(
 /// against the root units already present: the totalizer clauses must
 /// meet the branch units, so they cannot live in the shared solver. The
 /// base therefore holds the solver only up to the set clauses, and
-/// records the totalizer as a clause stream that each branch replays
-/// after its units — with the same interleaving of fresh variables and
-/// clauses as a direct encoding — which reproduces the clause database,
-/// and therefore the search, bit for bit.
+/// records the totalizer as a clause block ([`BlockRecorder`]) that each
+/// branch stamps after its units. The units assign selectors the
+/// totalizer mentions, so every stamp adds the recorded clauses one by
+/// one through `add_clause`, which reproduces the clause database, and
+/// therefore the search, bit for bit.
 struct CoverBase {
     /// Selector variables `0..n`, one per distinct gate in first-seen
     /// order over the sets.
@@ -390,10 +391,10 @@ struct CoverBase {
     /// The largest bound the `k`-loop asks for: `k.min(n)`.
     limit: usize,
     /// The totalizer over all selectors, up to `limit`; its variables
-    /// start at `n` and exist once [`CoverBase::branch_solver`] replays
+    /// start at `n` and exist once [`CoverBase::branch_solver`] stamps
     /// `totalizer_cnf`.
     totalizer: Totalizer,
-    totalizer_cnf: Recording,
+    totalizer_cnf: BlockRecorder,
 }
 
 impl CoverBase {
@@ -416,7 +417,7 @@ impl CoverBase {
         let selectors: Vec<Var> = (0..gate_of.len()).map(Var::from_index).collect();
         let select_lits: Vec<_> = selectors.iter().map(|v| v.positive()).collect();
         let limit = k.min(selectors.len());
-        let mut totalizer_cnf = Recording::starting_at(selectors.len());
+        let mut totalizer_cnf = BlockRecorder::starting_at(selectors.len());
         let totalizer = Totalizer::new(&mut totalizer_cnf, &select_lits, limit);
         CoverBase {
             branch_vars: branch_set.iter().map(|g| var_of[g]).collect(),
@@ -433,7 +434,8 @@ impl CoverBase {
     /// `branch_set[b]` and none of `branch_set[..b]`.
     ///
     /// Charges the `cnf.vars`/`cnf.clauses` counters as encoding the
-    /// branch from scratch through the counting [`ClauseSink`] does: every
+    /// branch from scratch through the counting
+    /// [`ClauseSink`](gatediag_cnf::ClauseSink) does: every
     /// selector and totalizer variable, and the totalizer clauses.
     fn branch_solver(&self, b: usize) -> Solver {
         let mut solver = self.solver.clone();
@@ -445,68 +447,11 @@ impl CoverBase {
         for v in &self.branch_vars[..b] {
             solver.add_clause(&[v.negative()]);
         }
-        self.totalizer_cnf.replay(&mut solver);
-        gatediag_obs::count(
-            "cnf.vars",
-            (self.selectors.len() + self.totalizer_cnf.vars) as u64,
-        );
-        gatediag_obs::count("cnf.clauses", self.totalizer_cnf.clauses.len() as u64);
+        // The units assign selectors the totalizer mentions, so the stamp
+        // takes its clause-by-clause path: exactly a direct encoding.
+        self.totalizer_cnf.stamp(&mut solver);
+        gatediag_obs::count("cnf.vars", self.selectors.len() as u64);
         solver
-    }
-}
-
-/// A formula fragment recorded for replay into solvers that already hold
-/// `base` variables. Unlike [`gatediag_cnf::CnfCollector`] it charges no
-/// obs counters (the replaying branch does) and keeps, per clause, how
-/// many variables had been allocated before it, so a replay reproduces
-/// the exact interleaving of [`Solver::new_var`] and
-/// [`Solver::add_clause`] calls of a direct encoding.
-struct Recording {
-    base: usize,
-    /// Variables allocated by this recording.
-    vars: usize,
-    /// Per clause: `(variables allocated before it, end offset in lits)`.
-    clauses: Vec<(usize, usize)>,
-    lits: Vec<Lit>,
-}
-
-impl Recording {
-    fn starting_at(base: usize) -> Self {
-        Recording {
-            base,
-            vars: 0,
-            clauses: Vec::new(),
-            lits: Vec::new(),
-        }
-    }
-
-    /// Allocates the recorded variables and adds the recorded clauses to
-    /// `solver`, which must hold exactly `base` variables.
-    fn replay(&self, solver: &mut Solver) {
-        debug_assert_eq!(solver.num_vars(), self.base);
-        let mut start = 0;
-        for &(vars_before, end) in &self.clauses {
-            while solver.num_vars() < self.base + vars_before {
-                solver.new_var();
-            }
-            solver.add_clause(&self.lits[start..end]);
-            start = end;
-        }
-        while solver.num_vars() < self.base + self.vars {
-            solver.new_var();
-        }
-    }
-}
-
-impl ClauseSink for Recording {
-    fn new_var(&mut self) -> Var {
-        self.vars += 1;
-        Var::from_index(self.base + self.vars - 1)
-    }
-
-    fn add_clause(&mut self, lits: &[Lit]) {
-        self.lits.extend_from_slice(lits);
-        self.clauses.push((self.vars, self.lits.len()));
     }
 }
 

@@ -244,7 +244,6 @@ fn bsat_options(config: &EngineConfig, budget: Budget) -> BsatOptions {
     BsatOptions {
         max_solutions: config.max_solutions,
         budget,
-        parallelism: config.parallelism,
         ..BsatOptions::default()
     }
 }

@@ -38,16 +38,17 @@
 //! # Parallel diagnosis
 //!
 //! The simulation-based flows are embarrassingly parallel across
-//! *independent candidate cones and test batches*: every diagnosis
-//! option struct carries a [`Parallelism`] knob that shards its work over
+//! *independent candidate cones and test batches*: their option structs
+//! carry a [`Parallelism`] knob that shards the work over
 //! a scoped worker pool (one reusable engine per worker, work-stealing
 //! over a shared index — see [`gatediag_sim::parallel_map_init`]).
 //! Results are **bit-identical for every thread count**; drift tests and
 //! property tests pin this. Cross-candidate loops should reuse one
 //! [`ValidityOracle`] per thread (or batch-screen with
 //! [`screen_valid_corrections`]) instead of paying a fresh engine's
-//! per-call buffer setup. The SAT side shards too:
-//! [`BsatOptions::parallelism`] parallelizes the BSAT instance build.
+//! per-call buffer setup. On the SAT side the validity screens shard the
+//! same way; BSAT's instance build needs no pool, since it encodes one
+//! copy and stamps it once per test ([`gatediag_sat::Solver::add_block`]).
 //!
 //! # Examples
 //!

@@ -1,19 +1,19 @@
-//! Thread-count invariance for the parallel *SAT* layer (PR 3).
+//! Thread-count invariance for the parallel *SAT* layer.
 //!
-//! The SAT side fans out in two places: `basic_sat_diagnose` generates
-//! its per-test CNF copies on a worker pool (replayed into the solver in
-//! test order), and `screen_valid_corrections` screens candidate sets
-//! with one validity oracle per worker. Both must produce *bit-identical
-//! diagnosis output* for every worker count, including the sequential
-//! path — these tests pin that contract the same way `parallel_drift.rs`
-//! pins the simulation side. The COV SAT engine runs its branches on the
-//! calling thread; its tests sweep the sharded BSIM phase of
-//! `sc_diagnose` and check the cap on raw covering instances.
+//! `screen_valid_corrections` screens candidate sets with one validity
+//! oracle per worker, and must produce *bit-identical diagnosis output*
+//! for every worker count, including the sequential path — these tests
+//! pin that contract the same way `parallel_drift.rs` pins the
+//! simulation side. The COV SAT engine runs its branches on the calling
+//! thread; its tests sweep the sharded BSIM phase of `sc_diagnose` and
+//! check the cap on raw covering instances. (BSAT builds its instance on
+//! the calling thread, stamping one recorded copy per test;
+//! `stamped_build.rs` checks that build against the clause-by-clause
+//! one.)
 
 use gatediag_core::{
-    basic_sat_diagnose, cover_all, generate_failing_tests, hybrid_seeded_bsat, sc_diagnose,
-    screen_valid_corrections, BsatOptions, BsimOptions, Budget, CovEngine, CovOptions, Parallelism,
-    TestSet, ValidityBackend, ValidityOracle,
+    cover_all, generate_failing_tests, sc_diagnose, screen_valid_corrections, BsimOptions, Budget,
+    CovEngine, CovOptions, Parallelism, TestSet, ValidityBackend, ValidityOracle,
 };
 use gatediag_netlist::{inject_errors, Circuit, GateId, RandomCircuitSpec};
 
@@ -40,73 +40,6 @@ fn workloads() -> Vec<(Circuit, Vec<GateId>, TestSet)> {
     }
     assert!(!out.is_empty(), "no workload produced failing tests");
     out
-}
-
-#[test]
-fn bsat_solutions_are_identical_for_all_worker_counts() {
-    for (faulty, _, tests) in workloads() {
-        let sequential = basic_sat_diagnose(
-            &faulty,
-            &tests,
-            2,
-            BsatOptions {
-                parallelism: Parallelism::Sequential,
-                ..BsatOptions::default()
-            },
-        );
-        assert!(sequential.complete);
-        for parallelism in WORKER_SWEEP {
-            let parallel = basic_sat_diagnose(
-                &faulty,
-                &tests,
-                2,
-                BsatOptions {
-                    parallelism,
-                    ..BsatOptions::default()
-                },
-            );
-            assert_eq!(
-                sequential.solutions, parallel.solutions,
-                "BSAT solutions drifted at {parallelism:?}"
-            );
-            assert_eq!(sequential.complete, parallel.complete);
-            // The parallel build replays the exact clause sequence, so
-            // even the *search* must be identical, not just the solution
-            // set: conflicts and decisions are part of the pinned output.
-            assert_eq!(
-                sequential.stats.conflicts, parallel.stats.conflicts,
-                "search trajectory drifted at {parallelism:?}"
-            );
-            assert_eq!(sequential.stats.decisions, parallel.stats.decisions);
-            assert_eq!(sequential.stats.propagations, parallel.stats.propagations);
-        }
-    }
-}
-
-#[test]
-fn bsat_variants_are_worker_count_invariant() {
-    for (faulty, _, tests) in workloads() {
-        let baseline_hybrid = hybrid_seeded_bsat(
-            &faulty,
-            &tests,
-            2,
-            BsatOptions {
-                parallelism: Parallelism::Sequential,
-                ..BsatOptions::default()
-            },
-        );
-        for parallelism in WORKER_SWEEP {
-            let options = BsatOptions {
-                parallelism,
-                ..BsatOptions::default()
-            };
-            assert_eq!(
-                hybrid_seeded_bsat(&faulty, &tests, 2, options).solutions,
-                baseline_hybrid.solutions,
-                "hybrid drifted at {parallelism:?}"
-            );
-        }
-    }
 }
 
 #[test]

@@ -21,7 +21,7 @@
 use gatediag_cnf::{encode_instrumented_copy, Instrumentation, MuxEncoding, Totalizer};
 use gatediag_core::{
     basic_sat_diagnose, basic_sim_diagnose, prepare, sc_diagnose, BsatOptions, BsimOptions, Budget,
-    CovOptions, DiagnoseRequest, Parallelism, PreparedTests, TestSet, Truncation,
+    CovOptions, DiagnoseRequest, PreparedTests, TestSet, Truncation,
 };
 use gatediag_netlist::{s1423_like, s6669_like, Circuit, GateId, GateKind};
 use gatediag_sat::{Lit, SolveResult, Solver, Var};
@@ -167,7 +167,7 @@ fn failing_tests(golden: &Circuit, p: usize, seed: u64) -> (Circuit, TestSet) {
     ((*faulty).clone(), tests)
 }
 
-/// `basic_sat_diagnose` (all gates, default encoding, sequential build),
+/// `basic_sat_diagnose` (all gates, default encoding),
 /// fingerprinted; asserts the copy matches the engine.
 fn bsat(t: &mut Trajectory, golden: &Circuit, p: usize, seed: u64, max_solutions: usize) {
     let (faulty, tests) = failing_tests(golden, p, seed);
@@ -218,7 +218,6 @@ fn bsat(t: &mut Trajectory, golden: &Circuit, p: usize, seed: u64, max_solutions
         p,
         BsatOptions {
             max_solutions,
-            parallelism: Parallelism::Sequential,
             ..BsatOptions::default()
         },
     );

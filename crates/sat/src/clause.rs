@@ -21,6 +21,18 @@ impl CRef {
     pub fn is_defined(self) -> bool {
         self != CRef::UNDEF
     }
+
+    /// The reference to the clause at word `offset` of the arena.
+    #[inline]
+    pub(crate) fn at(offset: u32) -> CRef {
+        CRef(offset)
+    }
+
+    /// The clause's word offset in the arena.
+    #[inline]
+    pub(crate) fn offset(self) -> u32 {
+        self.0
+    }
 }
 
 const LEARNT_BIT: u32 = 1;
@@ -56,6 +68,30 @@ impl ClauseDb {
         }
         self.buf.extend(lits.iter().map(|l| l.code() as u32));
         CRef(at)
+    }
+
+    /// Appends `words`, an image of whole non-learnt clauses, adding
+    /// `delta` to each word whose `mask` entry is `!0` (the literal codes
+    /// that move), and returns the image's offset in the arena: a clause
+    /// at offset `o` of the image is `CRef::at(returned + o)`.
+    pub(crate) fn append_image(&mut self, words: &[u32], mask: &[u32], delta: u32) -> u32 {
+        debug_assert_eq!(words.len(), mask.len());
+        let at = self.buf.len() as u32;
+        self.buf
+            .extend(words.iter().zip(mask).map(|(&w, &m)| w + (delta & m)));
+        at
+    }
+
+    /// Reserves room for `words` more arena words.
+    pub(crate) fn reserve(&mut self, words: usize) {
+        self.buf.reserve(words);
+    }
+
+    /// Feeds the arena's words to `hasher`.
+    pub(crate) fn hash_words<H: std::hash::Hasher>(&self, hasher: &mut H) {
+        use std::hash::Hash;
+        self.buf.hash(hasher);
+        self.wasted.hash(hasher);
     }
 
     #[inline]

@@ -36,6 +36,13 @@ impl VarHeap {
         }
     }
 
+    /// Reserves room for `additional` more variables.
+    pub fn reserve(&mut self, additional: usize) {
+        self.heap.reserve(additional);
+        self.keys.reserve(additional);
+        self.position.reserve(additional);
+    }
+
     /// Number of variables currently in the heap.
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn len(&self) -> usize {
@@ -181,6 +188,16 @@ impl VarHeap {
         }
         self.heap.clear();
         self.keys.clear();
+    }
+
+    /// Feeds the heap's slots (variable and key, in slot order) to
+    /// `hasher`.
+    pub fn hash_content<H: std::hash::Hasher>(&self, hasher: &mut H) {
+        hasher.write_usize(self.heap.len());
+        for (var, key) in self.heap.iter().zip(&self.keys) {
+            hasher.write_usize(var.index());
+            hasher.write_u64(key.to_bits());
+        }
     }
 
     /// Pops the variable with maximal activity.

@@ -20,7 +20,11 @@
 //! * Luby restarts and activity-based learnt-clause reduction with arena
 //!   garbage collection;
 //! * [`enumerate_positive_subsets`] — the all-solutions loop with
-//!   subset-blocking clauses used by both COV and BSAT.
+//!   subset-blocking clauses used by both COV and BSAT;
+//! * [`ClauseBlock`] / [`Solver::add_block`] — a formula fragment
+//!   normalised once and appended many times over fresh variables, in
+//!   bulk, leaving the solver exactly as adding its clauses one by one
+//!   would (BSAT's one circuit copy per test).
 //!
 //! A brute-force [`mod@reference`] solver cross-checks the CDCL engine in
 //! tests.
@@ -80,6 +84,7 @@
 #![warn(missing_debug_implementations)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
+mod block;
 mod clause;
 mod dimacs;
 mod enumerate;
@@ -88,6 +93,7 @@ mod lit;
 pub mod reference;
 mod solver;
 
+pub use block::ClauseBlock;
 pub use dimacs::{parse_dimacs, write_dimacs};
 pub use enumerate::{enumerate_positive_subsets, EnumOutcome};
 pub use lit::{LBool, Lit, Var};

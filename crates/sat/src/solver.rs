@@ -18,6 +18,7 @@
 //! behaviour change and needs a deliberate re-pin of everything that
 //! depends on it.
 
+use crate::block::{ClauseBlock, WatchImage, BINARY, LONG};
 use crate::clause::{CRef, ClauseDb};
 use crate::heap::VarHeap;
 use crate::lit::{LBool, Lit, Var};
@@ -90,17 +91,27 @@ impl SolverStats {
 }
 
 #[derive(Copy, Clone, Debug)]
-struct Watcher {
-    cref: CRef,
-    blocker: Lit,
+pub(crate) struct Watcher {
+    pub(crate) cref: CRef,
+    pub(crate) blocker: Lit,
 }
 
 impl Watcher {
     /// Filler for unused capacity slots in [`WatchLists`].
-    const DUMMY: Watcher = Watcher {
+    pub(crate) const DUMMY: Watcher = Watcher {
         cref: CRef::UNDEF,
         blocker: Lit::from_code(0),
     };
+}
+
+/// The capacity a watch region of capacity `cap` grows to when watchers
+/// are pushed onto it one by one until it holds `count`: doubling, from
+/// at least 4.
+pub(crate) fn grown_capacity(mut cap: u32, count: u32) -> u32 {
+    while cap < count {
+        cap = (cap * 2).max(4);
+    }
+    cap
 }
 
 /// CSR-style flat watcher lists: one contiguous `Watcher` buffer with a
@@ -127,11 +138,13 @@ struct WatchLists {
 }
 
 impl WatchLists {
-    /// Registers one more literal code (empty region, grown on first push).
-    fn add_literal(&mut self) {
-        self.start.push(0);
-        self.len.push(0);
-        self.cap.push(0);
+    /// Registers `n` more literal codes (empty regions, grown on first
+    /// push).
+    fn add_literals(&mut self, n: usize) {
+        let codes = self.start.len() + n;
+        self.start.resize(codes, 0);
+        self.len.resize(codes, 0);
+        self.cap.resize(codes, 0);
     }
 
     #[inline]
@@ -160,8 +173,13 @@ impl WatchLists {
     /// capacity, abandoning the old slots until the next rebuild.
     #[cold]
     fn grow(&mut self, code: usize) {
+        self.relocate(code, grown_capacity(self.cap[code], self.cap[code] + 1));
+    }
+
+    /// Relocates `code`'s region to the end of the buffer with capacity
+    /// `new_cap`, abandoning the old slots until the next rebuild.
+    fn relocate(&mut self, code: usize, new_cap: u32) {
         let (s, l) = self.region(code);
-        let new_cap = (self.cap[code] * 2).max(4);
         let new_start = self.buf.len();
         self.buf.extend_from_within(s..s + l);
         self.buf
@@ -200,6 +218,83 @@ impl WatchLists {
         self.buf.clear();
         self.buf.resize(offset as usize, Watcher::DUMMY);
         self.wasted = 0;
+    }
+
+    /// Appends a [`ClauseBlock`]'s watchers of one list kind: the local
+    /// literals' regions (codes from `first_code` on, all empty so far)
+    /// become one slab at the end of the buffer, laid out as `image`
+    /// says, and each shared list grows once to fit its new watchers and
+    /// receives them in attach order. Watcher clause offsets move by
+    /// `arena_base`, and blockers from code `local_from` up (the block's
+    /// local literals) by `delta` codes.
+    fn stamp(
+        &mut self,
+        first_code: usize,
+        image: &WatchImage,
+        arena_base: u32,
+        local_from: usize,
+        delta: usize,
+    ) {
+        // Unused capacity slots hold `Watcher::DUMMY`, whose `UNDEF`
+        // reference wraps to another meaningless value.
+        let stamped = |w: &Watcher| {
+            let code = w.blocker.code();
+            Watcher {
+                cref: CRef::at(arena_base.wrapping_add(w.cref.offset())),
+                blocker: Lit::from_code(code + if code >= local_from { delta } else { 0 }),
+            }
+        };
+        let slab_base = self.buf.len() as u32;
+        let codes = first_code..first_code + image.start.len();
+        for (start, &offset) in self.start[codes.clone()].iter_mut().zip(&image.start) {
+            *start = slab_base + offset;
+        }
+        self.len[codes.clone()].copy_from_slice(&image.len);
+        self.cap[codes].copy_from_slice(&image.cap);
+        self.buf.extend(image.slab.iter().map(stamped));
+        for &(code, from, to) in &image.shared_lists {
+            let code = code as usize;
+            let needed = self.len[code] + (to - from);
+            if needed > self.cap[code] {
+                self.relocate(code, grown_capacity(self.cap[code], needed));
+            }
+            let at = (self.start[code] + self.len[code]) as usize;
+            let watchers = &image.shared[from as usize..to as usize];
+            for (slot, w) in self.buf[at..at + watchers.len()].iter_mut().zip(watchers) {
+                *slot = stamped(w);
+            }
+            self.len[code] = needed;
+        }
+    }
+
+    /// Reserves room for `codes` more literal codes and `watchers` more
+    /// buffer slots, and grows each shared list of `image` once to hold
+    /// `copies` more stamps of it.
+    fn reserve_stamps(&mut self, codes: usize, watchers: usize, image: &WatchImage, copies: u32) {
+        self.start.reserve(codes);
+        self.len.reserve(codes);
+        self.cap.reserve(codes);
+        self.buf.reserve(watchers);
+        for &(code, from, to) in &image.shared_lists {
+            let code = code as usize;
+            let needed = self.len[code] + copies * (to - from);
+            if needed > self.cap[code] {
+                self.relocate(code, grown_capacity(self.cap[code], needed));
+            }
+        }
+    }
+
+    /// Feeds every region's watchers, in order, to `hasher` — the lists'
+    /// content, not their layout in the buffer.
+    fn hash_content<H: std::hash::Hasher>(&self, hasher: &mut H) {
+        for code in 0..self.start.len() {
+            let (s, l) = self.region(code);
+            hasher.write_usize(l);
+            for w in &self.buf[s..s + l] {
+                hasher.write_u32(w.cref.offset());
+                hasher.write_usize(w.blocker.code());
+            }
+        }
     }
 }
 
@@ -357,23 +452,33 @@ impl Solver {
 
     /// Creates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let var = Var::from_index(self.num_vars());
-        self.vals.push(LBool::Undef);
-        self.vals.push(LBool::Undef);
-        self.polarity.push(false);
-        self.activity.push(0.0);
-        self.vardata.push(VarData {
-            reason: CRef::UNDEF,
-            level: 0,
-        });
-        self.seen.push(false);
-        for _ in 0..2 {
-            self.watches.add_literal();
-            self.bin_watches.add_literal();
+        self.new_vars(1)
+    }
+
+    /// Creates `n` fresh variables in one step, in the state `n` calls of
+    /// [`Solver::new_var`] leave, and returns the first (the others
+    /// follow it consecutively).
+    pub fn new_vars(&mut self, n: usize) -> Var {
+        let first = self.num_vars();
+        let total = first + n;
+        self.vals.resize(2 * total, LBool::Undef);
+        self.polarity.resize(total, false);
+        self.activity.resize(total, 0.0);
+        self.vardata.resize(
+            total,
+            VarData {
+                reason: CRef::UNDEF,
+                level: 0,
+            },
+        );
+        self.seen.resize(total, false);
+        self.watches.add_literals(2 * n);
+        self.bin_watches.add_literals(2 * n);
+        self.order.grow(total);
+        for index in first..total {
+            self.order.insert(Var::from_index(index), 0.0);
         }
-        self.order.grow(var.index() + 1);
-        self.order.insert(var, 0.0);
-        var
+        Var::from_index(first)
     }
 
     /// Number of variables created.
@@ -573,6 +678,168 @@ impl Solver {
         };
         self.clause_buf = clause;
         consistent
+    }
+
+    /// Appends a copy of `block` over fresh variables and returns the
+    /// first: the block's recorded variable `block.base() + i` becomes
+    /// the returned index plus `i`, and shared variables stay as they are.
+    ///
+    /// The solver ends in exactly the state that creating the block's
+    /// variables and then adding its recorded clauses one by one through
+    /// [`Solver::add_clause`] leaves:
+    ///
+    /// - The variables are created as by [`Solver::new_vars`].
+    /// - Every stored clause was normalised at recording time as
+    ///   `add_clause` normalises it here. Sorting, deduplication and
+    ///   tautology checks commute with the offset (shared codes stay
+    ///   below every local code, and local codes move together), and
+    ///   the root values `add_clause` would consult are those recording
+    ///   assumed: no shared variable is assigned (checked below), and a
+    ///   fresh local variable is assigned only by the block's own units.
+    /// - The arena words are appended in clause order with the local
+    ///   literals offset, so each clause gets the `CRef` that `alloc`
+    ///   would give it, and `clauses` lists them in the same order.
+    /// - Every watch list gets the watchers `attach` would push, in
+    ///   attach order: a local literal's list is empty before the block
+    ///   and holds only the block's watchers; a shared literal's list
+    ///   keeps its watchers and receives the block's after them. Only the
+    ///   lists' capacity and place in the buffer may differ, which no
+    ///   search reads.
+    /// - Nothing propagates while the clauses are stored. The units then
+    ///   go through `add_clause` in recording order. A unit's variable is
+    ///   local and mentioned by no stored clause (recording checks it),
+    ///   so its propagation visits empty watch lists, as it would have at
+    ///   the unit's own position in the stream; the propagation count
+    ///   and the trail come out the same.
+    ///
+    /// When that argument does not apply — the solver is inconsistent, a
+    /// shared variable of the block is assigned at the root (an earlier
+    /// copy's constraints may force one), or the block cannot be stamped
+    /// at all — the recorded clauses go through `add_clause` one by one,
+    /// which is exact by definition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the solver has fewer than `block.base()` variables.
+    pub fn add_block(&mut self, block: &ClauseBlock) -> Var {
+        debug_assert_eq!(self.decision_level(), 0, "add_block only at root");
+        let first = self.new_vars(block.num_vars());
+        let shift = first
+            .index()
+            .checked_sub(block.base())
+            .expect("the solver holds the block's shared variables");
+        let stampable = block.stampable()
+            && self.ok
+            && block
+                .shared_vars()
+                .iter()
+                .all(|v| self.vals[v.positive().code()] == LBool::Undef);
+        if !stampable {
+            let mut clause = Vec::new();
+            for recorded in block.raw_clauses() {
+                clause.clear();
+                clause.extend(recorded.iter().map(|&l| block.shifted(l, shift)));
+                self.add_clause(&clause);
+            }
+            return first;
+        }
+        let delta = (2 * shift) as u32;
+        let arena_base = self.db.append_image(&block.words, &block.local_mask, delta);
+        self.clauses
+            .extend(block.crefs.iter().map(|&c| CRef::at(arena_base + c)));
+        let layout = block.layout();
+        let first_code = first.positive().code();
+        let local_from = 2 * block.base();
+        for (lists, image) in [
+            (&mut self.bin_watches, &layout[BINARY]),
+            (&mut self.watches, &layout[LONG]),
+        ] {
+            lists.stamp(first_code, image, arena_base, local_from, 2 * shift);
+        }
+        for &unit in block.units() {
+            self.add_clause(&[block.shifted(unit, shift)]);
+        }
+        first
+    }
+
+    /// Reserves room for `copies` more appends of `block`
+    /// ([`Solver::add_block`]): the variable, arena and watch arrays grow
+    /// once for all of them, and so does each shared watch list the block
+    /// attaches to. Only capacities change; no search reads them.
+    pub fn reserve_blocks(&mut self, block: &ClauseBlock, copies: usize) {
+        let vars = copies * block.num_vars();
+        self.vals.reserve(2 * vars);
+        self.polarity.reserve(vars);
+        self.activity.reserve(vars);
+        self.vardata.reserve(vars);
+        self.seen.reserve(vars);
+        self.order.reserve(vars);
+        self.db.reserve(copies * block.words.len());
+        self.clauses.reserve(copies * block.crefs.len());
+        let layout = block.layout();
+        for (lists, image) in [
+            (&mut self.bin_watches, &layout[BINARY]),
+            (&mut self.watches, &layout[LONG]),
+        ] {
+            let shared_slots = image.shared_lists.iter().map(|&(code, from, to)| {
+                let len = lists.len[code as usize];
+                grown_capacity(0, len + copies as u32 * (to - from)) as usize
+            });
+            let watchers = copies * image.slab.len() + shared_slots.sum::<usize>();
+            lists.reserve_stamps(2 * vars, watchers, image, copies as u32);
+        }
+    }
+
+    /// A digest of the solver's whole state: clause arena, clause lists,
+    /// watch lists (their watchers in order, not their place in memory),
+    /// assignment, trail, heuristics, decision heap and statistics.
+    /// Two solvers with equal digests search alike from here on; tests
+    /// use it to check that two ways of building an instance agree.
+    #[doc(hidden)]
+    pub fn state_digest(&self) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        self.db.hash_words(&mut h);
+        for list in [&self.clauses, &self.learnts] {
+            list.len().hash(&mut h);
+            for cref in list {
+                h.write_u32(cref.offset());
+            }
+        }
+        self.watches.hash_content(&mut h);
+        self.bin_watches.hash_content(&mut h);
+        for v in &self.vals {
+            (*v as u8).hash(&mut h);
+        }
+        self.polarity.hash(&mut h);
+        for a in &self.activity {
+            a.to_bits().hash(&mut h);
+        }
+        for x in [self.var_inc, self.cla_inc, self.max_learnts] {
+            x.to_bits().hash(&mut h);
+        }
+        self.order.hash_content(&mut h);
+        self.trail.hash(&mut h);
+        self.trail_lim.hash(&mut h);
+        self.qhead.hash(&mut h);
+        for d in &self.vardata {
+            h.write_u32(d.reason.offset());
+            d.level.hash(&mut h);
+        }
+        self.ok.hash(&mut h);
+        let s = self.stats();
+        for x in [
+            s.conflicts,
+            s.decisions,
+            s.propagations,
+            s.restarts,
+            s.learnt_clauses,
+            s.removed_clauses,
+            s.gc_runs,
+        ] {
+            x.hash(&mut h);
+        }
+        h.finish()
     }
 
     fn attach(&mut self, cref: CRef) {

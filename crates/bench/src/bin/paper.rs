@@ -21,12 +21,24 @@
 //! axes — points below the diagonal mean BSAT returns fewer (more
 //! focused) solutions.
 //!
-//! Each section writes its CSV under `target/experiments/`.
+//! Each of these three sections writes its CSV under
+//! `target/experiments/`.
+//!
+//! Two sections of deterministic counters follow, on fixed generated
+//! circuits (see `gatediag_bench::counter_tables`): Table 1's complexity
+//! shapes, and the ablations of the explicit mux with `c = 0` pinning
+//! (Sec. 2.3), BSIM-seeded SAT (Sec. 6) and X-injection pruning. Their
+//! rows are the same on every run apart from the wall time, which is
+//! the last column.
+//!
+//! Bad options and an unusable `--bench-dir` print a one-line error and
+//! exit with status 2.
 //!
 //! ```text
 //! cargo run --release -p gatediag-bench --bin paper -- [--scale quick|full] [--seed N]
 //! ```
 
+use gatediag_bench::counter_tables::{ablations, format_row, header, table1_shapes, CounterRow};
 use gatediag_bench::harness::{
     configured_workloads_with_source, parse_config, run_cell, secs, write_artifact, CellMetrics,
     WorkloadSource, TEST_COUNTS,
@@ -39,12 +51,14 @@ use std::fmt::Write as _;
 type Row = Result<CellMetrics, String>;
 
 fn main() {
-    let config = parse_config();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let config = parse_config(&args).unwrap_or_else(|message| fail(&message));
     let seed = config.seed;
     // Resolve the workloads before printing the header: an empty
     // --bench-dir falls back to the synthetics, and the header must say
     // which circuits the numbers were actually measured on.
-    let (workloads, source) = configured_workloads_with_source(&config);
+    let (workloads, source) =
+        configured_workloads_with_source(&config).unwrap_or_else(|message| fail(&message));
     println!("Table 2: runtime of the basic approaches (seconds)");
     match (source, &config.bench_dir) {
         (WorkloadSource::BenchDir, Some(dir)) => {
@@ -98,6 +112,43 @@ fn main() {
     table3(&rows, seed);
     println!();
     fig6(&rows, seed);
+    println!();
+    counter_table(
+        "Table 1 shapes: growth of each approach's work (one run per point)",
+        "Expected shape (paper Table 1): BSIM's sweep grows linearly in circuit size\n\
+         (one packed sweep carries up to 64 tests, so m adds only path-trace work);\n\
+         COV's covering search grows with k; BSAT's instance (clauses, vars) grows\n\
+         linearly in m.",
+        &table1_shapes(),
+    );
+    println!();
+    counter_table(
+        "Ablations: mux encodings, BSIM-seeded SAT and X-pruning (one run each)",
+        "Expected (Secs. 2.3 and 6): pinning c = 0 removes most of the explicit mux's\n\
+         decisions; BSIM seeding steers only BSAT's decision order; X-pruning cuts\n\
+         sim.propagate_evals and keeps the same solutions.",
+        &ablations(),
+    );
+}
+
+/// Prints a section of deterministic counter rows; every column but the
+/// last (wall time) is the same on every run.
+fn counter_table(title: &str, expected: &str, rows: &[CounterRow]) {
+    println!("{title}");
+    println!("(fixed generated circuits; counters are deterministic, wall time is last)\n");
+    let header = header();
+    println!("{header}");
+    println!("{}", "-".repeat(header.len()));
+    for row in rows {
+        println!("{}", format_row(row));
+    }
+    println!("\n{expected}");
+}
+
+/// Reports bad input in one line on stderr and exits with status 2.
+fn fail(message: &str) -> ! {
+    eprintln!("paper: {message}");
+    std::process::exit(2)
 }
 
 fn cells(rows: &[Row]) -> impl Iterator<Item = &CellMetrics> {

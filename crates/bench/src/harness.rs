@@ -121,32 +121,34 @@ pub const QUICK_GATE_LIMIT: usize = 10_000;
 /// gates. Returns an empty vector when the directory holds no `.bench`
 /// files (callers fall back to the synthetic profiles).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics with the parse/I/O error message when the directory or a
-/// netlist in it is unreadable, and when the directory has circuits but
+/// The parse/I/O error message when the directory or a netlist in it is
+/// unreadable, and an error when the directory has circuits but
 /// [`Scale::Quick`] filters every one of them out — silently
 /// substituting synthetics for a user-supplied corpus would mislabel
 /// the published numbers.
-pub fn bench_dir_workloads(dir: &str, scale: Scale, seed: u64) -> Vec<Workload> {
+pub fn bench_dir_workloads(dir: &str, scale: Scale, seed: u64) -> Result<Vec<Workload>, String> {
     let circuits = parse_bench_dir_strict(std::path::Path::new(dir))
-        .unwrap_or_else(|e| panic!("--bench-dir {dir}: {e}"));
+        .map_err(|e| format!("--bench-dir {dir}: {e}"))?;
     let total = circuits.len();
     let kept: Vec<_> = circuits
         .into_iter()
         .filter(|(_, c)| scale == Scale::Full || c.num_functional_gates() < QUICK_GATE_LIMIT)
         .collect();
-    assert!(
-        total == 0 || !kept.is_empty(),
-        "--bench-dir {dir}: all {total} circuit(s) exceed the quick-scale gate limit \
-         ({QUICK_GATE_LIMIT}); rerun with --scale full"
-    );
-    kept.into_iter()
+    if total > 0 && kept.is_empty() {
+        return Err(format!(
+            "--bench-dir {dir}: all {total} circuit(s) exceed the quick-scale gate limit \
+             ({QUICK_GATE_LIMIT}); rerun with --scale full"
+        ));
+    }
+    Ok(kept
+        .into_iter()
         .map(|(name, golden)| {
             let p = paper_error_count(&name);
             Workload::from_golden(&name, golden, p, seed)
         })
-        .collect()
+        .collect())
 }
 
 /// The paper's three benchmark configurations.
@@ -294,71 +296,52 @@ pub struct RunConfig {
 }
 
 /// Parses the `--scale`, `--seed`, `--max-solutions`, `--only` and
-/// `--bench-dir` options shared by the experiment binaries.
+/// `--bench-dir` options shared by the experiment binaries; `args`
+/// excludes the program name.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics with a usage message on malformed options.
-pub fn parse_config() -> RunConfig {
-    let mut scale = Scale::Quick;
-    let mut seed = 1u64;
-    let mut limits = Limits::default();
-    let mut only: Option<String> = None;
-    let mut bench_dir: Option<String> = None;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
+/// A one-line message for an unknown option and for a missing or
+/// malformed value.
+pub fn parse_config(args: &[String]) -> Result<RunConfig, String> {
+    let mut config = RunConfig {
+        scale: Scale::Quick,
+        seed: 1,
+        limits: Limits::default(),
+        only: None,
+        bench_dir: None,
+    };
+    let mut args = args.iter();
+    while let Some(option) = args.next() {
+        let mut value = |expects: &str| {
+            args.next()
+                .ok_or_else(|| format!("{option} expects {expects}"))
+        };
+        match option.as_str() {
             "--scale" => {
-                i += 1;
-                scale = args
-                    .get(i)
-                    .and_then(|s| Scale::parse(s))
-                    .unwrap_or_else(|| panic!("--scale expects quick|full"));
+                let text = value("quick|full")?;
+                config.scale = Scale::parse(text)
+                    .ok_or_else(|| format!("--scale expects quick|full, got `{text}`"))?;
             }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| panic!("--seed expects an integer"));
-            }
+            "--seed" => config.seed = parse_integer(option, value("an integer")?)?,
             "--max-solutions" => {
-                i += 1;
-                limits.max_solutions = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| panic!("--max-solutions expects an integer"));
+                config.limits.max_solutions = parse_integer(option, value("an integer")?)?;
             }
-            "--only" => {
-                i += 1;
-                only = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| panic!("--only expects a circuit name")),
-                );
+            "--only" => config.only = Some(value("a circuit name")?.clone()),
+            "--bench-dir" => config.bench_dir = Some(value("a directory")?.clone()),
+            other => {
+                return Err(format!(
+                    "unknown option `{other}` (try --scale quick|full, --seed N, --max-solutions N, --only NAME, --bench-dir DIR)"
+                ))
             }
-            "--bench-dir" => {
-                i += 1;
-                bench_dir = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| panic!("--bench-dir expects a directory")),
-                );
-            }
-            other => panic!(
-                "unknown option `{other}` (try --scale quick|full, --seed N, --max-solutions N, --only NAME, --bench-dir DIR)"
-            ),
         }
-        i += 1;
     }
-    RunConfig {
-        scale,
-        seed,
-        limits,
-        only,
-        bench_dir,
-    }
+    Ok(config)
+}
+
+fn parse_integer<T: std::str::FromStr>(option: &str, text: &str) -> Result<T, String> {
+    text.parse()
+        .map_err(|_| format!("{option} expects an integer, got `{text}`"))
 }
 
 /// Where [`configured_workloads_with_source`] actually got its circuits
@@ -376,10 +359,16 @@ pub enum WorkloadSource {
 /// workload source: the `.bench` files of `--bench-dir` when given (and
 /// non-empty), the synthetic paper profiles otherwise. The returned
 /// [`WorkloadSource`] reports which one was used.
-pub fn configured_workloads_with_source(config: &RunConfig) -> (Vec<Workload>, WorkloadSource) {
+///
+/// # Errors
+///
+/// The [`bench_dir_workloads`] error for an unusable `--bench-dir`.
+pub fn configured_workloads_with_source(
+    config: &RunConfig,
+) -> Result<(Vec<Workload>, WorkloadSource), String> {
     let (base, source) = match &config.bench_dir {
         Some(dir) => {
-            let real = bench_dir_workloads(dir, config.scale, config.seed);
+            let real = bench_dir_workloads(dir, config.scale, config.seed)?;
             if real.is_empty() {
                 eprintln!("no .bench files in {dir}; using the synthetic profiles");
                 (
@@ -405,7 +394,7 @@ pub fn configured_workloads_with_source(config: &RunConfig) -> (Vec<Workload>, W
                 .unwrap_or(true)
         })
         .collect();
-    (filtered, source)
+    Ok((filtered, source))
 }
 
 /// Writes `content` under `target/experiments/<file>` and reports the path.
@@ -422,7 +411,7 @@ pub fn write_artifact(file: &str, content: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gatediag_netlist::RandomCircuitSpec;
+    use gatediag_netlist::{write_bench, RandomCircuitSpec};
 
     #[test]
     fn workload_has_observable_errors() {
@@ -477,12 +466,89 @@ mod tests {
         assert_eq!(paper_error_count("c432"), 2);
     }
 
+    fn args(text: &str) -> Vec<String> {
+        text.split_whitespace().map(str::to_string).collect()
+    }
+
     #[test]
-    fn bench_dir_workloads_pick_up_real_circuits() {
+    fn parse_config_reads_every_option() {
+        let config = parse_config(&args(
+            "--scale full --seed 7 --max-solutions 9 --only s1423 --bench-dir dir",
+        ))
+        .unwrap();
+        assert_eq!(config.scale, Scale::Full);
+        assert_eq!(config.seed, 7);
+        assert_eq!(config.limits.max_solutions, 9);
+        assert_eq!(config.only.as_deref(), Some("s1423"));
+        assert_eq!(config.bench_dir.as_deref(), Some("dir"));
+        let defaults = parse_config(&[]).unwrap();
+        assert_eq!((defaults.scale, defaults.seed), (Scale::Quick, 1));
+    }
+
+    #[test]
+    fn parse_config_rejects_bad_input() {
+        for (line, error) in [
+            ("--frobnicate", "unknown option `--frobnicate`"),
+            ("--seed 1 extra", "unknown option `extra`"),
+            ("--seed", "--seed expects an integer"),
+            ("--seed x", "--seed expects an integer, got `x`"),
+            (
+                "--max-solutions -1",
+                "--max-solutions expects an integer, got `-1`",
+            ),
+            ("--max-solutions", "--max-solutions expects an integer"),
+            ("--scale", "--scale expects quick|full"),
+            ("--scale huge", "--scale expects quick|full, got `huge`"),
+            ("--only", "--only expects a circuit name"),
+            ("--bench-dir", "--bench-dir expects a directory"),
+        ] {
+            let message = parse_config(&args(line)).unwrap_err();
+            assert!(message.starts_with(error), "{line}: {message}");
+            assert!(!message.contains('\n'), "{line}: {message}");
+        }
+    }
+
+    /// A fresh scratch directory for one test.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
         let dir =
-            std::env::temp_dir().join(format!("gatediag_harness_bench_dir_{}", std::process::id()));
+            std::env::temp_dir().join(format!("gatediag_harness_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn bench_dir_errors_are_reported_not_panicked() {
+        let missing = std::env::temp_dir().join("gatediag_harness_no_such_dir");
+        let message = bench_dir_workloads(missing.to_str().unwrap(), Scale::Quick, 1).unwrap_err();
+        assert!(message.starts_with("--bench-dir "), "{message}");
+
+        let dir = scratch_dir("malformed");
+        std::fs::write(dir.join("bad.bench"), "y = FROB(a)\n").unwrap();
+        let message = bench_dir_workloads(dir.to_str().unwrap(), Scale::Quick, 1).unwrap_err();
+        assert!(message.starts_with("--bench-dir "), "{message}");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let dir = scratch_dir("too_large");
+        let large = RandomCircuitSpec::new(16, 6, QUICK_GATE_LIMIT + 500)
+            .seed(1)
+            .generate();
+        assert!(large.num_functional_gates() >= QUICK_GATE_LIMIT);
+        std::fs::write(dir.join("large.bench"), write_bench(&large)).unwrap();
+        let dir_str = dir.to_str().unwrap().to_string();
+        let message = bench_dir_workloads(&dir_str, Scale::Quick, 1).unwrap_err();
+        assert!(message.contains("quick-scale gate limit"), "{message}");
+        let config = parse_config(&args(&format!("--bench-dir {dir_str}"))).unwrap();
+        assert_eq!(
+            configured_workloads_with_source(&config).unwrap_err(),
+            message
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bench_dir_workloads_pick_up_real_circuits() {
+        let dir = scratch_dir("bench_dir");
         std::fs::write(
             dir.join("c17.bench"),
             "INPUT(G1)\nINPUT(G2)\nINPUT(G3)\nINPUT(G6)\nINPUT(G7)\n\
@@ -492,7 +558,7 @@ mod tests {
         )
         .unwrap();
         let dir_str = dir.to_str().unwrap().to_string();
-        let workloads = bench_dir_workloads(&dir_str, Scale::Quick, 1);
+        let workloads = bench_dir_workloads(&dir_str, Scale::Quick, 1).unwrap();
         assert_eq!(workloads.len(), 1);
         assert_eq!(workloads[0].name, "c17");
         assert_eq!(workloads[0].p, 2);
@@ -505,7 +571,7 @@ mod tests {
             only: None,
             bench_dir: Some(dir_str.clone()),
         };
-        let (via_config, source) = configured_workloads_with_source(&config);
+        let (via_config, source) = configured_workloads_with_source(&config).unwrap();
         assert_eq!(via_config.len(), 1);
         assert_eq!(via_config[0].name, "c17");
         assert_eq!(source, WorkloadSource::BenchDir);

@@ -6,18 +6,15 @@
 //! cells, the runtimes of BSIM / COV / BSAT (paper Table 2), their
 //! diagnosis quality metrics (paper Table 3) and the BSAT-vs-COV scatter
 //! data for quality and solution counts (paper Fig. 6, ASCII preview),
-//! with one CSV per section.
-//!
-//! Criterion benchmarks (`cargo bench -p gatediag-bench`): `solver`,
-//! `sim` (including the `PackedSim` multi-word and incremental groups),
-//! `diagnosis`, `scaling` (complexity shapes behind Table 1) and
-//! `ablation` (the advanced techniques of Secs. 2.2/2.3/6).
+//! with one CSV per section. After them it prints Table 1's complexity
+//! shapes and the Secs. 2.3/6 ablations as tables of deterministic
+//! counters ([`counter_tables`]).
 //!
 //! End-to-end performance is measured by the separate `perfbench`
 //! package. The integration tests keep the hot paths' speed floors and
-//! the pinned searches of the [`solver_workloads`].
+//! pin the solver's search on generic SAT workloads.
 
 #![warn(missing_docs)]
 
+pub mod counter_tables;
 pub mod harness;
-pub mod solver_workloads;

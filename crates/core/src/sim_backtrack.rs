@@ -38,7 +38,7 @@ pub struct SimBacktrackOptions {
     /// Stop after this many solutions.
     pub max_solutions: usize,
     /// Use X-injection pruning before the exact check (on by default;
-    /// off quantifies its benefit in the ablation bench).
+    /// the `paper` harness's ablation table runs both settings).
     pub x_pruning: bool,
     /// Worker count for fanning the top-level search branches out over a
     /// pool, one reusable simulation validity engine per worker. The

@@ -58,7 +58,6 @@ pub struct PackedSim<'c> {
     queued: Vec<bool>,
     buckets: Vec<Vec<u32>>,
     pending: usize,
-    events: u64,
 }
 
 impl<'c> PackedSim<'c> {
@@ -82,7 +81,6 @@ impl<'c> PackedSim<'c> {
             queued: Vec::new(),
             buckets: Vec::new(),
             pending: 0,
-            events: 0,
         }
     }
 
@@ -102,11 +100,6 @@ impl<'c> PackedSim<'c> {
     #[inline]
     pub fn num_patterns(&self) -> usize {
         self.words * 64
-    }
-
-    /// Total gate evaluations performed by [`PackedSim::propagate`] so far.
-    pub fn events(&self) -> u64 {
-        self.events
     }
 
     /// Sizes the engine for `words` 64-bit words per gate (`64 * words`
@@ -365,7 +358,6 @@ impl<'c> PackedSim<'c> {
             }
             level += 1;
         }
-        self.events += evals;
         gatediag_obs::count("sim.propagate_evals", evals);
         gatediag_obs::count("sim.words", evals * self.words as u64);
         evals

@@ -21,16 +21,17 @@
 //! clause by clause would. After an earlier test's pins force a select
 //! line at the root, the remaining copies go in clause by clause.
 //!
-//! The same instance build and enumeration loop serve sequential BSAT
-//! (engine `seq-bsat`): over the time-frame expansion each gate's select
-//! guards its instance in every frame.
+//! The same instance build and enumeration loop serve every
+//! [`DiagnosisProblem`](crate::DiagnosisProblem): on a sequential one
+//! (engine `seq-bsat`) each gate's select guards its instance in every
+//! frame of the time-frame expansion.
 
 use crate::budget::{Budget, Truncation};
 use crate::test_set::TestSet;
 use gatediag_cnf::{
     encode_instrumented_copy, BlockRecorder, Instrumentation, MuxEncoding, Totalizer,
 };
-use gatediag_netlist::{Circuit, GateId, GateKind, Unrolling};
+use gatediag_netlist::{Circuit, GateId, GateKind};
 use gatediag_sat::{enumerate_positive_subsets, Lit, Solver, SolverStats, Var};
 use std::time::{Duration, Instant};
 
@@ -85,7 +86,7 @@ pub struct BsatResult {
 }
 
 /// The multiplexer sites: every non-input gate, in id order.
-fn resolve_sites(circuit: &Circuit) -> Vec<GateId> {
+pub(crate) fn resolve_sites(circuit: &Circuit) -> Vec<GateId> {
     circuit
         .iter()
         .filter(|(_, g)| g.kind() != GateKind::Input)
@@ -125,34 +126,10 @@ pub fn basic_sat_diagnose(
     sat_diagnose(circuit, tests, &sites, std::iter::once, k, options)
 }
 
-/// Sequential `BasicSATDiagnose` (the paper's reference \[4\], Ali et al.):
-/// [`basic_sat_diagnose`] over the time-frame expansion `unrolled` of
-/// `circuit`, with `tests` over the unrolled circuit. Each non-input gate
-/// of `circuit` gets one select, and it guards the gate's instance in
-/// every frame, exactly as it is shared across the test copies; the
-/// solutions are gates of `circuit`.
-pub(crate) fn unrolled_sat_diagnose(
-    circuit: &Circuit,
-    unrolled: &Unrolling,
-    tests: &TestSet,
-    k: usize,
-    options: BsatOptions,
-) -> BsatResult {
-    let sites = resolve_sites(circuit);
-    sat_diagnose(
-        &unrolled.circuit,
-        tests,
-        &sites,
-        |g| unrolled.instances(g),
-        k,
-        options,
-    )
-}
-
 /// The instance build and enumeration loop of `BasicSATDiagnose` over
 /// copies of `encoded`, with the select of each site guarding the gates
 /// `instances(site)` of `encoded` (see [`Instrumentation::new`]).
-fn sat_diagnose<I: IntoIterator<Item = GateId>>(
+pub(crate) fn sat_diagnose<I: IntoIterator<Item = GateId>>(
     encoded: &Circuit,
     tests: &TestSet,
     sites: &[GateId],

@@ -1,39 +1,43 @@
 //! Engine-agnostic diagnosis entry points.
 //!
-//! The engines of this crate ([`basic_sim_diagnose`], [`sc_diagnose`],
-//! [`basic_sat_diagnose`], [`hybrid_seeded_bsat`]) each have their own
+//! The engines of this crate
+//! ([`basic_sim_diagnose`](crate::basic_sim_diagnose), [`sc_diagnose`],
+//! [`basic_sat_diagnose`](crate::basic_sat_diagnose),
+//! [`hybrid_seeded_bsat`]) each have their own
 //! option and result types, mirroring the paper's presentation. Callers
 //! that sweep *across* engines — the campaign runner, the CLI — need one
-//! uniform surface instead: pick an engine by name, run it with shared
-//! limits, get back a normalised result. [`run_engine`] is that surface.
+//! uniform surface instead: pick an engine by name, run it on a
+//! [`DiagnosisProblem`] with shared limits, get back a normalised result.
+//! [`run_engine`] is that surface, for combinational and sequential
+//! problems alike.
 //!
 //! Every run is deterministic in its inputs: the configured
 //! [`Parallelism`] only trades wall time (all underlying flows are
 //! bit-identical for every worker count), so two runs of the same
-//! `(engine, circuit, tests, config)` tuple produce identical
+//! `(engine, problem, config)` tuple produce identical
 //! [`EngineRun`]s.
 
-use crate::bsat::{basic_sat_diagnose, unrolled_sat_diagnose, BsatOptions, BsatResult};
-use crate::bsim::{basic_sim_diagnose, BsimOptions, BsimResult};
+use crate::bsat::{BsatOptions, BsatResult};
+use crate::bsim::BsimOptions;
 use crate::budget::{Budget, Truncation};
 use crate::chaos::{ChaosEvent, ChaosPolicy};
 use crate::cov::{sc_diagnose, CovOptions};
 use crate::hybrid::hybrid_seeded_bsat;
-use crate::sequential::{fold_frames, sequence_tests_to_unrolled, SequenceTestSet};
-use crate::test_set::TestSet;
+use crate::problem::DiagnosisProblem;
 use crate::testgen::{generate_discriminating_tests, TestGenOutcome, TestGenPolicy};
 use crate::validity::{screen_valid_corrections, ValidityBackend};
-use gatediag_netlist::{Circuit, GateId, Unrolling};
+use gatediag_netlist::{Circuit, GateId};
 use gatediag_sat::SolverStats;
 use gatediag_sim::Parallelism;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Which diagnosis engine to run.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum EngineKind {
-    /// Path-tracing simulation ([`basic_sim_diagnose`], paper Fig. 1).
+    /// Path-tracing simulation
+    /// ([`basic_sim_diagnose`](crate::basic_sim_diagnose), paper Fig. 1).
     /// Produces marked candidates, no validity guarantee; the single
     /// reported "solution" is `G_max`.
     Bsim,
@@ -41,7 +45,8 @@ pub enum EngineKind {
     /// irredundant covers of the BSIM candidate sets, no validity
     /// guarantee.
     Cov,
-    /// SAT-based enumeration ([`basic_sat_diagnose`], paper Fig. 3):
+    /// SAT-based enumeration
+    /// ([`basic_sat_diagnose`](crate::basic_sat_diagnose), paper Fig. 3):
     /// exactly all irredundant *valid* corrections up to `k`.
     Bsat,
     /// The Sec. 6 hybrid: BSIM marks seed the SAT engine's decision
@@ -63,21 +68,17 @@ pub enum EngineKind {
     /// [`run_engine`] never shares it. Its reported stats are the
     /// screen's, so sharing moves none of them.
     Auto,
-    /// Sequential path tracing: [`basic_sim_diagnose`] over the
-    /// time-frame expansion of multi-frame [`SequenceTestSet`]s, folded
-    /// onto the original gates ([`fold_frames`]), run via
-    /// [`run_sequential_engine`].
+    /// [`EngineKind::Bsim`] on a sequential [`DiagnosisProblem`]: path
+    /// tracing over the time-frame expansion, projected onto the original
+    /// gates ([`DiagnosisProblem::trace`]).
     SeqBsim,
-    /// Sequential SAT diagnosis: [`basic_sat_diagnose`]'s instance build
-    /// and enumeration over the time-frame expansion, one select per
-    /// original gate shared by its instances in every frame, run via
-    /// [`run_sequential_engine`].
+    /// [`EngineKind::Bsat`] on a sequential [`DiagnosisProblem`]: one
+    /// select per original gate, shared by its instances in every frame.
     SeqBsat,
 }
 
 impl EngineKind {
-    /// All *combinational* engines (the [`run_engine`] family), in a
-    /// stable order.
+    /// The engines of combinational problems, in a stable order.
     pub const ALL: [EngineKind; 5] = [
         EngineKind::Bsim,
         EngineKind::Cov,
@@ -86,8 +87,7 @@ impl EngineKind {
         EngineKind::Auto,
     ];
 
-    /// The sequential engines (the [`run_sequential_engine`] family), in
-    /// a stable order.
+    /// The engines of sequential problems, in a stable order.
     pub const SEQUENTIAL: [EngineKind; 2] = [EngineKind::SeqBsim, EngineKind::SeqBsat];
 
     /// The canonical CLI spelling of the engine.
@@ -112,9 +112,7 @@ impl EngineKind {
             .find(|e| e.name() == t)
     }
 
-    /// `true` for the sequential engines (which take a
-    /// [`SequenceTestSet`] via [`run_sequential_engine`] instead of a
-    /// [`TestSet`] via [`run_engine`]).
+    /// `true` for the engines of sequential problems.
     pub fn is_sequential(self) -> bool {
         matches!(self, EngineKind::SeqBsim | EngineKind::SeqBsat)
     }
@@ -211,21 +209,6 @@ pub struct EngineRun {
     pub test_gen: Option<TestGenOutcome>,
 }
 
-/// The [`EngineRun`] of a BSIM-shaped engine: the mark union, and `G_max`
-/// as the single solution.
-fn bsim_run(engine: EngineKind, result: &BsimResult) -> EngineRun {
-    let gmax = result.gmax();
-    EngineRun {
-        engine,
-        candidates: result.union.iter().collect(),
-        solutions: if gmax.is_empty() { vec![] } else { vec![gmax] },
-        complete: result.truncation.is_none(),
-        truncation: result.truncation,
-        stats: SolverStats::default(),
-        test_gen: None,
-    }
-}
-
 /// The [`EngineRun`] of a BSAT-shaped engine over `circuit`'s gates.
 fn bsat_run(engine: EngineKind, circuit: &Circuit, result: BsatResult) -> EngineRun {
     EngineRun {
@@ -271,9 +254,9 @@ fn union_of(circuit: &Circuit, solutions: &[Vec<GateId>]) -> Vec<GateId> {
         .collect()
 }
 
-/// Resolves the run budget shared by [`run_engine`] and
-/// [`run_sequential_engine`]: the anchor is set once so every phase races the same wall deadline, and
-/// chaos injection happens before any engine work — an injected failure
+/// Resolves the run budget of [`run_engine`]: the anchor is set once so
+/// every phase races the same wall deadline, and chaos injection happens
+/// before any engine work — an injected failure
 /// can never leave a half-updated result behind, and the budget
 /// mutations flow through the ordinary preemption machinery rather than
 /// a parallel code path.
@@ -309,10 +292,9 @@ pub(crate) struct Covers {
     truncation: Option<Truncation>,
 }
 
-/// Everything a COV phase's result depends on besides `(circuit,
-/// tests)`: `k`, the solution cap and the merged deterministic limits.
-/// Parallelism is absent because every worker count gives the same
-/// result.
+/// Everything a COV phase's result depends on besides the problem: `k`,
+/// the solution cap and the merged deterministic limits. Parallelism is
+/// absent because every worker count gives the same result.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 struct CoverKey {
     k: usize,
@@ -326,7 +308,7 @@ struct CoverKey {
 /// the same covers (paper Theorem 2: `auto` is COV plus a validity
 /// screen). One slot: a run under another [`CoverKey`] replaces it.
 ///
-/// The phase is a pure function of `(circuit, tests, key)`, so a reused
+/// The phase is a pure function of `(problem, key)`, so a reused
 /// result equals a recomputed one. Runs under an active chaos policy or
 /// a wall deadline neither read nor fill the memo: their budgets depend
 /// on perturbation or timing, not only on the key.
@@ -363,8 +345,7 @@ impl Clone for CoverMemo {
 /// holds for this run's [`CoverKey`], which opens no span and charges
 /// `cov.cover_reuses` once instead.
 fn cover_phase(
-    circuit: &Circuit,
-    tests: &TestSet,
+    problem: &DiagnosisProblem,
     config: &EngineConfig,
     budget: &Budget,
     memo: Option<&CoverMemo>,
@@ -382,6 +363,7 @@ fn cover_phase(
     }
     let result = {
         let _phase = gatediag_obs::span("cover");
+        let (circuit, tests, _) = problem.encoded();
         sc_diagnose(
             circuit,
             tests,
@@ -407,52 +389,100 @@ fn cover_phase(
     covers
 }
 
-/// Runs one engine on `(circuit, tests)` under shared limits.
+/// Runs one engine on `problem` under shared limits.
+///
+/// The engine must have a form for the problem's shape: the kinds of
+/// [`EngineKind::SEQUENTIAL`] run on sequential problems, those of
+/// [`EngineKind::ALL`] on combinational ones. [`EngineKind::Bsim`] and
+/// [`EngineKind::SeqBsim`] trace the encoded circuit and project the marks
+/// onto the reported gates ([`DiagnosisProblem::trace`]);
+/// [`EngineKind::Bsat`] and [`EngineKind::SeqBsat`] give each reported
+/// gate one select guarding its encoded instances. A problem without
+/// failing tests has nothing to diagnose: every engine reports an empty,
+/// complete run. The discriminating-test-generation phase
+/// ([`EngineConfig::test_gen`]) is combinational-only and never runs on a
+/// sequential problem.
+///
+/// # Panics
+///
+/// Panics if `engine` has no form for the problem's shape.
 ///
 /// # Examples
 ///
 /// ```
-/// use gatediag_core::{generate_failing_tests, run_engine, EngineConfig, EngineKind};
+/// use gatediag_core::{
+///     generate_failing_tests, run_engine, DiagnosisProblem, EngineConfig, EngineKind,
+/// };
 /// use gatediag_netlist::{c17, inject_errors};
 ///
 /// let golden = c17();
 /// let (faulty, sites) = inject_errors(&golden, 1, 42);
 /// let tests = generate_failing_tests(&golden, &faulty, 8, 42, 4096);
-/// let run = run_engine(EngineKind::Bsat, &faulty, &tests, &EngineConfig::default());
+/// let problem = DiagnosisProblem::combinational(faulty, tests);
+/// let run = run_engine(EngineKind::Bsat, &problem, &EngineConfig::default());
 /// assert!(run.solutions.contains(&vec![sites[0].gate]));
 /// assert!(run.candidates.contains(&sites[0].gate));
 /// ```
 pub fn run_engine(
     engine: EngineKind,
-    circuit: &Circuit,
-    tests: &TestSet,
+    problem: &DiagnosisProblem,
     config: &EngineConfig,
 ) -> EngineRun {
-    run_engine_sharing(engine, circuit, tests, config, None)
+    run_engine_sharing(engine, problem, config, None)
 }
 
 /// [`run_engine`], with the COV phase of [`EngineKind::Cov`] and
 /// [`EngineKind::Auto`] read from and stored into `covers` when given
-/// (see [`CoverMemo`]). The memo must belong to this `(circuit, tests)`
-/// pair.
+/// (see [`CoverMemo`]). The memo must belong to this problem.
 pub(crate) fn run_engine_sharing(
     engine: EngineKind,
-    circuit: &Circuit,
-    tests: &TestSet,
+    problem: &DiagnosisProblem,
     config: &EngineConfig,
     covers: Option<&CoverMemo>,
 ) -> EngineRun {
+    let shape = if engine.is_sequential() {
+        "sequential"
+    } else {
+        "combinational"
+    };
+    assert_eq!(
+        engine.is_sequential(),
+        problem.is_sequential(),
+        "{engine} is a {shape} engine: it has no form for this problem"
+    );
     let budget = armed_budget(engine, config);
+    let circuit = problem.circuit();
+    if problem.is_empty() {
+        return EngineRun {
+            engine,
+            candidates: Vec::new(),
+            solutions: Vec::new(),
+            complete: true,
+            truncation: None,
+            stats: SolverStats::default(),
+            test_gen: None,
+        };
+    }
     let mut run = match engine {
-        EngineKind::Bsim => {
+        EngineKind::Bsim | EngineKind::SeqBsim => {
             let result = {
                 let _phase = gatediag_obs::span("trace");
-                basic_sim_diagnose(circuit, tests, bsim_options(config, budget))
+                problem.trace(bsim_options(config, budget))
             };
-            bsim_run(engine, &result)
+            // The mark union, and `G_max` as the single solution.
+            let gmax = result.gmax();
+            EngineRun {
+                engine,
+                candidates: result.union.iter().collect(),
+                solutions: if gmax.is_empty() { vec![] } else { vec![gmax] },
+                complete: result.truncation.is_none(),
+                truncation: result.truncation,
+                stats: SolverStats::default(),
+                test_gen: None,
+            }
         }
         EngineKind::Cov => {
-            let covers = cover_phase(circuit, tests, config, &budget, covers);
+            let covers = cover_phase(problem, config, &budget, covers);
             EngineRun {
                 engine,
                 candidates: union_of(circuit, &covers.solutions),
@@ -463,20 +493,23 @@ pub(crate) fn run_engine_sharing(
                 test_gen: None,
             }
         }
-        EngineKind::Bsat | EngineKind::Hybrid => {
-            let options = bsat_options(config, budget);
+        EngineKind::Bsat | EngineKind::SeqBsat => {
             let result = {
                 let _phase = gatediag_obs::span("solve");
-                if engine == EngineKind::Hybrid {
-                    hybrid_seeded_bsat(circuit, tests, config.k, options)
-                } else {
-                    basic_sat_diagnose(circuit, tests, config.k, options)
-                }
+                problem.solve(config.k, bsat_options(config, budget))
+            };
+            bsat_run(engine, circuit, result)
+        }
+        EngineKind::Hybrid => {
+            let result = {
+                let _phase = gatediag_obs::span("solve");
+                let (_, tests, _) = problem.encoded();
+                hybrid_seeded_bsat(circuit, tests, config.k, bsat_options(config, budget))
             };
             bsat_run(engine, circuit, result)
         }
         EngineKind::Auto => {
-            let cov = cover_phase(circuit, tests, config, &budget, covers);
+            let cov = cover_phase(problem, config, &budget, covers);
             // The screen — like every phase — gets the full work budget
             // in its own unit (sets screened; phase units are not
             // commensurable, so they are never summed across phases),
@@ -486,6 +519,7 @@ pub(crate) fn run_engine_sharing(
             // being silently dropped.
             let screen = {
                 let _phase = gatediag_obs::span("screen");
+                let (_, tests, _) = problem.encoded();
                 screen_valid_corrections(
                     circuit,
                     tests,
@@ -516,9 +550,6 @@ pub(crate) fn run_engine_sharing(
                 test_gen: None,
             }
         }
-        EngineKind::SeqBsim | EngineKind::SeqBsat => panic!(
-            "{engine} is a sequential engine: use run_sequential_engine with a SequenceTestSet"
-        ),
     };
     // The TestGen phase runs after diagnosis, over the reported
     // solutions, unless the diagnosis was already budget-preempted (its
@@ -527,7 +558,11 @@ pub(crate) fn run_engine_sharing(
     // its own work unit (SAT queries) and the shared conflict limit and
     // deadline; its truncation merges through the usual channel so a
     // budget-stopped phase surfaces as a preempted run.
-    if let Some(policy) = &config.test_gen {
+    let test_gen = config
+        .test_gen
+        .as_ref()
+        .filter(|_| !problem.is_sequential());
+    if let Some(policy) = test_gen {
         if !run.truncation.is_some_and(|t| t.is_preemption()) {
             let golden = config
                 .reference
@@ -554,133 +589,10 @@ pub(crate) fn run_engine_sharing(
     run
 }
 
-/// Runs one *sequential* engine on `(circuit, tests)` under the same
-/// shared limits as [`run_engine`]: the budget is merged and anchored
-/// identically, chaos injection goes through the same preamble, and the
-/// result is normalised into the same [`EngineRun`] shape (for
-/// [`EngineKind::SeqBsim`] the single reported solution is `G_max`,
-/// mirroring BSIM).
-///
-/// The discriminating-test-generation phase is combinational-only and
-/// never runs here ([`EngineConfig::test_gen`] is ignored;
-/// `run.test_gen` is always `None`). An empty test set yields an empty,
-/// complete run for either engine.
-///
-/// # Panics
-///
-/// Panics if `engine` is not one of [`EngineKind::SEQUENTIAL`].
-///
-/// # Examples
-///
-/// ```
-/// use gatediag_core::{
-///     generate_failing_sequences, run_sequential_engine, EngineConfig, EngineKind,
-/// };
-/// use gatediag_netlist::{inject_errors, RandomCircuitSpec};
-///
-/// let golden = RandomCircuitSpec::new(5, 3, 30).latches(3).seed(1).generate();
-/// let (faulty, sites) = inject_errors(&golden, 1, 1);
-/// let tests = generate_failing_sequences(&golden, &faulty, 3, 4, 1, 1024);
-/// if !tests.is_empty() {
-///     let run = run_sequential_engine(
-///         EngineKind::SeqBsat,
-///         &faulty,
-///         &tests,
-///         &EngineConfig::default(),
-///     );
-///     assert!(run.solutions.contains(&vec![sites[0].gate]));
-/// }
-/// ```
-pub fn run_sequential_engine(
-    engine: EngineKind,
-    circuit: &Circuit,
-    tests: &SequenceTestSet,
-    config: &EngineConfig,
-) -> EngineRun {
-    run_sequential_engine_sharing(engine, circuit, tests, config, None)
-}
-
-/// The time-frame expansion of one [`Prepared`](crate::Prepared)'s
-/// sequence tests ([`sequence_tests_to_unrolled`]), built by its first
-/// sequential run and read by the rest, so a cell or session that runs
-/// both `seq-bsim` and `seq-bsat` unrolls once. The expansion is a pure
-/// function of `(circuit, tests)`, so unlike [`CoverMemo`] it holds for
-/// every config, chaos policy and deadline.
-#[derive(Clone, Default, Debug)]
-pub(crate) struct UnrollMemo(OnceLock<Arc<(Unrolling, TestSet)>>);
-
-/// Calls `run` on the expansion of `tests`: the one `memo` holds (built
-/// into it on first use), or a fresh one without a memo.
-fn with_unrolled<R>(
-    circuit: &Circuit,
-    tests: &SequenceTestSet,
-    memo: Option<&UnrollMemo>,
-    run: impl FnOnce(&Unrolling, &TestSet) -> R,
-) -> R {
-    let build = || Arc::new(sequence_tests_to_unrolled(circuit, tests));
-    let expansion = match memo {
-        Some(memo) => Arc::clone(memo.0.get_or_init(build)),
-        None => build(),
-    };
-    run(&expansion.0, &expansion.1)
-}
-
-/// [`run_sequential_engine`], with the time-frame expansion read from
-/// and stored into `unrolled` when given (see [`UnrollMemo`]). The memo
-/// must belong to this `(circuit, tests)` pair.
-pub(crate) fn run_sequential_engine_sharing(
-    engine: EngineKind,
-    circuit: &Circuit,
-    tests: &SequenceTestSet,
-    config: &EngineConfig,
-    unrolled: Option<&UnrollMemo>,
-) -> EngineRun {
-    assert!(
-        engine.is_sequential(),
-        "{engine} is a combinational engine: use run_engine with a TestSet"
-    );
-    let budget = armed_budget(engine, config);
-    if tests.is_empty() {
-        return EngineRun {
-            engine,
-            candidates: Vec::new(),
-            solutions: Vec::new(),
-            complete: true,
-            truncation: None,
-            stats: SolverStats::default(),
-            test_gen: None,
-        };
-    }
-    match engine {
-        EngineKind::SeqBsim => {
-            let result = {
-                let _phase = gatediag_obs::span("trace");
-                with_unrolled(circuit, tests, unrolled, |unrolled, set| {
-                    let run =
-                        basic_sim_diagnose(&unrolled.circuit, set, bsim_options(config, budget));
-                    fold_frames(circuit, unrolled, run)
-                })
-            };
-            bsim_run(engine, &result)
-        }
-        EngineKind::SeqBsat => {
-            let result = {
-                let _phase = gatediag_obs::span("solve");
-                let options = bsat_options(config, budget);
-                with_unrolled(circuit, tests, unrolled, |unrolled, set| {
-                    unrolled_sat_diagnose(circuit, unrolled, set, config.k, options)
-                })
-            };
-            bsat_run(engine, circuit, result)
-        }
-        _ => unreachable!("guarded by is_sequential above"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_set::generate_failing_tests;
+    use crate::test_set::{generate_failing_tests, TestSet};
     use crate::validity::is_valid_correction;
     use gatediag_netlist::{c17, inject_errors, RandomCircuitSpec};
 
@@ -709,8 +621,9 @@ mod tests {
     #[test]
     fn every_engine_implicates_the_error_site() {
         let (faulty, errors, tests) = workload();
+        let problem = DiagnosisProblem::combinational(faulty, tests);
         for engine in EngineKind::ALL {
-            let run = run_engine(engine, &faulty, &tests, &EngineConfig::default());
+            let run = run_engine(engine, &problem, &EngineConfig::default());
             assert_eq!(run.engine, engine);
             assert!(
                 run.candidates.iter().any(|g| errors.contains(g)),
@@ -724,9 +637,10 @@ mod tests {
     #[test]
     fn bsat_run_matches_direct_call() {
         let (faulty, _, tests) = workload();
+        let problem = DiagnosisProblem::combinational(faulty.clone(), tests.clone());
         let config = EngineConfig::default();
-        let run = run_engine(EngineKind::Bsat, &faulty, &tests, &config);
-        let direct = basic_sat_diagnose(&faulty, &tests, config.k, BsatOptions::default());
+        let run = run_engine(EngineKind::Bsat, &problem, &config);
+        let direct = crate::basic_sat_diagnose(&faulty, &tests, config.k, BsatOptions::default());
         assert_eq!(run.solutions, direct.solutions);
         assert_eq!(run.complete, direct.complete);
         assert_eq!(run.stats, direct.stats);
@@ -735,7 +649,8 @@ mod tests {
     #[test]
     fn auto_engine_reports_only_valid_corrections() {
         let (faulty, _, tests) = workload();
-        let run = run_engine(EngineKind::Auto, &faulty, &tests, &EngineConfig::default());
+        let problem = DiagnosisProblem::combinational(faulty.clone(), tests.clone());
+        let run = run_engine(EngineKind::Auto, &problem, &EngineConfig::default());
         for sol in &run.solutions {
             assert!(
                 is_valid_correction(&faulty, &tests, sol),
@@ -743,7 +658,7 @@ mod tests {
             );
         }
         // Auto solutions are exactly the valid subset of the COV covers.
-        let cov = run_engine(EngineKind::Cov, &faulty, &tests, &EngineConfig::default());
+        let cov = run_engine(EngineKind::Cov, &problem, &EngineConfig::default());
         for sol in &run.solutions {
             assert!(cov.solutions.contains(sol));
         }
@@ -752,11 +667,11 @@ mod tests {
     #[test]
     fn runs_are_worker_count_invariant() {
         let (faulty, _, tests) = workload();
+        let problem = DiagnosisProblem::combinational(faulty, tests);
         for engine in EngineKind::ALL {
             let sequential = run_engine(
                 engine,
-                &faulty,
-                &tests,
+                &problem,
                 &EngineConfig {
                     parallelism: Parallelism::Sequential,
                     ..EngineConfig::default()
@@ -765,8 +680,7 @@ mod tests {
             for workers in [2usize, 8] {
                 let parallel = run_engine(
                     engine,
-                    &faulty,
-                    &tests,
+                    &problem,
                     &EngineConfig {
                         parallelism: Parallelism::Fixed(workers),
                         ..EngineConfig::default()
@@ -788,11 +702,12 @@ mod tests {
         // pinned to SAT, the screen runs a solver per cover and the run
         // must report that work.
         let (faulty, _, tests) = workload();
+        let problem = DiagnosisProblem::combinational(faulty, tests);
         let config = EngineConfig {
             validity_backend: ValidityBackend::Sat,
             ..EngineConfig::default()
         };
-        let run = run_engine(EngineKind::Auto, &faulty, &tests, &config);
+        let run = run_engine(EngineKind::Auto, &problem, &config);
         assert!(
             !run.solutions.is_empty(),
             "workload must produce screened covers"
@@ -803,7 +718,7 @@ mod tests {
             run.stats
         );
         // The pinned-SAT screen agrees with the auto-dispatched one.
-        let auto = run_engine(EngineKind::Auto, &faulty, &tests, &EngineConfig::default());
+        let auto = run_engine(EngineKind::Auto, &problem, &EngineConfig::default());
         assert_eq!(run.solutions, auto.solutions);
     }
 
@@ -822,10 +737,10 @@ mod tests {
             if tests.is_empty() {
                 continue;
             }
+            let problem = DiagnosisProblem::combinational(faulty, tests);
             let unbudgeted = run_engine(
                 EngineKind::Auto,
-                &faulty,
-                &tests,
+                &problem,
                 &EngineConfig {
                     k: 2,
                     validity_backend: ValidityBackend::Sat,
@@ -837,8 +752,7 @@ mod tests {
             }
             let budgeted = run_engine(
                 EngineKind::Auto,
-                &faulty,
-                &tests,
+                &problem,
                 &EngineConfig {
                     k: 2,
                     validity_backend: ValidityBackend::Sat,
@@ -858,8 +772,7 @@ mod tests {
             // Deterministic: the budgeted run reproduces itself.
             let again = run_engine(
                 EngineKind::Auto,
-                &faulty,
-                &tests,
+                &problem,
                 &EngineConfig {
                     k: 2,
                     validity_backend: ValidityBackend::Sat,
@@ -903,6 +816,7 @@ mod tests {
     #[test]
     fn work_budget_preempts_every_engine_deterministically() {
         let (faulty, _, tests) = workload();
+        let problem = DiagnosisProblem::combinational(faulty, tests);
         for engine in EngineKind::ALL {
             let config = EngineConfig {
                 k: 2,
@@ -915,7 +829,7 @@ mod tests {
                 },
                 ..EngineConfig::default()
             };
-            let run = run_engine(engine, &faulty, &tests, &config);
+            let run = run_engine(engine, &problem, &config);
             if let Some(reason) = run.truncation {
                 assert!(!run.complete, "{engine}: truncated but complete");
                 assert!(
@@ -939,8 +853,7 @@ mod tests {
             for workers in [2usize, 8] {
                 let parallel = run_engine(
                     engine,
-                    &faulty,
-                    &tests,
+                    &problem,
                     &EngineConfig {
                         parallelism: Parallelism::Fixed(workers),
                         ..config.clone()
@@ -969,29 +882,24 @@ mod tests {
     #[test]
     fn test_gen_phase_runs_and_is_worker_count_invariant() {
         let (golden, faulty, tests) = golden_workload();
+        let problem = DiagnosisProblem::combinational(faulty, tests);
         let config = |parallelism| EngineConfig {
             test_gen: Some(TestGenPolicy::default()),
             reference: Some(golden.clone()),
             parallelism,
             ..EngineConfig::default()
         };
-        let sequential = run_engine(
-            EngineKind::Cov,
-            &faulty,
-            &tests,
-            &config(Parallelism::Sequential),
-        );
+        let sequential = run_engine(EngineKind::Cov, &problem, &config(Parallelism::Sequential));
         let outcome = sequential.test_gen.as_ref().expect("phase must run");
         assert_eq!(outcome.solutions_before, sequential.solutions.len());
         assert!(outcome.solutions_after <= outcome.solutions_before);
         // The engine's own solution list stays pre-shrinkage.
-        let plain = run_engine(EngineKind::Cov, &faulty, &tests, &EngineConfig::default());
+        let plain = run_engine(EngineKind::Cov, &problem, &EngineConfig::default());
         assert_eq!(sequential.solutions, plain.solutions);
         for workers in [2usize, 8] {
             let parallel = run_engine(
                 EngineKind::Cov,
-                &faulty,
-                &tests,
+                &problem,
                 &config(Parallelism::Fixed(workers)),
             );
             assert_eq!(sequential, parallel, "test-gen run drifted at {workers}w");
@@ -1001,10 +909,10 @@ mod tests {
     #[test]
     fn preempted_diagnosis_skips_the_test_gen_phase() {
         let (golden, faulty, tests) = golden_workload();
+        let problem = DiagnosisProblem::combinational(faulty, tests);
         let run = run_engine(
             EngineKind::Cov,
-            &faulty,
-            &tests,
+            &problem,
             &EngineConfig {
                 test_gen: Some(TestGenPolicy::default()),
                 reference: Some(golden),
@@ -1022,10 +930,10 @@ mod tests {
     #[test]
     fn test_gen_budget_exhaustion_surfaces_as_testgen_preemption() {
         let (golden, faulty, tests) = golden_workload();
+        let problem = DiagnosisProblem::combinational(faulty, tests);
         let run = run_engine(
             EngineKind::Cov,
-            &faulty,
-            &tests,
+            &problem,
             &EngineConfig {
                 test_gen: Some(TestGenPolicy {
                     budget: Budget {
@@ -1052,10 +960,10 @@ mod tests {
         let golden = c17();
         let (faulty, _) = inject_errors(&golden, 1, 3);
         let tests = generate_failing_tests(&golden, &faulty, 8, 3, 4096);
+        let problem = DiagnosisProblem::combinational(faulty, tests);
         let run = run_engine(
             EngineKind::Bsat,
-            &faulty,
-            &tests,
+            &problem,
             &EngineConfig {
                 k: 2,
                 max_solutions: 1,
@@ -1070,9 +978,11 @@ mod tests {
         assert!(!run.truncation.unwrap().is_preemption());
     }
 
-    use crate::sequential::generate_failing_sequences;
+    use crate::sequential::{generate_failing_sequences, SequenceTestSet};
 
-    fn sequential_workload() -> (Circuit, Vec<GateId>, SequenceTestSet) {
+    /// A latch circuit with an observable error: the sequential problem
+    /// of at least two failing sequences, and the error sites.
+    fn sequential_workload() -> (DiagnosisProblem, Vec<GateId>) {
         for seed in 0..32u64 {
             let golden = RandomCircuitSpec::new(5, 3, 30)
                 .latches(3)
@@ -1081,7 +991,8 @@ mod tests {
             let (faulty, sites) = inject_errors(&golden, 1, seed);
             let tests = generate_failing_sequences(&golden, &faulty, 3, 6, seed, 1 << 12);
             if tests.len() >= 2 {
-                return (faulty, sites.iter().map(|s| s.gate).collect(), tests);
+                let errors = sites.iter().map(|s| s.gate).collect();
+                return (DiagnosisProblem::sequential(faulty, tests), errors);
             }
         }
         panic!("no seed yields an observable sequential injection");
@@ -1102,9 +1013,9 @@ mod tests {
 
     #[test]
     fn sequential_engines_implicate_the_error_site() {
-        let (faulty, errors, tests) = sequential_workload();
+        let (problem, errors) = sequential_workload();
         for engine in EngineKind::SEQUENTIAL {
-            let run = run_sequential_engine(engine, &faulty, &tests, &EngineConfig::default());
+            let run = run_engine(engine, &problem, &EngineConfig::default());
             assert_eq!(run.engine, engine);
             assert!(
                 run.candidates.iter().any(|g| errors.contains(g)),
@@ -1114,34 +1025,27 @@ mod tests {
             assert!(run.test_gen.is_none());
         }
         // SeqBsat specifically enumerates the exact single-gate fix.
-        let run = run_sequential_engine(
-            EngineKind::SeqBsat,
-            &faulty,
-            &tests,
-            &EngineConfig::default(),
-        );
+        let run = run_engine(EngineKind::SeqBsat, &problem, &EngineConfig::default());
         assert!(run.complete);
         assert!(run.solutions.contains(&vec![errors[0]]));
     }
 
     #[test]
     fn sequential_runs_are_worker_count_invariant() {
-        let (faulty, _, tests) = sequential_workload();
+        let (problem, _) = sequential_workload();
         for engine in EngineKind::SEQUENTIAL {
-            let sequential = run_sequential_engine(
+            let sequential = run_engine(
                 engine,
-                &faulty,
-                &tests,
+                &problem,
                 &EngineConfig {
                     parallelism: Parallelism::Fixed(1),
                     ..EngineConfig::default()
                 },
             );
             for workers in [2usize, 8] {
-                let parallel = run_sequential_engine(
+                let parallel = run_engine(
                     engine,
-                    &faulty,
-                    &tests,
+                    &problem,
                     &EngineConfig {
                         parallelism: Parallelism::Fixed(workers),
                         ..EngineConfig::default()
@@ -1156,7 +1060,7 @@ mod tests {
     }
 
     /// engine-enum's sequential workload at p = 2, seed 2, 3 frames.
-    fn rnd160_workload() -> (Circuit, SequenceTestSet) {
+    fn rnd160_workload() -> DiagnosisProblem {
         use crate::session::{prepare, DiagnoseRequest, PreparedTests};
         let golden = RandomCircuitSpec::new(10, 5, 160)
             .latches(4)
@@ -1176,8 +1080,8 @@ mod tests {
         let PreparedTests::Sequential(tests) = &prepared.tests else {
             panic!("sequential request prepares sequences");
         };
-        let faulty = prepared.faulty.as_deref().expect("injectable").clone();
-        (faulty, tests.clone())
+        let faulty = prepared.faulty.clone().expect("injectable");
+        DiagnosisProblem::sequential(faulty, tests.clone())
     }
 
     #[test]
@@ -1186,17 +1090,17 @@ mod tests {
         // seq-bsim's is one test traced, so one unit preempts a run over
         // several tests. seq-bsat's is one conflict, so its instance must
         // need conflicts: rnd160 at k = 2 needs 287.
-        let (faulty, _, tests) = sequential_workload();
-        let (rnd160, rnd160_tests) = rnd160_workload();
-        for (engine, faulty, tests, k) in [
-            (EngineKind::SeqBsim, &faulty, &tests, 1),
-            (EngineKind::SeqBsat, &rnd160, &rnd160_tests, 2),
+        let (problem, _) = sequential_workload();
+        let rnd160 = rnd160_workload();
+        for (engine, problem, k) in [
+            (EngineKind::SeqBsim, &problem, 1),
+            (EngineKind::SeqBsat, &rnd160, 2),
         ] {
             let unbudgeted = EngineConfig {
                 k,
                 ..EngineConfig::default()
             };
-            let full = run_sequential_engine(engine, faulty, tests, &unbudgeted);
+            let full = run_engine(engine, problem, &unbudgeted);
             assert!(full.complete, "{engine}: unbudgeted run truncated");
             if engine == EngineKind::SeqBsat {
                 assert!(
@@ -1211,19 +1115,18 @@ mod tests {
                 },
                 ..unbudgeted
             };
-            let run = run_sequential_engine(engine, faulty, tests, &config);
+            let run = run_engine(engine, problem, &config);
             assert_eq!(
                 run.truncation,
                 Some(Truncation::Work),
                 "{engine}: one unit of work did not preempt"
             );
             assert!(!run.complete);
-            let again = run_sequential_engine(engine, faulty, tests, &config);
+            let again = run_engine(engine, problem, &config);
             assert_eq!(run, again, "{engine}: preempted run not reproducible");
-            let parallel = run_sequential_engine(
+            let parallel = run_engine(
                 engine,
-                faulty,
-                tests,
+                problem,
                 &EngineConfig {
                     parallelism: Parallelism::Fixed(2),
                     ..config.clone()
@@ -1239,7 +1142,7 @@ mod tests {
     #[test]
     fn sequential_chaos_preempt_flows_through_the_budget() {
         use crate::chaos::{ChaosConfig, ChaosPolicy};
-        let (faulty, _, tests) = sequential_workload();
+        let (problem, _) = sequential_workload();
         // Find a chaos seed that injects SpuriousPreempt for this key.
         for seed in 0..64u64 {
             let config = ChaosConfig {
@@ -1250,10 +1153,9 @@ mod tests {
             if policy.decide() != Some(ChaosEvent::SpuriousPreempt) {
                 continue;
             }
-            let run = run_sequential_engine(
+            let run = run_engine(
                 EngineKind::SeqBsim,
-                &faulty,
-                &tests,
+                &problem,
                 &EngineConfig {
                     chaos: policy,
                     ..EngineConfig::default()
@@ -1267,14 +1169,11 @@ mod tests {
 
     #[test]
     fn sequential_empty_test_set_is_complete() {
-        let (faulty, _, _) = sequential_workload();
+        let (problem, _) = sequential_workload();
+        let empty =
+            DiagnosisProblem::sequential(problem.circuit().clone(), SequenceTestSet::default());
         for engine in EngineKind::SEQUENTIAL {
-            let run = run_sequential_engine(
-                engine,
-                &faulty,
-                &SequenceTestSet::default(),
-                &EngineConfig::default(),
-            );
+            let run = run_engine(engine, &empty, &EngineConfig::default());
             assert!(run.complete);
             assert!(run.solutions.is_empty());
             assert!(run.candidates.is_empty());
@@ -1285,18 +1184,14 @@ mod tests {
     #[should_panic(expected = "sequential engine")]
     fn run_engine_rejects_sequential_kinds() {
         let (faulty, _, tests) = workload();
-        let _ = run_engine(
-            EngineKind::SeqBsim,
-            &faulty,
-            &tests,
-            &EngineConfig::default(),
-        );
+        let problem = DiagnosisProblem::combinational(faulty, tests);
+        let _ = run_engine(EngineKind::SeqBsim, &problem, &EngineConfig::default());
     }
 
     #[test]
     #[should_panic(expected = "combinational engine")]
-    fn run_sequential_engine_rejects_combinational_kinds() {
-        let (faulty, _, tests) = sequential_workload();
-        let _ = run_sequential_engine(EngineKind::Bsat, &faulty, &tests, &EngineConfig::default());
+    fn run_engine_rejects_combinational_kinds_on_sequential_problems() {
+        let (problem, _) = sequential_workload();
+        let _ = run_engine(EngineKind::Bsat, &problem, &EngineConfig::default());
     }
 }

@@ -13,14 +13,20 @@
 //! | `bsat` | [`basic_sat_diagnose`] | exactly all irredundant *valid* corrections ≤ k | Fig. 3 |
 //! | `hybrid` | [`hybrid_seeded_bsat`] | BSAT's solutions, search seeded by BSIM marks | Sec. 6 |
 //! | `auto` | COV, then [`screen_valid_corrections`] | the valid COV covers | Theorem 2 |
-//! | `seq-bsim` | [`basic_sim_diagnose`] over the time-frame expansion, then [`fold_frames`] | BSIM's, per original gate | |
-//! | `seq-bsat` | [`basic_sat_diagnose`]'s build and enumeration over the time-frame expansion | BSAT's, one select per original gate | ref. \[4\] |
+//! | `seq-bsim` | `bsim` on a sequential [`DiagnosisProblem`] | BSIM's, per original gate | |
+//! | `seq-bsat` | `bsat` on a sequential [`DiagnosisProblem`] | BSAT's, one select per original gate | ref. \[4\] |
 //!
-//! [`run_engine`] and [`run_sequential_engine`] run an engine by its
-//! kind; `diagnose`, `campaign` and `serve` reach the engines only
-//! through them. The paper's advanced simulation variant,
-//! [`sim_backtrack_diagnose`] (backtracking with resimulation effect
-//! analysis), has no engine kind yet.
+//! [`run_engine`] is the one entry point: it runs an engine by its kind
+//! on a [`DiagnosisProblem`], and `diagnose`, `campaign` and `serve`
+//! reach the engines only through it. The problem is the encoded circuit,
+//! its failing tests, the grouping of each reported gate into encoded
+//! instances and the projection back: the faulty circuit with every gate
+//! standing for itself ([`DiagnosisProblem::combinational`]), or the
+//! time-frame expansion of failing sequences with each gate's instances
+//! in every frame grouped under it ([`DiagnosisProblem::sequential`]).
+//! The paper's advanced simulation variant, [`sim_backtrack_diagnose`]
+//! (backtracking with resimulation effect analysis), has no engine kind
+//! yet.
 //!
 //! One exact validity oracle, [`ValidityOracle`], with two backends
 //! (forced-value simulation and SAT, picked per call from `|C|` and cone
@@ -28,8 +34,9 @@
 //! [`is_valid_correction`], and a [`brute_force_diagnose`] ground truth
 //! make the paper's Lemmas 1-4 and Theorems 1-2 executable; the
 //! [`paper_examples`] module ships the Fig. 5 witness circuits. The same
-//! oracle answers for sequential corrections
-//! ([`is_valid_sequential_correction`]) over the time-frame expansion.
+//! oracle answers for any problem's corrections
+//! ([`DiagnosisProblem::is_valid`], [`is_valid_sequential_correction`]) on
+//! the candidates' encoded instances.
 //!
 //! Every SAT engine here (BSAT, sequential BSAT, the SAT validity
 //! backend and test generation) builds its circuit copies with
@@ -108,6 +115,7 @@ mod cov;
 mod engine;
 mod hybrid;
 pub mod paper_examples;
+mod problem;
 mod quality;
 mod sequential;
 pub mod session;
@@ -124,11 +132,12 @@ pub use bsim::{
 pub use budget::{Budget, BudgetMeter, Truncation};
 pub use chaos::{ChaosConfig, ChaosEvent, ChaosPolicy};
 pub use cov::{cover_all, sc_diagnose, CovEngine, CovOptions, CovResult};
-pub use engine::{run_engine, run_sequential_engine, EngineConfig, EngineKind, EngineRun};
+pub use engine::{run_engine, EngineConfig, EngineKind, EngineRun};
 pub use hybrid::hybrid_seeded_bsat;
+pub use problem::DiagnosisProblem;
 pub use quality::{bsim_quality, solution_quality, BsimQuality, SolutionQuality};
 pub use sequential::{
-    fold_frames, generate_failing_sequences, is_valid_sequential_correction, real_inputs,
+    generate_failing_sequences, is_valid_sequential_correction, real_inputs,
     sequence_tests_to_unrolled, simulate_sequence, SequenceTest, SequenceTestSet,
 };
 pub use session::{

@@ -8,32 +8,29 @@
 //! test sequences), exactly like it is shared across test copies in the
 //! combinational case.
 //!
-//! The sequential engines are the combinational ones over that expansion.
-//! [`sequence_tests_to_unrolled`] turns the sequence tests into tests of
-//! the unrolled circuit, and each engine folds the unrolled gates back onto
-//! the original ones:
+//! The sequential engines are the combinational ones over that expansion:
+//! [`DiagnosisProblem::sequential`] is the problem whose encoded circuit
+//! is the unrolling of [`sequence_tests_to_unrolled`], with each gate's
+//! instances in every frame as its site and the unrolled gates projected
+//! back onto the original ones:
 //!
 //! | combinational | sequential |
 //! |---------------|------------|
 //! | [`Test`](crate::Test) / [`TestSet`](crate::TestSet) | [`SequenceTest`] / [`SequenceTestSet`] |
 //! | [`generate_failing_tests`](crate::generate_failing_tests) | [`generate_failing_sequences`] (frame-major packed, on [`SeqPackedSim`]) |
-//! | [`basic_sim_diagnose`](crate::basic_sim_diagnose) | the same over the unrolling, then [`fold_frames`] |
-//! | [`basic_sat_diagnose`](crate::basic_sat_diagnose) | the same build and enumeration over the unrolling, one select per original gate in every frame |
-//! | [`is_valid_correction`](crate::is_valid_correction) | [`is_valid_sequential_correction`] (the same [`ValidityOracle`] over the unrolling) |
+//! | [`DiagnosisProblem::combinational`] | [`DiagnosisProblem::sequential`] |
+//! | [`is_valid_correction`](crate::is_valid_correction) | [`is_valid_sequential_correction`] (the same [`ValidityOracle`](crate::ValidityOracle) over the unrolling) |
 //!
-//! Both engines are available behind
-//! [`EngineKind::SeqBsim`](crate::EngineKind) /
-//! [`EngineKind::SeqBsat`](crate::EngineKind) via
-//! [`run_sequential_engine`](crate::run_sequential_engine), and each keeps
-//! its combinational twin's deterministic work unit: **tests traced** for
-//! seq-BSIM and **conflicts** for seq-BSAT (see [`crate::budget`]).
+//! [`run_engine`](crate::run_engine) runs
+//! [`EngineKind::SeqBsim`](crate::EngineKind) and
+//! [`EngineKind::SeqBsat`](crate::EngineKind) on a sequential problem, and
+//! each keeps its combinational twin's deterministic work unit: **tests
+//! traced** for seq-BSIM and **conflicts** for seq-BSAT (see
+//! [`crate::budget`]).
 
-use crate::bsim::BsimResult;
+use crate::problem::DiagnosisProblem;
 use crate::test_set::TestSet;
-use crate::validity::ValidityOracle;
-use gatediag_netlist::{
-    unroll, Circuit, FairCoins, GateId, GateKind, GateSet, StateView, Unrolling,
-};
+use gatediag_netlist::{unroll, Circuit, FairCoins, GateId, StateView, Unrolling};
 use gatediag_sim::{pack_rows_into, SeqPackedSim};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -230,95 +227,19 @@ pub fn generate_failing_sequences(
     SequenceTestSet::new(tests)
 }
 
-/// Folds a BSIM run over the time-frame expansion `unrolled` of `circuit`
-/// onto the gates of `circuit`.
-///
-/// Sequential BSIM is [`basic_sim_diagnose`](crate::basic_sim_diagnose)
-/// on the unrolled circuit of [`sequence_tests_to_unrolled`], then this
-/// fold: each traced test's candidate set becomes the original gates of
-/// its marked instances, so a gate sensitised in any frame is implicated
-/// once, mirroring the select line that sequential BSAT shares across
-/// frames, and [`BsimResult::mark_counts`] counts it once per test.
-/// Instances of a latch output are dropped: its `init_*` input is the
-/// test's initial state, and its later frames' buffers only link a
-/// frame's `d` gate to the next, so tracing crosses them without
-/// implicating anything. The truncation and work are the run's.
-///
-/// # Examples
-///
-/// ```
-/// use gatediag_core::{
-///     basic_sim_diagnose, fold_frames, generate_failing_sequences,
-///     sequence_tests_to_unrolled, BsimOptions,
-/// };
-/// use gatediag_netlist::{parse_bench, GateKind};
-///
-/// let golden =
-///     parse_bench("INPUT(en)\nOUTPUT(out)\nq = DFF(d)\nd = XOR(q, en)\nout = BUF(q)\n")
-///         .unwrap();
-/// let d = golden.find("d").unwrap();
-/// let faulty = golden.with_gate_kind(d, GateKind::Xnor);
-/// let tests = generate_failing_sequences(&golden, &faulty, 4, 6, 3, 512);
-/// let (unrolled, set) = sequence_tests_to_unrolled(&faulty, &tests);
-/// let run = basic_sim_diagnose(&unrolled.circuit, &set, BsimOptions::default());
-/// let folded = fold_frames(&faulty, &unrolled, run);
-/// assert!(folded.candidate_sets.iter().all(|c| c.contains(d)));
-/// ```
-pub fn fold_frames(circuit: &Circuit, unrolled: &Unrolling, run: BsimResult) -> BsimResult {
-    let view = StateView::new(circuit);
-    let mut mark_counts = vec![0u32; circuit.len()];
-    let mut union = GateSet::new(circuit.len());
-    let candidate_sets = run
-        .candidate_sets
-        .iter()
-        .map(|marked| {
-            let mut folded = GateSet::new(circuit.len());
-            for instance in marked.iter() {
-                let gate = unrolled.original(instance);
-                if view.latch_slot_of(gate).is_none() {
-                    folded.insert(gate);
-                }
-            }
-            for gate in folded.iter() {
-                mark_counts[gate.index()] += 1;
-            }
-            union.union_with(&folded);
-            folded
-        })
-        .collect();
-    BsimResult {
-        candidate_sets,
-        mark_counts,
-        union,
-        truncation: run.truncation,
-        work: run.work,
-    }
-}
-
 /// Exact validity check for sequential corrections: a gate-change
-/// correction acts in every frame, so the candidates' instances in every
-/// frame of the unrolling are checked by the combinational
-/// [`ValidityOracle`] against the unrolled tests of
-/// [`sequence_tests_to_unrolled`]. A latch output's frame-0 instance is
-/// the initial-state input, which no correction drives, so only its later
-/// frames count.
+/// correction acts in every frame, so the
+/// [`ValidityOracle`](crate::ValidityOracle) checks the candidates'
+/// instances in every frame against the unrolled tests
+/// ([`DiagnosisProblem::is_valid`] on the sequential problem). A latch
+/// output's frame-0 instance is the initial-state input, which no
+/// correction drives, so only its later frames count.
 pub fn is_valid_sequential_correction(
     circuit: &Circuit,
     tests: &SequenceTestSet,
     candidates: &[GateId],
 ) -> bool {
-    if tests.is_empty() {
-        return true;
-    }
-    let (unrolled, set) = sequence_tests_to_unrolled(circuit, tests);
-    let mut instances: Vec<GateId> = candidates
-        .iter()
-        .flat_map(|&g| unrolled.instances(g))
-        .filter(|&instance| unrolled.circuit.gate(instance).kind() != GateKind::Input)
-        .collect();
-    instances.sort_unstable();
-    instances.dedup();
-    ValidityOracle::new(&unrolled.circuit).is_valid(&set, &instances)
+    DiagnosisProblem::sequential(circuit.clone(), tests.clone()).is_valid(candidates)
 }
 
 /// Converts sequence tests into combinational [`TestSet`]s over the
@@ -330,9 +251,9 @@ pub fn is_valid_sequential_correction(
 /// [`unroll`].
 ///
 /// Note: combinational diagnosis over the unrolling treats each *frame
-/// instance* of a gate as an independent candidate; the sequential engines
-/// fold the instances onto original gates ([`fold_frames`] for seq-BSIM, a
-/// select per original gate for seq-BSAT).
+/// instance* of a gate as an independent candidate; a sequential
+/// [`DiagnosisProblem`] groups the instances by original gate and projects
+/// them back onto it.
 ///
 /// # Panics
 ///
@@ -372,10 +293,12 @@ pub fn sequence_tests_to_unrolled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bsim::{basic_sim_diagnose, BsimOptions, MarkPolicy};
+    use crate::bsim::{BsimOptions, BsimResult, MarkPolicy};
     use crate::budget::{Budget, Truncation};
-    use crate::engine::{run_sequential_engine, EngineConfig, EngineKind};
-    use gatediag_netlist::{inject_errors, parse_bench, CircuitBuilder, RandomCircuitSpec};
+    use crate::engine::{run_engine, EngineConfig, EngineKind};
+    use gatediag_netlist::{
+        inject_errors, parse_bench, CircuitBuilder, GateKind, RandomCircuitSpec,
+    };
     use gatediag_sim::simulate;
     use rand::Rng;
 
@@ -383,23 +306,19 @@ mod tests {
         parse_bench("INPUT(en)\nOUTPUT(out)\nq = DFF(d)\nd = XOR(q, en)\nout = BUF(q)\n").unwrap()
     }
 
-    /// Sequential BSIM: BSIM over the unrolling, folded onto `circuit`.
+    /// Sequential BSIM: BSIM over the unrolling, projected onto `circuit`.
     fn seq_bsim(circuit: &Circuit, tests: &SequenceTestSet, options: BsimOptions) -> BsimResult {
-        let (unrolled, set) = sequence_tests_to_unrolled(circuit, tests);
-        fold_frames(
-            circuit,
-            &unrolled,
-            basic_sim_diagnose(&unrolled.circuit, &set, options),
-        )
+        DiagnosisProblem::sequential(circuit.clone(), tests.clone()).trace(options)
     }
 
-    /// Sequential BSAT through its engine entry point.
+    /// Sequential BSAT through the engine entry point.
     fn seq_bsat(
         circuit: &Circuit,
         tests: &SequenceTestSet,
         config: EngineConfig,
     ) -> crate::engine::EngineRun {
-        run_sequential_engine(EngineKind::SeqBsat, circuit, tests, &config)
+        let problem = DiagnosisProblem::sequential(circuit.clone(), tests.clone());
+        run_engine(EngineKind::SeqBsat, &problem, &config)
     }
 
     #[test]

@@ -47,10 +47,8 @@ use gatediag_sim::Parallelism;
 
 use crate::budget::Budget;
 use crate::chaos::ChaosPolicy;
-use crate::engine::{
-    run_engine_sharing, run_sequential_engine_sharing, CoverMemo, EngineConfig, EngineKind,
-    EngineRun, UnrollMemo,
-};
+use crate::engine::{run_engine_sharing, CoverMemo, EngineConfig, EngineKind, EngineRun};
+use crate::problem::DiagnosisProblem;
 use crate::sequential::{generate_failing_sequences, SequenceTestSet};
 use crate::test_set::{generate_failing_tests, TestSet};
 use crate::testgen::TestGenPolicy;
@@ -373,9 +371,10 @@ impl PreparedTests {
 /// circuit and the failing tests. A function of (golden, request
 /// [`PrepareKey`]) only, so every engine run on the same key can share
 /// one — the paper's setting, where BSIM, COV and BSAT diagnose one
-/// test-set per injected error. It also keeps the COV phase its `cov`
-/// and `auto` runs share and the time-frame expansion its sequential
-/// runs share (see [`run_prepared`]).
+/// test-set per injected error. Its engine runs all take the one
+/// [`DiagnosisProblem`] it builds from the faulty circuit and the tests,
+/// and it keeps the COV phase its `cov` and `auto` runs share (see
+/// [`run_prepared`]).
 #[derive(Clone, Debug)]
 pub struct Prepared {
     /// The faulty circuit; `None` when injection failed.
@@ -385,10 +384,11 @@ pub struct Prepared {
     /// The failing tests; empty when injection failed or no vector
     /// within `max_test_vectors` exposed the faults.
     pub tests: PreparedTests,
+    /// The problem every engine run on this prepare diagnoses; `None`
+    /// when injection failed.
+    problem: Option<DiagnosisProblem>,
     /// The COV phase [`run_prepared`]'s `cov` and `auto` runs share.
     covers: CoverMemo,
-    /// The time-frame expansion its sequential runs share.
-    unrolled: UnrollMemo,
 }
 
 /// Builds the [`Prepared`] for `request`: [`inject`], then
@@ -415,8 +415,8 @@ pub fn prepare_injected(
             faulty: None,
             faults: Vec::new(),
             tests: empty,
+            problem: None,
             covers: CoverMemo::default(),
-            unrolled: UnrollMemo::default(),
         };
     };
     let faulty = &injection.faulty;
@@ -440,12 +440,20 @@ pub fn prepare_injected(
             )),
         }
     };
+    let problem = match &tests {
+        PreparedTests::Combinational(tests) => {
+            DiagnosisProblem::combinational(Arc::clone(faulty), tests.clone())
+        }
+        PreparedTests::Sequential(tests) => {
+            DiagnosisProblem::sequential(Arc::clone(faulty), tests.clone())
+        }
+    };
     Prepared {
         faulty: Some(Arc::clone(faulty)),
         faults: injection.faults.clone(),
         tests,
+        problem: Some(problem),
         covers: CoverMemo::default(),
-        unrolled: UnrollMemo::default(),
     }
 }
 
@@ -478,8 +486,8 @@ pub struct DiagnoseOutcome {
 /// same `k`, solution cap and deterministic limits reuses it (no `cover`
 /// span; one `cov.cover_reuses` charge). Runs under an active chaos
 /// policy or a wall deadline neither read nor store it. Likewise the
-/// sequential runs on one `Prepared` build the time-frame expansion
-/// once, whatever their config: the first run's `trace` or `solve`
+/// sequential runs on one `Prepared` share its problem's time-frame
+/// expansion, whatever their config: the first run's `trace` or `solve`
 /// span charges the unrolled circuit's build, later runs charge none.
 pub fn run_prepared(
     golden: &Circuit,
@@ -495,32 +503,17 @@ pub fn run_prepared(
         status: DiagnoseStatus::NotInjectable,
         run: None,
     };
-    let Some(faulty) = &prepared.faulty else {
+    let Some(problem) = &prepared.problem else {
         return outcome;
     };
-    if prepared.tests.is_empty() {
+    if problem.is_empty() {
         outcome.status = DiagnoseStatus::NoFailingTests;
         return outcome;
     }
     let config = request.engine_config(parallelism, chaos, golden);
     let run = {
         let _engine = gatediag_obs::span("engine");
-        match &prepared.tests {
-            PreparedTests::Combinational(tests) => run_engine_sharing(
-                request.engine,
-                faulty,
-                tests,
-                &config,
-                Some(&prepared.covers),
-            ),
-            PreparedTests::Sequential(tests) => run_sequential_engine_sharing(
-                request.engine,
-                faulty,
-                tests,
-                &config,
-                Some(&prepared.unrolled),
-            ),
-        }
+        run_engine_sharing(request.engine, problem, &config, Some(&prepared.covers))
     };
     outcome.status = if run.truncation.is_some_and(|t| t.is_preemption()) {
         DiagnoseStatus::Preempted

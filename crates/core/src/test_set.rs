@@ -30,7 +30,7 @@ pub struct TestSet {
 
 impl TestSet {
     /// Wraps a list of tests.
-    pub fn new(tests: Vec<Test>) -> Self {
+    pub const fn new(tests: Vec<Test>) -> Self {
         TestSet { tests }
     }
 

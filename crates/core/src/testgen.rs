@@ -482,6 +482,7 @@ pub fn generate_discriminating_tests(
 mod tests {
     use super::*;
     use crate::engine::{run_engine, EngineConfig, EngineKind};
+    use crate::problem::DiagnosisProblem;
     use crate::test_set::generate_failing_tests;
     use crate::validity::is_valid_correction;
     use gatediag_netlist::{c17, inject_errors, RandomCircuitSpec};
@@ -513,7 +514,11 @@ mod tests {
             let Some((golden, faulty, _, tests)) = workload(seed) else {
                 continue;
             };
-            let run = run_engine(EngineKind::Cov, &faulty, &tests, &EngineConfig::default());
+            let run = run_engine(
+                EngineKind::Cov,
+                &DiagnosisProblem::combinational(faulty.clone(), tests.clone()),
+                &EngineConfig::default(),
+            );
             let (policy, budget, par, backend) = defaults();
             let outcome = generate_discriminating_tests(
                 &golden,
@@ -554,7 +559,11 @@ mod tests {
             let Some((golden, faulty, _, tests)) = workload(seed) else {
                 continue;
             };
-            let run = run_engine(EngineKind::Cov, &faulty, &tests, &EngineConfig::default());
+            let run = run_engine(
+                EngineKind::Cov,
+                &DiagnosisProblem::combinational(faulty.clone(), tests.clone()),
+                &EngineConfig::default(),
+            );
             let (policy, budget, par, backend) = defaults();
             let a = generate_discriminating_tests(
                 &golden,
@@ -623,7 +632,11 @@ mod tests {
             let Some((golden, faulty, _, tests)) = workload(seed) else {
                 continue;
             };
-            let run = run_engine(EngineKind::Cov, &faulty, &tests, &EngineConfig::default());
+            let run = run_engine(
+                EngineKind::Cov,
+                &DiagnosisProblem::combinational(faulty.clone(), tests.clone()),
+                &EngineConfig::default(),
+            );
             if run.solutions.len() < 2 {
                 continue;
             }

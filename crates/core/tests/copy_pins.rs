@@ -28,11 +28,10 @@ use gatediag_cnf::{
     Instrumentation, MuxEncoding,
 };
 use gatediag_core::{
-    basic_sat_diagnose, basic_sim_diagnose, fold_frames, generate_discriminating_tests,
-    generate_failing_sequences, generate_failing_tests, is_valid_sequential_correction, prepare,
-    run_sequential_engine, sequence_tests_to_unrolled, BsatOptions, BsimOptions, Budget,
-    DiagnoseRequest, EngineConfig, EngineKind, MarkPolicy, Parallelism, PreparedTests,
-    SequenceTestSet, TestGenPolicy, ValidityBackend, ValidityOracle,
+    basic_sat_diagnose, generate_discriminating_tests, generate_failing_sequences,
+    generate_failing_tests, is_valid_sequential_correction, prepare, run_engine, BsatOptions,
+    BsimOptions, Budget, DiagnoseRequest, DiagnosisProblem, EngineConfig, EngineKind, MarkPolicy,
+    Parallelism, PreparedTests, SequenceTestSet, TestGenPolicy, ValidityBackend, ValidityOracle,
 };
 use gatediag_netlist::{
     c17, inject_errors, parse_bench, unroll, Circuit, GateId, GateKind, RandomCircuitSpec,
@@ -203,16 +202,16 @@ fn seq_bsat_is_pinned() {
         let PreparedTests::Sequential(tests) = &prepared.tests else {
             panic!("sequential request prepares sequences");
         };
-        let faulty = prepared.faulty.as_deref().expect("injectable");
+        let faulty = prepared.faulty.clone().expect("injectable");
         if tests.is_empty() {
             lines.push(format!("s{seed} tests:0"));
             continue;
         }
+        let problem = DiagnosisProblem::sequential(faulty, tests.clone());
         for k in [1, 2] {
-            let diag = run_sequential_engine(
+            let diag = run_engine(
                 EngineKind::SeqBsat,
-                faulty,
-                tests,
+                &problem,
                 &EngineConfig {
                     k,
                     max_solutions: 1000,
@@ -288,6 +287,8 @@ fn seq_bsim_workloads() -> Vec<(String, Circuit, SequenceTestSet)> {
 fn seq_bsim_is_pinned() {
     let mut lines = Vec::new();
     for (name, faulty, tests) in seq_bsim_workloads() {
+        let frames = tests.max_frames();
+        let problem = DiagnosisProblem::sequential(faulty, tests);
         for policy in [MarkPolicy::FirstControlling, MarkPolicy::AllControlling] {
             for include_inputs in [false, true] {
                 let options = BsimOptions {
@@ -295,18 +296,15 @@ fn seq_bsim_is_pinned() {
                     include_inputs,
                     ..BsimOptions::default()
                 };
-                let (unrolled, set) = sequence_tests_to_unrolled(&faulty, &tests);
-                let run = basic_sim_diagnose(&unrolled.circuit, &set, options);
-                let result = fold_frames(&faulty, &unrolled, run);
+                let result = problem.trace(options);
                 let sets: Vec<Vec<GateId>> = result
                     .candidate_sets
                     .iter()
                     .map(|set| set.iter().collect())
                     .collect();
                 lines.push(format!(
-                    "{name} {policy:?} inputs:{include_inputs} tests:{} frames:{} union:{} {:016x}",
-                    tests.len(),
-                    tests.max_frames(),
+                    "{name} {policy:?} inputs:{include_inputs} tests:{} frames:{frames} union:{} {:016x}",
+                    problem.len(),
                     result.union.len(),
                     fnv(&format!("{sets:?} {:?}", result.mark_counts))
                 ));

@@ -12,7 +12,8 @@
 
 use gatediag_core::{
     distinguish_pair, generate_discriminating_tests, generate_failing_tests, run_engine, Budget,
-    EngineConfig, EngineKind, PairOutcome, Parallelism, TestGenPolicy, ValidityBackend,
+    DiagnosisProblem, EngineConfig, EngineKind, PairOutcome, Parallelism, TestGenPolicy,
+    ValidityBackend,
 };
 use gatediag_netlist::{inject_errors, Circuit, GateKind, RandomCircuitSpec};
 use gatediag_sim::simulate;
@@ -54,7 +55,11 @@ proptest! {
         let Some((golden, faulty, _, tests)) = workload(seed, errors) else {
             return Ok(());
         };
-        let run = run_engine(EngineKind::Cov, &faulty, &tests, &EngineConfig::default());
+        let run = run_engine(
+                EngineKind::Cov,
+                &DiagnosisProblem::combinational(faulty.clone(), tests.clone()),
+                &EngineConfig::default(),
+            );
         let outcome = generate_discriminating_tests(
             &golden,
             &faulty,

@@ -10,8 +10,8 @@
 //! ```
 
 use gatediag::core::{
-    generate_failing_sequences, is_valid_sequential_correction, run_sequential_engine,
-    simulate_sequence, EngineConfig, EngineKind,
+    generate_failing_sequences, run_engine, simulate_sequence, DiagnosisProblem, EngineConfig,
+    EngineKind,
 };
 use gatediag::netlist::{inject_errors, parse_bench, RandomCircuitSpec};
 
@@ -76,15 +76,13 @@ carry = AND(c0, q1)
         print!("{}", frame[first.output.index()] as u8);
     }
     println!();
+    // One problem for both engines: the time-frame expansion of the
+    // failing sequences, each gate's instances grouped across frames.
+    let problem = DiagnosisProblem::sequential(faulty.clone(), tests);
 
     // Sequential path tracing first: marks across frame boundaries, G_max
     // as the single best-effort answer.
-    let bsim = run_sequential_engine(
-        EngineKind::SeqBsim,
-        &faulty,
-        &tests,
-        &EngineConfig::default(),
-    );
+    let bsim = run_engine(EngineKind::SeqBsim, &problem, &EngineConfig::default());
     println!(
         "\nsequential BSIM: {} marked gates, G_max {}",
         bsim.candidates.len(),
@@ -100,10 +98,9 @@ carry = AND(c0, q1)
     );
 
     // Sequential SAT diagnosis: selects shared across all 5 frames.
-    let diag = run_sequential_engine(
+    let diag = run_engine(
         EngineKind::SeqBsat,
-        &faulty,
-        &tests,
+        &problem,
         &EngineConfig {
             k: 1,
             max_solutions: 100,
@@ -125,7 +122,7 @@ carry = AND(c0, q1)
         } else {
             ""
         };
-        assert!(is_valid_sequential_correction(&faulty, &tests, sol));
+        assert!(problem.is_valid(sol));
         println!("  {names:?}{marker}");
     }
 
@@ -137,10 +134,9 @@ carry = AND(c0, q1)
     let (faulty, sites) = inject_errors(&golden, 1, 3);
     let tests = generate_failing_sequences(&golden, &faulty, 4, 8, 3, 8192);
     if !tests.is_empty() {
-        let diag = run_sequential_engine(
+        let diag = run_engine(
             EngineKind::SeqBsat,
-            &faulty,
-            &tests,
+            &DiagnosisProblem::sequential(faulty, tests),
             &EngineConfig {
                 k: 1,
                 max_solutions: 500,

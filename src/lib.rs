@@ -59,10 +59,10 @@ pub use gatediag_core::{
     circuit_content_hash, cover_all, distinguish_pair, generate_discriminating_tests,
     generate_failing_sequences, generate_failing_tests, hybrid_seeded_bsat, is_valid_correction,
     is_valid_sequential_correction, path_trace, path_trace_packed, run_diagnose, run_engine,
-    run_sequential_engine, sc_diagnose, sim_backtrack_diagnose, simulate_sequence,
-    solution_quality, BsatOptions, BsatResult, BsimOptions, BsimResult, Budget, ChaosConfig,
-    ChaosEvent, ChaosPolicy, CircuitSession, CovEngine, CovOptions, CovResult, DiagnoseOutcome,
-    DiagnoseRequest, DiagnoseStatus, EngineConfig, EngineKind, EngineRun, MarkPolicy, MuxEncoding,
+    sc_diagnose, sim_backtrack_diagnose, simulate_sequence, solution_quality, BsatOptions,
+    BsatResult, BsimOptions, BsimResult, Budget, ChaosConfig, ChaosEvent, ChaosPolicy,
+    CircuitSession, CovEngine, CovOptions, CovResult, DiagnoseOutcome, DiagnoseRequest,
+    DiagnoseStatus, DiagnosisProblem, EngineConfig, EngineKind, EngineRun, MarkPolicy, MuxEncoding,
     PairOutcome, SequenceTest, SequenceTestSet, SimBacktrackOptions, Test, TestGenOutcome,
     TestGenPolicy, TestSet, Truncation, ValidityBackend, ValidityOracle,
 };

@@ -27,8 +27,7 @@
 //! Two sections of deterministic counters follow, on fixed generated
 //! circuits (see `gatediag_bench::counter_tables`): Table 1's complexity
 //! shapes, and the ablations of the explicit mux with `c = 0` pinning
-//! (Sec. 2.3), BSIM-seeded SAT (Sec. 6) and X-injection pruning. Their
-//! rows are the same on every run apart from the wall time, which is
+//! (Sec. 2.3) and BSIM-seeded SAT (Sec. 6). Their rows are the same on every run apart from the wall time, which is
 //! the last column.
 //!
 //! Bad options and an unusable `--bench-dir` print a one-line error and
@@ -123,10 +122,9 @@ fn main() {
     );
     println!();
     counter_table(
-        "Ablations: mux encodings, BSIM-seeded SAT and X-pruning (one run each)",
+        "Ablations: mux encodings and BSIM-seeded SAT (one run each)",
         "Expected (Secs. 2.3 and 6): pinning c = 0 removes most of the explicit mux's\n\
-         decisions; BSIM seeding steers only BSAT's decision order; X-pruning cuts\n\
-         sim.propagate_evals and keeps the same solutions.",
+         decisions; BSIM seeding steers only BSAT's decision order.",
         &ablations(),
     );
 }

@@ -15,9 +15,8 @@
 
 use crate::harness::Workload;
 use gatediag_core::{
-    basic_sat_diagnose, basic_sim_diagnose, hybrid_seeded_bsat, sc_diagnose,
-    sim_backtrack_diagnose, BsatOptions, BsatResult, BsimOptions, CovOptions, MuxEncoding,
-    Parallelism, SimBacktrackOptions, SolverStats, TestSet,
+    basic_sat_diagnose, basic_sim_diagnose, hybrid_seeded_bsat, sc_diagnose, BsatOptions,
+    BsatResult, BsimOptions, CovOptions, MuxEncoding, SolverStats, TestSet,
 };
 use gatediag_netlist::RandomCircuitSpec;
 use gatediag_obs::Sink;
@@ -199,9 +198,8 @@ pub fn table1_shapes() -> Vec<CounterRow> {
 }
 
 /// The advanced techniques of Secs. 2.3 and 6: the mux encodings with
-/// and without the `c = 0` pinning clauses, BSAT against the BSIM-seeded
-/// hybrid, and X-injection pruning in the simulation-based backtrack
-/// search (run on one worker).
+/// and without the `c = 0` pinning clauses, and BSAT against the
+/// BSIM-seeded hybrid.
 pub fn ablations() -> Vec<CounterRow> {
     let mut rows = Vec::new();
     if let Some((w, tests)) = generated("ablation500", RandomCircuitSpec::new(16, 6, 500), 2, 21, 8)
@@ -234,26 +232,6 @@ pub fn ablations() -> Vec<CounterRow> {
             }));
             rows.push(measure(group, "hybrid".to_string(), || {
                 hybrid_seeded_bsat(&w.faulty, &tests, w.p, capped(cap)).into()
-            }));
-        }
-    }
-    if let Some((w, tests)) = generated("xprune120", RandomCircuitSpec::new(10, 4, 120), 2, 23, 6) {
-        for (label, x_pruning) in [("on", true), ("off", false)] {
-            rows.push(measure("X-pruning (k=2)", label.to_string(), || {
-                // One worker: each worker's validity engine starts with a
-                // sweep of its own, so a parallel search's `sim.*`
-                // counters would depend on the worker count.
-                let options = SimBacktrackOptions {
-                    x_pruning,
-                    parallelism: Parallelism::Sequential,
-                    ..SimBacktrackOptions::default()
-                };
-                let solutions = sim_backtrack_diagnose(&w.faulty, &tests, 2, options);
-                Outcome {
-                    complete: solutions.len() < options.max_solutions,
-                    solutions: Some(solutions.len()),
-                    stats: None,
-                }
             }));
         }
     }

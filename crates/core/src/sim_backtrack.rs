@@ -5,10 +5,7 @@
 //! Where BSIM stops at marked candidate sets and COV at covers, the
 //! advanced simulation-based approaches *validate* candidate subsets by
 //! re-simulation, backtracking over choices. This implementation searches
-//! subsets of the path-tracing union, prunes with conservative X-injection
-//! (a subset whose X-injection cannot even potentially rectify some test
-//! is hopeless, and so is every subset of the remaining budget below it —
-//! we prune only the exact-node check) and accepts a subset when the exact
+//! subsets of the path-tracing union and accepts a subset when the exact
 //! forced-value oracle validates it.
 //!
 //! The result space sits strictly between COV and BSAT: all returned sets
@@ -22,7 +19,6 @@ use crate::bsim::{basic_sim_diagnose, BsimOptions};
 use crate::test_set::TestSet;
 use crate::validity::SimValidityEngine;
 use gatediag_netlist::{Circuit, GateId};
-use gatediag_sim::{parallel_map_init, x_may_rectify, Parallelism};
 
 /// Options for [`sim_backtrack_diagnose`].
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -37,13 +33,6 @@ pub struct SimBacktrackOptions {
     pub bsim: BsimOptions,
     /// Stop after this many solutions.
     pub max_solutions: usize,
-    /// Use X-injection pruning before the exact check (on by default;
-    /// the `paper` harness's ablation table runs both settings).
-    pub x_pruning: bool,
-    /// Worker count for fanning the top-level search branches out over a
-    /// pool, one reusable simulation validity engine per worker. The
-    /// solution list is bit-identical for every setting.
-    pub parallelism: Parallelism,
 }
 
 impl Default for SimBacktrackOptions {
@@ -51,8 +40,6 @@ impl Default for SimBacktrackOptions {
         SimBacktrackOptions {
             bsim: BsimOptions::default(),
             max_solutions: 1_000_000,
-            x_pruning: true,
-            parallelism: Parallelism::default(),
         }
     }
 }
@@ -61,16 +48,8 @@ impl Default for SimBacktrackOptions {
 ///
 /// Returns all irredundant valid corrections of size ≤ `k` that consist
 /// solely of gates marked by path tracing, ordered by candidate rank
-/// (mark count), each sorted by gate id.
-///
-/// The search fans the top-level branches out over a worker pool
-/// ([`SimBacktrackOptions::parallelism`]), one reusable simulation
-/// validity engine per worker. The subtrees are independent: every
-/// subtree's candidate sets contain its own branch root, which no later
-/// subtree can pick again, so the sequential search's superset pruning
-/// never crosses subtree boundaries and the merged solution list is
-/// bit-identical to the sequential one (solutions are merged in branch
-/// order and truncated to `max_solutions` before post-processing).
+/// (mark count), each sorted by gate id. One reusable simulation validity
+/// engine checks every node of the search, on the calling thread.
 pub fn sim_backtrack_diagnose(
     circuit: &Circuit,
     tests: &TestSet,
@@ -92,77 +71,28 @@ pub fn sim_backtrack_diagnose(
     let mut candidates: Vec<GateId> = bsim.union.iter().collect();
     candidates.sort_by_key(|g| std::cmp::Reverse(bsim.mark_counts[g.index()]));
 
-    // Rough search-size estimate for the `Auto` work floor: the tree has
-    // O(|candidates|^k) nodes, each screening against every test.
-    let work = candidates
-        .len()
-        .saturating_pow(k.min(3) as u32)
-        .saturating_mul(tests.len().max(1));
-    let workers =
-        options
-            .parallelism
-            .workers_for(candidates.len(), work, gatediag_sim::AUTO_WORK_FLOOR);
-    let mut solutions: Vec<Vec<GateId>> = if k == 0 {
-        Vec::new()
-    } else if workers <= 1 {
-        // Sequential: one engine, one shared solution list, and the
-        // seed's *global* max_solutions early exit across branches.
+    let mut solutions: Vec<Vec<GateId>> = Vec::new();
+    if k > 0 {
         let mut engine = SimValidityEngine::new(circuit);
-        let mut sols: Vec<Vec<GateId>> = Vec::new();
         let mut chosen: Vec<GateId> = Vec::new();
         for (i, &root) in candidates.iter().enumerate() {
-            if sols.len() >= options.max_solutions {
+            if solutions.len() >= options.max_solutions {
                 break;
             }
             chosen.push(root);
             search(
-                circuit,
                 tests,
                 &candidates,
                 i + 1,
                 k - 1,
                 &mut chosen,
-                &mut sols,
-                &options,
+                &mut solutions,
+                options.max_solutions,
                 &mut engine,
             );
             chosen.pop();
         }
-        sols
-    } else {
-        // Parallel: the cap is per branch (a branch cannot know how many
-        // solutions lower-indexed branches will contribute), so when
-        // truncation actually triggers, up to max_solutions extra
-        // solutions per branch are enumerated and discarded by the
-        // prefix-truncating merge below. Output is still exactly the
-        // sequential prefix.
-        let per_branch: Vec<Vec<Vec<GateId>>> = parallel_map_init(
-            workers,
-            candidates.len(),
-            || SimValidityEngine::new(circuit),
-            |engine, i| {
-                let mut branch_solutions = Vec::new();
-                let mut chosen = vec![candidates[i]];
-                search(
-                    circuit,
-                    tests,
-                    &candidates,
-                    i + 1,
-                    k - 1,
-                    &mut chosen,
-                    &mut branch_solutions,
-                    &options,
-                    engine,
-                );
-                branch_solutions
-            },
-        );
-        per_branch
-            .into_iter()
-            .flatten()
-            .take(options.max_solutions)
-            .collect()
-    };
+    }
     for sol in &mut solutions {
         sol.sort();
     }
@@ -181,22 +111,20 @@ pub fn sim_backtrack_diagnose(
     filtered
 }
 
-/// One subtree of the backtrack search. `chosen` is non-empty; `solutions`
-/// holds this subtree's finds only (cross-subtree pruning can never fire —
-/// see [`sim_backtrack_diagnose`]).
+/// One subtree of the backtrack search: `chosen` (non-empty) extended by
+/// at most `budget` of `candidates[from..]`.
 #[allow(clippy::too_many_arguments)]
 fn search(
-    circuit: &Circuit,
     tests: &TestSet,
     candidates: &[GateId],
     from: usize,
     budget: usize,
     chosen: &mut Vec<GateId>,
     solutions: &mut Vec<Vec<GateId>>,
-    options: &SimBacktrackOptions,
+    max_solutions: usize,
     engine: &mut SimValidityEngine<'_>,
 ) {
-    if solutions.len() >= options.max_solutions {
+    if solutions.len() >= max_solutions {
         return;
     }
     // Skip supersets of known solutions (irredundancy).
@@ -206,12 +134,8 @@ fn search(
     if redundant {
         return;
     }
-    // Effect analysis: conservative X-check first, exact oracle after.
-    let plausible = !options.x_pruning
-        || tests
-            .iter()
-            .all(|t| x_may_rectify(circuit, &t.vector, chosen, t.output, t.expected));
-    if plausible && engine.is_valid(tests, chosen) {
+    // Effect analysis: the exact forced-value oracle.
+    if engine.is_valid(tests, chosen) {
         solutions.push(chosen.clone());
         return; // children are supersets — redundant
     }
@@ -221,14 +145,13 @@ fn search(
     for i in from..candidates.len() {
         chosen.push(candidates[i]);
         search(
-            circuit,
             tests,
             candidates,
             i + 1,
             budget - 1,
             chosen,
             solutions,
-            options,
+            max_solutions,
             engine,
         );
         chosen.pop();
@@ -290,27 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn x_pruning_does_not_change_results() {
-        for seed in 0..3 {
-            let (faulty, _, tests) = setup(seed, 2, 6);
-            if tests.is_empty() {
-                continue;
-            }
-            let with = sim_backtrack_diagnose(&faulty, &tests, 2, SimBacktrackOptions::default());
-            let without = sim_backtrack_diagnose(
-                &faulty,
-                &tests,
-                2,
-                SimBacktrackOptions {
-                    x_pruning: false,
-                    ..SimBacktrackOptions::default()
-                },
-            );
-            assert_eq!(with, without, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn finds_single_injected_error() {
         for seed in 0..4 {
             let (faulty, errors, tests) = setup(seed, 1, 8);
@@ -335,6 +237,28 @@ mod tests {
                 sols.contains(&vec![errors[0]]),
                 "seed {seed}: {errors:?} missing from {sols:?}"
             );
+        }
+    }
+
+    #[test]
+    fn max_solutions_caps_the_search() {
+        let (faulty, _, tests) = setup(5, 2, 6);
+        if tests.is_empty() {
+            return;
+        }
+        let full = sim_backtrack_diagnose(&faulty, &tests, 2, SimBacktrackOptions::default());
+        assert!(full.len() > 2, "workload must have several solutions");
+        for max_solutions in [1usize, 2] {
+            let options = SimBacktrackOptions {
+                max_solutions,
+                ..SimBacktrackOptions::default()
+            };
+            let capped = sim_backtrack_diagnose(&faulty, &tests, 2, options);
+            assert!(!capped.is_empty() && capped.len() <= max_solutions);
+            assert_eq!(capped, sim_backtrack_diagnose(&faulty, &tests, 2, options));
+            for sol in &capped {
+                assert!(is_valid_correction(&faulty, &tests, sol), "invalid {sol:?}");
+            }
         }
     }
 

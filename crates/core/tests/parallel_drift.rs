@@ -1,12 +1,13 @@
 //! Thread-count invariance for the parallel diagnosis layer.
 //!
-//! Every parallel entry point — sharded BSIM, the fanned-out backtrack
-//! search and the batch validity screen — must be *bit-identical* to its sequential counterpart for every
+//! Every parallel entry point — sharded BSIM and the batch validity
+//! screen — must be *bit-identical* to its sequential counterpart for every
 //! worker count, including degenerate cases (one worker, more workers
 //! than work items, empty work). These tests pin that contract
 //! explicitly; `proptest_parallel.rs` fuzzes it on random circuits. The
-//! cover engines run on the calling thread; their tests here pin the
-//! solution cap and the agreement of the two engines.
+//! cover engines and the backtrack search run on the calling thread;
+//! their tests here pin the solution cap, the agreement of the two cover
+//! engines and the backtrack search's degenerate inputs.
 
 use gatediag_core::{
     basic_sim_diagnose, cover_all, generate_failing_tests, sc_diagnose, screen_valid_corrections,
@@ -104,87 +105,14 @@ fn bsim_empty_test_set_is_identical() {
 }
 
 #[test]
-fn sim_backtrack_is_identical_for_all_worker_counts() {
-    for (faulty, _, tests) in workloads() {
-        let small = tests.prefix_at_most(8);
-        let sequential = sim_backtrack_diagnose(
-            &faulty,
-            &small,
-            2,
-            SimBacktrackOptions {
-                parallelism: Parallelism::Sequential,
-                ..SimBacktrackOptions::default()
-            },
-        );
-        for parallelism in WORKER_SWEEP {
-            for x_pruning in [true, false] {
-                let parallel = sim_backtrack_diagnose(
-                    &faulty,
-                    &small,
-                    2,
-                    SimBacktrackOptions {
-                        parallelism,
-                        x_pruning,
-                        ..SimBacktrackOptions::default()
-                    },
-                );
-                // x_pruning is conservative, so it never changes results
-                // either; fold it into the sweep for coverage.
-                assert_eq!(sequential, parallel, "solutions drifted at {parallelism:?}");
-            }
-        }
-    }
-}
-
-#[test]
 fn sim_backtrack_budget_zero_and_empty_tests() {
     let (faulty, _, tests) = workloads().remove(0);
-    for parallelism in WORKER_SWEEP {
-        let options = SimBacktrackOptions {
-            parallelism,
-            ..SimBacktrackOptions::default()
-        };
-        assert!(sim_backtrack_diagnose(&faulty, &tests, 0, options).is_empty());
-        // Empty test set: every singleton is trivially valid, so the
-        // result is all size-1 sets of marked gates — of which there are
-        // none, because no tests means no marks.
-        assert!(sim_backtrack_diagnose(&faulty, &TestSet::default(), 2, options).is_empty());
-    }
-}
-
-#[test]
-fn sim_backtrack_max_solutions_truncation_is_identical() {
-    for (faulty, _, tests) in workloads().into_iter().take(3) {
-        let small = tests.prefix_at_most(6);
-        for max_solutions in [1usize, 2, 3] {
-            let sequential = sim_backtrack_diagnose(
-                &faulty,
-                &small,
-                2,
-                SimBacktrackOptions {
-                    max_solutions,
-                    parallelism: Parallelism::Sequential,
-                    ..SimBacktrackOptions::default()
-                },
-            );
-            for parallelism in WORKER_SWEEP {
-                let parallel = sim_backtrack_diagnose(
-                    &faulty,
-                    &small,
-                    2,
-                    SimBacktrackOptions {
-                        max_solutions,
-                        parallelism,
-                        ..SimBacktrackOptions::default()
-                    },
-                );
-                assert_eq!(
-                    sequential, parallel,
-                    "truncated search drifted at {parallelism:?} (max {max_solutions})"
-                );
-            }
-        }
-    }
+    let options = SimBacktrackOptions::default();
+    assert!(sim_backtrack_diagnose(&faulty, &tests, 0, options).is_empty());
+    // Empty test set: every singleton is trivially valid, so the result
+    // is all size-1 sets of marked gates — of which there are none,
+    // because no tests means no marks.
+    assert!(sim_backtrack_diagnose(&faulty, &TestSet::default(), 2, options).is_empty());
 }
 
 #[test]

@@ -8,8 +8,7 @@
 //! surface as a mismatch.
 
 use gatediag_core::{
-    basic_sim_diagnose, generate_failing_tests, sim_backtrack_diagnose, BsimOptions, MarkPolicy,
-    Parallelism, SimBacktrackOptions,
+    basic_sim_diagnose, generate_failing_tests, BsimOptions, MarkPolicy, Parallelism,
 };
 use gatediag_netlist::{inject_errors, RandomCircuitSpec};
 use proptest::prelude::*;
@@ -47,27 +46,5 @@ proptest! {
         });
         prop_assert_eq!(&sequential.candidate_sets, &parallel.candidate_sets);
         prop_assert_eq!(&sequential.mark_counts, &parallel.mark_counts);
-    }
-
-    /// The fanned-out backtrack search equals the sequential search.
-    #[test]
-    fn parallel_backtrack_equals_sequential(
-        seed in 0u64..500,
-        errors in 1usize..=2,
-        k in 1usize..=2,
-        workers in 1usize..9,
-    ) {
-        let golden = RandomCircuitSpec::new(6, 3, 35).seed(seed).generate();
-        let (faulty, _) = inject_errors(&golden, errors, seed);
-        let tests = generate_failing_tests(&golden, &faulty, 6, seed, 1 << 13);
-        let sequential = sim_backtrack_diagnose(&faulty, &tests, k, SimBacktrackOptions {
-            parallelism: Parallelism::Sequential,
-            ..SimBacktrackOptions::default()
-        });
-        let parallel = sim_backtrack_diagnose(&faulty, &tests, k, SimBacktrackOptions {
-            parallelism: Parallelism::Fixed(workers),
-            ..SimBacktrackOptions::default()
-        });
-        prop_assert_eq!(sequential, parallel);
     }
 }

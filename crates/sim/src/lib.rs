@@ -15,9 +15,9 @@
 //! * [`simulate_packed`] — one-shot 64-way bit-parallel simulation (the
 //!   "efficient parallel simulation" of Sec. 1), now a thin wrapper over
 //!   `PackedSim` kept for convenience;
-//! * [`simulate_tv`] / [`x_may_rectify`] — three-valued X-injection
-//!   simulation (the conservative rectifiability check of Boppana et al.,
-//!   the paper's reference \[5\]);
+//! * [`simulate_tv`] — three-valued X-injection simulation (the
+//!   conservative rectifiability check of Boppana et al., the paper's
+//!   reference \[5\]);
 //! * [`SeqPackedSim`] / [`simulate_sequence`] — frame-major sequential
 //!   simulation: `64 * W` input *sequences* at once per time frame, latch
 //!   state words carried frame-to-frame over the explicit
@@ -90,4 +90,4 @@ pub use pool::{
 };
 pub use scalar::{output_values, simulate, simulate_forced};
 pub use sequential::{pack_rows_into, simulate_sequence, SeqPackedSim};
-pub use tv::{eval_tv, simulate_tv, x_may_rectify, Tv};
+pub use tv::{eval_tv, simulate_tv, Tv};

@@ -162,34 +162,11 @@ pub fn simulate_tv(circuit: &Circuit, inputs: &[Tv], inject_x: &[GateId]) -> Vec
     values
 }
 
-/// Conservative rectifiability test via X-injection.
-///
-/// Returns `true` if injecting X at every gate of `candidates` makes the
-/// value at output `output` unknown (or already correct). If this returns
-/// `false`, no assignment of replacement values at `candidates` can change
-/// the faulty output for this vector — the candidate set certainly cannot
-/// rectify the test. The converse does not hold (X-propagation is
-/// conservative), which is exactly why BSIM/COV lack validity guarantees.
-pub fn x_may_rectify(
-    circuit: &Circuit,
-    inputs: &[bool],
-    candidates: &[GateId],
-    output: GateId,
-    expected: bool,
-) -> bool {
-    let tv_inputs: Vec<Tv> = inputs.iter().map(|&b| Tv::from_bool(b)).collect();
-    let values = simulate_tv(circuit, &tv_inputs, candidates);
-    match values[output.index()] {
-        Tv::X => true,
-        v => v == Tv::from_bool(expected),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scalar::simulate;
-    use gatediag_netlist::{c17, CircuitBuilder, RandomCircuitSpec, VectorGen};
+    use gatediag_netlist::{CircuitBuilder, RandomCircuitSpec, VectorGen};
 
     #[test]
     fn tv_tables() {
@@ -233,45 +210,6 @@ mod tests {
         assert_eq!(v[g.index()], Tv::Zero);
         let v = simulate_tv(&c, &[Tv::One, Tv::One], &[x_src]);
         assert_eq!(v[g.index()], Tv::X);
-    }
-
-    #[test]
-    fn x_may_rectify_is_sound() {
-        // When x_may_rectify returns false, brute-force forcing confirms
-        // that no replacement value can fix the output.
-        let c = c17();
-        let out = *c.outputs().first().unwrap();
-        let mut gen = VectorGen::new(&c, 17);
-        for _ in 0..16 {
-            let vector = gen.next_vector();
-            let base = simulate(&c, &vector);
-            let faulty_val = base[out.index()];
-            let expected = !faulty_val; // pretend the output is wrong
-            for (g, _) in c.iter() {
-                if c.gate(g).kind().is_source() {
-                    continue;
-                }
-                if !x_may_rectify(&c, &vector, &[g], out, expected) {
-                    for forced in [false, true] {
-                        let v = crate::scalar::simulate_forced(&c, &vector, &[(g, forced)]);
-                        assert_ne!(
-                            v[out.index()],
-                            expected,
-                            "x_may_rectify said impossible but forcing {g}={forced} worked"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn injecting_at_output_gate_always_may_rectify() {
-        let c = c17();
-        let out = *c.outputs().first().unwrap();
-        let vector = vec![false; 5];
-        assert!(x_may_rectify(&c, &vector, &[out], out, true));
-        assert!(x_may_rectify(&c, &vector, &[out], out, false));
     }
 
     use gatediag_netlist::GateKind;

@@ -6,7 +6,9 @@ use gatediag::core::paper_examples::{lemma2_witness, lemma4_witness};
 use gatediag::netlist::{inject_errors, Circuit, GateId, RandomCircuitSpec};
 use gatediag::{
     basic_sat_diagnose, brute_force_diagnose, generate_failing_tests, is_valid_correction,
-    sc_diagnose, BsatOptions, CovOptions, TestSet, ValidityBackend, ValidityOracle,
+    run_engine, sc_diagnose, BsatOptions, BsimOptions, CovOptions, DiagnosisProblem, EngineConfig,
+    EngineKind, MarkPolicy, SequenceTest, SequenceTestSet, TestSet, ValidityBackend,
+    ValidityOracle,
 };
 
 /// Validity by the SAT backend, the cross-check for the auto-dispatched
@@ -242,4 +244,60 @@ fn injected_errors_always_diagnosable() {
             );
         }
     }
+}
+
+/// At one frame the sequential problem is the combinational one. On a
+/// latch-free circuit, one-frame sequences built from a test set's vectors
+/// unroll to a renumbered copy of the circuit whose instances project
+/// back one to one, so `seq-bsat` equals `bsat` and `seq-bsim` equals
+/// `bsim`, down to the projected candidate sets and mark counts.
+#[test]
+fn one_frame_sequential_problem_equals_the_combinational_one() {
+    let mut checked = 0;
+    for seed in 0..8 {
+        let Some((faulty, _, tests)) = random_case(seed, 2, 8) else {
+            continue;
+        };
+        let sequences: SequenceTestSet = tests
+            .iter()
+            .map(|t| SequenceTest {
+                initial_state: Vec::new(),
+                vectors: vec![t.vector.clone()],
+                frame: 0,
+                output: t.output,
+                expected: t.expected,
+            })
+            .collect();
+        let combinational = DiagnosisProblem::combinational(faulty.clone(), tests);
+        let sequential = DiagnosisProblem::sequential(faulty, sequences);
+        let config = EngineConfig {
+            k: 2,
+            ..EngineConfig::default()
+        };
+        for (seq, comb) in [
+            (EngineKind::SeqBsat, EngineKind::Bsat),
+            (EngineKind::SeqBsim, EngineKind::Bsim),
+        ] {
+            let s = run_engine(seq, &sequential, &config);
+            let c = run_engine(comb, &combinational, &config);
+            assert!(c.complete, "seed {seed}: {comb} truncated");
+            assert_eq!(
+                (&s.solutions, &s.candidates, s.complete),
+                (&c.solutions, &c.candidates, c.complete),
+                "seed {seed}: {seq} differs from {comb}"
+            );
+        }
+        for policy in [MarkPolicy::FirstControlling, MarkPolicy::AllControlling] {
+            let options = BsimOptions {
+                policy,
+                ..BsimOptions::default()
+            };
+            let s = sequential.trace(options);
+            let c = combinational.trace(options);
+            assert_eq!(s.candidate_sets, c.candidate_sets, "seed {seed} {policy:?}");
+            assert_eq!(s.mark_counts, c.mark_counts, "seed {seed} {policy:?}");
+        }
+        checked += 1;
+    }
+    assert!(checked > 0, "no workload was exercised");
 }

@@ -1,10 +1,11 @@
-//! Ground-truth diagnoser: exhaustive subset enumeration plus the validity
-//! oracle.
+//! Ground truths by exhaustive subset enumeration: the irredundant valid
+//! corrections (BSAT's solution space) and the irredundant covers (COV's).
 //!
-//! Because validity is monotone under supersets, the irredundant valid
-//! corrections up to size `k` are exactly the valid sets none of whose kept
-//! smaller predecessors they contain. By Lemma 3 this is precisely BSAT's
-//! solution space — the integration tests assert that equality.
+//! Validity and covering are both monotone under supersets, so the
+//! irredundant solutions up to size `k` are exactly the solutions none of
+//! whose kept smaller predecessors they contain. By Lemma 3 the valid
+//! corrections are precisely BSAT's solution space, and the covers of the
+//! BSIM candidate sets are COV's — the tests assert both equalities.
 
 use crate::test_set::TestSet;
 use crate::validity::ValidityOracle;
@@ -26,25 +27,65 @@ pub fn brute_force_diagnose(circuit: &Circuit, tests: &TestSet, k: usize) -> Vec
         .filter(|(_, g)| g.kind() != gatediag_netlist::GateKind::Input)
         .map(|(id, _)| id)
         .collect();
-    let mut found: Vec<Vec<GateId>> = Vec::new();
-    let mut subset: Vec<GateId> = Vec::new();
     // One auto-dispatching oracle for the whole enumeration: the
     // incremental sim engine's baseline stays primed across all the
     // candidate sets (k ≤ 4 always resolves to the sim fast path).
     let mut oracle = ValidityOracle::new(circuit);
-    for size in 1..=k.min(functional.len()) {
-        enumerate_subsets(&functional, size, 0, &mut subset, &mut |candidate| {
+    let mut found = minimal_subsets(&functional, k, |candidate| {
+        oracle.is_valid(tests, candidate)
+    });
+    found.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+    found
+}
+
+/// Enumerates all irredundant covers of `sets` of size ≤ `k` by brute
+/// force: subsets of the gates the sets mention, by increasing size, that
+/// hit every set and contain no smaller cover. The order is that of
+/// [`CovResult::solutions`](crate::CovResult::solutions): each cover sorted
+/// by gate id, the list by (size, lexicographic).
+///
+/// As for [`cover_all`](crate::cover_all), no sets have the empty cover as
+/// their only one, and an empty set (or `k = 0` with sets) has none.
+/// Exponential in the number of gates; intended for cross-checking on
+/// small instances.
+pub fn brute_force_covers(sets: &[Vec<GateId>], k: usize) -> Vec<Vec<GateId>> {
+    if sets.is_empty() {
+        return vec![Vec::new()];
+    }
+    let mut gates: Vec<GateId> = sets.iter().flatten().copied().collect();
+    gates.sort_unstable();
+    gates.dedup();
+    // Over sorted distinct gates the subsets come in `CovResult` order.
+    minimal_subsets(&gates, k, |candidate| {
+        sets.iter()
+            .all(|set| set.iter().any(|g| candidate.contains(g)))
+    })
+}
+
+/// The subsets of `items` with 1..=`k` elements that `accept` takes and
+/// that contain no smaller taken subset, by increasing size and, within a
+/// size, in the lexicographic order of item positions. For a property
+/// that is monotone under supersets (validity, covering) these are its
+/// irredundant solutions.
+fn minimal_subsets(
+    items: &[GateId],
+    k: usize,
+    mut accept: impl FnMut(&[GateId]) -> bool,
+) -> Vec<Vec<GateId>> {
+    let mut found: Vec<Vec<GateId>> = Vec::new();
+    let mut subset: Vec<GateId> = Vec::new();
+    for size in 1..=k.min(items.len()) {
+        enumerate_subsets(items, size, 0, &mut subset, &mut |candidate| {
             // Skip supersets of already-found (smaller) solutions: they are
             // redundant by monotonicity.
             let redundant = found
                 .iter()
                 .any(|small| small.iter().all(|g| candidate.contains(g)));
-            if !redundant && oracle.is_valid(tests, candidate) {
+            if !redundant && accept(candidate) {
                 found.push(candidate.to_vec());
             }
         });
     }
-    found.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
     found
 }
 

@@ -14,8 +14,8 @@
 //! whole design hinges on keeping them apart:
 //!
 //! * **`work`** counts *engine-defined deterministic units* — tests traced
-//!   by BSIM, branch-and-bound node expansions in COV, solver conflicts in
-//!   the SAT engines, candidate sets screened by the validity screen. Work
+//!   by BSIM, solver conflicts in the SAT engines and in COV's covering
+//!   phase, candidate sets screened by the validity screen. Work
 //!   truncation points are a pure function of the input, so a
 //!   work-truncated run is **bit-identical for every worker count**: the
 //!   drift suites extend their contract over budgeted runs.
@@ -191,11 +191,8 @@ impl Budget {
 /// `charge` is an add-and-compare on the deterministic work counter; the
 /// wall clock is polled only every 256 calls (`DEADLINE_POLL_MASK`, and
 /// only when a deadline is set at all), so metering a hot loop per node is
-/// effectively free. Meters are plain values — a parallel flow gives each
-/// worker its own [`BudgetMeter::fork`], which shares the limits and the
-/// *absolute* deadline but counts its own work (the engines define their
-/// work budgets per independent shard precisely so that forked accounting
-/// stays deterministic).
+/// effectively free. Meters are plain values, each counting the work of
+/// one run.
 #[derive(Clone, Debug)]
 pub struct BudgetMeter {
     work_limit: u64,
@@ -265,18 +262,6 @@ impl BudgetMeter {
     pub fn note(&mut self, reason: Truncation) {
         self.truncation.get_or_insert(reason);
     }
-
-    /// A fresh meter with the same limits and the same absolute deadline
-    /// but zero work — one per independent shard of a parallel flow.
-    pub fn fork(&self) -> BudgetMeter {
-        BudgetMeter {
-            work_limit: self.work_limit,
-            deadline: self.deadline,
-            work_used: 0,
-            tick: 0,
-            truncation: None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -327,22 +312,6 @@ mod tests {
         }
         assert!(stopped, "expired deadline never detected");
         assert_eq!(meter.truncation(), Some(Truncation::Deadline));
-    }
-
-    #[test]
-    fn forks_share_the_deadline_but_not_the_work() {
-        let budget = Budget {
-            work: Some(5),
-            deadline_ms: Some(60_000),
-            ..Budget::default()
-        };
-        let mut meter = budget.meter();
-        meter.charge(4);
-        let mut fork = meter.fork();
-        assert_eq!(fork.remaining_work(), 5);
-        assert_eq!(fork.deadline(), meter.deadline());
-        assert!(fork.charge(5));
-        assert!(!fork.charge(1));
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! The candidate sets `C_1..C_m` produced by BSIM form a covering instance:
 //! a solution picks at least one marked gate per test, is irredundant, and
 //! has at most `k` gates. The paper solves the covering with Zchaff; we
-//! provide the same SAT formulation (one selector variable per marked
-//! gate, one at-least-one clause per test, totalizer bound, incremental
-//! `k = 1..K` with subset blocking) plus an independent branch-and-bound
-//! engine used for cross-checking.
+//! solve the same SAT formulation (one selector variable per marked gate,
+//! one at-least-one clause per test, totalizer bound, incremental
+//! `k = 1..K` with subset blocking) with the workspace's CDCL solver.
+//! [`brute_force_covers`](crate::brute_force_covers) is the exhaustive
+//! oracle the tests check it against.
 
 use crate::bsim::{basic_sim_diagnose, BsimOptions, BsimResult};
-use crate::budget::{Budget, BudgetMeter, Truncation};
+use crate::budget::{Budget, Truncation};
 use crate::test_set::TestSet;
 use gatediag_cnf::{BlockRecorder, Totalizer};
 use gatediag_netlist::{Circuit, GateId};
@@ -18,45 +19,30 @@ use gatediag_sat::{enumerate_positive_subsets, Solver, Var};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-/// Engine used to enumerate covers.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum CovEngine {
-    /// SAT formulation solved with the CDCL engine (the paper's choice).
-    #[default]
-    Sat,
-    /// Explicit branch-and-bound enumeration (cross-check / no-SAT mode).
-    BranchAndBound,
-}
-
 /// Options for [`sc_diagnose`] / [`cover_all`].
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct CovOptions {
-    /// Enumeration engine.
-    pub engine: CovEngine,
     /// Stop after this many solutions (`complete = false` if hit).
     pub max_solutions: usize,
     /// Path-tracing options for the BSIM phase (its `parallelism` field
     /// shards the packed sweeps). The covering phase runs on the calling
     /// thread.
     pub bsim: BsimOptions,
-    /// Cooperative budget. COV's deterministic work unit depends on the
-    /// engine: **branch-and-bound node expansions** for
-    /// [`CovEngine::BranchAndBound`], **solver conflicts** for
-    /// [`CovEngine::Sat`]. The work budget applies *per top-level
-    /// branch*, each with its own meter, merged in branch order. A
-    /// `k = 1` SAT cover runs no solver, so no conflict limit can trip
-    /// it. In [`sc_diagnose`] the same work
-    /// number first bounds the BSIM phase in *its* unit (one test
-    /// traced = one unit; a preempted BSIM phase short-circuits the run)
-    /// — phase units are not commensurable and are never summed. The wall deadline is shared
-    /// across phases and branches (opt-in, nondeterministic).
+    /// Cooperative budget. COV's deterministic work unit is **solver
+    /// conflicts**. The work budget applies *per top-level branch*, each
+    /// on its own solver, merged in branch order. A `k = 1` cover runs no
+    /// solver, so no conflict limit can trip it. In [`sc_diagnose`] the
+    /// same work number first bounds the BSIM phase in *its* unit (one
+    /// test traced = one unit; a preempted BSIM phase short-circuits the
+    /// run) — phase units are not commensurable and are never summed.
+    /// The wall deadline is shared across phases and branches (opt-in,
+    /// nondeterministic).
     pub budget: Budget,
 }
 
 impl Default for CovOptions {
     fn default() -> Self {
         CovOptions {
-            engine: CovEngine::default(),
             max_solutions: 1_000_000,
             bsim: BsimOptions::default(),
             budget: Budget::default(),
@@ -72,7 +58,7 @@ pub struct CovResult {
     pub solutions: Vec<Vec<GateId>>,
     /// `false` if `max_solutions` truncated the enumeration.
     pub complete: bool,
-    /// Time spent building the instance: the SAT engine's covering base
+    /// Time spent building the instance: the covering base
     /// (selectors, set clauses, totalizer), plus the BSIM phase for
     /// [`sc_diagnose`], as in Table 2's "CNF" column.
     pub build_time: Duration,
@@ -85,8 +71,8 @@ pub struct CovResult {
     /// `Some` when `complete` is `false`.
     pub truncation: Option<Truncation>,
     /// Deterministic work charged (tests traced by the BSIM phase plus
-    /// the covering engine's units — see [`CovOptions::budget`]). The
-    /// SAT engine charges only the conflicts spent on the covers it
+    /// the covering phase's conflicts — see [`CovOptions::budget`]). The
+    /// covering phase charges only the conflicts spent on the covers it
     /// reports: none at `k = 1`, where it runs no solver, and in a
     /// capped run none past the first `max_solutions` covers.
     pub work: u64,
@@ -120,7 +106,7 @@ pub fn sc_diagnose(circuit: &Circuit, tests: &TestSet, k: usize, options: CovOpt
     let build_start = Instant::now();
     // Anchor the budget once so the BSIM phase and the covering phase race
     // the same wall deadline. The work number bounds *each phase in its
-    // own unit* (tests traced, then covering nodes/conflicts) — the units
+    // own unit* (tests traced, then covering conflicts) — the units
     // are not commensurable, so they are never summed across phases; a
     // preempted BSIM phase short-circuits the run instead.
     let budget = options.budget.anchored(build_start);
@@ -166,18 +152,14 @@ pub fn sc_diagnose(circuit: &Circuit, tests: &TestSet, k: usize, options: CovOpt
 /// If any set is empty, there is no cover at all.
 ///
 /// A run truncated by `max_solutions` reports the irredundant part of
-/// the first `max_solutions.max(1)` covers the engine meets.
-/// [`CovEngine::Sat`] computes no cover past that prefix: it stops each
-/// top-level branch at its share of the cap, and at `k = 1` it runs no
-/// solver at all, since the size-one covers are the gates common to
-/// every set.
+/// the first `max_solutions.max(1)` covers the search meets. It computes
+/// no cover past that prefix: it stops each top-level branch at its share
+/// of the cap, and at `k = 1` it runs no solver at all, since the
+/// size-one covers are the gates common to every set.
 pub fn cover_all(sets: &[Vec<GateId>], k: usize, options: CovOptions) -> CovResult {
     let total_start = Instant::now();
     let budget = options.budget.anchored(total_start);
-    let out = match options.engine {
-        CovEngine::Sat => cover_sat(sets, k, options.max_solutions, &budget),
-        CovEngine::BranchAndBound => cover_bnb(sets, k, options.max_solutions, &budget),
-    };
+    let out = cover_sat(sets, k, options.max_solutions, &budget);
     let mut solutions = out.solutions;
     for sol in &mut solutions {
         sol.sort();
@@ -195,7 +177,7 @@ pub fn cover_all(sets: &[Vec<GateId>], k: usize, options: CovOptions) -> CovResu
     }
 }
 
-/// What a covering engine hands back to [`cover_all`].
+/// What [`cover_sat`] hands back to [`cover_all`].
 struct CoverOutcome {
     solutions: Vec<Vec<GateId>>,
     build_time: Duration,
@@ -203,14 +185,14 @@ struct CoverOutcome {
     /// `None` = complete; [`Truncation::Solutions`] for the cap, a budget
     /// reason otherwise.
     truncation: Option<Truncation>,
-    /// Engine-defined work units spent (nodes / conflicts).
+    /// Solver conflicts spent.
     work: u64,
 }
 
 /// SAT cover enumeration, partitioned over the top-level branch set.
 ///
-/// Like [`cover_bnb`], the root branches on the smallest set: every cover
-/// must contain one of its gates, so "first branch-set gate contained"
+/// The root branches on the smallest set: every cover must contain one
+/// of its gates, so "first branch-set gate contained"
 /// partitions the solution space into disjoint branches. Branch `b` gets
 /// its *own* CDCL solver with `s_{g_b}` asserted and `s_{g_j}` (`j < b`)
 /// denied as root units, then runs the usual incremental `k`-loop with
@@ -228,8 +210,7 @@ struct CoverOutcome {
 /// Within a branch, subset blocking alone cannot reject a cover whose
 /// redundant gate *is* the branch gate (the witness subset lives in an
 /// earlier branch), so the merged list is filtered for irredundancy
-/// explicitly — the same final filter the branch-and-bound engine
-/// applies. For complete runs the result is exactly the irredundant
+/// explicitly. For complete runs the result is exactly the irredundant
 /// covers of size ≤ `k` (paper Lemma 3).
 ///
 /// # Only the reported covers are computed
@@ -287,7 +268,7 @@ fn cover_sat(
     let base = CoverBase::new(sets, branch_set, k);
     let build_time = build_start.elapsed();
     let enum_start = Instant::now();
-    // The SAT engine's work unit is solver conflicts: the work budget and
+    // The covering work unit is solver conflicts: the work budget and
     // the conflict budget merge into one solver limit, installed on each
     // branch's own solver (bounding every enumeration query, so the
     // truncation points are a pure function of the instance), and the
@@ -526,7 +507,7 @@ impl SetHits {
     }
 }
 
-/// What one top-level branch of the SAT cover engine reports back.
+/// What one top-level branch of [`cover_sat`] reports back.
 struct BranchOutcome {
     solutions: Vec<Vec<GateId>>,
     first_elapsed: Option<Duration>,
@@ -580,170 +561,11 @@ fn enumerate_cover_branch(
         work: solver.stats().conflicts,
     }
 }
-/// Branch-and-bound cover enumeration on the calling thread.
-///
-/// An unbudgeted run is one recursion from the empty root: a shared
-/// solution list and a global early exit at the cap.
-///
-/// The effective cap is `max_solutions.max(1)`: the recursion only
-/// notices truncation *after* pushing a solution, so even
-/// `max_solutions == 0` reports the first cover found.
-///
-/// # Budgeted runs
-///
-/// With a work or deadline budget the engine decomposes the search over
-/// the gates of the top-level branch set (the smallest set, as in the
-/// recursion): each branch gets its own meter (the full work budget,
-/// counted in node expansions; the shared absolute deadline), and the
-/// branches run in order and merge in branch order. A truncation is thus
-/// a set of per-branch truncations, each a pure function of its branch.
-///
-/// As in the SAT engine, no branch runs past the cap: branch `b` gets
-/// `cap` minus the covers of branches `0..b` as its own cap, and no
-/// branch starts once the prefix is full. The recursion is
-/// deterministic, so a branch capped at `r` expands exactly the nodes of
-/// the unbudgeted recursion's same subtree up to its `r`-th cover: a
-/// budget that never trips reports the unbudgeted run's covers and its
-/// `work` less the one root node.
-fn cover_bnb(
-    sets: &[Vec<GateId>],
-    k: usize,
-    max_solutions: usize,
-    budget: &Budget,
-) -> CoverOutcome {
-    let build_start = Instant::now();
-    if sets.is_empty() {
-        return trivial_outcome(vec![Vec::new()], build_start.elapsed());
-    }
-    if sets.iter().any(|s| s.is_empty()) {
-        return trivial_outcome(Vec::new(), build_start.elapsed());
-    }
-    let build_time = build_start.elapsed();
-    let enum_start = Instant::now();
-    let cap = max_solutions.max(1);
-    let mut found: Vec<Vec<GateId>> = Vec::new();
-    let mut first_elapsed: Option<Duration> = None;
-    let mut budget_truncation: Option<Truncation> = None;
-    let mut work = 0u64;
-    if budget.work.is_none() && budget.deadline_ms.is_none() {
-        // With empty `chosen` the recursion picks the smallest branch
-        // set itself, and its budget check handles `k == 0`. The meter
-        // is unlimited, so the hot loop pays one add per node and never
-        // polls the clock.
-        let mut meter = Budget::default().meter();
-        recurse(
-            sets,
-            k,
-            &mut Vec::new(),
-            &mut found,
-            cap,
-            &mut first_elapsed,
-            enum_start,
-            &mut meter,
-        );
-        work = meter.work_used();
-    } else if k > 0 {
-        // Ties resolve to the first set, as in the recursion.
-        let branch_set = sets
-            .iter()
-            .min_by_key(|set| set.len())
-            .expect("sets checked non-empty");
-        let root_meter = budget.meter();
-        for &g in branch_set {
-            if found.len() >= cap {
-                break;
-            }
-            let mut local: Vec<Vec<GateId>> = Vec::new();
-            let mut local_first = None;
-            let mut meter = root_meter.fork();
-            recurse(
-                sets,
-                k - 1,
-                &mut vec![g],
-                &mut local,
-                cap - found.len(),
-                &mut local_first,
-                enum_start,
-                &mut meter,
-            );
-            if first_elapsed.is_none() {
-                first_elapsed = local_first;
-            }
-            if budget_truncation.is_none() {
-                budget_truncation = meter.truncation();
-            }
-            work += meter.work_used();
-            found.extend(local);
-        }
-    }
-    let truncated = found.len() >= cap;
-    CoverOutcome {
-        solutions: SetHits::new(sets).irredundant(found),
-        build_time,
-        first_solution_time: first_elapsed.map_or(Duration::ZERO, |t| build_time + t),
-        truncation: budget_truncation.or(truncated.then_some(Truncation::Solutions)),
-        work,
-    }
-}
-
-/// The cover search. An unbudgeted run enters once with an empty
-/// `chosen` (the full recursion); a budgeted branch enters with its root
-/// gate pre-chosen. `found` is the unbudgeted run's shared list or a
-/// branch's local list, capped at `cap`
-/// (`max_solutions.max(1)`, see [`cover_bnb`]). `meter` charges one work
-/// unit per node expansion — the engine's cooperative checkpoint; an
-/// unlimited meter reduces it to a counter.
-#[allow(clippy::too_many_arguments)] // one search frame's full context
-fn recurse(
-    sets: &[Vec<GateId>],
-    budget: usize,
-    chosen: &mut Vec<GateId>,
-    found: &mut Vec<Vec<GateId>>,
-    cap: usize,
-    first_elapsed: &mut Option<Duration>,
-    enum_start: Instant,
-    meter: &mut BudgetMeter,
-) {
-    if found.len() >= cap || !meter.charge(1) {
-        return;
-    }
-    // Find the smallest uncovered set to branch on.
-    let uncovered = sets
-        .iter()
-        .filter(|set| !set.iter().any(|g| chosen.contains(g)))
-        .min_by_key(|set| set.len());
-    let Some(branch_set) = uncovered else {
-        if found.is_empty() {
-            *first_elapsed = Some(enum_start.elapsed());
-        }
-        found.push(chosen.clone());
-        return;
-    };
-    if budget == 0 {
-        return;
-    }
-    for &g in branch_set {
-        chosen.push(g);
-        recurse(
-            sets,
-            budget - 1,
-            chosen,
-            found,
-            cap,
-            first_elapsed,
-            enum_start,
-            meter,
-        );
-        chosen.pop();
-        if found.len() >= cap || meter.truncation().is_some() {
-            return;
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bruteforce::brute_force_covers;
     use crate::test_set::generate_failing_tests;
     use gatediag_netlist::{inject_errors, RandomCircuitSpec};
 
@@ -751,25 +573,17 @@ mod tests {
         GateId::new(i)
     }
 
-    fn both_engines(sets: &[Vec<GateId>], k: usize) -> (Vec<Vec<GateId>>, Vec<Vec<GateId>>) {
-        let sat = cover_all(
-            sets,
-            k,
-            CovOptions {
-                engine: CovEngine::Sat,
-                ..CovOptions::default()
-            },
+    /// The covers [`cover_all`] reports, checked complete and equal to the
+    /// brute-force oracle's.
+    fn checked_covers(sets: &[Vec<GateId>], k: usize) -> Vec<Vec<GateId>> {
+        let run = cover_all(sets, k, CovOptions::default());
+        assert!(run.complete, "sets {sets:?} k {k}: truncated");
+        assert_eq!(
+            run.solutions,
+            brute_force_covers(sets, k),
+            "sets {sets:?} k {k}"
         );
-        let bnb = cover_all(
-            sets,
-            k,
-            CovOptions {
-                engine: CovEngine::BranchAndBound,
-                ..CovOptions::default()
-            },
-        );
-        assert!(sat.complete && bnb.complete);
-        (sat.solutions, bnb.solutions)
+        run.solutions
     }
 
     /// The paper's Example 1: C1={A,B,F,G}, C2={C,D,E,F,G}, C3={B,C,E,H}.
@@ -784,8 +598,7 @@ mod tests {
 
     #[test]
     fn example1_finds_bd_with_k2() {
-        let (sat, bnb) = both_engines(&example1_sets(), 2);
-        assert_eq!(sat, bnb);
+        let sat = checked_covers(&example1_sets(), 2);
         // {B, D} is one possible solution (paper Example 1).
         assert!(sat.contains(&vec![g(1), g(3)]), "missing {{B,D}}: {sat:?}");
         // Every solution hits all three sets and is within the bound.
@@ -802,22 +615,21 @@ mod tests {
 
     #[test]
     fn example1_finds_adh_with_k3() {
-        let (sat, bnb) = both_engines(&example1_sets(), 3);
-        assert_eq!(sat, bnb);
+        let sat = checked_covers(&example1_sets(), 3);
         // {A, D, H} is the paper's "another solution" (requires k = 3).
         assert!(
             sat.contains(&vec![g(0), g(3), g(7)]),
             "missing {{A,D,H}}: {sat:?}"
         );
         // But it must NOT appear at k = 2.
-        let (sat2, _) = both_engines(&example1_sets(), 2);
+        let sat2 = checked_covers(&example1_sets(), 2);
         assert!(!sat2.contains(&vec![g(0), g(3), g(7)]));
     }
 
     #[test]
     fn solutions_are_irredundant() {
         let sets = example1_sets();
-        let (sat, _) = both_engines(&sets, 3);
+        let sat = checked_covers(&sets, 3);
         for sol in &sat {
             for drop in sol {
                 let without: Vec<GateId> = sol.iter().copied().filter(|x| x != drop).collect();
@@ -833,7 +645,7 @@ mod tests {
     fn engines_agree_on_random_instances() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(99);
-        for round in 0..25 {
+        for _ in 0..25 {
             let universe = rng.gen_range(3..9usize);
             let num_sets = rng.gen_range(1..5usize);
             let sets: Vec<Vec<GateId>> = (0..num_sets)
@@ -848,38 +660,8 @@ mod tests {
                 })
                 .collect();
             let k = rng.gen_range(1..4usize);
-            let (sat, bnb) = both_engines(&sets, k);
-            assert_eq!(sat, bnb, "round {round}: sets {sets:?} k {k}");
+            checked_covers(&sets, k);
         }
-    }
-
-    /// Every subset of the gates of `sets` with at most `k` gates that
-    /// hits every set and stays irredundant, in [`CovResult`] order.
-    fn brute_force_covers(sets: &[Vec<GateId>], k: usize) -> Vec<Vec<GateId>> {
-        let mut gates: Vec<GateId> = sets.iter().flatten().copied().collect();
-        gates.sort();
-        gates.dedup();
-        let hits_all =
-            |cover: &[GateId]| sets.iter().all(|set| set.iter().any(|g| cover.contains(g)));
-        let mut covers: Vec<Vec<GateId>> = (0..1u32 << gates.len())
-            .filter(|mask| mask.count_ones() as usize <= k)
-            .map(|mask| {
-                (0..gates.len())
-                    .filter(|&i| mask >> i & 1 == 1)
-                    .map(|i| gates[i])
-                    .collect::<Vec<_>>()
-            })
-            .filter(|cover| {
-                hits_all(cover)
-                    && cover.iter().all(|g| {
-                        let without: Vec<GateId> =
-                            cover.iter().copied().filter(|h| h != g).collect();
-                        !hits_all(&without)
-                    })
-            })
-            .collect();
-        covers.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-        covers
     }
 
     #[test]
@@ -913,10 +695,7 @@ mod tests {
                 repeated_branch_sets += 1;
             }
             let k = rng.gen_range(0..=3usize);
-            let expected = brute_force_covers(&sets, k);
-            let (sat, bnb) = both_engines(&sets, k);
-            assert_eq!(sat, expected, "round {round}: SAT, sets {sets:?} k {k}");
-            assert_eq!(bnb, expected, "round {round}: B&B, sets {sets:?} k {k}");
+            checked_covers(&sets, k);
         }
         assert!(
             repeated_branch_sets >= 10,
@@ -990,7 +769,6 @@ mod tests {
                         sets,
                         k,
                         CovOptions {
-                            engine: CovEngine::Sat,
                             max_solutions,
                             ..CovOptions::default()
                         },
@@ -1016,14 +794,16 @@ mod tests {
 
     #[test]
     fn empty_sets_edge_cases() {
+        // No sets: the empty cover is the only one, for every k.
         let empty: Vec<Vec<GateId>> = Vec::new();
-        let (sat, bnb) = both_engines(&empty, 2);
-        assert_eq!(sat, vec![Vec::<GateId>::new()]);
-        assert_eq!(bnb, sat);
+        for k in 0..=2 {
+            assert_eq!(checked_covers(&empty, k), vec![Vec::<GateId>::new()]);
+        }
+        // An empty set has no cover.
         let unhittable = vec![vec![g(0)], vec![]];
-        let (sat, bnb) = both_engines(&unhittable, 2);
-        assert!(sat.is_empty());
-        assert!(bnb.is_empty());
+        assert!(checked_covers(&unhittable, 2).is_empty());
+        // k = 0 admits no cover of a non-empty collection.
+        assert!(checked_covers(&example1_sets(), 0).is_empty());
     }
 
     #[test]

@@ -375,7 +375,6 @@ fn cover_phase(
                     parallelism: config.parallelism,
                     ..BsimOptions::default()
                 },
-                ..CovOptions::default()
             },
         )
     };

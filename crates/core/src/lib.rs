@@ -24,19 +24,19 @@
 //! standing for itself ([`DiagnosisProblem::combinational`]), or the
 //! time-frame expansion of failing sequences with each gate's instances
 //! in every frame grouped under it ([`DiagnosisProblem::sequential`]).
-//! The paper's advanced simulation variant, [`sim_backtrack_diagnose`]
-//! (backtracking with resimulation effect analysis), has no engine kind
-//! yet.
+//! Each engine has one implementation, and each of the paper's two
+//! solution spaces has one exhaustive oracle to check it against:
+//! [`brute_force_diagnose`] for BSAT's valid corrections and
+//! [`brute_force_covers`] for COV's covers.
 //!
 //! One exact validity oracle, [`ValidityOracle`], with two backends
 //! (forced-value simulation and SAT, picked per call from `|C|` and cone
 //! size unless pinned via [`ValidityBackend`]), its one-shot form
-//! [`is_valid_correction`], and a [`brute_force_diagnose`] ground truth
-//! make the paper's Lemmas 1-4 and Theorems 1-2 executable; the
-//! [`paper_examples`] module ships the Fig. 5 witness circuits. The same
-//! oracle answers for any problem's corrections
-//! ([`DiagnosisProblem::is_valid`], [`is_valid_sequential_correction`]) on
-//! the candidates' encoded instances.
+//! [`is_valid_correction`], and the two brute-force oracles make the
+//! paper's Lemmas 1-4 and Theorems 1-2 executable; the [`paper_examples`]
+//! module ships the Fig. 5 witness circuits. The same oracle answers for
+//! any problem's corrections ([`DiagnosisProblem::is_valid`]) on the
+//! candidates' encoded instances.
 //!
 //! Every SAT engine here (BSAT, sequential BSAT, the SAT validity
 //! backend and test generation) builds its circuit copies with
@@ -119,26 +119,25 @@ mod problem;
 mod quality;
 mod sequential;
 pub mod session;
-mod sim_backtrack;
 mod test_set;
 pub mod testgen;
 mod validity;
 
-pub use bruteforce::brute_force_diagnose;
+pub use bruteforce::{brute_force_covers, brute_force_diagnose};
 pub use bsat::{basic_sat_diagnose, BsatOptions, BsatResult};
 pub use bsim::{
     basic_sim_diagnose, path_trace, path_trace_packed, BsimOptions, BsimResult, MarkPolicy,
 };
 pub use budget::{Budget, BudgetMeter, Truncation};
 pub use chaos::{ChaosConfig, ChaosEvent, ChaosPolicy};
-pub use cov::{cover_all, sc_diagnose, CovEngine, CovOptions, CovResult};
+pub use cov::{cover_all, sc_diagnose, CovOptions, CovResult};
 pub use engine::{run_engine, EngineConfig, EngineKind, EngineRun};
 pub use hybrid::hybrid_seeded_bsat;
 pub use problem::DiagnosisProblem;
 pub use quality::{bsim_quality, solution_quality, BsimQuality, SolutionQuality};
 pub use sequential::{
-    generate_failing_sequences, is_valid_sequential_correction, real_inputs,
-    sequence_tests_to_unrolled, simulate_sequence, SequenceTest, SequenceTestSet,
+    generate_failing_sequences, real_inputs, sequence_tests_to_unrolled, simulate_sequence,
+    SequenceTest, SequenceTestSet,
 };
 pub use session::{
     circuit_content_hash, inject, prepare, prepare_injected, run_diagnose, run_prepared,
@@ -146,7 +145,6 @@ pub use session::{
     DiagnoseStatus, Injection, PrepareKey, Prepared, PreparedTests, MAX_CACHED_OUTCOMES,
     MAX_CACHED_PREPARES, MAX_FRAMES, MAX_SEQ_LEN,
 };
-pub use sim_backtrack::{sim_backtrack_diagnose, SimBacktrackOptions};
 pub use test_set::{generate_failing_tests, Test, TestSet};
 pub use testgen::{
     distinguish_pair, generate_discriminating_tests, PairOutcome, TestGenOutcome, TestGenPolicy,

@@ -9,17 +9,18 @@
 //! combinational case.
 //!
 //! The sequential engines are the combinational ones over that expansion:
-//! [`DiagnosisProblem::sequential`] is the problem whose encoded circuit
-//! is the unrolling of [`sequence_tests_to_unrolled`], with each gate's
-//! instances in every frame as its site and the unrolled gates projected
-//! back onto the original ones:
+//! [`DiagnosisProblem::sequential`](crate::DiagnosisProblem::sequential)
+//! is the problem whose encoded circuit is the unrolling of
+//! [`sequence_tests_to_unrolled`], with each gate's instances in every
+//! frame as its site and the unrolled gates projected back onto the
+//! original ones:
 //!
 //! | combinational | sequential |
 //! |---------------|------------|
 //! | [`Test`](crate::Test) / [`TestSet`](crate::TestSet) | [`SequenceTest`] / [`SequenceTestSet`] |
 //! | [`generate_failing_tests`](crate::generate_failing_tests) | [`generate_failing_sequences`] (frame-major packed, on [`SeqPackedSim`]) |
-//! | [`DiagnosisProblem::combinational`] | [`DiagnosisProblem::sequential`] |
-//! | [`is_valid_correction`](crate::is_valid_correction) | [`is_valid_sequential_correction`] (the same [`ValidityOracle`](crate::ValidityOracle) over the unrolling) |
+//! | [`DiagnosisProblem::combinational`](crate::DiagnosisProblem::combinational) | [`DiagnosisProblem::sequential`](crate::DiagnosisProblem::sequential) |
+//! | [`is_valid_correction`](crate::is_valid_correction) | [`DiagnosisProblem::is_valid`](crate::DiagnosisProblem::is_valid) on a sequential problem (the same [`ValidityOracle`](crate::ValidityOracle) over the unrolling) |
 //!
 //! [`run_engine`](crate::run_engine) runs
 //! [`EngineKind::SeqBsim`](crate::EngineKind) and
@@ -28,7 +29,6 @@
 //! traced** for seq-BSIM and **conflicts** for seq-BSAT (see
 //! [`crate::budget`]).
 
-use crate::problem::DiagnosisProblem;
 use crate::test_set::TestSet;
 use gatediag_netlist::{unroll, Circuit, FairCoins, GateId, StateView, Unrolling};
 use gatediag_sim::{pack_rows_into, SeqPackedSim};
@@ -227,21 +227,6 @@ pub fn generate_failing_sequences(
     SequenceTestSet::new(tests)
 }
 
-/// Exact validity check for sequential corrections: a gate-change
-/// correction acts in every frame, so the
-/// [`ValidityOracle`](crate::ValidityOracle) checks the candidates'
-/// instances in every frame against the unrolled tests
-/// ([`DiagnosisProblem::is_valid`] on the sequential problem). A latch
-/// output's frame-0 instance is the initial-state input, which no
-/// correction drives, so only its later frames count.
-pub fn is_valid_sequential_correction(
-    circuit: &Circuit,
-    tests: &SequenceTestSet,
-    candidates: &[GateId],
-) -> bool {
-    DiagnosisProblem::sequential(circuit.clone(), tests.clone()).is_valid(candidates)
-}
-
 /// Converts sequence tests into combinational [`TestSet`]s over the
 /// unrolled circuit (for reusing combinational engines and the validity
 /// oracle on sequential problems). The unrolling spans the longest
@@ -252,8 +237,8 @@ pub fn is_valid_sequential_correction(
 ///
 /// Note: combinational diagnosis over the unrolling treats each *frame
 /// instance* of a gate as an independent candidate; a sequential
-/// [`DiagnosisProblem`] groups the instances by original gate and projects
-/// them back onto it.
+/// [`DiagnosisProblem`](crate::DiagnosisProblem) groups the instances by
+/// original gate and projects them back onto it.
 ///
 /// # Panics
 ///
@@ -296,6 +281,7 @@ mod tests {
     use crate::bsim::{BsimOptions, BsimResult, MarkPolicy};
     use crate::budget::{Budget, Truncation};
     use crate::engine::{run_engine, EngineConfig, EngineKind};
+    use crate::problem::DiagnosisProblem;
     use gatediag_netlist::{
         inject_errors, parse_bench, CircuitBuilder, GateKind, RandomCircuitSpec,
     };
@@ -488,9 +474,10 @@ mod tests {
             "error gate {d} missing from {:?}",
             diag.solutions
         );
+        let problem = DiagnosisProblem::sequential(faulty, tests);
         for sol in &diag.solutions {
             assert!(
-                is_valid_sequential_correction(&faulty, &tests, sol),
+                problem.is_valid(sol),
                 "invalid sequential correction {sol:?}"
             );
         }
@@ -514,8 +501,9 @@ mod tests {
                 "seed {seed}: real site missing from {:?}",
                 diag.solutions
             );
+            let problem = DiagnosisProblem::sequential(faulty, tests);
             for sol in &diag.solutions {
-                assert!(is_valid_sequential_correction(&faulty, &tests, sol));
+                assert!(problem.is_valid(sol));
             }
         }
     }
@@ -535,17 +523,18 @@ mod tests {
         assert_eq!(tests.max_frames(), 4);
         let diag = seq_bsat(&faulty, &tests, EngineConfig::default());
         assert!(diag.complete);
-        assert!(!is_valid_sequential_correction(&faulty, &tests, &[]));
+        let problem = DiagnosisProblem::sequential(faulty.clone(), tests);
+        assert!(!problem.is_valid(&[]));
         let valid_singletons: Vec<Vec<GateId>> = faulty
             .iter()
             .filter(|(_, g)| g.kind() != GateKind::Input)
             .map(|(id, _)| vec![id])
-            .filter(|set| is_valid_sequential_correction(&faulty, &tests, set))
+            .filter(|set| problem.is_valid(set))
             .collect();
         assert!(valid_singletons.contains(&vec![d]));
         assert_eq!(diag.solutions, valid_singletons);
         for sol in &diag.solutions {
-            assert!(is_valid_sequential_correction(&faulty, &tests, sol));
+            assert!(problem.is_valid(sol));
         }
     }
 
@@ -627,12 +616,8 @@ mod tests {
         if tests.is_empty() {
             return;
         }
-        assert!(!is_valid_sequential_correction(&faulty, &tests, &[]));
-        assert!(is_valid_sequential_correction(
-            &faulty,
-            &SequenceTestSet::default(),
-            &[]
-        ));
+        assert!(!DiagnosisProblem::sequential(faulty.clone(), tests).is_valid(&[]));
+        assert!(DiagnosisProblem::sequential(faulty, SequenceTestSet::default()).is_valid(&[]));
     }
 
     #[test]

@@ -42,8 +42,8 @@ const SCREEN_WORDS: usize = 16;
 /// A reusable forced-value validity oracle over one circuit.
 ///
 /// Owns a [`PackedSim`] plus its scratch buffers, so a tight loop over
-/// candidate sets (e.g. the backtrack search of
-/// [`crate::sim_backtrack_diagnose`]) pays the O(gates) buffer setup and
+/// candidate sets (e.g. the subset enumeration of
+/// [`crate::brute_force_diagnose`]) pays the O(gates) buffer setup and
 /// the full baseline sweep *once*, after which every call re-simulates
 /// only the fan-out cones of the inputs and candidate gates that changed
 /// since the previous call. Outside the crate it is reached through a

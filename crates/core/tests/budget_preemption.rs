@@ -8,9 +8,8 @@
 
 use gatediag_core::budget::{Budget, Truncation};
 use gatediag_core::{
-    basic_sat_diagnose, basic_sim_diagnose, cover_all, generate_failing_tests, sc_diagnose,
-    screen_valid_corrections, BsatOptions, BsimOptions, CovEngine, CovOptions, Parallelism,
-    ValidityBackend,
+    basic_sat_diagnose, basic_sim_diagnose, generate_failing_tests, sc_diagnose,
+    screen_valid_corrections, BsatOptions, BsimOptions, CovOptions, Parallelism, ValidityBackend,
 };
 use gatediag_netlist::{inject_errors, Circuit, GateId, RandomCircuitSpec};
 use std::time::{Duration, Instant};
@@ -93,95 +92,39 @@ fn cov_work_budget_is_worker_count_invariant() {
             continue;
         };
         let small = tests.prefix_at_most(12);
-        for engine in [CovEngine::BranchAndBound, CovEngine::Sat] {
-            // A ladder of budgets from "preempts the BSIM phase" through
-            // "preempts the covering phase" to "never trips".
-            for budget_units in [1u64, 13, 40, 1 << 40] {
-                // The worker count shards the BSIM phase; covering runs
-                // on the calling thread.
-                let options = |parallelism| CovOptions {
-                    engine,
-                    bsim: BsimOptions {
-                        parallelism,
-                        ..BsimOptions::default()
-                    },
-                    budget: Budget {
-                        work: Some(budget_units),
-                        ..Budget::default()
-                    },
-                    ..CovOptions::default()
-                };
-                let sequential = sc_diagnose(&faulty, &small, 2, options(Parallelism::Sequential));
-                assert_eq!(
-                    sequential.complete,
-                    sequential.truncation.is_none(),
-                    "complete/truncation out of sync"
-                );
-                for parallelism in WORKER_SWEEP {
-                    let parallel = sc_diagnose(&faulty, &small, 2, options(parallelism));
-                    assert_eq!(
-                        sequential.solutions, parallel.solutions,
-                        "seed {seed} {engine:?} budget {budget_units}: solutions drifted at {parallelism:?}"
-                    );
-                    assert_eq!(sequential.truncation, parallel.truncation);
-                    assert_eq!(sequential.work, parallel.work);
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn cov_bnb_node_budget_truncates_the_abstract_instance() {
-    // The covering phase alone (no BSIM): node budgets bite mid-search.
-    let g = GateId::new;
-    let sets = vec![
-        vec![g(0), g(1), g(5), g(6)],
-        vec![g(2), g(3), g(4), g(5), g(6)],
-        vec![g(1), g(2), g(4), g(7)],
-    ];
-    let full = cover_all(
-        &sets,
-        3,
-        CovOptions {
-            engine: CovEngine::BranchAndBound,
-            ..CovOptions::default()
-        },
-    );
-    assert!(full.complete && full.work > 0);
-    let mut saw_preemption = false;
-    for budget_units in [1u64, 2, 4, 16, 1 << 30] {
-        let budget = Budget {
-            work: Some(budget_units),
-            ..Budget::default()
-        };
-        let reference = cover_all(
-            &sets,
-            3,
-            CovOptions {
-                engine: CovEngine::BranchAndBound,
-                budget,
+        // A ladder of budgets from "preempts the BSIM phase" through
+        // "preempts the covering phase" to "never trips".
+        for budget_units in [1u64, 13, 40, 1 << 40] {
+            // The worker count shards the BSIM phase; covering runs
+            // on the calling thread.
+            let options = |parallelism| CovOptions {
+                bsim: BsimOptions {
+                    parallelism,
+                    ..BsimOptions::default()
+                },
+                budget: Budget {
+                    work: Some(budget_units),
+                    ..Budget::default()
+                },
                 ..CovOptions::default()
-            },
-        );
-        if reference.truncation == Some(Truncation::Work) {
-            saw_preemption = true;
-            assert!(!reference.complete);
-            // Truncated solutions are a subset of the complete ones.
-            for sol in &reference.solutions {
-                assert!(full.solutions.contains(sol), "{sol:?} not in full run");
+            };
+            let sequential = sc_diagnose(&faulty, &small, 2, options(Parallelism::Sequential));
+            assert_eq!(
+                sequential.complete,
+                sequential.truncation.is_none(),
+                "complete/truncation out of sync"
+            );
+            for parallelism in WORKER_SWEEP {
+                let parallel = sc_diagnose(&faulty, &small, 2, options(parallelism));
+                assert_eq!(
+                    sequential.solutions, parallel.solutions,
+                    "seed {seed} budget {budget_units}: solutions drifted at {parallelism:?}"
+                );
+                assert_eq!(sequential.truncation, parallel.truncation);
+                assert_eq!(sequential.work, parallel.work);
             }
         }
-        if reference.complete {
-            // The per-branch decomposition of a budgeted run finds the
-            // covers of the unbudgeted single recursion.
-            assert_eq!(reference.solutions, full.solutions);
-        }
     }
-    assert!(
-        saw_preemption,
-        "no budget in the ladder preempted the search"
-    );
 }
 
 #[test]

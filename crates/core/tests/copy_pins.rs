@@ -17,8 +17,8 @@
 //!   the SAT side but are pinned with their SAT twin;
 //! - the SAT validity backend's verdicts and statistics;
 //! - `generate_discriminating_tests`' tests, classes and statistics;
-//! - `is_valid_sequential_correction`'s verdicts, on a set with mixed
-//!   sequence lengths too.
+//! - the sequential problem's validity verdicts (`DiagnosisProblem::is_valid`),
+//!   on a set with mixed sequence lengths too.
 //!
 //! On a mismatch each test prints every actual line, ready to paste over
 //! its pin.
@@ -29,9 +29,9 @@ use gatediag_cnf::{
 };
 use gatediag_core::{
     basic_sat_diagnose, generate_discriminating_tests, generate_failing_sequences,
-    generate_failing_tests, is_valid_sequential_correction, prepare, run_engine, BsatOptions,
-    BsimOptions, Budget, DiagnoseRequest, DiagnosisProblem, EngineConfig, EngineKind, MarkPolicy,
-    Parallelism, PreparedTests, SequenceTestSet, TestGenPolicy, ValidityBackend, ValidityOracle,
+    generate_failing_tests, prepare, run_engine, BsatOptions, BsimOptions, Budget, DiagnoseRequest,
+    DiagnosisProblem, EngineConfig, EngineKind, MarkPolicy, Parallelism, PreparedTests,
+    SequenceTestSet, TestGenPolicy, ValidityBackend, ValidityOracle,
 };
 use gatediag_netlist::{
     c17, inject_errors, parse_bench, unroll, Circuit, GateId, GateKind, RandomCircuitSpec,
@@ -429,7 +429,9 @@ fn sequential_validity_verdicts_are_pinned() {
         let short = generate_failing_sequences(golden, faulty, 2, 3, 5, 512);
         let long = generate_failing_sequences(golden, faulty, 4, 3, 6, 512);
         let mixed: SequenceTestSet = short.iter().chain(long.iter()).cloned().collect();
-        for (label, tests) in [("even", &even), ("mixed", &mixed)] {
+        for (label, tests) in [("even", even), ("mixed", mixed)] {
+            let (frames, count) = (tests.max_frames(), tests.len());
+            let problem = DiagnosisProblem::sequential(faulty.clone(), tests);
             let gates: Vec<GateId> = faulty.iter().map(|(id, _)| id).collect();
             let mut sets: Vec<Vec<GateId>> = vec![Vec::new()];
             for (i, &a) in gates.iter().enumerate() {
@@ -440,14 +442,10 @@ fn sequential_validity_verdicts_are_pinned() {
             }
             let verdicts: String = sets
                 .iter()
-                .map(|set| {
-                    char::from(b'0' + u8::from(is_valid_sequential_correction(faulty, tests, set)))
-                })
+                .map(|set| char::from(b'0' + u8::from(problem.is_valid(set))))
                 .collect();
             lines.push(format!(
-                "{name} {label} tests:{} frames:{} sets:{} valid:{} {:016x}",
-                tests.len(),
-                tests.max_frames(),
+                "{name} {label} tests:{count} frames:{frames} sets:{} valid:{} {:016x}",
                 sets.len(),
                 verdicts.matches('1').count(),
                 fnv(&verdicts)

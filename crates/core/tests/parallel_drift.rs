@@ -4,15 +4,14 @@
 //! screen — must be *bit-identical* to its sequential counterpart for every
 //! worker count, including degenerate cases (one worker, more workers
 //! than work items, empty work). These tests pin that contract
-//! explicitly; `proptest_parallel.rs` fuzzes it on random circuits. The
-//! cover engines and the backtrack search run on the calling thread;
-//! their tests here pin the solution cap, the agreement of the two cover
-//! engines and the backtrack search's degenerate inputs.
+//! explicitly; `proptest_parallel.rs` fuzzes it on random circuits. COV's
+//! covering phase runs on the calling thread; its tests here pin the
+//! solution cap and the covers against the brute-force oracle.
 
 use gatediag_core::{
-    basic_sim_diagnose, cover_all, generate_failing_tests, sc_diagnose, screen_valid_corrections,
-    sim_backtrack_diagnose, BsimOptions, Budget, CovEngine, CovOptions, MarkPolicy, Parallelism,
-    SimBacktrackOptions, TestSet, Truncation, ValidityBackend, ValidityOracle,
+    basic_sim_diagnose, brute_force_covers, cover_all, generate_failing_tests, sc_diagnose,
+    screen_valid_corrections, BsimOptions, Budget, CovOptions, MarkPolicy, Parallelism, TestSet,
+    Truncation, ValidityBackend, ValidityOracle,
 };
 use gatediag_netlist::{c17, inject_errors, Circuit, GateId, RandomCircuitSpec};
 
@@ -105,35 +104,14 @@ fn bsim_empty_test_set_is_identical() {
 }
 
 #[test]
-fn sim_backtrack_budget_zero_and_empty_tests() {
-    let (faulty, _, tests) = workloads().remove(0);
-    let options = SimBacktrackOptions::default();
-    assert!(sim_backtrack_diagnose(&faulty, &tests, 0, options).is_empty());
-    // Empty test set: every singleton is trivially valid, so the result
-    // is all size-1 sets of marked gates — of which there are none,
-    // because no tests means no marks.
-    assert!(sim_backtrack_diagnose(&faulty, &TestSet::default(), 2, options).is_empty());
-}
-
-#[test]
-fn cov_bnb_is_identical_for_all_worker_counts_and_agrees_with_sat() {
+fn cov_is_identical_for_all_worker_counts_and_agrees_with_the_oracle() {
     for (faulty, _, tests) in workloads() {
         let small = tests.prefix_at_most(12);
-        let sat = sc_diagnose(
-            &faulty,
-            &small,
-            2,
-            CovOptions {
-                engine: CovEngine::Sat,
-                ..CovOptions::default()
-            },
-        );
         let sequential = sc_diagnose(
             &faulty,
             &small,
             2,
             CovOptions {
-                engine: CovEngine::BranchAndBound,
                 bsim: BsimOptions {
                     parallelism: Parallelism::Sequential,
                     ..BsimOptions::default()
@@ -141,7 +119,20 @@ fn cov_bnb_is_identical_for_all_worker_counts_and_agrees_with_sat() {
                 ..CovOptions::default()
             },
         );
-        assert_eq!(sat.solutions, sequential.solutions, "SAT vs BnB covers");
+        let sets: Vec<Vec<GateId>> = sequential
+            .bsim
+            .as_ref()
+            .expect("sc_diagnose keeps its BSIM result")
+            .candidate_sets
+            .iter()
+            .map(|set| set.iter().collect())
+            .collect();
+        assert!(sequential.complete);
+        assert_eq!(
+            sequential.solutions,
+            brute_force_covers(&sets, 2),
+            "covers vs the brute-force oracle"
+        );
         // The worker count shards the BSIM phase; covering runs on the
         // calling thread.
         for parallelism in WORKER_SWEEP {
@@ -150,7 +141,6 @@ fn cov_bnb_is_identical_for_all_worker_counts_and_agrees_with_sat() {
                 &small,
                 2,
                 CovOptions {
-                    engine: CovEngine::BranchAndBound,
                     bsim: BsimOptions {
                         parallelism,
                         ..BsimOptions::default()
@@ -165,92 +155,6 @@ fn cov_bnb_is_identical_for_all_worker_counts_and_agrees_with_sat() {
             assert_eq!(sequential.complete, parallel.complete);
         }
     }
-}
-
-#[test]
-fn cov_bnb_truncation_is_identical() {
-    // Abstract covering instance with many covers, truncated hard.
-    let g = GateId::new;
-    let sets = vec![
-        vec![g(0), g(1), g(5), g(6)],
-        vec![g(2), g(3), g(4), g(5), g(6)],
-        vec![g(1), g(2), g(4), g(7)],
-    ];
-    // max_solutions == 0 keeps the seed's quirk: truncation was only
-    // noticed after a push, so the first cover is still reported.
-    // An unbudgeted run is one recursion with a global early exit; a
-    // budgeted one decomposes over the top-level branches with a cap
-    // each. A budget that never trips must not change the answer.
-    for max_solutions in [0usize, 1, 2, 4, 100] {
-        let run = |budget| {
-            cover_all(
-                &sets,
-                3,
-                CovOptions {
-                    engine: CovEngine::BranchAndBound,
-                    max_solutions,
-                    budget,
-                    ..CovOptions::default()
-                },
-            )
-        };
-        let sequential = run(Budget::default());
-        let decomposed = run(Budget {
-            work: Some(1 << 40),
-            ..Budget::default()
-        });
-        assert_eq!(
-            sequential.solutions, decomposed.solutions,
-            "budgeted covers drifted (max {max_solutions})"
-        );
-        assert_eq!(sequential.complete, decomposed.complete);
-        if max_solutions == 0 {
-            // Seed behaviour: truncation is only noticed after the first
-            // push, so enumeration stops at one raw cover (which the
-            // irredundancy filter may still drop) and reports truncation.
-            assert!(sequential.solutions.len() <= 1);
-            assert!(!sequential.complete);
-        }
-    }
-    // The six twelve-gate sets of `cov_sat_truncation_is_identical` at
-    // k = 3: a budgeted branch stops at its share of the cap and no
-    // branch starts once the cap is reached, so a budget that never
-    // trips expands the unbudgeted recursion's nodes, less its root.
-    let sets: Vec<Vec<GateId>> = (0..6)
-        .map(|i| (0..12).map(|j| g((i * 5 + j * 7) % 30)).collect())
-        .collect();
-    let mut works = Vec::new();
-    for max_solutions in [1usize, 10, 115] {
-        let run = |budget| {
-            cover_all(
-                &sets,
-                3,
-                CovOptions {
-                    engine: CovEngine::BranchAndBound,
-                    max_solutions,
-                    budget,
-                    ..CovOptions::default()
-                },
-            )
-        };
-        let sequential = run(Budget::default());
-        let decomposed = run(Budget {
-            work: Some(1 << 40),
-            ..Budget::default()
-        });
-        assert_eq!(
-            sequential.solutions, decomposed.solutions,
-            "cap {max_solutions}"
-        );
-        assert_eq!(
-            sequential.complete, decomposed.complete,
-            "cap {max_solutions}"
-        );
-        works.push((max_solutions, sequential.work, decomposed.work));
-    }
-    // (cap, unbudgeted work, budgeted work); the budgeted run read 126,
-    // 534 and 1740 while every branch ran to the full cap.
-    assert_eq!(works, [(1, 9, 8), (10, 24, 23), (115, 171, 170)]);
 }
 
 /// How many covers each top-level branch of the SAT cover engine finds
@@ -354,7 +258,6 @@ fn cov_sat_truncation_is_identical() {
                 sets,
                 k,
                 CovOptions {
-                    engine: CovEngine::Sat,
                     max_solutions,
                     ..CovOptions::default()
                 },

@@ -4,7 +4,7 @@
 //! oracle per worker, and must produce *bit-identical diagnosis output*
 //! for every worker count, including the sequential path — these tests
 //! pin that contract the same way `parallel_drift.rs` pins the
-//! simulation side. The COV SAT engine runs its branches on the calling
+//! simulation side. COV runs its covering branches on the calling
 //! thread; its tests sweep the sharded BSIM phase of `sc_diagnose` and
 //! check the cap on raw covering instances. (BSAT builds its instance on
 //! the calling thread, stamping one recorded copy per test;
@@ -12,8 +12,8 @@
 //! one.)
 
 use gatediag_core::{
-    cover_all, generate_failing_tests, sc_diagnose, screen_valid_corrections, BsimOptions, Budget,
-    CovEngine, CovOptions, Parallelism, TestSet, ValidityBackend, ValidityOracle,
+    brute_force_covers, cover_all, generate_failing_tests, sc_diagnose, screen_valid_corrections,
+    BsimOptions, Budget, CovOptions, Parallelism, TestSet, ValidityBackend, ValidityOracle,
 };
 use gatediag_netlist::{inject_errors, Circuit, GateId, RandomCircuitSpec};
 
@@ -113,7 +113,6 @@ fn cov_sat_engine_is_identical_for_all_worker_counts() {
             &small,
             2,
             CovOptions {
-                engine: CovEngine::Sat,
                 bsim: BsimOptions {
                     parallelism: Parallelism::Sequential,
                     ..BsimOptions::default()
@@ -121,26 +120,29 @@ fn cov_sat_engine_is_identical_for_all_worker_counts() {
                 ..CovOptions::default()
             },
         );
-        // The SAT engine must agree with branch-and-bound (the
-        // independent cross-check) and with itself at every worker count
-        // of the sharded BSIM phase.
-        let bnb = sc_diagnose(
-            &faulty,
-            &small,
-            2,
-            CovOptions {
-                engine: CovEngine::BranchAndBound,
-                ..CovOptions::default()
-            },
+        // The covers must equal the brute-force oracle's on the BSIM
+        // candidate sets, and themselves at every worker count of the
+        // sharded BSIM phase.
+        let sets: Vec<Vec<GateId>> = sequential
+            .bsim
+            .as_ref()
+            .expect("sc_diagnose keeps its BSIM result")
+            .candidate_sets
+            .iter()
+            .map(|set| set.iter().collect())
+            .collect();
+        assert!(sequential.complete);
+        assert_eq!(
+            sequential.solutions,
+            brute_force_covers(&sets, 2),
+            "covers vs the brute-force oracle"
         );
-        assert_eq!(sequential.solutions, bnb.solutions, "SAT vs BnB covers");
         for parallelism in WORKER_SWEEP {
             let parallel = sc_diagnose(
                 &faulty,
                 &small,
                 2,
                 CovOptions {
-                    engine: CovEngine::Sat,
                     bsim: BsimOptions {
                         parallelism,
                         ..BsimOptions::default()
@@ -170,7 +172,6 @@ fn cov_sat_abstract_instances_and_truncation_are_invariant() {
             sets,
             3,
             CovOptions {
-                engine: CovEngine::Sat,
                 max_solutions,
                 ..CovOptions::default()
             },

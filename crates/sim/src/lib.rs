@@ -15,9 +15,6 @@
 //! * [`simulate_packed`] — one-shot 64-way bit-parallel simulation (the
 //!   "efficient parallel simulation" of Sec. 1), now a thin wrapper over
 //!   `PackedSim` kept for convenience;
-//! * [`simulate_tv`] — three-valued X-injection simulation (the
-//!   conservative rectifiability check of Boppana et al., the paper's
-//!   reference \[5\]);
 //! * [`SeqPackedSim`] / [`simulate_sequence`] — frame-major sequential
 //!   simulation: `64 * W` input *sequences* at once per time frame, latch
 //!   state words carried frame-to-frame over the explicit
@@ -25,7 +22,7 @@
 //!   reference);
 //! * [`parallel_map_init`] / [`Parallelism`] — a scoped worker pool for
 //!   the embarrassingly parallel diagnosis fan-outs (test batches,
-//!   candidate cones, search branches), built on
+//!   candidate sets, campaign instances), built on
 //!   [`std::thread::scope`] with one reusable engine per worker and
 //!   work-stealing over a shared atomic index. Results are merged in
 //!   item order, so parallel diagnosis is bit-identical to sequential.
@@ -78,7 +75,6 @@ mod packed;
 mod pool;
 mod scalar;
 mod sequential;
-mod tv;
 
 pub use engine::PackedSim;
 pub use packed::{
@@ -90,4 +86,3 @@ pub use pool::{
 };
 pub use scalar::{output_values, simulate, simulate_forced};
 pub use sequential::{pack_rows_into, simulate_sequence, SeqPackedSim};
-pub use tv::{eval_tv, simulate_tv, Tv};

@@ -1,8 +1,8 @@
 //! A small scoped worker pool for embarrassingly parallel diagnosis work.
 //!
 //! The diagnosis flows fan out over *independent* units of work — test
-//! batches in BSIM, candidate sets in validity screening, top-level
-//! branches in the backtrack searches. Each unit needs mutable per-worker scratch (typically a
+//! batches in BSIM, candidate sets in validity screening, instances of a
+//! campaign. Each unit needs mutable per-worker scratch (typically a
 //! reusable [`crate::PackedSim`] engine), and the caller needs results in
 //! a *deterministic* order so that parallel diagnosis is bit-identical to
 //! sequential diagnosis regardless of thread count.

@@ -1,11 +1,11 @@
-//! Property tests for the simulation engines: the packed, three-valued
-//! and sequential engines agree with the scalar reference on random
-//! circuits, vectors and forcings.
+//! Property tests for the simulation engines: the packed and sequential
+//! engines agree with the scalar reference on random circuits, vectors
+//! and forcings.
 
 use gatediag_netlist::{unroll, GateId, RandomCircuitSpec, StateView};
 use gatediag_sim::{
     pack_vectors, pack_vectors_into, simulate, simulate_forced, simulate_packed_forced,
-    simulate_sequence, simulate_tv, unpack_lane, PackedSim, Tv,
+    simulate_sequence, unpack_lane, PackedSim,
 };
 use proptest::prelude::*;
 
@@ -72,29 +72,6 @@ proptest! {
             simulate_packed_forced(&c, &pack_vectors(&c, std::slice::from_ref(&vector)), &packed_force);
         let scalar = simulate_forced(&c, &vector, &forced);
         prop_assert_eq!(unpack_lane(&words, 0), scalar);
-    }
-
-    /// Three-valued simulation without X equals Boolean simulation; with X
-    /// injected, known values never contradict the Boolean run.
-    #[test]
-    fn tv_is_conservative(w in workbench()) {
-        let c = circuit_of(w.seed);
-        let vector = vector_of(&c, w.vector_bits);
-        let inject: Vec<GateId> = forcings(&c, w.force_bits).iter().map(|&(g, _)| g).collect();
-        let tv_in: Vec<Tv> = vector.iter().map(|&b| Tv::from_bool(b)).collect();
-        let tv = simulate_tv(&c, &tv_in, &inject);
-        let boolean = simulate(&c, &vector);
-        for (id, _) in c.iter() {
-            if inject.contains(&id) {
-                prop_assert_eq!(tv[id.index()], Tv::X);
-            } else if let Some(v) = tv[id.index()].to_bool() {
-                // A known three-valued value must match SOME consistent
-                // extension. Setting the injected gates to their Boolean
-                // simulation values is one extension, so the value must
-                // match the plain Boolean simulation.
-                prop_assert_eq!(v, boolean[id.index()], "gate {}", id);
-            }
-        }
     }
 
     /// `PackedSim` with more than 64 patterns (multi-word) and a random

@@ -6,14 +6,14 @@
 //!
 //! * [`netlist`] — circuits, ISCAS89 `.bench` I/O, structural analysis,
 //!   generators, gate-change error injection;
-//! * [`sim`] — bit-parallel, three-valued and event-driven simulation;
+//! * [`sim`] — bit-parallel, event-driven and sequential simulation;
 //! * [`sat`] — an incremental CDCL SAT solver with assumptions and model
 //!   enumeration;
 //! * [`cnf`] — Tseitin encoding, correction multiplexers, cardinality
 //!   constraints;
 //! * [`core`] — the diagnosis engines: BSIM (path tracing), COV (set
-//!   covering), BSAT (SAT-based), advanced variants and hybrids, validity
-//!   oracles and quality metrics;
+//!   covering), BSAT (SAT-based), the hybrid, validity oracles,
+//!   brute-force cross-check oracles and quality metrics;
 //! * [`campaign`] — fault-model-diverse experiment campaigns: a
 //!   circuits × fault models × error counts × seeds × engines matrix
 //!   (plus frames × sequence-length axes for the sequential engines) run
@@ -55,15 +55,14 @@ pub use gatediag_campaign::{
     RetryPolicy, TestGenSpec,
 };
 pub use gatediag_core::{
-    basic_sat_diagnose, basic_sim_diagnose, brute_force_diagnose, bsim_quality,
+    basic_sat_diagnose, basic_sim_diagnose, brute_force_covers, brute_force_diagnose, bsim_quality,
     circuit_content_hash, cover_all, distinguish_pair, generate_discriminating_tests,
     generate_failing_sequences, generate_failing_tests, hybrid_seeded_bsat, is_valid_correction,
-    is_valid_sequential_correction, path_trace, path_trace_packed, run_diagnose, run_engine,
-    sc_diagnose, sim_backtrack_diagnose, simulate_sequence, solution_quality, BsatOptions,
-    BsatResult, BsimOptions, BsimResult, Budget, ChaosConfig, ChaosEvent, ChaosPolicy,
-    CircuitSession, CovEngine, CovOptions, CovResult, DiagnoseOutcome, DiagnoseRequest,
-    DiagnoseStatus, DiagnosisProblem, EngineConfig, EngineKind, EngineRun, MarkPolicy, MuxEncoding,
-    PairOutcome, SequenceTest, SequenceTestSet, SimBacktrackOptions, Test, TestGenOutcome,
+    path_trace, path_trace_packed, run_diagnose, run_engine, sc_diagnose, simulate_sequence,
+    solution_quality, BsatOptions, BsatResult, BsimOptions, BsimResult, Budget, ChaosConfig,
+    ChaosEvent, ChaosPolicy, CircuitSession, CovOptions, CovResult, DiagnoseOutcome,
+    DiagnoseRequest, DiagnoseStatus, DiagnosisProblem, EngineConfig, EngineKind, EngineRun,
+    MarkPolicy, MuxEncoding, PairOutcome, SequenceTest, SequenceTestSet, Test, TestGenOutcome,
     TestGenPolicy, TestSet, Truncation, ValidityBackend, ValidityOracle,
 };
 pub use gatediag_sim::{PackedSim, Parallelism};

@@ -1,15 +1,17 @@
 //! Executable versions of the paper's theory (Sec. 3): Lemmas 1-4 and
 //! Theorems 1-2, checked on the Fig. 5 witnesses and on randomized
-//! circuits with brute-force ground truth.
+//! circuits with brute-force ground truth, plus property tests of the
+//! whole inject → test → diagnose pipeline on random circuits.
 
 use gatediag::core::paper_examples::{lemma2_witness, lemma4_witness};
-use gatediag::netlist::{inject_errors, Circuit, GateId, RandomCircuitSpec};
+use gatediag::netlist::{inject_errors, write_bench, Circuit, GateId, RandomCircuitSpec};
 use gatediag::{
-    basic_sat_diagnose, brute_force_diagnose, generate_failing_tests, is_valid_correction,
-    run_engine, sc_diagnose, BsatOptions, BsimOptions, CovOptions, DiagnosisProblem, EngineConfig,
-    EngineKind, MarkPolicy, SequenceTest, SequenceTestSet, TestSet, ValidityBackend,
-    ValidityOracle,
+    basic_sat_diagnose, brute_force_covers, brute_force_diagnose, generate_failing_tests,
+    is_valid_correction, run_engine, sc_diagnose, BsatOptions, BsimOptions, CovOptions,
+    DiagnosisProblem, EngineConfig, EngineKind, MarkPolicy, SequenceTest, SequenceTestSet, TestSet,
+    ValidityBackend, ValidityOracle,
 };
+use proptest::prelude::*;
 
 /// Validity by the SAT backend, the cross-check for the auto-dispatched
 /// (simulation-backed) [`is_valid_correction`].
@@ -300,4 +302,143 @@ fn one_frame_sequential_problem_equals_the_combinational_one() {
         checked += 1;
     }
     assert!(checked > 0, "no workload was exercised");
+}
+
+#[derive(Clone, Debug)]
+struct Case {
+    seed: u64,
+    p: usize,
+    m: usize,
+}
+
+fn case_strategy() -> impl Strategy<Value = Case> {
+    (0u64..2_000, 1usize..=2, 2usize..=6).prop_map(|(seed, p, m)| Case { seed, p, m })
+}
+
+fn build(case: &Case) -> Option<(Circuit, Vec<GateId>, TestSet)> {
+    let golden = RandomCircuitSpec::new(5, 3, 30).seed(case.seed).generate();
+    let (faulty, sites) = inject_errors(&golden, case.p, case.seed);
+    let tests = generate_failing_tests(&golden, &faulty, case.m, case.seed, 4096);
+    if tests.is_empty() {
+        None
+    } else {
+        Some((faulty, sites.iter().map(|s| s.gate).collect(), tests))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Lemma 3 as a property: BSAT output equals the brute-force set of
+    /// irredundant valid corrections on arbitrary random instances.
+    #[test]
+    fn bsat_equals_ground_truth(case in case_strategy()) {
+        let Some((faulty, _, tests)) = build(&case) else { return Ok(()); };
+        let k = case.p.min(2);
+        let bsat = basic_sat_diagnose(&faulty, &tests, k, BsatOptions::default());
+        prop_assert!(bsat.complete);
+        let brute = brute_force_diagnose(&faulty, &tests, k);
+        prop_assert_eq!(bsat.solutions, brute);
+    }
+
+    /// Fig. 4 as a property: COV's complete covers equal the brute-force
+    /// irredundant covers of its BSIM candidate sets.
+    #[test]
+    fn cov_equals_brute_force_covers(case in case_strategy()) {
+        let Some((faulty, _, tests)) = build(&case) else { return Ok(()); };
+        let cov = sc_diagnose(&faulty, &tests, 2, CovOptions::default());
+        prop_assert!(cov.complete);
+        let sets: Vec<Vec<GateId>> = cov
+            .bsim
+            .as_ref()
+            .expect("sc_diagnose keeps its BSIM result")
+            .candidate_sets
+            .iter()
+            .map(|set| set.iter().collect())
+            .collect();
+        prop_assert_eq!(cov.solutions, brute_force_covers(&sets, 2));
+    }
+
+    /// BSAT's solutions pass both validity oracles identically.
+    #[test]
+    fn engine_solutions_are_coherent(case in case_strategy()) {
+        let Some((faulty, _, tests)) = build(&case) else { return Ok(()); };
+        let bsat = basic_sat_diagnose(&faulty, &tests, 2, BsatOptions::default());
+        for sol in &bsat.solutions {
+            prop_assert!(is_valid_correction(&faulty, &tests, sol));
+            prop_assert!(sat_valid(&faulty, &tests, sol));
+        }
+    }
+
+    /// `.bench` round-trip preserves diagnosis behaviour: parsing the
+    /// written netlist yields a circuit with identical BSAT solutions
+    /// (modulo the id relabeling, compared via gate names).
+    #[test]
+    fn bench_round_trip_preserves_diagnosis(case in case_strategy()) {
+        let Some((faulty, _, tests)) = build(&case) else { return Ok(()); };
+        let text = write_bench(&faulty);
+        let reparsed = gatediag::netlist::parse_bench(&text).expect("round trip parses");
+        prop_assert_eq!(reparsed.num_functional_gates(), faulty.num_functional_gates());
+        // Re-map the tests: inputs/outputs keep names.
+        let remap = |g: GateId| -> GateId {
+            let name = faulty.gate_name(g).expect("generated gates are named");
+            reparsed.find(name).expect("name survives round trip")
+        };
+        let remapped: TestSet = tests
+            .iter()
+            .map(|t| {
+                // Input ORDER may differ after reparse; rebuild by name.
+                let mut vector = vec![false; reparsed.inputs().len()];
+                for (&pi, &v) in faulty.inputs().iter().zip(&t.vector) {
+                    let new_pi = remap(pi);
+                    let pos = reparsed
+                        .inputs()
+                        .iter()
+                        .position(|&x| x == new_pi)
+                        .expect("input stays an input");
+                    vector[pos] = v;
+                }
+                gatediag::Test { vector, output: remap(t.output), expected: t.expected }
+            })
+            .collect();
+        let a = basic_sat_diagnose(&faulty, &tests, 1, BsatOptions::default());
+        let b = basic_sat_diagnose(&reparsed, &remapped, 1, BsatOptions::default());
+        let a_names: Vec<Vec<&str>> = a
+            .solutions
+            .iter()
+            .map(|sol| sol.iter().map(|&g| faulty.gate_name(g).unwrap()).collect())
+            .collect();
+        let mut b_names: Vec<Vec<&str>> = b
+            .solutions
+            .iter()
+            .map(|sol| sol.iter().map(|&g| reparsed.gate_name(g).unwrap()).collect())
+            .collect();
+        for sol in &mut b_names {
+            sol.sort();
+        }
+        let mut a_sorted = a_names;
+        for sol in &mut a_sorted {
+            sol.sort();
+        }
+        a_sorted.sort();
+        b_names.sort();
+        prop_assert_eq!(a_sorted, b_names);
+    }
+
+    /// More tests can only shrink or keep BSAT's solution set at k=1
+    /// (additional constraints never add size-1 corrections).
+    #[test]
+    fn more_tests_never_add_singleton_solutions(case in case_strategy()) {
+        let Some((faulty, _, tests)) = build(&case) else { return Ok(()); };
+        if tests.len() < 2 { return Ok(()); }
+        let half = tests.prefix(tests.len() / 2);
+        let small = basic_sat_diagnose(&faulty, &half, 1, BsatOptions::default());
+        let big = basic_sat_diagnose(&faulty, &tests, 1, BsatOptions::default());
+        for sol in &big.solutions {
+            prop_assert!(
+                small.solutions.contains(sol),
+                "{:?} appeared only with more tests", sol
+            );
+        }
+    }
 }

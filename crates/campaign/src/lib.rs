@@ -72,5 +72,5 @@ pub use runner::{
 };
 pub use spec::{
     validate_frames, validate_seq_len, CampaignSpec, InstanceSpec, RetryOn, RetryPolicy,
-    TestGenSpec, MAX_FRAMES, MAX_SEQ_LEN,
+    MAX_FRAMES, MAX_SEQ_LEN,
 };

@@ -24,7 +24,7 @@
 //! `r.to_json(false)`.
 
 use crate::report::{CampaignReport, InstanceRecord, InstanceStatus, TestGenRecord};
-use crate::spec::{RetryOn, RetryPolicy, TestGenSpec};
+use crate::spec::{RetryOn, RetryPolicy};
 use gatediag_core::{ChaosConfig, EngineKind};
 use gatediag_netlist::FaultModel;
 use gatediag_obs::json::{parse_json, Json, JsonError};
@@ -296,19 +296,16 @@ pub fn parse_report(text: &str) -> Result<CampaignReport, ReadError> {
         }
     };
     // Absent (every legacy report, and campaigns without the phase) or
-    // null means "test generation off".
+    // null means "test generation off". Older reports also carry a
+    // `rounds` key, which never changed an answer and is ignored.
     let test_gen = match matrix.get("test_gen") {
-        None | Some(Json::Null) => None,
+        None | Some(Json::Null) => false,
         Some(obj) => {
             let mode = obj.expect("mode", "test_gen")?.as_str("test_gen mode")?;
             if mode != "sat" {
                 return err(format!("test_gen: unknown mode `{mode}`"));
             }
-            Some(TestGenSpec {
-                rounds: obj
-                    .expect("rounds", "test_gen")?
-                    .as_usize("test_gen rounds")?,
-            })
+            true
         }
     };
     // Absent (legacy and default reports) means the extended solver

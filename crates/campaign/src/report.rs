@@ -9,7 +9,7 @@
 //! campaign drift tests pin. Pass `include_timing = true` to add the
 //! wall-clock column for local profiling.
 
-use crate::spec::{CampaignSpec, RetryPolicy, TestGenSpec};
+use crate::spec::{CampaignSpec, RetryPolicy};
 use gatediag_core::{ChaosConfig, EngineKind};
 use gatediag_netlist::FaultModel;
 use gatediag_obs::json::escape_str;
@@ -214,11 +214,11 @@ pub struct CampaignReport {
     pub chaos: Option<ChaosConfig>,
     /// Retry policy of the run.
     pub retry: RetryPolicy,
-    /// Discriminating-test-generation settings (`None` = off). Echoed so
-    /// a resume cannot silently mix shrunk and unshrunk records; emitted
-    /// in the JSON matrix only when set, so legacy reports round-trip
+    /// Whether discriminating-test generation ran. Echoed so a resume
+    /// cannot silently mix shrunk and unshrunk records; emitted in the
+    /// JSON matrix only when set, so legacy reports round-trip
     /// byte-for-byte.
-    pub test_gen: Option<TestGenSpec>,
+    pub test_gen: bool,
     /// Whether the extended solver-statistics columns are emitted.
     /// Echoed in the JSON matrix only when `true` (legacy reports stay
     /// byte-identical) and limit-checked on resume: a report with the
@@ -414,12 +414,8 @@ impl CampaignReport {
         );
         // Emitted only when the phase is on, so reports from campaigns
         // without it — including every legacy report — are unchanged.
-        if let Some(tg) = self.test_gen {
-            let _ = writeln!(
-                out,
-                "    \"test_gen\": {{\"mode\": \"sat\", \"rounds\": {}}},",
-                tg.rounds
-            );
+        if self.test_gen {
+            let _ = writeln!(out, "    \"test_gen\": {{\"mode\": \"sat\"}},");
         }
         // Same conditional-emission rule: the flag appears only when the
         // extended columns do, so every legacy report is unchanged.

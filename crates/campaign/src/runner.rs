@@ -263,8 +263,8 @@ pub fn resume_campaign_checkpointed(
         // fresh run of either spec.
         (
             "test_gen",
-            format!("{:?}", spec.test_gen),
-            format!("{:?}", previous.test_gen),
+            spec.test_gen.to_string(),
+            previous.test_gen.to_string(),
         ),
         // The extended solver-statistics columns change the serialised
         // shape of every record; mixing reports with and without them
@@ -711,7 +711,7 @@ fn run_attempt_inner(
         conflict_budget: spec.conflict_budget,
         work_budget: spec.work_budget,
         deadline_ms: spec.deadline_ms,
-        test_gen_rounds: spec.test_gen.map(|tg| tg.rounds),
+        test_gen: spec.test_gen,
     };
     // The campaign level owns the worker pool, so engines inside one
     // instance are pinned sequential; see the module docs.

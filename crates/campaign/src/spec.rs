@@ -139,10 +139,11 @@ pub struct CampaignSpec {
     /// informational: excluded from the resume limit checks.
     pub bench_warnings: Vec<String>,
     /// SAT-guided discriminating-test generation after each instance's
-    /// diagnosis (`None` = off, the default). When on, every record
-    /// carries the `gen_tests` / `solutions_before` / `solutions_after` /
+    /// diagnosis (`--test-gen sat`, off by default; see
+    /// `gatediag_core::testgen`). When on, every record carries the
+    /// `gen_tests` / `solutions_before` / `solutions_after` /
     /// `ambiguity_classes` shrinkage columns.
-    pub test_gen: Option<TestGenSpec>,
+    pub test_gen: bool,
     /// Attach the per-instance observability trace (spans + counters,
     /// see `gatediag_obs`) to every record, for `--trace` / `--profile`.
     /// Off by default; the JSON/CSV reports are byte-identical either
@@ -153,21 +154,6 @@ pub struct CampaignSpec {
     /// are always measured; the flag only gates emission, so reports
     /// from campaigns without it stay byte-identical to legacy output.
     pub solver_stats: bool,
-}
-
-/// Campaign-level settings for the discriminating-test generation phase
-/// (`--test-gen sat`); see `gatediag_core::testgen`.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct TestGenSpec {
-    /// Maximum generation passes over the unresolved candidates
-    /// (`TestGenPolicy::rounds`).
-    pub rounds: usize,
-}
-
-impl Default for TestGenSpec {
-    fn default() -> Self {
-        TestGenSpec { rounds: 4 }
-    }
 }
 
 impl CampaignSpec {
@@ -194,7 +180,7 @@ impl CampaignSpec {
             chaos: None,
             retry: RetryPolicy::default(),
             bench_warnings: Vec::new(),
-            test_gen: None,
+            test_gen: false,
             collect_obs: false,
             solver_stats: false,
         }

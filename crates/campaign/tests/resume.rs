@@ -7,7 +7,7 @@
 //! matrix beyond what the partial run covered.
 
 use gatediag_campaign::{
-    parse_report, resume_campaign, run_campaign, CampaignSpec, InstanceStatus, TestGenSpec,
+    parse_report, resume_campaign, run_campaign, CampaignSpec, InstanceStatus,
 };
 use gatediag_core::EngineKind;
 use gatediag_netlist::{FaultModel, RandomCircuitSpec};
@@ -164,7 +164,7 @@ fn resume_rejects_mismatched_limits() {
         // every record — resuming across the switch must be rejected.
         (
             "test_gen",
-            Box::new(|s: &mut CampaignSpec| s.test_gen = Some(TestGenSpec::default())),
+            Box::new(|s: &mut CampaignSpec| s.test_gen = true),
         ),
     ] {
         let mut changed = spec.clone();
@@ -193,12 +193,12 @@ fn legacy_reports_without_test_gen_columns_resume_cleanly() {
         "a test-gen-off report must not mention the feature at all"
     );
     let parsed = parse_report(&json).expect("legacy-shaped report parses");
-    assert_eq!(parsed.test_gen, None);
+    assert!(!parsed.test_gen);
     assert!(parsed.records.iter().all(|r| r.test_gen.is_none()));
     assert!(resume_campaign(&spec, &parsed).is_ok());
     // But a spec that turned the phase on cannot reuse those records.
     let mut on = spec.clone();
-    on.test_gen = Some(TestGenSpec { rounds: 2 });
+    on.test_gen = true;
     let e = resume_campaign(&on, &parsed).expect_err("test-gen switch must be rejected");
     assert!(e.contains("test_gen"), "{e}");
 }
@@ -209,17 +209,24 @@ fn test_gen_resume_matches_a_fresh_full_run() {
     // resuming a half-matrix test-gen campaign through the JSON file
     // reproduces the fresh full test-gen run byte-for-byte.
     let mut full_spec = base_spec();
-    full_spec.test_gen = Some(TestGenSpec::default());
+    full_spec.test_gen = true;
     let fresh = run_campaign(&full_spec);
     let mut half_spec = full_spec.clone();
     half_spec.seeds = vec![1];
-    let partial = run_campaign(&half_spec);
-    let parsed = parse_report(&partial.to_json(false)).expect("partial report parses");
-    assert_eq!(parsed.test_gen, Some(TestGenSpec::default()));
-    let resumed = resume_campaign(&full_spec, &parsed).expect("limits match");
-    assert_eq!(resumed.to_json(false), fresh.to_json(false));
-    assert_eq!(resumed.to_csv(false), fresh.to_csv(false));
-    assert_eq!(resumed.summary_table(), fresh.summary_table());
+    let partial = run_campaign(&half_spec).to_json(false);
+    // Older reports also echo a `rounds` setting; the reader ignores it,
+    // so they resume exactly like current ones.
+    let echo = "\"test_gen\": {\"mode\": \"sat\"}";
+    assert!(partial.contains(echo), "{partial}");
+    let older = partial.replacen(echo, "\"test_gen\": {\"mode\": \"sat\", \"rounds\": 4}", 1);
+    for json in [partial, older] {
+        let parsed = parse_report(&json).expect("partial report parses");
+        assert!(parsed.test_gen);
+        let resumed = resume_campaign(&full_spec, &parsed).expect("limits match");
+        assert_eq!(resumed.to_json(false), fresh.to_json(false));
+        assert_eq!(resumed.to_csv(false), fresh.to_csv(false));
+        assert_eq!(resumed.summary_table(), fresh.summary_table());
+    }
 }
 
 #[test]

@@ -19,8 +19,8 @@
 //!   `Σ s_g ≤ k`, the totalizer exposing incremental per-`k` assumption
 //!   literals (the Zchaff-style incremental usage of Fig. 3);
 //! * [`ClauseSink`] / [`CnfCollector`] / [`BlockRecorder`] — encode into
-//!   a live solver, capture the formula for DIMACS export and brute-force
-//!   cross-checks, or record a fragment once and stamp it into solvers
+//!   a live solver, capture the formula for brute-force cross-checks, or
+//!   record a fragment once and stamp it into solvers
 //!   per use ([`gatediag_sat::Solver::add_block`]; BSAT records one
 //!   instrumented copy and stamps it per test).
 //!

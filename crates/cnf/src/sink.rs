@@ -8,7 +8,7 @@ use gatediag_sat::{ClauseBlock, Lit, Solver, Var};
 ///
 /// Implemented by [`Solver`](gatediag_sat::Solver) (encode directly into
 /// the solver), by [`CnfCollector`] (capture the formula, e.g. for
-/// DIMACS export or brute-force cross-checks) and by [`BlockRecorder`]
+/// brute-force cross-checks) and by [`BlockRecorder`]
 /// (record a fragment once, append it to solvers many times).
 pub trait ClauseSink {
     /// Allocates a fresh variable.

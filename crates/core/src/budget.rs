@@ -134,24 +134,6 @@ impl Budget {
         self
     }
 
-    /// The element-wise intersection of this budget with `other`: the
-    /// smaller of each pair of limits wins, the anchor is kept (falling
-    /// back to `other`'s). Phases with their own sub-budget (the testgen
-    /// phase) use this so they can never outlive the run budget.
-    pub fn constrain(mut self, other: &Budget) -> Budget {
-        fn min_opt(a: Option<u64>, b: Option<u64>) -> Option<u64> {
-            match (a, b) {
-                (Some(x), Some(y)) => Some(x.min(y)),
-                (x, y) => x.or(y),
-            }
-        }
-        self.work = min_opt(self.work, other.work);
-        self.deadline_ms = min_opt(self.deadline_ms, other.deadline_ms);
-        self.conflicts = min_opt(self.conflicts, other.conflicts);
-        self.anchor = self.anchor.or(other.anchor);
-        self
-    }
-
     /// The absolute deadline instant, if any (anchor + `deadline_ms`).
     pub fn deadline_instant(&self) -> Option<Instant> {
         self.deadline_ms
@@ -173,8 +155,8 @@ impl Budget {
     }
 
     /// Starts a [`BudgetMeter`] for this budget. The deadline is resolved
-    /// to an absolute instant here, so forked meters and sibling phases
-    /// race the same wall-clock point.
+    /// to an absolute instant here, so sibling phases race the same
+    /// wall-clock point.
     pub fn meter(&self) -> BudgetMeter {
         BudgetMeter {
             work_limit: self.work.unwrap_or(u64::MAX),
@@ -361,28 +343,5 @@ mod tests {
         assert!(Truncation::Work.is_preemption());
         assert!(Truncation::TestGen.is_preemption());
         assert!(!Truncation::Solutions.is_preemption());
-    }
-
-    #[test]
-    fn constrain_takes_the_smaller_of_each_limit() {
-        let a = Budget {
-            work: Some(10),
-            deadline_ms: None,
-            conflicts: Some(100),
-            anchor: None,
-        };
-        let b = Budget {
-            work: Some(5),
-            deadline_ms: Some(1_000),
-            conflicts: Some(200),
-            anchor: Some(Instant::now()),
-        };
-        let c = a.constrain(&b);
-        assert_eq!(c.work, Some(5));
-        assert_eq!(c.deadline_ms, Some(1_000));
-        assert_eq!(c.conflicts, Some(100));
-        assert_eq!(c.anchor, b.anchor);
-        let d = Budget::default().constrain(&Budget::default());
-        assert_eq!(d, Budget::default());
     }
 }

@@ -24,7 +24,7 @@ use crate::chaos::{ChaosEvent, ChaosPolicy};
 use crate::cov::{sc_diagnose, CovOptions};
 use crate::hybrid::hybrid_seeded_bsat;
 use crate::problem::DiagnosisProblem;
-use crate::testgen::{generate_discriminating_tests, TestGenOutcome, TestGenPolicy};
+use crate::testgen::{generate_discriminating_tests, TestGenOutcome};
 use crate::validity::{screen_valid_corrections, ValidityBackend};
 use gatediag_netlist::{Circuit, GateId};
 use gatediag_sat::SolverStats;
@@ -155,11 +155,8 @@ pub struct EngineConfig {
     pub chaos: ChaosPolicy,
     /// When `Some`, run the SAT-guided discriminating-test generation
     /// phase (see [`crate::testgen`]) over the engine's solutions after
-    /// diagnosis. Requires [`EngineConfig::reference`]. Off by default.
-    pub test_gen: Option<TestGenPolicy>,
-    /// The golden reference circuit the test-generation phase diffs
-    /// against. Only consulted when [`EngineConfig::test_gen`] is `Some`.
-    pub reference: Option<Circuit>,
+    /// diagnosis, against this golden reference circuit. Off by default.
+    pub test_gen: Option<Circuit>,
 }
 
 impl Default for EngineConfig {
@@ -172,7 +169,6 @@ impl Default for EngineConfig {
             parallelism: Parallelism::default(),
             chaos: ChaosPolicy::off(),
             test_gen: None,
-            reference: None,
         }
     }
 }
@@ -561,19 +557,14 @@ pub(crate) fn run_engine_sharing(
         .test_gen
         .as_ref()
         .filter(|_| !problem.is_sequential());
-    if let Some(policy) = test_gen {
+    if let Some(golden) = test_gen {
         if !run.truncation.is_some_and(|t| t.is_preemption()) {
-            let golden = config
-                .reference
-                .as_ref()
-                .expect("EngineConfig::test_gen requires EngineConfig::reference");
             let outcome = {
                 let _phase = gatediag_obs::span("testgen");
                 generate_discriminating_tests(
                     golden,
                     circuit,
                     &run.solutions,
-                    policy,
                     &budget,
                     config.parallelism,
                     config.validity_backend,
@@ -883,8 +874,7 @@ mod tests {
         let (golden, faulty, tests) = golden_workload();
         let problem = DiagnosisProblem::combinational(faulty, tests);
         let config = |parallelism| EngineConfig {
-            test_gen: Some(TestGenPolicy::default()),
-            reference: Some(golden.clone()),
+            test_gen: Some(golden.clone()),
             parallelism,
             ..EngineConfig::default()
         };
@@ -913,8 +903,7 @@ mod tests {
             EngineKind::Cov,
             &problem,
             &EngineConfig {
-                test_gen: Some(TestGenPolicy::default()),
-                reference: Some(golden),
+                test_gen: Some(golden),
                 budget: Budget {
                     work: Some(1),
                     ..Budget::default()
@@ -928,20 +917,19 @@ mod tests {
 
     #[test]
     fn test_gen_budget_exhaustion_surfaces_as_testgen_preemption() {
+        // COV at k = 1 runs no solver, so the diagnosis completes under a
+        // one-conflict budget and the phase's first conflict stops it.
         let (golden, faulty, tests) = golden_workload();
         let problem = DiagnosisProblem::combinational(faulty, tests);
         let run = run_engine(
             EngineKind::Cov,
             &problem,
             &EngineConfig {
-                test_gen: Some(TestGenPolicy {
-                    budget: Budget {
-                        work: Some(0),
-                        ..Budget::default()
-                    },
-                    ..TestGenPolicy::default()
-                }),
-                reference: Some(golden),
+                test_gen: Some(golden),
+                budget: Budget {
+                    conflicts: Some(1),
+                    ..Budget::default()
+                },
                 ..EngineConfig::default()
             },
         );
@@ -949,9 +937,9 @@ mod tests {
         assert_eq!(run.truncation, Some(Truncation::TestGen));
         assert!(!run.complete);
         let outcome = run.test_gen.as_ref().unwrap();
-        // Zero queries ran: nothing refuted, everything survives.
-        assert_eq!(outcome.solutions_after, outcome.solutions_before);
-        assert!(outcome.tests.is_empty());
+        assert_eq!(outcome.stats.conflicts, 1, "phase ran past its budget");
+        assert_eq!(outcome.solutions_before, run.solutions.len());
+        assert!(outcome.solutions_after <= outcome.solutions_before);
     }
 
     #[test]

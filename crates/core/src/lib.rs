@@ -146,9 +146,7 @@ pub use session::{
     MAX_CACHED_PREPARES, MAX_FRAMES, MAX_SEQ_LEN,
 };
 pub use test_set::{generate_failing_tests, Test, TestSet};
-pub use testgen::{
-    distinguish_pair, generate_discriminating_tests, PairOutcome, TestGenOutcome, TestGenPolicy,
-};
+pub use testgen::{generate_discriminating_tests, TestGenOutcome};
 pub use validity::{
     is_valid_correction, screen_valid_corrections, ScreenOutcome, ValidityBackend, ValidityOracle,
     SIM_MAX_CANDIDATES,

@@ -51,7 +51,6 @@ use crate::engine::{run_engine_sharing, CoverMemo, EngineConfig, EngineKind, Eng
 use crate::problem::DiagnosisProblem;
 use crate::sequential::{generate_failing_sequences, SequenceTestSet};
 use crate::test_set::{generate_failing_tests, TestSet};
-use crate::testgen::TestGenPolicy;
 
 /// Hard cap on a campaign/CLI time-frame count: unrolling is linear in
 /// frames per instance, so an absurd `--frames` is clamped here rather
@@ -125,8 +124,8 @@ pub struct DiagnoseRequest {
     /// Wall-clock deadline; `Some` makes the run nondeterministic and
     /// therefore uncacheable.
     pub deadline_ms: Option<u64>,
-    /// Discriminating-test generation rounds; `None` = phase off.
-    pub test_gen_rounds: Option<usize>,
+    /// Run the discriminating-test generation phase after diagnosis.
+    pub test_gen: bool,
 }
 
 impl Default for DiagnoseRequest {
@@ -148,7 +147,7 @@ impl Default for DiagnoseRequest {
             conflict_budget: Some(5_000_000),
             work_budget: None,
             deadline_ms: None,
-            test_gen_rounds: None,
+            test_gen: false,
         }
     }
 }
@@ -158,8 +157,8 @@ impl DiagnoseRequest {
     /// front doors (CLI, campaign, daemon) pass through, so they cannot
     /// drift on clamping or policy rules:
     ///
-    /// * `p`, `tests`, `k`, `max_solutions`, `test_gen_rounds` must be
-    ///   positive where present;
+    /// * `p`, `tests`, `k`, `max_solutions` must be positive where
+    ///   present;
     /// * a sequential axis (`frames`/`seq_len`) maps combinational
     ///   engines onto their sequential variants (`bsim` → `seq-bsim`,
     ///   `bsat` → `seq-bsat`) and rejects engines without one;
@@ -189,9 +188,6 @@ impl DiagnoseRequest {
         if req.max_solutions == 0 {
             return Err("--max-solutions must be at least 1".to_string());
         }
-        if req.test_gen_rounds == Some(0) {
-            return Err("--test-gen-rounds must be at least 1".to_string());
-        }
         let sequential_axes = req.frames.is_some() || req.seq_len.is_some();
         if req.engine.is_sequential() || sequential_axes {
             req.engine = match req.engine {
@@ -207,7 +203,7 @@ impl DiagnoseRequest {
             };
             req.frames = Some(validate_frames(req.frames.unwrap_or(3))?);
             req.seq_len = Some(validate_seq_len(req.seq_len.unwrap_or(4))?);
-            if req.test_gen_rounds.is_some() {
+            if req.test_gen {
                 return Err(
                     "discriminating-test generation is combinational-only (drop --test-gen or --frames)"
                         .to_string(),
@@ -239,11 +235,7 @@ impl DiagnoseRequest {
             },
             parallelism,
             chaos,
-            test_gen: self.test_gen_rounds.map(|rounds| TestGenPolicy {
-                rounds,
-                ..TestGenPolicy::default()
-            }),
-            reference: self.test_gen_rounds.is_some().then(|| golden.clone()),
+            test_gen: self.test_gen.then(|| golden.clone()),
             ..EngineConfig::default()
         }
     }
@@ -838,7 +830,7 @@ mod tests {
         // Test generation is combinational-only.
         let req = DiagnoseRequest {
             engine: EngineKind::SeqBsim,
-            test_gen_rounds: Some(2),
+            test_gen: true,
             ..DiagnoseRequest::default()
         };
         assert!(req.validated().unwrap_err().contains("combinational-only"));
@@ -852,7 +844,6 @@ mod tests {
             |r| r.max_test_vectors = 0,
             |r| r.k = Some(0),
             |r| r.max_solutions = 0,
-            |r| r.test_gen_rounds = Some(0),
         ] {
             let mut req = DiagnoseRequest::default();
             mutate(&mut req);

@@ -17,9 +17,7 @@
 //! * the **golden** circuit `G` and the **faulty** circuit `F`;
 //! * `2^|C|` copies of `F` with `C`'s gates **pinned** to each constant
 //!   assignment ([`gatediag_cnf::encode_pinned_copy`]) — the universal
-//!   expansion of "no free values at `C` rectify this output";
-//! * optionally a copy with a rival candidate's gates **freed**
-//!   ([`gatediag_cnf::encode_freed_copy`]) for the pairwise form.
+//!   expansion of "no free values at `C` rectify this output".
 //!
 //! A per-output selector `d_o` (with an at-least-one clause) activates,
 //! for its output `o`: `F[o] ≠ G[o]` (the model is a genuinely *failing*
@@ -29,11 +27,16 @@
 //! (under the accumulated blocking clauses) proves `C` *golden-consistent*
 //! — no unseen failing test can ever refute it.
 //!
-//! Golden-consistency is also why one query per candidate suffices for
-//! pairwise discrimination: every failing test is rectifiable by every
+//! Golden-consistency is also why one query per candidate suffices to
+//! tell candidates apart: every failing test is rectifiable by every
 //! golden-consistent candidate, so two of them can never be told apart by
 //! failing tests — they are behaviorally equivalent as diagnoses and
 //! merge into one ambiguity class.
+//!
+//! The phase is one pass over the candidates. Each query runs under the
+//! run budget's remaining conflicts, so a query the budget stops leaves
+//! nothing for a later one: the pass ends there and reports
+//! [`Truncation::TestGen`].
 //!
 //! Each model is harvested both as a plain vector (for the blocking
 //! clause that guarantees progress) and directly into
@@ -53,46 +56,17 @@ use crate::budget::{Budget, Truncation};
 use crate::test_set::{Test, TestSet};
 use crate::validity::{screen_valid_corrections, ValidityBackend};
 use gatediag_cnf::{
-    block_input_vector, encode_circuit, encode_freed_copy, encode_pinned_copy, harvest_input_lane,
+    block_input_vector, encode_circuit, encode_pinned_copy, harvest_input_lane,
     harvest_input_vector, tie_inputs, CircuitVars, ClauseSink,
 };
 use gatediag_netlist::{Circuit, GateId, GateKind};
-use gatediag_sat::{SolveResult, Solver, SolverStats, Var};
+use gatediag_sat::{SolveResult, Solver, SolverStats};
 use gatediag_sim::Parallelism;
 
 /// Universal-expansion cap: candidates with more gates than this would
 /// need `2^|C|` pinned copies per query and are left unresolved instead
 /// (they survive as their own ambiguity class).
 pub const EXPAND_MAX: usize = 4;
-
-/// Knobs of the test-generation phase (off by default: the phase only
-/// runs when [`crate::EngineConfig::test_gen`] is `Some`).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct TestGenPolicy {
-    /// Maximum generation passes over the unresolved candidates. One
-    /// pass resolves every candidate whose query finishes (refuted or
-    /// proven golden-consistent); later passes only retry queries that
-    /// gave up on [`TestGenPolicy::per_pair_conflicts`].
-    pub rounds: usize,
-    /// Conflict cap per individual query (`None` = unlimited). A query
-    /// that gives up leaves its candidate unresolved.
-    pub per_pair_conflicts: Option<u64>,
-    /// Budget for the whole phase, intersected with the run budget
-    /// ([`Budget::constrain`]). Its deterministic work unit is **one SAT
-    /// query**; its conflict limit caps the phase's *cumulative*
-    /// conflicts.
-    pub budget: Budget,
-}
-
-impl Default for TestGenPolicy {
-    fn default() -> Self {
-        TestGenPolicy {
-            rounds: 4,
-            per_pair_conflicts: None,
-            budget: Budget::default(),
-        }
-    }
-}
 
 /// Result of one test-generation phase.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -117,27 +91,13 @@ pub struct TestGenOutcome {
     /// Values are solution indices; `classes.len()` is the campaign's
     /// `ambiguity_classes` column.
     pub classes: Vec<Vec<usize>>,
-    /// `Some(`[`Truncation::TestGen`]`)` when the phase's budget stopped
-    /// it before resolving every candidate (work/conflicts/deadline, a
-    /// per-query cap that left a candidate unresolved, or a truncated
-    /// re-screen); `None` when the phase ran to completion.
+    /// `Some(`[`Truncation::TestGen`]`)` when the run budget stopped the
+    /// phase before it resolved every candidate (work, conflicts or
+    /// deadline, or a truncated re-screen); `None` when the phase ran to
+    /// completion.
     pub truncation: Option<Truncation>,
     /// Accumulated SAT statistics of every query plus the re-screen.
     pub stats: SolverStats,
-}
-
-/// Verdict of a single pairwise discrimination query
-/// ([`distinguish_pair`]).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum PairOutcome {
-    /// A failing test exists that `keeper` rectifies and `refuted`
-    /// provably cannot: the harvested tests (one per selected output).
-    Distinguished(Vec<Test>),
-    /// No failing input vector outside the blocked set separates the
-    /// pair: proven equivalent as diagnoses.
-    Indistinguishable,
-    /// The conflict cap expired before the solver decided.
-    Unknown,
 }
 
 /// `true` when `candidate` can take the refuted side of a query: small
@@ -150,16 +110,14 @@ fn expandable(circuit: &Circuit, candidate: &[GateId]) -> bool {
             .all(|&g| circuit.gate(g).kind() != GateKind::Input)
 }
 
-/// Encodes one refutation/discrimination query into `solver`; returns the
-/// golden copy's variable map (the canonical input vector) and the
-/// per-output selector variables.
+/// Encodes the refutation query of `refuted` into `solver`; returns the
+/// golden copy's variable map (the canonical input vector).
 fn build_query(
     solver: &mut Solver,
     golden: &Circuit,
     faulty: &Circuit,
     refuted: &[GateId],
-    keeper: Option<&[GateId]>,
-) -> (CircuitVars, Vec<Var>) {
+) -> CircuitVars {
     let g = encode_circuit(solver, golden);
     let f = encode_circuit(solver, faulty);
     tie_inputs(solver, (&g, golden.inputs()), (&f, faulty.inputs()));
@@ -174,12 +132,6 @@ fn build_query(
         tie_inputs(solver, (&g, golden.inputs()), (&copy, faulty.inputs()));
         pinned_copies.push(copy);
     }
-    let freed = keeper.map(|gates| {
-        let copy = encode_freed_copy(solver, faulty, gates);
-        tie_inputs(solver, (&g, golden.inputs()), (&copy, faulty.inputs()));
-        copy
-    });
-    let mut selectors = Vec::with_capacity(golden.outputs().len());
     let mut at_least_one = Vec::with_capacity(golden.outputs().len());
     for (&go, &fo) in golden.outputs().iter().zip(faulty.outputs()) {
         let d = ClauseSink::new_var(solver);
@@ -196,87 +148,16 @@ fn build_query(
             solver.add_clause(&[dn, gl, pl]);
             solver.add_clause(&[dn, !gl, !pl]);
         }
-        // d -> R[o] == G[o]: the keeper candidate rectifies o.
-        if let Some(copy) = &freed {
-            let rl = copy.lit(fo, true);
-            solver.add_clause(&[dn, !gl, rl]);
-            solver.add_clause(&[dn, gl, !rl]);
-        }
-        selectors.push(d);
         at_least_one.push(d.positive());
     }
     solver.add_clause(&at_least_one);
-    (g, selectors)
-}
-
-/// Asks for a failing test that `keeper` rectifies and `refuted` cannot —
-/// the pairwise discrimination query, exposed for direct use (the phase
-/// loop itself only needs the refutation form: see the module docs on
-/// golden-consistency).
-///
-/// Vectors in `blocked` are excluded from the search, so a caller looping
-/// over this function never sees a vector twice. The returned tests are
-/// confirmed by simulation before being reported.
-///
-/// # Panics
-///
-/// Panics if `refuted` is not expandable (more than [`EXPAND_MAX`] gates,
-/// or containing a primary input) or the circuits' interfaces mismatch.
-pub fn distinguish_pair(
-    golden: &Circuit,
-    faulty: &Circuit,
-    keeper: &[GateId],
-    refuted: &[GateId],
-    blocked: &[Vec<bool>],
-    conflict_budget: Option<u64>,
-) -> PairOutcome {
-    assert!(
-        expandable(faulty, refuted),
-        "refuted candidate exceeds EXPAND_MAX or contains an input"
-    );
-    let mut solver = Solver::new();
-    let (vars, selectors) = build_query(&mut solver, golden, faulty, refuted, Some(keeper));
-    for vector in blocked {
-        block_input_vector(&mut solver, &vars, golden.inputs(), vector);
-    }
-    solver.set_conflict_budget(conflict_budget);
-    match solver.solve(&[]) {
-        SolveResult::Unsat => PairOutcome::Indistinguishable,
-        SolveResult::Unknown => PairOutcome::Unknown,
-        SolveResult::Sat => {
-            let vector = harvest_input_vector(&solver, &vars, golden.inputs());
-            let golden_values = gatediag_sim::simulate(golden, &vector);
-            let faulty_values = gatediag_sim::simulate(faulty, &vector);
-            let tests: Vec<Test> = golden
-                .outputs()
-                .iter()
-                .zip(faulty.outputs())
-                .zip(&selectors)
-                .filter(|(_, &d)| solver.model_value(d.positive()) == Some(true))
-                .map(|((&go, &fo), _)| {
-                    let expected = golden_values[go.index()];
-                    debug_assert_ne!(
-                        faulty_values[fo.index()],
-                        expected,
-                        "selected output does not fail"
-                    );
-                    Test {
-                        vector: vector.clone(),
-                        output: go,
-                        expected,
-                    }
-                })
-                .collect();
-            debug_assert!(!tests.is_empty(), "SAT model selected no output");
-            PairOutcome::Distinguished(tests)
-        }
-    }
+    g
 }
 
 /// Resolution state of one input solution during the phase loop.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 enum Status {
-    /// Not yet queried, or the query gave up on its conflict cap.
+    /// Not yet queried, or the query the budget stopped.
     Open,
     /// Proven golden-consistent: no unseen failing test refutes it.
     Consistent,
@@ -286,21 +167,21 @@ enum Status {
     Skipped,
 }
 
-/// Runs the discriminating-test generation phase: one refutation query
-/// per unresolved candidate per round, harvesting/blocking models,
+/// Runs the discriminating-test generation phase: one pass of refutation
+/// queries over the expandable candidates, harvesting/blocking models,
 /// confirming them by one packed simulation sweep, then re-screening the
 /// input solutions against the generated tests alone.
 ///
-/// `run_budget` is the surrounding run's budget; the phase budget is its
-/// intersection with [`TestGenPolicy::budget`]. `parallelism` and
+/// `budget` is the surrounding run's budget. Its work unit here is **one
+/// SAT query**, its conflict limit caps the phase's *cumulative*
+/// conflicts, and a query it stops ends the pass. `parallelism` and
 /// `backend` configure the final re-screen (bit-identical results for
 /// every setting).
 pub fn generate_discriminating_tests(
     golden: &Circuit,
     faulty: &Circuit,
     solutions: &[Vec<GateId>],
-    policy: &TestGenPolicy,
-    run_budget: &Budget,
+    budget: &Budget,
     parallelism: Parallelism,
     backend: ValidityBackend,
 ) -> TestGenOutcome {
@@ -314,7 +195,6 @@ pub fn generate_discriminating_tests(
         faulty.outputs().len(),
         "golden/faulty output mismatch"
     );
-    let budget = policy.budget.constrain(run_budget);
     let mut meter = budget.meter();
     let mut stats = SolverStats::default();
     let mut status: Vec<Status> = solutions
@@ -330,69 +210,56 @@ pub fn generate_discriminating_tests(
 
     // Harvest buffers: each model goes into a plain vector (for the
     // blocking clause) and straight into PackedSim-layout pattern words
-    // (lane = harvest index) for the batch confirmation sweep below.
+    // (lane = harvest index) for the batch confirmation sweep below; a
+    // candidate yields at most one vector.
     let open_count = status.iter().filter(|&&s| s == Status::Open).count();
-    let max_lanes = policy.rounds.saturating_mul(open_count).max(1);
-    let words_per_input = max_lanes.div_ceil(64);
+    let words_per_input = open_count.max(1).div_ceil(64);
     let mut words = vec![0u64; golden.inputs().len() * words_per_input];
     let mut harvested: Vec<Vec<bool>> = Vec::new();
     let mut conflicts_left = budget.conflicts;
     let deadline = budget.deadline_instant();
-    let mut hard_stop = false;
+    let mut stopped = false;
 
-    'rounds: for _ in 0..policy.rounds {
-        if !status.contains(&Status::Open) {
+    for index in 0..solutions.len() {
+        if status[index] != Status::Open {
+            continue;
+        }
+        if conflicts_left == Some(0) || !meter.charge(1) {
+            stopped = true;
             break;
         }
-        for index in 0..solutions.len() {
-            if status[index] != Status::Open {
-                continue;
+        gatediag_obs::count("testgen.queries", 1);
+        let mut solver = Solver::new();
+        let vars = build_query(&mut solver, golden, faulty, &solutions[index]);
+        for vector in &harvested {
+            block_input_vector(&mut solver, &vars, golden.inputs(), vector);
+        }
+        solver.set_conflict_budget(conflicts_left);
+        solver.set_deadline(deadline);
+        let result = solver.solve(&[]);
+        let query_stats = solver.stats();
+        if let Some(left) = &mut conflicts_left {
+            *left = left.saturating_sub(query_stats.conflicts);
+        }
+        stats.absorb(&query_stats);
+        match result {
+            SolveResult::Sat => {
+                let vector = harvest_input_vector(&solver, &vars, golden.inputs());
+                harvest_input_lane(
+                    &solver,
+                    &vars,
+                    golden.inputs(),
+                    &mut words,
+                    words_per_input,
+                    harvested.len(),
+                );
+                harvested.push(vector);
+                status[index] = Status::Refuted;
             }
-            if conflicts_left == Some(0) || !meter.charge(1) {
-                hard_stop = true;
-                break 'rounds;
-            }
-            gatediag_obs::count("testgen.queries", 1);
-            let mut solver = Solver::new();
-            let (vars, _) = build_query(&mut solver, golden, faulty, &solutions[index], None);
-            for vector in &harvested {
-                block_input_vector(&mut solver, &vars, golden.inputs(), vector);
-            }
-            let cap = match (policy.per_pair_conflicts, conflicts_left) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            solver.set_conflict_budget(cap);
-            solver.set_deadline(deadline);
-            let result = solver.solve(&[]);
-            let query_stats = solver.stats();
-            if let Some(left) = &mut conflicts_left {
-                *left = left.saturating_sub(query_stats.conflicts);
-            }
-            stats.absorb(&query_stats);
-            match result {
-                SolveResult::Sat => {
-                    let vector = harvest_input_vector(&solver, &vars, golden.inputs());
-                    harvest_input_lane(
-                        &solver,
-                        &vars,
-                        golden.inputs(),
-                        &mut words,
-                        words_per_input,
-                        harvested.len(),
-                    );
-                    harvested.push(vector);
-                    status[index] = Status::Refuted;
-                }
-                SolveResult::Unsat => status[index] = Status::Consistent,
-                SolveResult::Unknown => {
-                    if solver.deadline_hit() {
-                        hard_stop = true;
-                        break 'rounds;
-                    }
-                    // Conflict cap: leave the candidate open for a later
-                    // round (or the final unresolved accounting).
-                }
+            SolveResult::Unsat => status[index] = Status::Consistent,
+            SolveResult::Unknown => {
+                stopped = true;
+                break;
             }
         }
     }
@@ -438,7 +305,7 @@ pub fn generate_discriminating_tests(
         vec![true; solutions.len()]
     } else {
         let screen =
-            screen_valid_corrections(faulty, &tests, solutions, parallelism, backend, &budget);
+            screen_valid_corrections(faulty, &tests, solutions, parallelism, backend, budget);
         stats.absorb(&screen.stats);
         screen_truncated = screen.truncation.is_some();
         let mut verdicts = screen.verdicts;
@@ -466,14 +333,13 @@ pub fn generate_discriminating_tests(
         }
     }
 
-    let unresolved = status.contains(&Status::Open);
     TestGenOutcome {
         solutions_before: solutions.len(),
         solutions_after: survivors.len(),
         tests,
         survivors,
         classes,
-        truncation: (hard_stop || unresolved || screen_truncated).then_some(Truncation::TestGen),
+        truncation: (stopped || screen_truncated).then_some(Truncation::TestGen),
         stats,
     }
 }
@@ -498,9 +364,8 @@ mod tests {
         Some((golden, faulty, sites[0].gate, tests))
     }
 
-    fn defaults() -> (TestGenPolicy, Budget, Parallelism, ValidityBackend) {
+    fn defaults() -> (Budget, Parallelism, ValidityBackend) {
         (
-            TestGenPolicy::default(),
             Budget::default(),
             Parallelism::Sequential,
             ValidityBackend::default(),
@@ -519,12 +384,11 @@ mod tests {
                 &DiagnosisProblem::combinational(faulty.clone(), tests.clone()),
                 &EngineConfig::default(),
             );
-            let (policy, budget, par, backend) = defaults();
+            let (budget, par, backend) = defaults();
             let outcome = generate_discriminating_tests(
                 &golden,
                 &faulty,
                 &run.solutions,
-                &policy,
                 &budget,
                 par,
                 backend,
@@ -564,12 +428,11 @@ mod tests {
                 &DiagnosisProblem::combinational(faulty.clone(), tests.clone()),
                 &EngineConfig::default(),
             );
-            let (policy, budget, par, backend) = defaults();
+            let (budget, par, backend) = defaults();
             let a = generate_discriminating_tests(
                 &golden,
                 &faulty,
                 &run.solutions,
-                &policy,
                 &budget,
                 par,
                 backend,
@@ -578,7 +441,6 @@ mod tests {
                 &golden,
                 &faulty,
                 &run.solutions,
-                &policy,
                 &budget,
                 gatediag_sim::Parallelism::Fixed(4),
                 backend,
@@ -609,10 +471,9 @@ mod tests {
                 s
             };
             let solutions = vec![vec![site], superset];
-            let (policy, budget, par, backend) = defaults();
-            let outcome = generate_discriminating_tests(
-                &golden, &faulty, &solutions, &policy, &budget, par, backend,
-            );
+            let (budget, par, backend) = defaults();
+            let outcome =
+                generate_discriminating_tests(&golden, &faulty, &solutions, &budget, par, backend);
             assert_eq!(outcome.truncation, None, "seed {seed}");
             assert_eq!(outcome.solutions_after, 2, "seed {seed}: {outcome:?}");
             assert_eq!(
@@ -640,13 +501,15 @@ mod tests {
             if run.solutions.len() < 2 {
                 continue;
             }
-            let (mut policy, budget, par, backend) = defaults();
-            policy.budget.work = Some(1);
+            let (_, par, backend) = defaults();
+            let budget = Budget {
+                work: Some(1),
+                ..Budget::default()
+            };
             let outcome = generate_discriminating_tests(
                 &golden,
                 &faulty,
                 &run.solutions,
-                &policy,
                 &budget,
                 par,
                 backend,
@@ -658,71 +521,6 @@ mod tests {
             return;
         }
         panic!("no workload with at least two covers");
-    }
-
-    #[test]
-    fn distinguish_pair_separates_site_from_wrong_gate() {
-        for seed in 0..16 {
-            let Some((golden, faulty, site, _tests)) = workload(seed) else {
-                continue;
-            };
-            // A wrong single-gate candidate: implicated by nothing —
-            // just pick some other gate and see if the site wins.
-            let Some(wrong) = faulty
-                .iter()
-                .find(|(id, g)| *id != site && g.kind() != GateKind::Input)
-                .map(|(id, _)| id)
-            else {
-                continue;
-            };
-            match distinguish_pair(&golden, &faulty, &[site], &[wrong], &[], None) {
-                PairOutcome::Distinguished(found) => {
-                    assert!(!found.is_empty());
-                    for t in &found {
-                        let g = gatediag_sim::simulate(&golden, &t.vector);
-                        let f = gatediag_sim::simulate(&faulty, &t.vector);
-                        assert_eq!(g[t.output.index()], t.expected);
-                        assert_ne!(f[t.output.index()], t.expected);
-                        let single = TestSet::new(vec![t.clone()]);
-                        assert!(
-                            is_valid_correction(&faulty, &single, &[site]),
-                            "seed {seed}: keeper does not rectify its own test"
-                        );
-                        assert!(
-                            !is_valid_correction(&faulty, &single, &[wrong]),
-                            "seed {seed}: refuted candidate rectifies the test"
-                        );
-                    }
-                    // Blocking the found vector changes the answer.
-                    let blocked: Vec<Vec<bool>> = found.iter().map(|t| t.vector.clone()).collect();
-                    if let PairOutcome::Distinguished(next) =
-                        distinguish_pair(&golden, &faulty, &[site], &[wrong], &blocked, None)
-                    {
-                        for t in &next {
-                            assert!(
-                                !blocked.contains(&t.vector),
-                                "seed {seed}: blocked vector reappeared"
-                            );
-                        }
-                    }
-                    return;
-                }
-                PairOutcome::Indistinguishable => continue,
-                PairOutcome::Unknown => panic!("unlimited query returned Unknown"),
-            }
-        }
-        panic!("no pair was distinguishable");
-    }
-
-    #[test]
-    fn distinguish_pair_is_reflexively_indistinguishable() {
-        let golden = c17();
-        let (faulty, sites) = inject_errors(&golden, 1, 3);
-        let site = sites[0].gate;
-        assert_eq!(
-            distinguish_pair(&golden, &faulty, &[site], &[site], &[], None),
-            PairOutcome::Indistinguishable
-        );
     }
 
     #[test]
@@ -738,10 +536,9 @@ mod tests {
             .collect();
         assert!(big.len() > EXPAND_MAX);
         let solutions = vec![vec![site], big];
-        let (policy, budget, par, backend) = defaults();
-        let outcome = generate_discriminating_tests(
-            &golden, &faulty, &solutions, &policy, &budget, par, backend,
-        );
+        let (budget, par, backend) = defaults();
+        let outcome =
+            generate_discriminating_tests(&golden, &faulty, &solutions, &budget, par, backend);
         // The oversized set is never queried: it survives (whole-circuit
         // supersets rectify everything) as a singleton class, separate
         // from the proven-consistent site.

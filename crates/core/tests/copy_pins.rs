@@ -31,7 +31,7 @@ use gatediag_core::{
     basic_sat_diagnose, generate_discriminating_tests, generate_failing_sequences,
     generate_failing_tests, prepare, run_engine, BsatOptions, BsimOptions, Budget, DiagnoseRequest,
     DiagnosisProblem, EngineConfig, EngineKind, MarkPolicy, Parallelism, PreparedTests,
-    SequenceTestSet, TestGenPolicy, ValidityBackend, ValidityOracle,
+    SequenceTestSet, ValidityBackend, ValidityOracle,
 };
 use gatediag_netlist::{
     c17, inject_errors, parse_bench, unroll, Circuit, GateId, GateKind, RandomCircuitSpec,
@@ -380,7 +380,6 @@ fn discriminating_test_generation_is_pinned() {
             golden,
             &faulty,
             &solutions,
-            &TestGenPolicy::default(),
             &Budget::default(),
             Parallelism::Sequential,
             ValidityBackend::Auto,

@@ -11,32 +11,23 @@
 //! as a counterexample.
 
 use gatediag_core::{
-    distinguish_pair, generate_discriminating_tests, generate_failing_tests, run_engine, Budget,
-    DiagnosisProblem, EngineConfig, EngineKind, PairOutcome, Parallelism, TestGenPolicy,
-    ValidityBackend,
+    generate_discriminating_tests, generate_failing_tests, run_engine, Budget, DiagnosisProblem,
+    EngineConfig, EngineKind, Parallelism, TestSet, ValidityBackend,
 };
-use gatediag_netlist::{inject_errors, Circuit, GateKind, RandomCircuitSpec};
+use gatediag_netlist::{inject_errors, Circuit, GateId, GateKind, RandomCircuitSpec};
 use gatediag_sim::simulate;
 use proptest::prelude::*;
 
 /// A random workload with an observable injected error: the golden and
-/// faulty circuits, the first real error site, and the failing tests.
-fn workload(
-    seed: u64,
-    errors: usize,
-) -> Option<(
-    Circuit,
-    Circuit,
-    gatediag_netlist::GateId,
-    gatediag_core::TestSet,
-)> {
+/// faulty circuits and the failing tests.
+fn workload(seed: u64, errors: usize) -> Option<(Circuit, Circuit, TestSet)> {
     let golden = RandomCircuitSpec::new(5, 3, 30).seed(seed).generate();
-    let (faulty, sites) = inject_errors(&golden, errors, seed);
+    let (faulty, _) = inject_errors(&golden, errors, seed);
     let tests = generate_failing_tests(&golden, &faulty, 8, seed, 1 << 13);
     if tests.is_empty() {
         return None;
     }
-    Some((golden, faulty, sites[0].gate, tests))
+    Some((golden, faulty, tests))
 }
 
 proptest! {
@@ -52,7 +43,7 @@ proptest! {
         seed in 0u64..300,
         errors in 1usize..=2,
     ) {
-        let Some((golden, faulty, _, tests)) = workload(seed, errors) else {
+        let Some((golden, faulty, tests)) = workload(seed, errors) else {
             return Ok(());
         };
         let run = run_engine(
@@ -64,7 +55,6 @@ proptest! {
             &golden,
             &faulty,
             &run.solutions,
-            &TestGenPolicy::default(),
             &Budget::default(),
             Parallelism::Sequential,
             ValidityBackend::default(),
@@ -86,58 +76,43 @@ proptest! {
         }
     }
 
-    /// Blocking round-trip: enumerating distinguishing vectors for one
-    /// pair with `distinguish_pair`, feeding every harvested vector back
-    /// as blocked, never sees a vector twice and terminates (the input
-    /// space is finite, so blocking must drain it).
+    /// Blocking round-trip: every harvested vector is blocked in every
+    /// later query, so the phase's tests (in harvest order) never return
+    /// to a vector they have moved past. Every single non-input gate is a
+    /// candidate here, so most workloads harvest several vectors.
     #[test]
     fn blocked_vectors_never_reappear(
         seed in 0u64..300,
         errors in 1usize..=2,
     ) {
-        let Some((golden, faulty, site, _)) = workload(seed, errors) else {
+        let Some((golden, faulty, _)) = workload(seed, errors) else {
             return Ok(());
         };
-        let Some(wrong) = faulty
+        let candidates: Vec<Vec<GateId>> = faulty
             .iter()
-            .find(|(id, g)| *id != site && g.kind() != GateKind::Input)
-            .map(|(id, _)| id)
-        else {
-            return Ok(());
-        };
-        let mut blocked: Vec<Vec<bool>> = Vec::new();
-        let mut drained = false;
-        // 5 inputs = at most 32 distinct vectors; anything past that is a
-        // blocking failure.
-        let cap = 1 << golden.inputs().len();
-        for _ in 0..=cap {
-            match distinguish_pair(&golden, &faulty, &[site], &[wrong], &blocked, None) {
-                PairOutcome::Distinguished(found) => {
-                    prop_assert!(!found.is_empty());
-                    let vector = found[0].vector.clone();
-                    for t in &found {
-                        // All tests of one query share the model's
-                        // vector, and each must fail on the faulty
-                        // circuit.
-                        prop_assert_eq!(&t.vector, &vector);
-                        let f = simulate(&faulty, &t.vector);
-                        prop_assert_ne!(f[t.output.index()], t.expected);
-                    }
-                    prop_assert!(
-                        !blocked.contains(&vector),
-                        "blocked vector harvested again"
-                    );
-                    blocked.push(vector);
-                }
-                PairOutcome::Indistinguishable => {
-                    drained = true;
-                    break;
-                }
-                PairOutcome::Unknown => {
-                    prop_assert!(false, "unbounded query returned Unknown");
-                }
+            .filter(|(_, g)| g.kind() != GateKind::Input)
+            .map(|(id, _)| vec![id])
+            .collect();
+        let outcome = generate_discriminating_tests(
+            &golden,
+            &faulty,
+            &candidates,
+            &Budget::default(),
+            Parallelism::Sequential,
+            ValidityBackend::default(),
+        );
+        prop_assert_eq!(outcome.truncation, None);
+        let mut harvested: Vec<&Vec<bool>> = Vec::new();
+        for t in &outcome.tests {
+            if harvested.last() != Some(&&t.vector) {
+                prop_assert!(
+                    !harvested.contains(&&t.vector),
+                    "blocked vector harvested again"
+                );
+                harvested.push(&t.vector);
             }
         }
-        prop_assert!(drained, "blocking never drained the input space");
+        // One vector per refuted candidate at most.
+        prop_assert!(harvested.len() <= candidates.len());
     }
 }

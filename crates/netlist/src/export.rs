@@ -1,11 +1,10 @@
-//! Graphviz DOT export and sub-circuit extraction.
+//! Graphviz DOT export.
 //!
 //! DOT dumps make diagnosis results inspectable (candidate gates are
-//! highlighted); cone extraction produces the self-contained sub-circuit a
-//! hierarchical flow would diagnose in isolation.
+//! highlighted).
 
-use crate::analysis::{fanin_cone, GateSet};
-use crate::circuit::{Circuit, CircuitBuilder};
+use crate::analysis::GateSet;
+use crate::circuit::Circuit;
 use crate::gate::{GateId, GateKind};
 use std::fmt::Write as _;
 
@@ -64,51 +63,6 @@ pub fn to_dot(circuit: &Circuit, highlight: &[GateId]) -> String {
     out
 }
 
-/// Extracts the transitive fan-in cone of `roots` as a self-contained
-/// circuit.
-///
-/// Gates on the cone boundary keep their structure; every cone gate whose
-/// fan-in lies outside the cone cannot occur (cones are fan-in closed), so
-/// the extraction is exact. The roots become the outputs of the extracted
-/// circuit. Gate names are preserved.
-///
-/// Returns the sub-circuit and the mapping `original gate → extracted
-/// gate`.
-///
-/// # Panics
-///
-/// Panics if `roots` is empty.
-pub fn extract_cone(circuit: &Circuit, roots: &[GateId]) -> (Circuit, Vec<Option<GateId>>) {
-    assert!(!roots.is_empty(), "need at least one cone root");
-    let cone = fanin_cone(circuit, roots);
-    let mut b = CircuitBuilder::new();
-    b.name(format!("{}::cone", circuit.name()));
-    let mut map: Vec<Option<GateId>> = vec![None; circuit.len()];
-    for &id in circuit.topo_order() {
-        if !cone.contains(id) {
-            continue;
-        }
-        let gate = circuit.gate(id);
-        let fallback = format!("n{}", id.index());
-        let name = circuit.gate_name(id).map(str::to_owned).unwrap_or(fallback);
-        let new_id = if gate.kind() == GateKind::Input {
-            b.input(name)
-        } else {
-            let fanins = gate
-                .fanins()
-                .iter()
-                .map(|f| map[f.index()].expect("cones are fan-in closed"))
-                .collect();
-            b.gate(gate.kind(), fanins, name)
-        };
-        map[id.index()] = Some(new_id);
-    }
-    for &r in roots {
-        b.output(map[r.index()].expect("root is in its own cone"));
-    }
-    (b.finish().expect("cone extraction preserves validity"), map)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,37 +90,5 @@ mod tests {
             .find(|l| l.contains(&format!("g{} [", g.index())))
             .unwrap();
         assert!(line.contains("fillcolor"));
-    }
-
-    #[test]
-    fn cone_of_one_output() {
-        let c = c17();
-        let g22 = c.find("G22").unwrap();
-        let (sub, map) = extract_cone(&c, &[g22]);
-        // G22's cone: G1, G2, G3, G6 inputs; G10, G11, G16, G22 gates.
-        assert_eq!(sub.inputs().len(), 4);
-        assert_eq!(sub.num_functional_gates(), 4);
-        assert_eq!(sub.outputs().len(), 1);
-        assert!(map[g22.index()].is_some());
-        // G19 and G23 are outside the cone.
-        assert!(map[c.find("G19").unwrap().index()].is_none());
-        // Extracted circuit simulates identically on the cone.
-        let sub_g22 = map[g22.index()].unwrap();
-        assert_eq!(sub.gate(sub_g22).kind(), c.gate(g22).kind());
-    }
-
-    #[test]
-    fn cone_of_all_outputs_is_whole_reachable_circuit() {
-        let c = c17();
-        let (sub, _) = extract_cone(&c, c.outputs());
-        assert_eq!(sub.num_functional_gates(), c.num_functional_gates());
-        assert_eq!(sub.inputs().len(), c.inputs().len());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one cone root")]
-    fn cone_requires_roots() {
-        let c = c17();
-        let _ = extract_cone(&c, &[]);
     }
 }

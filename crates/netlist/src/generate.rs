@@ -354,62 +354,6 @@ pub fn parity_tree(width: usize) -> Circuit {
     b.finish().expect("parity construction is valid")
 }
 
-/// A `2^sel_bits`-to-1 multiplexer tree built from AND/OR/NOT gates.
-///
-/// Inputs: `d0..d(2^sel_bits - 1)` data lines, `s0..s(sel_bits-1)` selects.
-///
-/// # Panics
-///
-/// Panics if `sel_bits == 0` or `sel_bits > 6`.
-pub fn mux_tree(sel_bits: usize) -> Circuit {
-    assert!(
-        (1..=6).contains(&sel_bits),
-        "sel_bits must be between 1 and 6"
-    );
-    let mut b = CircuitBuilder::new();
-    b.name(format!("mux{}", 1 << sel_bits));
-    let data: Vec<GateId> = (0..1usize << sel_bits)
-        .map(|i| b.input(format!("d{i}")))
-        .collect();
-    let sels: Vec<GateId> = (0..sel_bits).map(|i| b.input(format!("s{i}"))).collect();
-    let mut layer = data;
-    for (bit, &s) in sels.iter().enumerate() {
-        let ns = b.gate(GateKind::Not, vec![s], format!("ns{bit}"));
-        let mut next = Vec::with_capacity(layer.len() / 2);
-        for (j, pair) in layer.chunks(2).enumerate() {
-            let lo = b.gate(GateKind::And, vec![pair[0], ns], format!("lo{bit}_{j}"));
-            let hi = b.gate(GateKind::And, vec![pair[1], s], format!("hi{bit}_{j}"));
-            next.push(b.gate(GateKind::Or, vec![lo, hi], format!("m{bit}_{j}")));
-        }
-        layer = next;
-    }
-    b.output(layer[0]);
-    b.finish().expect("mux construction is valid")
-}
-
-/// An `n`-bit equality comparator: output 1 iff `a == b`.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn equality_comparator(n: usize) -> Circuit {
-    assert!(n > 0, "comparator width must be positive");
-    let mut b = CircuitBuilder::new();
-    b.name(format!("eq{n}"));
-    let a: Vec<GateId> = (0..n).map(|i| b.input(format!("a{i}"))).collect();
-    let bb: Vec<GateId> = (0..n).map(|i| b.input(format!("b{i}"))).collect();
-    let eqs: Vec<GateId> = (0..n)
-        .map(|i| b.gate(GateKind::Xnor, vec![a[i], bb[i]], format!("eq{i}")))
-        .collect();
-    let out = if eqs.len() == 1 {
-        eqs[0]
-    } else {
-        b.gate(GateKind::And, eqs, "all_eq")
-    };
-    b.output(out);
-    b.finish().expect("comparator construction is valid")
-}
-
 /// Fair coins from a seeded ChaCha8 stream, drawn 64 at a time.
 ///
 /// Coin `k` is `true` exactly when the sign bit of the stream's `k`-th
@@ -665,20 +609,6 @@ mod tests {
         assert_eq!(c.depth(), 3);
         let c3 = parity_tree(3);
         assert_eq!(c3.num_functional_gates(), 2);
-    }
-
-    #[test]
-    fn mux_counts() {
-        let c = mux_tree(2);
-        assert_eq!(c.inputs().len(), 6);
-        assert_eq!(c.outputs().len(), 1);
-    }
-
-    #[test]
-    fn comparator_counts() {
-        let c = equality_comparator(3);
-        assert_eq!(c.inputs().len(), 6);
-        assert_eq!(c.num_functional_gates(), 4);
     }
 
     #[test]

@@ -82,11 +82,11 @@ pub use bench_format::{
     BenchDirLoad, BenchLoadWarning,
 };
 pub use circuit::{Circuit, CircuitBuilder, Latch, NetlistError};
-pub use export::{extract_cone, to_dot};
+pub use export::to_dot;
 pub use gate::{Gate, GateId, GateKind};
 pub use generate::{
-    c17, equality_comparator, mux_tree, parity_tree, ripple_carry_adder, s1423_like, s38417_like,
-    s6669_like, FairCoins, RandomCircuitSpec, VectorGen,
+    c17, parity_tree, ripple_carry_adder, s1423_like, s38417_like, s6669_like, FairCoins,
+    RandomCircuitSpec, VectorGen,
 };
 pub use inject::{
     inject_errors, inject_faults, inject_stuck_at, try_inject_faults, ErrorSite, Fault, FaultKind,

@@ -86,7 +86,6 @@
 
 mod block;
 mod clause;
-mod dimacs;
 mod enumerate;
 mod heap;
 mod lit;
@@ -94,7 +93,6 @@ pub mod reference;
 mod solver;
 
 pub use block::ClauseBlock;
-pub use dimacs::{parse_dimacs, write_dimacs};
 pub use enumerate::{enumerate_positive_subsets, EnumOutcome};
 pub use lit::{LBool, Lit, Var};
 pub use solver::{SolveResult, Solver, SolverStats};

@@ -161,7 +161,12 @@ fn parse_diagnose(mut v: Json) -> Result<DiagnoseCall, String> {
     }
     request.work_budget = opt_u64(v, "work_budget")?;
     request.deadline_ms = opt_u64(v, "deadline_ms")?;
-    request.test_gen_rounds = opt_usize(v, "test_gen_rounds")?;
+    // Unknown keys are ignored, so the retired `test_gen_rounds` field
+    // would otherwise run silently without the phase it used to turn on.
+    if v.get("test_gen_rounds").is_some() {
+        return Err("\"test_gen_rounds\" is gone: send \"test_gen\": true".to_string());
+    }
+    request.test_gen = bool_or(v, "test_gen", false)?;
     let chaos = match (opt_u64(v, "chaos_ppm")?, opt_u64(v, "chaos_seed")?) {
         (None, _) => None,
         (Some(ppm), seed) => Some(ChaosConfig {
@@ -230,7 +235,9 @@ pub fn render_diagnose_request(call: &DiagnoseCall) -> String {
     if let Some(v) = r.deadline_ms {
         fields.push(("deadline_ms".to_string(), Json::Num(v.to_string())));
     }
-    push_opt_usize(&mut fields, "test_gen_rounds", r.test_gen_rounds);
+    if r.test_gen {
+        fields.push(("test_gen".to_string(), Json::Bool(true)));
+    }
     if let Some(chaos) = call.chaos {
         fields.push((
             "chaos_ppm".to_string(),

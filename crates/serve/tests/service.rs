@@ -5,8 +5,8 @@ use gatediag_core::{ChaosConfig, DiagnoseRequest, EngineKind};
 use gatediag_netlist::{s1423_like, s6669_like, write_bench};
 use gatediag_obs::json::{parse_json, Json};
 use gatediag_serve::{
-    render_diagnose_request, serve_lines, serve_tcp, Client, DiagnoseCall, Service, ServiceConfig,
-    MAX_REQUEST_LINE,
+    parse_request, render_diagnose_request, serve_lines, serve_tcp, Client, DiagnoseCall, Request,
+    Service, ServiceConfig, MAX_REQUEST_LINE,
 };
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -261,6 +261,46 @@ fn malformed_lines_get_error_responses() {
         let response = service.handle_line(line);
         assert_eq!(status_of(&response), "error", "{line} -> {response}");
     }
+}
+
+#[test]
+fn test_gen_requests_round_trip_and_the_retired_rounds_field_errors() {
+    let service = Service::new(ServiceConfig::default());
+    let mut with_phase = call(EngineKind::Cov, 1);
+    with_phase.request.test_gen = true;
+    let line = render_diagnose_request(&with_phase);
+    assert!(line.contains("\"test_gen\": true"), "{line}");
+    match parse_request(&line).expect("round trip") {
+        Request::Diagnose(parsed) => assert_eq!(parsed.request, with_phase.request),
+        other => panic!("expected diagnose, got {other:?}"),
+    }
+    let response = service.handle_line(&line);
+    assert_eq!(status_of(&response), "ok", "{response}");
+    let v = parse_json(&response).unwrap();
+    let test_gen = field(&v, "test_gen");
+    for key in [
+        "gen_tests",
+        "solutions_before",
+        "solutions_after",
+        "ambiguity_classes",
+    ] {
+        field(test_gen, key).as_u64(key).unwrap();
+    }
+    // The phase is off without the field.
+    let plain = service.handle_line(&render_diagnose_request(&call(EngineKind::Cov, 1)));
+    assert!(
+        parse_json(&plain).unwrap().get("test_gen").is_none(),
+        "{plain}"
+    );
+
+    // A request still naming the retired knob must not silently run
+    // without the phase.
+    let retired = line.replacen("\"test_gen\": true", "\"test_gen_rounds\": 4", 1);
+    let response = service.handle_line(&retired);
+    assert_eq!(status_of(&response), "error", "{response}");
+    let v = parse_json(&response).unwrap();
+    let message = field(&v, "message").as_str("message").unwrap();
+    assert!(message.contains("\"test_gen\": true"), "{message}");
 }
 
 #[test]

@@ -388,8 +388,8 @@ impl<'c> PackedSim<'c> {
         self.values[g.index() * self.words + lane / 64] >> (lane % 64) & 1 == 1
     }
 
-    /// Extracts pattern `lane` over all gates as a `Vec<bool>` (the
-    /// multi-word analogue of [`crate::unpack_lane`]).
+    /// Extracts pattern `lane` over all gates as a `Vec<bool>`, indexed by
+    /// gate id.
     pub fn unpack_lane(&self, lane: usize) -> Vec<bool> {
         assert!(lane < self.num_patterns(), "lane out of range");
         let w = self.words;

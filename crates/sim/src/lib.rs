@@ -4,17 +4,15 @@
 //! diagnosis flows:
 //!
 //! * [`PackedSim`] — the workhorse: a reusable multi-word bit-parallel
-//!   engine (arbitrary pattern counts, `64 * W` patterns per topological
-//!   sweep) with a sparse forced-value overlay and an event-driven
+//!   engine (the "efficient parallel simulation" of Sec. 1: arbitrary
+//!   pattern counts, `64 * W` patterns per topological sweep, inputs
+//!   packed by [`pack_vectors_into`]) with a sparse forced-value overlay and an event-driven
 //!   incremental mode that re-simulates only the fan-out cone of a
 //!   change. All hot diagnosis paths (BSIM batching, validity screening,
 //!   test generation) run on it;
 //! * [`simulate`] / [`simulate_forced`] — scalar two-valued simulation
 //!   with optional forced gate values (the effect-analysis reference
 //!   semantics; `PackedSim` is lane-for-lane bit-identical to it);
-//! * [`simulate_packed`] — one-shot 64-way bit-parallel simulation (the
-//!   "efficient parallel simulation" of Sec. 1), now a thin wrapper over
-//!   `PackedSim` kept for convenience;
 //! * [`SeqPackedSim`] / [`simulate_sequence`] — frame-major sequential
 //!   simulation: `64 * W` input *sequences* at once per time frame, latch
 //!   state words carried frame-to-frame over the explicit
@@ -77,9 +75,7 @@ mod scalar;
 mod sequential;
 
 pub use engine::PackedSim;
-pub use packed::{
-    pack_vectors, pack_vectors_into, simulate_packed, simulate_packed_forced, unpack_lane,
-};
+pub use packed::pack_vectors_into;
 pub use pool::{
     parallel_map_init, parallel_map_init_isolated, parallel_map_init_while, Parallelism,
     PersistentPool, WorkItemFailure, AUTO_WORK_FLOOR, MAX_ENV_WORKERS,

@@ -1,11 +1,11 @@
-//! 64-way bit-parallel two-valued simulation.
+//! Input packing for bit-parallel simulation.
 //!
 //! Each `u64` word carries 64 independent patterns, one per bit lane. This
 //! is the "efficient parallel simulation with linear runtime" the paper
-//! attributes to simulation-based diagnosis: one topological sweep evaluates
-//! 64 test vectors simultaneously.
+//! attributes to simulation-based diagnosis: one topological sweep of
+//! [`PackedSim`](crate::PackedSim) evaluates 64 test vectors per word.
 
-use gatediag_netlist::{Circuit, GateId};
+use gatediag_netlist::Circuit;
 
 /// Packs any number of input vectors into per-input pattern words,
 /// reusing a caller-provided buffer.
@@ -46,151 +46,4 @@ pub fn pack_vectors_into<V: AsRef<[bool]>>(
         }
     }
     words
-}
-
-/// Packs up to 64 input vectors into per-input pattern words.
-///
-/// `vectors[p][i]` is the value of input `i` in pattern `p`; the result has
-/// one word per primary input with bit `p` carrying pattern `p`. For more
-/// than 64 patterns, or to reuse a buffer across calls, use
-/// [`pack_vectors_into`].
-///
-/// # Panics
-///
-/// Panics if more than 64 vectors are supplied or a vector has the wrong
-/// width.
-pub fn pack_vectors(circuit: &Circuit, vectors: &[Vec<bool>]) -> Vec<u64> {
-    assert!(vectors.len() <= 64, "at most 64 patterns per word");
-    let mut words = Vec::new();
-    pack_vectors_into(circuit, vectors, &mut words);
-    words
-}
-
-/// Simulates 64 patterns at once; returns one word per gate.
-///
-/// `input_words[i]` carries the 64 patterns of primary input `i`.
-///
-/// # Panics
-///
-/// Panics if `input_words.len() != circuit.inputs().len()`.
-///
-/// # Examples
-///
-/// ```
-/// let c = gatediag_netlist::c17();
-/// let vectors = vec![vec![false; 5], vec![true; 5]];
-/// let words = gatediag_sim::simulate_packed(&c, &gatediag_sim::pack_vectors(&c, &vectors));
-/// // Lane 0 must equal a scalar simulation of the first vector.
-/// let scalar = gatediag_sim::simulate(&c, &vectors[0]);
-/// for (w, &s) in words.iter().zip(&scalar) {
-///     assert_eq!(w & 1 == 1, s);
-/// }
-/// ```
-pub fn simulate_packed(circuit: &Circuit, input_words: &[u64]) -> Vec<u64> {
-    simulate_packed_forced(circuit, input_words, &[])
-}
-
-/// Packed simulation with per-gate forced pattern words.
-///
-/// Each `(gate, word)` pair overrides the gate's value lanes with `word`
-/// (all 64 lanes forced). Used for bulk effect analysis where a correction
-/// candidate takes different trial values across lanes.
-///
-/// # Panics
-///
-/// Panics if `input_words.len() != circuit.inputs().len()`.
-pub fn simulate_packed_forced(
-    circuit: &Circuit,
-    input_words: &[u64],
-    forced: &[(GateId, u64)],
-) -> Vec<u64> {
-    assert_eq!(
-        input_words.len(),
-        circuit.inputs().len(),
-        "input word count mismatch"
-    );
-    let mut sim = crate::PackedSim::new(circuit);
-    sim.reset(1);
-    sim.set_input_words(input_words);
-    for &(id, w) in forced {
-        sim.force(id, &[w]);
-    }
-    sim.sweep();
-    sim.values().to_vec()
-}
-
-/// Extracts pattern `lane` from packed gate words as a `Vec<bool>`.
-pub fn unpack_lane(words: &[u64], lane: usize) -> Vec<bool> {
-    assert!(lane < 64, "lane must be below 64");
-    words.iter().map(|w| w >> lane & 1 == 1).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::scalar::simulate;
-    use gatediag_netlist::{c17, parity_tree, RandomCircuitSpec, VectorGen};
-
-    #[test]
-    fn packed_matches_scalar_on_c17() {
-        let c = c17();
-        let mut gen = VectorGen::new(&c, 99);
-        let vectors: Vec<Vec<bool>> = (0..64).map(|_| gen.next_vector()).collect();
-        let words = simulate_packed(&c, &pack_vectors(&c, &vectors));
-        for (lane, vector) in vectors.iter().enumerate() {
-            let scalar = simulate(&c, vector);
-            assert_eq!(unpack_lane(&words, lane), scalar, "lane {lane}");
-        }
-    }
-
-    #[test]
-    fn packed_matches_scalar_on_random_circuits() {
-        for seed in 0..4 {
-            let c = RandomCircuitSpec::new(7, 3, 60).seed(seed).generate();
-            let mut gen = VectorGen::new(&c, seed);
-            let vectors: Vec<Vec<bool>> = (0..32).map(|_| gen.next_vector()).collect();
-            let words = simulate_packed(&c, &pack_vectors(&c, &vectors));
-            for (lane, vector) in vectors.iter().enumerate() {
-                assert_eq!(unpack_lane(&words, lane), simulate(&c, vector));
-            }
-        }
-    }
-
-    #[test]
-    fn packed_forced_matches_scalar_forced() {
-        let c = parity_tree(8);
-        let g = c.find("p0").unwrap();
-        let mut gen = VectorGen::new(&c, 1);
-        let vectors: Vec<Vec<bool>> = (0..8).map(|_| gen.next_vector()).collect();
-        // Force alternate lanes to 1.
-        let force_word = 0b10101010u64;
-        let words = simulate_packed_forced(&c, &pack_vectors(&c, &vectors), &[(g, force_word)]);
-        for (lane, vector) in vectors.iter().enumerate() {
-            let forced_val = force_word >> lane & 1 == 1;
-            let scalar = crate::scalar::simulate_forced(&c, vector, &[(g, forced_val)]);
-            assert_eq!(unpack_lane(&words, lane), scalar, "lane {lane}");
-        }
-    }
-
-    #[test]
-    fn pack_unpack_round_trip() {
-        let c = c17();
-        let vectors = vec![
-            vec![true, false, true, false, true],
-            vec![false, true, false, true, false],
-        ];
-        let words = pack_vectors(&c, &vectors);
-        for (lane, v) in vectors.iter().enumerate() {
-            let lane_bits: Vec<bool> = words.iter().map(|w| w >> lane & 1 == 1).collect();
-            assert_eq!(&lane_bits, v);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 64")]
-    fn rejects_too_many_patterns() {
-        let c = c17();
-        let vectors: Vec<Vec<bool>> = (0..65).map(|_| vec![false; 5]).collect();
-        let _ = pack_vectors(&c, &vectors);
-    }
 }

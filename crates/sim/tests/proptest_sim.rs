@@ -3,10 +3,7 @@
 //! and forcings.
 
 use gatediag_netlist::{unroll, GateId, RandomCircuitSpec, StateView};
-use gatediag_sim::{
-    pack_vectors, pack_vectors_into, simulate, simulate_forced, simulate_packed_forced,
-    simulate_sequence, unpack_lane, PackedSim,
-};
+use gatediag_sim::{pack_vectors_into, simulate, simulate_forced, simulate_sequence, PackedSim};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -64,14 +61,17 @@ proptest! {
         let c = circuit_of(w.seed);
         let vector = vector_of(&c, w.vector_bits);
         let forced = forcings(&c, w.force_bits);
-        let packed_force: Vec<(GateId, u64)> = forced
-            .iter()
-            .map(|&(g, v)| (g, if v { !0u64 } else { 0 }))
-            .collect();
-        let words =
-            simulate_packed_forced(&c, &pack_vectors(&c, std::slice::from_ref(&vector)), &packed_force);
+        let mut sim = PackedSim::new(&c);
+        sim.reset(1);
+        sim.set_inputs_broadcast(&vector);
+        for &(g, v) in &forced {
+            sim.force_all_lanes(g, v);
+        }
+        sim.sweep();
         let scalar = simulate_forced(&c, &vector, &forced);
-        prop_assert_eq!(unpack_lane(&words, 0), scalar);
+        for lane in [0, 63] {
+            prop_assert_eq!(sim.unpack_lane(lane), scalar.clone(), "lane {}", lane);
+        }
     }
 
     /// `PackedSim` with more than 64 patterns (multi-word) and a random
@@ -223,18 +223,24 @@ proptest! {
         }
     }
 
-    /// The buffer-reusing multi-word packer agrees with the legacy 64-lane
-    /// packer on its shared domain.
+    /// The packer writes the documented layout: input `i`'s words at
+    /// `out[i * W .. (i + 1) * W]`, pattern `p` at bit `p % 64` of word
+    /// `p / 64`, and zero in every lane past the last pattern.
     #[test]
-    fn pack_vectors_into_matches_legacy(seed in 0u64..3_000, count in 1usize..=64, lane_bits in any::<u64>()) {
+    fn pack_vectors_into_writes_the_documented_layout(seed in 0u64..3_000, count in 1usize..=200, lane_bits in any::<u64>()) {
         let c = circuit_of(seed);
         let vectors: Vec<Vec<bool>> = (0..count)
             .map(|p| vector_of(&c, lane_bits ^ (p as u64) << 3))
             .collect();
-        let legacy = pack_vectors(&c, &vectors);
         let mut reused = vec![0xdead_beefu64; 3]; // stale content must be overwritten
         let words = pack_vectors_into(&c, &vectors, &mut reused);
-        prop_assert_eq!(words, 1);
-        prop_assert_eq!(&reused, &legacy);
+        prop_assert_eq!(words, count.div_ceil(64));
+        prop_assert_eq!(reused.len(), c.inputs().len() * words);
+        for i in 0..c.inputs().len() {
+            for lane in 0..words * 64 {
+                let bit = reused[i * words + lane / 64] >> (lane % 64) & 1 == 1;
+                prop_assert_eq!(bit, vectors.get(lane).is_some_and(|v| v[i]), "input {} lane {}", i, lane);
+            }
+        }
     }
 }

@@ -52,17 +52,16 @@ pub use gatediag_sim as sim;
 pub use gatediag_campaign::{
     parse_report, parse_report_bytes, resume_campaign, resume_campaign_checkpointed, run_campaign,
     run_campaign_checkpointed, CampaignReport, CampaignSpec, CheckpointPolicy, RetryOn,
-    RetryPolicy, TestGenSpec,
+    RetryPolicy,
 };
 pub use gatediag_core::{
     basic_sat_diagnose, basic_sim_diagnose, brute_force_covers, brute_force_diagnose, bsim_quality,
-    circuit_content_hash, cover_all, distinguish_pair, generate_discriminating_tests,
-    generate_failing_sequences, generate_failing_tests, hybrid_seeded_bsat, is_valid_correction,
-    path_trace, path_trace_packed, run_diagnose, run_engine, sc_diagnose, simulate_sequence,
-    solution_quality, BsatOptions, BsatResult, BsimOptions, BsimResult, Budget, ChaosConfig,
-    ChaosEvent, ChaosPolicy, CircuitSession, CovOptions, CovResult, DiagnoseOutcome,
-    DiagnoseRequest, DiagnoseStatus, DiagnosisProblem, EngineConfig, EngineKind, EngineRun,
-    MarkPolicy, MuxEncoding, PairOutcome, SequenceTest, SequenceTestSet, Test, TestGenOutcome,
-    TestGenPolicy, TestSet, Truncation, ValidityBackend, ValidityOracle,
+    circuit_content_hash, cover_all, generate_discriminating_tests, generate_failing_sequences,
+    generate_failing_tests, hybrid_seeded_bsat, is_valid_correction, path_trace, path_trace_packed,
+    run_diagnose, run_engine, sc_diagnose, simulate_sequence, solution_quality, BsatOptions,
+    BsatResult, BsimOptions, BsimResult, Budget, ChaosConfig, ChaosEvent, ChaosPolicy,
+    CircuitSession, CovOptions, CovResult, DiagnoseOutcome, DiagnoseRequest, DiagnoseStatus,
+    DiagnosisProblem, EngineConfig, EngineKind, EngineRun, MarkPolicy, MuxEncoding, SequenceTest,
+    SequenceTestSet, Test, TestGenOutcome, TestSet, Truncation, ValidityBackend, ValidityOracle,
 };
 pub use gatediag_sim::{PackedSim, Parallelism};

@@ -54,8 +54,6 @@ DIAGNOSE OPTIONS:
                     discriminating tests that shrink the solution list and
                     merge indistinguishable candidates into ambiguity
                     classes (default off)
-  --test-gen-rounds N  max test-generation passes over the unresolved
-                    candidates (default 4)
   --dot FILE        write a Graphviz dump with candidates highlighted
   --json            print one machine-readable gatediag-diagnose-v1
                     response line instead of the human report — the exact
@@ -136,7 +134,6 @@ CAMPAIGN OPTIONS:
                     phase on every instance; records gain the gen_tests /
                     solutions_before / solutions_after / ambiguity_classes
                     columns (default off)
-  --test-gen-rounds N  max test-generation passes per instance (default 4)
   --strict-bench    fail fast on the first malformed .bench file instead
                     of skipping it with a warning
   --workers N       worker pool size (default auto / GATEDIAG_WORKERS,
@@ -189,7 +186,6 @@ struct Options {
     seq_len: usize,
     max_solutions: usize,
     test_gen: bool,
-    test_gen_rounds: usize,
     dot: Option<String>,
     json: bool,
     obs: bool,
@@ -222,7 +218,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         seq_len: 8,
         max_solutions: 10_000,
         test_gen: false,
-        test_gen_rounds: 4,
         dot: None,
         json: false,
         obs: false,
@@ -292,11 +287,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .map_err(|_| "--max-solutions expects an integer".to_string())?
             }
             "--test-gen" => o.test_gen = parse_test_gen_mode(&value(args, &mut i, "--test-gen")?)?,
-            "--test-gen-rounds" => {
-                o.test_gen_rounds = value(args, &mut i, "--test-gen-rounds")?
-                    .parse()
-                    .map_err(|_| "--test-gen-rounds expects an integer".to_string())?
-            }
             "--dot" => o.dot = Some(value(args, &mut i, "--dot")?),
             "--json" => o.json = true,
             "--obs" => o.obs = true,
@@ -360,7 +350,7 @@ fn diagnose_request(o: &Options) -> Result<DiagnoseRequest, String> {
         conflict_budget: None,
         work_budget: o.work_budget,
         deadline_ms: None,
-        test_gen_rounds: (o.test_gen && !sequential).then_some(o.test_gen_rounds),
+        test_gen: o.test_gen && !sequential,
     }
     .validated()
 }
@@ -850,7 +840,6 @@ fn campaign_inner(args: &[String]) -> Result<(), String> {
     let mut chaos_seed: u64 = 1;
     let mut chaos_rate: Option<f64> = None;
     let mut test_gen = false;
-    let mut test_gen_rounds: usize = 4;
     let mut strict_bench = false;
     let mut workers: Option<usize> = None;
     let mut json_path = "target/campaign/campaign.json".to_string();
@@ -957,9 +946,6 @@ fn campaign_inner(args: &[String]) -> Result<(), String> {
                 chaos_rate = Some(rate);
             }
             "--test-gen" => test_gen = parse_test_gen_mode(&value(args, &mut i, "--test-gen")?)?,
-            "--test-gen-rounds" => {
-                test_gen_rounds = int(args, &mut i, "--test-gen-rounds")?.max(1) as usize
-            }
             "--strict-bench" => strict_bench = true,
             "--workers" => workers = Some(int(args, &mut i, "--workers")? as usize),
             "--json" => json_path = value(args, &mut i, "--json")?,
@@ -1062,11 +1048,7 @@ fn campaign_inner(args: &[String]) -> Result<(), String> {
         spec.retry.retry_on = retry_on;
     }
     spec.bench_warnings = bench_warnings;
-    if test_gen {
-        spec.test_gen = Some(gatediag::TestGenSpec {
-            rounds: test_gen_rounds,
-        });
-    }
+    spec.test_gen = test_gen;
     if let Some(workers) = workers {
         spec.parallelism = Parallelism::Fixed(workers);
     }

@@ -161,7 +161,7 @@ fn campaign_triage() -> Vec<String> {
                 conflict_budget: spec.conflict_budget,
                 work_budget: spec.work_budget,
                 deadline_ms: spec.deadline_ms,
-                test_gen_rounds: None,
+                test_gen: false,
             };
             let label = format!(
                 "triage {name}/{}/p{}/s{}/{}",
